@@ -34,14 +34,14 @@ from repro.hmc.hmc import TrajectoryResult, kinetic_energy
 from repro.hmc.integrators import omelyan
 from repro.lattice.gauge import GaugeField
 from repro.lattice.su3 import dagger, expm_su3, random_algebra
-from repro.solvers.cg import cg, mixed_precision_cg
+from repro.solvers.krylov import cg_iter, lift, mixed_cg_iter, run_serial
 from repro.solvers.sitedot import canonical_dot
 from repro.util.errors import ConfigError
 from repro.util.rng import rng_stream
 
-#: force-solver choices: plain double-precision CG, or mixed-precision CG
-#: with reliable updates (:func:`repro.solvers.cg.mixed_precision_cg`)
-SOLVERS = ("cg", "mixed")
+#: force-solver choices -> the Krylov core generator each one runs: plain
+#: double-precision CG, or mixed-precision CG with reliable updates
+SOLVERS = {"cg": cg_iter, "mixed": mixed_cg_iter}
 
 
 class TwoFlavorWilsonHMC:
@@ -89,18 +89,11 @@ class TwoFlavorWilsonHMC:
         count.
         """
         d = self._dirac(gauge)
-        if self.solver == "mixed":
-            res = mixed_precision_cg(
-                d.normal, phi, tol=self.cg_tol, maxiter=self.cg_maxiter
+        res = run_serial(
+            SOLVERS[self.solver](
+                lift(d.normal), lift(canonical_dot), phi, self.cg_tol, self.cg_maxiter
             )
-        else:
-            res = cg(
-                d.normal,
-                phi,
-                tol=self.cg_tol,
-                maxiter=self.cg_maxiter,
-                dot=canonical_dot,
-            )
+        )
         if not res.converged:
             raise ConfigError(
                 f"fermion-force CG failed to converge in {self.cg_maxiter}"
@@ -170,6 +163,10 @@ class TwoFlavorWilsonHMC:
         return (perturbed(+1.0) - perturbed(-1.0)) / (2 * eps)
 
     # -- trajectories ------------------------------------------------------------
+    def heatbath(self, eta: np.ndarray) -> np.ndarray:
+        """The pseudofermion heat-bath ``phi = D^+ eta``."""
+        return self._dirac(self.gauge).apply_dagger(eta)
+
     def draw_fields(self):
         g = self.gauge.geometry
         rng_p = rng_stream(self.seed, f"momenta/{self.trajectory_index}")
@@ -181,8 +178,7 @@ class TwoFlavorWilsonHMC:
             rng_e.standard_normal((g.volume, 4, 3))
             + 1j * rng_e.standard_normal((g.volume, 4, 3))
         ) / np.sqrt(2.0)
-        phi = self._dirac(self.gauge).apply_dagger(eta)
-        return momenta, eta, phi
+        return momenta, eta, self.heatbath(eta)
 
     def trajectory(self) -> TrajectoryResult:
         momenta, eta, phi = self.draw_fields()
@@ -193,7 +189,8 @@ class TwoFlavorWilsonHMC:
             + float(canonical_dot(eta, eta).real)
         )
         proposal = self.gauge.copy()
-        # the shared Omelyan loop, closed over the pseudofermion field
+        # the shared Omelyan loop, closed over the pseudofermion field (the
+        # force is the one method a machine-distributed driver overrides)
         omelyan(
             proposal,
             momenta,

@@ -17,10 +17,6 @@ from repro.parallel.pdwf import DistributedDWFContext
 from repro.parallel.pcg import (
     DistributedSolveResult,
     MachineSiteDot,
-    machine_cg,
-    machine_cgne,
-    machine_mixed_cg,
-    machine_multishift_cg,
     solve_dwf_on_machine,
     solve_on_machine,
     solve_staggered_on_machine,
@@ -37,10 +33,6 @@ __all__ = [
     "DistributedDWFContext",
     "DistributedSolveResult",
     "MachineSiteDot",
-    "machine_cg",
-    "machine_cgne",
-    "machine_mixed_cg",
-    "machine_multishift_cg",
     "solve_on_machine",
     "solve_staggered_on_machine",
     "solve_dwf_on_machine",

@@ -46,6 +46,24 @@ class PhysicsMapping:
     def gather_field(self, locals_: np.ndarray) -> np.ndarray:
         return self.tiling.gather(np.asarray(locals_))
 
+    def scatter_stack(self, fields: np.ndarray) -> np.ndarray:
+        """Global ``(k, V, ...)`` -> per-rank ``(n_ranks, k, v, ...)``: a
+        stack of fields (5D slices, smeared links per direction) whose
+        leading axis stays node-local."""
+        fields = np.asarray(fields)
+        shape = (self.n_ranks, len(fields), self.tiling.local_volume)
+        out = np.empty(shape + fields.shape[2:], dtype=fields.dtype)
+        for i, f in enumerate(fields):
+            out[:, i] = self.scatter_field(f)
+        return out
+
+    def gather_stack(self, locals_: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`scatter_stack`."""
+        locals_ = np.asarray(locals_)
+        return np.stack(
+            [self.gather_field(locals_[:, i]) for i in range(locals_.shape[1])]
+        )
+
     # -- gauge fields ---------------------------------------------------------
     def scatter_gauge(self, gauge: GaugeField) -> np.ndarray:
         """``(n_ranks, ndim, v, 3, 3)`` local link sets.
@@ -58,12 +76,7 @@ class PhysicsMapping:
         """
         if gauge.geometry != self.geometry:
             raise ConfigError("gauge field geometry does not match the mapping")
-        ndim = self.geometry.ndim
-        v = self.tiling.local_volume
-        out = np.empty((self.n_ranks, ndim, v, 3, 3), dtype=np.complex128)
-        for mu in range(ndim):
-            out[:, mu] = self.tiling.scatter(gauge.links[mu])
-        return out
+        return self.scatter_stack(gauge.links)
 
     def rank_coord(self, rank: int) -> Sequence[int]:
         return self.partition.logical_coord(rank)

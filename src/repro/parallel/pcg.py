@@ -1,30 +1,37 @@
 """Distributed conjugate gradients on the simulated machine.
 
 This is the paper's benchmark workload end to end: CG on the Dirac normal
-equations, with every inner product flowing through the SCU global-sum tree
-and every hopping term through SCU DMA halo exchanges.  The loop's
-arithmetic mirrors :func:`repro.solvers.cg.cg` step for step, so iteration
-counts and residual histories are directly comparable with the serial
-solver; because the global sum accumulates in canonical rank order, the
-residual history — and therefore the entire execution — is **bitwise
-reproducible** run over run (the paper's section-4 verification).
+equations, every hopping term through SCU DMA halo exchanges and every
+inner product through the SCU global-sum tree.  Rank programs ``yield
+from`` the one Krylov core of :mod:`repro.solvers.krylov` — the very
+generators the serial solvers run to completion — over ``ctx.normal`` and
+one of two dots (DESIGN.md §15): :func:`rank_partial_dot`, the paper's
+one-word collective (equal to serial ``cgne`` to rounding, bit-reproducible
+run over run, restart and shard count), or :class:`MachineSiteDot`, the
+V-word canonical site sum (equal to a serial ``canonical_dot`` solve in
+all bits).  ``cg.iteration``/``cg.checkpoint`` come from this backend's
+:func:`iteration_hook`, never from the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.comms.api import CommsAPI
 from repro.fermions.clover import CloverDirac
+from repro.fermions.staggered import fat_links, long_links
 from repro.lattice.gauge import GaugeField
 from repro.machine.machine import QCDOCMachine
 from repro.machine.topology import Partition
 from repro.parallel.decomp import PhysicsMapping
 from repro.parallel.pdirac import DistributedWilsonContext
+from repro.parallel.pdwf import DistributedDWFContext
+from repro.parallel.pstaggered import DistributedStaggeredContext
 from repro.solvers.checkpoint import CGCheckpointStore
-from repro.solvers.kernels import axpy, scale_axpy, xpay
+from repro.solvers.krylov import GenDot, IterationHook, SolveResult, Steps, cg_iter
 from repro.solvers.sitedot import reduce_site_inner, site_inner
 from repro.util.errors import ConfigError
 
@@ -52,27 +59,20 @@ class DistributedSolveResult:
 class MachineSiteDot:
     """Canonical inner product through the SCU global-sum tree (generator).
 
-    Bitwise mirror of :func:`repro.solvers.sitedot.canonical_dot`: the
-    rank reduces its own sites locally (per-site, so the partials do not
-    depend on the tiling), scatters them into a zero-padded global site
-    array, and contributes that through the machine's elementwise global
-    sum.  Canonical rank-order accumulation of disjoint zero-padded
-    arrays rebuilds exactly the site array the serial code sums — every
-    rank then finishes with the identical
-    :func:`~repro.solvers.sitedot.reduce_site_inner`, so the dot value
-    is the serial value in all bits at any node count, shard count or
-    word batch.
-
-    Works in any dtype the fields carry — the mixed-precision inner
-    solver routes ``complex64`` site arrays through the same tree.
+    The machine flavour of :func:`repro.solvers.sitedot.canonical_dot`
+    (see that module for why the bits agree): the rank scatters its
+    per-site partials into a zero-padded global site array and contributes
+    it to the elementwise global sum, which rebuilds the very array the
+    serial code reduces.  Works in any dtype the fields carry — the
+    mixed-precision inner solver sends ``complex64`` sites through the tree.
     """
 
-    def __init__(self, api, global_sites: np.ndarray, global_volume: int):
+    def __init__(self, api: CommsAPI, mapping: PhysicsMapping):
         self.api = api
-        self.global_sites = np.asarray(global_sites)
-        self.global_volume = int(global_volume)
+        self.global_sites = mapping.tiling.global_of[api.rank]
+        self.global_volume = mapping.geometry.volume
 
-    def __call__(self, u: np.ndarray, v: np.ndarray):
+    def __call__(self, u: np.ndarray, v: np.ndarray) -> Steps[complex]:
         site = site_inner(u, v)
         padded = np.zeros(self.global_volume, dtype=site.dtype)
         padded[self.global_sites] = site
@@ -80,330 +80,178 @@ class MachineSiteDot:
         return reduce_site_inner(summed)
 
 
-def machine_cg(api, ctx, b, dot, tol, maxiter):
-    """Distributed CG directly on ``ctx.normal`` (generator).
+def rank_partial_dot(api: CommsAPI) -> GenDot:
+    """This rank's ``vdot`` partial through a one-word SCU global sum."""
 
-    The HMC force solver: mirrors :func:`repro.solvers.cg.cg` with
-    ``x0=None`` *bit for bit* — same fused vector kernels
-    (:mod:`repro.solvers.kernels`, elementwise so tiling is invisible),
-    same arithmetic order, with every inner product a
-    :class:`MachineSiteDot` — so iteration counts, residual histories
-    and the solution field all match the serial solve exactly.  (The
-    serial solver's audit-only ``true_residual`` applies are skipped:
-    they read the finished solution and touch nothing the evolution
-    consumes.)
+    def dot(u: np.ndarray, v: np.ndarray) -> Steps[complex]:
+        return (yield api.global_sum(np.array([np.vdot(u, v)])))[0]
 
-    Returns ``(x, converged, iterations, residuals)``.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = (yield from dot(r, r)).real
-    bb = (yield from dot(b, b)).real
-    if bb == 0.0:
-        return x, True, 0, [0.0]
-    target = tol * tol * bb
-    residuals = [float(np.sqrt(rr / bb))]
-    converged = rr <= target
-    it = 0
-    ws = np.empty_like(b)
-    while not converged and it < maxiter:
-        ap = yield from ctx.normal(p)
-        alpha = rr / (yield from dot(p, ap)).real
-        axpy(alpha, p, x, ws)  # x += alpha p
-        axpy(-alpha, ap, r, ws)  # r -= alpha ap (axpy_norm2, dot split off)
-        rr_new = (yield from dot(r, r)).real
-        beta = rr_new / rr
-        xpay(r, beta, p)  # p <- r + beta p, in place
-        rr = rr_new
-        it += 1
-        residuals.append(float(np.sqrt(rr / bb)))
-        converged = rr <= target
-        if api.trace is not None:
+    return dot
+
+
+def iteration_hook(
+    api: CommsAPI, checkpoint: Optional[CGCheckpointStore] = None
+) -> IterationHook:
+    """The machine backend's ``on_iteration``: trace, then checkpoint this
+    rank's state at the store's cadence (iteration 0 always, so a hard
+    fault at any point can resume rather than restart)."""
+
+    def on_iteration(state: Dict[str, Any], converged: bool) -> None:
+        it = state["it"]
+        if it and api.trace is not None:
             api.trace.emit(
                 "cg.iteration",
                 rank=api.rank,
                 iteration=it,
-                residual=residuals[-1],
-            )
-    return x, bool(converged), it, residuals
-
-
-def machine_mixed_cg(api, ctx, b, dot, tol, maxiter, delta=1e-2, max_inner=100):
-    """Distributed mixed-precision CG with reliable updates (generator).
-
-    Bitwise mirror of :func:`repro.solvers.cg.mixed_precision_cg`: the
-    inner defect solve runs entirely in ``complex64`` — vectors, fused
-    kernels and the canonical site dots (which flow through the global-
-    sum tree in single precision too) — while each operator application
-    promotes to the shared double-precision kernel and each cycle ends
-    with a double-precision residual replacement ``r = b - A x``.
-
-    Returns ``(x, converged, iterations, residuals)``.
-    """
-    x = np.zeros_like(b)
-    bb = (yield from dot(b, b)).real
-    if bb == 0.0:
-        return x, True, 0, [0.0]
-    target = tol * tol * bb
-    r = b.copy()
-    rr = bb
-    residuals = [float(np.sqrt(rr / bb))]
-    converged = rr <= target
-    it = 0
-    ws32 = None
-    while not converged and it < maxiter:
-        # -- inner cycle: CG on A e = r, entirely in single precision --
-        r32 = r.astype(np.complex64)
-        e = np.zeros_like(r32)
-        p = r32.copy()
-        rr32 = (yield from dot(r32, r32)).real
-        if rr32 == 0.0:
-            break  # r underflows single precision: no representable defect
-        inner_target = (delta * delta) * rr32
-        if ws32 is None:
-            ws32 = np.empty_like(r32)
-        inner = 0
-        while rr32 > inner_target and inner < max_inner and it + inner < maxiter:
-            ap = yield from ctx.normal(p.astype(np.complex128))
-            ap32 = ap.astype(np.complex64)
-            alpha = rr32 / (yield from dot(p, ap32)).real
-            axpy(alpha, p, e, ws32)  # e += alpha p
-            axpy(-alpha, ap32, r32, ws32)
-            rr32_new = (yield from dot(r32, r32)).real
-            beta = rr32_new / rr32
-            xpay(r32, beta, p)  # p <- r32 + beta p
-            rr32 = rr32_new
-            inner += 1
-        it += inner
-        # -- reliable update: promote, accumulate, replace the residual --
-        x += e.astype(np.complex128)
-        ax = yield from ctx.normal(x)
-        r = b - ax
-        rr = (yield from dot(r, r)).real
-        residuals.append(float(np.sqrt(rr / bb)))
-        converged = rr <= target
-        if api.trace is not None:
-            api.trace.emit(
-                "cg.iteration",
-                rank=api.rank,
-                iteration=it,
-                residual=residuals[-1],
-            )
-    return x, bool(converged), it, residuals
-
-
-def machine_multishift_cg(api, ctx, b, shifts, dot, tol, maxiter):
-    """Distributed multi-shift CG on ``ctx.normal`` (generator).
-
-    Bitwise mirror of :func:`repro.solvers.multishift.multishift_cg`
-    including the converged-shift freezing — the Jegerlehner zeta
-    recursion runs on globally-summed scalars, the per-shift vector
-    updates are the same fused kernels on the local tile, and a shift
-    is frozen the moment ``zeta_s^2 ||r||^2 <= tol^2 ||b||^2``.  The
-    multi-mass/RHMC-style action path of the distributed HMC rides on
-    this.
-
-    Returns ``(shifts, x, converged, iterations, residuals)`` with ``x``
-    a dict keyed by shift.
-    """
-    shifts = [float(s) for s in shifts]
-    if not shifts:
-        raise ConfigError("need at least one shift")
-    if any(s < 0 for s in shifts):
-        raise ConfigError(f"shifts must be non-negative: {shifts}")
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
-
-    bb = (yield from dot(b, b)).real
-    if bb == 0.0:
-        zero = {s: np.zeros_like(b) for s in shifts}
-        return shifts, zero, True, 0, [0.0]
-    target = tol * tol * bb
-
-    r = b.copy()
-    p = b.copy()
-    rr = bb
-    alpha_old = 1.0
-    beta_old = 0.0
-
-    x = {s: np.zeros_like(b) for s in shifts}
-    ps = {s: b.copy() for s in shifts}
-    zeta = {s: 1.0 for s in shifts}
-    zeta_prev = {s: 1.0 for s in shifts}
-
-    residuals = [float(np.sqrt(rr / bb))]
-    it = 0
-    active = [s for s in shifts if zeta[s] * zeta[s] * rr > target]
-    ws = np.empty_like(b)
-    while active and it < maxiter:
-        ap = yield from ctx.normal(p)
-        p_ap = (yield from dot(p, ap)).real
-        alpha = rr / p_ap
-
-        for s in active:
-            denom = (
-                alpha * beta_old * (zeta_prev[s] - zeta[s])
-                + zeta_prev[s] * alpha_old * (1.0 + s * alpha)
-            )
-            zeta_new = (zeta[s] * zeta_prev[s] * alpha_old) / denom
-            alpha_s = alpha * zeta_new / zeta[s]
-            axpy(alpha_s, ps[s], x[s], ws)  # x_s += alpha_s p_s
-            zeta_prev[s], zeta[s] = zeta[s], zeta_new
-
-        axpy(-alpha, ap, r, ws)  # r -= alpha ap
-        rr_new = (yield from dot(r, r)).real
-        beta = rr_new / rr
-        xpay(r, beta, p)  # p <- r + beta p, in place
-        still_active = [
-            s for s in active if zeta[s] * zeta[s] * rr_new > target
-        ]
-        for s in still_active:
-            beta_s = beta * (zeta[s] / zeta_prev[s]) ** 2
-            scale_axpy(zeta[s], r, beta_s, ps[s], ws)
-        active = still_active
-        alpha_old, beta_old = alpha, beta
-        rr = rr_new
-        it += 1
-        residuals.append(float(np.sqrt(rr / bb)))
-        if api.trace is not None:
-            api.trace.emit(
-                "cg.iteration",
-                rank=api.rank,
-                iteration=it,
-                residual=residuals[-1],
-            )
-    return shifts, x, not active, it, residuals
-
-
-def machine_cgne(api, ctx, b, tol, maxiter, checkpoint=None, resume_state=None):
-    """CGNE over any distributed operator context (generator).
-
-    ``ctx`` must provide generator methods ``apply``, ``apply_dagger`` and
-    ``normal`` (e.g. :class:`DistributedWilsonContext` or
-    :class:`repro.parallel.pstaggered.DistributedStaggeredContext`).
-    Yields machine events; returns ``(x, converged, iterations, residuals)``.
-
-    ``checkpoint`` (a :class:`~repro.solvers.checkpoint.CGCheckpointStore`)
-    captures this rank's end-of-iteration state at the store's cadence —
-    iteration 0 always, so a hard fault at any point can resume rather
-    than restart.  ``resume_state`` is one rank's stored state: the solve
-    then skips the ``D^+ b`` setup and the initial global sums and
-    continues the residual history **bit-identically** (global sums
-    accumulate in canonical rank order, so the arithmetic after a resume
-    is exactly the arithmetic of the uninterrupted run).
-    """
-
-    def dot(u, v):
-        # local partial, then the SCU global sum (canonical rank order)
-        return np.array([np.vdot(u, v)])
-
-    if resume_state is not None:
-        x = resume_state["x"].copy()
-        resid = resume_state["resid"].copy()
-        p = resume_state["p"].copy()
-        rr = resume_state["rr"]
-        bb = resume_state["bb"]
-        it = resume_state["it"]
-        residuals = list(resume_state["residuals"])
-    else:
-        # rhs of the normal equations: D^+ b
-        rhs = yield from ctx.apply_dagger(b)
-
-        x = np.zeros_like(rhs)
-        resid = rhs.copy()
-        p = resid.copy()
-        rr = (yield api.global_sum(dot(resid, resid)))[0].real
-        bb = (yield api.global_sum(dot(rhs, rhs)))[0].real
-        if bb == 0.0:
-            return x, True, 0, [0.0]
-        residuals = [float(np.sqrt(rr / bb))]
-        it = 0
-    target = tol * tol * bb
-    converged = rr <= target
-    if checkpoint is not None and resume_state is None:
-        _cg_checkpoint(api, checkpoint, it, x, resid, p, rr, bb, residuals)
-    while not converged and it < maxiter:
-        ap = yield from ctx.normal(p)
-        p_ap = (yield api.global_sum(dot(p, ap)))[0].real
-        alpha = rr / p_ap
-        x += alpha * p
-        resid -= alpha * ap
-        rr_new = (yield api.global_sum(dot(resid, resid)))[0].real
-        beta = rr_new / rr
-        p = resid + beta * p
-        rr = rr_new
-        it += 1
-        residuals.append(float(np.sqrt(rr / bb)))
-        converged = rr <= target
-        if api.trace is not None:
-            api.trace.emit(
-                "cg.iteration",
-                rank=api.rank,
-                iteration=it,
-                residual=residuals[-1],
+                residual=state["residuals"][-1],
             )
         if checkpoint is not None and checkpoint.due(it, converged):
-            _cg_checkpoint(api, checkpoint, it, x, resid, p, rr, bb, residuals)
-    return x, bool(converged), it, residuals
+            checkpoint.put(api.rank, it, state)
+            if api.trace is not None:
+                api.trace.emit("cg.checkpoint", rank=api.rank, iteration=it)
+
+    return on_iteration
 
 
-def _cg_checkpoint(api, store, it, x, resid, p, rr, bb, residuals):
-    """Stream one rank's end-of-iteration CG state to the host-side store."""
-    store.put(
-        api.rank,
-        it,
-        {
-            "it": it,
-            "x": x,
-            "resid": resid,
-            "p": p,
-            "rr": rr,
-            "bb": bb,
-            "residuals": residuals,
-        },
+# -- the shared driver: scatter -> run -> free -> agree-and-gather ---------------
+def run_on_partition(
+    machine: QCDOCMachine,
+    partition: Partition,
+    program: Callable[..., Any],
+    max_time: float,
+    **kwargs: Any,
+) -> List[Any]:
+    """``run_partition`` + free the buffers the programs allocated.
+
+    Its success path leaves node buffers in place (only the fault path
+    finalizes), so a second run on the same nodes would die on a duplicate
+    allocation; every run returns the nodes to their pre-run namespace.
+    """
+    nodes = [
+        machine.nodes[partition.physical_node(rank)]
+        for rank in range(partition.n_nodes)
+    ]
+    pre = {n.node_id: set(n.memory.buffer_names()) for n in nodes}
+    try:
+        return machine.run_partition(partition, program, max_time=max_time, **kwargs)
+    finally:
+        for n in nodes:
+            for name in sorted(set(n.memory.buffer_names()) - pre[n.node_id]):
+                n.memory.free(name)
+
+
+def agreed(values: Sequence[Any], what: str) -> Any:
+    """The one value every rank reported: control flow is driven by
+    globally-summed scalars, so the ranks must agree exactly."""
+    distinct = set(values)
+    if len(distinct) != 1:
+        raise ConfigError(f"ranks disagree on {what}: {distinct}")
+    return values[0]
+
+
+def gather_cg_results(
+    machine: QCDOCMachine,
+    gather: Callable[[np.ndarray], np.ndarray],
+    results: Sequence[SolveResult],
+    machine_time: float,
+    flops: float,
+    audit: bool = True,
+) -> DistributedSolveResult:
+    """Assemble per-rank solves into one :class:`DistributedSolveResult`;
+    ``gather`` rebuilds the global field from the stacked tiles
+    (``mapping.gather_field``, or ``gather_stack`` for 5D fields).
+    ``audit=False`` skips the machine-wide link-checksum comparison — the
+    per-job path on a shared machine, where other jobs are still
+    mid-flight and the service audits once at drain."""
+    return DistributedSolveResult(
+        x=gather(np.stack([res.x for res in results])),
+        converged=all(res.converged for res in results),
+        iterations=agreed([res.iterations for res in results], "iteration count"),
+        residuals=results[0].residuals,
+        machine_time=machine_time,
+        flops=flops,
+        checksum_mismatches=machine.audit_checksums() if audit else [],
     )
-    if api.trace is not None:
-        api.trace.emit("cg.checkpoint", rank=api.rank, iteration=it)
+
+
+def _solve(
+    machine: QCDOCMachine,
+    partition: Partition,
+    gather: Callable[[np.ndarray], np.ndarray],
+    max_time: float,
+    **kwargs: Any,
+) -> DistributedSolveResult:
+    """Run :func:`cg_rank_program` to completion and gather its result,
+    with machine-level accounting (simulated time, flops, checksums)."""
+    flops_before = sum(n.flops_charged for n in machine.nodes.values())
+    t0 = machine.sim.now
+    results = run_on_partition(machine, partition, cg_rank_program, max_time, **kwargs)
+    machine_time = machine.sim.now - t0
+    flops = sum(n.flops_charged for n in machine.nodes.values()) - flops_before
+    return gather_cg_results(machine, gather, results, machine_time, flops)
+
+
+def wilson_context(
+    mapping: PhysicsMapping,
+    gauge: GaugeField,
+    mass: float,
+    r: float = 1.0,
+    c_sw: Optional[float] = None,
+    word_batch: Any = None,
+) -> Callable[[CommsAPI], DistributedWilsonContext]:
+    """Scatter one Wilson (or, with ``c_sw``, clover) system host-side;
+    returns the ``context(api)`` factory each rank builds its operator from."""
+    links = mapping.scatter_gauge(gauge)
+    clover = None
+    if c_sw is not None:
+        serial = CloverDirac(gauge, mass=mass, c_sw=c_sw, r=r)
+        clover = mapping.scatter_field(serial.clover_tensor)
+
+    def context(api: CommsAPI) -> DistributedWilsonContext:
+        return DistributedWilsonContext(
+            api,
+            mapping.local_shape,
+            links[api.rank],
+            mass=mass,
+            r=r,
+            clover_tensor=None if clover is None else clover[api.rank],
+            word_batch=word_batch,
+        )
+
+    return context
 
 
 def cg_rank_program(
-    api,
-    mapping,
-    local_links,
-    local_b,
-    mass,
-    r=1.0,
-    clover_locals=None,
-    tol=1e-8,
-    maxiter=2000,
-    checkpoint=None,
-    resume_states=None,
-):
-    """The per-rank node program: Wilson/clover CGNE with machine collectives.
+    api: CommsAPI,
+    context: Callable[[CommsAPI], Any],
+    local_b: np.ndarray,
+    tol: float = 1e-8,
+    maxiter: int = 2000,
+    checkpoint: Optional[CGCheckpointStore] = None,
+    resume_states: Optional[Dict[int, Dict[str, Any]]] = None,
+) -> Steps[SolveResult]:
+    """The per-rank node program: CGNE over the operator ``context(api)``,
+    which provides generator methods ``apply_dagger`` and ``normal``.
 
     Public so job-launching layers (the service scheduler) can hand it to
     :meth:`~repro.machine.machine.QCDOCMachine.launch_partition` directly;
-    :func:`solve_on_machine` wraps it with scatter/gather for the blocking
-    single-job path.
+    the ``solve_*_on_machine`` wrappers add scatter/gather for the
+    blocking single-job path.
+
+    ``resume_states[rank]`` is a stored state: the solve then skips the
+    ``D^+ b`` setup and the initial global sums and continues the
+    residual history **bit-identically** (global sums accumulate in
+    canonical rank order, so the arithmetic after a resume is exactly the
+    arithmetic of the uninterrupted run).
     """
-    rank = api.rank
-    ctx = DistributedWilsonContext(
-        api,
-        mapping.local_shape,
-        local_links[rank],
-        mass=mass,
-        r=r,
-        clover_tensor=None if clover_locals is None else clover_locals[rank],
-    )
-    result = yield from machine_cgne(
-        api,
-        ctx,
-        local_b[rank],
-        tol,
-        maxiter,
-        checkpoint=checkpoint,
-        resume_state=None if resume_states is None else resume_states[rank],
+    ctx = context(api)
+    rhs = local_b[api.rank]
+    state = None if resume_states is None else resume_states[api.rank]
+    if state is None:  # a resumed solve never reads its right-hand side
+        rhs = yield from ctx.apply_dagger(rhs)  # normal equations: D^+ b
+    hook = iteration_hook(api, checkpoint)
+    result = yield from cg_iter(
+        ctx.normal, rank_partial_dot(api), rhs, tol, maxiter, hook, state
     )
     return result
 
@@ -445,73 +293,18 @@ def solve_on_machine(
     mapping = PhysicsMapping(gauge.geometry, partition)
     if b.shape != (gauge.geometry.volume, 4, 3):
         raise ConfigError(f"bad source shape {b.shape}")
-    local_links = mapping.scatter_gauge(gauge)
-    local_b = mapping.scatter_field(b)
-    clover_locals = None
-    if c_sw is not None:
-        serial = CloverDirac(gauge, mass=mass, c_sw=c_sw, r=r)
-        clover_locals = mapping.scatter_field(serial.clover_tensor)
-
-    flops_before = sum(n.flops_charged for n in machine.nodes.values())
-    t0 = machine.sim.now
-    results = machine.run_partition(
+    return _solve(
+        machine,
         partition,
-        cg_rank_program,
-        max_time=max_time,
-        mapping=mapping,
-        local_links=local_links,
-        local_b=local_b,
-        mass=mass,
-        r=r,
-        clover_locals=clover_locals,
+        mapping.gather_field,
+        max_time,
+        context=wilson_context(mapping, gauge, mass, r, c_sw),
+        local_b=mapping.scatter_field(b),
         tol=tol,
         maxiter=maxiter,
         checkpoint=checkpoint,
         resume_states=resume_states,
     )
-    machine_time = machine.sim.now - t0
-    flops = sum(n.flops_charged for n in machine.nodes.values()) - flops_before
-
-    return gather_cg_results(machine, mapping, results, machine_time, flops)
-
-
-def gather_cg_results(
-    machine, mapping, results, machine_time, flops, audit=True
-):
-    """Assemble per-rank ``machine_cgne`` returns into one
-    :class:`DistributedSolveResult`.
-
-    ``audit=False`` skips the machine-wide link-checksum comparison —
-    the per-job path on a shared machine, where other jobs are still
-    mid-flight and the service audits once at drain.
-    """
-    x_locals = np.stack([res[0] for res in results])
-    x = mapping.gather_field(x_locals)
-    # Control flow is driven by globally-summed residuals, so every rank
-    # must agree exactly on iterations and convergence.
-    iterations = {res[2] for res in results}
-    if len(iterations) != 1:
-        raise ConfigError(f"ranks disagree on iteration count: {iterations}")
-    return DistributedSolveResult(
-        x=x,
-        converged=all(res[1] for res in results),
-        iterations=results[0][2],
-        residuals=results[0][3],
-        machine_time=machine_time,
-        flops=flops,
-        checksum_mismatches=machine.audit_checksums() if audit else [],
-    )
-
-
-def _dwf_program(api, mapping, local_links, local_b, Ls, M5, mf, tol, maxiter):
-    """Per-rank node program: domain-wall CGNE (5D fields, 4D halos)."""
-    from repro.parallel.pdwf import DistributedDWFContext
-
-    ctx = DistributedDWFContext(
-        api, mapping.local_shape, local_links[api.rank], Ls=Ls, M5=M5, mf=mf
-    )
-    result = yield from machine_cgne(api, ctx, local_b[api.rank], tol, maxiter)
-    return result
 
 
 def solve_dwf_on_machine(
@@ -534,62 +327,19 @@ def solve_dwf_on_machine(
     mapping = PhysicsMapping(gauge.geometry, partition)
     if b.shape != (Ls, gauge.geometry.volume, 4, 3):
         raise ConfigError(f"bad domain-wall source shape {b.shape}")
-    local_links = mapping.scatter_gauge(gauge)
-    # scatter each s slice over the tiles: (Ls, V, ...) -> (ranks, Ls, v, ...)
-    local_b = np.stack(
-        [mapping.scatter_field(b[s]) for s in range(Ls)], axis=1
-    )
-
-    flops_before = sum(n.flops_charged for n in machine.nodes.values())
-    t0 = machine.sim.now
-    results = machine.run_partition(
+    links = mapping.scatter_gauge(gauge)
+    return _solve(
+        machine,
         partition,
-        _dwf_program,
-        max_time=max_time,
-        mapping=mapping,
-        local_links=local_links,
-        local_b=local_b,
-        Ls=Ls,
-        M5=M5,
-        mf=mf,
+        mapping.gather_stack,
+        max_time,
+        context=lambda api: DistributedDWFContext(
+            api, mapping.local_shape, links[api.rank], Ls=Ls, M5=M5, mf=mf
+        ),
+        local_b=mapping.scatter_stack(b),
         tol=tol,
         maxiter=maxiter,
     )
-    machine_time = machine.sim.now - t0
-    flops = sum(n.flops_charged for n in machine.nodes.values()) - flops_before
-
-    # gather: per-rank (Ls, v, ...) -> global (Ls, V, ...)
-    x_locals = np.stack([res[0] for res in results])  # (ranks, Ls, v, 4, 3)
-    x = np.stack(
-        [mapping.gather_field(x_locals[:, s]) for s in range(Ls)]
-    )
-    iterations = {res[2] for res in results}
-    if len(iterations) != 1:
-        raise ConfigError(f"ranks disagree on iteration count: {iterations}")
-    return DistributedSolveResult(
-        x=x,
-        converged=all(res[1] for res in results),
-        iterations=results[0][2],
-        residuals=results[0][3],
-        machine_time=machine_time,
-        flops=flops,
-        checksum_mismatches=machine.audit_checksums(),
-    )
-
-
-def _staggered_program(api, mapping, local_fat, local_long, local_b, mass, tol, maxiter):
-    """Per-rank node program: ASQTAD CGNE (1-hop and 3-hop halos)."""
-    from repro.parallel.pstaggered import DistributedStaggeredContext
-
-    ctx = DistributedStaggeredContext(
-        api,
-        mapping.local_shape,
-        local_fat[api.rank],
-        local_long[api.rank],
-        mass=mass,
-    )
-    result = yield from machine_cgne(api, ctx, local_b[api.rank], tol, maxiter)
-    return result
 
 
 def solve_staggered_on_machine(
@@ -608,36 +358,20 @@ def solve_staggered_on_machine(
     scattering (smearing needs neighbour links); the solve itself runs
     distributed, exchanging both depth-1 and depth-3 halos per hop.
     """
-    from repro.fermions.staggered import fat_links, long_links
-
     mapping = PhysicsMapping(gauge.geometry, partition)
     if b.shape != (gauge.geometry.volume, 3):
         raise ConfigError(f"bad staggered source shape {b.shape}")
-    fat = fat_links(gauge)
-    long = long_links(gauge)
-    ndim = gauge.geometry.ndim
-    v = mapping.tiling.local_volume
-    local_fat = np.empty((mapping.n_ranks, ndim, v, 3, 3), dtype=np.complex128)
-    local_long = np.empty_like(local_fat)
-    for mu in range(ndim):
-        local_fat[:, mu] = mapping.tiling.scatter(fat[mu])
-        local_long[:, mu] = mapping.tiling.scatter(long[mu])
-    local_b = mapping.scatter_field(b)
-
-    flops_before = sum(n.flops_charged for n in machine.nodes.values())
-    t0 = machine.sim.now
-    results = machine.run_partition(
+    fat = mapping.scatter_stack(fat_links(gauge))
+    long = mapping.scatter_stack(long_links(gauge))
+    return _solve(
+        machine,
         partition,
-        _staggered_program,
-        max_time=max_time,
-        mapping=mapping,
-        local_fat=local_fat,
-        local_long=local_long,
-        local_b=local_b,
-        mass=mass,
+        mapping.gather_field,
+        max_time,
+        context=lambda api: DistributedStaggeredContext(
+            api, mapping.local_shape, fat[api.rank], long[api.rank], mass=mass
+        ),
+        local_b=mapping.scatter_field(b),
         tol=tol,
         maxiter=maxiter,
     )
-    machine_time = machine.sim.now - t0
-    flops = sum(n.flops_charged for n in machine.nodes.values()) - flops_before
-    return gather_cg_results(machine, mapping, results, machine_time, flops)

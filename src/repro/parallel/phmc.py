@@ -9,7 +9,7 @@ the force outer products (with their own SCU halo exchange) and the
 Metropolis pseudofermion action all run as node programs through
 :class:`~repro.parallel.pdirac.DistributedWilsonContext`, while the RNG
 draws, the gauge force, the symplectic drift and the accept/reject test
-stay host-side with arithmetic identical to the serial driver.
+stay host-side — they *are* the serial driver's code, inherited.
 
 Bit-identity contract
 ---------------------
@@ -24,9 +24,9 @@ ingredient is individually bitwise stable under tiling:
 * every inner product is the decomposition-independent canonical site
   dot (:mod:`repro.solvers.sitedot`), serial and machine flavours
   summing the *same* length-``V`` site array in the same order;
-* the CG loops (:func:`~repro.parallel.pcg.machine_cg`,
-  :func:`~repro.parallel.pcg.machine_mixed_cg`) reuse the serial fused
-  vector kernels, which are elementwise;
+* the CG loops *are* the serial ones — rank programs ``yield from`` the
+  one Krylov core (:mod:`repro.solvers.krylov`), whose fused vector
+  kernels are elementwise;
 * the fermion-force kernel mirrors the serial einsum chain per site,
   with raw ``X``/``Y`` low faces exchanged over the SCU and the
   ``(r + gamma_mu)`` projection recomputed on received rows (projection
@@ -41,7 +41,7 @@ and replay the chain bit-identically — benchmark E18.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, List
 
 import numpy as np
 
@@ -51,25 +51,22 @@ from repro.fermions.flops import (
     WILSON_FORCE_HALO_PROJ_FLOPS,
 )
 from repro.fermions.gamma import GAMMA, apply_spin_matrix
-from repro.hmc.actions import WilsonGaugeAction, traceless_antihermitian
-from repro.hmc.hmc import TrajectoryResult, kinetic_energy
-from repro.hmc.integrators import omelyan
-from repro.hmc.pseudofermion import SOLVERS
+from repro.hmc.actions import traceless_antihermitian
+from repro.hmc.pseudofermion import SOLVERS, TwoFlavorWilsonHMC
 from repro.lattice.gauge import GaugeField
-from repro.lattice.su3 import dagger, random_algebra
+from repro.lattice.su3 import dagger
 from repro.machine.machine import QCDOCMachine
 from repro.machine.topology import Partition
 from repro.parallel.decomp import PhysicsMapping
 from repro.parallel.pcg import (
     MachineSiteDot,
-    machine_cg,
-    machine_mixed_cg,
-    machine_multishift_cg,
+    agreed,
+    iteration_hook,
+    run_on_partition,
+    wilson_context,
 )
-from repro.parallel.pdirac import DistributedWilsonContext
-from repro.solvers.sitedot import canonical_dot
+from repro.solvers.krylov import multishift_iter
 from repro.util.errors import ConfigError
-from repro.util.rng import rng_stream
 
 
 def wilson_force_kernel(api, ctx, x_field, y_field):
@@ -146,50 +143,25 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
     return out
 
 
-def _force_context(api, mapping, local_links, mass, r, word_batch):
-    return DistributedWilsonContext(
-        api,
-        mapping.local_shape,
-        local_links[api.rank],
-        mass=mass,
-        r=r,
-        word_batch=word_batch,
-    )
-
-
-def _machine_dot(api, mapping):
-    return MachineSiteDot(
-        api, mapping.tiling.global_of[api.rank], mapping.geometry.volume
-    )
-
-
 def _machine_solve(api, ctx, dot, b, solver, tol, maxiter):
-    if solver == "mixed":
-        x, converged, iters, residuals = yield from machine_mixed_cg(
-            api, ctx, b, dot, tol, maxiter
-        )
-    else:
-        x, converged, iters, residuals = yield from machine_cg(
-            api, ctx, b, dot, tol, maxiter
-        )
-    if not converged:
+    res = yield from SOLVERS[solver](
+        ctx.normal, dot, b, tol, maxiter, on_iteration=iteration_hook(api)
+    )
+    if not res.converged:
         raise ConfigError(f"fermion-force CG failed to converge in {maxiter}")
-    return x, iters
+    return res.x, res.iterations
 
 
-def hmc_heatbath_program(api, mapping, local_links, local_eta, mass, r, word_batch):
+def hmc_heatbath_program(api, context, local_eta):
     """``phi = D^+ eta`` on the machine (the pseudofermion heat-bath)."""
-    ctx = _force_context(api, mapping, local_links, mass, r, word_batch)
-    phi = yield from ctx.apply_dagger(local_eta[api.rank])
+    phi = yield from context(api).apply_dagger(local_eta[api.rank])
     return phi.copy()
 
 
-def hmc_force_program(
-    api, mapping, local_links, local_phi, mass, r, solver, tol, maxiter, word_batch
-):
+def hmc_force_program(api, context, mapping, local_phi, solver, tol, maxiter):
     """Solve ``X = (D^+ D)^{-1} phi``, apply ``Y = D X``, form the force."""
-    ctx = _force_context(api, mapping, local_links, mass, r, word_batch)
-    dot = _machine_dot(api, mapping)
+    ctx = context(api)
+    dot = MachineSiteDot(api, mapping)
     x, iters = yield from _machine_solve(
         api, ctx, dot, local_phi[api.rank], solver, tol, maxiter
     )
@@ -200,29 +172,28 @@ def hmc_force_program(
     return force, iters
 
 
-def hmc_action_program(
-    api, mapping, local_links, local_phi, mass, r, solver, tol, maxiter, word_batch
-):
+def hmc_action_program(api, context, mapping, local_phi, solver, tol, maxiter):
     """``S_pf = phi^+ (D^+ D)^{-1} phi`` for the Metropolis Hamiltonian."""
-    ctx = _force_context(api, mapping, local_links, mass, r, word_batch)
-    dot = _machine_dot(api, mapping)
+    dot = MachineSiteDot(api, mapping)
     x, iters = yield from _machine_solve(
-        api, ctx, dot, local_phi[api.rank], solver, tol, maxiter
+        api, context(api), dot, local_phi[api.rank], solver, tol, maxiter
     )
     s_pf = yield from dot(local_phi[api.rank], x)
     return s_pf, iters
 
 
-def hmc_multishift_program(
-    api, mapping, local_links, local_b, shifts, mass, r, tol, maxiter, word_batch
-):
+def hmc_multishift_program(api, context, mapping, local_b, shifts, tol, maxiter):
     """Multi-mass solve ``(D^+ D + sigma) x = b`` for an RHMC-style action."""
-    ctx = _force_context(api, mapping, local_links, mass, r, word_batch)
-    dot = _machine_dot(api, mapping)
-    shifts_out, x, converged, iters, residuals = yield from machine_multishift_cg(
-        api, ctx, local_b[api.rank], shifts, dot, tol, maxiter
+    res = yield from multishift_iter(
+        context(api).normal,
+        MachineSiteDot(api, mapping),
+        local_b[api.rank],
+        shifts,
+        tol,
+        maxiter,
+        on_iteration=iteration_hook(api),
     )
-    return [x[s] for s in shifts_out], converged, iters, residuals
+    return res
 
 
 def multishift_solve_on_machine(
@@ -241,49 +212,52 @@ def multishift_solve_on_machine(
     """Distributed multi-shift CG on the normal operator (blocking).
 
     Returns ``(x, converged, iterations, residuals)`` with ``x`` a dict
-    of *global* solution fields keyed by shift — the machine counterpart
-    of :func:`repro.solvers.multishift.multishift_cg` (which it matches
-    bit for bit when the serial solve uses the canonical site dot).
+    of *global* solution fields keyed by shift — the machine run of
+    :func:`repro.solvers.krylov.multishift_iter`, which the serial
+    :func:`~repro.solvers.multishift.multishift_cg` matches bit for bit
+    when it uses the canonical site dot.
     """
     mapping = PhysicsMapping(gauge.geometry, partition)
     if b.shape != (gauge.geometry.volume, 4, 3):
         raise ConfigError(f"bad source shape {b.shape}")
-    results = machine.run_partition(
+    results = run_on_partition(
+        machine,
         partition,
         hmc_multishift_program,
-        max_time=max_time,
+        max_time,
+        context=wilson_context(mapping, gauge, mass, r, word_batch=word_batch),
         mapping=mapping,
-        local_links=mapping.scatter_gauge(gauge),
         local_b=mapping.scatter_field(b),
-        shifts=[float(s) for s in shifts],
-        mass=mass,
-        r=r,
+        shifts=shifts,
         tol=tol,
         maxiter=maxiter,
-        word_batch=word_batch,
     )
-    iterations = {res[2] for res in results}
-    if len(iterations) != 1:
-        raise ConfigError(f"ranks disagree on iteration count: {iterations}")
-    x = {}
-    for i, s in enumerate([float(v) for v in shifts]):
-        x[s] = mapping.gather_field(np.stack([res[0][i] for res in results]))
-    return x, all(res[1] for res in results), results[0][2], results[0][3]
+    first = results[0]
+    x = mapping.gather_stack(
+        np.stack([[res.x[s] for s in first.shifts] for res in results])
+    )
+    return (
+        dict(zip(first.shifts, x)),
+        all(res.converged for res in results),
+        agreed([res.iterations for res in results], "iteration count"),
+        first.residuals,
+    )
 
 
-class DistributedTwoFlavorHMC:
+class DistributedTwoFlavorHMC(TwoFlavorWilsonHMC):
     """Two-flavor Wilson HMC whose fermionic work runs on the machine.
 
-    Drop-in for :class:`~repro.hmc.pseudofermion.TwoFlavorWilsonHMC`
-    (same constructor physics parameters, same ``trajectory``/``run``/
-    ``history``/``cg_iterations``/``fingerprint`` surface, checkpoints
-    through :class:`~repro.hmc.checkpoint.HMCCheckpoint`) with the
-    machine and partition prepended.  Each trajectory launches
-    ``2 * n_steps + 2`` node-program runs: the heat-bath, two force
-    evaluations per Omelyan step (links change, so each run rebuilds its
-    operator context from freshly scattered links), and the final
-    pseudofermion action.  Run-allocated node buffers are freed after
-    every run so repeated launches on one machine never collide.
+    :class:`~repro.hmc.pseudofermion.TwoFlavorWilsonHMC` with the machine
+    and partition prepended and exactly its fermionic methods overridden
+    — the heat-bath, the fermion force and the pseudofermion action run
+    as node programs; the RNG draws, the gauge force, the Omelyan loop
+    and the Metropolis test are the serial driver's own code.  Each
+    trajectory launches ``2 * n_steps + 2`` node-program runs: the
+    heat-bath, two force evaluations per Omelyan step (links change, so
+    each run rebuilds its operator context from freshly scattered links),
+    and the final pseudofermion action.  Run-allocated node buffers are
+    freed after every run so repeated launches on one machine never
+    collide.
     """
 
     def __init__(
@@ -303,28 +277,15 @@ class DistributedTwoFlavorHMC:
         word_batch=None,
         max_time: float = 1e9,
     ):
-        if solver not in SOLVERS:
-            raise ConfigError(
-                f"unknown force solver {solver!r}; options: {list(SOLVERS)}"
-            )
+        super().__init__(
+            gauge, beta, mass, seed, n_steps, dt, cg_tol, cg_maxiter, solver
+        )
         self.machine = machine
         self.partition = partition
         self.mapping = PhysicsMapping(gauge.geometry, partition)
-        self.gauge = gauge
-        self.gauge_action = WilsonGaugeAction(beta)
-        self.mass = float(mass)
-        self.seed = int(seed)
-        self.n_steps = int(n_steps)
-        self.dt = float(dt)
-        self.cg_tol = float(cg_tol)
-        self.cg_maxiter = int(cg_maxiter)
-        self.solver = solver
         self.r = float(r)
         self.word_batch = word_batch
         self.max_time = float(max_time)
-        self.trajectory_index = 0
-        self.history: List[TrajectoryResult] = []
-        self.cg_iterations: List[int] = []
 
     # -- machine plumbing --------------------------------------------------------
     def rebind(self, machine: QCDOCMachine, partition: Partition) -> None:
@@ -346,143 +307,51 @@ class DistributedTwoFlavorHMC:
         self.partition = partition
         self.mapping = mapping
 
-    def _run(self, program, **kwargs):
-        """``run_partition`` + free the buffers the programs allocated.
+    def _run(
+        self, program: Callable[..., Any], gauge: GaugeField, **kwargs: Any
+    ) -> List[Any]:
+        """One node-program run on freshly scattered links (they change
+        every MD step); :func:`~repro.parallel.pcg.run_on_partition` frees
+        what the run allocated."""
+        context = wilson_context(
+            self.mapping, gauge, self.mass, self.r, word_batch=self.word_batch
+        )
+        return run_on_partition(
+            self.machine, self.partition, program, self.max_time, context=context,
+            **kwargs,
+        )
 
-        The success path of :meth:`QCDOCMachine.run_partition` leaves
-        node buffers in place (the fault path finalizes); an HMC
-        trajectory launches many runs on the same nodes, so each run
-        cleans up after itself exactly the way
-        :meth:`~repro.machine.machine.PartitionRun.finalize` would.
-        """
-        nodes = [
-            self.machine.nodes[self.partition.physical_node(rank)]
-            for rank in range(self.partition.n_nodes)
-        ]
-        pre = {n.node_id: set(n.memory.buffer_names()) for n in nodes}
-        try:
-            return self.machine.run_partition(
-                self.partition, program, max_time=self.max_time, **kwargs
-            )
-        finally:
-            for n in nodes:
-                for name in set(n.memory.buffer_names()) - pre[n.node_id]:
-                    n.memory.free(name)
-
-    def _solve_kwargs(self, gauge: GaugeField, phi: np.ndarray) -> dict:
-        return dict(
+    def _solve(
+        self, program: Callable[..., Any], gauge: GaugeField, phi: np.ndarray
+    ) -> List[Any]:
+        """Run a solver program and record its (agreed) iteration count."""
+        results = self._run(
+            program,
+            gauge,
             mapping=self.mapping,
-            local_links=self.mapping.scatter_gauge(gauge),
             local_phi=self.mapping.scatter_field(phi),
-            mass=self.mass,
-            r=self.r,
             solver=self.solver,
             tol=self.cg_tol,
             maxiter=self.cg_maxiter,
-            word_batch=self.word_batch,
         )
-
-    def _record_iterations(self, results, index: int) -> None:
-        iters = {res[index] for res in results}
-        if len(iters) != 1:
-            raise ConfigError(f"ranks disagree on CG iteration count: {iters}")
-        self.cg_iterations.append(results[0][index])
+        self.cg_iterations.append(
+            agreed([res[1] for res in results], "CG iteration count")
+        )
+        return results
 
     # -- pseudofermion machinery (machine-side) ----------------------------------
     def fermion_force(self, gauge: GaugeField, phi: np.ndarray) -> np.ndarray:
-        results = self._run(hmc_force_program, **self._solve_kwargs(gauge, phi))
-        self._record_iterations(results, 1)
-        stacked = np.stack([res[0] for res in results])
-        g = self.gauge.geometry
-        out = np.empty((g.ndim, g.volume, 3, 3), dtype=np.complex128)
-        for mu in range(g.ndim):
-            out[mu] = self.mapping.tiling.gather(stacked[:, mu])
-        return out
+        results = self._solve(hmc_force_program, gauge, phi)
+        return self.mapping.gather_stack(np.stack([res[0] for res in results]))
 
     def pseudofermion_action(self, gauge: GaugeField, phi: np.ndarray) -> float:
-        results = self._run(hmc_action_program, **self._solve_kwargs(gauge, phi))
-        self._record_iterations(results, 1)
-        values = {complex(res[0]) for res in results}
-        if len(values) != 1:
-            raise ConfigError(f"ranks disagree on S_pf: {values}")
-        return float(results[0][0].real)
+        results = self._solve(hmc_action_program, gauge, phi)
+        return float(agreed([complex(res[0]) for res in results], "S_pf").real)
 
-    def total_force(self, gauge: GaugeField, phi: np.ndarray) -> np.ndarray:
-        return self.gauge_action.force(gauge) + self.fermion_force(gauge, phi)
-
-    # -- trajectories ------------------------------------------------------------
-    def draw_fields(self):
-        """Host-side RNG draws (identical streams to the serial driver);
-        the heat-bath ``phi = D^+ eta`` runs on the machine."""
-        g = self.gauge.geometry
-        rng_p = rng_stream(self.seed, f"momenta/{self.trajectory_index}")
-        momenta = random_algebra(rng_p, g.ndim * g.volume).reshape(
-            g.ndim, g.volume, 3, 3
-        )
-        rng_e = rng_stream(self.seed, f"eta/{self.trajectory_index}")
-        eta = (
-            rng_e.standard_normal((g.volume, 4, 3))
-            + 1j * rng_e.standard_normal((g.volume, 4, 3))
-        ) / np.sqrt(2.0)
+    def heatbath(self, eta: np.ndarray) -> np.ndarray:
         results = self._run(
             hmc_heatbath_program,
-            mapping=self.mapping,
-            local_links=self.mapping.scatter_gauge(self.gauge),
+            self.gauge,
             local_eta=self.mapping.scatter_field(eta),
-            mass=self.mass,
-            r=self.r,
-            word_batch=self.word_batch,
         )
-        phi = self.mapping.gather_field(np.stack(results))
-        return momenta, eta, phi
-
-    def trajectory(self) -> TrajectoryResult:
-        momenta, eta, phi = self.draw_fields()
-        # S_pf(start) = eta^+ eta exactly, by construction of phi.
-        h_old = (
-            kinetic_energy(momenta)
-            + self.gauge_action(self.gauge)
-            + float(canonical_dot(eta, eta).real)
-        )
-        proposal = self.gauge.copy()
-        # the shared Omelyan loop; the closed-over force runs on the machine
-        omelyan(
-            proposal,
-            momenta,
-            lambda g: self.total_force(g, phi),
-            self.n_steps,
-            self.dt,
-        )
-        h_new = (
-            kinetic_energy(momenta)
-            + self.gauge_action(proposal)
-            + self.pseudofermion_action(proposal, phi)
-        )
-        delta_h = h_new - h_old
-
-        rng = rng_stream(self.seed, f"metropolis/{self.trajectory_index}")
-        accepted = bool(rng.random() < np.exp(min(0.0, -delta_h)))
-        if accepted:
-            self.gauge.links = proposal.links
-        result = TrajectoryResult(
-            index=self.trajectory_index,
-            delta_h=float(delta_h),
-            accepted=accepted,
-            plaquette=self.gauge.plaquette(),
-            action=self.gauge_action(self.gauge),
-        )
-        self.history.append(result)
-        self.trajectory_index += 1
-        return result
-
-    def run(self, n_trajectories: int) -> List[TrajectoryResult]:
-        return [self.trajectory() for _ in range(n_trajectories)]
-
-    @property
-    def acceptance_rate(self) -> float:
-        if not self.history:
-            return 0.0
-        return sum(t.accepted for t in self.history) / len(self.history)
-
-    def fingerprint(self) -> bytes:
-        return self.gauge.links.tobytes()
+        return self.mapping.gather_field(np.stack(results))

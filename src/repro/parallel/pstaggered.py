@@ -109,6 +109,12 @@ class DistributedStaggeredContext:
                     f"axis {mu}: local extent {local_shape[mu]} < 3; the Naik "
                     "halo would span two tiles (enlarge the local volume)"
                 )
+            if local_shape[mu] % 2:
+                raise ConfigError(
+                    f"axis {mu}: odd local extent {local_shape[mu]} on a decomposed "
+                    "axis; the Kawamoto-Smit phases come from local coordinates, "
+                    "so their sign would flip on odd-coordinate ranks"
+                )
         self.fat_dagger_bwd = np.stack(
             [dagger(fat[mu][g.neighbour_bwd(mu)]) for mu in range(ndim)]
         )

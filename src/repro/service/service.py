@@ -41,11 +41,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.fermions.clover import CloverDirac
 from repro.host.qdaemon import Qdaemon
 from repro.host.remap import find_healthy_partition
 from repro.parallel.decomp import PhysicsMapping
-from repro.parallel.pcg import cg_rank_program, gather_cg_results
+from repro.parallel.pcg import cg_rank_program, gather_cg_results, wilson_context
 from repro.service.jobs import Job, JobResult, JobState, WilsonJobSpec
 from repro.service.scheduler import (
     Preempt,
@@ -318,24 +317,14 @@ class QcdocService:
                 partition.n_nodes
             )
         mapping = PhysicsMapping(spec.gauge.geometry, partition)
-        local_links = mapping.scatter_gauge(spec.gauge)
-        local_b = mapping.scatter_field(spec.b)
-        clover_locals = None
-        if spec.c_sw is not None:
-            serial = CloverDirac(
-                spec.gauge, mass=spec.mass, c_sw=spec.c_sw, r=spec.r
-            )
-            clover_locals = mapping.scatter_field(serial.clover_tensor)
         run = self.machine.launch_partition(
             partition,
             cg_rank_program,
             tag=f"job{job.job_id}",
-            mapping=mapping,
-            local_links=local_links,
-            local_b=local_b,
-            mass=spec.mass,
-            r=spec.r,
-            clover_locals=clover_locals,
+            context=wilson_context(
+                mapping, spec.gauge, spec.mass, spec.r, spec.c_sw
+            ),
+            local_b=mapping.scatter_field(spec.b),
             tol=spec.tol,
             maxiter=spec.maxiter,
             checkpoint=job.store,
@@ -439,7 +428,7 @@ class QcdocService:
         self.core.job_ended(job.job_id, node_seconds, requeue=False)
         solve = gather_cg_results(
             self.machine,
-            job.mapping,
+            job.mapping.gather_field,
             results,
             machine_time=job.run_seconds,
             flops=job.usage.get("flops", 0.0),

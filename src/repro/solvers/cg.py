@@ -1,22 +1,21 @@
-"""Conjugate gradients, exactly as run on QCDOC.
+"""Conjugate gradients, exactly as run on QCDOC: the serial entry points.
 
-Per iteration: one operator application, two global inner products, three
-axpy-type vector updates — the mix the performance model (E1) costs out.
-The ``dot`` parameter is the hook through which the distributed solver
-routes reductions into the simulated SCU global-sum tree; the *order of
-arithmetic* inside ``cg`` never changes, which is what makes serial and
-machine-distributed solves bitwise comparable.
+Each function lifts plain callables into the ``(apply, dot)`` backend of
+:mod:`repro.solvers.krylov`, runs that generator to completion and adds
+the audit ``true_residual``.  ``dot`` is how a solve is made
+decomposition-independent (:func:`repro.solvers.sitedot.canonical_dot`)
+and so bitwise comparable with the same generator run on the machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.solvers.kernels import axpy, axpy_norm2, xpay
-from repro.util.errors import ConfigError
+from repro.solvers.krylov import IterationHook, SolveResult, cg_iter, lift
+from repro.solvers.krylov import mixed_cg_iter, run_serial
+from repro.solvers.sitedot import canonical_dot
 
 Apply = Callable[[np.ndarray], np.ndarray]
 Dot = Callable[[np.ndarray, np.ndarray], complex]
@@ -26,25 +25,29 @@ def _default_dot(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-@dataclass
-class SolveResult:
-    """Outcome of a Krylov solve."""
+def _hook(callback: Optional[Callable[[int, float], None]]) -> Optional[IterationHook]:
+    """``callback(iteration, relative_residual)`` as the core's hook."""
+    if callback is None:
+        return None
 
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    #: relative residual history, one entry per iteration (including entry 0)
-    residuals: List[float] = field(default_factory=list)
-    #: ``|b - A x| / |b|`` recomputed from scratch at the end (audit value;
-    #: catches drift in the recursively-updated residual)
-    true_residual: float = 0.0
+    def on_iteration(state: dict, converged: bool) -> None:
+        if state["it"]:  # the entry state is not an iteration
+            callback(state["it"], state["residuals"][-1])
 
-    def __repr__(self) -> str:
-        status = "converged" if self.converged else "NOT converged"
-        return (
-            f"SolveResult({status} in {self.iterations} iterations, "
-            f"true residual {self.true_residual:.3e})"
-        )
+    return on_iteration
+
+
+def _audit(result: SolveResult, apply_a: Apply, b: np.ndarray, dot: Dot) -> SolveResult:
+    """Fill ``true_residual = |b - A x| / |b|``, recomputed from scratch.
+
+    Serial only: the audit reads the finished solution and feeds nothing,
+    so rank programs skip it rather than pay simulated time for it.
+    """
+    bb = dot(b, b).real
+    if bb > 0:
+        resid = b - apply_a(result.x)
+        result.true_residual = float(np.sqrt(dot(resid, resid).real / bb))
+    return result
 
 
 def cg(
@@ -68,44 +71,10 @@ def cg(
     callback:
         Called as ``callback(iteration, relative_residual)`` per iteration.
     """
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_a(x) if x0 is not None else b.copy()
-    p = r.copy()
-    rr = dot(r, r).real
-    bb = dot(b, b).real
-    if bb == 0.0:
-        return SolveResult(np.zeros_like(b), True, 0, [0.0], 0.0)
-    target = tol * tol * bb
-
-    residuals = [float(np.sqrt(rr / bb))]
-    converged = rr <= target
-    it = 0
-    # One workspace for the whole solve: the axpy updates stream through
-    # it instead of allocating a temporary per expression (see
-    # :mod:`repro.solvers.kernels` — bitwise identical arithmetic).
-    ws = np.empty_like(b)
-    while not converged and it < maxiter:
-        ap = apply_a(p)
-        alpha = rr / dot(p, ap).real
-        axpy(alpha, p, x, ws)  # x += alpha p
-        # fused residual update + norm: r -= alpha ap; rr = <r, r>
-        rr_new = axpy_norm2(-alpha, ap, r, ws, dot)
-        beta = rr_new / rr
-        xpay(r, beta, p)  # p <- r + beta p, in place
-        rr = rr_new
-        it += 1
-        rel = float(np.sqrt(rr / bb))
-        residuals.append(rel)
-        if callback is not None:
-            callback(it, rel)
-        converged = rr <= target
-
-    true_res = float(
-        np.sqrt(dot(b - apply_a(x), b - apply_a(x)).real / bb)
+    result = run_serial(
+        cg_iter(lift(apply_a), lift(dot), b, tol, maxiter, _hook(callback), x0=x0)
     )
-    return SolveResult(x, bool(converged), it, residuals, true_res)
+    return _audit(result, apply_a, b, dot)
 
 
 def mixed_precision_cg(
@@ -123,89 +92,28 @@ def mixed_precision_cg(
     QCDOC's kernels ran the bandwidth-bound inner arithmetic in single
     precision wherever the physics allowed; this is the standard
     reliable-update formulation that recovers full double-precision
-    accuracy anyway:
-
-    * each **cycle** runs plain CG on the defect system ``A e = r``
-      entirely in ``complex64`` (vectors, axpys and inner products),
-      driving the single-precision residual down by ``delta``;
-    * the correction is promoted and accumulated into ``x`` in double,
-      and the residual is **replaced** — recomputed as ``r = b - A x``
-      in full double precision — before the next cycle, so rounding in
-      the inner loop can delay but never corrupt convergence.
-
-    The operator itself stays the shared double-precision kernel (inner
-    vectors are promoted per application), which is what keeps the
-    serial and machine-distributed mixed solvers bitwise comparable:
-    both run exactly this arithmetic, with ``dot`` defaulting to the
-    decomposition-independent :func:`repro.solvers.sitedot.canonical_dot`.
-
-    ``iterations`` counts inner iterations across all cycles; the
-    residual history holds the double-precision relative residual at
-    entry 0 and after every reliable update.
+    accuracy anyway (:func:`repro.solvers.krylov.mixed_cg_iter`).
+    ``dot`` defaults to the decomposition-independent
+    :func:`repro.solvers.sitedot.canonical_dot`.  The residual history
+    holds the double-precision relative residual at entry 0 and after
+    every reliable update, which is also when ``callback`` fires.
     """
-    from repro.solvers.sitedot import canonical_dot
-
     if dot is None:
         dot = canonical_dot
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"cycle reduction delta must be in (0, 1), got {delta}")
-    x = np.zeros_like(b)
-    bb = dot(b, b).real
-    if bb == 0.0:
-        return SolveResult(x, True, 0, [0.0], 0.0)
-    target = tol * tol * bb
-
-    r = b.copy()
-    rr = bb
-    residuals = [float(np.sqrt(rr / bb))]
-    converged = rr <= target
-    it = 0
-    ws32: Optional[np.ndarray] = None
-    while not converged and it < maxiter:
-        # -- inner cycle: CG on A e = r, entirely in single precision --
-        r32 = r.astype(np.complex64)
-        e = np.zeros_like(r32)
-        p = r32.copy()
-        rr32 = dot(r32, r32).real
-        if rr32 == 0.0:
-            break  # r underflows single precision: no representable defect
-        inner_target = (delta * delta) * rr32
-        if ws32 is None:
-            ws32 = np.empty_like(r32)
-        inner = 0
-        while rr32 > inner_target and inner < max_inner and it + inner < maxiter:
-            ap = apply_a(p.astype(np.complex128)).astype(np.complex64)
-            alpha = rr32 / dot(p, ap).real
-            axpy(alpha, p, e, ws32)  # e += alpha p
-            rr32_new = axpy_norm2(-alpha, ap, r32, ws32, dot)
-            beta = rr32_new / rr32
-            xpay(r32, beta, p)  # p <- r32 + beta p
-            rr32 = rr32_new
-            inner += 1
-        it += inner
-        # -- reliable update: promote, accumulate, replace the residual --
-        x += e.astype(np.complex128)
-        r = b - apply_a(x)
-        rr = dot(r, r).real
-        rel = float(np.sqrt(rr / bb))
-        residuals.append(rel)
-        if callback is not None:
-            callback(it, rel)
-        converged = rr <= target
-
-    true_res = float(
-        np.sqrt(dot(b - apply_a(x), b - apply_a(x)).real / bb)
+    result = run_serial(
+        mixed_cg_iter(
+            lift(apply_a), lift(dot), b, tol, maxiter, delta, max_inner,
+            _hook(callback),
+        )
     )
-    return SolveResult(x, bool(converged), it, residuals, true_res)
+    return _audit(result, apply_a, b, dot)
 
 
 def cgne(
     apply_d: Apply,
     apply_d_dagger: Apply,
     b: np.ndarray,
-    **kwargs,
+    **kwargs: Any,
 ) -> SolveResult:
     """Solve the non-hermitian ``D x = b`` via the normal equations.
 
@@ -215,14 +123,5 @@ def cgne(
     The returned ``true_residual`` is measured against the *original*
     system ``D x = b``.
     """
-
-    def normal(v: np.ndarray) -> np.ndarray:
-        return apply_d_dagger(apply_d(v))
-
-    result = cg(normal, apply_d_dagger(b), **kwargs)
-    dot = kwargs.get("dot", _default_dot)
-    bb = dot(b, b).real
-    if bb > 0:
-        resid = b - apply_d(result.x)
-        result.true_residual = float(np.sqrt(dot(resid, resid).real / bb))
-    return result
+    result = cg(lambda v: apply_d_dagger(apply_d(v)), apply_d_dagger(b), **kwargs)
+    return _audit(result, apply_d, b, kwargs.get("dot", _default_dot))

@@ -9,19 +9,22 @@ Every kernel here is **bitwise identical** to the naive expression it
 replaces (e.g. ``np.multiply(x, a, out=ws); np.add(y, ws, out=y)``
 performs the exact elementwise operations of ``y += a * x``), so swapping
 them into a solver changes no convergence history, only the allocation
-count.  The inner products stay behind the ``dot`` hook so distributed
-solves can route reductions through the simulated SCU global-sum tree.
+count.  The inner products stay behind the backend's ``dot`` (a generator,
+see :mod:`repro.solvers.krylov`) so distributed solves can route
+reductions through the simulated SCU global-sum tree.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Generator
 
 import numpy as np
 
 from repro.fermions.flops import CADD, CMUL
 
-Dot = Callable[[np.ndarray, np.ndarray], complex]
+#: a backend inner product: a generator that may yield simulator events
+#: (the SCU global sum) before returning the global ``<u, v>``
+GenDot = Callable[[np.ndarray, np.ndarray], Generator[Any, Any, complex]]
 
 
 class FlopLedger:
@@ -65,10 +68,6 @@ DOT_FLOPS_PER_ELEM = CMUL + CADD  # conjugate multiply + accumulate = 8
 SCALE_AXPY_FLOPS_PER_ELEM = 2 * CMUL + CADD  # two scalings + add = 14
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.vdot(a, b))
-
-
 def axpy(alpha, x: np.ndarray, y: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """``y += alpha * x`` through the workspace ``ws`` (no allocation).
 
@@ -99,16 +98,16 @@ def xpay(x: np.ndarray, beta, y: np.ndarray) -> np.ndarray:
 
 
 def axpy_norm2(
-    alpha, x: np.ndarray, y: np.ndarray, ws: np.ndarray, dot: Dot = _vdot
-) -> float:
+    alpha, x: np.ndarray, y: np.ndarray, ws: np.ndarray, dot: GenDot
+) -> Generator[Any, Any, float]:
     """Fused ``y += alpha * x`` then ``dot(y, y).real`` — the CG residual
-    update and its norm in one call (one fewer pass in a real kernel; the
-    reduction still goes through ``dot`` so distributed solves hit the
-    global-sum tree)."""
+    update and its norm in one call (one fewer pass in a real kernel).
+    A generator, like the ``dot`` it is handed: the reduction is the
+    backend's, so distributed solves hit the global-sum tree."""
     axpy(alpha, x, y, ws)
     if LEDGER.enabled:
         LEDGER.add("dot", DOT_FLOPS_PER_ELEM * y.size)
-    return dot(y, y).real
+    return (yield from dot(y, y)).real
 
 
 def scale_axpy(

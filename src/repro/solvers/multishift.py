@@ -13,28 +13,14 @@ Algorithm: B. Jegerlehner, hep-lat/9612014 (the standard formulation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.solvers.cg import Apply, Dot, _default_dot
-from repro.solvers.kernels import axpy, axpy_norm2, scale_axpy, xpay
-from repro.util.errors import ConfigError
+from repro.solvers.krylov import MultiShiftResult, lift, multishift_iter, run_serial
 
-
-@dataclass
-class MultiShiftResult:
-    """Solutions for every shift, plus shared iteration statistics."""
-
-    shifts: List[float]
-    x: Dict[float, np.ndarray]
-    converged: bool
-    iterations: int
-    residuals: List[float] = field(default_factory=list)
-
-    def __getitem__(self, shift: float) -> np.ndarray:
-        return self.x[shift]
+__all__ = ["MultiShiftResult", "multishift_cg"]
 
 
 def multishift_cg(
@@ -53,89 +39,17 @@ def multishift_cg(
     shifted residuals are proportional via the ``zeta`` factors and
     converge at least as fast.
 
-    A shift ``s`` is **frozen** the moment its own residual bound
-    ``|zeta_s| ||r|| <= tol ||b||`` is met: its ``x_s``/``p_s`` updates
-    (two fused vector kernels per iteration) stop, while the shared
-    Krylov recursion keeps running for the shifts still live.  Large
-    shifts converge far earlier than the base system, so freezing
-    removes most of the per-shift axpy work of a mass sweep; the
-    iteration terminates when every shift is frozen, which for shift
-    sets *without* ``sigma = 0`` can be before the base system itself
-    converges.  For ``sigma = 0`` the ``zeta`` factors are identically
-    ``1.0``, so its freeze criterion is bit-for-bit the old base-system
-    stopping rule.
+    Converged shifts are **frozen** (their vector updates stop) while the
+    shared Krylov recursion runs on for the shifts still live — see
+    :func:`repro.solvers.krylov.multishift_iter`, which this runs to
+    completion; for shift sets *without* ``sigma = 0`` the iteration can
+    therefore end before the base system itself converges.
 
     Zero right-hand side returns the exact solution ``x = 0`` with
     ``residuals == [0.0]`` — the same sentinel history as
     :func:`repro.solvers.cg.cg` (a relative residual is undefined at
     ``||b|| = 0``; the main path's history always starts at ``1.0``).
     """
-    shifts = [float(s) for s in shifts]
-    if not shifts:
-        raise ConfigError("need at least one shift")
-    if any(s < 0 for s in shifts):
-        raise ConfigError(f"shifts must be non-negative: {shifts}")
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
-
-    bb = dot(b, b).real
-    if bb == 0.0:
-        zero = {s: np.zeros_like(b) for s in shifts}
-        return MultiShiftResult(shifts, zero, True, 0, [0.0])
-    target = tol * tol * bb
-
-    # base (sigma = 0) CG state
-    r = b.copy()
-    p = b.copy()
-    rr = bb
-    alpha_old = 1.0  # alpha_{n-1}
-    beta_old = 0.0  # beta_{n-1}
-
-    # per-shift state
-    x = {s: np.zeros_like(b) for s in shifts}
-    ps = {s: b.copy() for s in shifts}
-    zeta = {s: 1.0 for s in shifts}  # zeta^n
-    zeta_prev = {s: 1.0 for s in shifts}  # zeta^{n-1}
-
-    residuals = [float(np.sqrt(rr / bb))]
-    it = 0
-    # Shifted residual bound: ||r_s|| = |zeta_s| ||r||, so shift s is done
-    # once zeta_s^2 rr <= target.  zeta = 1 initially, so a converged-at-
-    # entry rhs freezes everything immediately (it = 0, as before).
-    active = [s for s in shifts if zeta[s] * zeta[s] * rr > target]
-    # Single shared workspace: every per-shift update streams through it
-    # (see :mod:`repro.solvers.kernels`), so the inner loop allocates
-    # nothing beyond the operator application.
-    ws = np.empty_like(b)
-    while active and it < maxiter:
-        ap = apply_a(p)
-        p_ap = dot(p, ap).real
-        alpha = rr / p_ap  # base-system step (note: positive)
-
-        for s in active:
-            denom = (
-                alpha * beta_old * (zeta_prev[s] - zeta[s])
-                + zeta_prev[s] * alpha_old * (1.0 + s * alpha)
-            )
-            zeta_new = (zeta[s] * zeta_prev[s] * alpha_old) / denom
-            alpha_s = alpha * zeta_new / zeta[s]
-            axpy(alpha_s, ps[s], x[s], ws)  # x_s += alpha_s p_s
-            zeta_prev[s], zeta[s] = zeta[s], zeta_new
-
-        # fused residual update + norm: r -= alpha ap; rr = <r, r>
-        rr_new = axpy_norm2(-alpha, ap, r, ws, dot)
-        beta = rr_new / rr
-        xpay(r, beta, p)  # p <- r + beta p, in place
-        still_active = [
-            s for s in active if zeta[s] * zeta[s] * rr_new > target
-        ]
-        for s in still_active:
-            beta_s = beta * (zeta[s] / zeta_prev[s]) ** 2
-            scale_axpy(zeta[s], r, beta_s, ps[s], ws)  # p_s <- zeta_s r + beta_s p_s
-        active = still_active
-        alpha_old, beta_old = alpha, beta
-        rr = rr_new
-        it += 1
-        residuals.append(float(np.sqrt(rr / bb)))
-
-    return MultiShiftResult(shifts, x, not active, it, residuals)
+    return run_serial(
+        multishift_iter(lift(apply_a), lift(dot), b, shifts, tol, maxiter)
+    )

@@ -231,7 +231,7 @@ class TestStaggeredWireFormat:
         """A colour vector has nothing to compress: 6 words per site, and
         the packed depth-3 + product exchange is exactly the seed's."""
         rng = rng_stream(29, "halfspinor-stag")
-        geom = LatticeGeometry((6, 2, 2, 2))  # local (3,2,2,2) on 1D decomp
+        geom = LatticeGeometry((8, 2, 2, 2))  # local (4,2,2,2) on 1D decomp
         gauge = GaugeField.hot(geom, rng)
         chi = rng.standard_normal((geom.volume, 3)) + 0j
         machine, partition = make_machine()
@@ -255,9 +255,9 @@ class TestStaggeredWireFormat:
             return api.transfer_counters()
 
         counters = machine.run_partition(partition, program)
-        local = LatticeGeometry((3, 2, 2, 2))
+        local = LatticeGeometry((4, 2, 2, 2))
         n1 = local.volume // local.shape[0]  # depth-1 face
-        n3 = 3 * n1  # depth-3 face (the whole 3-deep tile here)
+        n3 = 3 * n1  # depth-3 face
         for c in counters:
             expected = (n3 + (n1 + n3)) * STAGGERED_WORDS
             assert c["payload_words_sent"] == expected

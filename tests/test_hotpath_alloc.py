@@ -185,7 +185,7 @@ class TestSteadyStateAllocationFree:
 
         rng = rng_stream(93, "hotpath-stag")
         m, part = make_machine()
-        geom = LatticeGeometry((6, 2, 2, 2))
+        geom = LatticeGeometry((8, 2, 2, 2))
         mapping = PhysicsMapping(geom, part)
         gauge = GaugeField.hot(geom, rng)
         fat = fat_links(gauge)

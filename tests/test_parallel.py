@@ -195,6 +195,29 @@ class TestDistributedSolve:
         assert first[1] == second[1]  # bit-identical residual history
         assert first[2] == second[2]  # identical simulated time
 
+    def test_second_solve_on_the_same_machine(self, rng):
+        # The shared-facility case: one booted machine, one partition, many
+        # jobs.  The driver frees what each run allocated, so the second
+        # solve neither dies on ``buffer 'work' already allocated`` nor
+        # differs from the first in any bit.
+        machine, partition = machine_8()
+        _geom, gauge, b = self.setup_problem(rng)
+        nodes = [
+            machine.nodes[partition.physical_node(rank)]
+            for rank in range(partition.n_nodes)
+        ]
+        before = [set(n.memory.buffer_names()) for n in nodes]
+        first, second = (
+            solve_on_machine(
+                machine, partition, gauge, b, mass=0.3, tol=1e-8, max_time=1e9
+            )
+            for _ in range(2)
+        )
+        assert first.x.tobytes() == second.x.tobytes()
+        assert first.residuals == second.residuals
+        assert first.iterations == second.iterations
+        assert [set(n.memory.buffer_names()) for n in nodes] == before
+
     def test_clover_solve_on_machine(self, rng):
         machine, partition = machine_8()
         _geom, gauge, b = self.setup_problem(rng)

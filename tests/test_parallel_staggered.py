@@ -87,6 +87,33 @@ class TestDistributedAsqtadApply:
         with pytest.raises(Exception, match="Naik"):
             run_apply(machine, partition, gauge, chi)
 
+    @pytest.mark.parametrize(
+        "shape,axis,extent", [((6, 8, 2, 2), 0, 3), ((8, 10, 2, 2), 1, 5)]
+    )
+    def test_odd_local_extent_on_a_decomposed_axis_refused(
+        self, rng, shape, axis, extent
+    ):
+        # Kawamoto-Smit phases come from *local* coordinates: an odd local
+        # extent flips their sign on odd-coordinate ranks (O(1) error
+        # against serial), so it is refused, naming the axis and extent.
+        machine, partition = make_machine()
+        geom = LatticeGeometry(shape)
+        chi = np.zeros((geom.volume, 3), dtype=complex)
+        with pytest.raises(
+            ConfigError, match=f"axis {axis}: odd local extent {extent}"
+        ):
+            run_apply(machine, partition, GaugeField.unit(geom), chi)
+
+    def test_odd_extent_on_an_undecomposed_axis_is_exact(self, rng):
+        # an axis that wraps locally sees its global coordinates
+        machine, partition = make_machine()
+        geom = LatticeGeometry((8, 8, 3, 2))
+        gauge = GaugeField.hot(geom, rng)
+        chi = rng.standard_normal((geom.volume, 3)) + 0j
+        got = run_apply(machine, partition, gauge, chi)
+        want = AsqtadDirac(gauge, mass=0.3).apply(chi)
+        assert np.allclose(got, want, atol=1e-12)
+
     def test_checksums_clean_after_naik_traffic(self, rng):
         machine, partition = make_machine()
         geom = LatticeGeometry((8, 8, 2, 2))

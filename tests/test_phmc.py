@@ -13,6 +13,8 @@ mixed-precision CG, retyped integrators, generalized checkpoints) are
 pinned down.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,23 @@ from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.parallel.decomp import PhysicsMapping
+from repro.parallel.pcg import (
+    MachineSiteDot,
+    agreed,
+    run_on_partition,
+    wilson_context,
+)
 from repro.parallel.phmc import DistributedTwoFlavorHMC, multishift_solve_on_machine
-from repro.solvers.cg import cg, mixed_precision_cg
+from repro.solvers.cg import cg, cgne, mixed_precision_cg
+from repro.solvers.checkpoint import CGCheckpointStore
 from repro.solvers.kernels import LEDGER
+from repro.solvers.krylov import (
+    cg_iter,
+    lift,
+    mixed_cg_iter,
+    multishift_iter,
+    run_serial,
+)
 from repro.solvers.multishift import multishift_cg
 from repro.solvers.sitedot import canonical_dot
 from repro.util import rng_stream
@@ -248,6 +264,208 @@ class TestDistributedMultishift:
             multishift_solve_on_machine(
                 m, p, gauge, np.zeros((3, 4, 3), complex), [0.0], mass=0.5
             )
+
+
+# ---------------------------------------------------------------------------
+# one Krylov core: every method x every backend, bit for bit
+# ---------------------------------------------------------------------------
+KRYLOV_TOL, KRYLOV_MAXITER, KRYLOV_SHIFTS = 1e-7, 500, [0.0, 0.1, 1.0, 50.0]
+
+#: backend -> (machine dims, shards); ``None`` = the serial lifted backend
+KRYLOV_BACKENDS = {
+    "serial-lifted": None,
+    "1-node": ((1, 1, 1, 1, 1, 1), 1),
+    "2-nodes": ((2, 1, 1, 1, 1, 1), 1),
+    "4-nodes": ((2, 2, 1, 1, 1, 1), 1),
+    "4-nodes-shards=2": ((2, 2, 1, 1, 1, 1), 2),
+}
+
+
+def krylov_problem():
+    gauge = hot_gauge((4, 4, 2, 2))
+    rng = rng_stream(5, "phmc-krylov")
+    shape = (gauge.geometry.volume, 4, 3)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return gauge, b
+
+
+def krylov_core(method, normal, apply_dagger, dot, b, on_iteration):
+    """One method of the core over any ``(apply, dot)`` backend (generator)."""
+    args = (KRYLOV_TOL, KRYLOV_MAXITER)
+    hook = dict(on_iteration=on_iteration)
+    if method == "mixed":
+        return (yield from mixed_cg_iter(normal, dot, b, *args, **hook))
+    if method == "multishift":
+        shifts = KRYLOV_SHIFTS
+        return (yield from multishift_iter(normal, dot, b, shifts, *args, **hook))
+    if method == "cgne":
+        b = yield from apply_dagger(b)
+    return (yield from cg_iter(normal, dot, b, *args, **hook))
+
+
+def krylov_recorder(history):
+    """Hook recording ``(it, residual, converged, live shifts)``: for
+    multishift the last column is each shift's freezing iteration."""
+
+    def on_iteration(state, converged):
+        history.append(
+            (state["it"], state["residuals"][-1], converged, state.get("active"))
+        )
+
+    return on_iteration
+
+
+def krylov_rank_program(api, context, mapping, local_b, method):
+    ctx = context(api)
+    dot = MachineSiteDot(api, mapping)
+    history = []
+    result = yield from krylov_core(
+        method, ctx.normal, ctx.apply_dagger, dot, local_b[api.rank],
+        krylov_recorder(history),
+    )
+    return result, history
+
+
+def krylov_fields(result):
+    x = result.x
+    return [x[s] for s in result.shifts] if isinstance(x, dict) else [x]
+
+
+def krylov_outcome(result):
+    """Everything a serial solve produced, as comparable bytes and lists."""
+    return (
+        [f.tobytes() for f in krylov_fields(result)],
+        result.converged,
+        result.iterations,
+        result.residuals,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def krylov_on_backend(method, backend):
+    gauge, b = krylov_problem()
+    if KRYLOV_BACKENDS[backend] is None:
+        d = WilsonDirac(gauge, mass=0.5)
+        history = []
+        result = run_serial(
+            krylov_core(
+                method, lift(d.normal), lift(d.apply_dagger), lift(canonical_dot),
+                b, krylov_recorder(history),
+            )
+        )
+        return krylov_outcome(result), history
+    dims, shards = KRYLOV_BACKENDS[backend]
+    m, p = make_machine(dims, shards=shards)
+    mapping = PhysicsMapping(gauge.geometry, p)
+    per_rank = run_on_partition(
+        m, p, krylov_rank_program, 1e9,
+        context=wilson_context(mapping, gauge, 0.5),
+        mapping=mapping, local_b=mapping.scatter_field(b), method=method,
+    )
+    results, histories = zip(*per_rank)
+    assert all(h == histories[0] for h in histories)
+    tiles = zip(*(krylov_fields(res) for res in results))  # per field, every rank
+    outcome = (
+        [mapping.gather_field(np.stack(t)).tobytes() for t in tiles],
+        all(res.converged for res in results),
+        agreed([res.iterations for res in results], "iteration count"),
+        results[0].residuals,
+    )
+    return outcome, histories[0]
+
+
+class TestOneKrylovCore:
+    """The serial entry points and every machine run drive the *same*
+    generators, so under the canonical dot they agree in every bit —
+    solution, iteration count, residual history, per-shift freezing."""
+
+    def public_entry_point(self, method):
+        gauge, b = krylov_problem()
+        d = WilsonDirac(gauge, mass=0.5)
+        kw = dict(tol=KRYLOV_TOL, maxiter=KRYLOV_MAXITER, dot=canonical_dot)
+        if method == "cg":
+            return cg(d.normal, b, **kw)
+        if method == "mixed":
+            return mixed_precision_cg(d.normal, b, **kw)
+        if method == "multishift":
+            return multishift_cg(d.normal, b, KRYLOV_SHIFTS, **kw)
+        return cgne(d.apply, d.apply_dagger, b, **kw)
+
+    @pytest.mark.parametrize("backend", list(KRYLOV_BACKENDS))
+    @pytest.mark.parametrize("method", ["cg", "mixed", "multishift", "cgne"])
+    def test_method_on_backend_is_bit_identical(self, method, backend):
+        outcome, history = krylov_on_backend(method, backend)
+        assert outcome == krylov_outcome(self.public_entry_point(method))
+        assert outcome[1] and outcome[2] > 3  # a real, converged solve
+        assert history == krylov_on_backend(method, "serial-lifted")[1]
+        if method == "multishift":
+            frozen_at = {
+                s: next(it for it, _r, _c, live in history if s not in live)
+                for s in KRYLOV_SHIFTS
+            }
+            # the big shift froze early; the base system ran to the end
+            assert frozen_at[50.0] < frozen_at[0.0] == outcome[2]
+
+    def test_killed_and_resumed_solve_continues_bit_identically(self):
+        """Checkpoint through the hook, kill at iteration 7, resume from
+        the newest stored generation: same solution, same history."""
+        gauge, b = krylov_problem()
+        d = WilsonDirac(gauge, mass=0.5)
+        backend = (lift(d.normal), lift(canonical_dot), b, KRYLOV_TOL, KRYLOV_MAXITER)
+        full = run_serial(cg_iter(*backend))
+        store = CGCheckpointStore(every=3)
+
+        class Killed(Exception):
+            pass
+
+        def checkpoint_then_die(state, converged):
+            if store.due(state["it"], converged):
+                store.put(0, state["it"], state)
+            if state["it"] == 7:
+                raise Killed
+
+        with pytest.raises(Killed):
+            run_serial(cg_iter(*backend, on_iteration=checkpoint_then_die))
+        state = store.latest_complete_states(1)[0]
+        assert state["it"] == 6
+        reported = []
+        resumed = run_serial(
+            cg_iter(
+                *backend,
+                on_iteration=lambda s, c: reported.append(s["it"]),
+                resume_state=state,
+            )
+        )
+        assert krylov_outcome(resumed) == krylov_outcome(full)
+        # the resumed entry state is not reported a second time
+        assert reported == list(range(7, full.iterations + 1))
+
+    def test_serial_driver_refuses_a_backend_that_yields(self):
+        """With no simulator underneath, an event has nobody to wait on
+        it: the serial driver must say so rather than drop it."""
+        _gauge, b = krylov_problem()
+
+        def machine_style_dot(u, v):
+            yield "a global-sum event"
+
+        with pytest.raises(ConfigError, match="yielded 'a global-sum event'"):
+            run_serial(cg_iter(lift(lambda v: v), machine_style_dot, b, 1e-8, 10))
+
+    def test_serial_cg_kernel_ledger(self):
+        """Per iteration: two axpys (x, and the r half of the fused
+        ``axpy_norm2``), that fused kernel's one ``dot``, one xpay."""
+        apply_a, _a, b = _spd_problem()
+        LEDGER.reset()
+        LEDGER.enabled = True
+        try:
+            res = cg(apply_a, b, tol=1e-10)
+            calls = dict(LEDGER.calls)
+        finally:
+            LEDGER.enabled = False
+            LEDGER.reset()
+        n = res.iterations
+        assert n > 3
+        assert calls == {"axpy": 2 * n, "dot": n, "xpay": n}
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def staggered_apply(data_seed, applies=1, **kwargs):
 
     word_batch, kwargs = pop_word_batch(kwargs)
     rng = rng_stream(data_seed, "hotpath-eq-stag")
-    geom = LatticeGeometry((6, 2, 2, 2))
+    geom = LatticeGeometry((8, 4, 2, 2))
     gauge = GaugeField.hot(geom, rng)
     m, part = make_machine(DIMS_1D, word_batch=word_batch, **kwargs)
     mapping = PhysicsMapping(geom, part)

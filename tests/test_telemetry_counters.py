@@ -33,6 +33,7 @@ from repro.machine.scu import DmaDescriptor
 from repro.parallel import PhysicsMapping
 from repro.perfmodel.dirac_perf import dirac_flops_per_node, halo_payload_words
 from repro.solvers import kernels
+from repro.solvers.krylov import lift, run_serial
 from repro.telemetry.counters import CounterBank, bank_for_machine
 from repro.util import rng_stream
 
@@ -374,7 +375,7 @@ def test_ledger_exact_flop_counts():
     kernels.LEDGER.enabled = True
     kernels.axpy(0.5 + 0.1j, x, y, ws)
     kernels.xpay(x, 0.25, y)
-    kernels.axpy_norm2(-0.5, x, y, ws)
+    run_serial(kernels.axpy_norm2(-0.5, x, y, ws, lift(np.vdot)))
     kernels.scale_axpy(0.3, x, 0.7j, y, ws)
     per = {
         "axpy": 2 * (CMUL + CADD) * n,  # two axpy-class calls (axpy + inner
