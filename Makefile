@@ -3,7 +3,7 @@ PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test protocol overlap bench bench-smoke verify verify-telemetry \
         lint verify-sanitizer verify-faults verify-sharding verify-hotpath \
-        verify-service verify-flow
+        verify-service verify-flow verify-hmc
 
 ## tier-1: the full unit/integration/property suite
 test:

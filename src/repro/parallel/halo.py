@@ -1,0 +1,326 @@
+"""The one halo pipeline every distributed Dirac operator runs on.
+
+Each rank owns one tile of the lattice.  Applying a hopping term needs,
+per decomposed axis ``mu``:
+
+* the **+mu neighbour's low face** of the source field (``depth`` layers,
+  ``depth`` the operator's longest hop) — used as "my forward neighbour's
+  value" on my high face; and
+* the **-mu neighbour's** precomputed ``U^+`` products from *its* high
+  face — used as my backward hopping term on my low face.  Shipping the
+  product instead of (field + gauge link) halves the traffic and matches
+  the zero-copy, sender-side-multiply structure of the real kernels.
+
+All four transfers per axis run through **persistent SCU descriptors**
+stored once at context creation: every subsequent operator application
+starts them with a *single* ``start_stored`` call per group, which is
+precisely the "only a single write (start transfer) is needed to start up
+to 24 communications" usage of paper section 3.3.
+
+:class:`HaloPipeline` owns what that mechanism needs and no operator
+arithmetic: the ``work`` source buffer and per-axis halo/staging node
+buffers, the stored descriptors in their start groups, the
+interior/boundary site cover, the hot-epoch bracket, the sanitizer
+checkpoints, and the one generator (:meth:`HaloPipeline.exchange`) that
+sequences an application.  An operator is a subclass that declares its
+**spec** (constructor arguments below, plus the ``groups`` it fires) and
+supplies the site kernels the generator calls between the steps:
+
+``project(mu)``
+    only when the wire is compressed: fill ``stage_fwd[mu]`` from the low
+    face of ``work`` (matvec-free, uncharged);
+``stage(mu) -> sites``
+    fill ``stage_bwd[mu]`` with the sender-side products of the high
+    face; returns the site count, charged one SU(3) matvec each;
+``interior() -> flops``
+    initialise ``self.out`` and run every matvec that needs no halo data;
+``on_halo(mu, sign) -> flops``
+    patch the face rows from the halo that just landed;
+``merge(sites)``
+    accumulate the per-``mu`` terms into ``self.out`` on ``sites``,
+    charged ``merge_flops_per_site`` each.
+
+The pipeline, step by step
+--------------------------
+The paper's sustained-efficiency claims (section 4) model dslash time as
+``T_interior + max(T_comm, T_boundary)`` — DMA transfers run
+*concurrently* with CPU arithmetic.  One application is one hot epoch
+(the first learns the SCU transfer schedule, the rest replay its compiled
+trace, :mod:`repro.machine.replay`) and runs:
+
+1. copy the source into ``work`` and start group ``"early"`` — *both*
+   receives, plus the raw low-face send when the wire is uncompressed, so
+   no link ever idles waiting for a late receive;
+2. ``project`` every axis, then start group ``"proj"`` (the projected
+   low-face sends: pure sign/permute adds, on the wire before any matvec
+   is charged);
+3. ``stage`` every axis, charge the staged matvecs, start group
+   ``"staged"`` (the product sends);
+4. ``interior()`` plus ``merge`` on the interior sites (``depth <= x_mu <
+   L_mu - depth`` on every decomposed axis), one charge — all of it while
+   the wires are busy;
+5. a completion-order drain loop (:meth:`CommsAPI.wait_any`, keyed
+   ``(kind, mu, sign)``): each landed receive runs ``on_halo`` and is
+   charged on the spot; send completions need no compute;
+6. ``merge`` on the boundary sites, one charge.
+
+``overlap=False`` is the same pipeline in the *serialised* order the
+paper's section 4 claim is measured against: nothing starts before
+staging, every group then starts at once and the rank waits for all
+transfers before step 4, and no site counts as interior (one merge over
+the whole tile in step 6).  Kernels, payload and total charged flops are
+identical; only the timeline is longer.
+
+The assembled sum is **bit-identical** (``==``, not allclose) in both
+orders and on any decomposition: all per-site kernels are
+row-independent, the interior/boundary site sets are a disjoint sorted
+cover, and each operator's ``merge`` preserves its per-``mu``
+accumulation order.
+
+The source field always sits in the node-memory buffer ``work`` (so the
+descriptors can be persistent), every buffer the steady state touches is
+allocated once at construction (DESIGN.md §12), and every numpy
+evaluation charges simulated CPU time through the cost sheets of
+:mod:`repro.fermions.flops`.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+from repro.comms.api import CommsAPI, face_descriptor, full_descriptor
+from repro.fermions.flops import MATVEC_SU3
+from repro.lattice.geometry import LatticeGeometry
+from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
+from repro.machine.scu import normalise_word_batch
+from repro.util.errors import ConfigError
+from repro.util.hotpath import hot_path
+
+
+class HaloPipeline:
+    """Per-rank halo-exchange state shared by the distributed operators.
+
+    Parameters
+    ----------
+    api:
+        The rank's :class:`CommsAPI`.
+    local_shape:
+        The tile's lattice extents; its rank must equal the partition's
+        logical rank.
+    tag:
+        Hot-epoch tag of one application (``"pdirac.hopping"``, ...).
+    kernel:
+        Kernel-ledger tag of every flop charge the pipeline makes.
+    hops:
+        The operator's hop distances; the halo is ``max(hops)`` deep.
+    site_shape, site_words:
+        Per-site shape of the field and its 64-bit word count.
+    wire_words:
+        Words per wire site.  Fewer than ``site_words`` means the wire is
+        compressed: it keeps that fraction of the site's leading (spin)
+        axis, and the forward halo is staged by ``project`` instead of
+        being sent raw from ``work``.
+    buffers:
+        Node-memory name stems of (forward halo, backward-product halo,
+        backward-product staging).
+    lead:
+        Extra leading field axes shipped whole in every transfer (DWF's
+        ``(Ls,)``).
+    overlap:
+        ``True`` runs the overlapped order, ``False`` the serialised one
+        (module docstring); output and charged flops are identical.
+    word_batch:
+        DMA framing of the stored sends.  ``None`` inherits the machine's
+        configured ``word_batch`` — the one knob propagates consistently
+        to every unit; ``"face"`` is the hot-path configuration, ``1``
+        the word-at-a-time protocol (mandatory on lossy links, where
+        go-back-N must rewind words, not whole faces).
+    """
+
+    #: start groups the overlapped order fires, in order
+    groups: Tuple[str, ...] = ("early", "staged")
+
+    def __init__(
+        self,
+        api: CommsAPI,
+        local_shape,
+        *,
+        tag: str,
+        kernel: str,
+        hops: Tuple[int, ...],
+        site_shape: Tuple[int, ...],
+        site_words: int,
+        wire_words: int,
+        buffers: Tuple[str, str, str] = ("halo_fwd", "halo_bwd", "stage_bwd"),
+        lead: Tuple[int, ...] = (),
+        overlap: bool = True,
+        word_batch=None,
+    ):
+        self.api = api
+        self.tag = tag
+        self.kernel = kernel
+        self.word_batch = (
+            None if word_batch is None else normalise_word_batch(word_batch)
+        )
+        self.geometry = g = LatticeGeometry(local_shape)
+        self.volume = g.volume
+        if g.ndim != len(api.dims):
+            raise ConfigError(
+                f"local_shape {tuple(local_shape)} has rank {g.ndim} but the "
+                f"partition's logical mesh {tuple(api.dims)} has rank "
+                f"{len(api.dims)}"
+            )
+        self.overlap = bool(overlap)
+        #: test seam: when set, called as ``hook(self)`` immediately after
+        #: the overlapped order fires its "early" group — i.e. while all
+        #: receives are in flight.  The race-sanitizer tests use it to
+        #: inject a deterministic premature halo read; ``None`` (default)
+        #: costs one attribute check per application.
+        self.race_injection_hook = None
+
+        #: axes actually decomposed over nodes; an extent-1 logical axis
+        #: keeps the whole physics axis on-tile, so its periodic wrap is
+        #: local arithmetic and needs no SCU traffic.
+        self.comm_axes = [mu for mu in range(g.ndim) if api.dims[mu] > 1]
+        depth = max(hops)
+        #: per hop distance, the halo plans of the decomposed axes
+        self.hop_plans = {
+            h: {mu: halo_exchange_plan(g, mu, h) for mu in self.comm_axes}
+            for h in hops
+        }
+        #: the nearest-neighbour plans (every operator has a 1-hop term)
+        self.plans = self.hop_plans[1]
+        #: disjoint sorted cover of the tile: interior sites touch no halo
+        #: and are fully computable during communication; boundary sites
+        #: wait on per-axis halo arrival.
+        self.interior_sites, self.boundary_sites = interior_boundary_sites(
+            g, tuple(self.comm_axes), depth=depth
+        )
+        if not self.overlap:
+            # serialised: every site waits, one merge over the whole tile
+            self.interior_sites = self.boundary_sites[:0]
+            self.boundary_sites = np.arange(g.volume)
+
+        self.compress = wire_words < site_words
+        wire_shape = (site_shape[0] * wire_words // site_words,) + site_shape[1:]
+        fwd_name, bwd_name, stage_name = self._buffer_names = buffers
+        mem = api.memory
+        self.work = mem.zeros("work", lead + (g.volume,) + site_shape)
+        # per decomposed axis: the two receive halos and the two send stages
+        self.halo_fwd, self.halo_bwd, self.stage_fwd, self.stage_bwd = {}, {}, {}, {}
+        batch = self.word_batch
+
+        def whole(stem: str, mu: int):
+            return full_descriptor(api.node, f"{stem}{mu}")
+
+        for mu in self.comm_axes:
+            # forward: the depth-deep low face; backward: one packed block
+            # of products per hop distance, nearest first
+            n_fwd = len(self.hop_plans[depth][mu].send_low)
+            n_bwd = sum(len(self.hop_plans[h][mu].send_high) for h in hops)
+            fwd_shape = lead + (n_fwd,) + wire_shape
+            bwd_shape = lead + (n_bwd,) + wire_shape
+            self.halo_fwd[mu] = mem.zeros(f"{fwd_name}{mu}", fwd_shape)
+            self.halo_bwd[mu] = mem.zeros(f"{bwd_name}{mu}", bwd_shape)
+            self.stage_bwd[mu] = mem.zeros(f"{stage_name}{mu}", bwd_shape)
+            # Persistent descriptors (stored once, restarted every apply).
+            if self.compress:
+                # The forward halo is projected *before* the send, so its
+                # descriptor reads the staged buffer, in its own start
+                # group: on the wire before any staging matvec is charged.
+                self.stage_fwd[mu] = mem.zeros(f"stage_fwd{mu}", fwd_shape)
+                low_face, group = whole("stage_fwd", mu), "proj"
+            else:
+                low_face, group = face_descriptor(
+                    "work", local_shape, mu, -1, site_words, depth=depth
+                ), "early"
+            #  my (projected) low face -> the -mu neighbour,
+            api.store_send(mu, -1, low_face, group=group, word_batch=batch)
+            #  sender-side products from my high face -> +mu neighbour,
+            api.store_send(
+                mu, +1, whole(stage_name, mu), group="staged", word_batch=batch
+            )
+            #  the +mu neighbour's low face,
+            api.store_recv(mu, +1, whole(fwd_name, mu), group="early")
+            #  products arriving from the -mu neighbour.
+            api.store_recv(mu, -1, whole(bwd_name, mu), group="early")
+
+    @hot_path
+    def exchange(self, src: np.ndarray):
+        """One application of the pipeline (generator yielding machine
+        events); returns the context-owned ``self.out``, valid until the
+        next application.
+
+        Steady-state allocation-free: the site kernels land every numpy
+        result in context scratch (``out=`` kernels, ``np.take(...,
+        out=)`` gathers).
+        """
+        api, kernel, overlap = self.api, self.kernel, self.overlap
+        fwd_name, bwd_name, stage_name = self._buffer_names
+        api.begin_hot_epoch(self.tag)
+        try:
+            api.cpu_write("work")
+            np.copyto(self.work, src)
+
+            pending = {}  # steps 1-3 of the module docstring
+            if overlap:
+                pending.update(api.start_stored_events(group="early"))
+                if self.race_injection_hook is not None:
+                    self.race_injection_hook(self)
+            if self.compress:
+                for mu in self.comm_axes:
+                    api.cpu_write(f"stage_fwd{mu}")
+                    self.project(mu)
+            if overlap and "proj" in self.groups:
+                pending.update(api.start_stored_events(group="proj"))
+            staged = 0
+            for mu in self.comm_axes:
+                api.cpu_write(f"{stage_name}{mu}")
+                staged += self.stage(mu)
+            if staged:
+                yield api.compute(staged * MATVEC_SU3, kernel=kernel)
+            if overlap:
+                pending.update(api.start_stored_events(group="staged"))
+            else:
+                # serialised: one write starts everything, then wait
+                pending.update(api.start_stored_events())
+                yield api.wait(pending.values())
+
+            # ---- interior phase: every matvec that needs no halo data ---
+            flops = self.interior()
+            interior = self.interior_sites
+            if len(interior):
+                self.merge(interior)
+                flops += len(interior) * self.merge_flops_per_site
+            yield api.compute(flops, kernel=kernel)
+
+            # ---- boundary phase: drain transfers in completion order ----
+            while pending:
+                fired = yield api.wait_any(pending.values())
+                key = next(k for k, e in pending.items() if e is fired)
+                del pending[key]
+                kind, mu, sign = key
+                if kind != "recv":
+                    continue  # send completions need no compute
+                api.cpu_read(f"{fwd_name if sign > 0 else bwd_name}{mu}")
+                flops = self.on_halo(mu, sign)
+                if flops:
+                    yield api.compute(flops, kernel=kernel)
+
+            boundary = self.boundary_sites
+            if len(boundary):
+                self.merge(boundary)
+                yield api.compute(
+                    len(boundary) * self.merge_flops_per_site, kernel=kernel
+                )
+        finally:
+            api.end_hot_epoch(self.tag)
+        return self.out
+
+    def normal(self, src: np.ndarray):
+        """``D^+ D src`` — one CG iteration's operator work."""
+        d_src = yield from self.apply(src)
+        out = yield from self.apply_dagger(d_src)
+        return out

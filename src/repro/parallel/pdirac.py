@@ -1,14 +1,10 @@
 """The distributed Wilson/clover operator: a node program building block.
 
-Each rank owns one tile of the lattice.  Applying the hopping term needs,
-per axis ``mu``:
-
-* the **+mu neighbour's low face** of the source field — used as "my
-  forward neighbour's value" on my high face; and
-* the **-mu neighbour's** precomputed ``U^+`` products from *its* high
-  face — used as my backward hopping term on my low face.  Shipping the
-  product instead of (spinor + gauge link) halves the traffic and matches
-  the zero-copy, sender-side-multiply structure of the real kernels.
+The exchange itself — persistent descriptors, start groups, the
+overlapped and serialised orders — is :mod:`repro.parallel.halo`; this
+module is the Wilson **spec**: the wire format, the hopping site kernels
+(shared with the domain-wall operator, whose 4D term is the same dslash),
+and the site-local ``apply`` arithmetic.
 
 Half-spinor compression (``compress=True``, the default at ``r == 1``)
 ----------------------------------------------------------------------
@@ -31,52 +27,16 @@ independent, the assembled physics is *bit-identical* to the full-spinor
 exchange and to the serial operator.  ``compress=False`` (forced for
 ``r != 1``, where the projector has full rank) keeps the original
 full-spinor wire format for comparison benchmarks.
-
-All four transfers per axis run through **persistent SCU descriptors**
-stored once at context creation: every subsequent operator application
-starts its 4-ndim transfers with a *single* ``start_stored`` call, which is
-precisely the "only a single write (start transfer) is needed to start up
-to 24 communications" usage of paper section 3.3.
-
-Two-phase overlapped pipeline (default)
----------------------------------------
-The paper's sustained-efficiency claims (section 4) model dslash time as
-``T_interior + max(T_comm, T_boundary)`` — DMA transfers run *concurrently*
-with CPU arithmetic.  ``hopping`` therefore splits each application into
-
-1. an **interior phase**: the ``"early"`` descriptor group is started
-   the instant the source lands in ``work`` (*both* receives, plus the
-   raw low-face send when uncompressed, so no link ever idles waiting
-   for a late receive); the sender-side staging buffers are then
-   computed, group ``"staged"`` starts their sends, and every matvec
-   that needs no halo data — plus the full per-site merge on interior
-   sites (``depth <= x_mu < L_mu - depth`` on all communicated axes) —
-   runs while the wires are busy;
-2. a **boundary phase**: a completion-order drain loop
-   (:meth:`CommsAPI.wait_any`) patches the per-axis face rows as each
-   axis's halo lands — forward-hop rows need one SU(3) matvec per face
-   site, backward-hop rows are a pure row copy of the received products —
-   then merges the boundary sites.
-
-The assembled hopping sum is **bit-identical** (``==``, not allclose) to
-the monolithic path (``overlap=False``) and to the serial operator: all
-per-site kernels are row-independent einsums, the interior/boundary site
-sets are a disjoint sorted cover, and the per-``mu`` accumulation order of
-the merge is preserved exactly.  Simulated flops charged are likewise
-identical — only their placement on the timeline changes.
-
-The source field always sits in the node-memory buffer ``work`` (so the
-descriptors can be persistent), and every numpy evaluation charges
-simulated CPU time through the cost sheets of :mod:`repro.fermions.flops`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Optional
 
 import numpy as np
 
-from repro.comms.api import CommsAPI, face_descriptor, full_descriptor
+from repro.comms.api import CommsAPI
 from repro.fermions.flops import (
     CLOVER_TERM_FLOPS,
     DIAG_AXPY_FLOPS,
@@ -93,10 +53,8 @@ from repro.fermions.gamma import (
     spin_reconstruct,
 )
 from repro.lattice.gauge import cmatvec
-from repro.lattice.geometry import LatticeGeometry
-from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
 from repro.lattice.su3 import dagger
-from repro.machine.scu import normalise_word_batch
+from repro.parallel.halo import HaloPipeline
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
@@ -107,26 +65,198 @@ WORDS_PER_SITE = SPINOR_WORDS
 HALF_WORDS_PER_SITE = HALF_SPINOR_WORDS
 
 
-class DistributedWilsonContext:
+class WilsonHops(HaloPipeline):
+    """The 4D Wilson hopping site kernels, written once over a site axis.
+
+    The Wilson/clover field is ``(v, 4, 3)`` (site axis 0); the domain-wall
+    field is ``lead + (v, 4, 3)`` with ``lead = (Ls,)`` — every ``s``
+    slice sees the same gauge field, so the same projection, staging,
+    matvec loop and halo patch run slice-batched on site axis 1.
+    Subclasses add ``interior``/``merge`` (whose accumulation order is
+    what the bit-identity contracts pin) and set ``merge_flops_per_site``.
+    """
+
+    groups = ("early", "proj", "staged")
+
+    def __init__(
+        self,
+        api: CommsAPI,
+        local_shape,
+        links: np.ndarray,
+        *,
+        compress: bool,
+        lead=(),
+        **spec,
+    ):
+        super().__init__(
+            api,
+            local_shape,
+            hops=(1,),
+            site_shape=(4, 3),
+            site_words=WORDS_PER_SITE,
+            wire_words=HALF_WORDS_PER_SITE if compress else WORDS_PER_SITE,
+            lead=lead,
+            **spec,
+        )
+        g = self.geometry
+        v, ndim = g.volume, g.ndim
+        if links.shape != (ndim, v, 3, 3):
+            raise ConfigError(f"bad local link shape {links.shape}")
+        self.links = links
+        self.links_dagger_bwd = np.stack(
+            [dagger(links[mu][g.neighbour_bwd(mu)]) for mu in range(ndim)]
+        )
+        self._site_axis = len(lead)
+        #: R of ``D^+ = (Gamma_5 R) D (R Gamma_5)``: reflects the leading
+        #: (5th-dimension) axes; the identity for the 4D operator
+        self._reflect = (slice(None, None, -1),) * len(lead)
+        #: transfers and flop charges cover every leading slice
+        self._slices = math.prod(lead)
+
+        # ---- zero-copy hot-path scratch -------------------------------
+        # Every buffer the steady-state pipeline touches is allocated
+        # exactly once here and reused across applications (DESIGN.md §12
+        # buffer-ownership contract): arrays returned by hopping/apply are
+        # owned by the context and valid until its next application.
+        dt = self.work.dtype
+        #: spin rows per wire site: 2 (half spinor) when compressed, 4 raw
+        rows = 2 if compress else 4
+
+        def scratch(sites: int, spin_rows: int) -> np.ndarray:
+            return np.empty(lead + (sites, spin_rows, 3), dtype=dt)
+
+        self.out = scratch(v, 4)
+        self._gather = scratch(v, 4)
+        self._half = scratch(v, 2) if compress else None
+        self._fwd = [scratch(v, rows) for _ in range(ndim)]
+        self._bwd = [scratch(v, rows) for _ in range(ndim)]
+        self._rot_in = scratch(v, 4)
+        self._rot_out = scratch(v, 4)
+        # merge scratch (sliced per call to the site-set length)
+        self._merge_acc = scratch(v, 4)
+        self._merge_f = scratch(v, rows)
+        self._merge_b = scratch(v, rows)
+        self._merge_rec = scratch(v, 4)
+        # per-axis face scratch + constant gauge-face gathers (links are
+        # immutable for the context's lifetime, so the per-application
+        # fancy-index/dagger of the seed path is hoisted here once)
+        self._face_gather = {}
+        self._face_wire = {}  # wire-shaped: staged half face, then halo patch
+        self._links_dagger_high = {}
+        self._links_fwd_face = {}
+        self._fill_fwd = {}
+        self._fill_bwd = {}
+        every_slice = (slice(None),) * len(lead)
+        for mu, plan in self.plans.items():
+            nface = len(plan.send_low)
+            self._face_gather[mu] = scratch(nface, 4)
+            self._face_wire[mu] = scratch(nface, rows)
+            self._links_dagger_high[mu] = dagger(links[mu][plan.send_high])
+            self._links_fwd_face[mu] = links[mu][plan.fill_from_fwd].copy()
+            self._fill_fwd[mu] = every_slice + (plan.fill_from_fwd,)
+            self._fill_bwd[mu] = every_slice + (plan.fill_from_bwd,)
+
+    @hot_path
+    def _cmatvec(self, u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+        """Per-4D-site colour matrices applied to every slice of ``psi``."""
+        if self._site_axis:  # slice-major 5D: (v,3,3) x (Ls,v,4,3)
+            np.einsum("xab,sxtb->sxta", u, psi, out=out)
+        else:
+            cmatvec(u, psi, out=out)
+
+    @hot_path
+    def project(self, mu: int) -> None:
+        """Spin-project the forward (low-face) halo into ``stage_fwd`` —
+        ``(1 - gamma_mu) psi``, a half spinor per site.
+
+        Pure sign/permute additions (no SU(3) arithmetic), uncharged
+        here: the projection's adds are part of the merge accounting,
+        exactly as the seed charged its raw-face sends.
+        """
+        face = self._face_gather[mu]
+        np.take(self.work, self.plans[mu].send_low, axis=self._site_axis, out=face)
+        spin_project(mu, +1, face, out=self.stage_fwd[mu])
+
+    @hot_path
+    def stage(self, mu: int) -> int:
+        """Sender-side ``U^+ psi`` products on the high face.
+
+        Compressed, the product fuses the ``(1 + gamma_mu)`` projection
+        *before* the SU(3) multiply — half the colour arithmetic, half
+        the wire.  The ``U^+`` face gathers are hoisted to context
+        creation (``_links_dagger_high``).
+        """
+        high = self.plans[mu].send_high
+        face = self._face_gather[mu]
+        np.take(self.work, high, axis=self._site_axis, out=face)
+        if self.compress:
+            face = spin_project(mu, -1, face, out=self._face_wire[mu])
+        self._cmatvec(self._links_dagger_high[mu], face, out=self.stage_bwd[mu])
+        return self._slices * len(high)
+
+    @hot_path
+    def _hop(self, mu: int, sign: int, links: np.ndarray, out: np.ndarray) -> None:
+        gathered = self._gather
+        np.take(
+            self.work, self.geometry.hop(mu, sign), axis=self._site_axis, out=gathered
+        )
+        if self.compress:
+            gathered = spin_project(mu, sign, gathered, out=self._half)
+        self._cmatvec(links, gathered, out=out)
+
+    @hot_path
+    def hop_matvecs(self) -> float:
+        """Every full-volume hop matvec; returns the flops to charge.
+
+        Forward hop: for decomposed axes the face rows are placeholders
+        until the halo lands (their matvec is charged by ``on_halo``
+        instead).  Backward hop: the local matvec is always computed in
+        full — face rows are later *replaced* by the received products.
+        """
+        v = self.geometry.volume
+        flops = 0.0
+        for mu in range(self.geometry.ndim):
+            self._hop(mu, +1, self.links[mu], self._fwd[mu])
+            self._hop(mu, -1, self.links_dagger_bwd[mu], self._bwd[mu])
+            nface = len(self.plans[mu].fill_from_fwd) if mu in self.plans else 0
+            flops += self._slices * (2 * v - nface) * MATVEC_SU3
+        return flops
+
+    @hot_path
+    def on_halo(self, mu: int, sign: int) -> int:
+        if sign > 0:
+            # (Half) spinors from the +mu neighbour: one matvec per face
+            # site patches the forward-hop rows (gauge face rows were
+            # gathered once at context creation).
+            patch = self._face_wire[mu]
+            self._cmatvec(self._links_fwd_face[mu], self.halo_fwd[mu], out=patch)
+            self._fwd[mu][self._fill_fwd[mu]] = patch
+            return self._slices * len(self.plans[mu].fill_from_fwd) * MATVEC_SU3
+        # Products from the -mu neighbour: pure row copy.
+        self._bwd[mu][self._fill_bwd[mu]] = self.halo_bwd[mu]
+        return 0
+
+    @hot_path
+    def apply_dagger(self, src: np.ndarray):
+        """``D^+ src = Gamma_5 R D R Gamma_5 src`` (distributed); returns a
+        context-owned buffer, valid until the next application."""
+        rotated = gamma5_sandwich(src[self._reflect], out=self._rot_in)
+        applied = yield from self.apply(rotated)
+        return gamma5_sandwich(applied[self._reflect], out=self._rot_out)
+
+
+class DistributedWilsonContext(WilsonHops):
     """Per-rank state for the distributed Wilson (or clover) operator.
 
-    Parameters
+    Parameters (``api``, ``local_shape``, ``overlap`` and ``word_batch``
+    are :class:`~repro.parallel.halo.HaloPipeline`'s)
     ----------
-    api:
-        The rank's :class:`CommsAPI`.
-    local_shape:
-        The tile's lattice extents (must match the partition's grid).
     links:
         ``(ndim, v, 3, 3)`` local gauge links from
         :meth:`repro.parallel.decomp.PhysicsMapping.scatter_gauge`.
     clover_tensor:
         Optional local ``(v, 4, 3, 4, 3)`` clover term (site-local, so
         distribution is a plain scatter).
-    overlap:
-        When ``True`` (default) ``hopping`` runs the two-phase
-        interior/boundary pipeline overlapping DMA with compute; when
-        ``False`` it runs the serialized monolithic assembly.  Both paths
-        produce bit-identical output and charge identical flops.
     compress:
         When ``True`` the halo exchange ships spin-projected **half
         spinors** (12 words per face site); ``False`` keeps the
@@ -147,35 +277,27 @@ class DistributedWilsonContext:
         compress: Optional[bool] = None,
         word_batch=None,
     ):
-        self.api = api
-        #: DMA framing of the stored halo exchanges.  ``None`` (default)
-        #: inherits the machine's configured ``word_batch`` — the one
-        #: knob propagates consistently to every unit; ``"face"`` is the
-        #: hot-path configuration, ``1`` the seed's word-at-a-time
-        #: protocol (mandatory on lossy links, where go-back-N must
-        #: rewind words, not whole faces).
-        self.word_batch = (
-            None if word_batch is None else normalise_word_batch(word_batch)
-        )
-        self.geometry = LatticeGeometry(local_shape)
-        v = self.geometry.volume
-        ndim = self.geometry.ndim
-        if links.shape != (ndim, v, 3, 3):
-            raise ConfigError(f"bad local link shape {links.shape}")
-        if tuple(api.dims) != tuple(
-            g for g in api.partition.logical_dims
-        ):
-            raise ConfigError("partition mismatch")
-        self.links = links
-        self.links_dagger_bwd = np.stack(
-            [dagger(links[mu][self.geometry.neighbour_bwd(mu)]) for mu in range(ndim)]
-        )
         self.mass = float(mass)
         self.r = float(r)
+        if compress is None:
+            compress = self.r == 1.0
+        elif compress and self.r != 1.0:
+            raise ConfigError(
+                "half-spinor compression requires r == 1 (the projector "
+                f"(r -+ gamma) has full rank at r={self.r})"
+            )
+        super().__init__(
+            api,
+            local_shape,
+            links,
+            compress=bool(compress),
+            tag="pdirac.hopping",
+            kernel="dslash",
+            overlap=overlap,
+            word_batch=word_batch,
+        )
+        ndim = self.geometry.ndim
         self.clover_tensor = clover_tensor
-        self.plans = {
-            mu: halo_exchange_plan(self.geometry, mu) for mu in range(ndim)
-        }
         self.cost = operator_cost("wilson" if clover_tensor is None else "clover")
         #: per-site flops of the *hopping term alone*.  The clover cost
         #: sheet's ``flops_per_site`` includes the site-local clover term,
@@ -187,288 +309,48 @@ class DistributedWilsonContext:
         self.hop_flops_per_site = self.cost.flops_per_site - (
             0 if clover_tensor is None else CLOVER_TERM_FLOPS
         )
-        self.overlap = bool(overlap)
-        if compress is None:
-            compress = self.r == 1.0
-        elif compress and self.r != 1.0:
-            raise ConfigError(
-                "half-spinor compression requires r == 1 (the projector "
-                f"(r -+ gamma) has full rank at r={self.r})"
-            )
-        self.compress = bool(compress)
-        #: test seam: when set, called as ``hook(self)`` immediately after
-        #: the overlapped pipeline fires its "early" transfer group — i.e.
-        #: while all receives are in flight.  The race-sanitizer tests use
-        #: it to inject a deterministic premature halo read; ``None``
-        #: (default) costs one attribute check per application.
-        self.race_injection_hook = None
-
-        #: axes actually decomposed over nodes; an extent-1 logical axis
-        #: keeps the whole physics axis on-tile, so its periodic wrap is
-        #: local arithmetic and needs no SCU traffic.
-        self.comm_axes = [mu for mu in range(ndim) if api.dims[mu] > 1]
-
-        #: disjoint sorted cover of the tile: interior sites touch no halo
-        #: and are fully computable during communication; boundary sites
-        #: wait on per-axis halo arrival.
-        self.interior_sites, self.boundary_sites = interior_boundary_sites(
-            self.geometry, tuple(self.comm_axes), depth=1
-        )
         #: per-site flops of the per-``mu`` merge (spin project/reconstruct
         #: and accumulate), summed over all axes: the hopping total minus
         #: the 2*ndim SU(3) matvecs charged where the rows are computed.
         self.merge_flops_per_site = (
             self.hop_flops_per_site - DIAG_AXPY_FLOPS - 2 * ndim * MATVEC_SU3
         )
-
-        mem = api.memory
-        self.work = mem.zeros("work", (v, 4, 3))
-        self.halo_fwd = {}
-        self.halo_bwd = {}
-        self.stage_fwd = {}
-        self.stage_bwd = {}
-        #: spin rows per wire site: 2 (half spinor) when compressed, 4 raw
-        spin_rows = 2 if self.compress else 4
-        for mu in self.comm_axes:
-            nface = len(self.plans[mu].send_low)
-            self.halo_fwd[mu] = mem.zeros(f"halo_fwd{mu}", (nface, spin_rows, 3))
-            self.halo_bwd[mu] = mem.zeros(f"halo_bwd{mu}", (nface, spin_rows, 3))
-            self.stage_bwd[mu] = mem.zeros(f"stage_bwd{mu}", (nface, spin_rows, 3))
-            # Persistent descriptors (stored once, restarted every apply).
-            # Group "early" starts the instant the source lands; group
-            # "staged" waits for sender-side compute.
-            if self.compress:
-                # Compressed wire format: both directions ship half
-                # spinors (12 words per face site).  The forward halo is
-                # spin-projected *before* the send, so its descriptor
-                # reads the staged buffer.  The projection is pure
-                # sign/permute adds — no SU(3) matvec — so it gets its
-                # own start-group "proj" and hits the wire before the
-                # backward-product staging compute is charged.
-                self.stage_fwd[mu] = mem.zeros(f"stage_fwd{mu}", (nface, 2, 3))
-                api.store_send(
-                    mu,
-                    -1,
-                    full_descriptor(api.node, f"stage_fwd{mu}"),
-                    group="proj",
-                    word_batch=self.word_batch,
-                )
-            else:
-                #  raw low face of `work` -> the -mu neighbour,
-                api.store_send(
-                    mu,
-                    -1,
-                    face_descriptor("work", local_shape, mu, -1, WORDS_PER_SITE),
-                    group="early",
-                    word_batch=self.word_batch,
-                )
-            #  U^+ (projected) products from my high face -> +mu neighbour,
-            api.store_send(
-                mu,
-                +1,
-                full_descriptor(api.node, f"stage_bwd{mu}"),
-                group="staged",
-                word_batch=self.word_batch,
-            )
-            #  (half) spinors arriving from the +mu neighbour,
-            api.store_recv(
-                mu, +1, full_descriptor(api.node, f"halo_fwd{mu}"), group="early"
-            )
-            #  products arriving from the -mu neighbour.
-            api.store_recv(
-                mu, -1, full_descriptor(api.node, f"halo_bwd{mu}"), group="early"
-            )
-
-        # ---- zero-copy hot-path scratch -------------------------------
-        # Every buffer the steady-state pipeline touches is allocated
-        # exactly once here and reused across applications (DESIGN.md §12
-        # buffer-ownership contract): arrays returned by hopping/apply are
-        # owned by the context and valid until its next application.
-        dt = self.work.dtype
-        self._gather = np.empty((v, 4, 3), dtype=dt)
-        self._half = np.empty((v, 2, 3), dtype=dt) if self.compress else None
-        self._fwd = [np.empty((v, spin_rows, 3), dtype=dt) for _ in range(ndim)]
-        self._bwd = [np.empty((v, spin_rows, 3), dtype=dt) for _ in range(ndim)]
-        self._hop_out = np.empty((v, 4, 3), dtype=dt)
-        self._apply_out = np.empty((v, 4, 3), dtype=dt)
-        self._rot_in = np.empty((v, 4, 3), dtype=dt)
-        self._rot_out = np.empty((v, 4, 3), dtype=dt)
-        if clover_tensor is not None:
-            self._clover_scratch = np.empty((v, 4, 3), dtype=dt)
-        # merge scratch (sliced per call to the site-set length)
-        self._merge_acc = np.empty((v, 4, 3), dtype=dt)
-        self._merge_f = np.empty((v, spin_rows, 3), dtype=dt)
-        self._merge_b = np.empty((v, spin_rows, 3), dtype=dt)
-        self._merge_t = np.empty((v, 4, 3), dtype=dt)
-        self._merge_rec = np.empty((v, 4, 3), dtype=dt)
-        # per-axis face scratch + constant gauge-face gathers (links are
-        # immutable for the context's lifetime, so the per-application
-        # fancy-index/dagger of the seed path is hoisted here once)
-        self._face_gather = {}
-        self._face_half = {}
-        self._face_patch = {}
-        self._links_dagger_high = {}
-        self._links_fwd_face = {}
-        for mu in self.comm_axes:
-            plan = self.plans[mu]
-            nface = len(plan.send_low)
-            self._face_gather[mu] = np.empty((nface, 4, 3), dtype=dt)
-            if self.compress:
-                self._face_half[mu] = np.empty((nface, 2, 3), dtype=dt)
-            self._face_patch[mu] = np.empty((nface, spin_rows, 3), dtype=dt)
-            self._links_dagger_high[mu] = dagger(self.links[mu][plan.send_high])
-            self._links_fwd_face[mu] = self.links[mu][plan.fill_from_fwd].copy()
-
-    @property
-    def volume(self) -> int:
-        return self.geometry.volume
-
-    @property
-    def diag(self) -> float:
-        return self.mass + self.geometry.ndim * self.r
-
-    # -- one hopping application (generator: yields comm/compute events) -----
-    def hopping(self, src: np.ndarray):
-        """Distributed dslash of ``src``; returns the hopping sum array.
-
-        Dispatches to the overlapped two-phase pipeline or the serialized
-        monolithic assembly according to ``self.overlap``; both are
-        bit-identical in output and total charged flops.  Each application
-        is one hot epoch: the first learns the SCU transfer schedule, the
-        rest replay its compiled trace (:mod:`repro.machine.replay`).
-        """
-        self.api.begin_hot_epoch("pdirac.hopping")
-        try:
-            if self.overlap:
-                out = yield from self._hopping_overlapped(src)
-            else:
-                out = yield from self._hopping_monolithic(src)
-        finally:
-            self.api.end_hot_epoch("pdirac.hopping")
-        return out
-
-    @hot_path
-    def _project_faces(self) -> None:
-        """Compressed mode: spin-project the forward (low-face) halo into
-        ``stage_fwd`` — ``(1 - gamma_mu) psi``, a half spinor per site.
-
-        Pure sign/permute additions (no SU(3) arithmetic), so the
-        overlapped pipeline fires these sends *before* the backward
-        staging matvecs are charged; the projection's adds are part of the
-        merge accounting, exactly as the seed charged its raw-face sends.
-        """
+        self._apply_out = np.empty_like(self.out)
         if not self.compress:
-            return
-        for mu in self.comm_axes:
-            self.api.cpu_write(f"stage_fwd{mu}")
-            face = self._face_gather[mu]
-            np.take(self.work, self.plans[mu].send_low, axis=0, out=face)
-            spin_project(mu, +1, face, out=self.stage_fwd[mu])
+            self._merge_t = np.empty_like(self.out)
+        if clover_tensor is not None:
+            self._clover_scratch = np.empty_like(self.out)
+
+    def hopping(self, src: np.ndarray):
+        """Distributed dslash of ``src`` (generator: yields comm/compute
+        events); returns the context-owned hopping sum."""
+        return self.exchange(src)
 
     @hot_path
-    def _stage_products(self) -> int:
-        """Sender-side staging for every communicated axis; returns the
-        staged site count (for flop charging).
-
-        Uncompressed: ``U^+ psi`` full products on the high face.
-        Compressed: the backward product fuses the ``(1 + gamma_mu)``
-        projection *before* the SU(3) multiply — half the colour
-        arithmetic, half the wire (the forward halo is projected
-        separately in :meth:`_project_faces`).  The ``U^+`` face gathers
-        are hoisted to context creation (``_links_dagger_high``).
-        """
-        staged_sites = 0
-        for mu in self.comm_axes:
-            plan = self.plans[mu]
-            high = plan.send_high
-            self.api.cpu_write(f"stage_bwd{mu}")
-            face = self._face_gather[mu]
-            np.take(self.work, high, axis=0, out=face)
-            if self.compress:
-                half = self._face_half[mu]
-                spin_project(mu, -1, face, out=half)
-                cmatvec(self._links_dagger_high[mu], half, out=self.stage_bwd[mu])
-            else:
-                cmatvec(self._links_dagger_high[mu], face, out=self.stage_bwd[mu])
-            staged_sites += len(high)
-        return staged_sites
-
-    def _hopping_monolithic(self, src: np.ndarray):
-        """Serialized reference path: all comms complete, then all compute."""
-        g = self.geometry
-        ndim = g.ndim
-        self.api.cpu_write("work")
-        np.copyto(self.work, src)
-
-        self._project_faces()
-        staged_sites = self._stage_products()
-        yield self.api.compute(staged_sites * MATVEC_SU3, kernel="dslash")
-
-        # One write starts all 4*ndim stored transfers.
-        yield self.api.start_stored()
-
-        # Assemble, exactly mirroring the serial operator's arithmetic.
-        out = np.zeros_like(self.work)
-        for mu in range(ndim):
-            plan = self.plans[mu]
-            if self.compress:
-                # Half-spinor path: identical statement sequence to the
-                # serial r == 1 kernel, with face rows of the projected
-                # gather overwritten by the received halves (the sender
-                # projected the same values, so the rows are bit-equal).
-                half = spin_project(mu, +1, self.work[g.hop(mu, +1)])
-                if mu in self.halo_fwd:
-                    self.api.cpu_read(f"halo_fwd{mu}")
-                    half[plan.fill_from_fwd] = self.halo_fwd[mu]
-                fwd = cmatvec(self.links[mu], half)
-                out += spin_reconstruct(mu, +1, fwd)
-                bwd = cmatvec(
-                    self.links_dagger_bwd[mu],
-                    spin_project(mu, -1, self.work[g.hop(mu, -1)]),
-                )
-                if mu in self.halo_bwd:
-                    self.api.cpu_read(f"halo_bwd{mu}")
-                    bwd[plan.fill_from_bwd] = self.halo_bwd[mu]
-                out += spin_reconstruct(mu, -1, bwd)
-                continue
-            gathered = self.work[g.hop(mu, +1)]
-            if mu in self.halo_fwd:
-                self.api.cpu_read(f"halo_fwd{mu}")
-                gathered[plan.fill_from_fwd] = self.halo_fwd[mu]
-            fwd = cmatvec(self.links[mu], gathered)
-
-            bwd = cmatvec(self.links_dagger_bwd[mu], self.work[g.hop(mu, -1)])
-            if mu in self.halo_bwd:
-                self.api.cpu_read(f"halo_bwd{mu}")
-                bwd[plan.fill_from_bwd] = self.halo_bwd[mu]
-
-            out += self.r * (fwd + bwd)
-            out -= apply_spin_matrix(GAMMA[mu], fwd - bwd)
-        yield self.api.compute(
-            self.volume * (self.hop_flops_per_site - DIAG_AXPY_FLOPS),
-            kernel="dslash",
-        )
-        return out
+    def interior(self) -> float:
+        flops = self.hop_matvecs()
+        self.out.fill(0)
+        return flops
 
     @hot_path
-    def _merge(self, out, fwd_arr, bwd_arr, sites: np.ndarray) -> None:
+    def merge(self, sites: np.ndarray) -> None:
         """Per-``mu`` spin accumulate on ``sites``.
 
         Row-for-row the same mu-ascending accumulation sequence as the
-        monolithic assembly, so the merged rows are bit-identical: the
-        site rows are gathered once into context scratch, every per-mu
-        term is added in the monolithic order, and the accumulated rows
-        scatter back — per element exactly ``((x + t_0) + t_1) + ...``.
+        serial operator, so the merged rows are bit-identical: the site
+        rows are gathered once into context scratch, every per-mu term is
+        added in that order, and the accumulated rows scatter back — per
+        element exactly ``((x + t_0) + t_1) + ...``.
         """
         n = len(sites)
         acc = self._merge_acc[:n]
         f = self._merge_f[:n]
         b = self._merge_b[:n]
         rec = self._merge_rec[:n]
-        np.take(out, sites, axis=0, out=acc)
+        np.take(self.out, sites, axis=0, out=acc)
         for mu in range(self.geometry.ndim):
-            np.take(fwd_arr[mu], sites, axis=0, out=f)
-            np.take(bwd_arr[mu], sites, axis=0, out=b)
+            np.take(self._fwd[mu], sites, axis=0, out=f)
+            np.take(self._bwd[mu], sites, axis=0, out=b)
             if self.compress:
                 # f, b are half products: reconstruct then accumulate —
                 # the exact per-row arithmetic of the serial kernel.
@@ -484,106 +366,7 @@ class DistributedWilsonContext:
                 np.subtract(f, b, out=t)
                 apply_spin_matrix(GAMMA[mu], t, out=rec)
                 acc -= rec
-        out[sites] = acc
-
-    @hot_path
-    def _hopping_overlapped(self, src: np.ndarray):
-        """Two-phase pipeline: interior compute under way while DMA flies,
-        per-axis boundary work as each axis's halo lands.
-
-        Steady-state allocation-free: every numpy result lands in context
-        scratch (``out=`` kernels, ``np.take(..., out=)`` gathers); the
-        returned hopping sum is the context-owned ``_hop_out`` buffer,
-        valid until the next application.
-        """
-        g = self.geometry
-        ndim = g.ndim
-        v = self.volume
-        api = self.api
-        api.cpu_write("work")
-        np.copyto(self.work, src)
-
-        # Raw halos (and all receives) hit the wire immediately; the
-        # projected forward faces follow as soon as the (uncharged,
-        # matvec-free) projection lands; the backward staging products
-        # overlap all of those transfers, then their sends start.
-        pending = dict(api.start_stored_events(group="early"))
-        if self.race_injection_hook is not None:
-            self.race_injection_hook(self)
-        self._project_faces()
-        pending.update(api.start_stored_events(group="proj"))
-        staged_sites = self._stage_products()
-        if staged_sites:
-            yield api.compute(staged_sites * MATVEC_SU3, kernel="dslash")
-        pending.update(api.start_stored_events(group="staged"))
-
-        # ---- interior phase: every matvec that needs no halo data -------
-        local_flops = 0.0
-        fwd_arr = self._fwd
-        bwd_arr = self._bwd
-        for mu in range(ndim):
-            # Forward hop: the full-volume gather/matvec; for comm axes the
-            # face rows are placeholders until the halo lands (their
-            # matvec is charged in the boundary phase instead).
-            np.take(self.work, g.hop(mu, +1), axis=0, out=self._gather)
-            if self.compress:
-                spin_project(mu, +1, self._gather, out=self._half)
-                cmatvec(self.links[mu], self._half, out=fwd_arr[mu])
-            else:
-                cmatvec(self.links[mu], self._gather, out=fwd_arr[mu])
-            nface = len(self.plans[mu].fill_from_fwd) if mu in self.halo_fwd else 0
-            local_flops += (v - nface) * MATVEC_SU3
-            # Backward hop: the local matvec is always computed in full —
-            # face rows are later *replaced* by the received products
-            # (exactly as the monolithic path computes then overwrites).
-            np.take(self.work, g.hop(mu, -1), axis=0, out=self._gather)
-            if self.compress:
-                spin_project(mu, -1, self._gather, out=self._half)
-                cmatvec(self.links_dagger_bwd[mu], self._half, out=bwd_arr[mu])
-            else:
-                cmatvec(self.links_dagger_bwd[mu], self._gather, out=bwd_arr[mu])
-            local_flops += v * MATVEC_SU3
-
-        out = self._hop_out
-        out.fill(0)
-        interior = self.interior_sites
-        if len(interior):
-            self._merge(out, fwd_arr, bwd_arr, interior)
-            local_flops += len(interior) * self.merge_flops_per_site
-        if local_flops:
-            yield api.compute(local_flops, kernel="dslash")
-
-        # ---- boundary phase: drain transfers in completion order --------
-        while pending:
-            fired = yield api.wait_any(pending.values())
-            key = next(k for k, e in pending.items() if e is fired)
-            del pending[key]
-            kind, mu, sign = key
-            if kind != "recv":
-                continue  # send completions need no compute
-            plan = self.plans[mu]
-            if sign == +1:
-                # Raw spinors from the +mu neighbour: one matvec per face
-                # site patches the forward-hop rows (gauge face rows were
-                # gathered once at context creation).
-                rows = plan.fill_from_fwd
-                api.cpu_read(f"halo_fwd{mu}")
-                patch = self._face_patch[mu]
-                cmatvec(self._links_fwd_face[mu], self.halo_fwd[mu], out=patch)
-                fwd_arr[mu][rows] = patch
-                yield api.compute(len(rows) * MATVEC_SU3, kernel="dslash")
-            else:
-                # Products from the -mu neighbour: pure row copy.
-                api.cpu_read(f"halo_bwd{mu}")
-                bwd_arr[mu][plan.fill_from_bwd] = self.halo_bwd[mu]
-
-        boundary = self.boundary_sites
-        if len(boundary):
-            self._merge(out, fwd_arr, bwd_arr, boundary)
-            yield api.compute(
-                len(boundary) * self.merge_flops_per_site, kernel="dslash"
-            )
-        return out
+        self.out[sites] = acc
 
     @hot_path
     def apply(self, src: np.ndarray):
@@ -610,23 +393,10 @@ class DistributedWilsonContext:
             )
             flops += CLOVER_TERM_FLOPS * self.volume
             kernel = "clover_term"
-        np.multiply(src, self.diag, out=out)
+        np.multiply(src, self.mass + self.geometry.ndim * self.r, out=out)
         np.multiply(hop, 0.5, out=hop)
         np.subtract(out, hop, out=out)
         if self.clover_tensor is not None:
             np.add(out, self._clover_scratch, out=out)
         yield self.api.compute(flops, kernel=kernel)
-        return out
-
-    @hot_path
-    def apply_dagger(self, src: np.ndarray):
-        """``D^+ src = gamma_5 D gamma_5 src`` (distributed)."""
-        rotated = gamma5_sandwich(src, out=self._rot_in)
-        applied = yield from self.apply(rotated)
-        return gamma5_sandwich(applied, out=self._rot_out)
-
-    def normal(self, src: np.ndarray):
-        """``D^+ D src`` — one CG iteration's operator work."""
-        d_src = yield from self.apply(src)
-        out = yield from self.apply_dagger(d_src)
         return out

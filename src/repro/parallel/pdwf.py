@@ -9,55 +9,34 @@ keeps the fifth dimension local (the gauge field is the same on every
 *still* a uniform block-strided pattern and a single SCU descriptor moves
 it (``Ls x head`` blocks at the intra-slice pitch).
 
-As with Wilson, the backward hop travels as sender-side ``U^+`` products,
-and (``compress=True``, the default) both directions are spin-projected to
-**half spinors** before hitting the wire — the 4D hopping term of the
-domain-wall kernel is exactly the ``r = 1`` Wilson dslash, so the rank-2
-``(1 -+ gamma_mu)`` compression of :mod:`repro.parallel.pdirac` applies
-slice-by-slice: 12 words per (face site, s slice) instead of 24.  The
+The 4D hopping term of the domain-wall kernel is exactly the ``r = 1``
+Wilson dslash, so this spec reuses the Wilson hopping kernels of
+:mod:`repro.parallel.pdirac` slice-batched, and its wire is always the
+half-spinor one — the rank-2 ``(1 -+ gamma_mu)`` compression is exact by
+construction: 12 words per (face site, s slice) instead of 24.  The
 5th-dimension chiral hops are site-local in space-time and need no
-communication at all.
-
-Like :mod:`repro.parallel.pdirac`, ``apply`` defaults to the two-phase
-**overlapped** pipeline: raw-halo DMA (descriptor group ``"early"``)
-starts before the staging products are computed, every halo-free matvec
-plus the full interior-site assembly (4D merge, diagonal, and 5th-dim
-chiral hops) runs while the wires are busy, and a per-axis drain loop
-patches face rows as each axis's halo lands.  Output is bit-identical to
-the monolithic path (``overlap=False``) and to the serial operator, with
-identical total charged flops — only the timeline changes, reproducing
-the paper's ``T_interior + max(T_comm, T_boundary)`` efficiency model.
+communication at all, so they ride in the pipeline's ``merge`` (interior
+sites assemble them, diagonal included, while the wires are busy).
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
-from repro.comms.api import CommsAPI, face_descriptor, full_descriptor
+from repro.comms.api import CommsAPI
 from repro.fermions.flops import (
-    CADD,
     DIAG_AXPY_FLOPS,
     DWF_5D_EXTRA_FLOPS,
-    HALF_SPINOR_WORDS,
     MATVEC_SU3,
-    SPINOR_WORDS,
     WILSON_DSLASH_FLOPS,
 )
 from repro.fermions.gamma import (
-    GAMMA,
     P_MINUS,
     P_PLUS,
     apply_spin_matrix,
-    gamma5_sandwich,
-    spin_project,
     spin_reconstruct,
 )
-from repro.lattice.geometry import LatticeGeometry
-from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
-from repro.lattice.su3 import dagger
-from repro.machine.scu import normalise_word_batch
+from repro.parallel.pdirac import WilsonHops
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
@@ -71,23 +50,8 @@ MERGE5_FLOPS_PER_SITE = (
     + (DWF_5D_EXTRA_FLOPS - DIAG_AXPY_FLOPS)
 )  # = 840
 
-#: 64-bit words per (4-dimensional site, 5th-dim slice): 12 complex
-#: doubles — single source of truth in :mod:`repro.fermions.flops`.
-WORDS_PER_SITE = SPINOR_WORDS
-#: 64-bit words per compressed wire site (6 complex doubles)
-HALF_WORDS_PER_SITE = HALF_SPINOR_WORDS
 
-
-def _cmatvec5(u: np.ndarray, psi: np.ndarray, out=None) -> np.ndarray:
-    """Apply per-4D-site colour matrices to all Ls slices: ``(v,3,3) x
-    (Ls, v, 4, 3) -> (Ls, v, 4, 3)``.  ``out`` reuses a caller-owned
-    buffer (allocation-free hot loops) with identical einsum arithmetic."""
-    if out is None:
-        return np.einsum("xab,sxtb->sxta", u, psi)
-    return np.einsum("xab,sxtb->sxta", u, psi, out=out)
-
-
-class DistributedDWFContext:
+class DistributedDWFContext(WilsonHops):
     """Per-rank state for the distributed Shamir domain-wall operator."""
 
     def __init__(
@@ -99,286 +63,77 @@ class DistributedDWFContext:
         M5: float = 1.8,
         mf: float = 0.1,
         overlap: bool = True,
-        compress: bool = True,
         word_batch=None,
     ):
-        self.api = api
-        #: DMA framing of the stored halo exchanges (``None`` = inherit
-        #: the machine's ``word_batch``; ``"face"`` = the hot path)
-        self.word_batch = (
-            None if word_batch is None else normalise_word_batch(word_batch)
-        )
-        self.geometry = LatticeGeometry(local_shape)
-        g = self.geometry
-        v, ndim = g.volume, g.ndim
-        if ndim != 4:
+        if len(local_shape) != 4:
             raise ConfigError("domain-wall decomposition needs a 4D tile")
-        if links.shape != (ndim, v, 3, 3):
-            raise ConfigError(f"bad local link shape {links.shape}")
         if Ls < 1:
             raise ConfigError(f"Ls must be >= 1, got {Ls}")
-        self.links = links
-        self.links_dagger_bwd = np.stack(
-            [dagger(links[mu][g.neighbour_bwd(mu)]) for mu in range(ndim)]
-        )
         self.Ls = int(Ls)
         self.M5 = float(M5)
         self.mf = float(mf)
-        self.overlap = bool(overlap)
-        self.compress = bool(compress)
-        self.comm_axes = [mu for mu in range(ndim) if api.dims[mu] > 1]
-        self.plans = {mu: halo_exchange_plan(g, mu) for mu in self.comm_axes}
-        self.interior_sites, self.boundary_sites = interior_boundary_sites(
-            g, tuple(self.comm_axes), depth=1
-        )
-
-        mem = api.memory
-        shape5 = (self.Ls,) + tuple(local_shape)
-        self.work = mem.zeros("work", (self.Ls, v, 4, 3))
-        self.halo_fwd: Dict[int, np.ndarray] = {}
-        self.halo_bwd: Dict[int, np.ndarray] = {}
-        self.stage_fwd: Dict[int, np.ndarray] = {}
-        self.stage_bwd: Dict[int, np.ndarray] = {}
-        spin_rows = 2 if self.compress else 4
-        for mu in self.comm_axes:
-            nface = len(self.plans[mu].send_low)
-            self.halo_fwd[mu] = mem.zeros(
-                f"halo_fwd{mu}", (self.Ls, nface, spin_rows, 3)
-            )
-            self.halo_bwd[mu] = mem.zeros(
-                f"halo_bwd{mu}", (self.Ls, nface, spin_rows, 3)
-            )
-            self.stage_bwd[mu] = mem.zeros(
-                f"stage_bwd{mu}", (self.Ls, nface, spin_rows, 3)
-            )
-            # one descriptor covers the face of *every* s slice: the 5D
-            # field is slice-major, so the blocks stay uniformly strided.
-            if self.compress:
-                # Forward halo spin-projected before the send: half
-                # spinors for all Ls slices in one staged buffer.
-                self.stage_fwd[mu] = mem.zeros(
-                    f"stage_fwd{mu}", (self.Ls, nface, 2, 3)
-                )
-                api.store_send(
-                    mu,
-                    -1,
-                    full_descriptor(api.node, f"stage_fwd{mu}"),
-                    group="proj",
-                    word_batch=self.word_batch,
-                )
-            else:
-                api.store_send(
-                    mu,
-                    -1,
-                    face_descriptor("work", shape5, mu + 1, -1, WORDS_PER_SITE),
-                    group="early",
-                    word_batch=self.word_batch,
-                )
-            api.store_send(
-                mu,
-                +1,
-                full_descriptor(api.node, f"stage_bwd{mu}"),
-                group="staged",
-                word_batch=self.word_batch,
-            )
-            api.store_recv(
-                mu, +1, full_descriptor(api.node, f"halo_fwd{mu}"), group="early"
-            )
-            api.store_recv(
-                mu, -1, full_descriptor(api.node, f"halo_bwd{mu}"), group="early"
-            )
-
-        # ---- zero-copy hot-path scratch (see DESIGN.md §12) -----------
-        # Allocated once per context, reused every application; arrays
-        # returned by ``apply`` are context-owned and valid until the
-        # next application.
-        dt = self.work.dtype
-        Ls5 = self.Ls
-        self._gather5 = np.empty((Ls5, v, 4, 3), dtype=dt)
-        self._half5 = np.empty((Ls5, v, 2, 3), dtype=dt) if self.compress else None
-        self._fwd = [np.empty((Ls5, v, spin_rows, 3), dtype=dt) for _ in range(4)]
-        self._bwd = [np.empty((Ls5, v, spin_rows, 3), dtype=dt) for _ in range(4)]
-        self._out5 = np.empty((Ls5, v, 4, 3), dtype=dt)
-        self._rot_in = np.empty((Ls5, v, 4, 3), dtype=dt)
-        self._rot_out = np.empty((Ls5, v, 4, 3), dtype=dt)
-        self._merge_acc = np.empty((Ls5, v, 4, 3), dtype=dt)
-        self._merge_f = np.empty((Ls5, v, spin_rows, 3), dtype=dt)
-        self._merge_b = np.empty((Ls5, v, spin_rows, 3), dtype=dt)
-        self._merge_rec = np.empty((Ls5, v, 4, 3), dtype=dt)
-        if not self.compress:
-            self._merge_t = np.empty((Ls5, v, 4, 3), dtype=dt)
-        # 5th-dimension wall terms (-mf * edge slice) and merge gathers
-        self._wall_up = np.empty((v, 4, 3), dtype=dt)
-        self._wall_dn = np.empty((v, 4, 3), dtype=dt)
-        self._m5_up = np.empty((v, 4, 3), dtype=dt)
-        self._m5_rec = np.empty((v, 4, 3), dtype=dt)
-        self._face_gather5 = {}
-        self._face_half5 = {}
-        self._face_patch5 = {}
-        self._links_dagger_high = {}
-        self._links_fwd_face = {}
-        for mu in self.comm_axes:
-            plan = self.plans[mu]
-            nface = len(plan.send_low)
-            self._face_gather5[mu] = np.empty((Ls5, nface, 4, 3), dtype=dt)
-            if self.compress:
-                self._face_half5[mu] = np.empty((Ls5, nface, 2, 3), dtype=dt)
-            self._face_patch5[mu] = np.empty((Ls5, nface, spin_rows, 3), dtype=dt)
-            self._links_dagger_high[mu] = dagger(self.links[mu][plan.send_high])
-            self._links_fwd_face[mu] = self.links[mu][plan.fill_from_fwd].copy()
-
-    @property
-    def volume5(self) -> int:
-        return self.Ls * self.geometry.volume
-
-    # -- the operator --------------------------------------------------------
-    def apply(self, src: np.ndarray):
-        """Distributed ``D_dwf src`` (generator yielding machine events).
-
-        Dispatches to the overlapped two-phase pipeline or the serialized
-        monolithic assembly according to ``self.overlap``; both are
-        bit-identical in output and total charged flops.  Each application
-        is one hot epoch: the first learns the SCU transfer schedule, the
-        rest replay its compiled trace (:mod:`repro.machine.replay`).
-        """
-        self.api.begin_hot_epoch("pdwf.apply")
-        try:
-            if self.overlap:
-                out = yield from self._apply_overlapped(src)
-            else:
-                out = yield from self._apply_monolithic(src)
-        finally:
-            self.api.end_hot_epoch("pdwf.apply")
-        return out
-
-    @hot_path
-    def _project_faces(self) -> None:
-        """Compressed mode: spin-project the forward (low-face) halo for
-        every s slice — matvec-free adds, sent from group "proj" before
-        the backward staging compute (see :mod:`repro.parallel.pdirac`)."""
-        if not self.compress:
-            return
-        for mu in self.comm_axes:
-            self.api.cpu_write(f"stage_fwd{mu}")
-            face = self._face_gather5[mu]
-            np.take(self.work, self.plans[mu].send_low, axis=1, out=face)
-            spin_project(mu, +1, face, out=self.stage_fwd[mu])
-
-    @hot_path
-    def _stage_products(self) -> int:
-        staged = 0
-        for mu in self.comm_axes:
-            plan = self.plans[mu]
-            high = plan.send_high
-            self.api.cpu_write(f"stage_bwd{mu}")
-            face = self._face_gather5[mu]
-            np.take(self.work, high, axis=1, out=face)
-            if self.compress:
-                half = self._face_half5[mu]
-                spin_project(mu, -1, face, out=half)
-                _cmatvec5(
-                    self._links_dagger_high[mu], half, out=self.stage_bwd[mu]
-                )
-            else:
-                _cmatvec5(
-                    self._links_dagger_high[mu], face, out=self.stage_bwd[mu]
-                )
-            staged += self.Ls * len(high)
-        return staged
-
-    def _apply_monolithic(self, src: np.ndarray):
-        """Serialized reference path: all comms complete, then all compute."""
-        g = self.geometry
-        self.api.cpu_write("work")
-        np.copyto(self.work, src)
-
-        self._project_faces()
-        staged = self._stage_products()
-        yield self.api.compute(staged * MATVEC_SU3, kernel="dwf")
-
-        yield self.api.start_stored()
-
-        # 4D Wilson kernel D_w(-M5) + 1, slice-batched.
-        diag = (-self.M5 + 4.0) + 1.0
-        out = diag * self.work
-        for mu in range(4):
-            plan = self.plans.get(mu)
-            if self.compress:
-                half = spin_project(mu, +1, self.work[:, g.hop(mu, +1)])
-                if plan is not None:
-                    self.api.cpu_read(f"halo_fwd{mu}")
-                    half[:, plan.fill_from_fwd] = self.halo_fwd[mu]
-                fwd = _cmatvec5(self.links[mu], half)
-                out -= 0.5 * spin_reconstruct(mu, +1, fwd)
-                bwd = _cmatvec5(
-                    self.links_dagger_bwd[mu],
-                    spin_project(mu, -1, self.work[:, g.hop(mu, -1)]),
-                )
-                if plan is not None:
-                    self.api.cpu_read(f"halo_bwd{mu}")
-                    bwd[:, plan.fill_from_bwd] = self.halo_bwd[mu]
-                out -= 0.5 * spin_reconstruct(mu, -1, bwd)
-                continue
-            fwd = self.work[:, g.hop(mu, +1)]
-            if plan is not None:
-                self.api.cpu_read(f"halo_fwd{mu}")
-                fwd[:, plan.fill_from_fwd] = self.halo_fwd[mu]
-            fwd = _cmatvec5(self.links[mu], fwd)
-            bwd = _cmatvec5(self.links_dagger_bwd[mu], self.work[:, g.hop(mu, -1)])
-            if plan is not None:
-                self.api.cpu_read(f"halo_bwd{mu}")
-                bwd[:, plan.fill_from_bwd] = self.halo_bwd[mu]
-            out -= 0.5 * ((fwd + bwd) - apply_spin_matrix(GAMMA[mu], fwd - bwd))
-
-        # 5th dimension: chiral hops with mass-coupled walls (local).
-        for s in range(self.Ls):
-            up = src[s + 1] if s + 1 < self.Ls else -self.mf * src[0]
-            dn = src[s - 1] if s - 1 >= 0 else -self.mf * src[self.Ls - 1]
-            out[s] -= apply_spin_matrix(P_MINUS, up)
-            out[s] -= apply_spin_matrix(P_PLUS, dn)
-
-        yield self.api.compute(
-            self.volume5 * (WILSON_DSLASH_FLOPS + DWF_5D_EXTRA_FLOPS),
+        super().__init__(
+            api,
+            local_shape,
+            links,
+            compress=True,
+            lead=(self.Ls,),
+            tag="pdwf.apply",
             kernel="dwf",
+            overlap=overlap,
+            word_batch=word_batch,
         )
-        return out
+        self.merge_flops_per_site = self.Ls * MERGE5_FLOPS_PER_SITE
+        # 5th-dimension wall terms (-mf * edge slice) and merge gathers
+        self._wall_up = np.empty_like(self.out[0])
+        self._wall_dn = np.empty_like(self.out[0])
+        self._m5_up = np.empty_like(self.out[0])
+        self._m5_rec = np.empty_like(self.out[0])
+
+    def apply(self, src: np.ndarray):
+        """Distributed ``D_dwf src`` (generator yielding machine events);
+        returns a context-owned buffer, valid until the next application."""
+        return self.exchange(src)
 
     @hot_path
-    def _merge(self, out, fwd_arr, bwd_arr, src, sites: np.ndarray) -> None:
+    def interior(self) -> float:
+        # Wall terms and 5th-dim hop sources are read from ``self.work``
+        # (identical to ``src``, and never mutated during an application)
+        # so that passing the context's own output buffer back in as
+        # ``src`` stays well-defined.
+        np.multiply(self.work[0], -self.mf, out=self._wall_up)
+        np.multiply(self.work[self.Ls - 1], -self.mf, out=self._wall_dn)
+        # 4D Wilson kernel D_w(-M5) + 1, slice-batched.
+        np.multiply(self.work, (-self.M5 + 4.0) + 1.0, out=self.out)
+        return DIAG_AXPY_FLOPS * self.Ls * self.volume + self.hop_matvecs()
+
+    @hot_path
+    def merge(self, sites: np.ndarray) -> None:
         """Assemble the 4D merge and the 5th-dim chiral hops on ``sites``.
 
-        Row-for-row the same statement sequence (mu ascending, then the
-        s loop) as the monolithic assembly, so merged rows are
-        bit-identical: the site rows are gathered once into context
-        scratch, accumulated in the monolithic order, and scattered back.
-        The wall terms ``-mf * src[edge]`` are precomputed per
-        application in ``_wall_up``/``_wall_dn``.
+        One fixed statement sequence per row (mu ascending, then the
+        s loop), so merged rows are bit-identical on any site cover: the
+        site rows are gathered once into context scratch, accumulated in
+        that order, and scattered back.  The wall terms ``-mf *
+        src[edge]`` are precomputed per application in
+        ``_wall_up``/``_wall_dn``.
         """
         n = len(sites)
+        src = self.work
         acc = self._merge_acc[:, :n]
         f = self._merge_f[:, :n]
         b = self._merge_b[:, :n]
         rec = self._merge_rec[:, :n]
-        np.take(out, sites, axis=1, out=acc)
+        np.take(self.out, sites, axis=1, out=acc)
         for mu in range(4):
-            np.take(fwd_arr[mu], sites, axis=1, out=f)
-            np.take(bwd_arr[mu], sites, axis=1, out=b)
-            if self.compress:
-                spin_reconstruct(mu, +1, f, out=rec)
-                np.multiply(rec, 0.5, out=rec)
-                acc -= rec
-                spin_reconstruct(mu, -1, b, out=rec)
-                np.multiply(rec, 0.5, out=rec)
-                acc -= rec
-            else:
-                t = self._merge_t[:, :n]
-                np.subtract(f, b, out=rec)
-                t_spin = self._merge_rec[:, :n]
-                np.add(f, b, out=t)
-                apply_spin_matrix(GAMMA[mu], rec, out=t_spin)
-                np.subtract(t, t_spin, out=t)
-                np.multiply(t, 0.5, out=t)
-                acc -= t
+            np.take(self._fwd[mu], sites, axis=1, out=f)
+            np.take(self._bwd[mu], sites, axis=1, out=b)
+            spin_reconstruct(mu, +1, f, out=rec)
+            np.multiply(rec, 0.5, out=rec)
+            acc -= rec
+            spin_reconstruct(mu, -1, b, out=rec)
+            np.multiply(rec, 0.5, out=rec)
+            acc -= rec
         for s in range(self.Ls):
             up = src[s + 1] if s + 1 < self.Ls else self._wall_up
             dn = src[s - 1] if s - 1 >= 0 else self._wall_dn
@@ -390,108 +145,4 @@ class DistributedDWFContext:
             np.take(dn, sites, axis=0, out=up_g)
             apply_spin_matrix(P_PLUS, up_g, out=rec4)
             acc[s] -= rec4
-        out[:, sites] = acc
-
-    @hot_path
-    def _apply_overlapped(self, src: np.ndarray):
-        """Two-phase pipeline: interior assembly while DMA flies, per-axis
-        boundary work as each axis's halo lands.  Steady state is
-        allocation-free: every gather, projection, and merge lands in
-        context-owned scratch preallocated by ``__init__``."""
-        g = self.geometry
-        v = g.volume
-        api = self.api
-        api.cpu_write("work")
-        np.copyto(self.work, src)
-        # Wall terms and 5th-dim hop sources are read from ``self.work``
-        # (identical to ``src`` from here on, and never mutated during an
-        # application) so that passing the context's own output buffer
-        # back in as ``src`` stays well-defined.
-        np.multiply(self.work[0], -self.mf, out=self._wall_up)
-        np.multiply(self.work[self.Ls - 1], -self.mf, out=self._wall_dn)
-
-        pending = dict(api.start_stored_events(group="early"))
-        self._project_faces()
-        pending.update(api.start_stored_events(group="proj"))
-        staged = self._stage_products()
-        if staged:
-            yield api.compute(staged * MATVEC_SU3, kernel="dwf")
-        pending.update(api.start_stored_events(group="staged"))
-
-        # ---- interior phase ---------------------------------------------
-        diag = (-self.M5 + 4.0) + 1.0
-        out = self._out5
-        np.multiply(self.work, diag, out=out)
-        local_flops = float(DIAG_AXPY_FLOPS * self.volume5)
-        fwd_arr = self._fwd
-        bwd_arr = self._bwd
-        for mu in range(4):
-            np.take(self.work, g.hop(mu, +1), axis=1, out=self._gather5)
-            if self.compress:
-                spin_project(mu, +1, self._gather5, out=self._half5)
-                _cmatvec5(self.links[mu], self._half5, out=fwd_arr[mu])
-            else:
-                _cmatvec5(self.links[mu], self._gather5, out=fwd_arr[mu])
-            nface = len(self.plans[mu].fill_from_fwd) if mu in self.plans else 0
-            local_flops += self.Ls * (v - nface) * MATVEC_SU3
-            np.take(self.work, g.hop(mu, -1), axis=1, out=self._gather5)
-            if self.compress:
-                spin_project(mu, -1, self._gather5, out=self._half5)
-                _cmatvec5(
-                    self.links_dagger_bwd[mu], self._half5, out=bwd_arr[mu]
-                )
-            else:
-                _cmatvec5(
-                    self.links_dagger_bwd[mu], self._gather5, out=bwd_arr[mu]
-                )
-            local_flops += self.Ls * v * MATVEC_SU3
-
-        interior = self.interior_sites
-        if len(interior):
-            self._merge(out, fwd_arr, bwd_arr, self.work, interior)
-            local_flops += self.Ls * len(interior) * MERGE5_FLOPS_PER_SITE
-        yield api.compute(local_flops, kernel="dwf")
-
-        # ---- boundary phase: drain transfers in completion order --------
-        while pending:
-            fired = yield api.wait_any(pending.values())
-            key = next(k for k, e in pending.items() if e is fired)
-            del pending[key]
-            kind, mu, sign = key
-            if kind != "recv":
-                continue
-            plan = self.plans[mu]
-            if sign == +1:
-                rows = plan.fill_from_fwd
-                api.cpu_read(f"halo_fwd{mu}")
-                patch = self._face_patch5[mu]
-                _cmatvec5(self._links_fwd_face[mu], self.halo_fwd[mu], out=patch)
-                fwd_arr[mu][:, rows] = patch
-                yield api.compute(self.Ls * len(rows) * MATVEC_SU3, kernel="dwf")
-            else:
-                api.cpu_read(f"halo_bwd{mu}")
-                bwd_arr[mu][:, plan.fill_from_bwd] = self.halo_bwd[mu]
-
-        boundary = self.boundary_sites
-        if len(boundary):
-            self._merge(out, fwd_arr, bwd_arr, self.work, boundary)
-            yield api.compute(
-                self.Ls * len(boundary) * MERGE5_FLOPS_PER_SITE, kernel="dwf"
-            )
-        return out
-
-    @hot_path
-    def apply_dagger(self, src: np.ndarray):
-        """``D^+ = (Gamma_5 R) D (R Gamma_5)`` with R the s reflection.
-
-        Returns a context-owned buffer (``_rot_out``), valid until the
-        context's next application.
-        """
-        flipped = gamma5_sandwich(src[::-1], out=self._rot_in)
-        applied = yield from self.apply(flipped)
-        return gamma5_sandwich(applied[::-1], out=self._rot_out)
-
-    def normal(self, src: np.ndarray):
-        d_src = yield from self.apply(src)
-        out = yield from self.apply_dagger(d_src)
-        return out
+        self.out[:, sites] = acc

@@ -127,8 +127,8 @@ class TestWilsonWireFormat:
         # every words-per-site constant is the flops.py value, not a copy
         assert pdirac.WORDS_PER_SITE is SPINOR_WORDS
         assert pdirac.HALF_WORDS_PER_SITE is HALF_SPINOR_WORDS
-        assert pdwf.WORDS_PER_SITE is SPINOR_WORDS
-        assert pdwf.HALF_WORDS_PER_SITE is HALF_SPINOR_WORDS
+        # DWF declares no wire of its own: it ships through the Wilson spec
+        assert issubclass(pdwf.DistributedDWFContext, pdirac.WilsonHops)
         assert pstaggered.WORDS_PER_SITE is STAGGERED_WORDS
         assert SPINOR_WORDS == 24 and HALF_SPINOR_WORDS == 12
         assert STAGGERED_WORDS == 6

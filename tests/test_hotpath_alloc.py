@@ -52,6 +52,7 @@ ALLOCATORS = (
 #: is operator-layer code (the simulated hot path); machine/sim/comms
 #: frames are the simulator itself and are out of contract scope
 WATCHED = (
+    "parallel/halo.py",
     "parallel/pdirac.py",
     "parallel/pdwf.py",
     "parallel/pstaggered.py",
@@ -94,6 +95,11 @@ def tracker(monkeypatch):
     return AllocationTracker(monkeypatch)
 
 
+#: both orders of the one pipeline are under the contract; swept inside
+#: each test (not as a parameter) so one tracker sees both
+ORDERS = {"overlapped": True, "serialised": False}
+
+
 def make_machine():
     m = QCDOCMachine(MachineConfig(dims=(2, 1, 1, 1, 1, 1)), word_batch="face")
     m.bring_up()
@@ -124,20 +130,27 @@ def steady_state_program(ctx_factory, src_of, tracker, warmup=2, steady=3):
     return program
 
 
-def run_and_check(machine, part, program, tracker):
-    machine.run_partition(part, program)
-    tracker.armed = False
-    assert tracker.violations == [], (
-        "steady-state dslash allocated in the operator layer:\n  "
-        + "\n  ".join(sorted(set(tracker.violations)))
-    )
+def run_and_check(ctx_factory, src_of, tracker):
+    """Steady-state program on a fresh 2-node machine per pipeline order;
+    ``ctx_factory(api, overlap)`` builds the rank's context."""
+    for order, overlap in ORDERS.items():
+        machine, part = make_machine()
+        program = steady_state_program(
+            lambda api: ctx_factory(api, overlap), src_of, tracker
+        )
+        machine.run_partition(part, program)
+        tracker.armed = False
+        assert tracker.violations == [], (
+            f"steady-state {order} dslash allocated in the operator layer:\n  "
+            + "\n  ".join(sorted(set(tracker.violations)))
+        )
 
 
 class TestSteadyStateAllocationFree:
     @pytest.mark.parametrize("compress", [True, False])
     def test_wilson(self, tracker, compress):
         rng = rng_stream(91, "hotpath-wilson")
-        m, part = make_machine()
+        _, part = make_machine()  # same mesh as run_and_check's machines
         geom = LatticeGeometry((4, 2, 2, 2))
         mapping = PhysicsMapping(geom, part)
         gauge = GaugeField.hot(geom, rng)
@@ -145,23 +158,23 @@ class TestSteadyStateAllocationFree:
         psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
         lpsi = mapping.scatter_field(psi)
 
-        program = steady_state_program(
-            lambda api: DistributedWilsonContext(
+        run_and_check(
+            lambda api, overlap: DistributedWilsonContext(
                 api,
                 mapping.local_shape,
                 links[api.rank],
                 mass=0.3,
                 compress=compress,
+                overlap=overlap,
             ),
             lambda api: lpsi[api.rank],
             tracker,
         )
-        run_and_check(m, part, program, tracker)
 
     def test_dwf(self, tracker):
         Ls = 4
         rng = rng_stream(92, "hotpath-dwf")
-        m, part = make_machine()
+        _, part = make_machine()  # same mesh as run_and_check's machines
         geom = LatticeGeometry((4, 2, 2, 2))
         mapping = PhysicsMapping(geom, part)
         gauge = GaugeField.hot(geom, rng)
@@ -171,20 +184,20 @@ class TestSteadyStateAllocationFree:
             [mapping.scatter_field(psi[s]) for s in range(Ls)], axis=1
         )
 
-        program = steady_state_program(
-            lambda api: DistributedDWFContext(
-                api, mapping.local_shape, links[api.rank], Ls=Ls, M5=1.8, mf=0.1
+        run_and_check(
+            lambda api, overlap: DistributedDWFContext(
+                api, mapping.local_shape, links[api.rank], Ls=Ls, M5=1.8, mf=0.1,
+                overlap=overlap,
             ),
             lambda api: lpsi[api.rank],
             tracker,
         )
-        run_and_check(m, part, program, tracker)
 
     def test_staggered(self, tracker):
         from repro.fermions.staggered import fat_links, long_links
 
         rng = rng_stream(93, "hotpath-stag")
-        m, part = make_machine()
+        _, part = make_machine()  # same mesh as run_and_check's machines
         geom = LatticeGeometry((8, 2, 2, 2))
         mapping = PhysicsMapping(geom, part)
         gauge = GaugeField.hot(geom, rng)
@@ -200,15 +213,14 @@ class TestSteadyStateAllocationFree:
         chi = rng.standard_normal((geom.volume, 3)) + 0j
         lchi = mapping.scatter_field(chi)
 
-        program = steady_state_program(
-            lambda api: DistributedStaggeredContext(
+        run_and_check(
+            lambda api, overlap: DistributedStaggeredContext(
                 api, mapping.local_shape, lfat[api.rank], llong[api.rank],
-                mass=0.1,
+                mass=0.1, overlap=overlap,
             ),
             lambda api: lchi[api.rank],
             tracker,
         )
-        run_and_check(m, part, program, tracker)
 
 
 class TestHotPathTags:
@@ -217,15 +229,23 @@ class TestHotPathTags:
     def test_operator_hot_paths_tagged(self):
         from repro.parallel import pdirac, pdwf, pstaggered
 
-        assert is_hot_path(pdirac.DistributedWilsonContext._hopping_overlapped)
-        assert is_hot_path(pdirac.DistributedWilsonContext._merge)
+        # the one generator every operator's hopping/apply runs ...
+        assert is_hot_path(pdirac.DistributedWilsonContext.exchange)
+        assert is_hot_path(pdirac.DistributedWilsonContext.merge)
         assert is_hot_path(pdirac.DistributedWilsonContext.apply)
-        assert is_hot_path(pdwf.DistributedDWFContext._apply_overlapped)
-        assert is_hot_path(pdwf.DistributedDWFContext._merge)
-        assert is_hot_path(pstaggered.DistributedStaggeredContext._merge)
-        assert is_hot_path(
-            pstaggered.DistributedStaggeredContext._hopping_overlapped
-        )
+        assert is_hot_path(pdwf.DistributedDWFContext.exchange)
+        assert is_hot_path(pdwf.DistributedDWFContext.merge)
+        assert is_hot_path(pstaggered.DistributedStaggeredContext.merge)
+        assert is_hot_path(pstaggered.DistributedStaggeredContext.exchange)
+        # ... and every site kernel it calls between the steps
+        for ctx in (
+            pdirac.DistributedWilsonContext,
+            pdwf.DistributedDWFContext,
+            pstaggered.DistributedStaggeredContext,
+        ):
+            for kernel in ("stage", "interior", "on_halo"):
+                assert is_hot_path(getattr(ctx, kernel)), (ctx, kernel)
+        assert is_hot_path(pdirac.WilsonHops.project)
 
     def test_untagged_serial_reference(self):
         assert not is_hot_path(WilsonDirac.apply)

@@ -8,14 +8,18 @@ change a single bit of physics.  These Hypothesis-driven properties pin
 that down across random lattices, masses, and 0D/1D/2D/4D decompositions
 for all three operator families:
 
-* overlapped output ``==`` monolithic (pre-overlap) output — not
-  ``allclose``: identical bits;
+* overlapped output ``==`` serialised (``overlap=False``, the same
+  pipeline in the pre-overlap order) output — not ``allclose``: identical
+  bits;
 * overlapped output ``==`` the serial Wilson operator (whose statement
   sequence the distributed assembly mirrors exactly);
 * DWF and ASQTAD match their serial references to ``allclose`` (the
   serial implementations use a different — equally valid — accumulation
   order, exactly as before this optimisation) while overlapped and
-  monolithic remain ``==``-identical to each other;
+  serialised remain ``==``-identical to each other — and, as the bit
+  oracle that does not go through the same code path twice, DWF and
+  ASQTAD output is ``==``-identical across 0D/1D/2D/4D decompositions of
+  one global lattice (0D exchanges no halo at all);
 * run-to-run: the overlapped pipeline is deterministic (two fresh
   machines, identical bits).
 """
@@ -98,11 +102,10 @@ def run_dwf(dims, gauge, psi5, Ls, mass, overlap):
     )
 
 
-def run_staggered(dims, gauge, chi, mass, overlap):
+def run_staggered(dims, gauge, chi, mass, overlap, smeared=None):
     machine, partition = make_machine(dims)
     mapping = PhysicsMapping(gauge.geometry, partition)
-    fat = fat_links(gauge)
-    lng = long_links(gauge)
+    fat, lng = smeared or (fat_links(gauge), long_links(gauge))
     v = mapping.tiling.local_volume
     lf = np.empty((mapping.n_ranks, 4, v, 3, 3), dtype=complex)
     ll = np.empty_like(lf)
@@ -214,6 +217,47 @@ class TestStaggeredBitExact:
         assert m_o.sim.now <= m_m.sim.now
         serial = AsqtadDirac(gauge, mass=mass).apply(chi)
         assert np.allclose(overlapped, serial, atol=1e-12)
+
+
+class TestDecompositionInvariance:
+    """The independent bit oracle for the operators whose serial
+    references are only ``allclose``: the same global problem on a single
+    node (no halo, every hop a local wrap) and cut along 1, 2 and 4 axes
+    must agree to the bit — per-site kernels are row-independent and each
+    ``merge`` accumulates in one fixed order, whatever the site cover."""
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_dwf(self, overlap):
+        rng = rng_stream(31, "decomp-invariance-dwf")
+        geom = LatticeGeometry((8, 8, 4, 4))
+        gauge = GaugeField.hot(geom, rng)
+        Ls = 4
+        psi5 = rng.standard_normal((Ls, geom.volume, 4, 3)) + 1j * rng.standard_normal(
+            (Ls, geom.volume, 4, 3)
+        )
+        outs = {
+            name: run_dwf(dims, gauge, psi5, Ls, 0.1, overlap)[0]
+            for name, dims in DECOMPS.items()
+        }
+        for name, out in outs.items():
+            assert np.array_equal(out, outs["0d"]), name
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_asqtad(self, overlap):
+        rng = rng_stream(32, "decomp-invariance-asqtad")
+        # 8^4: the 4D cut still leaves the Naik halo its even extent >= 4
+        geom = LatticeGeometry((8, 8, 8, 8))
+        gauge = GaugeField.hot(geom, rng)
+        chi = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
+            (geom.volume, 3)
+        )
+        smeared = fat_links(gauge), long_links(gauge)
+        outs = {
+            name: run_staggered(dims, gauge, chi, 0.2, overlap, smeared)[0]
+            for name, dims in DECOMPS.items()
+        }
+        for name, out in outs.items():
+            assert np.array_equal(out, outs["0d"]), name
 
 
 class TestPayloadInvariance:

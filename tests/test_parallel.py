@@ -14,6 +14,8 @@ from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping, solve_on_machine
 from repro.parallel.pdirac import DistributedWilsonContext
+from repro.parallel.pdwf import DistributedDWFContext
+from repro.parallel.pstaggered import DistributedStaggeredContext
 from repro.solvers import cgne
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
@@ -139,6 +141,37 @@ class TestDistributedDslash:
         got = self.run_dslash(gauge, psi, partition, machine)
         want = WilsonDirac(gauge, mass=0.3).apply(psi)
         assert np.allclose(got, want, atol=1e-12)
+
+
+class TestTileRankChecked:
+    """A tile whose rank differs from the partition's logical rank would
+    index ``api.dims`` out of range (or silently decompose the wrong
+    axes); the halo pipeline refuses it, naming both ranks."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda api, shape, u: DistributedWilsonContext(api, shape, u, mass=0.3),
+            lambda api, shape, u: DistributedDWFContext(api, shape, u, Ls=2),
+            lambda api, shape, u: DistributedStaggeredContext(
+                api, shape, u, u, mass=0.3
+            ),
+        ],
+        ids=["wilson", "dwf", "asqtad"],
+    )
+    def test_rank_mismatch_names_both_ranks(self, build):
+        # a 3-axis logical mesh handed a 4D tile
+        machine, partition = make_machine((2, 2, 1, 1, 1, 1), [(0,), (1,), (2,)])
+        shape = (4, 4, 2, 2)
+        links = GaugeField.unit(LatticeGeometry(shape)).links
+
+        def program(api):
+            with pytest.raises(ConfigError, match=r"rank 4 .* rank 3"):
+                build(api, shape, links)
+            return None
+            yield  # make it a generator
+
+        machine.run_partition(partition, program)
 
 
 class TestDistributedSolve:

@@ -2,8 +2,8 @@
 
 Three contracts:
 
-1. **Clean pipeline** — the unmodified overlapped (and monolithic)
-   distributed Wilson dslash runs with *zero* race reports in
+1. **Clean pipeline** — the unmodified overlapped (and serialised)
+   distributed Wilson, DWF and ASQTAD dslash run with *zero* race reports in
    ``record`` mode, while the sanitizer demonstrably watched something
    (claims opened, CPU checkpoints hit, all claims released at the
    end).  Any false positive here would make the sanitizer unusable as
@@ -32,11 +32,14 @@ from repro.analysis.sanitizer import (
     HaloRaceSanitizer,
     RaceReport,
 )
+from repro.fermions.staggered import fat_links, long_links
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping
 from repro.parallel.pdirac import DistributedWilsonContext
+from repro.parallel.pdwf import DistributedDWFContext
+from repro.parallel.pstaggered import DistributedStaggeredContext
 from repro.util import rng_stream
 
 pytestmark = pytest.mark.analysis
@@ -45,32 +48,64 @@ GROUPS = [(0,), (1,), (2,), (3,)]
 DIMS = (2, 1, 1, 1, 1, 1)  # 2 nodes, decomposed along axis 0
 
 
-def run_wilson_dslash(sanitizer=None, overlap=True, inject_rank=None):
-    """2-node 2^4-per-tile Wilson dslash; returns (machine, outputs)."""
+#: operator -> the forward-halo receive buffer its pipeline reads.  The
+#: seam and the checkpoints live in the one pipeline (parallel/halo.py), so
+#: every operator spec gets the same coverage; swept inside the tests.
+HALO_BUFFER = {"wilson": "halo_fwd0", "dwf": "halo_fwd0", "asqtad": "raw_halo0"}
+
+
+def run_dslash(op="wilson", sanitizer=None, overlap=True, inject_rank=None):
+    """2-node dslash of one operator; returns (machine, outputs)."""
     machine = QCDOCMachine(
         MachineConfig(dims=DIMS), word_batch=4096, sanitizer=sanitizer
     )
     machine.bring_up()
     partition = machine.partition(groups=GROUPS)
     rng = rng_stream(23, "race-sanitizer")
-    geom = LatticeGeometry((4, 2, 2, 2))
+    # ASQTAD needs an even local extent >= 4 on the decomposed axis
+    geom = LatticeGeometry((8, 2, 2, 2) if op == "asqtad" else (4, 2, 2, 2))
     gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
     mapping = PhysicsMapping(geom, partition)
     links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
+
+    def field(*site_shape):
+        shape = (geom.volume,) + site_shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if op == "wilson":
+        src = mapping.scatter_field(field(4, 3))
+
+        def build(api):
+            return DistributedWilsonContext(
+                api, mapping.local_shape, links[api.rank], mass=0.2, overlap=overlap
+            )
+    elif op == "dwf":
+        src = np.stack([mapping.scatter_field(field(4, 3)) for _ in range(2)], axis=1)
+
+        def build(api):
+            return DistributedDWFContext(
+                api, mapping.local_shape, links[api.rank], Ls=2, overlap=overlap
+            )
+    else:
+        smeared = [
+            np.stack([mapping.tiling.scatter(u[mu]) for mu in range(4)], axis=1)
+            for u in (fat_links(gauge), long_links(gauge))
+        ]
+        src = mapping.scatter_field(field(3))
+
+        def build(api):
+            return DistributedStaggeredContext(
+                api, mapping.local_shape, smeared[0][api.rank],
+                smeared[1][api.rank], mass=0.2, overlap=overlap,
+            )
 
     def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.2, overlap=overlap
-        )
+        ctx = build(api)
         if inject_rank is not None and api.rank == inject_rank:
             # the seam fires right after the "early" group starts: both
             # receives are in flight, and this CPU read does not wait.
-            ctx.race_injection_hook = lambda c: c.api.cpu_read("halo_fwd0")
-        out = yield from ctx.apply(lpsi[api.rank])
+            ctx.race_injection_hook = lambda c: c.api.cpu_read(HALO_BUFFER[op])
+        out = yield from ctx.apply(src[api.rank])
         return out
 
     results = machine.run_partition(partition, program)
@@ -84,23 +119,26 @@ def run_wilson_dslash(sanitizer=None, overlap=True, inject_rank=None):
 
 class TestCleanPipeline:
     def test_overlapped_pipeline_is_race_free(self):
-        san = HaloRaceSanitizer(mode="record")
-        run_wilson_dslash(sanitizer=san, overlap=True)
-        assert san.reports == []
-        # ... and it genuinely watched the run:
-        assert san.claims_opened > 0
-        assert san.checks > 0
-        assert san.quiesced, "DMA claims left open after the run drained"
+        for op in HALO_BUFFER:
+            san = HaloRaceSanitizer(mode="record")
+            run_dslash(op, sanitizer=san, overlap=True)
+            assert san.reports == [], op
+            # ... and it genuinely watched the run:
+            assert san.claims_opened > 0, op
+            assert san.checks > 0, op
+            assert san.quiesced, f"{op}: DMA claims left open after the run drained"
 
     def test_monolithic_pipeline_is_race_free(self):
-        san = HaloRaceSanitizer(mode="record")
-        run_wilson_dslash(sanitizer=san, overlap=False)
-        assert san.reports == []
-        assert san.claims_opened > 0 and san.quiesced
+        # the serialised order of the same pipeline
+        for op in HALO_BUFFER:
+            san = HaloRaceSanitizer(mode="record")
+            run_dslash(op, sanitizer=san, overlap=False)
+            assert san.reports == [], op
+            assert san.claims_opened > 0 and san.quiesced, op
 
     def test_sanitized_run_is_bit_identical(self):
-        _, plain = run_wilson_dslash(sanitizer=None)
-        _, watched = run_wilson_dslash(sanitizer=HaloRaceSanitizer(mode="record"))
+        _, plain = run_dslash(sanitizer=None)
+        _, watched = run_dslash(sanitizer=HaloRaceSanitizer(mode="record"))
         for a, b in zip(plain, watched):
             assert np.array_equal(a, b)
 
@@ -112,29 +150,31 @@ class TestCleanPipeline:
 
 class TestSeededRace:
     def test_premature_read_raises_with_full_diagnostic(self):
-        san = HaloRaceSanitizer(mode="raise")
-        with pytest.raises(HaloRaceError) as excinfo:
-            run_wilson_dslash(sanitizer=san, inject_rank=0)
-        report = excinfo.value.report
-        assert report.access == "read"
-        assert report.dma_kind == "recv"
-        assert report.node == 0
-        assert report.buffer == "halo_fwd0"
-        assert report.axis == 0  # logical coordinates, not raw link ids
-        assert report.sign == +1
-        message = str(excinfo.value)
-        for needle in ("halo_fwd0", "node 0", "axis 0", "recv", "completion"):
-            assert needle in message, f"diagnostic lacks {needle!r}: {message}"
+        for op, buffer in HALO_BUFFER.items():
+            san = HaloRaceSanitizer(mode="raise")
+            with pytest.raises(HaloRaceError) as excinfo:
+                run_dslash(op, sanitizer=san, inject_rank=0)
+            report = excinfo.value.report
+            assert report.access == "read", op
+            assert report.dma_kind == "recv", op
+            assert report.node == 0, op
+            assert report.buffer == buffer
+            assert report.axis == 0  # logical coordinates, not raw link ids
+            assert report.sign == +1, op
+            message = str(excinfo.value)
+            for needle in (buffer, "node 0", "axis 0", "recv", "completion"):
+                assert needle in message, f"diagnostic lacks {needle!r}: {message}"
 
     def test_record_mode_accumulates_and_keeps_running(self):
-        san = HaloRaceSanitizer(mode="record")
-        machine, results = run_wilson_dslash(sanitizer=san, inject_rank=0)
-        assert len(san.reports) >= 1
-        assert san.reports[0].buffer == "halo_fwd0"
-        # record mode let the run finish; physics is numerically intact
-        # (numpy holds final values early — the race is *simulated*)
-        assert all(np.isfinite(r).all() for r in results)
-        assert san.quiesced
+        for op, buffer in HALO_BUFFER.items():
+            san = HaloRaceSanitizer(mode="record")
+            machine, results = run_dslash(op, sanitizer=san, inject_rank=0)
+            assert len(san.reports) >= 1, op
+            assert san.reports[0].buffer == buffer
+            # record mode let the run finish; physics is numerically intact
+            # (numpy holds final values early — the race is *simulated*)
+            assert all(np.isfinite(r).all() for r in results), op
+            assert san.quiesced, op
 
     def test_injected_write_also_detected(self):
         san = HaloRaceSanitizer(mode="raise")
@@ -200,7 +240,7 @@ class TestOffByDefault:
         """A sanitizer that exists but is not attached proves the hook
         sites are the only entry points: no claims, no checks."""
         san = HaloRaceSanitizer(mode="raise")
-        run_wilson_dslash(sanitizer=None)
+        run_dslash(sanitizer=None)
         assert san.claims_opened == 0
         assert san.checks == 0
         assert san.quiesced

@@ -143,6 +143,43 @@ def test_whole_tree_tags_and_fields_agree_with_registry():
     assert problems == [], f"trace-tag drift outside src/: {problems}"
 
 
+def test_one_halo_pipeline_in_the_parallel_layer():
+    """Structural guard: the stored-descriptor machinery is driven from
+    ``parallel/halo.py`` only.
+
+    Every distributed operator is a spec over that one pipeline; an
+    operator module that stores descriptors, starts groups, drains
+    ``wait_any`` or brackets a hot epoch itself has grown a second
+    pipeline, and every cross-cutting feature (overlap, face batching,
+    replay epochs, sanitizer checkpoints) would have to be threaded
+    through both by hand."""
+    pipeline_calls = {
+        "store_send",
+        "store_recv",
+        "start_stored",
+        "start_stored_events",
+        "wait_any",
+        "begin_hot_epoch",
+    }
+    found = {}
+    for path in sorted((SRC / "parallel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in pipeline_calls
+            ):
+                found.setdefault(node.func.attr, set()).add(path.name)
+    stray = {
+        call: sorted(files - {"halo.py"})
+        for call, files in found.items()
+        if files - {"halo.py"}
+    }
+    assert stray == {}, f"pipeline calls outside parallel/halo.py: {stray}"
+    # ... and the scan is not vacuous: the pipeline does make them
+    assert pipeline_calls - {"start_stored"} <= found.keys()
+
+
 def test_scan_roots_exist_and_exclude_tests():
     for root in SCAN_ROOTS:
         assert root.is_dir(), f"scan root vanished: {root}"
