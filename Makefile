@@ -1,9 +1,9 @@
 PY      ?= python
 PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
-.PHONY: test protocol overlap bench bench-smoke verify verify-telemetry \
-        lint verify-sanitizer verify-faults verify-sharding verify-hotpath \
-        verify-service verify-flow verify-hmc
+.PHONY: test protocol overlap bench bench-smoke bench-check fingerprint \
+        verify verify-telemetry lint verify-sanitizer verify-faults \
+        verify-sharding verify-hotpath verify-service verify-flow verify-hmc
 
 ## tier-1: the full unit/integration/property suite
 test:
@@ -29,6 +29,19 @@ bench:
 bench-smoke:
 	$(PYTEST) benchmarks/bench_dslash_smoke.py -m perf -q -s
 	$(PYTEST) benchmarks/bench_e18_dynamical_hmc.py -m perf -q -s
+
+## the repo's benchmark (BENCHMARK.json, bench/): every workload twice
+## with its oracle and the exact figures compared, then bench/'s own tests
+bench-check:
+	python3 bench/run.py --check-repeat
+	$(PYTEST) bench/tests -q
+
+## one sha256 per case of a fixed matrix of machine runs (3 operators x
+## 1d/2d x word_batch face/1 x shards 1/2, plus one solve per operator):
+## `make fingerprint > new.txt`, the same at the parent commit, `diff` —
+## "same numbers to the bit" without a scratch probe
+fingerprint:
+	@PYTHONPATH=src $(PY) benchmarks/fingerprint.py
 
 ## telemetry invariants: counter conservation, trace-schema registry,
 ## fault-injection accounting, measured-vs-model crosscheck

@@ -49,8 +49,8 @@ from repro.fermions.flops import HALF_SPINOR_WORDS, SPINOR_WORDS
 from repro.lattice import GaugeField, LatticeGeometry, stencil
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
-from repro.parallel import PhysicsMapping
-from repro.parallel.pdirac import DistributedWilsonContext
+from repro.parallel import PhysicsMapping, apply_on_machine
+from repro.parallel.pcg import wilson_context
 from repro.util import rng_stream
 
 GLOBAL_SHAPE = (4, 2, 2, 2)  # -> 2^4 local volume on a 2-node decomposition
@@ -94,31 +94,23 @@ def _dslash_step(compress: bool, word_batch, applies: int = 1, replay: bool = Tr
     partition = machine.partition(groups=[(0,), (1,), (2,), (3,)])
     geom, gauge, psi = _problem()
     mapping = PhysicsMapping(geom, partition)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api,
-            mapping.local_shape,
-            links[api.rank],
-            mass=0.3,
-            overlap=True,  # the seed default pipeline
-            compress=compress,
-            word_batch=word_batch,
-        )
-        out = lpsi[api.rank]
-        for _ in range(applies):
-            out = yield from ctx.apply(out)
-        return out, api.transfer_counters()
-
+    context = wilson_context(
+        mapping,
+        gauge,
+        0.3,
+        overlap=True,  # the seed default pipeline
+        compress=compress,
+        word_batch=word_batch,
+    )
     t0 = machine.sim.now
     w0 = time.perf_counter()
-    per_rank = machine.run_partition(partition, program)
+    result = apply_on_machine(machine, partition, context, psi, applies=applies)
     wall = time.perf_counter() - w0
     sim_t = machine.sim.now - t0
-    result = mapping.gather_field(np.stack([r[0] for r in per_rank]))
-    counters = [r[1] for r in per_rank]
+    counters = [
+        machine.nodes[partition.physical_node(rank)].scu.transfer_counters()
+        for rank in range(partition.n_nodes)
+    ]
     local = LatticeGeometry(mapping.local_shape)
     nface = local.volume // local.shape[0]
     return sim_t, wall, result, counters, nface, machine

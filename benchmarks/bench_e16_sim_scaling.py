@@ -19,15 +19,14 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import emit
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
-from repro.parallel import PhysicsMapping
-from repro.parallel.pdirac import DistributedWilsonContext
+from repro.parallel import PhysicsMapping, apply_on_machine
+from repro.parallel.pcg import wilson_context
 from repro.util import rng_stream
 
 NCORES = os.cpu_count() or 1
@@ -67,23 +66,13 @@ def _dslash(dims, groups, lattice, shards, workers="serial", seed=64):
     psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
         (geom.volume, 4, 3)
     )
-    mapping = PhysicsMapping(geom, partition)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.2
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
+    context = wilson_context(PhysicsMapping(geom, partition), gauge, 0.2)
 
     t_sim0 = machine.sim.now
     t1 = time.perf_counter()
-    results = machine.run_partition(partition, program)
+    out = apply_on_machine(machine, partition, context, psi)
     machine.quiesce()
     wall = time.perf_counter() - t1
-    out = mapping.gather_field(np.stack(results))
     events = machine.sim.events_processed
     row = {
         "nodes": machine.n_nodes,

@@ -1,0 +1,129 @@
+"""``make fingerprint``: one sha256 per case of a fixed matrix of machine runs.
+
+A change that claims "same numbers to the bit" proves it by ``diff``-ing
+this output against its parent's.  Each line digests everything a run can
+be observed by: the gathered result bytes and the
+:func:`repro.telemetry.observables` sample (counter bank, trace multiset,
+simulated clock, replay statistics).
+
+The matrix: Wilson, DWF and ASQTAD × a 1D and a 2D decomposition ×
+``word_batch`` ``"face"`` (compiled replay from the second application)
+and ``1`` (the interpreted word protocol) × ``shards`` 1 and 2, three
+chained applications each; then one CGNE solve per operator (solution,
+residual history, iteration count and ``machine_time`` in the digest).
+"""
+
+import hashlib
+import itertools
+
+from repro.lattice import GaugeField, LatticeGeometry
+from repro.machine.asic import MachineConfig
+from repro.machine.machine import QCDOCMachine
+from repro.parallel import (
+    PhysicsMapping,
+    apply_on_machine,
+    solve_dwf_on_machine,
+    solve_on_machine,
+    solve_staggered_on_machine,
+)
+from repro.parallel.pcg import dwf_context, staggered_context, wilson_context
+from repro.telemetry import observables
+from repro.util import rng_stream
+
+GROUPS = [(0,), (1,), (2,), (3,)]
+DIMS = {"1d": (2, 1, 1, 1, 1, 1), "2d": (2, 2, 1, 1, 1, 1)}
+LS = 2
+
+#: operator -> (field shape after the volume, leading axes, global lattice
+#: per decomposition, context factory, solve); ASQTAD needs an even local
+#: extent >= 4 on every decomposed axis
+OPERATORS = {
+    "wilson": (
+        (4, 3),
+        (),
+        {"1d": (4, 2, 2, 2), "2d": (4, 4, 2, 2)},
+        lambda mapping, gauge, **ctx: wilson_context(mapping, gauge, 0.3, **ctx),
+        lambda m, part, gauge, b: solve_on_machine(
+            m, part, gauge, b, mass=0.3, tol=1e-6, max_time=1e9
+        ),
+    ),
+    "dwf": (
+        (4, 3),
+        (LS,),
+        {"1d": (4, 2, 2, 2), "2d": (4, 4, 2, 2)},
+        lambda mapping, gauge, **ctx: dwf_context(mapping, gauge, LS, **ctx),
+        lambda m, part, gauge, b: solve_dwf_on_machine(
+            m, part, gauge, b, Ls=LS, mf=0.3, tol=1e-6, max_time=1e9
+        ),
+    ),
+    "asqtad": (
+        (3,),
+        (),
+        {"1d": (8, 2, 2, 2), "2d": (8, 8, 2, 2)},
+        lambda mapping, gauge, **ctx: staggered_context(mapping, gauge, 0.2, **ctx),
+        lambda m, part, gauge, b: solve_staggered_on_machine(
+            m, part, gauge, b, mass=0.2, tol=1e-6, max_time=1e9
+        ),
+    ),
+}
+
+
+def problem(op, decomp, start):
+    site, lead, lattices, _, _ = OPERATORS[op]
+    rng = rng_stream(15, f"fingerprint-{op}-{decomp}")
+    geom = LatticeGeometry(lattices[decomp])
+    gauge = getattr(GaugeField, start)(geom, rng)
+    shape = lead + (geom.volume,) + site
+    return gauge, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def booted(decomp, **machine_kwargs):
+    config = MachineConfig(dims=DIMS[decomp])
+    machine = QCDOCMachine(config, trace=True, **machine_kwargs)
+    machine.bring_up()
+    return machine, machine.partition(groups=GROUPS)
+
+
+def digest(machine, *results):
+    obs = observables(machine)
+    h = hashlib.sha256()
+    for part in results:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    for name in ("counters", "trace", "replay"):
+        h.update(repr(sorted(repr(item) for item in obs[name].items())).encode())
+    h.update(repr(obs["now"]).encode())
+    return h.hexdigest()
+
+
+def apply_case(op, decomp, word_batch, shards):
+    gauge, src = problem(op, decomp, "hot")
+    machine, part = booted(decomp, word_batch=word_batch, shards=shards)
+    *_, factory, _solve = OPERATORS[op]
+    mapping = PhysicsMapping(gauge.geometry, part)
+    context = factory(mapping, gauge, word_batch=word_batch)
+    out = apply_on_machine(machine, part, context, src, applies=3)
+    return digest(machine, out.tobytes())
+
+
+def solve_case(op):
+    gauge, b = problem(op, "2d", "weak")
+    machine, part = booted("2d", word_batch="face")
+    *_, solve = OPERATORS[op]
+    res = solve(machine, part, gauge, b)
+    return digest(
+        machine, res.x.tobytes(), res.residuals, res.iterations, res.machine_time
+    )
+
+
+def main():
+    for op, decomp, word_batch, shards in itertools.product(
+        OPERATORS, DIMS, ("face", 1), (1, 2)
+    ):
+        name = f"apply/{op}/{decomp}/word_batch={word_batch}/shards={shards}"
+        print(f"{apply_case(op, decomp, word_batch, shards)}  {name}", flush=True)
+    for op in OPERATORS:
+        print(f"{solve_case(op)}  solve/{op}/2d", flush=True)
+
+
+if __name__ == "__main__":
+    main()

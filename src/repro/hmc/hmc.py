@@ -113,11 +113,17 @@ class HMC:
         return result
 
     def run(self, n_trajectories: int, reunitarise_every: int = 10) -> List[TrajectoryResult]:
-        """Run several trajectories, reprojecting links periodically."""
+        """Run several trajectories, reprojecting links periodically.
+
+        The reprojection is phase-aligned on the absolute
+        ``trajectory_index`` (as in ``run_with_checkpoints``), so a chain
+        run in pieces is the chain run in one go: ``run(a); run(b)``
+        leaves the same bits as ``run(a + b)``.
+        """
         out = []
-        for k in range(n_trajectories):
+        for _ in range(n_trajectories):
             out.append(self.trajectory())
-            if reunitarise_every and (k + 1) % reunitarise_every == 0:
+            if reunitarise_every and self.trajectory_index % reunitarise_every == 0:
                 self.gauge.reunitarise()
         return out
 

@@ -375,10 +375,10 @@ class Qdaemon:
         partition = self.machine.partition(
             groups, origin=origin, extents=extents, require_periodic=require_periodic
         )
-        new_nodes = {
-            partition.physical_node(r) for r in range(partition.n_nodes)
-        }
-        self._check_no_overlap(new_nodes)
+        # the *requested* placement must be free even when remap moves it
+        self._check_no_overlap(
+            {partition.physical_node(r) for r in range(partition.n_nodes)}
+        )
         unusable = set(self.failed_nodes()) | set(self.failed)
         if not partition_is_healthy(self.machine, partition, unusable):
             if not remap:
@@ -396,10 +396,7 @@ class Qdaemon:
                 exclude_nodes=sorted(unusable | set(self.held_nodes())),
                 require_periodic=require_periodic,
             )
-        self._job_counter += 1
-        alloc = Allocation(self._job_counter, user, partition)
-        self.allocations.append(alloc)
-        return alloc
+        return self.adopt_partition(user, partition)
 
     def adopt_partition(self, user: str, partition: Partition) -> Allocation:
         """Register an externally-computed placement as an allocation.

@@ -40,9 +40,7 @@ __all__ = [
     "face_indices",
     "halo_exchange_plan",
     "all_halo_plans",
-    "interior_mask",
     "interior_boundary_sites",
-    "fill_positions",
     "surface_site_count",
 ]
 
@@ -81,28 +79,6 @@ def all_halo_plans(
     return plans
 
 
-def interior_mask(
-    geometry: LatticeGeometry,
-    comm_axes: Tuple[int, ...],
-    depth: int = 1,
-) -> np.ndarray:
-    """Boolean mask of sites whose ``depth``-deep stencil touches no halo.
-
-    A site is *interior* iff ``depth <= x_mu < L_mu - depth`` for every
-    communicated axis ``mu``.  Interior sites can be computed the instant
-    ``start_stored()`` fires — concurrently with all 24 DMA transfers —
-    which is the overlap the paper's sustained-efficiency model (section 4)
-    assumes.  Non-communicated axes impose no constraint (their "halo" is
-    the local torus wrap, already present in memory).
-
-    Note that an axis with ``L_mu <= 2 * depth`` has **no** interior sites
-    at all: at the paper's headline 2^4 local volume every site is a
-    boundary site, and the overlap win comes entirely from pipelining
-    per-axis boundary work against the remaining transfers.
-    """
-    return stencil.interior_mask(geometry.shape, tuple(comm_axes), depth)
-
-
 def interior_boundary_sites(
     geometry: LatticeGeometry,
     comm_axes: Tuple[int, ...],
@@ -116,28 +92,6 @@ def interior_boundary_sites(
     so the union must be a permutation-free cover for bit-exactness.
     """
     return stencil.site_partition(geometry.shape, tuple(comm_axes), depth)
-
-
-def fill_positions(subset: np.ndarray, face: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Locate halo-fill rows within a gathered *subset* of sites.
-
-    Given ``subset`` (sorted site indices over which a boundary-phase
-    gather like ``field[hop(mu, +1)][subset]`` is evaluated) and ``face``
-    (sorted site indices whose gathered rows must be overwritten with
-    received halo data, e.g. :attr:`HaloPlan.fill_from_fwd`), returns
-    ``(rows_in_subset, rows_in_face)`` such that::
-
-        gathered = field[hop][subset]
-        gathered[rows_in_subset] = halo[rows_in_face]
-
-    reproduces exactly the rows the monolithic full-volume fill
-    ``field[hop][face] = halo`` would have produced for those sites.
-    Both inputs must be sorted ascending (as produced by ``np.nonzero``).
-    """
-    present = np.isin(subset, face, assume_unique=True)
-    rows_in_subset = np.nonzero(present)[0]
-    rows_in_face = np.searchsorted(face, subset[rows_in_subset])
-    return rows_in_subset, rows_in_face
 
 
 def surface_site_count(geometry: LatticeGeometry, depth: int = 1) -> int:

@@ -514,8 +514,8 @@ class QCDOCMachine:
         """
         if not self._booted:
             raise MachineError("bring_up() the machine before running programs")
-        if self.shards > 1:
-            return self._run_partition_sharded(
+        if self.shards > 1 and self.shard_workers == "fork":
+            return self._run_partition_forked(
                 partition, program, max_time, program_kwargs
             )
         run = self.launch_partition(partition, program, **program_kwargs)
@@ -527,44 +527,22 @@ class QCDOCMachine:
         run.finalize()
         raise run.faults[0]
 
-    def _abort_partition(self, part_nodes, processes, pre_buffers) -> None:
-        """Tear a faulted partition down to a reusable machine state.
-
-        Interrupt the surviving rank processes, cancel every active SCU
-        transfer on the partition's nodes (units start discarding stale
-        in-flight frames), free buffers the dead run allocated, then drain
-        the event heap so nothing from the old job fires later.
-        """
-        for proc in processes:
-            if proc.is_alive:
-                proc.interrupt("partition abort")
-        for node in part_nodes:
-            node.scu.cancel_active_transfers()
-        self.sim.run()  # drain: cancellations, interrupts, in-flight frames
-        for node in part_nodes:
-            for name in sorted(
-                set(node.memory.buffer_names()) - pre_buffers[node.node_id]
-            ):
-                node.memory.free(name)
-            node.scu.finish_drain()
-
-    # -- sharded program execution ------------------------------------------
-    def _run_partition_sharded(
+    # -- forked program execution: fork-only, down to "machine-wide services" --
+    def _run_partition_forked(
         self,
         partition: Partition,
         program: Callable[..., object],
         max_time: float,
         program_kwargs: dict,
     ) -> List[object]:
-        """:meth:`run_partition` on the sharded engine.
+        """:meth:`run_partition` under ``shard_workers="fork"``.
 
-        No cross-shard ``AllOf``/``AnyOf`` (conditions would couple lanes
-        mid-window): ranks announce completion and hard faults as window
-        notifications, and the coordinator's stop predicate ends the run
-        at the first barrier where every rank has reported or any rank
-        faulted.  Under ``shard_workers="fork"`` the same notifications
-        travel over the worker pipes; rank return values and
-        :class:`FaultError` instances must then be picklable.
+        A worker process cannot call back into the parent's
+        :class:`PartitionRun`, so ranks announce completion and hard
+        faults as window notifications over the worker pipes, and the
+        coordinator's stop predicate ends the run at the first barrier
+        where every rank has reported or any rank faulted.  Rank return
+        values and :class:`FaultError` instances must be picklable.
         """
         from repro.comms.api import CommsAPI  # local import: layering
 
@@ -605,34 +583,27 @@ class QCDOCMachine:
         def stop() -> bool:
             return bool(faults) or len(done) == n
 
-        forked = self.shard_workers == "fork"
-        if forked:
-            self._install_fork_hooks(processes, part_nodes, shard_of_rank)
-            try:
-                self.sim.run_forked(
-                    stop,
-                    max_time=max_time,
-                    ctrl_for_stop=lambda: ["abort"] if faults else [],
-                )
-            finally:
-                self.sim.fork_hooks.clear()
-        else:
-            self.sim.run(stop=stop, max_time=max_time)
+        self._install_fork_hooks(processes, part_nodes, shard_of_rank)
+        try:
+            self.sim.run_forked(
+                stop,
+                max_time=max_time,
+                ctrl_for_stop=lambda: ["abort"] if faults else [],
+            )
+        finally:
+            self.sim.fork_hooks.clear()
         if not faults:
             return [done[r] for r in range(n)]
-        if forked:
-            # The abort control hook already interrupted surviving ranks
-            # and cancelled transfers *inside* the workers, and the run
-            # drained before the state merge — only the parent-side
-            # buffer/bookkeeping cleanup remains.
-            for node in part_nodes:
-                for name in sorted(
-                    set(node.memory.buffer_names()) - pre_buffers[node.node_id]
-                ):
-                    node.memory.free(name)
-                node.scu.finish_drain()
-        else:
-            self._abort_partition(part_nodes, processes, pre_buffers)
+        # The abort control hook already interrupted surviving ranks and
+        # cancelled transfers *inside* the workers, and the run drained
+        # before the state merge — only the parent-side buffer/bookkeeping
+        # cleanup remains.
+        for node in part_nodes:
+            for name in sorted(
+                set(node.memory.buffer_names()) - pre_buffers[node.node_id]
+            ):
+                node.memory.free(name)
+            node.scu.finish_drain()
         raise faults[0]
 
     def _install_fork_hooks(

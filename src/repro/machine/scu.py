@@ -798,9 +798,6 @@ class SCU:
         #: discarded instead of dispatched (counted here)
         self.drained_frames = 0
         self._draining = False
-        #: global-operation pass-through routing:
-        #: in_direction -> (out_directions, store_callback or None)
-        self._global_routes: Dict[int, Tuple[Tuple[int, ...], Optional[Callable]]] = {}
         #: stored ("persistent") descriptors:
         #: (kind, direction) -> (descriptor, start-group, word_batch or None)
         self._stored: Dict[Tuple[str, int], Tuple] = {}
@@ -826,10 +823,6 @@ class SCU:
 
     def on_frame(self, direction: int, frame: Frame) -> None:
         """Dispatch a frame arriving from the neighbour in ``direction``."""
-        route = self._global_routes.get(direction)
-        if route is not None and frame.ptype == PacketType.NORMAL:
-            self._passthrough(direction, frame, route)
-            return
         if self._draining and frame.ptype in (
             PacketType.NORMAL,
             PacketType.EOT,
@@ -1128,37 +1121,6 @@ class SCU:
             # the torus's redundant paths.
             if link is not None and link.alive and link.trained:
                 link.transmit(Frame(PacketType.PARTITION_IRQ, frame_word.copy()))
-
-    # -- global (pass-through) mode ----------------------------------------------
-    def set_global_route(
-        self,
-        in_direction: int,
-        out_directions: Tuple[int, ...],
-        store: Optional[Callable[[np.ndarray], None]] = None,
-    ) -> None:
-        """Route words arriving on one link out of others, cut-through.
-
-        Only ``passthrough_bits`` (8) are received before forwarding starts,
-        "markedly reducing the latency" of global operations.
-        """
-        self._global_routes[in_direction] = (tuple(out_directions), store)
-
-    def clear_global_routes(self) -> None:
-        self._global_routes.clear()
-
-    def _passthrough(self, direction: int, frame: Frame, route) -> None:
-        out_dirs, store = route
-        delay = self.asic.passthrough_latency
-
-        def forward():
-            for d in out_dirs:
-                link = self.out_links.get(d)
-                if link is not None:
-                    link.transmit(Frame(PacketType.NORMAL, frame.words.copy(), seq=frame.seq))
-            if store is not None:
-                store(frame.words)
-
-        self.sim.schedule(delay, forward)
 
     # -- audit ------------------------------------------------------------------
     def checksum_pair(self, direction: int) -> Tuple[LinkChecksum, LinkChecksum]:

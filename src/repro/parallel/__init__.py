@@ -17,6 +17,7 @@ from repro.parallel.pdwf import DistributedDWFContext
 from repro.parallel.pcg import (
     DistributedSolveResult,
     MachineSiteDot,
+    apply_on_machine,
     solve_dwf_on_machine,
     solve_on_machine,
     solve_staggered_on_machine,
@@ -33,6 +34,7 @@ __all__ = [
     "DistributedDWFContext",
     "DistributedSolveResult",
     "MachineSiteDot",
+    "apply_on_machine",
     "solve_on_machine",
     "solve_staggered_on_machine",
     "solve_dwf_on_machine",

@@ -11,6 +11,12 @@ run over run, restart and shard count), or :class:`MachineSiteDot`, the
 V-word canonical site sum (equal to a serial ``canonical_dot`` solve in
 all bits).  ``cg.iteration``/``cg.checkpoint`` come from this backend's
 :func:`iteration_hook`, never from the core.
+
+An operator reaches the machine as a host-side *context factory* —
+:func:`wilson_context`, :func:`dwf_context`, :func:`staggered_context`:
+scatter once, then ``context(api)`` on each rank — and two drivers take
+one: :func:`apply_on_machine` applies it, ``solve_*_on_machine`` solve
+with it (DESIGN.md "Running an operator or a solve on the machine").
 """
 
 from __future__ import annotations
@@ -174,21 +180,18 @@ def gather_cg_results(
     )
 
 
-def _solve(
-    machine: QCDOCMachine,
-    partition: Partition,
-    gather: Callable[[np.ndarray], np.ndarray],
-    max_time: float,
-    **kwargs: Any,
-) -> DistributedSolveResult:
-    """Run :func:`cg_rank_program` to completion and gather its result,
-    with machine-level accounting (simulated time, flops, checksums)."""
-    flops_before = sum(n.flops_charged for n in machine.nodes.values())
-    t0 = machine.sim.now
-    results = run_on_partition(machine, partition, cg_rank_program, max_time, **kwargs)
-    machine_time = machine.sim.now - t0
-    flops = sum(n.flops_charged for n in machine.nodes.values()) - flops_before
-    return gather_cg_results(machine, gather, results, machine_time, flops)
+@dataclass(frozen=True)
+class _Scattered:
+    """One operator scattered host-side over a mapping: call it with a
+    rank's ``api`` for that rank's context; ``scatter``/``gather`` move
+    its fields (the ``*_stack`` pair when a leading axis stays node-local)."""
+
+    build: Callable[[CommsAPI], Any]
+    scatter: Callable[[np.ndarray], np.ndarray]
+    gather: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, api: CommsAPI) -> Any:
+        return self.build(api)
 
 
 def wilson_context(
@@ -197,17 +200,18 @@ def wilson_context(
     mass: float,
     r: float = 1.0,
     c_sw: Optional[float] = None,
-    word_batch: Any = None,
-) -> Callable[[CommsAPI], DistributedWilsonContext]:
+    **ctx: Any,
+) -> _Scattered:
     """Scatter one Wilson (or, with ``c_sw``, clover) system host-side;
-    returns the ``context(api)`` factory each rank builds its operator from."""
+    returns the ``context(api)`` factory each rank builds its operator
+    from.  ``ctx`` passes ``overlap``/``compress``/``word_batch`` through."""
     links = mapping.scatter_gauge(gauge)
     clover = None
     if c_sw is not None:
         serial = CloverDirac(gauge, mass=mass, c_sw=c_sw, r=r)
         clover = mapping.scatter_field(serial.clover_tensor)
 
-    def context(api: CommsAPI) -> DistributedWilsonContext:
+    def build(api: CommsAPI) -> DistributedWilsonContext:
         return DistributedWilsonContext(
             api,
             mapping.local_shape,
@@ -215,10 +219,113 @@ def wilson_context(
             mass=mass,
             r=r,
             clover_tensor=None if clover is None else clover[api.rank],
-            word_batch=word_batch,
+            **ctx,
         )
 
-    return context
+    return _Scattered(build, mapping.scatter_field, mapping.gather_field)
+
+
+def dwf_context(
+    mapping: PhysicsMapping,
+    gauge: GaugeField,
+    Ls: int,
+    M5: float = 1.8,
+    mf: float = 0.1,
+    **ctx: Any,
+) -> _Scattered:
+    """The domain-wall factory: fields are ``(Ls, V, 4, 3)``, the fifth
+    dimension stays node-local while space-time tiles over the partition.
+    ``ctx`` passes ``overlap``/``word_batch`` through."""
+    links = mapping.scatter_gauge(gauge)
+
+    def build(api: CommsAPI) -> DistributedDWFContext:
+        return DistributedDWFContext(
+            api, mapping.local_shape, links[api.rank], Ls=Ls, M5=M5, mf=mf, **ctx
+        )
+
+    return _Scattered(build, mapping.scatter_stack, mapping.gather_stack)
+
+
+def staggered_context(
+    mapping: PhysicsMapping, gauge: GaugeField, mass: float, **ctx: Any
+) -> _Scattered:
+    """The ASQTAD factory: the fat and Naik links are smeared from the
+    global gauge field before scattering (smearing needs neighbour
+    links).  ``ctx`` passes ``overlap``/``word_batch`` through."""
+    fat = mapping.scatter_stack(fat_links(gauge))
+    long = mapping.scatter_stack(long_links(gauge))
+
+    def build(api: CommsAPI) -> DistributedStaggeredContext:
+        return DistributedStaggeredContext(
+            api, mapping.local_shape, fat[api.rank], long[api.rank], mass=mass, **ctx
+        )
+
+    return _Scattered(build, mapping.scatter_field, mapping.gather_field)
+
+
+def _apply_rank_program(
+    api: CommsAPI,
+    context: Callable[[CommsAPI], Any],
+    local_src: np.ndarray,
+    applies: int,
+    dagger: bool,
+) -> Steps[np.ndarray]:
+    ctx = context(api)
+    out = local_src[api.rank]
+    for _ in range(applies):
+        out = yield from (ctx.apply_dagger(out) if dagger else ctx.apply(out))
+    return out
+
+
+def apply_on_machine(
+    machine: QCDOCMachine,
+    partition: Partition,
+    context: _Scattered,
+    src: np.ndarray,
+    applies: int = 1,
+    dagger: bool = False,
+) -> np.ndarray:
+    """``D^applies src`` (``D^+`` with ``dagger``) on the simulated machine:
+    scatter, one rank program chaining the applications through one
+    context, :func:`run_on_partition`, gather.  ``context`` comes from
+    :func:`wilson_context`, :func:`dwf_context` or :func:`staggered_context`."""
+    results = run_on_partition(
+        machine,
+        partition,
+        _apply_rank_program,
+        100.0,  # run_partition's own default horizon
+        context=context,
+        local_src=context.scatter(src),
+        applies=applies,
+        dagger=dagger,
+    )
+    return context.gather(np.stack(results))
+
+
+def _solve(
+    machine: QCDOCMachine,
+    partition: Partition,
+    context: _Scattered,
+    b: np.ndarray,
+    max_time: float,
+    **kwargs: Any,
+) -> DistributedSolveResult:
+    """Run :func:`cg_rank_program` to completion and gather its result,
+    with machine-level accounting (simulated time, flops, checksums)."""
+    flops_before = sum(n.flops_charged for n in machine.nodes.values())
+    t0 = machine.sim.now
+    results = run_on_partition(
+        machine,
+        partition,
+        cg_rank_program,
+        max_time,
+        context=context,
+        local_b=context.scatter(b),
+        **kwargs,
+    )
+    machine_time = machine.sim.now - t0
+    flops = sum(n.flops_charged for n in machine.nodes.values()) - flops_before
+    return gather_cg_results(machine, context.gather, results, machine_time, flops)
 
 
 def cg_rank_program(
@@ -296,10 +403,9 @@ def solve_on_machine(
     return _solve(
         machine,
         partition,
-        mapping.gather_field,
+        wilson_context(mapping, gauge, mass, r, c_sw),
+        b,
         max_time,
-        context=wilson_context(mapping, gauge, mass, r, c_sw),
-        local_b=mapping.scatter_field(b),
         tol=tol,
         maxiter=maxiter,
         checkpoint=checkpoint,
@@ -327,16 +433,12 @@ def solve_dwf_on_machine(
     mapping = PhysicsMapping(gauge.geometry, partition)
     if b.shape != (Ls, gauge.geometry.volume, 4, 3):
         raise ConfigError(f"bad domain-wall source shape {b.shape}")
-    links = mapping.scatter_gauge(gauge)
     return _solve(
         machine,
         partition,
-        mapping.gather_stack,
+        dwf_context(mapping, gauge, Ls, M5, mf),
+        b,
         max_time,
-        context=lambda api: DistributedDWFContext(
-            api, mapping.local_shape, links[api.rank], Ls=Ls, M5=M5, mf=mf
-        ),
-        local_b=mapping.scatter_stack(b),
         tol=tol,
         maxiter=maxiter,
     )
@@ -361,17 +463,12 @@ def solve_staggered_on_machine(
     mapping = PhysicsMapping(gauge.geometry, partition)
     if b.shape != (gauge.geometry.volume, 3):
         raise ConfigError(f"bad staggered source shape {b.shape}")
-    fat = mapping.scatter_stack(fat_links(gauge))
-    long = mapping.scatter_stack(long_links(gauge))
     return _solve(
         machine,
         partition,
-        mapping.gather_field,
+        staggered_context(mapping, gauge, mass),
+        b,
         max_time,
-        context=lambda api: DistributedStaggeredContext(
-            api, mapping.local_shape, fat[api.rank], long[api.rank], mass=mass
-        ),
-        local_b=mapping.scatter_field(b),
         tol=tol,
         maxiter=maxiter,
     )

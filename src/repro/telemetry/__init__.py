@@ -15,6 +15,10 @@ simulator's equivalent observability layer:
 * :mod:`repro.telemetry.chrometrace` — a ``chrome://tracing`` /
   Perfetto-compatible JSON exporter turning a machine trace into a
   per-node timeline of compute vs. in-flight communication.
+* :mod:`repro.telemetry.observables` — :func:`observables`, the one
+  fingerprint every bit-identity comparison samples (counters, trace
+  multiset, simulated clock, replay statistics), and
+  :func:`observable_diff`, the drift between two of them.
 * :mod:`repro.telemetry.report` — :class:`MachineReport`, the roll-up of
   counters into the paper's derived metrics (sustained GFlops, link
   utilisation, overlap fraction) with a :meth:`MachineReport.crosscheck`
@@ -29,6 +33,7 @@ from repro.telemetry.counters import (
     bank_for_machine,
     merge_samples,
 )
+from repro.telemetry.observables import observable_diff, observables
 from repro.telemetry.report import CrosscheckEntry, CrosscheckResult, MachineReport
 from repro.telemetry.schema import TRACE_SCHEMA, validate_record, validate_trace
 
@@ -37,6 +42,8 @@ __all__ = [
     "CounterBank",
     "bank_for_machine",
     "merge_samples",
+    "observables",
+    "observable_diff",
     "MachineReport",
     "CrosscheckEntry",
     "CrosscheckResult",

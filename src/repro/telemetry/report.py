@@ -232,39 +232,16 @@ class MachineReport:
         faults — the report flags a degraded link rather than absorbing
         the retransmission traffic into the payload accounting.
         """
-        n_ranks = self.machine.n_nodes if n_ranks is None else int(n_ranks)
-        words_per_rank = halo_payload_words(
-            op, local_shape, machine_dims, Ls=Ls, compress=compress
+        return self.crosscheck_composite(
+            [(op, n_applications)],
+            local_shape,
+            machine_dims,
+            n_ranks=n_ranks,
+            Ls=Ls,
+            compress=compress,
+            rel_tol=rel_tol,
+            wire_tol=wire_tol,
         )
-        flops_per_rank = dirac_flops_per_node(
-            op, local_shape, machine_dims, Ls=Ls
-        )
-        result = CrosscheckResult()
-        result.entries.append(
-            CrosscheckEntry(
-                metric="payload_words_sent",
-                measured=self.total_payload_words,
-                predicted=float(n_ranks * n_applications * words_per_rank),
-                rel_tol=rel_tol,
-            )
-        )
-        result.entries.append(
-            CrosscheckEntry(
-                metric="flops_charged",
-                measured=self.total_flops,
-                predicted=float(n_ranks * n_applications * flops_per_rank),
-                rel_tol=rel_tol,
-            )
-        )
-        result.entries.append(
-            CrosscheckEntry(
-                metric="wire_overhead",
-                measured=self.wire_overhead,
-                predicted=1.0,
-                rel_tol=wire_tol,
-            )
-        )
-        return result
 
     def crosscheck_composite(
         self,

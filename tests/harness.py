@@ -1,0 +1,82 @@
+"""Shared test harness: the one booted machine, the seeded systems, the
+operator run and the observable comparison every suite uses.
+
+Test-only — nothing under ``src/`` imports it.  The production driver it
+leans on is :func:`repro.parallel.apply_on_machine` over the host-side
+context factories of :mod:`repro.parallel.pcg`; this module only binds
+them to what a test names: machine dims and kwargs, an RNG stream, a
+lattice shape, an operator and its parameters.
+"""
+
+from repro.lattice import GaugeField, LatticeGeometry
+from repro.machine.asic import MachineConfig
+from repro.machine.machine import QCDOCMachine
+from repro.parallel import PhysicsMapping, apply_on_machine
+from repro.parallel.pcg import dwf_context, staggered_context, wilson_context
+from repro.telemetry import observable_diff, observables
+from repro.util import rng_stream
+
+#: one physical axis per logical axis: the 4D machine every suite carves
+GROUPS = [(0,), (1,), (2,), (3,)]
+
+#: operator -> (host-side context factory, per-site field shape)
+OPERATORS = {
+    "wilson": (wilson_context, (4, 3)),
+    "dwf": (dwf_context, (4, 3)),
+    "asqtad": (staggered_context, (3,)),
+}
+
+
+def booted(dims, groups=GROUPS, **machine_kwargs):
+    """A brought-up machine and the partition of all of it."""
+    machine = QCDOCMachine(MachineConfig(dims=dims), **machine_kwargs)
+    machine.bring_up()
+    return machine, machine.partition(groups=groups)
+
+
+def source(rng, geometry, op="wilson", Ls=None, imag=True):
+    """A Gaussian field of ``op``'s site shape (``Ls`` slices of it for
+    DWF); the real part is drawn before the imaginary one."""
+    shape = (() if Ls is None else (Ls,)) + (geometry.volume,) + OPERATORS[op][1]
+    real = rng.standard_normal(shape)
+    return real + (1j * rng.standard_normal(shape) if imag else 0j)
+
+
+def system(rng, shape, op="wilson", Ls=None, imag=True, start="hot", **start_kwargs):
+    """``(gauge, source)`` on a lattice of ``shape``, the links drawn
+    first; ``rng`` is a generator or the ``(seed, stream)`` naming one."""
+    if isinstance(rng, tuple):
+        rng = rng_stream(*rng)
+    geometry = LatticeGeometry(shape)
+    gauge = getattr(GaugeField, start)(geometry, rng, **start_kwargs)
+    return gauge, source(rng, geometry, op, Ls, imag)
+
+
+def scattered(partition, op, gauge, **params):
+    """``op``'s context factory for ``gauge`` tiled over ``partition``;
+    ``params`` are the operator's (``mass``, ``Ls``, ...) and the
+    context's (``overlap``, ``compress``, ``word_batch``)."""
+    mapping = PhysicsMapping(gauge.geometry, partition)
+    return OPERATORS[op][0](mapping, gauge, **params)
+
+
+def applied(machine, partition, op, gauge, src, applies=1, dagger=False, **params):
+    """``op`` applied to ``src`` on the machine; the gathered result."""
+    context = scattered(partition, op, gauge, **params)
+    return apply_on_machine(machine, partition, context, src, applies, dagger)
+
+
+def transfer_counters(machine, partition):
+    """Each rank's cumulative SCU payload/wire word counters."""
+    return [
+        machine.nodes[partition.physical_node(rank)].scu.transfer_counters()
+        for rank in range(partition.n_nodes)
+    ]
+
+
+def assert_same_observables(m_ref, m_got):
+    """Counters and trace multiset agree after a full drain (the clock
+    and the replay statistics legitimately differ across engines)."""
+    ref, got = observables(m_ref), observables(m_got)
+    drift = observable_diff({k: ref[k] for k in ("counters", "trace")}, got)
+    assert drift == {}, f"observable drift: {drift}"

@@ -12,17 +12,10 @@ import pytest
 
 from repro.host.ethernet import EthernetFabric, UdpDatagram
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping
 from repro.sim.core import Simulator
 from repro.util import rng_stream
-
-
-def make_machine():
-    m = QCDOCMachine(MachineConfig(dims=(2, 2, 2, 1, 1, 1)), word_batch=4096)
-    m.bring_up()
-    return m, m.partition(groups=[(0,), (1,), (2,), (3,)])
+from tests.harness import booted
 
 
 class TestDistributedPlaquette:
@@ -35,7 +28,7 @@ class TestDistributedPlaquette:
     """
 
     def test_matches_serial_plaquette(self):
-        machine, partition = make_machine()
+        machine, partition = booted((2, 2, 2, 1, 1, 1), word_batch=4096)
         geom = LatticeGeometry((4, 4, 4, 2))
         rng = rng_stream(13, "dist-plaq")
         gauge = GaugeField.hot(geom, rng)
@@ -70,7 +63,7 @@ class TestDistributedPlaquette:
         # path, host reads the number back.
         from repro.kernel.kernel import RunKernel
 
-        machine, partition = make_machine()
+        machine, partition = booted((2, 2, 2, 1, 1, 1), word_batch=4096)
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.weak(geom, rng_stream(14, "dp2"), eps=0.3)
         serial = gauge.plaquette()

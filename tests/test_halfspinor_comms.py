@@ -24,63 +24,26 @@ from repro.fermions.flops import (
     WORD_BYTES,
     operator_cost,
 )
-from repro.fermions.staggered import fat_links, long_links
-from repro.lattice import GaugeField, LatticeGeometry
+from repro.lattice import LatticeGeometry
 from repro.lattice import stencil
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import (
-    DistributedDWFContext,
-    DistributedStaggeredContext,
-    PhysicsMapping,
-)
 from repro.parallel import pdirac, pdwf, pstaggered
-from repro.parallel.pdirac import DistributedWilsonContext
-from repro.util import rng_stream
 from repro.util.errors import ConfigError
+from tests.harness import applied, booted, scattered, system, transfer_counters
 
-GROUPS = [(0,), (1,), (2,), (3,)]
 DIMS_1D = (2, 1, 1, 1, 1, 1)
 
 
-def make_machine(dims=DIMS_1D, word_batch=4096):
-    m = QCDOCMachine(MachineConfig(dims=dims), word_batch=word_batch)
-    m.bring_up()
-    return m, m.partition(groups=GROUPS)
-
-
 def wilson_system(shape=(4, 2, 2, 2), seed=17):
-    rng = rng_stream(seed, "halfspinor")
-    geom = LatticeGeometry(shape)
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
-    return geom, gauge, psi
+    gauge, psi = system((seed, "halfspinor"), shape)
+    return gauge.geometry, gauge, psi
 
 
-def run_wilson(gauge, psi, mass=0.3, overlap=True, compress=None, word_batch=4096):
-    machine, partition = make_machine(word_batch=word_batch)
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api,
-            mapping.local_shape,
-            links[api.rank],
-            mass=mass,
-            overlap=overlap,
-            compress=compress,
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out, api.transfer_counters()
-
-    results = machine.run_partition(partition, program)
-    outs = [r[0] for r in results]
-    counters = [r[1] for r in results]
-    return mapping.gather_field(np.stack(outs)), counters, machine
+def run_wilson(gauge, psi, word_batch=4096, **ctx):
+    """One application on a fresh 2-node machine; ``ctx`` reaches the
+    context (``overlap``, ``compress``)."""
+    machine, partition = booted(DIMS_1D, word_batch=word_batch)
+    out = applied(machine, partition, "wilson", gauge, psi, mass=0.3, **ctx)
+    return out, transfer_counters(machine, partition), machine
 
 
 class TestWilsonWireFormat:
@@ -152,71 +115,37 @@ class TestWilsonWireFormat:
         assert np.allclose(mono, serial, atol=1e-12)
 
     def test_compress_requires_unit_r(self):
-        machine, partition = make_machine()
         geom, gauge, psi = wilson_system()
-        mapping = PhysicsMapping(geom, partition)
-        links = mapping.scatter_gauge(gauge)
 
-        def prog_explicit(api):
-            with pytest.raises(ConfigError, match="r == 1"):
-                DistributedWilsonContext(
-                    api, mapping.local_shape, links[api.rank], mass=0.3,
-                    r=0.9, compress=True,
-                )
-            return None
-            yield  # make it a generator
+        def built(**ctx):
+            """What each rank's context reports as ``compress``."""
+            machine, partition = booted(DIMS_1D, word_batch=4096)
+            context = scattered(partition, "wilson", gauge, mass=0.3, **ctx)
 
-        machine.run_partition(partition, prog_explicit)
+            def program(api):
+                return context(api).compress
+                yield  # make it a generator
 
+            return machine.run_partition(partition, program)
+
+        with pytest.raises(ConfigError, match="r == 1"):
+            built(r=0.9, compress=True)
         # default gate: r != 1 silently falls back to full spinors
-        machine2, partition2 = make_machine()
-
-        def prog_default(api):
-            ctx = DistributedWilsonContext(
-                api, mapping.local_shape, links[api.rank], mass=0.3, r=0.9
-            )
-            return ctx.compress
-            yield
-
-        res = machine2.run_partition(partition2, prog_default)
+        res = built(r=0.9)
         assert res and set(res) == {False}
-
-        machine3, partition3 = make_machine()
-
-        def prog_unit_r(api):
-            ctx = DistributedWilsonContext(
-                api, mapping.local_shape, links[api.rank], mass=0.3
-            )
-            return ctx.compress
-            yield
-
-        res = machine3.run_partition(partition3, prog_unit_r)
+        res = built()
         assert res and set(res) == {True}
 
 
 class TestDWFWireFormat:
     def test_payload_is_12_words_per_face_site_per_slice(self):
         Ls = 2
-        rng = rng_stream(23, "halfspinor-dwf")
-        geom = LatticeGeometry((4, 2, 2, 2))
-        gauge = GaugeField.hot(geom, rng)
-        psi5 = rng.standard_normal((Ls, geom.volume, 4, 3)) + 0j
-        machine, partition = make_machine()
-        mapping = PhysicsMapping(geom, partition)
-        links = mapping.scatter_gauge(gauge)
-        lpsi = np.stack(
-            [mapping.scatter_field(psi5[s]) for s in range(Ls)], axis=1
+        gauge, psi5 = system(
+            (23, "halfspinor-dwf"), (4, 2, 2, 2), "dwf", Ls=Ls, imag=False
         )
-
-        def program(api):
-            ctx = DistributedDWFContext(
-                api, mapping.local_shape, links[api.rank], Ls=Ls, mf=0.1
-            )
-            out = yield from ctx.apply(lpsi[api.rank])
-            _ = out
-            return api.transfer_counters()
-
-        counters = machine.run_partition(partition, program)
+        machine, partition = booted(DIMS_1D, word_batch=4096)
+        applied(machine, partition, "dwf", gauge, psi5, Ls=Ls, mf=0.1)
+        counters = transfer_counters(machine, partition)
         local = LatticeGeometry((2, 2, 2, 2))
         nface = local.volume // local.shape[0]
         for c in counters:
@@ -230,31 +159,13 @@ class TestStaggeredWireFormat:
     def test_wire_format_unchanged(self):
         """A colour vector has nothing to compress: 6 words per site, and
         the packed depth-3 + product exchange is exactly the seed's."""
-        rng = rng_stream(29, "halfspinor-stag")
-        geom = LatticeGeometry((8, 2, 2, 2))  # local (4,2,2,2) on 1D decomp
-        gauge = GaugeField.hot(geom, rng)
-        chi = rng.standard_normal((geom.volume, 3)) + 0j
-        machine, partition = make_machine()
-        mapping = PhysicsMapping(geom, partition)
-        fat = fat_links(gauge)
-        lng = long_links(gauge)
-        v = mapping.tiling.local_volume
-        lf = np.empty((mapping.n_ranks, 4, v, 3, 3), dtype=complex)
-        ll = np.empty_like(lf)
-        for mu in range(4):
-            lf[:, mu] = mapping.tiling.scatter(fat[mu])
-            ll[:, mu] = mapping.tiling.scatter(lng[mu])
-        lchi = mapping.scatter_field(chi)
-
-        def program(api):
-            ctx = DistributedStaggeredContext(
-                api, mapping.local_shape, lf[api.rank], ll[api.rank], mass=0.2
-            )
-            out = yield from ctx.apply(lchi[api.rank])
-            _ = out
-            return api.transfer_counters()
-
-        counters = machine.run_partition(partition, program)
+        # local (4,2,2,2) on the 1D decomposition
+        gauge, chi = system(
+            (29, "halfspinor-stag"), (8, 2, 2, 2), "asqtad", imag=False
+        )
+        machine, partition = booted(DIMS_1D, word_batch=4096)
+        applied(machine, partition, "asqtad", gauge, chi, mass=0.2)
+        counters = transfer_counters(machine, partition)
         local = LatticeGeometry((4, 2, 2, 2))
         n1 = local.volume // local.shape[0]  # depth-1 face
         n3 = 3 * n1  # depth-3 face

@@ -150,6 +150,21 @@ class TestHMCDriver:
         assert f1 == f2
         assert dh1 == dh2
 
+    def test_run_in_pieces_is_run_in_one_go(self):
+        # run(a); run(b) == run(a + b) once the reunitarisation cadence is
+        # crossed: the reprojection keys on the absolute trajectory index,
+        # not on each call's loop counter.
+        def evolve(*pieces):
+            geom = LatticeGeometry((2, 2, 2, 2))
+            hmc = HMC(GaugeField.unit(geom), beta=5.6, seed=7, n_steps=4, dt=0.05)
+            for n in pieces:
+                hmc.run(n, reunitarise_every=4)
+            return hmc.fingerprint(), [t.delta_h for t in hmc.history]
+
+        whole = evolve(6)
+        assert evolve(3, 3) == whole
+        assert evolve(1, 4, 1) == whole
+
     def test_different_seeds_diverge(self):
         def evolve(seed):
             geom = LatticeGeometry((4, 4, 2, 2))

@@ -18,15 +18,8 @@ import numpy as np
 import pytest
 
 from repro.fermions import WilsonDirac
-from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import PhysicsMapping
-from repro.parallel.pdirac import DistributedWilsonContext
-from repro.parallel.pdwf import DistributedDWFContext
-from repro.parallel.pstaggered import DistributedStaggeredContext
-from repro.util import rng_stream
 from repro.util.hotpath import is_hot_path
+from tests.harness import booted, scattered, system
 
 #: numpy entry points whose call means "a fresh array buffer" (the same
 #: catalogue REPRO105 checks statically)
@@ -100,14 +93,7 @@ def tracker(monkeypatch):
 ORDERS = {"overlapped": True, "serialised": False}
 
 
-def make_machine():
-    m = QCDOCMachine(MachineConfig(dims=(2, 1, 1, 1, 1, 1)), word_batch="face")
-    m.bring_up()
-    part = m.partition(groups=[(0,), (1,), (2,), (3,)])
-    return m, part
-
-
-def steady_state_program(ctx_factory, src_of, tracker, warmup=2, steady=3):
+def steady_state_program(context, local_src, tracker, warmup=2, steady=3):
     """Program template: warmup applies, barrier, counted applies.
 
     The barrier guarantees every rank is past warmup before the tracker
@@ -116,8 +102,8 @@ def steady_state_program(ctx_factory, src_of, tracker, warmup=2, steady=3):
     """
 
     def program(api):
-        ctx = ctx_factory(api)
-        out = src_of(api)
+        ctx = context(api)
+        out = local_src[api.rank]
         for _ in range(warmup):
             out = yield from ctx.apply(out)
         yield api.barrier()
@@ -130,14 +116,14 @@ def steady_state_program(ctx_factory, src_of, tracker, warmup=2, steady=3):
     return program
 
 
-def run_and_check(ctx_factory, src_of, tracker):
-    """Steady-state program on a fresh 2-node machine per pipeline order;
-    ``ctx_factory(api, overlap)`` builds the rank's context."""
+def run_and_check(tracker, op, stream, shape, **params):
+    """Steady-state program on a fresh 2-node face-batched machine per
+    pipeline order, over one seeded (real-source) system."""
+    gauge, src = system(stream, shape, op, Ls=params.get("Ls"), imag=False)
     for order, overlap in ORDERS.items():
-        machine, part = make_machine()
-        program = steady_state_program(
-            lambda api: ctx_factory(api, overlap), src_of, tracker
-        )
+        machine, part = booted((2, 1, 1, 1, 1, 1), word_batch="face")
+        context = scattered(part, op, gauge, overlap=overlap, **params)
+        program = steady_state_program(context, context.scatter(src), tracker)
         machine.run_partition(part, program)
         tracker.armed = False
         assert tracker.violations == [], (
@@ -149,78 +135,19 @@ def run_and_check(ctx_factory, src_of, tracker):
 class TestSteadyStateAllocationFree:
     @pytest.mark.parametrize("compress", [True, False])
     def test_wilson(self, tracker, compress):
-        rng = rng_stream(91, "hotpath-wilson")
-        _, part = make_machine()  # same mesh as run_and_check's machines
-        geom = LatticeGeometry((4, 2, 2, 2))
-        mapping = PhysicsMapping(geom, part)
-        gauge = GaugeField.hot(geom, rng)
-        links = mapping.scatter_gauge(gauge)
-        psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        lpsi = mapping.scatter_field(psi)
-
         run_and_check(
-            lambda api, overlap: DistributedWilsonContext(
-                api,
-                mapping.local_shape,
-                links[api.rank],
-                mass=0.3,
-                compress=compress,
-                overlap=overlap,
-            ),
-            lambda api: lpsi[api.rank],
-            tracker,
+            tracker, "wilson", (91, "hotpath-wilson"), (4, 2, 2, 2),
+            mass=0.3, compress=compress,
         )
 
     def test_dwf(self, tracker):
-        Ls = 4
-        rng = rng_stream(92, "hotpath-dwf")
-        _, part = make_machine()  # same mesh as run_and_check's machines
-        geom = LatticeGeometry((4, 2, 2, 2))
-        mapping = PhysicsMapping(geom, part)
-        gauge = GaugeField.hot(geom, rng)
-        links = mapping.scatter_gauge(gauge)
-        psi = rng.standard_normal((Ls, geom.volume, 4, 3)) + 0j
-        lpsi = np.stack(
-            [mapping.scatter_field(psi[s]) for s in range(Ls)], axis=1
-        )
-
         run_and_check(
-            lambda api, overlap: DistributedDWFContext(
-                api, mapping.local_shape, links[api.rank], Ls=Ls, M5=1.8, mf=0.1,
-                overlap=overlap,
-            ),
-            lambda api: lpsi[api.rank],
-            tracker,
+            tracker, "dwf", (92, "hotpath-dwf"), (4, 2, 2, 2),
+            Ls=4, M5=1.8, mf=0.1,
         )
 
     def test_staggered(self, tracker):
-        from repro.fermions.staggered import fat_links, long_links
-
-        rng = rng_stream(93, "hotpath-stag")
-        _, part = make_machine()  # same mesh as run_and_check's machines
-        geom = LatticeGeometry((8, 2, 2, 2))
-        mapping = PhysicsMapping(geom, part)
-        gauge = GaugeField.hot(geom, rng)
-        fat = fat_links(gauge)
-        lng = long_links(gauge)
-        ndim = geom.ndim
-        v = mapping.tiling.local_volume
-        lfat = np.empty((mapping.n_ranks, ndim, v, 3, 3), dtype=np.complex128)
-        llong = np.empty_like(lfat)
-        for mu in range(ndim):
-            lfat[:, mu] = mapping.tiling.scatter(fat[mu])
-            llong[:, mu] = mapping.tiling.scatter(lng[mu])
-        chi = rng.standard_normal((geom.volume, 3)) + 0j
-        lchi = mapping.scatter_field(chi)
-
-        run_and_check(
-            lambda api, overlap: DistributedStaggeredContext(
-                api, mapping.local_shape, lfat[api.rank], llong[api.rank],
-                mass=0.1, overlap=overlap,
-            ),
-            lambda api: lchi[api.rank],
-            tracker,
-        )
+        run_and_check(tracker, "asqtad", (93, "hotpath-stag"), (8, 2, 2, 2), mass=0.1)
 
 
 class TestHotPathTags:

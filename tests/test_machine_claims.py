@@ -13,6 +13,7 @@ from repro.machine.scu import DmaDescriptor
 from repro.parallel import solve_on_machine
 from repro.util import rng_stream
 from repro.util.errors import SimulationError
+from tests.harness import applied, booted, system, transfer_counters
 
 
 class TestPerfectLoadBalance:
@@ -118,33 +119,11 @@ class TestOverlapClaims:
 
     @staticmethod
     def _run_wilson(overlap):
-        from repro.parallel import PhysicsMapping
-        from repro.parallel.pdirac import DistributedWilsonContext
-
-        machine = QCDOCMachine(
-            MachineConfig(dims=(2, 1, 1, 1, 1, 1)), word_batch=4096
-        )
-        machine.bring_up()
-        partition = machine.partition(groups=[(0,), (1,), (2,), (3,)])
-        rng = rng_stream(5, "overlap-claims")
-        geom = LatticeGeometry((4, 2, 2, 2))  # 2^4 per node on a 1D decomp
-        gauge = GaugeField.hot(geom, rng)
-        psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        mapping = PhysicsMapping(geom, partition)
-        links = mapping.scatter_gauge(gauge)
-        lpsi = mapping.scatter_field(psi)
-
-        def program(api):
-            ctx = DistributedWilsonContext(
-                api, mapping.local_shape, links[api.rank], mass=0.3,
-                overlap=overlap,
-            )
-            out = yield from ctx.apply(lpsi[api.rank])
-            _ = out
-            return api.transfer_counters()
-
-        counters = machine.run_partition(partition, program)
-        return machine.sim.now, counters
+        machine, partition = booted((2, 1, 1, 1, 1, 1), word_batch=4096)
+        # 2^4 per node on a 1D decomp
+        gauge, psi = system((5, "overlap-claims"), (4, 2, 2, 2), imag=False)
+        applied(machine, partition, "wilson", gauge, psi, mass=0.3, overlap=overlap)
+        return machine.sim.now, transfer_counters(machine, partition)
 
     def test_overlap_strictly_faster_same_payload(self):
         t_overlap, c_overlap = self._run_wilson(True)

@@ -30,19 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fermions import AsqtadDirac, DomainWallDirac, WilsonDirac
-from repro.fermions.staggered import fat_links, long_links
-from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import (
-    DistributedDWFContext,
-    DistributedStaggeredContext,
-    PhysicsMapping,
-)
-from repro.parallel.pdirac import DistributedWilsonContext
-from repro.util import rng_stream
-
-GROUPS = [(0,), (1,), (2,), (3,)]
+from repro.parallel import pcg
+from tests.harness import applied, booted, system, transfer_counters
 
 #: (machine dims, logical decomposition) — 0D (single node), 1D, 2D, 4D
 DECOMPS = {
@@ -53,77 +42,15 @@ DECOMPS = {
 }
 
 
-def make_machine(dims):
-    m = QCDOCMachine(MachineConfig(dims=dims), word_batch=4096)
-    m.bring_up()
-    return m, m.partition(groups=GROUPS)
-
-
 def logical_dims(dims):
     return tuple(dims[:4])
 
 
-def run_wilson(dims, gauge, psi, mass, overlap):
-    machine, partition = make_machine(dims)
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=mass, overlap=overlap
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    results = machine.run_partition(partition, program)
-    return mapping.gather_field(np.stack(results)), machine
-
-
-def run_dwf(dims, gauge, psi5, Ls, mass, overlap):
-    machine, partition = make_machine(dims)
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = np.stack([mapping.scatter_field(psi5[s]) for s in range(Ls)], axis=1)
-
-    def program(api):
-        ctx = DistributedDWFContext(
-            api, mapping.local_shape, links[api.rank], Ls=Ls, mf=mass,
-            overlap=overlap,
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    results = machine.run_partition(partition, program)
-    stacked = np.stack(results)
-    return (
-        np.stack([mapping.gather_field(stacked[:, s]) for s in range(Ls)]),
-        machine,
-    )
-
-
-def run_staggered(dims, gauge, chi, mass, overlap, smeared=None):
-    machine, partition = make_machine(dims)
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    fat, lng = smeared or (fat_links(gauge), long_links(gauge))
-    v = mapping.tiling.local_volume
-    lf = np.empty((mapping.n_ranks, 4, v, 3, 3), dtype=complex)
-    ll = np.empty_like(lf)
-    for mu in range(4):
-        lf[:, mu] = mapping.tiling.scatter(fat[mu])
-        ll[:, mu] = mapping.tiling.scatter(lng[mu])
-    lchi = mapping.scatter_field(chi)
-
-    def program(api):
-        ctx = DistributedStaggeredContext(
-            api, mapping.local_shape, lf[api.rank], ll[api.rank], mass=mass,
-            overlap=overlap,
-        )
-        out = yield from ctx.apply(lchi[api.rank])
-        return out
-
-    results = machine.run_partition(partition, program)
-    return mapping.gather_field(np.stack(results)), machine
+def run(dims, op, gauge, src, overlap, **params):
+    """One application on a fresh machine; ``(gathered output, machine)``."""
+    machine, partition = booted(dims, word_batch=4096)
+    out = applied(machine, partition, op, gauge, src, overlap=overlap, **params)
+    return out, machine
 
 
 class TestWilsonBitExact:
@@ -139,14 +66,9 @@ class TestWilsonBitExact:
     ):
         dims = DECOMPS[decomp]
         shape = tuple(l * d for l, d in zip(local, logical_dims(dims)))
-        rng = rng_stream(seed, "overlap-bitexact-wilson")
-        geom = LatticeGeometry(shape)
-        gauge = GaugeField.hot(geom, rng)
-        psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-            (geom.volume, 4, 3)
-        )
-        overlapped, m_o = run_wilson(dims, gauge, psi, mass, overlap=True)
-        monolithic, m_m = run_wilson(dims, gauge, psi, mass, overlap=False)
+        gauge, psi = system((seed, "overlap-bitexact-wilson"), shape)
+        overlapped, m_o = run(dims, "wilson", gauge, psi, True, mass=mass)
+        monolithic, m_m = run(dims, "wilson", gauge, psi, False, mass=mass)
         serial = WilsonDirac(gauge, mass=mass).apply(psi)
         # identical bits, not merely close:
         assert np.array_equal(overlapped, monolithic)
@@ -158,12 +80,9 @@ class TestWilsonBitExact:
     @given(seed=st.integers(0, 2**16), mass=st.floats(0.05, 1.0))
     def test_run_to_run_repeatability(self, seed, mass):
         dims = DECOMPS["2d"]
-        rng = rng_stream(seed, "overlap-repeat")
-        geom = LatticeGeometry((4, 4, 2, 2))
-        gauge = GaugeField.hot(geom, rng)
-        psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        first, _ = run_wilson(dims, gauge, psi, mass, overlap=True)
-        second, _ = run_wilson(dims, gauge, psi, mass, overlap=True)
+        gauge, psi = system((seed, "overlap-repeat"), (4, 4, 2, 2), imag=False)
+        first, _ = run(dims, "wilson", gauge, psi, True, mass=mass)
+        second, _ = run(dims, "wilson", gauge, psi, True, mass=mass)
         assert np.array_equal(first, second)
 
 
@@ -179,14 +98,9 @@ class TestDWFBitExact:
         dims = DECOMPS[decomp]
         local = (2, 2, 2, 2)
         shape = tuple(l * d for l, d in zip(local, logical_dims(dims)))
-        rng = rng_stream(seed, "overlap-bitexact-dwf")
-        geom = LatticeGeometry(shape)
-        gauge = GaugeField.hot(geom, rng)
-        psi5 = rng.standard_normal((Ls, geom.volume, 4, 3)) + 1j * rng.standard_normal(
-            (Ls, geom.volume, 4, 3)
-        )
-        overlapped, m_o = run_dwf(dims, gauge, psi5, Ls, mass, overlap=True)
-        monolithic, m_m = run_dwf(dims, gauge, psi5, Ls, mass, overlap=False)
+        gauge, psi5 = system((seed, "overlap-bitexact-dwf"), shape, "dwf", Ls=Ls)
+        overlapped, m_o = run(dims, "dwf", gauge, psi5, True, Ls=Ls, mf=mass)
+        monolithic, m_m = run(dims, "dwf", gauge, psi5, False, Ls=Ls, mf=mass)
         assert np.array_equal(overlapped, monolithic)
         assert m_o.sim.now <= m_m.sim.now
         serial = DomainWallDirac(gauge, Ls=Ls, mf=mass).apply(psi5)
@@ -205,14 +119,9 @@ class TestStaggeredBitExact:
         # local extent >= 3 on decomposed axes (Naik halo), modest volume
         local = (4, 4, 2, 2)
         shape = tuple(l * d for l, d in zip(local, logical_dims(dims)))
-        rng = rng_stream(seed, "overlap-bitexact-stag")
-        geom = LatticeGeometry(shape)
-        gauge = GaugeField.hot(geom, rng)
-        chi = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
-            (geom.volume, 3)
-        )
-        overlapped, m_o = run_staggered(dims, gauge, chi, mass, overlap=True)
-        monolithic, m_m = run_staggered(dims, gauge, chi, mass, overlap=False)
+        gauge, chi = system((seed, "overlap-bitexact-stag"), shape, "asqtad")
+        overlapped, m_o = run(dims, "asqtad", gauge, chi, True, mass=mass)
+        monolithic, m_m = run(dims, "asqtad", gauge, chi, False, mass=mass)
         assert np.array_equal(overlapped, monolithic)
         assert m_o.sim.now <= m_m.sim.now
         serial = AsqtadDirac(gauge, mass=mass).apply(chi)
@@ -228,32 +137,28 @@ class TestDecompositionInvariance:
 
     @pytest.mark.parametrize("overlap", [True, False])
     def test_dwf(self, overlap):
-        rng = rng_stream(31, "decomp-invariance-dwf")
-        geom = LatticeGeometry((8, 8, 4, 4))
-        gauge = GaugeField.hot(geom, rng)
-        Ls = 4
-        psi5 = rng.standard_normal((Ls, geom.volume, 4, 3)) + 1j * rng.standard_normal(
-            (Ls, geom.volume, 4, 3)
+        gauge, psi5 = system(
+            (31, "decomp-invariance-dwf"), (8, 8, 4, 4), "dwf", Ls=4
         )
         outs = {
-            name: run_dwf(dims, gauge, psi5, Ls, 0.1, overlap)[0]
+            name: run(dims, "dwf", gauge, psi5, overlap, Ls=4, mf=0.1)[0]
             for name, dims in DECOMPS.items()
         }
         for name, out in outs.items():
             assert np.array_equal(out, outs["0d"]), name
 
     @pytest.mark.parametrize("overlap", [True, False])
-    def test_asqtad(self, overlap):
-        rng = rng_stream(32, "decomp-invariance-asqtad")
+    def test_asqtad(self, overlap, monkeypatch):
         # 8^4: the 4D cut still leaves the Naik halo its even extent >= 4
-        geom = LatticeGeometry((8, 8, 8, 8))
-        gauge = GaugeField.hot(geom, rng)
-        chi = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
-            (geom.volume, 3)
+        gauge, chi = system(
+            (32, "decomp-invariance-asqtad"), (8, 8, 8, 8), "asqtad"
         )
-        smeared = fat_links(gauge), long_links(gauge)
+        # one gauge field, four decompositions: smear it (seconds) once
+        for name in ("fat_links", "long_links"):
+            smeared = getattr(pcg, name)(gauge)
+            monkeypatch.setattr(pcg, name, lambda g, smeared=smeared: smeared)
         outs = {
-            name: run_staggered(dims, gauge, chi, 0.2, overlap, smeared)[0]
+            name: run(dims, "asqtad", gauge, chi, overlap, mass=0.2)[0]
             for name, dims in DECOMPS.items()
         }
         for name, out in outs.items():
@@ -263,31 +168,14 @@ class TestDecompositionInvariance:
 class TestPayloadInvariance:
     def test_identical_words_moved_either_path(self):
         """Overlap changes *when* transfers fly, never *what* they carry."""
-        rng = rng_stream(11, "payload")
-        geom = LatticeGeometry((4, 4, 2, 2))
-        gauge = GaugeField.hot(geom, rng)
-        psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
+        gauge, psi = system((11, "payload"), (4, 4, 2, 2), imag=False)
         counters = {}
         for overlap in (True, False):
-            machine, partition = make_machine(DECOMPS["2d"])
-            mapping = PhysicsMapping(geom, partition)
-            links = mapping.scatter_gauge(gauge)
-            lpsi = mapping.scatter_field(psi)
-
-            def program(api):
-                ctx = DistributedWilsonContext(
-                    api,
-                    mapping.local_shape,
-                    links[api.rank],
-                    mass=0.2,
-                    overlap=overlap,
-                )
-                out = yield from ctx.apply(lpsi[api.rank])
-                _ = out
-                return api.transfer_counters()
-
-            results = machine.run_partition(partition, program)
-            counters[overlap] = results
+            machine, partition = booted(DECOMPS["2d"], word_batch=4096)
+            applied(
+                machine, partition, "wilson", gauge, psi, mass=0.2, overlap=overlap
+            )
+            counters[overlap] = transfer_counters(machine, partition)
         assert counters[True] == counters[False]
         # and the counters are self-consistent: every payload word sent on a
         # fault-free machine is received exactly once.

@@ -5,13 +5,13 @@ These are the reproduction's core integration tests: the paper's workload
 against the serial operators and for bitwise run-to-run reproducibility.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.fermions import CloverDirac, WilsonDirac
+from repro.fermions import AsqtadDirac, CloverDirac, DomainWallDirac, WilsonDirac
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping, solve_on_machine
 from repro.parallel.pdirac import DistributedWilsonContext
 from repro.parallel.pdwf import DistributedDWFContext
@@ -19,20 +19,12 @@ from repro.parallel.pstaggered import DistributedStaggeredContext
 from repro.solvers import cgne
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
+from tests.harness import applied, booted, system
 
 
-def make_machine(dims, groups, word_batch=4096):
-    m = QCDOCMachine(MachineConfig(dims=dims), word_batch=word_batch)
-    m.bring_up()
-    p = m.partition(groups=groups)
-    return m, p
-
-
-def machine_8(word_batch=4096):
+def machine_8():
     # 8 nodes as a logical 2x2x2x1 machine
-    return make_machine(
-        (2, 2, 2, 1, 1, 1), [(0,), (1,), (2,), (3,)], word_batch
-    )
+    return booted((2, 2, 2, 1, 1, 1), word_batch=4096)
 
 
 @pytest.fixture
@@ -42,7 +34,7 @@ def rng():
 
 class TestPhysicsMapping:
     def test_dimension_mismatch_rejected(self):
-        m, p = make_machine((2, 2, 1, 1, 1, 1), [(0,), (1,)])
+        m, p = booted((2, 2, 1, 1, 1, 1), [(0,), (1,)], word_batch=4096)
         with pytest.raises(ConfigError, match="remap"):
             PhysicsMapping(LatticeGeometry((4, 4, 4, 4)), p)
 
@@ -65,31 +57,6 @@ class TestPhysicsMapping:
 
 
 class TestDistributedDslash:
-    def run_dslash(self, gauge, psi, partition, machine, mass=0.3, c_sw=None):
-        mapping = PhysicsMapping(gauge.geometry, partition)
-        local_links = mapping.scatter_gauge(gauge)
-        local_psi = mapping.scatter_field(psi)
-        clover_locals = None
-        if c_sw is not None:
-            serial = CloverDirac(gauge, mass=mass, c_sw=c_sw)
-            clover_locals = mapping.scatter_field(serial.clover_tensor)
-
-        def program(api):
-            ctx = DistributedWilsonContext(
-                api,
-                mapping.local_shape,
-                local_links[api.rank],
-                mass=mass,
-                clover_tensor=None
-                if clover_locals is None
-                else clover_locals[api.rank],
-            )
-            out = yield from ctx.apply(local_psi[api.rank])
-            return out
-
-        results = machine.run_partition(partition, program)
-        return mapping.gather_field(np.stack(results))
-
     def test_matches_serial_wilson(self, rng):
         machine, partition = machine_8()
         geom = LatticeGeometry((4, 4, 4, 2))
@@ -97,7 +64,7 @@ class TestDistributedDslash:
         psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
             (geom.volume, 4, 3)
         )
-        got = self.run_dslash(gauge, psi, partition, machine)
+        got = applied(machine, partition, "wilson", gauge, psi, mass=0.3)
         want = WilsonDirac(gauge, mass=0.3).apply(psi)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -106,7 +73,9 @@ class TestDistributedDslash:
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.weak(geom, rng, eps=0.4)
         psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        got = self.run_dslash(gauge, psi, partition, machine, c_sw=1.0)
+        got = applied(
+            machine, partition, "wilson", gauge, psi, mass=0.3, c_sw=1.0
+        )
         want = CloverDirac(gauge, mass=0.3, c_sw=1.0).apply(psi)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -115,32 +84,67 @@ class TestDistributedDslash:
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.hot(geom, rng)
         psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        self.run_dslash(gauge, psi, partition, machine)
+        applied(machine, partition, "wilson", gauge, psi, mass=0.3)
         assert machine.audit_checksums() == []
 
     def test_16_node_4d_machine(self, rng):
-        machine, partition = make_machine(
-            (2, 2, 2, 2, 1, 1), [(0,), (1,), (2,), (3,)]
-        )
+        machine, partition = booted((2, 2, 2, 2, 1, 1), word_batch=4096)
         geom = LatticeGeometry((4, 4, 2, 2))
         gauge = GaugeField.hot(geom, rng)
         psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        got = self.run_dslash(gauge, psi, partition, machine)
+        got = applied(machine, partition, "wilson", gauge, psi, mass=0.3)
         want = WilsonDirac(gauge, mass=0.3).apply(psi)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_folded_axis_machine(self, rng):
         # 8 nodes as logical 2x2x2x1 via folding two physical axes into one
-        machine, partition = make_machine(
-            (2, 2, 2, 1, 1, 1), [(0,), (1, 2), (3,), (4,)]
+        machine, partition = booted(
+            (2, 2, 2, 1, 1, 1), [(0,), (1, 2), (3,), (4,)], word_batch=4096
         )
         assert partition.logical_dims == (2, 4, 1, 1)
         geom = LatticeGeometry((2, 8, 2, 2))
         gauge = GaugeField.hot(geom, rng)
         psi = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        got = self.run_dslash(gauge, psi, partition, machine)
+        got = applied(machine, partition, "wilson", gauge, psi, mass=0.3)
         want = WilsonDirac(gauge, mass=0.3).apply(psi)
         assert np.allclose(got, want, atol=1e-12)
+
+
+class TestApplyOnMachine:
+    """The one operator driver against the serial operator chain: every
+    action, ``D`` and ``D^+``, one application and two chained through
+    one rank program (the second reuses the context's stored descriptors
+    and feeds the context-owned output buffer back in)."""
+
+    #: op -> (lattice, parameters, serial operator, comparison); the
+    #: compressed Wilson assembly mirrors the serial statement sequence
+    #: (``==``), the others accumulate in a different, equally valid order
+    CLOSE = functools.partial(np.allclose, atol=1e-12)
+    CASES = {
+        "wilson": ((4, 4, 2, 2), {"mass": 0.3}, WilsonDirac, np.array_equal),
+        "clover": ((4, 4, 2, 2), {"mass": 0.3, "c_sw": 1.0}, CloverDirac, CLOSE),
+        "dwf": ((4, 4, 2, 2), {"Ls": 3, "M5": 1.8, "mf": 0.1}, DomainWallDirac, CLOSE),
+        "asqtad": ((8, 8, 2, 2), {"mass": 0.3}, AsqtadDirac, CLOSE),
+    }
+
+    @pytest.mark.parametrize("applies", [1, 2])
+    @pytest.mark.parametrize("dagger", [False, True], ids=["D", "Ddag"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_serial_chain(self, rng, case, dagger, applies):
+        shape, params, serial, same = self.CASES[case]
+        op = "wilson" if case == "clover" else case
+        gauge, src = system(rng, shape, op, Ls=params.get("Ls"))
+        machine, partition = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
+        got = applied(
+            machine, partition, op, gauge, src, applies, dagger, **params
+        )
+        d = serial(gauge, **params)
+        want = src
+        for _ in range(applies):
+            want = d.apply_dagger(want) if dagger else d.apply(want)
+        assert got.shape == want.shape
+        assert same(got, want), case
+        assert machine.audit_checksums() == []
 
 
 class TestTileRankChecked:
@@ -161,7 +165,9 @@ class TestTileRankChecked:
     )
     def test_rank_mismatch_names_both_ranks(self, build):
         # a 3-axis logical mesh handed a 4D tile
-        machine, partition = make_machine((2, 2, 1, 1, 1, 1), [(0,), (1,), (2,)])
+        machine, partition = booted(
+            (2, 2, 1, 1, 1, 1), [(0,), (1,), (2,)], word_batch=4096
+        )
         shape = (4, 4, 2, 2)
         links = GaugeField.unit(LatticeGeometry(shape)).links
 

@@ -5,22 +5,13 @@ import pytest
 
 from repro.fermions import DomainWallDirac
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import (
-    DistributedDWFContext,
-    PhysicsMapping,
-    solve_dwf_on_machine,
-)
+from repro.parallel import solve_dwf_on_machine
 from repro.solvers import cgne
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
+from tests.harness import applied, booted
 
-
-def make_machine():
-    m = QCDOCMachine(MachineConfig(dims=(2, 2, 2, 1, 1, 1)), word_batch=8192)
-    m.bring_up()
-    return m, m.partition(groups=[(0,), (1,), (2,), (3,)])
+DIMS = (2, 2, 2, 1, 1, 1)
 
 
 @pytest.fixture
@@ -28,60 +19,38 @@ def rng():
     return rng_stream(111, "pdwf-tests")
 
 
-def run_apply(machine, partition, gauge, psi5, Ls, M5=1.8, mf=0.1, dagger=False):
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    local_links = mapping.scatter_gauge(gauge)
-    local_psi = np.stack(
-        [mapping.scatter_field(psi5[s]) for s in range(Ls)], axis=1
-    )
-
-    def program(api):
-        ctx = DistributedDWFContext(
-            api, mapping.local_shape, local_links[api.rank], Ls=Ls, M5=M5, mf=mf
-        )
-        if dagger:
-            out = yield from ctx.apply_dagger(local_psi[api.rank])
-        else:
-            out = yield from ctx.apply(local_psi[api.rank])
-        return out
-
-    results = machine.run_partition(partition, program)
-    stacked = np.stack(results)  # (ranks, Ls, v, 4, 3)
-    return np.stack([mapping.gather_field(stacked[:, s]) for s in range(Ls)])
-
-
 class TestDistributedDWFApply:
     def test_matches_serial(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=8192)
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.hot(geom, rng)
         Ls = 4
         psi = rng.standard_normal((Ls, geom.volume, 4, 3)) + 1j * rng.standard_normal(
             (Ls, geom.volume, 4, 3)
         )
-        got = run_apply(machine, partition, gauge, psi, Ls)
+        got = applied(machine, partition, "dwf", gauge, psi, Ls=Ls)
         want = DomainWallDirac(gauge, Ls=Ls, M5=1.8, mf=0.1).apply(psi)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_dagger_matches_serial(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=8192)
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.hot(geom, rng)
         Ls = 3
         psi = rng.standard_normal((Ls, geom.volume, 4, 3)) + 0j
-        got = run_apply(machine, partition, gauge, psi, Ls, dagger=True)
+        got = applied(machine, partition, "dwf", gauge, psi, dagger=True, Ls=Ls)
         want = DomainWallDirac(gauge, Ls=Ls, M5=1.8, mf=0.1).apply_dagger(psi)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_one_message_per_direction_carries_all_slices(self, rng):
         # The slice-major layout lets one descriptor cover every s slice:
         # count DMA transfers per apply (4 sends of data + 4 of products).
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=8192)
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.unit(geom)
         Ls = 4
         psi = np.ones((Ls, geom.volume, 4, 3), dtype=complex)
-        run_apply(machine, partition, gauge, psi, Ls)
+        applied(machine, partition, "dwf", gauge, psi, Ls=Ls)
         # each node has 3 comm axes x 2 signs = 6 active directions, each
         # carrying exactly one send per apply:
         sends = [
@@ -91,7 +60,7 @@ class TestDistributedDWFApply:
         assert all(s == 6 for s in sends)
 
     def test_bad_ls(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=8192)
         geom = LatticeGeometry((4, 4, 4, 2))
         with pytest.raises(ConfigError, match="source"):
             solve_dwf_on_machine(
@@ -102,7 +71,7 @@ class TestDistributedDWFApply:
 
 class TestDistributedDWFSolve:
     def test_solve_matches_serial(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=8192)
         geom = LatticeGeometry((4, 4, 4, 2))
         gauge = GaugeField.weak(geom, rng, eps=0.25)
         Ls = 4
@@ -123,7 +92,7 @@ class TestDistributedDWFSolve:
 
     def test_bitwise_rerun(self):
         def run():
-            machine, partition = make_machine()
+            machine, partition = booted(DIMS, word_batch=8192)
             r = rng_stream(6, "dwf-problem")
             geom = LatticeGeometry((4, 4, 4, 2))
             gauge = GaugeField.weak(geom, r, eps=0.25)

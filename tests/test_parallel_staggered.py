@@ -4,24 +4,14 @@ import numpy as np
 import pytest
 
 from repro.fermions import AsqtadDirac
-from repro.fermions.staggered import fat_links, long_links
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import (
-    DistributedStaggeredContext,
-    PhysicsMapping,
-    solve_staggered_on_machine,
-)
+from repro.parallel import solve_staggered_on_machine
 from repro.solvers import cg
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
+from tests.harness import applied, booted
 
-
-def make_machine(dims=(2, 2, 1, 1, 1, 1), groups=((0,), (1,), (2,), (3,))):
-    m = QCDOCMachine(MachineConfig(dims=dims), word_batch=4096)
-    m.bring_up()
-    return m, m.partition(groups=[tuple(g) for g in groups])
+DIMS = (2, 2, 1, 1, 1, 1)
 
 
 @pytest.fixture
@@ -29,63 +19,36 @@ def rng():
     return rng_stream(99, "pstaggered-tests")
 
 
-def run_apply(machine, partition, gauge, chi, mass=0.3, dagger=False):
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    fat = fat_links(gauge)
-    lng = long_links(gauge)
-    ndim = gauge.geometry.ndim
-    v = mapping.tiling.local_volume
-    lf = np.empty((mapping.n_ranks, ndim, v, 3, 3), dtype=complex)
-    ll = np.empty_like(lf)
-    for mu in range(ndim):
-        lf[:, mu] = mapping.tiling.scatter(fat[mu])
-        ll[:, mu] = mapping.tiling.scatter(lng[mu])
-    local_chi = mapping.scatter_field(chi)
-
-    def program(api):
-        ctx = DistributedStaggeredContext(
-            api, mapping.local_shape, lf[api.rank], ll[api.rank], mass=mass
-        )
-        if dagger:
-            out = yield from ctx.apply_dagger(local_chi[api.rank])
-        else:
-            out = yield from ctx.apply(local_chi[api.rank])
-        return out
-
-    results = machine.run_partition(partition, program)
-    return mapping.gather_field(np.stack(results))
-
-
 class TestDistributedAsqtadApply:
     def test_matches_serial_on_4_nodes(self, rng):
         # 8x8 in the decomposed plane so the Naik halo has room (>= 3).
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((8, 8, 2, 2))
         gauge = GaugeField.hot(geom, rng)
         chi = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
             (geom.volume, 3)
         )
-        got = run_apply(machine, partition, gauge, chi)
+        got = applied(machine, partition, "asqtad", gauge, chi, mass=0.3)
         want = AsqtadDirac(gauge, mass=0.3).apply(chi)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_dagger_matches_serial(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((8, 8, 2, 2))
         gauge = GaugeField.hot(geom, rng)
         chi = rng.standard_normal((geom.volume, 3)) + 0j
-        got = run_apply(machine, partition, gauge, chi, dagger=True)
+        got = applied(machine, partition, "asqtad", gauge, chi, dagger=True, mass=0.3)
         want = AsqtadDirac(gauge, mass=0.3).apply_dagger(chi)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_minimum_local_extent_enforced(self, rng):
         # splitting an extent-4 axis over 2 nodes gives local extent 2 < 3
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((4, 4, 2, 2))
         gauge = GaugeField.unit(geom)
         chi = np.zeros((geom.volume, 3), dtype=complex)
         with pytest.raises(Exception, match="Naik"):
-            run_apply(machine, partition, gauge, chi)
+            applied(machine, partition, "asqtad", gauge, chi, mass=0.3)
 
     @pytest.mark.parametrize(
         "shape,axis,extent", [((6, 8, 2, 2), 0, 3), ((8, 10, 2, 2), 1, 5)]
@@ -96,36 +59,36 @@ class TestDistributedAsqtadApply:
         # Kawamoto-Smit phases come from *local* coordinates: an odd local
         # extent flips their sign on odd-coordinate ranks (O(1) error
         # against serial), so it is refused, naming the axis and extent.
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry(shape)
         chi = np.zeros((geom.volume, 3), dtype=complex)
         with pytest.raises(
             ConfigError, match=f"axis {axis}: odd local extent {extent}"
         ):
-            run_apply(machine, partition, GaugeField.unit(geom), chi)
+            applied(machine, partition, "asqtad", GaugeField.unit(geom), chi, mass=0.3)
 
     def test_odd_extent_on_an_undecomposed_axis_is_exact(self, rng):
         # an axis that wraps locally sees its global coordinates
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((8, 8, 3, 2))
         gauge = GaugeField.hot(geom, rng)
         chi = rng.standard_normal((geom.volume, 3)) + 0j
-        got = run_apply(machine, partition, gauge, chi)
+        got = applied(machine, partition, "asqtad", gauge, chi, mass=0.3)
         want = AsqtadDirac(gauge, mass=0.3).apply(chi)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_checksums_clean_after_naik_traffic(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((8, 8, 2, 2))
         gauge = GaugeField.hot(geom, rng)
         chi = rng.standard_normal((geom.volume, 3)) + 0j
-        run_apply(machine, partition, gauge, chi)
+        applied(machine, partition, "asqtad", gauge, chi, mass=0.3)
         assert machine.audit_checksums() == []
 
 
 class TestDistributedAsqtadSolve:
     def test_solve_matches_serial(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((8, 8, 2, 2))
         gauge = GaugeField.weak(geom, rng, eps=0.3)
         b = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
@@ -144,7 +107,7 @@ class TestDistributedAsqtadSolve:
 
     def test_bitwise_rerun(self, rng):
         def run():
-            machine, partition = make_machine()
+            machine, partition = booted(DIMS, word_batch=4096)
             r = rng_stream(5, "stag-problem")
             geom = LatticeGeometry((8, 8, 2, 2))
             gauge = GaugeField.weak(geom, r, eps=0.3)
@@ -157,7 +120,7 @@ class TestDistributedAsqtadSolve:
         assert run() == run()
 
     def test_bad_source_shape(self, rng):
-        machine, partition = make_machine()
+        machine, partition = booted(DIMS, word_batch=4096)
         geom = LatticeGeometry((8, 8, 2, 2))
         with pytest.raises(ConfigError, match="source"):
             solve_staggered_on_machine(

@@ -27,8 +27,6 @@ from repro.hmc.hmc import HMC
 from repro.hmc.integrators import leapfrog, omelyan
 from repro.hmc.pseudofermion import TwoFlavorWilsonHMC
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
 from repro.parallel.decomp import PhysicsMapping
 from repro.parallel.pcg import (
     MachineSiteDot,
@@ -51,10 +49,9 @@ from repro.solvers.multishift import multishift_cg
 from repro.solvers.sitedot import canonical_dot
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
+from tests.harness import booted
 
 pytestmark = pytest.mark.hmc
-
-GROUPS = [(0,), (1,), (2,), (3,)]
 
 #: (machine dims, lattice shape) sweep points — 1, 2, 4 and 8 nodes,
 #: including the no-comm-axis single-node machine (single-rank gsum path)
@@ -64,14 +61,6 @@ CONFIGS = [
     ((2, 2, 1, 1, 1, 1), (4, 4, 2, 2)),
     ((2, 2, 2, 1, 1, 1), (4, 4, 4, 2)),
 ]
-
-
-def make_machine(dims, word_batch=4096, shards=1, **kw):
-    m = QCDOCMachine(
-        MachineConfig(dims=dims), word_batch=word_batch, shards=shards, **kw
-    )
-    m.bring_up()
-    return m, m.partition(groups=GROUPS)
 
 
 def hot_gauge(shape, seed=11):
@@ -110,7 +99,7 @@ class TestDistributedVsSerial:
         gauge = hot_gauge(shape)
         serial = serial_driver(gauge)
         serial.trajectory()
-        m, p = make_machine(dims)
+        m, p = booted(dims, word_batch=4096)
         dist = distributed_driver(m, p, gauge)
         dist.trajectory()
         assert_same_evolution(serial, dist)
@@ -119,7 +108,7 @@ class TestDistributedVsSerial:
         gauge = hot_gauge((4, 4, 2, 2))
         serial = serial_driver(gauge, solver="mixed")
         serial.trajectory()
-        m, p = make_machine((2, 2, 1, 1, 1, 1))
+        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
         dist = distributed_driver(m, p, gauge, solver="mixed")
         dist.trajectory()
         assert_same_evolution(serial, dist)
@@ -131,7 +120,7 @@ class TestDistributedVsSerial:
     def test_multi_trajectory_chain(self):
         gauge = hot_gauge((4, 4, 2, 2))
         serial = serial_driver(gauge, n_steps=2)
-        m, p = make_machine((2, 1, 1, 1, 1, 1), word_batch=64)
+        m, p = booted((2, 1, 1, 1, 1, 1), word_batch=64)
         dist = distributed_driver(m, p, gauge, n_steps=2, word_batch=64)
         serial.run(3)
         dist.run(3)
@@ -154,7 +143,7 @@ class TestDistributedVsSerial:
         gauge = hot_gauge(shape, seed=17)
         serial = serial_driver(gauge, seed=seed)
         serial.trajectory()
-        m, p = make_machine(dims, word_batch=word_batch, shards=shards)
+        m, p = booted(dims, word_batch=word_batch, shards=shards)
         dist = distributed_driver(m, p, gauge, seed=seed, word_batch=word_batch)
         dist.trajectory()
         assert_same_evolution(serial, dist)
@@ -166,7 +155,7 @@ class TestDistributedVsSerial:
 class TestForceKernelInvariants:
     def force_setup(self, **machine_kw):
         gauge = hot_gauge((4, 4, 2, 2))
-        m, p = make_machine((2, 2, 1, 1, 1, 1), **machine_kw)
+        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096, **machine_kw)
         dist = distributed_driver(m, p, gauge)
         # host-side heat-bath (no machine traffic) so the counters below
         # cover exactly one force evaluation
@@ -217,7 +206,7 @@ class TestForceKernelInvariants:
 
     def test_force_emits_registered_trace(self):
         gauge = hot_gauge((4, 4, 2, 2))
-        m, p = make_machine((2, 1, 1, 1, 1, 1), trace=True)
+        m, p = booted((2, 1, 1, 1, 1, 1), word_batch=4096, trace=True)
         dist = distributed_driver(m, p, gauge)
         rng = rng_stream(9, "phmc-force")
         eta = (
@@ -247,7 +236,7 @@ class TestDistributedMultishift:
         ref = multishift_cg(
             d.normal, b, shifts, tol=1e-8, dot=canonical_dot
         )
-        m, p = make_machine((2, 2, 1, 1, 1, 1))
+        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
         x, converged, iters, residuals = multishift_solve_on_machine(
             m, p, gauge, b, shifts, mass=0.5, tol=1e-8
         )
@@ -259,7 +248,7 @@ class TestDistributedMultishift:
 
     def test_bad_source_shape_refused(self):
         gauge = hot_gauge((4, 4, 2, 2))
-        m, p = make_machine((2, 1, 1, 1, 1, 1))
+        m, p = booted((2, 1, 1, 1, 1, 1), word_batch=4096)
         with pytest.raises(ConfigError, match="source shape"):
             multishift_solve_on_machine(
                 m, p, gauge, np.zeros((3, 4, 3), complex), [0.0], mass=0.5
@@ -355,7 +344,7 @@ def krylov_on_backend(method, backend):
         )
         return krylov_outcome(result), history
     dims, shards = KRYLOV_BACKENDS[backend]
-    m, p = make_machine(dims, shards=shards)
+    m, p = booted(dims, word_batch=4096, shards=shards)
     mapping = PhysicsMapping(gauge.geometry, p)
     per_rank = run_on_partition(
         m, p, krylov_rank_program, 1e9,
@@ -508,17 +497,17 @@ class TestDynamicalCheckpointResume:
         """Kill a distributed evolution mid-chain, restore its snapshot
         onto a *different* congruent partition, replay bit-identically."""
         gauge = hot_gauge((4, 4, 2, 2))
-        m, p = make_machine((2, 2, 1, 1, 1, 1))
+        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
         ref = distributed_driver(m, p, gauge)
         ref.run(2)
 
-        m2, p2 = make_machine((2, 2, 1, 1, 1, 1))
+        m2, p2 = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
         victim = distributed_driver(m2, p2, gauge)
         victim.trajectory()
         ck = HMCCheckpoint.save(victim)
 
         # "fresh hardware": a new machine, a new partition, a new driver
-        m3, p3 = make_machine((2, 2, 1, 1, 1, 1), word_batch=64)
+        m3, p3 = booted((2, 2, 1, 1, 1, 1), word_batch=64)
         resumed = distributed_driver(m3, p3, gauge, word_batch=64)
         resumed.rebind(m3, p3)
         ck.restore(resumed)
@@ -527,9 +516,9 @@ class TestDynamicalCheckpointResume:
 
     def test_rebind_refuses_incongruent_partition(self):
         gauge = hot_gauge((4, 4, 2, 2))
-        m, p = make_machine((2, 2, 1, 1, 1, 1))
+        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
         dist = distributed_driver(m, p, gauge)
-        m2, p2 = make_machine((2, 1, 1, 1, 1, 1))
+        m2, p2 = booted((2, 1, 1, 1, 1, 1), word_batch=4096)
         with pytest.raises(ConfigError, match="refusing"):
             dist.rebind(m2, p2)
 
@@ -538,7 +527,7 @@ class TestDynamicalCheckpointResume:
         nodes; the driver must free run-allocated buffers or the second
         run dies on a duplicate allocation."""
         gauge = hot_gauge((4, 4, 2, 2))
-        m, p = make_machine((2, 1, 1, 1, 1, 1))
+        m, p = booted((2, 1, 1, 1, 1, 1), word_batch=4096)
         nodes = [m.nodes[p.physical_node(r)] for r in range(p.n_nodes)]
         before = {n.node_id: set(n.memory.buffer_names()) for n in nodes}
         dist = distributed_driver(m, p, gauge)

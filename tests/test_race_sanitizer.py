@@ -32,19 +32,12 @@ from repro.analysis.sanitizer import (
     HaloRaceSanitizer,
     RaceReport,
 )
-from repro.fermions.staggered import fat_links, long_links
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import PhysicsMapping
-from repro.parallel.pdirac import DistributedWilsonContext
-from repro.parallel.pdwf import DistributedDWFContext
-from repro.parallel.pstaggered import DistributedStaggeredContext
 from repro.util import rng_stream
+from tests.harness import booted, scattered, source
 
 pytestmark = pytest.mark.analysis
 
-GROUPS = [(0,), (1,), (2,), (3,)]
 DIMS = (2, 1, 1, 1, 1, 1)  # 2 nodes, decomposed along axis 0
 
 
@@ -54,53 +47,25 @@ DIMS = (2, 1, 1, 1, 1, 1)  # 2 nodes, decomposed along axis 0
 HALO_BUFFER = {"wilson": "halo_fwd0", "dwf": "halo_fwd0", "asqtad": "raw_halo0"}
 
 
+#: operator -> its parameters (ASQTAD's global lattice is (8, 2, 2, 2): it
+#: needs an even local extent >= 4 on the decomposed axis)
+PARAMS = {"wilson": {"mass": 0.2}, "dwf": {"Ls": 2}, "asqtad": {"mass": 0.2}}
+
+
 def run_dslash(op="wilson", sanitizer=None, overlap=True, inject_rank=None):
     """2-node dslash of one operator; returns (machine, outputs)."""
-    machine = QCDOCMachine(
-        MachineConfig(dims=DIMS), word_batch=4096, sanitizer=sanitizer
-    )
-    machine.bring_up()
-    partition = machine.partition(groups=GROUPS)
+    machine, partition = booted(DIMS, word_batch=4096, sanitizer=sanitizer)
     rng = rng_stream(23, "race-sanitizer")
-    # ASQTAD needs an even local extent >= 4 on the decomposed axis
     geom = LatticeGeometry((8, 2, 2, 2) if op == "asqtad" else (4, 2, 2, 2))
     gauge = GaugeField.hot(geom, rng)
-    mapping = PhysicsMapping(geom, partition)
-    links = mapping.scatter_gauge(gauge)
-
-    def field(*site_shape):
-        shape = (geom.volume,) + site_shape
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    if op == "wilson":
-        src = mapping.scatter_field(field(4, 3))
-
-        def build(api):
-            return DistributedWilsonContext(
-                api, mapping.local_shape, links[api.rank], mass=0.2, overlap=overlap
-            )
-    elif op == "dwf":
-        src = np.stack([mapping.scatter_field(field(4, 3)) for _ in range(2)], axis=1)
-
-        def build(api):
-            return DistributedDWFContext(
-                api, mapping.local_shape, links[api.rank], Ls=2, overlap=overlap
-            )
+    context = scattered(partition, op, gauge, overlap=overlap, **PARAMS[op])
+    if op == "dwf":  # drawn slice by slice
+        src = context.scatter(np.stack([source(rng, geom) for _ in range(2)]))
     else:
-        smeared = [
-            np.stack([mapping.tiling.scatter(u[mu]) for mu in range(4)], axis=1)
-            for u in (fat_links(gauge), long_links(gauge))
-        ]
-        src = mapping.scatter_field(field(3))
-
-        def build(api):
-            return DistributedStaggeredContext(
-                api, mapping.local_shape, smeared[0][api.rank],
-                smeared[1][api.rank], mass=0.2, overlap=overlap,
-            )
+        src = context.scatter(source(rng, geom, op))
 
     def program(api):
-        ctx = build(api)
+        ctx = context(api)
         if inject_rank is not None and api.rank == inject_rank:
             # the seam fires right after the "early" group starts: both
             # receives are in flight, and this CPU read does not wait.
@@ -178,11 +143,7 @@ class TestSeededRace:
 
     def test_injected_write_also_detected(self):
         san = HaloRaceSanitizer(mode="raise")
-        machine = QCDOCMachine(
-            MachineConfig(dims=DIMS), word_batch=4096, sanitizer=san
-        )
-        machine.bring_up()
-        partition = machine.partition(groups=GROUPS)
+        machine, partition = booted(DIMS, word_batch=4096, sanitizer=san)
 
         def program(api):
             api.alloc("halo", np.zeros((8, 3), dtype=complex))
@@ -211,17 +172,14 @@ class TestSeededRace:
 
 class TestOffByDefault:
     def test_no_sanitizer_anywhere_by_default(self):
-        machine = QCDOCMachine(MachineConfig(dims=DIMS), word_batch=4096)
-        machine.bring_up()
+        machine, _ = booted(DIMS, word_batch=4096)
         assert machine.sanitizer is None
         for node in machine.nodes.values():
             assert node.sanitizer is None
             assert node.scu.sanitizer is None
 
     def test_api_checkpoints_are_noops_when_off(self):
-        machine = QCDOCMachine(MachineConfig(dims=DIMS), word_batch=4096)
-        machine.bring_up()
-        partition = machine.partition(groups=GROUPS)
+        machine, partition = booted(DIMS, word_batch=4096)
         seen = []
 
         def program(api):

@@ -20,13 +20,8 @@ import numpy as np
 import pytest
 
 from repro.fermions import WilsonDirac
-from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
-from repro.parallel import PhysicsMapping
-from repro.parallel.pdirac import DistributedWilsonContext
 from repro.telemetry import merge_samples
-from repro.util import rng_stream
+from tests.harness import applied, booted, system
 
 pytestmark = pytest.mark.sharding
 
@@ -38,33 +33,13 @@ SHARDS = 4
 @pytest.fixture(scope="module")
 def sharded_64():
     """One booted-and-exercised 64-node machine shared by the asserts."""
-    m = QCDOCMachine(
-        MachineConfig(dims=DIMS_64), word_batch=4096, shards=SHARDS, trace=True
+    m, part = booted(
+        DIMS_64, GROUPS_64, word_batch=4096, shards=SHARDS, trace=True
     )
-    m.bring_up()
-    part = m.partition(groups=GROUPS_64)
     assert int(np.prod(part.logical_dims)) == 64
-
-    rng = rng_stream(64, "scaling-smoke")
-    geom = LatticeGeometry((4, 4, 4, 16))
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.2
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    results = m.run_partition(part, program)
+    gauge, psi = system((64, "scaling-smoke"), (4, 4, 4, 16))
+    out = applied(m, part, "wilson", gauge, psi, mass=0.2)
     m.quiesce()
-    out = mapping.gather_field(np.stack(results))
     return m, gauge, psi, out
 
 

@@ -23,7 +23,6 @@ the same payload.
 """
 
 import os
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,64 +30,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fermions import WilsonDirac
-from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import ASICConfig, MachineConfig
 from repro.machine.machine import QCDOCMachine
-from repro.parallel import PhysicsMapping, solve_on_machine
-from repro.parallel.pdirac import DistributedWilsonContext
+from repro.parallel import solve_on_machine
 from repro.sim.shard import ShardedSimulator
 from repro.sim.sync import COORDINATOR, CrossShardRouter, conservative_lookahead
-from repro.util import rng_stream
 from repro.util.errors import ConfigError, SimulationError
+from tests.harness import (
+    applied,
+    assert_same_observables,
+    booted,
+    scattered,
+    system,
+)
 
 pytestmark = pytest.mark.sharding
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def make_machine(dims, groups, shards, word_batch=4096, **kwargs):
-    m = QCDOCMachine(
-        MachineConfig(dims=dims),
-        word_batch=word_batch,
-        shards=shards,
-        trace=True,
-        **kwargs,
-    )
-    m.bring_up()
-    return m, m.partition(groups=groups)
-
-
-def canon_fields(fields):
-    return tuple(sorted(fields.items()))
-
-
-def observables(m):
-    """(counter sample, trace multiset) after a full drain."""
-    m.quiesce()
-    sample = m.counter_bank().sample()
-    multiset = Counter(
-        (r.time, r.tag, canon_fields(r.fields)) for r in m.trace.records
-    )
-    return sample, multiset
-
-
-def assert_observables_match(m_ref, m_got):
-    ref_sample, ref_trace = observables(m_ref)
-    got_sample, got_trace = observables(m_got)
-    diffs = {
-        k: (ref_sample.get(k), got_sample.get(k))
-        for k in set(ref_sample) | set(got_sample)
-        if ref_sample.get(k) != got_sample.get(k)
-    }
-    assert diffs == {}, f"counter drift across shard counts: {diffs}"
-    assert ref_trace == got_trace, (
-        "trace multiset drift: "
-        f"only-ref={list((ref_trace - got_trace))[:5]} "
-        f"only-got={list((got_trace - ref_trace))[:5]}"
-    )
-
 
 # ---------------------------------------------------------------------------
 # window-protocol units
@@ -228,130 +184,62 @@ class TestWindowProtocol:
 # ---------------------------------------------------------------------------
 
 DIMS_8 = (2, 2, 2, 1, 1, 1)
-GROUPS_8 = [(0,), (1,), (2,), (3,)]
+DIMS_4 = (2, 2, 1, 1, 1, 1)
+
+#: family -> (machine dims, RNG stream, lattice, operator, its parameters);
+#: ASQTAD's comm-axis local extents must be >= 3 for the Naik halo: (8, 8)
+#: over a (2, 2) logical machine gives local (4, 4, 2, 2)
+FAMILIES = {
+    "wilson": (DIMS_8, (77, "shard-wilson"), (4, 4, 4, 2), "wilson", {"mass": 0.3}),
+    "dwf": (
+        DIMS_4, (18, "shard-dwf"), (4, 4, 2, 2), "dwf",
+        {"Ls": 4, "M5": 1.8, "mf": 0.1},
+    ),
+    "staggered": (DIMS_4, (19, "shard-stag"), (8, 8, 2, 2), "asqtad", {"mass": 0.1}),
+}
 
 
-def wilson_run(shards, word_batch=4096, **kwargs):
-    rng = rng_stream(77, "shard-wilson")
-    geom = LatticeGeometry((4, 4, 4, 2))
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
+def dslash(family, shards, word_batch=4096, **machine_kwargs):
+    """One traced application of a family's operator on its machine."""
+    dims, stream, shape, op, params = FAMILIES[family]
+    gauge, src = system(stream, shape, op, Ls=params.get("Ls"))
+    m, part = booted(
+        dims, shards=shards, word_batch=word_batch, trace=True, **machine_kwargs
     )
-    m, part = make_machine(DIMS_8, GROUPS_8, shards, word_batch, **kwargs)
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.3
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    results = m.run_partition(part, program)
-    return m, mapping.gather_field(np.stack(results)), gauge, psi
-
-
-def dwf_run(shards):
-    from repro.parallel.pdwf import DistributedDWFContext
-
-    Ls = 4
-    rng = rng_stream(18, "shard-dwf")
-    geom = LatticeGeometry((4, 4, 2, 2))
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((Ls, geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (Ls, geom.volume, 4, 3)
-    )
-    m, part = make_machine((2, 2, 1, 1, 1, 1), [(0,), (1,), (2,), (3,)], shards)
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lb = np.stack([mapping.scatter_field(psi[s]) for s in range(Ls)], axis=1)
-
-    def program(api):
-        ctx = DistributedDWFContext(
-            api, mapping.local_shape, links[api.rank], Ls=Ls, M5=1.8, mf=0.1
-        )
-        out = yield from ctx.apply(lb[api.rank])
-        return out
-
-    results = m.run_partition(part, program)
-    return m, np.stack(results)
-
-
-def staggered_run(shards):
-    from repro.fermions.staggered import fat_links, long_links
-    from repro.parallel.pstaggered import DistributedStaggeredContext
-
-    rng = rng_stream(19, "shard-stag")
-    # comm-axis local extents must be >= 3 for the Naik halo: (8, 8) over
-    # a (2, 2) logical machine gives local (4, 4, 2, 2)
-    geom = LatticeGeometry((8, 8, 2, 2))
-    gauge = GaugeField.hot(geom, rng)
-    m, part = make_machine((2, 2, 1, 1, 1, 1), [(0,), (1,), (2,), (3,)], shards)
-    mapping = PhysicsMapping(geom, part)
-    fat, lng = fat_links(gauge), long_links(gauge)
-    ndim, v = geom.ndim, mapping.tiling.local_volume
-    lfat = np.empty((mapping.n_ranks, ndim, v, 3, 3), dtype=np.complex128)
-    llong = np.empty_like(lfat)
-    for mu in range(ndim):
-        lfat[:, mu] = mapping.tiling.scatter(fat[mu])
-        llong[:, mu] = mapping.tiling.scatter(lng[mu])
-    chi = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 3)
-    )
-    lchi = mapping.scatter_field(chi)
-
-    def program(api):
-        ctx = DistributedStaggeredContext(
-            api, mapping.local_shape, lfat[api.rank], llong[api.rank], mass=0.1
-        )
-        out = yield from ctx.apply(lchi[api.rank])
-        return out
-
-    results = m.run_partition(part, program)
-    return m, np.stack(results)
+    return m, applied(m, part, op, gauge, src, **params), gauge, src
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_wilson_dslash(self, shards):
-        m1, r1, gauge, psi = wilson_run(1)
-        mN, rN, _, _ = wilson_run(shards)
+        m1, r1, gauge, psi = dslash("wilson", 1)
+        mN, rN, _, _ = dslash("wilson", shards)
         assert np.array_equal(r1, rN)
         # and both equal the serial operator (physics is right, not just
         # consistently wrong)
         assert np.allclose(r1, WilsonDirac(gauge, mass=0.3).apply(psi), atol=1e-12)
-        assert_observables_match(m1, mN)
+        assert_same_observables(m1, mN)
         assert mN.audit_checksums() == []
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_dwf_dslash(self, shards):
-        m1, r1 = dwf_run(1)
-        mN, rN = dwf_run(shards)
+        m1, r1, _, _ = dslash("dwf", 1)
+        mN, rN, _, _ = dslash("dwf", shards)
         assert np.array_equal(r1, rN)
-        assert_observables_match(m1, mN)
+        assert_same_observables(m1, mN)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_staggered_dslash(self, shards):
-        m1, r1 = staggered_run(1)
-        mN, rN = staggered_run(shards)
+        m1, r1, _, _ = dslash("staggered", 1)
+        mN, rN, _, _ = dslash("staggered", shards)
         assert np.array_equal(r1, rN)
-        assert_observables_match(m1, mN)
+        assert_same_observables(m1, mN)
 
     def test_short_cg_residual_history(self):
-        rng = rng_stream(21, "shard-cg")
-        geom = LatticeGeometry((4, 4, 2, 2))
-        gauge = GaugeField.hot(geom, rng)
-        b = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-            (geom.volume, 4, 3)
-        )
+        gauge, b = system((21, "shard-cg"), (4, 4, 2, 2))
 
         def solve(shards):
-            m, part = make_machine(
-                (2, 2, 1, 1, 1, 1), [(0,), (1,), (2,), (3,)], shards
-            )
+            m, part = booted(DIMS_4, shards=shards, word_batch=4096, trace=True)
             res = solve_on_machine(
                 m, part, gauge, b, mass=0.3, tol=1e-6, maxiter=6
             )
@@ -364,16 +252,18 @@ class TestBitIdentity:
         assert res1.residuals == res2.residuals  # bitwise float equality
         assert np.array_equal(res1.x, res2.x)
         assert res2.checksum_mismatches == []
-        assert_observables_match(m1, m2)
+        assert_same_observables(m1, m2)
 
     def test_repeat_run_is_bit_identical(self):
         """Same sharded config twice: identical trace *sequence*."""
-        m_a, r_a, _, _ = wilson_run(2)
-        m_b, r_b, _, _ = wilson_run(2)
+        m_a, r_a, _, _ = dslash("wilson", 2)
+        m_b, r_b, _, _ = dslash("wilson", 2)
         assert np.array_equal(r_a, r_b)
         m_a.quiesce(), m_b.quiesce()
-        rec_a = [(r.time, r.tag, canon_fields(r.fields)) for r in m_a.trace.records]
-        rec_b = [(r.time, r.tag, canon_fields(r.fields)) for r in m_b.trace.records]
+        rec_a, rec_b = (
+            [(r.time, r.tag, sorted(r.fields.items())) for r in m.trace.records]
+            for m in (m_a, m_b)
+        )
         assert rec_a == rec_b
 
 
@@ -386,14 +276,14 @@ class TestMachineEdgeCases:
     def test_word_exact_protocol_across_boundary(self):
         """``word_batch=1``: every ACK/RESEND control frame arrives exactly
         at the lookahead bound (bare header + flight)."""
-        m1, r1, _, _ = wilson_run(1, word_batch=1)
-        m2, r2, _, _ = wilson_run(2, word_batch=1)
+        m1, r1, _, _ = dslash("wilson", 1, word_batch=1)
+        m2, r2, _, _ = dslash("wilson", 2, word_batch=1)
         assert np.array_equal(r1, r2)
-        assert_observables_match(m1, m2)
+        assert_same_observables(m1, m2)
 
     def test_more_shards_than_nodes(self):
         """Surplus shards own no nodes and idle through every window."""
-        m, part = make_machine((2, 2, 1, 1, 1, 1), [(0,), (1,), (2,), (3,)], 6)
+        m, part = booted(DIMS_4, shards=6, word_batch=4096, trace=True)
         owners = {m.shard_of(i) for i in range(m.n_nodes)}
         assert len(owners) < 6  # some shards are empty
 
@@ -438,7 +328,7 @@ class TestMachineEdgeCases:
         m1, r1 = run(1)
         m2, r2 = run(2)
         assert all(np.array_equal(a, b) for a, b in zip(r1, r2))
-        assert_observables_match(m1, m2)
+        assert_same_observables(m1, m2)
 
     def test_shards_knob_validation(self):
         with pytest.raises(ConfigError):
@@ -462,26 +352,15 @@ class TestShardingProperties:
     def test_gsum_and_halo_identical_to_single_heap(
         self, shards, word_batch, seed
     ):
-        rng = rng_stream(seed, "shard-prop")
-        geom = LatticeGeometry((4, 2, 2, 2))
-        gauge = GaugeField.hot(geom, rng)
-        psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-            (geom.volume, 4, 3)
-        )
+        gauge, psi = system((seed, "shard-prop"), (4, 2, 2, 2))
 
         def run(n):
-            m, part = make_machine(
-                (2, 2, 1, 1, 1, 1), [(0,), (1,), (2,), (3,)], n, word_batch
-            )
-            mapping = PhysicsMapping(geom, part)
-            links = mapping.scatter_gauge(gauge)
-            lpsi = mapping.scatter_field(psi)
+            m, part = booted(DIMS_4, shards=n, word_batch=word_batch, trace=True)
+            context = scattered(part, "wilson", gauge, mass=0.25)
+            lpsi = context.scatter(psi)
 
             def program(api):
-                ctx = DistributedWilsonContext(
-                    api, mapping.local_shape, links[api.rank], mass=0.25
-                )
-                out = yield from ctx.apply(lpsi[api.rank])
+                out = yield from context(api).apply(lpsi[api.rank])
                 norm = yield api.global_sum(
                     np.array([np.vdot(out, out).real])
                 )
@@ -495,7 +374,7 @@ class TestShardingProperties:
         for (out1, norm1), (outN, normN) in zip(res1, resN):
             assert np.array_equal(out1, outN)
             assert np.array_equal(norm1, normN)
-        assert_observables_match(m1, mN)
+        assert_same_observables(m1, mN)
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +385,17 @@ class TestShardingProperties:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
 class TestForkExecutor:
     def test_fork_matches_serial(self):
-        m_s, r_s, _, _ = wilson_run(2)
-        m_f, r_f, _, _ = wilson_run(2, shard_workers="fork")
+        m_s, r_s, _, _ = dslash("wilson", 2)
+        m_f, r_f, _, _ = dslash("wilson", 2, shard_workers="fork")
         assert np.array_equal(r_s, r_f)
-        assert_observables_match(m_s, m_f)
+        assert_same_observables(m_s, m_f)
         assert m_f.audit_checksums() == []
 
     def test_fork_gsum_only(self):
         def run(workers):
-            m, part = make_machine(DIMS_8, GROUPS_8, 2, shard_workers=workers)
+            m, part = booted(
+                DIMS_8, shards=2, word_batch=4096, trace=True, shard_workers=workers
+            )
 
             def program(api):
                 a = yield api.global_sum(np.arange(4.0) * (api.rank + 1))
@@ -529,4 +410,4 @@ class TestForkExecutor:
         m_s, r_s = run("serial")
         m_f, r_f = run("fork")
         assert all(np.array_equal(a, b) for a, b in zip(r_s, r_f))
-        assert_observables_match(m_s, m_f)
+        assert_same_observables(m_s, m_f)

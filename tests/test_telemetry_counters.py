@@ -20,13 +20,14 @@ sizes, batching and fault rates); the physics cases pin one configuration
 per action.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fermions.flops import CADD, CMUL
-from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.machine.scu import DmaDescriptor
@@ -34,12 +35,12 @@ from repro.parallel import PhysicsMapping
 from repro.perfmodel.dirac_perf import dirac_flops_per_node, halo_payload_words
 from repro.solvers import kernels
 from repro.solvers.krylov import lift, run_serial
+from repro.telemetry import observable_diff, observables
 from repro.telemetry.counters import CounterBank, bank_for_machine
-from repro.util import rng_stream
+from tests.harness import applied, booted, system
 
 pytestmark = pytest.mark.telemetry
 
-GROUPS = [(0,), (1,), (2,), (3,)]
 DIMS_1D = (2, 1, 1, 1, 1, 1)
 
 
@@ -135,103 +136,13 @@ def test_completion_counters(nwords, word_batch):
 # ---------------------------------------------------------------------------
 
 
-def make_machine(word_batch=4096):
-    m = QCDOCMachine(MachineConfig(dims=DIMS_1D), word_batch=word_batch)
-    m.bring_up()
-    return m, m.partition(groups=GROUPS)
-
-
-def wilson_like_run(shape, clover: bool):
-    from repro.fermions.clover import CloverDirac
-    from repro.parallel.pdirac import DistributedWilsonContext
-
-    rng = rng_stream(17, "telemetry-wilson")
-    geom = LatticeGeometry(shape)
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
-    m, part = make_machine()
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-    clov = None
-    if clover:
-        serial = CloverDirac(gauge, mass=0.3, c_sw=1.0)
-        clov = mapping.scatter_field(serial.clover_tensor)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api,
-            mapping.local_shape,
-            links[api.rank],
-            mass=0.3,
-            clover_tensor=None if clov is None else clov[api.rank],
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    m.run_partition(part, program)
-    return m, mapping
-
-
-def dwf_run(shape, Ls):
-    from repro.parallel.pdwf import DistributedDWFContext
-
-    rng = rng_stream(17, "telemetry-dwf")
-    geom = LatticeGeometry(shape)
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((Ls, geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (Ls, geom.volume, 4, 3)
-    )
-    m, part = make_machine()
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lb = np.stack([mapping.scatter_field(psi[s]) for s in range(Ls)], axis=1)
-
-    def program(api):
-        ctx = DistributedDWFContext(
-            api, mapping.local_shape, links[api.rank], Ls=Ls, M5=1.8, mf=0.1
-        )
-        out = yield from ctx.apply(lb[api.rank])
-        return out
-
-    m.run_partition(part, program)
-    return m, mapping
-
-
-def staggered_run(shape):
-    from repro.fermions.staggered import fat_links, long_links
-    from repro.parallel.pstaggered import DistributedStaggeredContext
-
-    rng = rng_stream(17, "telemetry-stag")
-    geom = LatticeGeometry(shape)
-    gauge = GaugeField.hot(geom, rng)
-    m, part = make_machine()
-    mapping = PhysicsMapping(geom, part)
-    fat = fat_links(gauge)
-    lng = long_links(gauge)
-    ndim = geom.ndim
-    v = mapping.tiling.local_volume
-    lfat = np.empty((mapping.n_ranks, ndim, v, 3, 3), dtype=np.complex128)
-    llong = np.empty_like(lfat)
-    for mu in range(ndim):
-        lfat[:, mu] = mapping.tiling.scatter(fat[mu])
-        llong[:, mu] = mapping.tiling.scatter(lng[mu])
-    chi = rng.standard_normal((geom.volume, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 3)
-    )
-    lchi = mapping.scatter_field(chi)
-
-    def program(api):
-        ctx = DistributedStaggeredContext(
-            api, mapping.local_shape, lfat[api.rank], llong[api.rank], mass=0.1
-        )
-        out = yield from ctx.apply(lchi[api.rank])
-        return out
-
-    m.run_partition(part, program)
-    return m, mapping
+def operator_run(op, stream, shape, **params):
+    """One application of ``op`` on a fresh 2-node machine; returns the
+    machine and the mapping (for the tile shape)."""
+    gauge, src = system((17, stream), shape, op, Ls=params.get("Ls"))
+    m, part = booted(DIMS_1D, word_batch=4096)
+    applied(m, part, op, gauge, src, **params)
+    return m, PhysicsMapping(gauge.geometry, part)
 
 
 MACHINE_DIMS = (2, 1, 1, 1)
@@ -255,28 +166,34 @@ def _assert_exact(m, mapping, op, Ls=1):
 
 
 def test_wilson_flops_and_words_exact():
-    m, mapping = wilson_like_run((4, 2, 2, 2), clover=False)
+    m, mapping = operator_run("wilson", "telemetry-wilson", (4, 2, 2, 2), mass=0.3)
     _assert_exact(m, mapping, "wilson")
 
 
 def test_clover_flops_and_words_exact():
-    m, mapping = wilson_like_run((4, 2, 2, 2), clover=True)
+    m, mapping = operator_run(
+        "wilson", "telemetry-wilson", (4, 2, 2, 2), mass=0.3, c_sw=1.0
+    )
     _assert_exact(m, mapping, "clover")
 
 
 def test_dwf_flops_and_words_exact():
-    m, mapping = dwf_run((4, 2, 2, 2), Ls=4)
+    m, mapping = operator_run(
+        "dwf", "telemetry-dwf", (4, 2, 2, 2), Ls=4, M5=1.8, mf=0.1
+    )
     _assert_exact(m, mapping, "dwf", Ls=4)
 
 
 def test_asqtad_flops_and_words_exact():
-    m, mapping = staggered_run((8, 2, 2, 2))
+    m, mapping = operator_run("asqtad", "telemetry-stag", (8, 2, 2, 2), mass=0.1)
     _assert_exact(m, mapping, "asqtad")
 
 
 def test_kernel_attribution_partitions_total():
     """Per-kernel flop counters sum exactly to each node's flops_charged."""
-    m, _ = wilson_like_run((4, 2, 2, 2), clover=True)
+    m, _ = operator_run(
+        "wilson", "telemetry-wilson", (4, 2, 2, 2), mass=0.3, c_sw=1.0
+    )
     for node in m.nodes.values():
         assert node.kernel_flops, "no kernel tags recorded"
         assert None not in node.kernel_flops, "untagged compute on Dirac path"
@@ -293,7 +210,7 @@ def test_kernel_attribution_partitions_total():
 
 
 def test_bank_for_machine_hierarchy():
-    m, mapping = wilson_like_run((4, 2, 2, 2), clover=False)
+    m, mapping = operator_run("wilson", "telemetry-wilson", (4, 2, 2, 2), mass=0.3)
     bank = bank_for_machine(m)
     flat = bank.sample()
     # every node exposes the SCU + cpu + memory counters
@@ -314,6 +231,33 @@ def test_bank_for_machine_hierarchy():
     # units are declared for the protocol counters
     assert bank.unit("node0.scu.payload_words_sent") == "words"
     assert bank.unit("node0.cpu.flops_charged") == "flops"
+
+
+def test_observable_diff_names_what_drifted():
+    """The fingerprint's drift report: nothing for a re-sample, and
+    exactly the one counter and the one trace record that moved."""
+    gauge, psi = system((17, "telemetry-wilson"), (4, 2, 2, 2))
+    m, part = booted(DIMS_1D, word_batch=4096, trace=True)
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
+    ref = observables(m)
+    assert set(ref) == {"counters", "trace", "now", "replay"}
+    assert ref["trace"] and ref["counters"]
+    assert observable_diff(ref, observables(m)) == {}
+
+    got = {name: copy.copy(value) for name, value in ref.items()}
+    path = "node1.scu.payload_words_sent"
+    got["counters"][path] += 1
+    record = next(r for r in ref["trace"] if r[1] == "scu.send")
+    del got["trace"][record]
+    assert observable_diff(ref, got) == {
+        "counters": {path: (ref["counters"][path], ref["counters"][path] + 1)},
+        "trace": {record: (1, None)},
+    }
+    # a scalar observable drifts as (ref, got); a sub-dict compares fewer
+    got["now"] = ref["now"] + 1e-9
+    assert observable_diff({"now": ref["now"]}, got) == {
+        "now": (ref["now"], got["now"])
+    }
 
 
 def test_bank_manual_counters_merge():

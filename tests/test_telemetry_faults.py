@@ -17,19 +17,13 @@ recovery, not absorb it:
   flop entries — which count useful work — still pass exactly.
 """
 
-import numpy as np
 import pytest
 
-from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping
-from repro.parallel.pdirac import DistributedWilsonContext
-from repro.util import rng_stream
+from tests.harness import applied, booted, system
 
 pytestmark = [pytest.mark.telemetry, pytest.mark.protocol]
 
-GROUPS = [(0,), (1,), (2,), (3,)]
 DIMS_1D = (2, 1, 1, 1, 1, 1)
 MACHINE_DIMS = (2, 1, 1, 1)
 SHAPE = (4, 2, 2, 2)
@@ -38,34 +32,12 @@ BER = 2e-3
 
 def faulty_dslash(ber=BER, seed=17):
     """One distributed Wilson dslash at word_batch=1 over lossy links."""
-    m = QCDOCMachine(
-        MachineConfig(dims=DIMS_1D),
-        word_batch=1,
-        bit_error_rate=ber,
-        seed=seed,
-        trace=True,
+    m, part = booted(
+        DIMS_1D, word_batch=1, bit_error_rate=ber, seed=seed, trace=True
     )
-    m.bring_up()
-    part = m.partition(groups=GROUPS)
-    rng = rng_stream(17, "fault-telemetry")
-    geom = LatticeGeometry(SHAPE)
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.3
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    m.run_partition(part, program, max_time=100.0)
-    return m, mapping
+    gauge, psi = system((17, "fault-telemetry"), SHAPE)
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
+    return m, PhysicsMapping(gauge.geometry, part)
 
 
 @pytest.fixture(scope="module")

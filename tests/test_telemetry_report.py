@@ -30,52 +30,25 @@ from repro.fermions.flops import (
     STAGGERED_WORDS,
     operator_cost,
 )
-from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine.asic import MachineConfig
-from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping
 from repro.parallel.pcg import solve_on_machine
-from repro.parallel.pdirac import DistributedWilsonContext
 from repro.perfmodel.dirac_perf import dirac_flops_per_node, halo_payload_words
 from repro.telemetry import MachineReport, validate_trace
 from repro.telemetry.chrometrace import export_chrome_trace
-from repro.util import rng_stream
 from repro.util.errors import ConfigError
+from tests.harness import applied, booted, system
 
 pytestmark = pytest.mark.telemetry
 
-GROUPS = [(0,), (1,), (2,), (3,)]
 DIMS_1D = (2, 1, 1, 1, 1, 1)
 MACHINE_DIMS = (2, 1, 1, 1)
 
 
 def wilson_machine(shape=(4, 2, 2, 2), n_applications=1, trace=False):
-    m = QCDOCMachine(
-        MachineConfig(dims=DIMS_1D), word_batch=4096, trace=trace
-    )
-    m.bring_up()
-    part = m.partition(groups=GROUPS)
-    rng = rng_stream(17, "report")
-    geom = LatticeGeometry(shape)
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        out = lpsi[api.rank]
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.3
-        )
-        for _ in range(n_applications):
-            out = yield from ctx.apply(out)
-        return out
-
-    m.run_partition(part, program)
-    return m, mapping
+    m, part = booted(DIMS_1D, word_batch=4096, trace=trace)
+    gauge, psi = system((17, "report"), shape)
+    applied(m, part, "wilson", gauge, psi, applies=n_applications, mass=0.3)
+    return m, PhysicsMapping(gauge.geometry, part)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +200,8 @@ def test_unknown_operator_rejected():
 
 @pytest.fixture(scope="module")
 def cg_machine():
-    m = QCDOCMachine(
-        MachineConfig(dims=DIMS_1D), word_batch=4096, trace=True
-    )
-    m.bring_up()
-    part = m.partition(groups=GROUPS)
-    rng = rng_stream(23, "report-cg")
-    geom = LatticeGeometry((4, 2, 2, 2))
-    gauge = GaugeField.hot(geom, rng)
-    b = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
+    m, part = booted(DIMS_1D, word_batch=4096, trace=True)
+    gauge, b = system((23, "report-cg"), (4, 2, 2, 2))
     result = solve_on_machine(
         m, part, gauge, b, mass=0.3, tol=1e-6, maxiter=200
     )

@@ -35,6 +35,7 @@ from repro.telemetry.schema import (
     validate_record,
     validate_trace,
 )
+from tests.harness import applied, booted, system
 
 pytestmark = pytest.mark.telemetry
 
@@ -180,6 +181,36 @@ def test_one_halo_pipeline_in_the_parallel_layer():
     assert pipeline_calls - {"start_stored"} <= found.keys()
 
 
+def test_one_operator_run_harness_in_the_tests():
+    """Structural guard: the scatter -> program -> run -> gather
+    boilerplate lives in ``repro.parallel.apply_on_machine`` and
+    ``tests/harness.py``, not per suite.
+
+    No test module defines its own ``make_machine`` or ``observables``,
+    and only the decomposition's own tests scatter a gauge field or a
+    tile by hand."""
+    scatterers = {"harness.py", "test_parallel.py"}  # the latter tests decomp
+    stray = []
+    for path in sorted((REPO / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "make_machine",
+                "observables",
+            ):
+                stray.append(f"{path.name}: def {node.name}")
+            if path.name in scatterers:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if node.func.attr == "scatter_gauge" or (
+                    node.func.attr == "scatter"
+                    and isinstance(owner, ast.Attribute)
+                    and owner.attr == "tiling"
+                ):
+                    stray.append(f"{path.name}:{node.lineno}: {node.func.attr}(")
+    assert stray == [], f"per-suite run boilerplate is back: {stray}"
+
+
 def test_scan_roots_exist_and_exclude_tests():
     for root in SCAN_ROOTS:
         assert root.is_dir(), f"scan root vanished: {root}"
@@ -274,38 +305,9 @@ def test_ring_buffer_drops_oldest_and_counts():
 
 def machine_trace():
     """A real machine trace: 2-node Wilson dslash with tracing on."""
-    import numpy as np
-
-    from repro.lattice import GaugeField, LatticeGeometry
-    from repro.machine.asic import MachineConfig
-    from repro.machine.machine import QCDOCMachine
-    from repro.parallel import PhysicsMapping
-    from repro.parallel.pdirac import DistributedWilsonContext
-    from repro.util import rng_stream
-
-    m = QCDOCMachine(
-        MachineConfig(dims=(2, 1, 1, 1, 1, 1)), word_batch=4096, trace=True
-    )
-    m.bring_up()
-    part = m.partition(groups=[(0,), (1,), (2,), (3,)])
-    rng = rng_stream(17, "chrome")
-    geom = LatticeGeometry((4, 2, 2, 2))
-    gauge = GaugeField.hot(geom, rng)
-    psi = rng.standard_normal((geom.volume, 4, 3)) + 1j * rng.standard_normal(
-        (geom.volume, 4, 3)
-    )
-    mapping = PhysicsMapping(geom, part)
-    links = mapping.scatter_gauge(gauge)
-    lpsi = mapping.scatter_field(psi)
-
-    def program(api):
-        ctx = DistributedWilsonContext(
-            api, mapping.local_shape, links[api.rank], mass=0.3
-        )
-        out = yield from ctx.apply(lpsi[api.rank])
-        return out
-
-    m.run_partition(part, program)
+    m, part = booted((2, 1, 1, 1, 1, 1), word_batch=4096, trace=True)
+    gauge, psi = system((17, "chrome"), (4, 2, 2, 2))
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
     return m
 
 
