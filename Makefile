@@ -2,7 +2,7 @@ PY      ?= python
 PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test protocol overlap bench bench-smoke bench-check fingerprint \
-        verify verify-telemetry lint verify-sanitizer verify-faults \
+        fingerprint-check verify verify-telemetry lint verify-sanitizer verify-faults \
         verify-sharding verify-hotpath verify-service verify-flow verify-hmc
 
 ## tier-1: the full unit/integration/property suite
@@ -37,11 +37,17 @@ bench-check:
 	$(PYTEST) bench/tests -q
 
 ## one sha256 per case of a fixed matrix of machine runs (3 operators x
-## 1d/2d x word_batch face/1 x shards 1/2, plus one solve per operator):
-## `make fingerprint > new.txt`, the same at the parent commit, `diff` —
-## "same numbers to the bit" without a scratch probe
+## 1d/2d x word_batch face/1 x shards 1/2, plus one solve per operator)
 fingerprint:
 	@PYTHONPATH=src $(PY) benchmarks/fingerprint.py
+
+## "same numbers to the bit": the digests against the committed
+## benchmarks/fingerprint.txt.  A change that means to move a result,
+## a counter, a trace record or the simulated clock regenerates the file
+## (`make fingerprint > benchmarks/fingerprint.txt`) and says why.
+fingerprint-check:
+	@PYTHONPATH=src $(PY) benchmarks/fingerprint.py | diff - benchmarks/fingerprint.txt
+	@echo "fingerprint-check: digests equal benchmarks/fingerprint.txt"
 
 ## telemetry invariants: counter conservation, trace-schema registry,
 ## fault-injection accounting, measured-vs-model crosscheck
@@ -70,12 +76,13 @@ lint:
 	fi
 
 ## whole-program flow analysis + SCU protocol state-machine verifier:
-## the REPRO5xx interprocedural rules over src/, the bounded-model
-## protocol enumeration against the production scu.py, and their suites
+## the REPRO5xx interprocedural rules over src/ and the bounded-model
+## protocol enumeration against the production scu.py (their suites,
+## tests/test_flow_analysis.py and tests/test_protocol_verifier.py, are
+## part of tier-1)
 verify-flow:
 	PYTHONPATH=src $(PY) -m repro.analysis src --flow
 	PYTHONPATH=src $(PY) -m repro.analysis --protocol
-	$(PYTEST) tests/test_flow_analysis.py tests/test_protocol_verifier.py -q
 
 ## halo-buffer race sanitizer: clean-pipeline run + seeded-race detection
 verify-sanitizer:
@@ -106,8 +113,10 @@ verify-service:
 verify-hmc:
 	$(PYTEST) -m hmc -q
 
-## what CI gates a merge on: tier-1 + overlap bit-exactness + static
-## analysis (incl. whole-program flow + the protocol verifier) + the
-## race sanitizer + the hard-fault + sharding + hot-path + HMC suites
-verify: test overlap lint verify-flow verify-sanitizer verify-faults verify-sharding verify-hotpath verify-service verify-hmc
-	@echo "verify: tier-1 + overlap + lint + flow/protocol + sanitizer + faults + sharding + hotpath + service + hmc green"
+## what CI gates a merge on: tier-1 (which contains the overlap,
+## sanitizer, faults, sharding, hot-path, service and HMC suites — the
+## per-suite targets above are conveniences, not extra gates) + static
+## analysis + the two non-pytest gates (whole-program flow, protocol
+## verifier) + bit-identity against the committed fingerprint
+verify: test lint verify-flow fingerprint-check
+	@echo "verify: tier-1 + lint + flow/protocol + fingerprint green"

@@ -1,7 +1,8 @@
 """``make fingerprint``: one sha256 per case of a fixed matrix of machine runs.
 
-A change that claims "same numbers to the bit" proves it by ``diff``-ing
-this output against its parent's.  Each line digests everything a run can
+A change that claims "same numbers to the bit" proves it with ``make
+fingerprint-check``, which ``diff``s this output against the committed
+``benchmarks/fingerprint.txt``.  Each line digests everything a run can
 be observed by: the gathered result bytes and the
 :func:`repro.telemetry.observables` sample (counter bank, trace multiset,
 simulated clock, replay statistics).

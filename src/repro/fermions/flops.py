@@ -14,7 +14,7 @@ once; no speculative reuse beyond registers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 CMUL = 6  #: flops in one complex multiply
@@ -41,6 +41,8 @@ DIAG_AXPY_FLOPS = 48
 #: clover term: two hermitian 6x6 blocks applied to the upper/lower
 #: chirality halves (36 cmul + 30 cadd each) plus accumulation
 CLOVER_TERM_FLOPS = 2 * (36 * CMUL + 30 * CADD) + 24 * CADD  # = 600
+#: the packed clover field: two hermitian 6x6 = 2 x (6 diag + 15 complex)
+CLOVER_WORDS = 2 * (6 + 2 * 15)  # = 72
 
 #: staggered: one SU(3) matvec per direction per hop family; ASQTAD has
 #: fat (1-hop) + long (3-hop) = 16 matvecs and 15 colour-vector adds
@@ -94,6 +96,11 @@ WILSON_FORCE_HALO_PROJ_FLOPS = WILSON_FORCE_PROJ_FLOPS
 class OperatorCost:
     """Per-site cost sheet for one Dirac operator application.
 
+    The one place an operator's counts live: the halo pipeline sizes its
+    buffers and charges its flops from it (:mod:`repro.parallel`), and the
+    timing model, the exact counter predictions and the hard-scaling sweep
+    (:mod:`repro.perfmodel`) read the same fields.
+
     Attributes
     ----------
     flops_per_site:
@@ -116,8 +123,21 @@ class OperatorCost:
         payload a 2004 commodity-cluster MPI code moves.  Equal to
         ``comm_bytes_per_face_site`` for staggered operators (a colour
         vector has no rank-2 spin structure to exploit).
+    site_words:
+        64-bit words per site of one solver vector: a Wilson-type spinor
+        is 12 complex = 24 words, a staggered colour vector 3 complex = 6.
+    local_flops_per_site:
+        The part of ``flops_per_site`` that is site-local (the diagonal
+        axpy, the clover term): the distributed operators charge it where
+        that arithmetic runs, apart from the hop matvecs and the merge.
+    local_words_per_site:
+        Words per site of a site-local operator field resident beside the
+        gauge field (the packed clover term).
     hop_depths:
         Hop distances needing halo exchange (ASQTAD needs 1 and 3).
+    five_dimensional:
+        The sheet is stated per 5-dimensional site, so ``Ls`` slices of
+        it run per 4-dimensional site (:meth:`slices`).
     dirac_applications_per_cg_iteration:
         CG on the normal equations applies D and D^+ once each.
     """
@@ -128,7 +148,11 @@ class OperatorCost:
     gauge_words_per_site: int
     comm_bytes_per_face_site: int
     uncompressed_comm_bytes_per_face_site: int
+    site_words: int
+    local_flops_per_site: int
+    local_words_per_site: int = 0
     hop_depths: Tuple[int, ...] = (1,)
+    five_dimensional: bool = False
     dirac_applications_per_cg_iteration: int = 2
 
     @property
@@ -136,102 +160,120 @@ class OperatorCost:
         """flops per byte of memory traffic (double precision)."""
         return self.flops_per_site / (8.0 * self.words_per_site)
 
-    @property
-    def site_vector_words(self) -> int:
-        """64-bit words per site of one solver vector (double precision).
-
-        Wilson-type spinors are 12 complex = 24 words; staggered colour
-        vectors are 3 complex = 6 words.  Drives the CG linear-algebra
-        cost in the performance model.
-        """
-        return (
-            STAGGERED_WORDS
-            if "staggered" in self.name or self.name == "asqtad"
-            else SPINOR_WORDS
+    def wire_words(self, compress: bool = True) -> int:
+        """64-bit words per face site on the wire."""
+        nbytes = (
+            self.comm_bytes_per_face_site
+            if compress
+            else self.uncompressed_comm_bytes_per_face_site
         )
+        return nbytes // WORD_BYTES
+
+    def slices(self, Ls: int = 1) -> int:
+        """Applications of the sheet per 4-dimensional site."""
+        return int(Ls) if self.five_dimensional else 1
+
+    def halo_flops(self, face_sites: int) -> int:
+        """Flops the halo exchange adds, beyond ``flops_per_site`` on every
+        site, on decomposed axes whose one-deep faces hold ``face_sites``:
+        one sender-side ``U^+ psi`` SU(3) matvec per product site shipped
+        (one block of products per hop layer)."""
+        return sum(self.hop_depths) * face_sites * MATVEC_SU3
 
 
-def _wilson_cost() -> OperatorCost:
-    return OperatorCost(
-        name="wilson",
-        flops_per_site=WILSON_DSLASH_FLOPS + DIAG_AXPY_FLOPS,  # 1368
-        # gauge 8 x 18 + neighbour spinors 8 x 24 + site spinor 24 + store 24
-        words_per_site=144 + 192 + 24 + 24,  # 384
-        gauge_words_per_site=144,
-        # half spinor on the wire: 12 words = 96 bytes per face site
-        comm_bytes_per_face_site=HALF_SPINOR_WORDS * WORD_BYTES,
-        uncompressed_comm_bytes_per_face_site=SPINOR_WORDS * WORD_BYTES,
-    )
+_WILSON = OperatorCost(
+    name="wilson",
+    flops_per_site=WILSON_DSLASH_FLOPS + DIAG_AXPY_FLOPS,  # 1368
+    # gauge 8 x 18 + neighbour spinors 8 x 24 + site spinor 24 + store 24
+    words_per_site=144 + 192 + 24 + 24,  # 384
+    gauge_words_per_site=144,
+    # half spinor on the wire: 12 words = 96 bytes per face site
+    comm_bytes_per_face_site=HALF_SPINOR_WORDS * WORD_BYTES,
+    uncompressed_comm_bytes_per_face_site=SPINOR_WORDS * WORD_BYTES,
+    site_words=SPINOR_WORDS,
+    local_flops_per_site=DIAG_AXPY_FLOPS,
+)
+
+_CLOVER = replace(
+    _WILSON,
+    name="clover",
+    flops_per_site=_WILSON.flops_per_site + CLOVER_TERM_FLOPS,  # 1968
+    words_per_site=_WILSON.words_per_site + CLOVER_WORDS,  # 456
+    local_flops_per_site=DIAG_AXPY_FLOPS + CLOVER_TERM_FLOPS,
+    local_words_per_site=CLOVER_WORDS,
+)
+
+_ASQTAD = OperatorCost(
+    name="asqtad",
+    flops_per_site=ASQTAD_DSLASH_FLOPS + STAGGERED_DIAG_FLOPS,  # 1158
+    # fat links 8 x 18 + long links 8 x 18 + 16 neighbour vectors x 6
+    # + site vector 6 + store 6
+    words_per_site=144 + 144 + 96 + 6 + 6,  # 396
+    gauge_words_per_site=288,
+    # one colour vector (no spin structure to compress)
+    comm_bytes_per_face_site=STAGGERED_WORDS * WORD_BYTES,
+    uncompressed_comm_bytes_per_face_site=STAGGERED_WORDS * WORD_BYTES,
+    site_words=STAGGERED_WORDS,
+    local_flops_per_site=STAGGERED_DIAG_FLOPS,
+    hop_depths=(1, 3),
+)
+
+_NAIVE_STAGGERED = replace(
+    _ASQTAD,
+    name="naive-staggered",
+    flops_per_site=NAIVE_STAGGERED_DSLASH_FLOPS + STAGGERED_DIAG_FLOPS,  # 582
+    words_per_site=144 + 48 + 6 + 6,  # 204
+    gauge_words_per_site=144,
+    hop_depths=(1,),
+)
+
+#: Domain wall, stated per 5-dimensional site.  The gauge field is shared
+#: by all ``Ls`` slices; a blocked kernel streams it once per ``Ls``
+#: slices, which is why the paper expects the domain-wall assembly to
+#: *surpass* clover efficiency (section 4).  The amortisation itself is
+#: applied by the performance model, which is why
+#: ``gauge_words_per_site`` is reported separately.  Of the per-5D-site
+#: extra, the diagonal axpy is the site-local part; the two chiral
+#: 5th-dimension hops ride in the merge.
+_DWF = replace(
+    _WILSON,
+    name="dwf",
+    flops_per_site=WILSON_DSLASH_FLOPS + DWF_5D_EXTRA_FLOPS,  # 1416
+    five_dimensional=True,
+)
 
 
-def _clover_cost() -> OperatorCost:
-    w = _wilson_cost()
-    return OperatorCost(
-        name="clover",
-        flops_per_site=w.flops_per_site + CLOVER_TERM_FLOPS,  # 1968
-        # + packed clover: two hermitian 6x6 = 2 x (6 diag + 15 complex) words
-        words_per_site=w.words_per_site + 72,  # 456
-        gauge_words_per_site=w.gauge_words_per_site,
-        comm_bytes_per_face_site=w.comm_bytes_per_face_site,
-        uncompressed_comm_bytes_per_face_site=w.uncompressed_comm_bytes_per_face_site,
-    )
+class _WilsonForceCost(OperatorCost):
+    """The fermion force fits the sheet except in what its exchange adds:
+    no sender-side matvec, but the receiver's ``(r + gamma_mu) Y``
+    reprojection of every forward-face site it was sent."""
+
+    def halo_flops(self, face_sites: int) -> int:
+        return face_sites * WILSON_FORCE_HALO_PROJ_FLOPS
 
 
-def _asqtad_cost() -> OperatorCost:
-    return OperatorCost(
-        name="asqtad",
-        flops_per_site=ASQTAD_DSLASH_FLOPS + STAGGERED_DIAG_FLOPS,  # 1158
-        # fat links 8 x 18 + long links 8 x 18 + 16 neighbour vectors x 6
-        # + site vector 6 + store 6
-        words_per_site=144 + 144 + 96 + 6 + 6,  # 396
-        gauge_words_per_site=288,
-        # one colour vector (no spin structure to compress)
-        comm_bytes_per_face_site=STAGGERED_WORDS * WORD_BYTES,
-        uncompressed_comm_bytes_per_face_site=STAGGERED_WORDS * WORD_BYTES,
-        hop_depths=(1, 3),
-    )
-
-
-def _naive_staggered_cost() -> OperatorCost:
-    return OperatorCost(
-        name="naive-staggered",
-        flops_per_site=NAIVE_STAGGERED_DSLASH_FLOPS + STAGGERED_DIAG_FLOPS,  # 582
-        words_per_site=144 + 48 + 6 + 6,  # 204
-        gauge_words_per_site=144,
-        comm_bytes_per_face_site=STAGGERED_WORDS * WORD_BYTES,
-        uncompressed_comm_bytes_per_face_site=STAGGERED_WORDS * WORD_BYTES,
-    )
-
-
-def _dwf_cost(Ls: int = 1) -> OperatorCost:
-    """Domain wall, expressed per 5-dimensional site.
-
-    The gauge field is shared by all Ls slices; a blocked kernel streams it
-    once per ``Ls`` slices, which is why the paper expects the
-    domain-wall assembly to *surpass* clover efficiency (section 4).  The
-    amortisation itself is applied by the performance model, which is why
-    ``gauge_words_per_site`` is reported separately.
-    """
-    w = _wilson_cost()
-    return OperatorCost(
-        name="dwf" if Ls == 1 else f"dwf(Ls={Ls})",
-        flops_per_site=WILSON_DSLASH_FLOPS + DWF_5D_EXTRA_FLOPS,  # 1416
-        words_per_site=w.words_per_site,
-        gauge_words_per_site=w.gauge_words_per_site,
-        comm_bytes_per_face_site=w.comm_bytes_per_face_site,
-        uncompressed_comm_bytes_per_face_site=w.uncompressed_comm_bytes_per_face_site,
-    )
-
+#: One evaluation of the two-flavor fermion-force kernel, all four
+#: directions.  Per decomposed axis it ships the raw low faces of both
+#: solver fields ``X`` and ``Y = D X`` in one packed transfer — two full
+#: spinors per face site one way, the word count of a one-hop operator's
+#: face plus products — and projects on the receiver, so the wire has no
+#: compressed form.
+_WILSON_FORCE = _WilsonForceCost(
+    name="wilson-force",
+    flops_per_site=4 * WILSON_FORCE_FLOPS_PER_DIRECTION,  # 4464
+    # links 4 x 18 + X, Y at the site and 4 forward neighbours
+    # (2 x 5 x 24) + store 4 x 18
+    words_per_site=72 + 240 + 72,  # 384
+    gauge_words_per_site=72,
+    comm_bytes_per_face_site=SPINOR_WORDS * WORD_BYTES,
+    uncompressed_comm_bytes_per_face_site=SPINOR_WORDS * WORD_BYTES,
+    site_words=SPINOR_WORDS,
+    local_flops_per_site=0,
+)
 
 OPERATOR_COSTS: Dict[str, OperatorCost] = {
     c.name: c
-    for c in (
-        _wilson_cost(),
-        _clover_cost(),
-        _asqtad_cost(),
-        _naive_staggered_cost(),
-        _dwf_cost(),
-    )
+    for c in (_WILSON, _CLOVER, _ASQTAD, _NAIVE_STAGGERED, _DWF, _WILSON_FORCE)
 }
 
 

@@ -131,19 +131,5 @@ class WilsonDirac:
         """``D^+ D psi`` — the hermitian positive operator CG inverts."""
         return self.apply_dagger(self.apply(psi))
 
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit ``(12V, 12V)`` matrix — tiny lattices only (tests)."""
-        v = self.geometry.volume
-        n = v * 12
-        if n > 4096:
-            raise ConfigError(f"dense matrix with {n} rows would be too large")
-        m = np.zeros((n, n), dtype=np.complex128)
-        basis = np.zeros((v, 4, 3), dtype=np.complex128)
-        for col in range(n):
-            basis.reshape(-1)[col] = 1.0
-            m[:, col] = self.apply(basis).reshape(-1)
-            basis.reshape(-1)[col] = 0.0
-        return m
-
     def __repr__(self) -> str:
         return f"WilsonDirac(shape={self.geometry.shape}, m={self.mass}, r={self.r})"

@@ -27,20 +27,12 @@ driver is a *user* error the restore guards against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.hmc.hmc import HMC, TrajectoryResult
-from repro.hmc.pseudofermion import TwoFlavorWilsonHMC
 from repro.util.errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.phmc import DistributedTwoFlavorHMC
-
-#: Any driver with the (gauge, seed, trajectory_index, history) state
-#: contract; dynamical drivers additionally expose ``cg_iterations``.
-AnyHMC = Union[HMC, TwoFlavorWilsonHMC, "DistributedTwoFlavorHMC"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,7 @@ class HMCCheckpoint:
     cg_iterations: Optional[List[int]] = None
 
     @classmethod
-    def save(cls, hmc: AnyHMC) -> "HMCCheckpoint":
+    def save(cls, hmc: HMC) -> "HMCCheckpoint":
         """Snapshot the driver between trajectories."""
         cg_iterations = getattr(hmc, "cg_iterations", None)
         return cls(
@@ -71,7 +63,7 @@ class HMCCheckpoint:
             cg_iterations=None if cg_iterations is None else list(cg_iterations),
         )
 
-    def restore(self, hmc: AnyHMC) -> AnyHMC:
+    def restore(self, hmc: HMC) -> HMC:
         """Load this snapshot into a (fresh or reused) driver in place.
 
         The driver must use the same root seed — restoring a seed-``a``
@@ -107,7 +99,7 @@ class HMCCheckpoint:
 
 
 def run_with_checkpoints(
-    hmc: AnyHMC,
+    hmc: HMC,
     n_trajectories: int,
     every: int = 5,
     reunitarise_every: int = 10,
@@ -124,14 +116,11 @@ def run_with_checkpoints(
     checkpoints: List[HMCCheckpoint] = [HMCCheckpoint.save(hmc)]
     results: List[TrajectoryResult] = []
     for _ in range(n_trajectories):
-        results.append(hmc.trajectory())
+        results.append(hmc.step(reunitarise_every))
         # Phase-align on the *absolute* trajectory index (not the loop
-        # counter): a run resumed from a checkpoint then reunitarises and
-        # snapshots at exactly the same points as the uninterrupted run,
-        # which is what makes the resumed chain bit-identical.
-        done = hmc.trajectory_index
-        if reunitarise_every and done % reunitarise_every == 0:
-            hmc.gauge.reunitarise()
-        if done % every == 0 or len(results) == n_trajectories:
+        # counter), as ``step`` does for the reprojection: a run resumed
+        # from a checkpoint then snapshots at exactly the same points as
+        # the uninterrupted run.
+        if hmc.trajectory_index % every == 0 or len(results) == n_trajectories:
             checkpoints.append(HMCCheckpoint.save(hmc))
     return results, checkpoints

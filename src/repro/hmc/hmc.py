@@ -11,7 +11,7 @@ asserted by tests and benchmark E10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -95,8 +95,11 @@ class HMC:
             proposal, momenta, self.action.force, self.n_steps, self.dt
         )
         h_new = kinetic_energy(momenta) + self.action(proposal)
-        delta_h = h_new - h_old
+        return self.metropolis(proposal, h_new - h_old)
 
+    def metropolis(self, proposal: GaugeField, delta_h: float) -> TrajectoryResult:
+        """Accept or reject ``proposal`` on ``exp(-delta_h)``, record the
+        trajectory and advance the index (every driver's tail)."""
         rng = rng_stream(self.seed, f"metropolis/{self.trajectory_index}")
         accepted = bool(rng.random() < np.exp(min(0.0, -delta_h)))
         if accepted:
@@ -112,20 +115,23 @@ class HMC:
         self.trajectory_index += 1
         return result
 
-    def run(self, n_trajectories: int, reunitarise_every: int = 10) -> List[TrajectoryResult]:
-        """Run several trajectories, reprojecting links periodically.
+    def step(self, reunitarise_every: int = 10) -> TrajectoryResult:
+        """One trajectory, then the periodic link reprojection.
 
-        The reprojection is phase-aligned on the absolute
-        ``trajectory_index`` (as in ``run_with_checkpoints``), so a chain
-        run in pieces is the chain run in one go: ``run(a); run(b)``
-        leaves the same bits as ``run(a + b)``.
+        The one chain-loop body (``run`` and ``run_with_checkpoints`` both
+        step through it).  The reprojection is phase-aligned on the
+        absolute ``trajectory_index``, so a chain run in pieces — or
+        resumed from a checkpoint — is the chain run in one go:
+        ``run(a); run(b)`` leaves the same bits as ``run(a + b)``.
         """
-        out = []
-        for _ in range(n_trajectories):
-            out.append(self.trajectory())
-            if reunitarise_every and self.trajectory_index % reunitarise_every == 0:
-                self.gauge.reunitarise()
-        return out
+        result = self.trajectory()
+        if reunitarise_every and self.trajectory_index % reunitarise_every == 0:
+            self.gauge.reunitarise()
+        return result
+
+    def run(self, n_trajectories: int, reunitarise_every: int = 10) -> List[TrajectoryResult]:
+        """Run several trajectories, reprojecting links periodically."""
+        return [self.step(reunitarise_every) for _ in range(n_trajectories)]
 
     # -- diagnostics ------------------------------------------------------------
     @property

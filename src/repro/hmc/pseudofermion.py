@@ -29,11 +29,11 @@ import numpy as np
 
 from repro.fermions.gamma import GAMMA, apply_spin_matrix
 from repro.fermions.wilson import WilsonDirac
-from repro.hmc.actions import WilsonGaugeAction, traceless_antihermitian
-from repro.hmc.hmc import TrajectoryResult, kinetic_energy
+from repro.hmc.actions import traceless_antihermitian
+from repro.hmc.hmc import HMC, TrajectoryResult, kinetic_energy
 from repro.hmc.integrators import omelyan
 from repro.lattice.gauge import GaugeField
-from repro.lattice.su3 import dagger, expm_su3, random_algebra
+from repro.lattice.su3 import dagger, expm_su3
 from repro.solvers.krylov import cg_iter, lift, mixed_cg_iter, run_serial
 from repro.solvers.sitedot import canonical_dot
 from repro.util.errors import ConfigError
@@ -44,8 +44,13 @@ from repro.util.rng import rng_stream
 SOLVERS = {"cg": cg_iter, "mixed": mixed_cg_iter}
 
 
-class TwoFlavorWilsonHMC:
-    """HMC for two degenerate Wilson flavors (quenched + ``det(D^+D)``)."""
+class TwoFlavorWilsonHMC(HMC):
+    """HMC for two degenerate Wilson flavors (quenched + ``det(D^+D)``).
+
+    The pure-gauge driver with the pseudofermion action added: the chain
+    loop, the Metropolis tail and the diagnostics are inherited; ``action``
+    is the gauge part.
+    """
 
     def __init__(
         self,
@@ -63,17 +68,11 @@ class TwoFlavorWilsonHMC:
             raise ConfigError(
                 f"unknown force solver {solver!r}; options: {list(SOLVERS)}"
             )
-        self.gauge = gauge
-        self.gauge_action = WilsonGaugeAction(beta)
+        super().__init__(gauge, beta, seed, n_steps, dt)
         self.mass = float(mass)
-        self.seed = int(seed)
-        self.n_steps = int(n_steps)
-        self.dt = float(dt)
         self.cg_tol = float(cg_tol)
         self.cg_maxiter = int(cg_maxiter)
         self.solver = solver
-        self.trajectory_index = 0
-        self.history: List[TrajectoryResult] = []
         self.cg_iterations: List[int] = []
 
     # -- pseudofermion machinery ------------------------------------------------
@@ -146,7 +145,7 @@ class TwoFlavorWilsonHMC:
         return out
 
     def total_force(self, gauge: GaugeField, phi: np.ndarray) -> np.ndarray:
-        return self.gauge_action.force(gauge) + self.fermion_force(gauge, phi)
+        return self.action.force(gauge) + self.fermion_force(gauge, phi)
 
     def pseudofermion_gradient_check(
         self, gauge: GaugeField, phi: np.ndarray, mu: int, site: int,
@@ -168,11 +167,8 @@ class TwoFlavorWilsonHMC:
         return self._dirac(self.gauge).apply_dagger(eta)
 
     def draw_fields(self):
+        momenta = self.draw_momenta()
         g = self.gauge.geometry
-        rng_p = rng_stream(self.seed, f"momenta/{self.trajectory_index}")
-        momenta = random_algebra(rng_p, g.ndim * g.volume).reshape(
-            g.ndim, g.volume, 3, 3
-        )
         rng_e = rng_stream(self.seed, f"eta/{self.trajectory_index}")
         eta = (
             rng_e.standard_normal((g.volume, 4, 3))
@@ -185,7 +181,7 @@ class TwoFlavorWilsonHMC:
         # S_pf(start) = eta^+ eta exactly, by construction of phi.
         h_old = (
             kinetic_energy(momenta)
-            + self.gauge_action(self.gauge)
+            + self.action(self.gauge)
             + float(canonical_dot(eta, eta).real)
         )
         proposal = self.gauge.copy()
@@ -200,34 +196,7 @@ class TwoFlavorWilsonHMC:
         )
         h_new = (
             kinetic_energy(momenta)
-            + self.gauge_action(proposal)
+            + self.action(proposal)
             + self.pseudofermion_action(proposal, phi)
         )
-        delta_h = h_new - h_old
-
-        rng = rng_stream(self.seed, f"metropolis/{self.trajectory_index}")
-        accepted = bool(rng.random() < np.exp(min(0.0, -delta_h)))
-        if accepted:
-            self.gauge.links = proposal.links
-        result = TrajectoryResult(
-            index=self.trajectory_index,
-            delta_h=float(delta_h),
-            accepted=accepted,
-            plaquette=self.gauge.plaquette(),
-            action=self.gauge_action(self.gauge),
-        )
-        self.history.append(result)
-        self.trajectory_index += 1
-        return result
-
-    def run(self, n_trajectories: int) -> List[TrajectoryResult]:
-        return [self.trajectory() for _ in range(n_trajectories)]
-
-    @property
-    def acceptance_rate(self) -> float:
-        if not self.history:
-            return 0.0
-        return sum(t.accepted for t in self.history) / len(self.history)
-
-    def fingerprint(self) -> bytes:
-        return self.gauge.links.tobytes()
+        return self.metropolis(proposal, h_new - h_old)

@@ -17,7 +17,7 @@ machine with *no PROMs* can be bootstrapped over the network from power-on.
 
 from repro.host.ethernet import EthernetFabric, UdpDatagram
 from repro.host.jtag import EthernetJtagController, JtagCommand, JtagOp
-from repro.host.boot import BootReport, boot_node_program
+from repro.host.boot import BootReport
 from repro.host.qdaemon import Qdaemon
 from repro.host.qcsh import Qcsh
 from repro.host.riscwatch import RiscWatchSession
@@ -30,7 +30,6 @@ __all__ = [
     "JtagCommand",
     "JtagOp",
     "BootReport",
-    "boot_node_program",
     "Qdaemon",
     "Qcsh",
 ]

@@ -160,10 +160,3 @@ class NodeBootAgent:
     def rpc_available(self) -> bool:
         """All post-boot host<->node traffic uses RPC (paper section 3.1)."""
         return self.state == BootState.RUN_KERNEL
-
-
-def boot_node_program(agent: NodeBootAgent):
-    """Generator form of the node's boot wait (for program-style tests)."""
-    while agent.state not in (BootState.RUN_KERNEL, BootState.FAILED):
-        yield agent.sim.timeout(10 * US)
-    return agent.state

@@ -99,9 +99,6 @@ class RiscWatchSession:
         self.breakpoints.add(address)
         self._log("breakpoint", f"{address:#x}")
 
-    def clear_breakpoint(self, address: int) -> None:
-        self.breakpoints.discard(address)
-
     def run_to_breakpoint(self, max_steps: int = 10_000) -> Optional[int]:
         """Step until the PC lands on a breakpoint; returns it (or None)."""
         if not self.breakpoints:

@@ -90,10 +90,6 @@ class ASICConfig:
         return self.clock_hz * self.flops_per_cycle
 
     @property
-    def cycle_time(self) -> float:
-        return 1.0 / self.clock_hz
-
-    @property
     def edram_bandwidth(self) -> float:
         """Port width x clock: 8 GB/s at 500 MHz."""
         return (self.edram_port_bits / 8.0) * self.clock_hz

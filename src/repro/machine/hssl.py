@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.machine.asic import ASICConfig
-from repro.machine.packets import Frame, PacketType
+from repro.machine.packets import Frame
 from repro.sim.core import Event, Simulator
 from repro.sim.trace import Trace
 from repro.util.errors import ProtocolError
@@ -141,10 +141,6 @@ class SerialLink:
         self.sim.schedule(t, finish)
         return done
 
-    @property
-    def training_time(self) -> float:
-        return TRAINING_BYTES * 8 / self.asic.clock_hz
-
     # -- transmission ---------------------------------------------------------
     def transmit(self, frame: Frame) -> Event:
         """Serialise a frame onto the wire.
@@ -249,11 +245,6 @@ class SerialLink:
     def restore_state(self, state: dict) -> None:
         for name, value in sorted(state.items()):
             setattr(self, name, value)
-
-    # -- idle keepalive ---------------------------------------------------------
-    def send_idle(self) -> Event:
-        """Transmit one idle frame (trained-link keepalive)."""
-        return self.transmit(Frame(PacketType.IDLE))
 
     def __repr__(self) -> str:
         return f"SerialLink({self.name}, trained={self.trained})"

@@ -190,16 +190,6 @@ class MeshNetwork:
     def total_faults_injected(self) -> int:
         return sum(link.faults_injected for link in self.links.values())
 
-    def total_frames_sent(self) -> int:
-        return sum(link.frames_sent for link in self.links.values())
-
-    def total_bits_sent(self) -> int:
-        return sum(link.bits_sent for link in self.links.values())
-
-    def total_busy_seconds(self) -> float:
-        """Sum of per-link wire-busy time (for utilisation metrics)."""
-        return sum(link.busy_seconds for link in self.links.values())
-
     def active_links(self) -> List[Tuple[Tuple[int, int], SerialLink]]:
         """Links that carried at least one frame, with their keys."""
         return [(k, l) for k, l in self.links.items() if l.frames_sent > 0]

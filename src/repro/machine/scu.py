@@ -1121,10 +1121,3 @@ class SCU:
             # the torus's redundant paths.
             if link is not None and link.alive and link.trained:
                 link.transmit(Frame(PacketType.PARTITION_IRQ, frame_word.copy()))
-
-    # -- audit ------------------------------------------------------------------
-    def checksum_pair(self, direction: int) -> Tuple[LinkChecksum, LinkChecksum]:
-        return (
-            self.send_units[direction].checksum,
-            self.recv_units[direction].checksum,
-        )

@@ -11,8 +11,6 @@ fields.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.lattice.gauge import GaugeField
@@ -77,9 +75,6 @@ class PhysicsMapping:
         if gauge.geometry != self.geometry:
             raise ConfigError("gauge field geometry does not match the mapping")
         return self.scatter_stack(gauge.links)
-
-    def rank_coord(self, rank: int) -> Sequence[int]:
-        return self.partition.logical_coord(rank)
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,9 @@ supplies the site kernels the generator calls between the steps:
     patch the face rows from the halo that just landed;
 ``merge(sites)``
     accumulate the per-``mu`` terms into ``self.out`` on ``sites``,
-    charged ``merge_flops_per_site`` each.
+    charged ``merge_flops_per_site`` each — what the operator's cost
+    sheet leaves once its site-local flops and the ``2 * ndim`` SU(3)
+    matvecs charged where their rows are computed are taken out.
 
 The pipeline, step by step
 --------------------------
@@ -86,12 +88,13 @@ evaluation charges simulated CPU time through the cost sheets of
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 
 from repro.comms.api import CommsAPI, face_descriptor, full_descriptor
-from repro.fermions.flops import MATVEC_SU3
+from repro.fermions.flops import MATVEC_SU3, OperatorCost
 from repro.lattice.geometry import LatticeGeometry
 from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
 from repro.machine.scu import normalise_word_batch
@@ -113,15 +116,15 @@ class HaloPipeline:
         Hot-epoch tag of one application (``"pdirac.hopping"``, ...).
     kernel:
         Kernel-ledger tag of every flop charge the pipeline makes.
-    hops:
-        The operator's hop distances; the halo is ``max(hops)`` deep.
-    site_shape, site_words:
-        Per-site shape of the field and its 64-bit word count.
-    wire_words:
-        Words per wire site.  Fewer than ``site_words`` means the wire is
-        compressed: it keeps that fraction of the site's leading (spin)
-        axis, and the forward halo is staged by ``project`` instead of
-        being sent raw from ``work``.
+    cost:
+        The operator's cost sheet (:mod:`repro.fermions.flops`): its hop
+        distances (the halo is ``max(hop_depths)`` deep), the words per
+        field site and per wire site, and the flop charges.  Fewer wire
+        words than site words means the wire is compressed: it keeps that
+        fraction of the site's leading (spin) axis, and the forward halo
+        is staged by ``project`` instead of being sent raw from ``work``.
+    site_shape:
+        Per-site shape of the field.
     buffers:
         Node-memory name stems of (forward halo, backward-product halo,
         backward-product staging).
@@ -149,10 +152,8 @@ class HaloPipeline:
         *,
         tag: str,
         kernel: str,
-        hops: Tuple[int, ...],
+        cost: OperatorCost,
         site_shape: Tuple[int, ...],
-        site_words: int,
-        wire_words: int,
         buffers: Tuple[str, str, str] = ("halo_fwd", "halo_bwd", "stage_bwd"),
         lead: Tuple[int, ...] = (),
         overlap: bool = True,
@@ -161,6 +162,9 @@ class HaloPipeline:
         self.api = api
         self.tag = tag
         self.kernel = kernel
+        self.cost = cost
+        hops = cost.hop_depths
+        site_words, wire_words = cost.site_words, cost.wire_words()
         self.word_batch = (
             None if word_batch is None else normalise_word_batch(word_batch)
         )
@@ -173,6 +177,13 @@ class HaloPipeline:
                 f"{len(api.dims)}"
             )
         self.overlap = bool(overlap)
+        #: transfers and flop charges cover every leading slice
+        self._slices = math.prod(lead)
+        self.merge_flops_per_site = self._slices * (
+            cost.flops_per_site
+            - cost.local_flops_per_site
+            - 2 * g.ndim * MATVEC_SU3
+        )
         #: test seam: when set, called as ``hook(self)`` immediately after
         #: the overlapped order fires its "early" group — i.e. while all
         #: receives are in flight.  The race-sanitizer tests use it to

@@ -31,20 +31,13 @@ full-spinor wire format for comparison benchmarks.
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from repro.comms.api import CommsAPI
-from repro.fermions.flops import (
-    CLOVER_TERM_FLOPS,
-    DIAG_AXPY_FLOPS,
-    HALF_SPINOR_WORDS,
-    MATVEC_SU3,
-    SPINOR_WORDS,
-    operator_cost,
-)
+from repro.fermions.flops import MATVEC_SU3, operator_cost
 from repro.fermions.gamma import (
     GAMMA,
     apply_spin_matrix,
@@ -58,12 +51,6 @@ from repro.parallel.halo import HaloPipeline
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
-#: 64-bit words per Wilson spinor site (12 complex doubles) — the single
-#: source of truth is :mod:`repro.fermions.flops`.
-WORDS_PER_SITE = SPINOR_WORDS
-#: 64-bit words per compressed face site (6 complex doubles)
-HALF_WORDS_PER_SITE = HALF_SPINOR_WORDS
-
 
 class WilsonHops(HaloPipeline):
     """The 4D Wilson hopping site kernels, written once over a site axis.
@@ -73,7 +60,7 @@ class WilsonHops(HaloPipeline):
     slice sees the same gauge field, so the same projection, staging,
     matvec loop and halo patch run slice-batched on site axis 1.
     Subclasses add ``interior``/``merge`` (whose accumulation order is
-    what the bit-identity contracts pin) and set ``merge_flops_per_site``.
+    what the bit-identity contracts pin) and name their cost sheet.
     """
 
     groups = ("early", "proj", "staged")
@@ -84,20 +71,11 @@ class WilsonHops(HaloPipeline):
         local_shape,
         links: np.ndarray,
         *,
-        compress: bool,
         lead=(),
         **spec,
     ):
-        super().__init__(
-            api,
-            local_shape,
-            hops=(1,),
-            site_shape=(4, 3),
-            site_words=WORDS_PER_SITE,
-            wire_words=HALF_WORDS_PER_SITE if compress else WORDS_PER_SITE,
-            lead=lead,
-            **spec,
-        )
+        super().__init__(api, local_shape, site_shape=(4, 3), lead=lead, **spec)
+        compress = self.compress
         g = self.geometry
         v, ndim = g.volume, g.ndim
         if links.shape != (ndim, v, 3, 3):
@@ -110,8 +88,6 @@ class WilsonHops(HaloPipeline):
         #: R of ``D^+ = (Gamma_5 R) D (R Gamma_5)``: reflects the leading
         #: (5th-dimension) axes; the identity for the 4D operator
         self._reflect = (slice(None, None, -1),) * len(lead)
-        #: transfers and flop charges cover every leading slice
-        self._slices = math.prod(lead)
 
         # ---- zero-copy hot-path scratch -------------------------------
         # Every buffer the steady-state pipeline touches is allocated
@@ -286,35 +262,24 @@ class DistributedWilsonContext(WilsonHops):
                 "half-spinor compression requires r == 1 (the projector "
                 f"(r -+ gamma) has full rank at r={self.r})"
             )
+        cost = operator_cost("wilson" if clover_tensor is None else "clover")
+        if not compress:
+            # the same operator on the generic full-spinor wire
+            cost = replace(
+                cost,
+                comm_bytes_per_face_site=cost.uncompressed_comm_bytes_per_face_site,
+            )
         super().__init__(
             api,
             local_shape,
             links,
-            compress=bool(compress),
+            cost=cost,
             tag="pdirac.hopping",
             kernel="dslash",
             overlap=overlap,
             word_batch=word_batch,
         )
-        ndim = self.geometry.ndim
         self.clover_tensor = clover_tensor
-        self.cost = operator_cost("wilson" if clover_tensor is None else "clover")
-        #: per-site flops of the *hopping term alone*.  The clover cost
-        #: sheet's ``flops_per_site`` includes the site-local clover term,
-        #: which :meth:`apply` charges where that einsum actually runs —
-        #: basing the hopping charges on the clover sheet double-counted
-        #: ``CLOVER_TERM_FLOPS`` per site (the telemetry crosscheck against
-        #: :func:`repro.perfmodel.dirac_perf.dirac_flops_per_node` caught
-        #: this).
-        self.hop_flops_per_site = self.cost.flops_per_site - (
-            0 if clover_tensor is None else CLOVER_TERM_FLOPS
-        )
-        #: per-site flops of the per-``mu`` merge (spin project/reconstruct
-        #: and accumulate), summed over all axes: the hopping total minus
-        #: the 2*ndim SU(3) matvecs charged where the rows are computed.
-        self.merge_flops_per_site = (
-            self.hop_flops_per_site - DIAG_AXPY_FLOPS - 2 * ndim * MATVEC_SU3
-        )
         self._apply_out = np.empty_like(self.out)
         if not self.compress:
             self._merge_t = np.empty_like(self.out)
@@ -379,7 +344,8 @@ class DistributedWilsonContext(WilsonHops):
         """
         hop = yield from self.hopping(src)
         out = self._apply_out
-        flops = DIAG_AXPY_FLOPS * self.volume
+        # the sheet's site-local flops: the diagonal axpy (+ clover term)
+        flops = self.cost.local_flops_per_site * self.volume
         kernel = "diag"
         if self.clover_tensor is not None:
             # site-local term evaluated before ``out`` is written, so a
@@ -391,7 +357,6 @@ class DistributedWilsonContext(WilsonHops):
                 src,
                 out=self._clover_scratch,
             )
-            flops += CLOVER_TERM_FLOPS * self.volume
             kernel = "clover_term"
         np.multiply(src, self.mass + self.geometry.ndim * self.r, out=out)
         np.multiply(hop, 0.5, out=hop)

@@ -24,12 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comms.api import CommsAPI
-from repro.fermions.flops import (
-    DIAG_AXPY_FLOPS,
-    DWF_5D_EXTRA_FLOPS,
-    MATVEC_SU3,
-    WILSON_DSLASH_FLOPS,
-)
+from repro.fermions.flops import operator_cost
 from repro.fermions.gamma import (
     P_MINUS,
     P_PLUS,
@@ -39,16 +34,6 @@ from repro.fermions.gamma import (
 from repro.parallel.pdirac import WilsonHops
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
-
-#: per-(site, slice) flops of the halo-independent-of-matvec assembly: the
-#: 4D spin project/reconstruct + accumulate plus the two 5th-dim chiral
-#: hops (the diagonal axpy is charged separately, full-volume, interior
-#: phase — it is pure elementwise work).
-MERGE5_FLOPS_PER_SITE = (
-    WILSON_DSLASH_FLOPS
-    - 2 * 4 * MATVEC_SU3
-    + (DWF_5D_EXTRA_FLOPS - DIAG_AXPY_FLOPS)
-)  # = 840
 
 
 class DistributedDWFContext(WilsonHops):
@@ -76,14 +61,13 @@ class DistributedDWFContext(WilsonHops):
             api,
             local_shape,
             links,
-            compress=True,
+            cost=operator_cost("dwf"),
             lead=(self.Ls,),
             tag="pdwf.apply",
             kernel="dwf",
             overlap=overlap,
             word_batch=word_batch,
         )
-        self.merge_flops_per_site = self.Ls * MERGE5_FLOPS_PER_SITE
         # 5th-dimension wall terms (-mf * edge slice) and merge gathers
         self._wall_up = np.empty_like(self.out[0])
         self._wall_dn = np.empty_like(self.out[0])
@@ -105,7 +89,10 @@ class DistributedDWFContext(WilsonHops):
         np.multiply(self.work[self.Ls - 1], -self.mf, out=self._wall_dn)
         # 4D Wilson kernel D_w(-M5) + 1, slice-batched.
         np.multiply(self.work, (-self.M5 + 4.0) + 1.0, out=self.out)
-        return DIAG_AXPY_FLOPS * self.Ls * self.volume + self.hop_matvecs()
+        # the sheet's site-local part (the diagonal axpy) is charged here,
+        # full-volume; the chiral 5th-dimension hops ride in the merge
+        diag = self.cost.local_flops_per_site * self._slices * self.volume
+        return diag + self.hop_matvecs()
 
     @hot_path
     def merge(self, sites: np.ndarray) -> None:

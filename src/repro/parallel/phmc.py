@@ -46,10 +46,7 @@ from typing import Any, Callable, List
 import numpy as np
 
 from repro.comms.api import full_descriptor
-from repro.fermions.flops import (
-    WILSON_FORCE_FLOPS_PER_DIRECTION,
-    WILSON_FORCE_HALO_PROJ_FLOPS,
-)
+from repro.fermions.flops import operator_cost
 from repro.fermions.gamma import GAMMA, apply_spin_matrix
 from repro.hmc.actions import traceless_antihermitian
 from repro.hmc.pseudofermion import SOLVERS, TwoFlavorWilsonHMC
@@ -74,8 +71,8 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
 
     Per communicated axis the rank ships the raw low faces of **both**
     solver fields packed into a single transfer (``X`` then ``Y``,
-    ``2 * nface`` full spinors — the ``"wilson-force"`` wire format of
-    :func:`repro.perfmodel.dirac_perf.halo_payload_words`) and patches
+    ``2 * nface`` full spinors — the ``"wilson-force"`` cost sheet of
+    :mod:`repro.fermions.flops`) and patches
     the received rows into its locally-gathered forward hops.  The
     ``(r + gamma_mu) Y(x + mu)`` projection is recomputed on the halo
     rows — projection is per-site and row-independent, so the patched
@@ -83,10 +80,12 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
 
     The per-``mu`` einsum chain then mirrors
     :meth:`repro.hmc.pseudofermion.TwoFlavorWilsonHMC.fermion_force`
-    exactly; flops are charged against the exact closed form of
-    :func:`repro.perfmodel.dirac_perf.dirac_flops_per_node`
-    (``op="wilson-force"``), which the telemetry crosscheck enforces.
+    exactly; each direction is charged its share of the sheet's per-site
+    flops plus the reprojection of the halo rows, which the telemetry
+    crosscheck holds against
+    :func:`repro.perfmodel.dirac_perf.dirac_flops_per_node`.
     """
+    cost = operator_cost("wilson-force")
     g = ctx.geometry
     v = g.volume
     r = ctx.r
@@ -136,8 +135,7 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
         grad = ctx.links[mu] @ b1 - d2 @ dagger(ctx.links[mu])
         out[mu] = 0.5 * traceless_antihermitian(grad)
         yield api.compute(
-            v * WILSON_FORCE_FLOPS_PER_DIRECTION
-            + nface * WILSON_FORCE_HALO_PROJ_FLOPS,
+            v * cost.flops_per_site // g.ndim + cost.halo_flops(nface),
             kernel="fermion_force",
         )
     return out

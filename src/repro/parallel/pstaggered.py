@@ -30,12 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comms.api import CommsAPI
-from repro.fermions.flops import (
-    MATVEC_SU3,
-    STAGGERED_DIAG_FLOPS,
-    STAGGERED_WORDS,
-    operator_cost,
-)
+from repro.fermions.flops import MATVEC_SU3, operator_cost
 from repro.fermions.staggered import staggered_phases
 from repro.lattice import stencil
 from repro.lattice.gauge import cmatvec
@@ -43,12 +38,6 @@ from repro.lattice.su3 import dagger
 from repro.parallel.halo import HaloPipeline
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
-
-#: 64-bit words per staggered site (3 complex doubles).  A colour vector
-#: has no rank-2 spin structure, so — unlike Wilson/DWF — there is no
-#: half-spinor compression: the staggered wire format is already minimal.
-#: Single source of truth in :mod:`repro.fermions.flops`.
-WORDS_PER_SITE = STAGGERED_WORDS
 
 
 class DistributedStaggeredContext(HaloPipeline):
@@ -94,10 +83,8 @@ class DistributedStaggeredContext(HaloPipeline):
             local_shape,
             tag="pstaggered.hopping",
             kernel="asqtad",
-            hops=(1, 3),
+            cost=operator_cost("asqtad"),
             site_shape=(3,),
-            site_words=WORDS_PER_SITE,
-            wire_words=WORDS_PER_SITE,
             buffers=("raw_halo", "prod_halo", "stage"),
             overlap=overlap,
             word_batch=word_batch,
@@ -111,7 +98,6 @@ class DistributedStaggeredContext(HaloPipeline):
         self.mass = float(mass)
         self.c_naik = float(c_naik)
         self.phases = staggered_phases(g)
-        self.cost = operator_cost("asqtad")
         self.fat_dagger_bwd = np.stack(
             [dagger(fat[mu][g.neighbour_bwd(mu)]) for mu in range(ndim)]
         )
@@ -119,12 +105,6 @@ class DistributedStaggeredContext(HaloPipeline):
             [dagger(long[mu][g.hop(mu, -3)]) for mu in range(ndim)]
         )
         self.plan3 = self.hop_plans[3]
-        #: per-site merge flops summed over axes (forward fat/long matvecs
-        #: plus the combine/phase arithmetic); the 2*ndim backward matvecs
-        #: are charged where their rows are computed.
-        self.merge_flops_per_site = (
-            self.cost.flops_per_site - STAGGERED_DIAG_FLOPS - 2 * ndim * MATVEC_SU3
-        )
 
         # ---- zero-copy hot-path scratch (see DESIGN.md §12) -----------
         # Preallocated once; reused every application.  Gauge-gather
@@ -250,7 +230,9 @@ class DistributedStaggeredContext(HaloPipeline):
         np.multiply(src, self.mass, out=out)
         np.multiply(hop, 0.5, out=hop)
         combine(out, hop, out=out)
-        yield self.api.compute(STAGGERED_DIAG_FLOPS * self.volume, kernel="diag")
+        yield self.api.compute(
+            self.cost.local_flops_per_site * self.volume, kernel="diag"
+        )
         return out
 
     def apply(self, src: np.ndarray):

@@ -24,10 +24,6 @@ class CostLine:
     quantity: int
     total_dollars: float
 
-    @property
-    def unit_dollars(self) -> float:
-        return self.total_dollars / self.quantity
-
 
 @dataclass
 class BillOfMaterials:

@@ -64,18 +64,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fermions.flops import (
-    DWF_5D_EXTRA_FLOPS,
-    HALF_SPINOR_WORDS,
-    MATVEC_SU3,
-    SPINOR_WORDS,
-    STAGGERED_WORDS,
-    WILSON_DSLASH_FLOPS,
-    WILSON_FORCE_FLOPS_PER_DIRECTION,
-    WILSON_FORCE_HALO_PROJ_FLOPS,
-    OperatorCost,
-    operator_cost,
-)
+from repro.fermions.flops import WORD_BYTES, OperatorCost, operator_cost
 from repro.machine.asic import ASICConfig
 from repro.machine.globalops import sum_hops
 from repro.machine.memory import MemoryModel
@@ -105,9 +94,8 @@ def _linalg_costs(cost: OperatorCost) -> Tuple[float, float]:
     Three axpys (2 flops per real component; read 2 vectors, write 1) and
     two inner products (8 flops per complex pair; read 2 vectors).
     """
-    w = cost.site_vector_words  # 64-bit words per vector per site
-    reals = 2 * w  # real components per site per vector... w words = w reals
-    # NB: one 64-bit word holds one float64, i.e. one real component.
+    # one 64-bit word holds one float64, i.e. one real component
+    w = cost.site_words
     axpy_flops = 3 * (2 * w)
     dot_flops = 2 * (8 * (w // 2))
     flops = axpy_flops + dot_flops
@@ -127,10 +115,9 @@ class DiracPerfModel:
     def working_set_bytes(self, op: str, local_volume: int, Ls: int = 1) -> int:
         """Solve-time resident bytes: gauge (+clover) field + CG vectors."""
         cost = operator_cost(op)
-        gauge_bytes = cost.gauge_words_per_site * 8
-        clover_bytes = 72 * 8 if op == "clover" else 0
-        vec_bytes = CG_VECTORS * cost.site_vector_words * 8 * Ls
-        return local_volume * (gauge_bytes + clover_bytes + vec_bytes)
+        field_words = cost.gauge_words_per_site + cost.local_words_per_site
+        vec_words = CG_VECTORS * cost.site_words * Ls
+        return local_volume * (field_words + vec_words) * WORD_BYTES
 
     def _cpw_eff(self, op: str, local_volume: int, Ls: int) -> float:
         """cycles/word including the DDR spill penalty."""
@@ -156,15 +143,16 @@ class DiracPerfModel:
         local_volume = int(np.prod(local_shape))
         words = float(cost.words_per_site)
         c0 = self.calibration.overhead_cycles_per_site
-        if op == "dwf" and Ls > 1:
+        slices = cost.slices(Ls)
+        if slices > 1:
             # gauge field streamed once per Ls slices; a quarter of the
             # per-site overhead (4D address generation) amortises too.
-            words -= cost.gauge_words_per_site * (1.0 - 1.0 / Ls)
-            c0 = c0 * (0.75 + 0.25 / Ls)
+            words -= cost.gauge_words_per_site * (1.0 - 1.0 / slices)
+            c0 = c0 * (0.75 + 0.25 / slices)
         if precision == "single":
             words /= 2.0
         fpu = cost.flops_per_site / self.asic.flops_per_cycle
-        cpw = self._cpw_eff(op, local_volume, Ls if op == "dwf" else 1)
+        cpw = self._cpw_eff(op, local_volume, slices)
         return fpu + words * cpw + c0
 
     # -- communication -----------------------------------------------------------
@@ -206,7 +194,7 @@ class DiracPerfModel:
         if not comm_axes:
             return 0.0
         depth_factor = sum(cost.hop_depths)
-        slices = Ls if op == "dwf" else 1
+        slices = cost.slices(Ls)
         per_axis = []
         for mu in comm_axes:
             face_sites = volume // shape[mu]
@@ -282,7 +270,8 @@ class DiracPerfModel:
         applications + exposed halo communication + linear algebra +
         2 global sums)."""
         cost = operator_cost(op)
-        local_volume = int(np.prod(local_shape)) * (Ls if op == "dwf" else 1)
+        slices = cost.slices(Ls)
+        local_volume = int(np.prod(local_shape)) * slices
         dirac = self.dirac_cycles_per_site(op, local_shape, precision, Ls)
         exposed = (
             self.exposed_comm_seconds(
@@ -294,7 +283,7 @@ class DiracPerfModel:
         lin_flops, lin_words = _linalg_costs(cost)
         if precision == "single":
             lin_words /= 2.0
-        cpw = self._cpw_eff(op, int(np.prod(local_shape)), Ls if op == "dwf" else 1)
+        cpw = self._cpw_eff(op, int(np.prod(local_shape)), slices)
         linalg = lin_flops / self.asic.flops_per_cycle + lin_words * cpw
         gsum_cycles = (
             2.0 * self._global_sum_seconds(machine_dims) * self.asic.clock_hz
@@ -361,7 +350,7 @@ class DiracPerfModel:
         ``comms="serial"`` the full exchange; the default (``None`` /
         ``"none"``) is the pure compute time of the kernel.
         """
-        v = int(np.prod(local_shape)) * (kwargs.get("Ls", 1) if op == "dwf" else 1)
+        v = int(np.prod(local_shape)) * operator_cost(op).slices(kwargs.get("Ls", 1))
         seconds = (
             self.dirac_cycles_per_site(op, local_shape, **kwargs)
             * v
@@ -382,22 +371,29 @@ class DiracPerfModel:
 # -- exact protocol predictions (telemetry crosscheck) ------------------------
 #
 # Unlike the calibrated timing model above, these two functions are *exact*
-# counts of what the functional simulator's distributed operators do —
-# derived from the wire format and flop sheets of
-# :mod:`repro.fermions.flops`.  ``repro.telemetry.report.MachineReport
+# counts of what the functional simulator's distributed operators do, each
+# one formula over the operator's cost sheet
+# (:mod:`repro.fermions.flops`).  ``repro.telemetry.report.MachineReport
 # .crosscheck`` compares measured hardware-style counters against them, so
-# a drift in either the protocol implementation or these formulas fails
-# the telemetry test suite.
+# a drift in either the protocol implementation or the sheets fails the
+# telemetry test suite.
 
 
-def _decomposed_axes(local_shape, machine_dims):
+def _sheet_and_faces(op: str, local_shape, machine_dims):
+    """The operator's cost sheet, the tile volume and the total one-deep
+    face sites over the decomposed axes."""
+    try:
+        cost = operator_cost(op)
+    except KeyError as exc:
+        raise ConfigError(f"no distributed cost sheet: {exc.args[0]}") from None
     shape = tuple(int(s) for s in local_shape)
-    axes = [
-        mu
+    volume = int(np.prod(shape))
+    face_sites = sum(
+        volume // shape[mu]
         for mu in range(len(shape))
         if mu < len(machine_dims) and int(machine_dims[mu]) > 1
-    ]
-    return shape, axes
+    )
+    return cost, volume, face_sites
 
 
 def halo_payload_words(
@@ -409,43 +405,17 @@ def halo_payload_words(
 ) -> int:
     """Exact SCU payload words **sent per node** per operator application.
 
-    Per decomposed axis a Wilson-type rank ships two transfers — the
-    forward halo and the staged backward products — of one face each:
-    ``2 * nface * (12 | 24)`` words (compressed half spinors vs the full
-    spinor wire format), times ``Ls`` slices for domain wall.  ASQTAD
-    ships the depth-3 raw face (``3 * nface`` colour vectors) plus the
-    packed fat+Naik products (``(1 + 3) * nface``): ``7 * nface * 6``
-    words, compression not applicable.  The two-flavor fermion force
-    (``"wilson-force"``) ships one packed transfer per axis — the raw
-    low faces of both solver fields ``X`` and ``Y = D X`` — so
-    ``2 * nface * 24`` words; the ``(r + gamma)`` projection happens on
-    the receiver, so compression does not apply.
+    Per decomposed axis a rank ships, per face site, the
+    ``max(hop_depths)``-deep low face of the source one way and one block
+    of sender-side products per hop layer the other — ``1 + 1`` wire
+    sites for the one-hop operators, ``3 + (1 + 3)`` for ASQTAD — each of
+    the sheet's wire words (compressed half spinors vs the full-spinor
+    wire where the two differ), times ``Ls`` slices for a 5-dimensional
+    sheet.
     """
-    if op not in (
-        "wilson",
-        "clover",
-        "dwf",
-        "asqtad",
-        "naive-staggered",
-        "wilson-force",
-    ):
-        raise ConfigError(f"no distributed wire format for op {op!r}")
-    shape, axes = _decomposed_axes(local_shape, machine_dims)
-    volume = int(np.prod(shape))
-    total = 0
-    for mu in axes:
-        nface = volume // shape[mu]
-        if op in ("wilson", "clover"):
-            w = HALF_SPINOR_WORDS if compress else SPINOR_WORDS
-            total += 2 * nface * w
-        elif op == "dwf":
-            w = HALF_SPINOR_WORDS if compress else SPINOR_WORDS
-            total += 2 * int(Ls) * nface * w
-        elif op == "wilson-force":
-            total += 2 * nface * SPINOR_WORDS
-        else:  # asqtad / naive-staggered colour vectors
-            total += 7 * nface * STAGGERED_WORDS
-    return total
+    cost, _volume, face_sites = _sheet_and_faces(op, local_shape, machine_dims)
+    wire_sites = (max(cost.hop_depths) + sum(cost.hop_depths)) * face_sites
+    return wire_sites * cost.wire_words(compress) * cost.slices(Ls)
 
 
 def dirac_flops_per_node(
@@ -456,34 +426,15 @@ def dirac_flops_per_node(
 ) -> float:
     """Exact flops charged per node for **one** distributed ``D`` apply.
 
-    ``volume * flops_per_site`` plus the sender-side staging matvecs the
-    halo exchange adds on decomposed axes: one ``U^+ (proj) psi`` SU(3)
-    matvec per high-face site (per slice for domain wall); ASQTAD stages
-    fat products on the depth-1 face and Naik products on the depth-3
-    face — four matvecs per face site.  ``"wilson-force"`` counts one
-    evaluation of the two-flavor fermion-force kernel (all ``ndim``
-    directions over the local volume) plus the receiver-side
-    ``(r + gamma_mu)`` projection it recomputes on each received
-    forward-face site of a decomposed axis.
+    The sheet's ``flops_per_site`` on every site plus what the halo
+    exchange adds on decomposed axes (:meth:`OperatorCost.halo_flops`:
+    one staged ``U^+ (proj) psi`` SU(3) matvec per product site — one per
+    face site for the one-hop operators, four for ASQTAD's fat + Naik
+    blocks), times ``Ls`` slices for a 5-dimensional sheet.
     """
-    shape, axes = _decomposed_axes(local_shape, machine_dims)
-    volume = int(np.prod(shape))
-    sum_nface = sum(volume // shape[mu] for mu in axes)
-    if op in ("wilson", "clover"):
-        cost = operator_cost(op)
-        return float(volume * cost.flops_per_site + sum_nface * MATVEC_SU3)
-    if op == "dwf":
-        per_site5 = WILSON_DSLASH_FLOPS + DWF_5D_EXTRA_FLOPS
-        return float(int(Ls) * (volume * per_site5 + sum_nface * MATVEC_SU3))
-    if op == "asqtad":
-        cost = operator_cost(op)
-        return float(volume * cost.flops_per_site + 4 * sum_nface * MATVEC_SU3)
-    if op == "wilson-force":
-        return float(
-            volume * len(shape) * WILSON_FORCE_FLOPS_PER_DIRECTION
-            + sum_nface * WILSON_FORCE_HALO_PROJ_FLOPS
-        )
-    raise ConfigError(f"no distributed flop model for op {op!r}")
+    cost, volume, face_sites = _sheet_and_faces(op, local_shape, machine_dims)
+    per_slice = volume * cost.flops_per_site + cost.halo_flops(face_sites)
+    return float(cost.slices(Ls) * per_slice)
 
 
 def calibrate(asic: Optional[ASICConfig] = None) -> Calibration:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.fermions.flops import operator_cost
 from repro.machine.asic import ASICConfig
 from repro.perfmodel.baselines import CLUSTER_2004, QCDSP, BaselineMachine
-from repro.perfmodel.collectives import ethernet_allreduce_time, global_sum_time
+from repro.perfmodel.collectives import ethernet_allreduce_time
 from repro.perfmodel.dirac_perf import DiracPerfModel
 from repro.util.errors import ConfigError
 
@@ -89,41 +89,19 @@ class HardScalingModel:
         self.qcdoc = DiracPerfModel(asic)
 
     # -- QCDOC ------------------------------------------------------------
-    def _qcdoc_comm_seconds(self, local_shape: Sequence[int]) -> float:
-        """Per-application halo time: all 24 links run concurrently, so the
-        wall time is the *largest* face, first word costing the 600 ns
-        memory-to-memory latency."""
-        asic = self.qcdoc.asic
-        v = int(np.prod(local_shape))
-        t = 0.0
-        for axis, L in enumerate(local_shape):
-            face_sites = v // L
-            nbytes = face_sites * self.cost.comm_bytes_per_face_site
-            nwords = max(1, nbytes // 8)
-            t = max(
-                t,
-                asic.neighbour_latency
-                + (nwords - 1) * asic.word_serialisation_time,
-            )
-        return t
-
     def qcdoc_point(self, n_nodes: int) -> ScalingPoint:
+        """:class:`DiracPerfModel` evaluated at this node count's tile."""
         machine_dims, local_shape = decompose_shape(self.global_shape, n_nodes)
         local_volume = int(np.prod(local_shape))
         asic = self.qcdoc.asic
-
-        compute = (
-            self.qcdoc.dirac_cycles_per_site(self.op, local_shape)
+        t_iter = (
+            self.qcdoc.cg_cycles_per_site(self.op, local_shape, machine_dims)
             * local_volume
             / asic.clock_hz
         )
-        comm = self._qcdoc_comm_seconds(local_shape)
-        exposed = max(0.0, comm - compute)  # DMA overlaps the kernel
-        lin_cycles = (
-            self.qcdoc.cg_cycles_per_site(self.op, local_shape, machine_dims)
-            - 2 * self.qcdoc.dirac_cycles_per_site(self.op, local_shape)
+        exposed = self.qcdoc.exposed_comm_seconds(
+            self.op, local_shape, machine_dims
         )
-        t_iter = 2 * (compute + exposed) + lin_cycles * local_volume / asic.clock_hz
         flops_iter = self.qcdoc.cg_flops_per_site(self.op) * self.global_volume
         sustained = flops_iter / t_iter
         return ScalingPoint(
@@ -133,7 +111,7 @@ class HardScalingModel:
             t_iter,
             sustained,
             sustained / (n_nodes * asic.peak_flops),
-            2 * (comm if exposed > 0 else 0.0) / t_iter if t_iter else 0.0,
+            self.cost.dirac_applications_per_cg_iteration * exposed / t_iter,
         )
 
     # -- baselines ------------------------------------------------------------

@@ -8,12 +8,9 @@ per job — realised over the software twin:
   fair-share / preemption decisions (property-tested in isolation);
 * :class:`~repro.service.service.QcdocService` — the orchestrator
   binding those decisions to real launches, checkpointed preemption,
-  and fault-driven remap + resubmit;
-* :class:`~repro.service.client.ServiceClient` — the asyncio tenant
-  API (cooperative, wall-clock free).
+  and fault-driven remap + resubmit.
 """
 
-from repro.service.client import ServiceClient, run_service
 from repro.service.jobs import Job, JobResult, JobState, WilsonJobSpec
 from repro.service.scheduler import (
     AdmissionError,
@@ -36,11 +33,9 @@ __all__ = [
     "QueueFullError",
     "SchedJob",
     "SchedulerCore",
-    "ServiceClient",
     "Start",
     "TenantRollup",
     "WilsonJobSpec",
-    "run_service",
     "usage_delta",
     "usage_totals",
 ]

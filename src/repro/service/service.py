@@ -245,7 +245,7 @@ class QcdocService:
         return self._wake or not self._active
 
     def run_until_drained(self, max_time: float = float("inf")) -> dict:
-        """Drive the queue to empty (synchronous clients), then report.
+        """Drive the queue to empty, then report.
 
         On return every submitted job is terminal (DONE or FAILED), the
         machine holds zero allocated partitions, all in-flight words

@@ -26,7 +26,7 @@ from repro.fermions.flops import (
 )
 from repro.lattice import LatticeGeometry
 from repro.lattice import stencil
-from repro.parallel import pdirac, pdwf, pstaggered
+from repro.parallel import pdirac, pdwf
 from repro.util.errors import ConfigError
 from tests.harness import applied, booted, scattered, system, transfer_counters
 
@@ -87,12 +87,33 @@ class TestWilsonWireFormat:
             )
 
     def test_wire_constants_single_source(self):
-        # every words-per-site constant is the flops.py value, not a copy
-        assert pdirac.WORDS_PER_SITE is SPINOR_WORDS
-        assert pdirac.HALF_WORDS_PER_SITE is HALF_SPINOR_WORDS
+        # every words-per-site count a context uses is its flops.py cost
+        # sheet's, not a copy: read them back through each rank's ``cost``
+        def costs(op, shape, **params):
+            machine, partition = booted(DIMS_1D, word_batch=4096)
+            gauge, _src = system((17, "halfspinor"), shape, op)
+            context = scattered(partition, op, gauge, **params)
+
+            def program(api):
+                return context(api).cost
+                yield  # make it a generator
+
+            return machine.run_partition(partition, program)
+
+        for cost in costs("wilson", (4, 2, 2, 2), mass=0.3):
+            assert cost is operator_cost("wilson")
+            assert cost.site_words == SPINOR_WORDS
+            assert cost.wire_words() == HALF_SPINOR_WORDS
+        for cost in costs("wilson", (4, 2, 2, 2), mass=0.3, compress=False):
+            assert cost.wire_words() == cost.site_words == SPINOR_WORDS
         # DWF declares no wire of its own: it ships through the Wilson spec
         assert issubclass(pdwf.DistributedDWFContext, pdirac.WilsonHops)
-        assert pstaggered.WORDS_PER_SITE is STAGGERED_WORDS
+        for cost in costs("dwf", (4, 2, 2, 2), Ls=2):
+            assert cost is operator_cost("dwf")
+            assert cost.wire_words() == HALF_SPINOR_WORDS
+        for cost in costs("asqtad", (8, 2, 2, 2), mass=0.1):
+            assert cost is operator_cost("asqtad")
+            assert cost.site_words == cost.wire_words() == STAGGERED_WORDS
         assert SPINOR_WORDS == 24 and HALF_SPINOR_WORDS == 12
         assert STAGGERED_WORDS == 6
 

@@ -240,6 +240,52 @@ class TestE8HardScaling:
         assert 0.1e12 < s16k.sustained_flops < 0.3e12
 
 
+    #: an 8x slower serial link: communication no longer hides
+    SLOW_LINK = ASICConfig(frame_header_bits=8 + 7 * 72)
+
+    @pytest.mark.parametrize("op", ["wilson", "asqtad"])
+    @pytest.mark.parametrize("asic", [None, SLOW_LINK], ids=["qcdoc", "slow-link"])
+    def test_qcdoc_point_is_the_dirac_perf_model(self, op, asic):
+        # The sweep has no communication model of its own: each point is
+        # DiracPerfModel at that node count's tile.  (A second model used
+        # to ignore ASQTAD's hop depths and, once communication was
+        # exposed, charge it on top of cg_cycles_per_site's own term.)
+        hs = HardScalingModel(op, asic=asic)
+        model = hs.qcdoc
+        exposed_somewhere = False
+        for n in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
+            dims, local = decompose_shape(hs.global_shape, n)
+            point = hs.qcdoc_point(n)
+            cycles = model.cg_cycles_per_site(op, local, dims)
+            seconds = cycles * point.local_volume / model.asic.clock_hz
+            assert point.seconds_per_iteration == seconds
+            assert point.efficiency == pytest.approx(
+                model.efficiency(op, local, dims), rel=1e-12
+            )
+            exposed = model.exposed_comm_seconds(op, local, dims)
+            assert point.comm_fraction == 2 * exposed / seconds
+            exposed_somewhere |= exposed > 0
+        assert exposed_somewhere == (asic is not None)
+
+    def test_wilson_sweep_is_pinned_to_the_bit(self):
+        # seconds per CG iteration of the E8 sweep, as printed before the
+        # sweep was re-expressed through DiracPerfModel
+        pinned = {
+            64: 0.3991555171324155,
+            128: 0.19504859670561672,
+            256: 0.09299516249221734,
+            512: 0.041968523385517674,
+            1024: 0.01645525583216783,
+            2048: 0.007860136,
+            4096: 0.0039311120000000005,
+            8192: 0.001966756,
+            16384: 0.0009846820000000002,
+        }
+        hs = HardScalingModel()
+        got = {n: hs.qcdoc_point(n).seconds_per_iteration for n in pinned}
+        assert got == pinned
+
+
 class TestE9PowerPackaging:
     @pytest.fixture
     def pack(self):

@@ -191,6 +191,18 @@ def test_unknown_operator_rejected():
         halo_payload_words("overlap5d", (2, 2, 2, 2), (2, 1, 1, 1))
     with pytest.raises(ConfigError):
         dirac_flops_per_node("overlap5d", (2, 2, 2, 2), (2, 1, 1, 1))
+    # ... and a name is known to both functions or to neither: the
+    # one-hop staggered sheet predicts its own packing (face + products,
+    # one colour vector each), not ASQTAD's seven, and has a flop form
+    local, dims = (4, 4, 4, 4), (2, 1, 1, 1)
+    nface = 4**4 // 4
+    assert halo_payload_words("naive-staggered", local, dims) == (
+        2 * nface * STAGGERED_WORDS
+    )  # 768
+    assert dirac_flops_per_node("naive-staggered", local, dims) == (
+        4**4 * operator_cost("naive-staggered").flops_per_site
+        + nface * MATVEC_SU3
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,50 @@ def test_one_operator_run_harness_in_the_tests():
     assert stray == [], f"per-suite run boilerplate is back: {stray}"
 
 
+def test_one_cost_sheet_for_every_operator_count():
+    """Structural guard: an operator's counts live in its
+    ``fermions/flops.py`` cost sheet only.
+
+    ``perfmodel/`` reads sheet fields and never compares against an
+    operator name (a per-operator ladder is a second copy of the sheet
+    that drifts), and the ``parallel/`` specs hand the pipeline their
+    sheet, not restated hop sets and word counts."""
+    from repro.fermions.flops import OPERATOR_COSTS
+
+    def strings(node):
+        return {
+            n.value
+            for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        }
+
+    ladders = []
+    for path in sorted((SRC / "perfmodel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                named = strings(node) & OPERATOR_COSTS.keys()
+                if named:
+                    ladders.append(f"{path.name}:{node.lineno}: {sorted(named)}")
+    assert ladders == [], f"operator-name comparisons in perfmodel/: {ladders}"
+
+    restated = []
+    sheets = 0
+    for path in sorted((SRC / "parallel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Call, ast.FunctionDef)):
+                keywords = (
+                    [k.arg for k in node.keywords]
+                    if isinstance(node, ast.Call)
+                    else [a.arg for a in node.args.args + node.args.kwonlyargs]
+                )
+                sheets += "cost" in keywords
+                for name in ("hops", "site_words", "wire_words"):
+                    if name in keywords:
+                        restated.append(f"{path.name}:{node.lineno}: {name}=")
+    assert restated == [], f"restated sheet counts in parallel/: {restated}"
+    assert sheets >= 4  # not vacuous: the pipeline and its three specs
+
+
 def test_scan_roots_exist_and_exclude_tests():
     for root in SCAN_ROOTS:
         assert root.is_dir(), f"scan root vanished: {root}"
