@@ -28,6 +28,7 @@ from repro.machine.packets import Frame
 from repro.sim.core import Event, Simulator
 from repro.sim.trace import Trace
 from repro.util.errors import ProtocolError
+from repro.util.hotpath import hot_path
 
 #: bytes in the training sequence (known pattern scanned for byte boundaries)
 TRAINING_BYTES = 256
@@ -142,11 +143,14 @@ class SerialLink:
         return done
 
     # -- transmission ---------------------------------------------------------
-    def transmit(self, frame: Frame) -> Event:
+    @hot_path
+    def transmit(self, frame: Frame) -> float:
         """Serialise a frame onto the wire.
 
-        Returns an event that succeeds when the *sender* has finished
-        clocking the frame out (the wire is then free for the next frame).
+        Returns the time at which the *sender* has finished clocking the
+        frame out (the wire is then free for the next frame); a sender
+        that must not run ahead of its wire sleeps until then, a control
+        frame (ACK, RESEND, partition IRQ) is queued and forgotten.
         Delivery to the receiver happens ``wire_latency`` later.
         """
         if not self.trained:
@@ -154,17 +158,16 @@ class SerialLink:
         if self._receiver is None:
             raise ProtocolError(f"{self.name}: no receiver attached")
 
-        bits = frame.wire_bits(
-            self.asic.frame_header_bits, self.asic.frame_payload_bits
-        )
-        start = max(self.sim.now, self._busy_until)
-        serialised = start + bits / self.asic.clock_hz
+        asic, now, nwords = self.asic, self.sim.now, frame.nwords
+        bits = frame.wire_bits(asic.frame_header_bits, asic.frame_payload_bits)
+        start = max(now, self._busy_until)
+        serialised = start + bits / asic.clock_hz
         self._busy_until = serialised
         self.frames_sent += 1
         self.bits_sent += bits
         self.busy_seconds += serialised - start
 
-        if self.stuck and frame.nwords > 0 and frame.corrupt_bit is None:
+        if self.stuck and nwords > 0 and frame.corrupt_bit is None:
             # Stuck-at fault: the same wire bit is pinned, so every payload
             # frame fails its header-code/parity check at the receiver.
             frame.corrupt_bit = 0
@@ -172,7 +175,7 @@ class SerialLink:
         elif (
             self.error_rng is not None
             and self.bit_error_rate > 0.0
-            and frame.nwords > 0
+            and nwords > 0
             and self.error_rng.random() < self.bit_error_rate * bits
         ):
             frame.corrupt_bit = int(self.error_rng.integers(0, bits))
@@ -182,10 +185,8 @@ class SerialLink:
                     "link.fault", link=self.name, bit=frame.corrupt_bit, seq=frame.seq
                 )
 
-        done = self.sim.event()
-        self.sim.schedule(serialised - self.sim.now, done.succeed)
         if self.alive:
-            arrival = serialised - self.sim.now + self.asic.wire_latency
+            arrival = serialised - now + asic.wire_latency
             self.in_transit += 1
             if self.cross_shard is None:
                 self.sim.schedule(arrival, self._deliver, frame)
@@ -195,13 +196,14 @@ class SerialLink:
                 # minimum one bare header + time of flight), so the
                 # delivery lands beyond the current window's horizon.
                 router, dst_shard, key = self.cross_shard
-                router.post_frame(dst_shard, self.sim.now + arrival, key, frame)
+                router.post_frame(dst_shard, now + arrival, key, frame)
         else:
             # Dead cable: the sender clocks the bits out normally (it has
             # no way to know) but nothing arrives at the far end.
             self.frames_dropped += 1
-        return done
+        return serialised
 
+    @hot_path
     def _deliver(self, frame: Frame) -> None:
         self.in_transit -= 1
         if not self.alive:

@@ -519,7 +519,9 @@ class QCDOCMachine:
                 partition, program, max_time, program_kwargs
             )
         run = self.launch_partition(partition, program, **program_kwargs)
-        self.sim.run(stop=lambda: run.settled, max_time=max_time)
+        settled = self.sim.event()  # a predicate would be polled after every entry
+        run.on_settled = lambda _run: settled.triggered or settled.succeed()
+        self.sim.run(until=settled, max_time=max_time)
         if not run.faults:
             return run.results()
         run.abort()
@@ -690,6 +692,7 @@ class QCDOCMachine:
             for node_id, st in sorted(snap["nodes"].items()):
                 node = self.nodes[node_id]
                 node.memory._buffers = st["buffers"]
+                node.memory._word_views.clear()
                 node.memory._regions = st["regions"]
                 node.memory.read_bytes = st["read_bytes"]
                 node.memory.write_bytes = st["write_bytes"]

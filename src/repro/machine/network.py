@@ -8,6 +8,7 @@ dictionary keyed by ``(node, direction)``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -15,7 +16,6 @@ import numpy as np
 from repro.machine.asic import ASICConfig
 from repro.machine.hssl import TRAINING_BYTES, SerialLink
 from repro.machine.node import Node
-from repro.machine.packets import Frame
 from repro.machine.topology import TorusTopology
 from repro.sim.core import Event, Simulator
 from repro.sim.trace import Trace
@@ -50,7 +50,7 @@ class MeshNetwork:
                 bit_error_rate=bit_error_rate,
             )
             arrival = topology.opposite(direction)
-            link.set_receiver(self._make_receiver(dst, arrival))
+            link.set_receiver(partial(nodes[dst].scu.on_frame, arrival))
             nodes[src].scu.attach_link(direction, link)
             # Replay delivery path: the sender's SCU can hand a compiled
             # hot-epoch payload straight to the neighbour's engine (only
@@ -58,14 +58,6 @@ class MeshNetwork:
             # objects are authoritative in this process).
             nodes[src].scu.attach_peer(direction, nodes[dst].scu, arrival)
             self.links[(src, direction)] = link
-
-    def _make_receiver(self, dst: int, arrival_direction: int):
-        scu = self.nodes[dst].scu
-
-        def deliver(frame: Frame) -> None:
-            scu.on_frame(arrival_direction, frame)
-
-        return deliver
 
     # -- sharding ------------------------------------------------------------
     def bind_shards(self, router, shard_of) -> None:

@@ -37,6 +37,8 @@ class NodeMemory:
         self.model = MemoryModel(asic)
         self._buffers: Dict[str, np.ndarray] = {}
         self._regions: Dict[str, str] = {}
+        #: name -> the buffer's flat uint64 view, made at its first DMA
+        self._word_views: Dict[str, np.ndarray] = {}
         #: SCU-DMA traffic by memory region, in bytes (always-on plain
         #: dict counters; the telemetry CounterBank samples them on demand)
         self.read_bytes: Dict[str, int] = {"edram": 0, "ddr": 0}
@@ -77,6 +79,7 @@ class NodeMemory:
     def free(self, name: str) -> None:
         self._buffers.pop(name)
         self._regions.pop(name)
+        self._word_views.pop(name, None)
 
     def buffer_names(self) -> List[str]:
         """Sorted names of every live buffer (abort/cleanup bookkeeping)."""
@@ -109,10 +112,13 @@ class NodeMemory:
     # -- the SCU's word-granular window -------------------------------------
     def words(self, name: str) -> np.ndarray:
         """The buffer as a flat uint64 word array (a view, zero copy)."""
-        buf = self.get(name)
-        if buf.dtype == np.complex128:
-            return buf.reshape(-1).view(np.float64).view(np.uint64)
-        return buf.reshape(-1).view(np.uint64)
+        view = self._word_views.get(name)
+        if view is None:
+            flat = self.get(name).reshape(-1)
+            if flat.dtype == np.complex128:
+                flat = flat.view(np.float64)
+            view = self._word_views[name] = flat.view(np.uint64)
+        return view
 
     def read_words(self, name: str, indices: np.ndarray) -> np.ndarray:
         self.read_bytes[self._regions[name]] += 8 * len(indices)

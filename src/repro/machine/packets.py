@@ -15,13 +15,13 @@ bits (even-position and odd-position bit parity of the 64-bit word).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from repro.util.errors import ProtocolError
+from repro.util.hotpath import hot_path
 
 
 class PacketType(Enum):
@@ -38,6 +38,7 @@ class PacketType(Enum):
 
 
 _VALID_CODES = {t.value: t for t in PacketType}
+_PARTITION_IRQ = PacketType.PARTITION_IRQ  # bound once for Frame.wire_bits
 
 
 def hamming(a: int, b: int) -> int:
@@ -95,7 +96,6 @@ _NO_WORDS = np.empty(0, dtype=np.uint64)
 _NO_WORDS.setflags(write=False)
 
 
-@dataclass
 class Frame:
     """One link-level frame: a typed header plus payload words.
 
@@ -104,20 +104,28 @@ class Frame:
     transfer (the SCU protocol then operates at batch granularity —
     semantics are unchanged for error-free runs, and protocol-level tests
     use single-word frames).
+
+    ``words`` is taken as given, a flat ``uint64`` array: a payload is brought
+    to that form where its transfer starts (``SendUnit.start``), not per frame.
     """
 
-    ptype: PacketType
-    words: np.ndarray = field(default_factory=lambda: _NO_WORDS)
-    seq: int = 0  # transfer-local sequence number of the first word
-    #: corruption injected by the fault model: index of flipped bit, or None
-    corrupt_bit: Optional[int] = None
+    __slots__ = ("ptype", "words", "seq", "corrupt_bit", "nwords")
 
-    def __post_init__(self):
-        self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
-
-    @property
-    def nwords(self) -> int:
-        return int(self.words.size)
+    @hot_path
+    def __init__(
+        self,
+        ptype: PacketType,
+        words: np.ndarray = _NO_WORDS,
+        seq: int = 0,
+        corrupt_bit: Optional[int] = None,
+    ):
+        self.ptype = ptype
+        self.words = words
+        #: transfer-local sequence number of the first word
+        self.seq = seq
+        #: corruption injected by the fault model: index of flipped bit, or None
+        self.corrupt_bit = corrupt_bit
+        self.nwords = len(words)
 
     def wire_bits(self, header_bits: int = 8, payload_bits: int = 64) -> int:
         """Bits on the wire: one header per frame plus its payload words.
@@ -131,14 +139,15 @@ class Frame:
         (``word_batch=1``) cost exactly ``header + payload`` bits, so the
         protocol suite's per-word timing closed forms are unchanged.
         """
-        if self.ptype == PacketType.PARTITION_IRQ:
+        if self.ptype is _PARTITION_IRQ:
             return header_bits + 8
-        if self.nwords == 0:
-            return header_bits
         return header_bits + self.nwords * payload_bits
 
     def is_corrupt(self) -> bool:
         return self.corrupt_bit is not None
+
+
+_WORD_MASK = (1 << 64) - 1
 
 
 class LinkChecksum:
@@ -147,23 +156,27 @@ class LinkChecksum:
     Paper section 2.2: "checksums at each end of the link are kept, so at
     the conclusion of a calculation, these checksums can be compared.  This
     offers a final confirmation that no erroneous data was exchanged."
+    Kept as a Python int modulo 2**64, so a one-word frame costs no numpy call.
     """
 
     def __init__(self):
-        self.value = np.uint64(0)
+        self.value = 0
         self.words = 0
 
+    @hot_path
     def update(self, words: np.ndarray) -> None:
-        w = np.ascontiguousarray(words, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            self.value = np.uint64(self.value + w.sum(dtype=np.uint64))
-        self.words += int(w.size)
+        n = len(words)
+        if n == 1:
+            self.value = (self.value + words.item(0)) & _WORD_MASK
+        else:
+            self.value = (self.value + int(words.sum(dtype=np.uint64))) & _WORD_MASK
+        self.words += n
 
     def matches(self, other: "LinkChecksum") -> bool:
         return self.value == other.value and self.words == other.words
 
     def __repr__(self) -> str:
-        return f"LinkChecksum(words={self.words}, value={int(self.value):#018x})"
+        return f"LinkChecksum(words={self.words}, value={self.value:#018x})"
 
 
 def float_to_words(a: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ solve, and every application runs the *identical* SCU event schedule: the
 same stored descriptors start in the same groups, every face moves as one
 error-free frame (``word_batch="face"``), and the protocol interleaving is
 a pure function of the ASIC latency constants.  Interpreting that schedule
-through the full per-frame protocol machinery (send process, window
-bookkeeping, frame dispatch, ACK/EOT round trips) costs a dozen-plus heap
-events per transfer — pure simulator overhead once the schedule is known.
+through the per-frame protocol machinery (send process, window bookkeeping,
+frame dispatch, ACK/EOT round trips) costs nine heap entries per transfer
+(``test_machine_scu.py::TestEventBudget``) — overhead once it is known.
 
 This module memoizes the schedule.  Each operator application is bracketed
 as a **hot epoch** (:meth:`repro.comms.api.CommsAPI.begin_hot_epoch` /

@@ -53,11 +53,21 @@ import numpy as np
 from repro.machine.asic import ASICConfig
 from repro.machine.faults import encode_link_down
 from repro.machine.hssl import SerialLink
-from repro.machine.packets import Frame, LinkChecksum, PacketType, decode_header, encode_header
+from repro.machine.packets import Frame, LinkChecksum, PacketType
 from repro.machine.replay import ReplayEngine
 from repro.sim.core import Event, Simulator
 from repro.sim.trace import Trace
 from repro.util.errors import FaultError, LinkDownError, ProtocolError
+from repro.util.hotpath import hot_path
+
+#: the frame types of a DMA transfer, bound once: the per-frame dispatch
+#: compares identities instead of looking the members up on the enum
+_NORMAL, _ACK, _EOT, _RESEND = _TRANSFER_FRAMES = (
+    PacketType.NORMAL,
+    PacketType.ACK,
+    PacketType.EOT,
+    PacketType.RESEND,
+)
 
 #: sentinel ``word_batch`` value: resolve the batch per transfer to the
 #: whole descriptor length (one frame per face)
@@ -123,14 +133,15 @@ class _ControlPort:
     data flowing that way (the `SerialLink` busy-time serialises them).
     """
 
-    def __init__(self, link_getter: Callable[[], Optional[SerialLink]]):
-        self._get = link_getter
+    def __init__(self, scu: "SCU", direction: int):
+        self._scu = scu
+        self._direction = direction
 
     def send(self, ptype: PacketType, seq: int) -> None:
-        link = self._get()
+        link = self._scu.out_links.get(self._direction)
         if link is None:
             raise ProtocolError("control port has no reverse link attached")
-        link.transmit(Frame(ptype, seq=seq))
+        link.transmit(Frame(ptype, seq=seq))  # queued on the wire, not waited for
 
 
 class SendUnit:
@@ -179,16 +190,6 @@ class SendUnit:
         return link
 
     @property
-    def word_batch(self):
-        """The unit's configured batch — always the owning SCU's setting.
-
-        A read-only delegate (no setter): every send and receive unit of a
-        node reports the same configured ``word_batch``, so a mismatched
-        per-unit batch cannot be created by any code path.
-        """
-        return self.scu.word_batch
-
-    @property
     def window(self) -> int:
         return max(self.asic.ack_window_words, self._batch)
 
@@ -226,20 +227,22 @@ class SendUnit:
             self._arm_watchdog()
         return self.done
 
+    @hot_path
     def _run(self):
-        self._t_start = self.sim.now
+        sim = self.sim
+        self._t_start = sim.now
         # First-word path: DMA fetch from local memory + SCU injection.
-        yield self.sim.timeout(
+        yield sim.timeout(
             self.asic.dma_fetch_latency + self.asic.scu_inject_latency
         )
-        n = len(self.words)
+        n, link = len(self.words), self.link
         sent_for_checksum = 0
         while self.base < n:
             in_flight = self.next - self.base
             if self.next < n and in_flight < self.window:
-                batch = min(self._batch, n - self.next, self.window - in_flight)
-                chunk = self.words[self.next : self.next + batch]
-                frame = Frame(PacketType.NORMAL, chunk, seq=self.next)
+                seq = self.next
+                batch = min(self._batch, n - seq, self.window - in_flight)
+                chunk = self.words[seq : seq + batch]
                 self.next += batch
                 self.wire_words += batch
                 if self.next > sent_for_checksum:
@@ -247,11 +250,14 @@ class SendUnit:
                         self.words[sent_for_checksum : self.next]
                     )
                     sent_for_checksum = self.next
-                yield self.link.transmit(frame)
+                # the wire carries one frame at a time: sleep it out
+                free_at = link.transmit(Frame(_NORMAL, chunk, seq))
+                yield sim.timeout(free_at - sim.now)
             else:
-                self._wake = self.sim.event()
+                self._wake = sim.event()
                 yield self._wake
-        yield self.link.transmit(Frame(PacketType.EOT, seq=n))
+        free_at = link.transmit(Frame(PacketType.EOT, seq=n))
+        yield sim.timeout(free_at - sim.now)
         self.active = False
         self._wd_gen += 1  # disarm the watchdog: transfer complete
         self._proc = None
@@ -269,6 +275,7 @@ class SendUnit:
         self.done.succeed(n)
 
     # -- control-frame handlers (called by the SCU dispatcher) -------------
+    @hot_path
     def on_ack(self, seq: int) -> None:
         self.acks_received += 1
         if seq > self.base:
@@ -415,13 +422,12 @@ class RecvUnit:
         self.scu = scu
         self.direction = direction
         self.checksum = LinkChecksum()
-        self.control = _ControlPort(lambda: scu.out_links.get(direction))
+        self.control = _ControlPort(scu, direction)
         self.expected = 0  # next word sequence number we will accept
         self.held: List[np.ndarray] = []  # idle-receive holding registers
         self.held_words = 0
         self.descriptor: Optional[DmaDescriptor] = None
         self.total = 0
-        self.stored = 0
         self.write_cursor = 0
         self.done: Optional[Event] = None
         #: payload words accepted into local memory (sum over transfers)
@@ -454,16 +460,6 @@ class RecvUnit:
         self.backoff_waits = 0
         self._wd_gen = 0
 
-    @property
-    def word_batch(self):
-        """See :attr:`SendUnit.word_batch` — a read-only SCU delegate.
-
-        The receive protocol itself is batch-agnostic (frame granularity
-        is the sender's choice); this exists only so introspection always
-        agrees with the paired send unit.
-        """
-        return self.scu.word_batch
-
     def post(self, descriptor: DmaDescriptor) -> Event:
         """Give the unit a destination; drains any idle-held words."""
         if self.descriptor is not None or self.done is not None:
@@ -474,7 +470,6 @@ class RecvUnit:
         self._buffer_name = descriptor.buffer
         self._indices = descriptor.indices()
         self.total = descriptor.total_words
-        self.stored = 0
         self.write_cursor = 0
         self.done = self.sim.event()
         self._t_post = self.sim.now
@@ -487,6 +482,7 @@ class RecvUnit:
                 self._accept(chunk)
         return self.done
 
+    @hot_path
     def on_data(self, frame: Frame) -> None:
         if self._eot_due:
             # A finished transfer's trailing EOT is still in flight, and
@@ -597,6 +593,7 @@ class RecvUnit:
             f"{self.direction} (idle receive or already-completed descriptor)"
         )
 
+    @hot_path
     def _accept(self, words: np.ndarray) -> None:
         idx = self._indices[self.write_cursor : self.write_cursor + len(words)]
         if len(idx) < len(words):
@@ -609,7 +606,7 @@ class RecvUnit:
         self.payload_words += len(words)
         # Acknowledge acceptance (returns window credit to the sender).
         self.acks_sent += 1
-        self.control.send(PacketType.ACK, self.expected)
+        self.control.send(_ACK, self.expected)
         if self.write_cursor >= self.total:
             # Wire-protocol side of this transfer is finished: rearm the
             # sequence space so a back-to-back next transfer idle-receives
@@ -619,27 +616,28 @@ class RecvUnit:
             self._wd_gen += 1  # disarm the watchdog: wire side complete
             self.descriptor = None
             self.expected = 0
-        # Eject + DMA store pipeline latency before the data is usable.
-        self.sim.schedule(
-            self.asic.scu_eject_latency + self.asic.dma_store_latency,
-            self._mark_stored,
-            len(words),
-        )
+            # Eject + DMA store pipeline latency before the data is usable:
+            # words store in arrival order, so only the last needs the heap.
+            self.sim.schedule(
+                self.asic.scu_eject_latency + self.asic.dma_store_latency,
+                self._complete,
+                self.done,
+            )
 
-    def _mark_stored(self, nwords: int) -> None:
-        self.stored += nwords
-        if self.stored >= self.total and self.done is not None:
-            done, self.done = self.done, None
-            self.transfers_completed += 1
-            if self.scu.trace is not None:
-                self.scu.trace.emit(
-                    "scu.recv",
-                    node=self.scu.node_id,
-                    direction=self.direction,
-                    words=self.total,
-                    dur=self.sim.now - self._t_post,
-                )
-            done.succeed(self.total)
+    def _complete(self, done: Event) -> None:
+        if self.done is not done:
+            return  # cancelled while the last words were in the pipe
+        self.done = None
+        self.transfers_completed += 1
+        if self.scu.trace is not None:
+            self.scu.trace.emit(
+                "scu.recv",
+                node=self.scu.node_id,
+                direction=self.direction,
+                words=self.total,
+                dur=self.sim.now - self._t_post,
+            )
+        done.succeed(self.total)
 
     # -- hard-fault watchdog ------------------------------------------------
     def _arm_watchdog(self) -> None:
@@ -699,7 +697,6 @@ class RecvUnit:
         self.descriptor = None
         self.expected = 0
         self.total = 0
-        self.stored = 0
         self.write_cursor = 0
         self.held = []
         self.held_words = 0
@@ -726,7 +723,6 @@ class RecvUnit:
         "watchdog_trips",
         "backoff_waits",
         "total",
-        "stored",
         "write_cursor",
     )
 
@@ -810,8 +806,8 @@ class SCU:
     # -- wiring ---------------------------------------------------------------
     def attach_link(self, direction: int, link: SerialLink) -> None:
         self.out_links[direction] = link
-        # Units read ``word_batch`` through a read-only property on the
-        # SCU, so there is no per-unit copy to fall out of sync.
+        # Units read ``word_batch`` off the SCU when a transfer starts, so
+        # there is no per-unit copy to fall out of sync.
         if direction not in self.send_units:
             self.send_units[direction] = SendUnit(self.sim, self.asic, self, direction)
         if direction not in self.recv_units:
@@ -821,35 +817,29 @@ class SCU:
         """Register the neighbour SCU behind ``direction`` (replay wiring)."""
         self.peers[direction] = (peer, arrival)
 
+    @hot_path
     def on_frame(self, direction: int, frame: Frame) -> None:
         """Dispatch a frame arriving from the neighbour in ``direction``."""
-        if self._draining and frame.ptype in (
-            PacketType.NORMAL,
-            PacketType.EOT,
-            PacketType.ACK,
-            PacketType.RESEND,
-        ):
+        ptype = frame.ptype
+        if self._draining and ptype in _TRANSFER_FRAMES:
             # Partition-abort drain: in-flight frames of cancelled
             # transfers are discarded so they cannot poison reset units.
             self.drained_frames += 1
-            return
-        if frame.ptype == PacketType.NORMAL:
+        elif ptype is _NORMAL:
             self._recv(direction).on_data(frame)
-        elif frame.ptype == PacketType.EOT:
-            self._recv(direction).on_eot(frame.seq)
-        elif frame.ptype == PacketType.ACK:
+        elif ptype is _ACK:
             self._send(direction).on_ack(frame.seq)
-        elif frame.ptype == PacketType.RESEND:
+        elif ptype is _EOT:
+            self._recv(direction).on_eot(frame.seq)
+        elif ptype is _RESEND:
             self._send(direction).on_resend(frame.seq)
-        elif frame.ptype == PacketType.SUPERVISOR:
+        elif ptype is PacketType.SUPERVISOR:
             self._on_supervisor(direction, frame)
-        elif frame.ptype == PacketType.PARTITION_IRQ:
+        elif ptype is PacketType.PARTITION_IRQ:
             if self.on_partition_irq is not None:
                 self.on_partition_irq(direction, int(frame.words[0]) & 0xFF)
-        elif frame.ptype == PacketType.IDLE:
-            pass
-        else:
-            raise ProtocolError(f"unhandled frame type {frame.ptype}")
+        elif ptype is not PacketType.IDLE:
+            raise ProtocolError(f"unhandled frame type {ptype}")
 
     def _send(self, direction: int) -> SendUnit:
         unit = self.send_units.get(direction)
@@ -1047,18 +1037,17 @@ class SCU:
 
         Sender side counts ``next - base`` (transmitted but unacknowledged)
         for active transfers; receiver side counts idle-held words plus
-        words accepted but still in the eject/store pipeline.  At quiesce
+        the words accepted by a receive that has not completed yet (its
+        last words are still in the eject/store pipeline).  At quiesce
         (heap drained, all transfers complete) this is zero — the
         conservation invariant the telemetry test suite asserts.
         """
         sender = sum(
             (u.next - u.base) for u in self.send_units.values() if u.active
         )
-        receiver = sum(u.held_words for u in self.recv_units.values())
-        receiver += sum(
-            (u.write_cursor - u.stored)
+        receiver = sum(
+            u.held_words + (u.write_cursor if u.done is not None else 0)
             for u in self.recv_units.values()
-            if u.done is not None
         )
         return sender + receiver
 
@@ -1099,7 +1088,7 @@ class SCU:
         link = self.out_links.get(direction)
         if link is None:
             raise ProtocolError(f"no link in direction {direction}")
-        return link.transmit(frame)
+        return self.sim.timeout(link.transmit(frame) - self.sim.now)
 
     def _on_supervisor(self, direction: int, frame: Frame) -> None:
         word = int(frame.words[0])

@@ -20,6 +20,7 @@ the generator's return value, so processes can wait on each other.
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.util.errors import SimulationError
@@ -33,7 +34,11 @@ class Event:
 
     Events start *pending*; exactly one of :meth:`succeed` or :meth:`fail`
     may be called, after which waiting callbacks run at the current
-    simulation time (scheduled, not inline, to keep ordering deterministic).
+    simulation time — each in a zero-delay heap entry of its own, never
+    inline: the caller may itself wait on the next event, so inline runs
+    would nest without bound (two processes handing an event back and
+    forth would recurse once per hand-over).  Only an event the *heap*
+    triggers (:class:`Timeout`) runs its waiters in the entry that fired it.
     """
 
     __slots__ = ("sim", "callbacks", "_state", "_value")
@@ -78,14 +83,19 @@ class Event:
         self._trigger(Event.FAILED, exc)
         return self
 
-    def _trigger(self, state: int, value: Any) -> None:
+    def _trigger(self, state: int, value: Any, from_heap: bool = False) -> None:
         if self._state != Event.PENDING:
             raise SimulationError("event triggered twice")
         self._state = state
         self._value = value
         callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:  # type: ignore[union-attr]
-            self.sim.schedule(0.0, cb, self)
+        if from_heap:
+            for cb in callbacks:  # type: ignore[union-attr]
+                cb(self)
+        else:
+            schedule = self.sim.schedule
+            for cb in callbacks:  # type: ignore[union-attr]
+                schedule(0.0, cb, self)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Run ``cb(event)`` once the event triggers (immediately-scheduled
@@ -105,10 +115,7 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(sim)
-        sim.schedule(delay, self._fire, value)
-
-    def _fire(self, value: Any) -> None:
-        self.succeed(value)
+        sim.schedule(delay, self._trigger, Event.SUCCEEDED, value, True)
 
 
 class Interrupt(Exception):
@@ -148,23 +155,25 @@ class Process(Event):
 
     # -- internals ----------------------------------------------------------
     def _resume(self, trigger: Optional[Event]) -> None:
-        if self.triggered:
+        """The kick-off (``trigger`` None) and the callback on every awaited
+        event; a wake-up an interrupt has made stale meanwhile is discarded."""
+        if trigger is not self._waiting_on or self._state != Event.PENDING:
             return
-        if trigger is not None and not trigger.ok:
-            self._advance(lambda: self.gen.throw(trigger.exception))
+        self._waiting_on = None
+        if trigger is not None and trigger._state == Event.FAILED:
+            self._advance(self.gen.throw, trigger._value)
         else:
-            value = None if trigger is None else trigger._value
-            self._advance(lambda: self.gen.send(value))
+            self._advance(self.gen.send, None if trigger is None else trigger._value)
 
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
             return
         self._waiting_on = None
-        self._advance(lambda: self.gen.throw(exc))
+        self._advance(self.gen.throw, exc)
 
-    def _advance(self, step: Callable[[], Any]) -> None:
+    def _advance(self, step: Callable[[Any], Any], arg: Any) -> None:
         try:
-            target = step()
+            target = step(arg)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -180,14 +189,7 @@ class Process(Event):
             )
             return
         self._waiting_on = target
-        target.add_callback(self._on_target)
-
-    def _on_target(self, event: Event) -> None:
-        # Stale callback after an interrupt redirected the process.
-        if self._waiting_on is not event:
-            return
-        self._waiting_on = None
-        self._resume(event)
+        target.add_callback(self._resume)
 
 
 class _Condition(Event):
@@ -210,13 +212,27 @@ class _Condition(Event):
 
 
 class AnyOf(_Condition):
-    """Succeeds with the first triggering child (fails if that child failed)."""
+    """Succeeds with the first triggering child (fails if that child failed).
+
+    Of children already triggered at construction the first in list order
+    wins and nothing else is registered on; resolved by a pending child,
+    it takes its callback back off the losers, so a loop waiting on what
+    is left of a set leaves no stale registration behind.
+    """
 
     __slots__ = ()
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+        events = list(events)
+        decided = next((ev for ev in events if ev.callbacks is None), None)
+        super().__init__(sim, events if decided is None else [decided])
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
+        for ev in self.events:
+            if ev is not event and ev.callbacks is not None:
+                ev.callbacks.remove(self._on_child)
         if event.ok:
             self.succeed(event)
         else:
@@ -239,18 +255,6 @@ class AllOf(_Condition):
             self.succeed([ev._value for ev in self.events])
 
 
-class _NullShardContext:
-    """``Simulator.context()`` no-op (single-shard engines have one lane)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullShardContext":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
 class Simulator:
     """Deterministic event loop over a (time, seq) heap.
 
@@ -266,8 +270,9 @@ class Simulator:
     #: machine code can be written against one shard-addressing API)
     n_shards = 1
     current_shard = 0
-    #: callbacks executed (instance attr from the first step; the
-    #: sharded subclass overrides this with a sum over its lanes)
+    #: heap entries executed (instance attr from the first one; the sharded
+    #: subclass overrides this with a sum over its lanes): a fired timeout
+    #: with the waiters it resumes is one, a ``succeed()`` is one per waiter
     events_processed = 0
 
     def __init__(self):
@@ -280,13 +285,13 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    def context(self, shard: int) -> _NullShardContext:
+    def context(self, shard: int) -> nullcontext:
         """Shard-routing context; a no-op on the single-heap engine."""
         if shard != 0:
             raise SimulationError(
                 f"single-shard simulator has no shard {shard}"
             )
-        return _NullShardContext()
+        return nullcontext()
 
     # -- scheduling ---------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
@@ -312,13 +317,6 @@ class Simulator:
         return AllOf(self, events)
 
     # -- running ------------------------------------------------------------
-    def step(self) -> None:
-        """Execute the single next scheduled callback."""
-        time, _seq, fn, args = heapq.heappop(self._heap)
-        self._now = time
-        self.events_processed += 1
-        fn(*args)
-
     def peek(self) -> float:
         """Time of the next scheduled callback (inf if none)."""
         return self._heap[0][0] if self._heap else float("inf")
@@ -344,13 +342,18 @@ class Simulator:
             return until.value
         if stop is not None and stop():
             return None
-        while self._heap:
-            if self._heap[0][0] > max_time:
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            if heap[0][0] > max_time:
                 raise SimulationError(
                     f"simulation exceeded time horizon {max_time} s at t={self._now}"
                 )
-            self.step()
-            if until is not None and until.triggered:
+            # counted per entry, not per run: the count is sampled from
+            # outside, mid-run, as the run's progress
+            self._now, _seq, fn, args = pop(heap)
+            self.events_processed += 1
+            fn(*args)
+            if until is not None and until._state != Event.PENDING:
                 return until.value
             if stop is not None and stop():
                 return None

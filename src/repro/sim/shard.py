@@ -170,22 +170,6 @@ class ShardedSimulator(Simulator):
     def peek(self) -> float:
         return min(lane.peek() for lane in self._lanes)
 
-    def step(self) -> None:
-        """Execute the single globally-earliest event (lowest lane wins
-        ties — mainly an API-compat affordance for unit tests)."""
-        lane = min(self._lanes, key=lambda l: (l.peek(), l.index))
-        time, _seq, fn, args = heappop(lane.heap)
-        lane.now = time
-        lane.events_processed += 1
-        self._exec_lane = lane
-        self._event_time = time
-        try:
-            fn(*args)
-        finally:
-            self._exec_lane = None
-            self._event_time = None
-        self._committed = max(self._committed, time)
-
     def _run_lane(self, lane: ShardLane, horizon: float) -> None:
         """Drain one lane's events strictly below ``horizon`` (hot loop)."""
         heap = lane.heap

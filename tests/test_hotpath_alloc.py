@@ -174,5 +174,28 @@ class TestHotPathTags:
                 assert is_hot_path(getattr(ctx, kernel)), (ctx, kernel)
         assert is_hot_path(pdirac.WilsonHops.project)
 
+    def test_per_frame_path_tagged(self):
+        # every body the interpreted SCU/HSSL protocol runs once per frame
+        # (per word at word_batch=1): REPRO105 then refuses a numpy
+        # allocator creeping back into one.  A payload is normalised where
+        # its transfer starts (SendUnit.start), which is not tagged.
+        from repro.machine.hssl import SerialLink
+        from repro.machine.packets import Frame, LinkChecksum
+        from repro.machine.scu import SCU, RecvUnit, SendUnit
+
+        for fn in (
+            LinkChecksum.update,
+            Frame.__init__,
+            SerialLink.transmit,
+            SerialLink._deliver,
+            SCU.on_frame,
+            RecvUnit.on_data,
+            RecvUnit._accept,
+            SendUnit._run,
+            SendUnit.on_ack,
+        ):
+            assert is_hot_path(fn), fn.__qualname__
+        assert not is_hot_path(SendUnit.start)
+
     def test_untagged_serial_reference(self):
         assert not is_hot_path(WilsonDirac.apply)

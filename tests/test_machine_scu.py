@@ -9,6 +9,7 @@ from repro.machine.machine import QCDOCMachine
 from repro.machine.scu import DmaDescriptor
 from repro.util.errors import ProtocolError
 from repro.util.units import NS, US
+from tests.harness import applied, booted, system
 
 
 def two_node_machine(**kwargs):
@@ -34,6 +35,20 @@ def send_words(m, n, src=0, dst=1, payload=None, post_recv_first=True):
         send_done = m.nodes[src].scu.send(direction, DmaDescriptor("tx", block_len=n))
         recv_done = m.nodes[dst].scu.recv(arrival, DmaDescriptor("rx", block_len=n))
     return data, send_done, recv_done
+
+
+def max_in_flight_until(m, sender, *events):
+    """Run until every event has triggered; the sender's widest
+    unacknowledged window, looked at after every heap entry."""
+    widest = 0
+
+    def watch():
+        nonlocal widest
+        widest = max(widest, sender.next - sender.base)
+        return all(ev.triggered for ev in events)
+
+    m.sim.run(stop=watch)
+    return widest
 
 
 class TestDmaDescriptor:
@@ -135,11 +150,7 @@ class TestIdleReceive:
         m = two_node_machine(trace=True)
         _data, send_done, recv_done = send_words(m, 50)
         sender = m.nodes[0].scu.send_units[m.topology.direction(0, +1)]
-        max_in_flight = 0
-        while not (send_done.triggered and recv_done.triggered):
-            m.sim.step()
-            max_in_flight = max(max_in_flight, sender.next - sender.base)
-        assert max_in_flight <= 3
+        assert max_in_flight_until(m, sender, send_done, recv_done) <= 3
 
 
 class TestFaultInjectionAndResend:
@@ -364,11 +375,7 @@ class TestProtocolRegression:
                              trace=True)
         _data, send_done, recv_done = send_words(m, 80)
         sender = m.nodes[0].scu.send_units[m.topology.direction(0, +1)]
-        max_in_flight = 0
-        while not (send_done.triggered and recv_done.triggered):
-            m.sim.step()
-            max_in_flight = max(max_in_flight, sender.next - sender.base)
-        assert max_in_flight <= 3
+        assert max_in_flight_until(m, sender, send_done, recv_done) <= 3
         assert m.network.total_faults_injected() > 0
         assert sender.resends >= 1
 
@@ -485,3 +492,60 @@ class TestProtocolRegression:
 
         results = m.run_partition(partition, program)
         assert results == [0.0, 0.0]
+
+
+class TestEventBudget:
+    """Heap entries of an interpreted transfer, pinned exactly: the counts
+    are deterministic, so the next engine change has to edit the numbers.
+    The clock readings were taken when the same exchange cost 12n + 14 and
+    26 entries: an engine change may move the counts, never the time."""
+
+    #: (word_batch, n) -> sim.now once the exchange below has drained
+    CLOCK = {
+        (1, 1): "0x1.3b24aa6a88704p-18",
+        (1, 3): "0x1.4e7877cfb421ap-18",
+        (1, 8): "0x1.7ec9f94ca15d1p-18",
+        (1, 64): "0x1.cdfa382eb4630p-17",
+        ("face", 1): "0x1.3b24aa6a88704p-18",
+        ("face", 3): "0x1.4c52b652af46dp-18",
+        ("face", 8): "0x1.7745d417105f5p-18",
+        ("face", 64): "0x1.ac2790bda7ebcp-17",
+    }
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    @pytest.mark.parametrize("word_batch", [1, "face"])
+    def test_two_node_exchange(self, word_batch, n):
+        m = two_node_machine(word_batch=word_batch, replay=False)
+        before = m.sim.events_processed
+        there = send_words(m, n, src=0, dst=1)
+        back = send_words(m, n, src=1, dst=0, payload=np.arange(n) + 100)
+        m.sim.run()
+        for (data, *events), dst in ((there, 1), (back, 0)):
+            assert all(ev.ok and ev.value == n for ev in events)
+            assert np.array_equal(m.nodes[dst].memory.get("rx"), data)
+        # per direction and frame: the wire-free sleep of the sender, the
+        # data delivery, the ACK delivery; per direction: the send
+        # process's kick-off, its DMA-fetch sleep, its wake-up on the last
+        # ACK, the EOT's sleep and delivery, the receive's completion
+        frames = n if word_batch == 1 else 1
+        assert m.sim.events_processed - before == 2 * (3 * frames + 6)
+        assert m.sim.now == float.fromhex(self.CLOCK[word_batch, n])
+        assert m.audit_checksums() == []
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_wilson_exchange_2d_per_rank(self, shards):
+        # one application = one HaloPipeline.exchange per rank, 8 face
+        # transfers each: a drain loop that leaves its AnyOf registered on
+        # every pending transfer grows with their number squared (109
+        # entries per rank here).  At shards=4 a lane is a rank.
+        gauge, psi = system((7, "scu-budget"), (4, 4, 2, 2))
+        m, part = booted(
+            (2, 2, 1, 1, 1, 1), word_batch="face", replay=False, shards=shards
+        )
+        lanes = m.sim.lanes if shards > 1 else [m.sim]
+        before = [lane.events_processed for lane in lanes]
+        applied(m, part, "wilson", gauge, psi, mass=0.3)
+        m.quiesce()
+        spent = [lane.events_processed - was for lane, was in zip(lanes, before)]
+        assert spent == ([60] * 4 if shards > 1 else [4 * 60])
+        assert m.sim.now == float.fromhex("0x1.06ffe846ea8eep-15")

@@ -212,3 +212,149 @@ class TestRun:
         s1.run()
         s2.run()
         assert log1 == log2
+
+
+class TestHeapEntries:
+    """What ``events_processed`` counts: a heap entry exists only if it
+    does simulated work (DESIGN.md section 2, "Event kernel")."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_timeout_sleeps_cost_one_entry_each(self, sim, n):
+        def sleeper():
+            for _ in range(n):
+                yield sim.timeout(1.0)
+
+        p = sim.process(sleeper())
+        sim.run()
+        assert p.ok and sim.now == float(n)
+        # the kick-off, then one entry per sleep: the entry that fires the
+        # timeout resumes the sleeper too
+        assert sim.events_processed == n + 1
+
+    def test_timeout_runs_its_waiters_in_order_in_the_firing_entry(self, sim):
+        seen = []
+        tick = sim.timeout(1.0, "tick")
+        tick.add_callback(lambda e: seen.append(("first", sim.events_processed)))
+        tick.add_callback(lambda e: seen.append(("second", sim.events_processed)))
+        sim.schedule(1.0, lambda: seen.append(("later", sim.events_processed)))
+        sim.run()
+        assert seen == [("first", 1), ("second", 1), ("later", 2)]
+
+    def test_succeed_from_running_code_defers_its_waiters(self, sim):
+        ev = sim.event()
+        log = []
+        ev.add_callback(lambda e: log.append("waiter"))
+
+        def trigger():
+            yield sim.timeout(1.0)
+            ev.succeed()
+            log.append("after succeed")
+
+        sim.process(trigger())
+        sim.run()
+        assert log == ["after succeed", "waiter"]
+        # kick-off, the sleep, and the waiter's own zero-delay entry
+        assert sim.events_processed == 3
+
+    def test_ping_pong_does_not_recurse(self, sim):
+        # two processes hand an event back and forth 10,000 times: were a
+        # succeed() to run its waiter inline, each hand-over would nest
+        rounds = 10_000
+        counts = [0, 0]
+
+        def player(me, mine, theirs):
+            for _ in range(rounds):
+                theirs[0].succeed()
+                theirs[0] = sim.event()
+                yield mine[0]
+                counts[me] += 1
+
+        ping, pong = [sim.event()], [sim.event()]
+        sim.process(player(0, ping, pong))
+        sim.process(player(1, pong, ping))
+        sim.run()  # to a dry heap: the pair ends blocked on the last events
+        assert min(counts) >= rounds - 1
+
+    def test_interrupt_during_timeout_discards_the_stale_wakeup(self, sim):
+        log = []
+
+        def proc():
+            try:
+                yield sim.timeout(5.0, "slept")
+            except Interrupt as irq:
+                log.append((sim.now, irq.cause))
+            value = yield sim.timeout(10.0, "second sleep")
+            log.append((sim.now, value))
+
+        p = sim.process(proc())
+        sim.schedule(1.0, p.interrupt, "irq")
+        sim.run()
+        # the first timeout still fires at t=5 and must not resume the
+        # process, which by then sleeps on another event
+        assert log == [(1.0, "irq"), (11.0, "second sleep")]
+        assert p.ok
+
+
+class TestAnyOfDetaches:
+    def test_no_child_keeps_a_callback_of_a_resolved_any_of(self, sim):
+        children = [sim.event() for _ in range(6)]
+        cond = sim.any_of(children)
+        assert all(len(ev.callbacks) == 1 for ev in children)
+        children[2].succeed("winner")
+        sim.run()
+        assert cond.value is children[2]
+        assert all(ev.callbacks == [] for ev in children if ev is not children[2])
+
+    def test_other_waiters_of_a_losing_child_stay(self, sim):
+        a, b = sim.event(), sim.event()
+        seen = []
+        b.add_callback(lambda e: seen.append(e.value))
+        sim.any_of([a, b])
+        a.succeed()
+        sim.run()
+        b.succeed("b")
+        sim.run()
+        assert seen == ["b"]
+
+    @pytest.mark.parametrize("k", [1, 4, 16, 64])
+    def test_drain_loop_costs_a_linear_number_of_entries(self, sim, k):
+        # the shape of HaloPipeline.exchange's drain: wait on what is left
+        # of a set until nothing is.  Per event: the entry that succeeds
+        # it, the AnyOf's child callback, the resumed process; plus the
+        # kick-off.  (A registration left behind on every still-pending
+        # event by every earlier turn made this k(k+1)/2 + 2k + 1.)
+        pending = {i: sim.event() for i in range(k)}
+        order = []
+
+        def drain():
+            while pending:
+                fired = yield sim.any_of(pending.values())
+                key = next(i for i, ev in pending.items() if ev is fired)
+                del pending[key]
+                order.append(key)
+
+        sim.process(drain())
+        for i, ev in pending.items():
+            sim.schedule(1.0 + i, ev.succeed)
+        sim.run()
+        assert order == list(range(k))
+        assert sim.events_processed == 3 * k + 1
+
+    def test_already_triggered_children_first_in_list_order_wins(self, sim):
+        early, late, pending = sim.event(), sim.event(), sim.event()
+        late.succeed("late")
+        early.succeed("early")
+        cond = sim.any_of([pending, early, late])
+        # decided at construction: nothing is registered on the others
+        assert pending.callbacks == []
+        sim.run()
+        assert cond.value is early
+
+    def test_already_failed_first_child_fails_the_any_of(self, sim):
+        bad, good = sim.event(), sim.event()
+        bad.fail(RuntimeError("first in list"))
+        good.succeed("ok")
+        cond = sim.any_of([bad, good])
+        sim.run()
+        assert cond.triggered and not cond.ok
+        assert isinstance(cond.exception, RuntimeError)
