@@ -456,6 +456,10 @@ class SnapshotCompletenessRule(FlowRule):
     state (events, processes, in-flight buffers) that is meaningless
     across the pickle boundary because snapshots only run on quiesced
     shards.
+
+    Methods inherited from a base class in the scanned tree count as the
+    class's own (``snapshot_state`` included): what a shared base mutates
+    on ``self`` is audited against each subclass's declarations.
     """
 
     rule_id = "REPRO504"
@@ -473,33 +477,46 @@ class SnapshotCompletenessRule(FlowRule):
         findings: List[Finding] = []
         for infos in symbols.classes.values():
             for cls_info in infos:
-                snap = cls_info.methods.get("snapshot_state")
+                methods = self._methods(symbols, cls_info, set())
+                snap = methods.get("snapshot_state")
                 if snap is None:
                     continue
-                findings.extend(self._check_class(cls_info, snap))
+                findings.extend(self._check_class(cls_info, snap, methods))
         return findings
 
-    def _check_class(self, cls_info, snap) -> Iterable[Finding]:
+    def _methods(self, symbols: SymbolTable, cls_info, seen: Set[int]) -> Dict:
+        """``cls_info``'s methods by name, inherited ones included (a
+        definition nearer the class wins, as in the MRO)."""
+        seen.add(id(cls_info))
+        methods: Dict = {}
+        for base in reversed(cls_info.bases):
+            for base_info in symbols.classes.get(base, []):
+                if id(base_info) not in seen:
+                    methods.update(self._methods(symbols, base_info, seen))
+        methods.update(cls_info.methods)
+        return methods
+
+    def _check_class(self, cls_info, snap, methods) -> Iterable[Finding]:
         cls = cls_info.node
         attrs = _class_str_tuple(cls, "_SNAPSHOT_ATTRS") or set()
         transient = _class_str_tuple(cls, "_SNAPSHOT_TRANSIENT") or set()
         covered = attrs | transient | _self_attr_loads(snap.node)
 
         findings: List[Finding] = []
-        mutated: Dict[str, ast.stmt] = {}
-        for name, method in sorted(cls_info.methods.items()):
+        mutated: Dict[str, Tuple[ast.stmt, str]] = {}
+        for name, method in sorted(methods.items()):
             if name in self._EXEMPT_METHODS:
                 continue
             for attr, stmt in _self_attr_stores(method.node).items():
                 prev = mutated.get(attr)
-                if prev is None or stmt.lineno < prev.lineno:
-                    mutated[attr] = stmt
+                if prev is None or stmt.lineno < prev[0].lineno:
+                    mutated[attr] = (stmt, method.module.relpath)
         for attr in sorted(set(mutated) - covered):
-            stmt = mutated[attr]
+            stmt, relpath = mutated[attr]
             findings.append(
                 Finding(
                     rule=self.rule_id,
-                    path=cls_info.module.relpath,
+                    path=relpath,
                     line=stmt.lineno,
                     col=stmt.col_offset,
                     message=(
@@ -514,7 +531,7 @@ class SnapshotCompletenessRule(FlowRule):
 
         # Restore symmetry: a hand-written restore_state must write back
         # every _SNAPSHOT_ATTRS entry (a generic setattr loop covers all).
-        restore = cls_info.methods.get("restore_state")
+        restore = methods.get("restore_state")
         if restore is not None and attrs:
             uses_setattr = any(
                 isinstance(node, ast.Call) and _callee(node) == "setattr"

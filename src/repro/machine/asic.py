@@ -22,10 +22,14 @@ Every number here is taken from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.util.errors import ConfigError
 from repro.util.units import GB, KB, MB, MHZ, NS
+
+#: bytes in the HSSL training sequence (the known pattern a receiver
+#: scans for its sampling point and its byte boundaries)
+TRAINING_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,43 @@ class ASICConfig:
         )
 
     @property
+    def first_word_delay(self) -> float:
+        """A send's DMA fetch + SCU injection, before its first bit."""
+        return self.dma_fetch_latency + self.scu_inject_latency
+
+    @property
+    def store_delay(self) -> float:
+        """SCU eject + DMA store: an accepted word to usable memory."""
+        return self.scu_eject_latency + self.dma_store_latency
+
+    @property
+    def training_time(self) -> float:
+        """One HSSL training sequence at the link clock."""
+        return TRAINING_BYTES * 8 / self.clock_hz
+
+    @property
     def passthrough_latency(self) -> float:
         """Per-node forwarding latency in global (cut-through) mode."""
         return self.passthrough_bits / self.clock_hz + self.wire_latency
+
+    def global_sum_time(
+        self, dims: Sequence[int], nwords: int = 1, doubled: bool = True
+    ) -> float:
+        """Cut-through dimension-sequenced ring sum of ``nwords`` words.
+
+        Per axis of extent > 1: one word serialisation to get onto the
+        ring, one pass-through per hop (``d // 2`` hops in doubled mode,
+        both ring directions on disjoint link sets, else ``d - 1``), then
+        the remaining words streaming behind the first.
+        """
+        t_word = self.word_serialisation_time
+        t = 0.0
+        for d in dims:
+            if d > 1:
+                hops = d // 2 if doubled else d - 1
+                t += t_word + hops * self.passthrough_latency
+                t += (nwords - 1) * t_word
+        return t
 
     @property
     def shard_lookahead(self) -> float:
@@ -147,21 +185,22 @@ class ASICConfig:
         """
         return self.frame_header_bits / self.clock_hz + self.wire_latency
 
+    def watchdog_wait(self, rung: int) -> float:
+        """The no-progress wait on ``rung`` of the backoff ladder (rung 0
+        is the base timeout, each further rung a factor longer)."""
+        return self.watchdog_timeout * self.watchdog_backoff_factor**rung
+
     @property
     def watchdog_detection_budget(self) -> float:
-        """Worst-case no-progress detection latency of the SCU watchdog.
-
-        The sum of the full backoff ladder: base timeout + every probe up
-        to ``watchdog_max_backoffs`` (geometric in
-        ``watchdog_backoff_factor``).  A permanently dead link is declared
-        down within this budget of the last forward progress.
+        """Worst-case no-progress detection latency of the SCU watchdog:
+        every rung of the ladder, base timeout to the last backoff.  A
+        permanently dead link is declared down within this budget of the
+        last forward progress.
         """
-        t = self.watchdog_timeout
-        total = t
-        for k in range(self.watchdog_max_backoffs):
-            t *= self.watchdog_backoff_factor
-            total += t
-        return total
+        return sum(
+            self.watchdog_wait(rung)
+            for rung in range(self.watchdog_max_backoffs + 1)
+        )
 
     def at_clock(self, clock_hz: float) -> "ASICConfig":
         """The same ASIC run at a different clock (360/420/450 MHz tests)."""

@@ -91,26 +91,10 @@ class GlobalOpsEngine:
         self._generation = 0
 
     # -- timing model -----------------------------------------------------------
-    def reduction_time(self, nwords: int, doubled: Optional[bool] = None) -> float:
-        """Cut-through dimension-sequenced ring-sum latency for ``nwords``.
-
-        Per axis phase: one full word serialisation to get onto the wire,
-        then one pass-through latency per hop (only 8 bits held per node),
-        plus pipelined streaming of the remaining words.
-        """
-        doubled = self.doubled if doubled is None else doubled
-        t_word = self.asic.word_serialisation_time
-        t = 0.0
-        for d in self.logical_dims:
-            if d <= 1:
-                continue
-            hops = (d // 2) if doubled else (d - 1)
-            t += t_word + hops * self.asic.passthrough_latency
-            t += (nwords - 1) * t_word
-        return t
-
-    def broadcast_time(self, nwords: int, doubled: Optional[bool] = None) -> float:
-        return self.reduction_time(nwords, doubled)
+    def reduction_time(self, nwords: int) -> float:
+        """This partition's global-sum latency for ``nwords``
+        (:meth:`~repro.machine.asic.ASICConfig.global_sum_time`)."""
+        return self.asic.global_sum_time(self.logical_dims, nwords, self.doubled)
 
     @property
     def hops(self) -> int:
@@ -126,69 +110,68 @@ class GlobalOpsEngine:
                 f"rank {rank} contributed twice to global sum generation "
                 f"{self._generation}"
             )
-        arr = np.ascontiguousarray(values)
-        first = next(iter(self._round.values()), None)
-        if first is not None and first.shape != arr.shape:
-            raise MachineError(
-                f"global-sum shape mismatch: {arr.shape} vs {first.shape}"
-            )
-        if first is not None and first.dtype != arr.dtype:
-            # A silent dtype promotion here (e.g. one rank contributing
-            # float32 into a float64 reduction) would change the canonical
-            # accumulation bit pattern on *every* rank — reject it loudly.
-            raise MachineError(
-                f"global-sum dtype mismatch: {arr.dtype} vs {first.dtype}"
-            )
-        self._round[rank] = arr
+        self._round[rank] = np.ascontiguousarray(values)
         ev = self.sim.event()
         self._waiters[rank] = ev
         if len(self._round) == self.n_ranks:
             self._complete()
         return ev
 
-    def _complete(self) -> None:
-        # Canonical accumulation order: logical rank 0, 1, 2, ... —
-        # identical on every node, hence bitwise-reproducible results.
-        ranks = sorted(self._round)
-        total = self._round[ranks[0]].copy()
+    def _reduce(
+        self, addends: Dict[int, np.ndarray]
+    ) -> Tuple[np.ndarray, CollectiveStats]:
+        """One full round: the sum and its timing record.
+
+        Refuses addends that disagree in shape or dtype — a silent dtype
+        promotion (one rank contributing float32 into a float64 reduction)
+        would change the accumulation bit pattern on *every* rank — and
+        accumulates in canonical order, logical rank 0, 1, 2, ...:
+        identical on every node and independent of the order the
+        contributions arrived in, hence bitwise-reproducible results.
+        """
+        ranks = sorted(addends)
+        first = addends[ranks[0]]
         for r in ranks[1:]:
-            total = total + self._round[r]
-        nwords = int(np.asarray(total, dtype=np.complex128).view(np.float64).size) \
-            if np.iscomplexobj(total) else int(total.size)
-        duration = self.reduction_time(max(1, nwords))
-        self.history.append(
-            CollectiveStats("sum", nwords, self.hops, duration, self.doubled)
+            arr = addends[r]
+            if arr.shape != first.shape:
+                raise MachineError(
+                    f"global-sum shape mismatch: {arr.shape} vs {first.shape}"
+                )
+            if arr.dtype != first.dtype:
+                raise MachineError(
+                    f"global-sum dtype mismatch: {arr.dtype} vs {first.dtype}"
+                )
+        total = first.copy()
+        for r in ranks[1:]:
+            total = total + addends[r]
+        nwords = int(total.size) * (2 if np.iscomplexobj(total) else 1)
+        stats = CollectiveStats(
+            "sum", nwords, self.hops, self.reduction_time(max(1, nwords)), self.doubled
         )
+        self.history.append(stats)
+        return total, stats
+
+    def _emit_complete(self, stats: CollectiveStats) -> None:
+        if self.trace is not None:
+            self.trace.emit(
+                "gsum.complete", nwords=stats.nwords, hops=stats.hops, dur=stats.duration
+            )
+
+    def _complete(self) -> None:
+        """Every rank is in: the waiters complete together, one reduction
+        time after the contribution that closed the round."""
+        total, stats = self._reduce(self._round)
         waiters = self._waiters
         self._round = {}
         self._waiters = {}
         self._generation += 1
 
-        trace, hops = self.trace, self.hops
-
         def finish():
-            if trace is not None:
-                trace.emit(
-                    "gsum.complete", nwords=nwords, hops=hops, dur=duration
-                )
+            self._emit_complete(stats)
             for ev in waiters.values():
                 ev.succeed(total.copy())
 
-        self.sim.schedule(duration, finish)
-
-    def broadcast(self, root_value: np.ndarray) -> Tuple[np.ndarray, CollectiveStats]:
-        """Broadcast (immediate-value form used by host/boot paths)."""
-        arr = np.ascontiguousarray(root_value)
-        nwords = int(arr.size)
-        stats = CollectiveStats(
-            "broadcast",
-            nwords,
-            broadcast_hops(self.logical_dims, self.doubled),
-            self.broadcast_time(max(1, nwords)),
-            self.doubled,
-        )
-        self.history.append(stats)
-        return arr.copy(), stats
+        self.sim.schedule(stats.duration, finish)
 
 
 class ShardedGlobalOps(GlobalOpsEngine):
@@ -254,17 +237,12 @@ class ShardedGlobalOps(GlobalOpsEngine):
         return ev
 
     def _finish_rank(self, key: Tuple[int, int, int], value: np.ndarray,
-                     emit: Optional[dict]) -> None:
+                     emit: Optional[CollectiveStats]) -> None:
         """Deliver one rank's completed sum (runs on the waiter's lane at
         the rendezvous time; decoded by the router from a barrier post)."""
         ev = self.router.gsum_waiters.pop(key)
-        if emit is not None and self.trace is not None:
-            self.trace.emit(
-                "gsum.complete",
-                nwords=emit["nwords"],
-                hops=emit["hops"],
-                dur=emit["dur"],
-            )
+        if emit is not None:
+            self._emit_complete(emit)
         ev.succeed(value)
 
     # -- coordinator (barrier) side ----------------------------------------
@@ -281,52 +259,19 @@ class ShardedGlobalOps(GlobalOpsEngine):
         self._try_complete()
 
     def _try_complete(self) -> None:
-        while True:
-            round_ = self._rounds.get(self._completed_gen)
-            if round_ is None or len(round_) < self.n_ranks:
-                return
+        while len(self._rounds.get(self._completed_gen, ())) == self.n_ranks:
             gen = self._completed_gen
-            del self._rounds[gen]
+            round_ = self._rounds.pop(gen)
             self._completed_gen += 1
-            ranks = sorted(round_)
-            _t0, first, _s0 = round_[ranks[0]]
-            for r in ranks[1:]:
-                arr = round_[r][1]
-                if arr.shape != first.shape:
-                    raise MachineError(
-                        f"global-sum shape mismatch: {arr.shape} vs {first.shape}"
-                    )
-                if arr.dtype != first.dtype:
-                    raise MachineError(
-                        f"global-sum dtype mismatch: {arr.dtype} vs {first.dtype}"
-                    )
-            # Canonical accumulation order: logical rank 0, 1, 2, ... —
-            # independent of the shard interleaving the contributions
-            # arrived in, hence bitwise identical to the single heap.
-            total = first.copy()
-            for r in ranks[1:]:
-                total = total + round_[r][1]
-            nwords = int(
-                np.asarray(total, dtype=np.complex128).view(np.float64).size
-            ) if np.iscomplexobj(total) else int(total.size)
-            duration = self.reduction_time(max(1, nwords))
-            t_complete = max(t for t, _v, _s in round_.values()) + duration
-            self.history.append(
-                CollectiveStats("sum", nwords, self.hops, duration, self.doubled)
-            )
-            for i, r in enumerate(ranks):
-                src_shard = round_[r][2]
-                emit = (
-                    {"nwords": nwords, "hops": self.hops, "dur": duration}
-                    if i == 0
-                    else None
-                )
+            total, stats = self._reduce({r: v for r, (_t, v, _s) in round_.items()})
+            t_complete = max(t for t, _v, _s in round_.values()) + stats.duration
+            for i, r in enumerate(sorted(round_)):
                 self.router.coordinator_post(
                     "gsum",
-                    src_shard,
+                    round_[r][2],
                     t_complete,
                     (self.engine_id, gen, r),
-                    (total.copy(), emit),
+                    (total.copy(), stats if i == 0 else None),
                 )
 
 

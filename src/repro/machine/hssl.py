@@ -30,9 +30,6 @@ from repro.sim.trace import Trace
 from repro.util.errors import ProtocolError
 from repro.util.hotpath import hot_path
 
-#: bytes in the training sequence (known pattern scanned for byte boundaries)
-TRAINING_BYTES = 256
-
 
 class SerialLink:
     """One unidirectional bit-serial wire between two SCUs.
@@ -127,20 +124,20 @@ class SerialLink:
         why bring-up must skip links already known dead.
         """
         done = self.sim.event()
-        if not self.alive:
-            return done
-        t = TRAINING_BYTES * 8 / self.asic.clock_hz
-
-        def finish():
-            if not self.alive:
-                return  # died while training
-            self.trained = True
-            if self.trace is not None:
-                self.trace.emit("link.trained", link=self.name)
-            done.succeed()
-
-        self.sim.schedule(t, finish)
+        if self.alive:
+            self.sim.schedule(self.asic.training_time, self.finish_training, done)
         return done
+
+    def finish_training(self, done: Optional[Event] = None) -> None:
+        """The training sequence has run its length: a cable still alive
+        is usable from now on (and ``done``, if given, succeeds)."""
+        if not self.alive:
+            return  # died while training
+        self.trained = True
+        if self.trace is not None:
+            self.trace.emit("link.trained", link=self.name)
+        if done is not None:
+            done.succeed()
 
     # -- transmission ---------------------------------------------------------
     @hot_path
@@ -158,15 +155,8 @@ class SerialLink:
         if self._receiver is None:
             raise ProtocolError(f"{self.name}: no receiver attached")
 
-        asic, now, nwords = self.asic, self.sim.now, frame.nwords
+        asic, nwords = self.asic, frame.nwords
         bits = frame.wire_bits(asic.frame_header_bits, asic.frame_payload_bits)
-        start = max(now, self._busy_until)
-        serialised = start + bits / asic.clock_hz
-        self._busy_until = serialised
-        self.frames_sent += 1
-        self.bits_sent += bits
-        self.busy_seconds += serialised - start
-
         if self.stuck and nwords > 0 and frame.corrupt_bit is None:
             # Stuck-at fault: the same wire bit is pinned, so every payload
             # frame fails its header-code/parity check at the receiver.
@@ -184,27 +174,55 @@ class SerialLink:
                 self.trace.emit(
                     "link.fault", link=self.name, bit=frame.corrupt_bit, seq=frame.seq
                 )
+        return self.carry(
+            bits, frame.ptype, frame.seq, nwords, self._receiver, frame
+        )
 
-        if self.alive:
+    @hot_path
+    def carry(self, bits: int, ptype, seq: int, nwords: int, land, cargo) -> float:
+        """The wire itself: every time a frame spends on it is computed here.
+
+        Clocks ``bits`` out behind whatever the wire is still busy with
+        and returns the time it is free again; on a live cable
+        ``land(cargo)`` runs one time of flight after the last bit, under
+        :meth:`_land`'s arrival bookkeeping.  :meth:`transmit` ends here
+        (the frame as cargo, the far SCU's dispatcher as ``land``) and
+        compiled replay (:mod:`repro.machine.replay`) sends its legs
+        through the same call, so the two timelines cannot differ.
+        ``land=None`` is a leg nothing at the far end reads (replay's
+        trailing EOT): it occupies the wire and flies only where its
+        arrival is traced.  ``ptype``/``seq``/``nwords`` describe the
+        frame to the ``link.deliver`` record.
+        """
+        sim, asic = self.sim, self.asic
+        now = start = sim.now
+        if self._busy_until > now:
+            start = self._busy_until  # queue behind the frame being clocked
+        serialised = start + bits / asic.clock_hz
+        self._busy_until = serialised
+        self.frames_sent += 1
+        self.bits_sent += bits
+        self.busy_seconds += serialised - start
+        if not self.alive:
+            # Dead cable: the sender clocks the bits out normally (it has
+            # no way to know) but nothing arrives at the far end.
+            self.frames_dropped += 1
+        elif land is not None or self.trace is not None:
             arrival = serialised - now + asic.wire_latency
             self.in_transit += 1
             if self.cross_shard is None:
-                self.sim.schedule(arrival, self._deliver, frame)
+                sim.schedule(arrival, self._land, ptype, seq, nwords, land, cargo)
             else:
                 # Crossing a shard boundary: batched into the window
                 # barrier.  ``arrival >= shard_lookahead`` always (at
                 # minimum one bare header + time of flight), so the
                 # delivery lands beyond the current window's horizon.
                 router, dst_shard, key = self.cross_shard
-                router.post_frame(dst_shard, now + arrival, key, frame)
-        else:
-            # Dead cable: the sender clocks the bits out normally (it has
-            # no way to know) but nothing arrives at the far end.
-            self.frames_dropped += 1
+                router.post_frame(dst_shard, now + arrival, key, cargo)
         return serialised
 
     @hot_path
-    def _deliver(self, frame: Frame) -> None:
+    def _land(self, ptype, seq: int, nwords: int, land, cargo) -> None:
         self.in_transit -= 1
         if not self.alive:
             # The cable died while this frame was in flight.
@@ -212,13 +230,15 @@ class SerialLink:
             return
         if self.trace is not None:
             self.trace.emit(
-                "link.deliver",
-                link=self.name,
-                ptype=frame.ptype.name,
-                seq=frame.seq,
-                nwords=frame.nwords,
+                "link.deliver", link=self.name, ptype=ptype.name, seq=seq, nwords=nwords
             )
-        self._receiver(frame)  # type: ignore[misc]
+        if land is not None:
+            land(cargo)
+
+    @hot_path
+    def _deliver(self, frame: Frame) -> None:
+        """A frame that crossed a shard boundary lands (barrier entry)."""
+        self._land(frame.ptype, frame.seq, frame.nwords, self._receiver, frame)
 
     # -- fork-executor state transfer ---------------------------------------
     #: plain-value attributes a forked shard worker owns and ships home

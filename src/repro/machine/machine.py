@@ -28,7 +28,6 @@ from repro.machine.node import Node
 from repro.machine.topology import Partition, TorusTopology
 from repro.sim.core import Event, Process, Simulator
 from repro.sim.shard import ShardedSimulator
-from repro.sim.sync import conservative_lookahead
 from repro.sim.trace import Trace, TraceRecord
 from repro.util.errors import ConfigError, FaultError, MachineError
 from repro.util.rng import rng_stream
@@ -259,7 +258,7 @@ class QCDOCMachine:
         self.shard_workers = shard_workers
         if self.shards > 1:
             self.sim: Simulator = ShardedSimulator(
-                self.shards, conservative_lookahead(self.asic)
+                self.shards, self.asic.shard_lookahead
             )
         else:
             self.sim = Simulator()
@@ -350,14 +349,8 @@ class QCDOCMachine:
 
     # -- bring-up -----------------------------------------------------------
     def bring_up(self) -> None:
-        """Train every HSSL link (run to completion).
-
-        Sharded machines use the batched trainer: one completion event for
-        the whole mesh instead of 3 heap operations per link, identical
-        observables (see :meth:`MeshNetwork.train_all`).
-        """
-        done = self.network.train_all(batched=self.shards > 1)
-        self.sim.run(until=done)
+        """Train every HSSL link (run to completion)."""
+        self.sim.run(until=self.network.train_all())
         self._booted = True
 
     @property

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.machine.asic import ASICConfig
-from repro.machine.hssl import TRAINING_BYTES, SerialLink
+from repro.machine.hssl import SerialLink
 from repro.machine.node import Node
 from repro.machine.topology import TorusTopology
 from repro.sim.core import Event, Simulator
@@ -79,40 +79,26 @@ class MeshNetwork:
                 link.cross_shard = (router, dst_shard, (src, direction))
 
     # -- bring-up ------------------------------------------------------------
-    def train_all(self, batched: bool = False) -> Event:
+    def train_all(self) -> Event:
         """Train every *live* HSSL link; the returned event completes when
-        all are usable (they train concurrently, as after power-on).
+        all are usable (they train concurrently, as after power-on, so one
+        heap entry at the common completion time marks them all — a
+        12,288-node mesh has ~147k links).
 
-        Links already known dead are skipped: a dead cable's training event
-        never fires, so including one would hang bring-up forever — the
-        daemon quarantines bad cables before calling this.
-
-        ``batched=True`` collapses the concurrent per-link training
-        events (plus the AllOf callback per link) into a *single* event
-        marking every live link trained at the common completion time —
-        identical observables (``trained`` flags, ``link.trained`` trace
-        records and times), O(1) instead of O(3·links) heap traffic.
-        The sharded machine boots this way; a 12,288-node mesh has
-        ~147k links.
+        Links already known dead are skipped — the daemon quarantines bad
+        cables before calling this — and so is one that dies while the
+        sequence runs: a dead cable never finishes training.
         """
-        if not batched:
-            events = [link.train() for link in self.links.values() if link.alive]
-            return self.sim.all_of(events)
         done = self.sim.event()
-        keys = sorted(k for k, link in self.links.items() if link.alive)
-        t_train = TRAINING_BYTES * 8 / self.asic.clock_hz
+        links = [link for _key, link in sorted(self.links.items()) if link.alive]
 
         def finish_all():
-            for key in keys:
-                link = self.links[key]
-                if not link.alive:
-                    continue  # died while training
-                link.trained = True
-                if link.trace is not None:
-                    link.trace.emit("link.trained", link=link.name)
+            for link in links:
+                link.finish_training()
             done.succeed()
 
-        self.sim.schedule(t_train, finish_all)
+        # a mesh without a cable (one node) has no sequence to wait for
+        self.sim.schedule(self.asic.training_time if links else 0.0, finish_all)
         return done
 
     # -- permanent faults ------------------------------------------------------

@@ -1,50 +1,66 @@
-"""Compiled event-trace replay for steady-state stored-descriptor exchanges.
+"""Compiled replay of steady-state stored-descriptor exchanges.
 
 The distributed operators apply the same dslash thousands of times per
-solve, and every application runs the *identical* SCU event schedule: the
-same stored descriptors start in the same groups, every face moves as one
-error-free frame (``word_batch="face"``), and the protocol interleaving is
-a pure function of the ASIC latency constants.  Interpreting that schedule
-through the per-frame protocol machinery (send process, window bookkeeping,
-frame dispatch, ACK/EOT round trips) costs nine heap entries per transfer
-(``test_machine_scu.py::TestEventBudget``) — overhead once it is known.
+solve, and every application starts the *identical* set of SCU
+transfers: the same stored descriptors in the same groups, every face
+one error-free frame (``word_batch="face"``).  Interpreting such a
+transfer costs nine heap entries (``test_machine_scu.py::
+TestEventBudget``): a generator process per send, window bookkeeping,
+a ``Frame`` per leg, sequence checks and per-frame dispatch at each end.
 
-This module memoizes the schedule.  Each operator application is bracketed
-as a **hot epoch** (:meth:`repro.comms.api.CommsAPI.begin_hot_epoch` /
-``end_hot_epoch``).  The first epoch of a tag runs fully interpreted while
-the engine *learns*: it validates that every stored transfer completed as
-a single error-free frame and records its descriptor signature.  From the
-second epoch on, ``start_stored`` transfers are *replayed*: the engine
-moves the payload directly from the sender's memory into the receiver's
-descriptor target and schedules the completion callbacks from the closed
--form protocol timeline — the exact times the interpreted protocol would
-produce:
+This module skips that machinery once it knows it is not needed.  Each
+operator application is bracketed as a **hot epoch**
+(:meth:`repro.comms.api.CommsAPI.begin_hot_epoch` / ``end_hot_epoch``).
+The first epoch of a tag runs interpreted while the engine *learns*: it
+checks that every stored transfer completed as a single error-free frame
+and records its descriptor signature.  From the second epoch on,
+``start_stored`` transfers are *replayed*: **five** heap entries each
+(six where the trace is on) — the first word's DMA delay, the data
+landing, the ACK landing, the receive's completion, the send's.
 
-* data frame clocked out after ``dma_fetch + scu_inject``, serialising
-  ``header + 64 n`` bits (queueing behind any busy wire, as
-  ``SerialLink.transmit`` would);
-* delivery ``wire_latency`` later; if no descriptor is posted yet the
-  payload parks in the engine's idle-hold slot (idle-receive counters
-  tick exactly as ``RecvUnit.on_data`` would);
-* on acceptance the receiver's ACK serialises on the reverse wire, data
-  becomes usable after ``scu_eject + dma_store``, and the sender clocks
-  its EOT out once the ACK lands.
+What replay skips: the send process, the window, the sequence space and
+the EOT FIFO, ``Frame`` objects, ``SCU.on_frame`` dispatch, and the
+landing of a trailing EOT that nothing at the far end reads (it still
+occupies its wire, and flies where its arrival is traced).
 
-Everything observable is preserved bit-for-bit against the interpreted
-path: result buffers, per-unit transfer counters, link frame/bit/busy
-accounting, per-end checksums, sanitizer DMA claims, and the trace
-records — ``scu.send`` / ``scu.recv`` / ``scu.start_stored`` with their
-times and durations, plus the per-frame ``link.deliver`` records for the
-data, ACK and EOT frames (emitted only when tracing is on).  Six heap
-callbacks replace the interpreted protocol's process machinery, frame
-objects, and per-frame dispatch.
+What replay **shares** with the interpreter — it calls it, it does not
+restate it:
+
+* *the timeline.*  Every leg (data, ACK, EOT) is clocked out by
+  :meth:`repro.machine.hssl.SerialLink.carry`, the method
+  ``SerialLink.transmit`` itself ends in: occupancy, queueing behind a
+  busy wire, time of flight, ``in_transit``, ``frames_dropped`` on a dead
+  cable and the ``link.deliver`` record.  The two DMA delays are read off
+  the ASIC sheet (``first_word_delay``, ``store_delay``).  No time is
+  computed here, so the simulated clock of a replayed run equals the
+  interpreted one by construction — not by two spellings of a sum that
+  round alike at most sizes;
+* *the state of a transfer.*  A replayed send claims its ``SendUnit``
+  (:meth:`~repro.machine.scu.SendUnit.claim`: ``active``, ``words``,
+  ``done``) and completes it (:meth:`~repro.machine.scu.SendUnit.finish`:
+  counters, the ``scu.send`` record); a replayed receive claims its
+  ``RecvUnit`` (:meth:`~repro.machine.scu.RecvUnit.claim`), parks an
+  early payload in its idle-receive registers
+  (:meth:`~repro.machine.scu.RecvUnit.park`) and finishes through
+  ``wire_done`` / ``_complete``; both take the race sanitizer's one DMA
+  claim (:meth:`~repro.machine.scu.SCU.dma_claim`).  So a second
+  transfer on a busy direction is refused as always, a partition abort
+  cancels a replayed transfer with the units and discards its frames in
+  flight while the SCU drains, and ``PartitionRun.quiesced()`` /
+  ``SCU.in_flight_words()`` see it like any other.
+
+Bit-identical to the interpreted path, clock included: results, the
+counter bank, the trace multiset and ``sim.now``
+(``tests/test_replay_hotpath.py::TestReplayBitIdentity`` across operators,
+decompositions and lattice sizes; ``TestReplayAbort`` for the abort path;
+``TestEventBudget::test_replayed_exchange`` for the entry counts).
 
 Validity gate (one verdict per wire pair per epoch):
 
 * both wires of the pair alive, trained, not stuck, ``bit_error_rate == 0``
   and not ``cross_shard`` (cross-shard pairs always interpret — sharded
-  runs stay bit-identical because replay only ever engages where the
-  interpreted schedule is deterministic and both SCUs are in-process);
+  runs stay bit-identical because replay only ever engages where both
+  SCUs are in-process);
 * hard-fault watchdogs disabled on both nodes (fault-tolerance machinery
   must observe real protocol stalls, so watchdog-armed machines never
   compile);
@@ -58,11 +74,11 @@ epoch of a tag evaluates the gate once and writes the verdict into
 endpoint reads the stored verdict back.  A transfer's matched send and
 receive therefore always agree on replay-vs-interpret, even when one
 node is still learning epoch k while its neighbour has already compiled
-— the failure mode that otherwise deadlocks (a replayed send delivering
-into the engine while an interpreted receiver starves on the wire).
-Epoch indices line up across nodes because every rank runs the same
-program, and a node cannot finish epoch k before its neighbour has begun
-it (the epoch's receives rendezvous with the neighbour's sends).
+— the failure mode that otherwise deadlocks (a replayed send landing on
+a receiver that waits for a sequence-checked frame).  Epoch indices line
+up across nodes because every rank runs the same program, and a node
+cannot finish epoch k before its neighbour has begun it (the epoch's
+receives rendezvous with the neighbour's sends).
 
 The compiled record is invalidated whenever its assumptions can have
 changed: a descriptor is (re)stored, active transfers are cancelled
@@ -73,20 +89,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
+from repro.machine.packets import PacketType
 from repro.util.errors import ProtocolError
+from repro.util.hotpath import hot_path
+
+#: the three legs of a replayed transfer, as the wire's record names them
+_NORMAL, _ACK, _EOT = PacketType.NORMAL, PacketType.ACK, PacketType.EOT
 
 
 class _TransferSig:
     """Learned identity of one stored transfer within an epoch."""
 
-    __slots__ = ("desc_id", "buffer", "nwords", "group", "batch", "indices")
+    __slots__ = ("desc_id", "group", "batch", "indices")
 
     def __init__(self, descriptor, group, batch):
         self.desc_id = id(descriptor)
-        self.buffer = descriptor.buffer
-        self.nwords = descriptor.total_words
         self.group = group
         self.batch = batch
         self.indices = descriptor.indices()
@@ -107,32 +124,6 @@ class EpochRecord:
         self.pending = 0
 
 
-class _SendCtx:
-    """Sender-side state threaded through a replayed transfer's callbacks."""
-
-    __slots__ = ("engine", "direction", "unit", "done", "t0", "nwords")
-
-    def __init__(self, engine, direction, unit, done, t0, nwords):
-        self.engine = engine
-        self.direction = direction
-        self.unit = unit
-        self.done = done
-        self.t0 = t0
-        self.nwords = nwords
-
-
-class _PendingRecv:
-    """A replayed receive posted and waiting for its payload."""
-
-    __slots__ = ("direction", "sig", "done", "t_post")
-
-    def __init__(self, direction, sig, done, t_post):
-        self.direction = direction
-        self.sig = sig
-        self.done = done
-        self.t_post = t_post
-
-
 class ReplayEngine:
     """Per-SCU learn/replay state machine for hot-epoch transfers."""
 
@@ -151,10 +142,6 @@ class ReplayEngine:
         #: epoch-k transfers?  Written by whichever endpoint of the pair
         #: evaluates the gate first (into both engines), read by the other.
         self._verdicts: Dict[Tuple[int, str, int], bool] = {}
-        #: replayed receives posted this epoch, awaiting delivery
-        self._pending: Dict[int, _PendingRecv] = {}
-        #: payload delivered before the receive was posted (idle hold)
-        self._held: Dict[int, Tuple[np.ndarray, _SendCtx]] = {}
         # -- statistics (read by tests and benchmarks) ---------------------
         self.epochs_learned = 0
         self.epochs_replayed = 0
@@ -211,12 +198,6 @@ class ReplayEngine:
                     rec.compiled = True
                     self.epochs_learned += 1
         elif self.mode == "replay":
-            if self._pending:
-                raise ProtocolError(
-                    f"node {self.scu.node_id}: replayed receives on "
-                    f"directions {sorted(self._pending)} never got their "
-                    "payload (replay causality violation)"
-                )
             self.epochs_replayed += 1
         self.active_tag = None
         self.mode = None
@@ -228,7 +209,7 @@ class ReplayEngine:
         self.records.clear()
         self.invalidations += 1
         # Mid-epoch invalidation: stop learning/replaying further transfers
-        # this epoch (already-scheduled replay completions still land).
+        # this epoch (transfers already replayed run on in their units).
         self.mode = None
         # Retract standing pair verdicts on both ends of every wire pair so
         # neighbours re-evaluate against the cleared records (same-shard
@@ -320,15 +301,15 @@ class ReplayEngine:
                 f"node {self.scu.node_id}: stored ({kind}, {direction}) "
                 "descriptor changed without invalidating the compiled epoch"
             )
-        peer = self._pair_verdict(direction)
-        if peer is None:
+        if not self._pair_verdict(direction):
             self.interpreted_fallbacks += 1
             return None
+        self.replayed_transfers += 1
         if kind == "send":
-            return self._replay_send(direction, sig, peer)
-        return self._replay_recv(direction, sig)
+            return self._replay_send(direction, descriptor, sig)
+        return self._replay_recv(direction, descriptor, sig)
 
-    def _pair_verdict(self, direction):
+    def _pair_verdict(self, direction) -> bool:
         """One replay-vs-interpret verdict per wire pair per epoch index.
 
         The two nodes of a pair reach the same logical epoch at different
@@ -343,7 +324,7 @@ class ReplayEngine:
         scu = self.scu
         pair = scu.peers.get(direction)
         if pair is None:
-            return None
+            return False
         peer_scu, arrival = pair
         # Structural screen before touching any ledger: cross-shard pairs
         # never replay and their peer objects are stale fork twins whose
@@ -356,10 +337,8 @@ class ReplayEngine:
             or peer_link is None
             or peer_link.cross_shard is not None
         ):
-            return None
+            return False
         peer_engine = peer_scu.replay
-        if peer_engine is None:
-            return None
         key = (direction, self.active_tag, self.active_seq)
         verdict = self._verdicts.get(key)
         if verdict is None:
@@ -370,9 +349,7 @@ class ReplayEngine:
             peer_engine._verdicts[
                 (arrival, self.active_tag, self.active_seq)
             ] = verdict
-        if not verdict:
-            return None
-        return peer_engine, arrival
+        return verdict
 
     def _evaluate_pair(self, peer_scu, peer_engine, my_link, peer_link) -> bool:
         """The gate proper, evaluated once per (pair, tag, epoch index)."""
@@ -392,196 +369,91 @@ class ReplayEngine:
                 return False
         return True
 
-    def _replay_send(self, direction, sig, peer):
-        scu, sim, asic = self.scu, self.scu.sim, self.scu.asic
+    # -- a replayed transfer: the units' state, the wire's timeline ----------
+    def _replay_send(self, direction, descriptor, sig):
+        scu = self.scu
         unit = scu.send_units[direction]
-        if unit.active:
-            return None  # interpreted path reports the protocol error
-        peer_engine, arrival = peer
-        # Exactly what SendUnit.start captures (a view when already
-        # contiguous uint64 — identical aliasing semantics to interpreted).
-        words = np.ascontiguousarray(
-            scu.memory_read(sig.buffer, sig.indices), dtype=np.uint64
-        )
-        n = len(words)
-        unit.checksum.update(words)
-        unit.wire_words += n
-        done = sim.event()
-        ctx = _SendCtx(self, direction, unit, done, sim.now, n)
-        san = scu.sanitizer
-        if san is not None:
-            claim = san.dma_begin(scu.node_id, sig.buffer, "send", direction, n)
-            done.add_callback(lambda _e, c=claim, s=san: s.dma_end(c))
-        sim.schedule(
-            asic.dma_fetch_latency + asic.scu_inject_latency,
-            self._tx_data,
-            ctx,
-            words,
-            peer_engine,
-            arrival,
-        )
-        self.replayed_transfers += 1
-        return done
+        done = unit.claim(scu.memory_read(descriptor.buffer, sig.indices))
+        scu.sim.schedule(scu.asic.first_word_delay, self._tx_data, unit, done)
+        return scu.dma_claim(done, "send", direction, descriptor)
 
-    def _replay_recv(self, direction, sig):
-        scu, sim = self.scu, self.scu.sim
+    def _replay_recv(self, direction, descriptor, sig):
+        scu = self.scu
         unit = scu.recv_units[direction]
-        if unit.descriptor is not None or unit.done is not None:
-            return None  # interpreted path reports the protocol error
-        done = sim.event()
-        san = scu.sanitizer
-        if san is not None:
-            claim = san.dma_begin(
-                scu.node_id, sig.buffer, "recv", direction, sig.nwords
-            )
-            done.add_callback(lambda _e, c=claim, s=san: s.dma_end(c))
-        pending = _PendingRecv(direction, sig, done, sim.now)
-        held = self._held.pop(direction, None)
-        if held is not None:
-            words, ctx = held
-            self._replay_accept(pending, words, ctx)
-        else:
-            self._pending[direction] = pending
-        self.replayed_transfers += 1
-        return done
+        for words in unit.claim(descriptor, sig.indices):
+            self._accept(unit, words)  # the payload got here first
+        return scu.dma_claim(unit.done, "recv", direction, descriptor)
 
-    # -- the closed-form protocol timeline ----------------------------------
-    def _clock_out(self, direction: int, bits: int) -> float:
-        """Serialise ``bits`` on this node's out-wire; return finish time.
-
-        Mirrors :meth:`SerialLink.transmit` accounting exactly: queue
-        behind ``_busy_until``, charge ``bits / clock_hz`` of busy time.
-        """
-        link = self.scu.out_links[direction]
-        start = max(self.scu.sim.now, link._busy_until)
-        end = start + bits / self.scu.asic.clock_hz
-        link._busy_until = end
-        link.frames_sent += 1
-        link.bits_sent += bits
-        link.busy_seconds += end - start
-        return end
-
-    def _emit_deliver(self, link, ptype: str, seq: int, nwords: int) -> None:
-        """Emit the per-frame ``link.deliver`` record at delivery time.
-
-        Matches :meth:`SerialLink._deliver` field-for-field so traced
-        replayed runs produce the same trace multiset as interpreted ones.
-        """
-        link.trace.emit(
-            "link.deliver", link=link.name, ptype=ptype, seq=seq, nwords=nwords
-        )
-
-    def _tx_data(self, ctx, words, peer_engine, arrival) -> None:
-        """Clock the single data frame out; deliver it to the peer engine."""
-        asic = self.scu.asic
-        bits = asic.frame_header_bits + ctx.nwords * asic.frame_payload_bits
-        end = self._clock_out(ctx.direction, bits)
-        self.scu.sim.schedule(
-            end + asic.wire_latency - self.scu.sim.now,
-            peer_engine._replay_deliver,
-            arrival,
-            words,
-            ctx,
-        )
-
-    def _replay_deliver(self, direction, words, ctx) -> None:
-        """Payload lands on this node (receiver side of the pair)."""
-        data_link = ctx.engine.scu.out_links[ctx.direction]
-        if data_link.trace is not None:
-            self._emit_deliver(data_link, "NORMAL", 0, len(words))
-        unit = self.scu.recv_units[direction]
+    @hot_path
+    def _tx_data(self, unit, done) -> None:
+        """DMA fetch + injection are over: clock the one data frame out."""
+        if unit.done is not done:
+            return  # cancelled before its first bit
+        scu, asic, words = self.scu, self.scu.asic, unit.words
+        n = len(words)
+        unit.next = n
+        unit.wire_words += n
         unit.checksum.update(words)
-        pending = self._pending.pop(direction, None)
-        if pending is not None:
-            self._replay_accept(pending, words, ctx)
+        peer_scu, _arrival = scu.peers[unit.direction]
+        scu.out_links[unit.direction].carry(
+            asic.frame_header_bits + n * asic.frame_payload_bits,
+            _NORMAL,
+            0,
+            n,
+            peer_scu.replay._rx_data,
+            unit,
+        )
+
+    @hot_path
+    def _rx_data(self, sender) -> None:
+        """``sender``'s frame lands on this node: accept it into the
+        posted descriptor, or park it in the idle-receive registers."""
+        scu = self.scu
+        if scu._draining:
+            scu.drained_frames += 1  # frame of a cancelled transfer
             return
-        if direction in self._held:
-            raise ProtocolError(
-                f"node {self.scu.node_id}: replay idle-hold collision on "
-                f"direction {direction}"
-            )
-        # Idle receive: no descriptor posted yet — park the payload, tick
-        # the idle-hold counters as RecvUnit.on_data would.
-        unit.idle_hold_events += 1
-        unit.idle_held_words_total += len(words)
-        self._held[direction] = (words, ctx)
+        unit = scu.recv_units[sender.scu.peers[sender.direction][1]]
+        unit.checksum.update(sender.words)
+        if unit.descriptor is None:
+            unit.park(sender.words)
+        else:
+            self._accept(unit, sender.words)
 
-    def _replay_accept(self, pending, words, ctx) -> None:
-        """Accept the payload: store it, ACK it, schedule completions."""
-        scu, sim, asic = self.scu, self.scu.sim, self.scu.asic
-        sig = pending.sig
-        unit = scu.recv_units[pending.direction]
-        scu.memory_write(sig.buffer, sig.indices, words)
-        unit.payload_words += len(words)
+    @hot_path
+    def _accept(self, unit, words) -> None:
+        """Payload meets descriptor: store it, ACK it, let it drain."""
+        scu, n = self.scu, len(words)
+        scu.memory_write(unit._buffer_name, unit._indices, words)
+        unit.write_cursor += n
+        unit.payload_words += n
         unit.acks_sent += 1
-        # The ACK serialises on this node's out-wire toward the sender.
-        ack_end = self._clock_out(pending.direction, asic.frame_header_bits)
-        ack_link = scu.out_links[pending.direction]
-        if ack_link.trace is not None:
-            sim.schedule(
-                ack_end + asic.wire_latency - sim.now,
-                self._emit_deliver,
-                ack_link,
-                "ACK",
-                sig.nwords,
-                0,
-            )
-        # Data usable after the eject + DMA-store pipeline.
-        sim.schedule(
-            asic.scu_eject_latency + asic.dma_store_latency,
-            self._finish_recv,
-            pending,
+        # The ACK travels on this node's out-wire toward the sender.
+        peer_scu, back = scu.peers[unit.direction]
+        scu.out_links[unit.direction].carry(
+            scu.asic.frame_header_bits,
+            _ACK,
+            n,
+            0,
+            peer_scu.replay._rx_ack,
+            peer_scu.send_units[back],
         )
-        # The sender clocks its EOT out once the ACK lands there.
-        sim.schedule(
-            ack_end + asic.wire_latency - sim.now, ctx.engine._tx_eot, ctx
+        unit.wire_done()
+
+    @hot_path
+    def _rx_ack(self, unit) -> None:
+        """The ACK lands back at the sender: clock out the trailing EOT
+        (nothing at the far end reads it) and finish when it has left."""
+        scu = self.scu
+        if scu._draining:
+            scu.drained_frames += 1
+            return
+        n = len(unit.words)
+        unit.acks_received += 1
+        unit.base = n
+        free_at = scu.out_links[unit.direction].carry(
+            scu.asic.frame_header_bits, _EOT, n, 0, None, None
         )
-
-    def _finish_recv(self, pending) -> None:
-        unit = self.scu.recv_units[pending.direction]
-        unit.transfers_completed += 1
-        if self.scu.trace is not None:
-            self.scu.trace.emit(
-                "scu.recv",
-                node=self.scu.node_id,
-                direction=pending.direction,
-                words=pending.sig.nwords,
-                dur=self.scu.sim.now - pending.t_post,
-            )
-        pending.done.succeed(pending.sig.nwords)
-
-    def _tx_eot(self, ctx) -> None:
-        """ACK landed back at the sender: clock out the trailing EOT."""
-        ctx.unit.acks_received += 1
-        end = self._clock_out(ctx.direction, self.scu.asic.frame_header_bits)
-        eot_link = self.scu.out_links[ctx.direction]
-        if eot_link.trace is not None:
-            self.scu.sim.schedule(
-                end + self.scu.asic.wire_latency - self.scu.sim.now,
-                self._emit_deliver,
-                eot_link,
-                "EOT",
-                ctx.nwords,
-                0,
-            )
-        self.scu.sim.schedule(
-            end - self.scu.sim.now, ctx.engine._finish_send, ctx
-        )
-
-    def _finish_send(self, ctx) -> None:
-        unit = ctx.unit
-        unit.payload_words += ctx.nwords
-        unit.transfers_completed += 1
-        if self.scu.trace is not None:
-            self.scu.trace.emit(
-                "scu.send",
-                node=self.scu.node_id,
-                direction=ctx.direction,
-                words=ctx.nwords,
-                resends=0,
-                dur=self.scu.sim.now - ctx.t0,
-            )
-        ctx.done.succeed(ctx.nwords)
+        scu.sim.schedule(free_at - scu.sim.now, unit.finish, unit.done)
 
     # -- statistics ----------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -144,8 +144,17 @@ class _ControlPort:
         link.transmit(Frame(ptype, seq=seq))  # queued on the wire, not waited for
 
 
-class SendUnit:
-    """One direction's transmit DMA engine."""
+class _DmaUnit:
+    """What a direction's two DMA engines share: their wiring, their
+    completion counters and the hard-fault watchdog ladder.
+
+    A unit tells the ladder what progress is — :meth:`_progress`, the
+    cursor it wants to see move (``None`` once there is nothing left to
+    watch) — and the reason it trips with when the cursor stays put.
+    """
+
+    #: why the ladder declares this unit's direction dead
+    _stall_reason = ""
 
     def __init__(self, sim: Simulator, asic: ASICConfig, scu: "SCU", direction: int):
         self.sim = sim
@@ -153,31 +162,84 @@ class SendUnit:
         self.scu = scu
         self.direction = direction
         self.checksum = LinkChecksum()
+        self.done: Optional[Event] = None
+        #: unique payload words moved (sum over transfers)
+        self.payload_words = 0
+        #: DMA transfers run to completion by this unit
+        self.transfers_completed = 0
+        #: hard-fault watchdog: trips declared by this unit
+        self.watchdog_trips = 0
+        #: no-progress probes taken on the backoff ladder
+        self.backoff_waits = 0
+        #: generation counter invalidating in-flight watchdog callbacks
+        self._wd_gen = 0
+
+    def _arm_watchdog(self) -> None:
+        self._wd_gen += 1
+        self.sim.schedule(
+            self.asic.watchdog_wait(0), self._wd_check, self._wd_gen, self._progress(), 0
+        )
+
+    def _wd_check(self, gen: int, snapshot: int, rung: int) -> None:
+        """No-progress probe (bounded exponential backoff ladder)."""
+        cursor = self._progress()
+        if gen != self._wd_gen or cursor is None:
+            return  # transfer finished, tripped, or cancelled
+        if cursor > snapshot:
+            # Progress since the last probe: back to the foot of the ladder.
+            snapshot, rung = cursor, 0
+        elif rung < self.asic.watchdog_max_backoffs:
+            rung += 1
+            self.backoff_waits += 1
+            if self.scu.trace is not None:
+                self.scu.trace.emit(
+                    "scu.backoff",
+                    node=self.scu.node_id,
+                    direction=self.direction,
+                    wait=self.asic.watchdog_wait(rung),
+                )
+        else:
+            self._trip(self._stall_reason)
+            return
+        self.sim.schedule(
+            self.asic.watchdog_wait(rung), self._wd_check, gen, snapshot, rung
+        )
+
+    # -- fork-executor state transfer --------------------------------------
+    #: what the ladder mutates (REPRO504 audits this class too); a unit's
+    #: own tuples, the ones ``snapshot_state`` reads, restate these
+    _SNAPSHOT_ATTRS: Tuple[str, ...] = ("backoff_waits",)
+    _SNAPSHOT_TRANSIENT: Tuple[str, ...] = ("_wd_gen",)
+
+    def snapshot_state(self) -> dict:
+        return {name: getattr(self, name) for name in self._SNAPSHOT_ATTRS}
+
+    def restore_state(self, state: dict) -> None:
+        for name, value in sorted(state.items()):
+            setattr(self, name, value)
+
+
+class SendUnit(_DmaUnit):
+    """One direction's transmit DMA engine."""
+
+    _stall_reason = "no-ack-progress"
+
+    def __init__(self, sim: Simulator, asic: ASICConfig, scu: "SCU", direction: int):
+        super().__init__(sim, asic, scu, direction)
         #: resolved frame batch of the *active* transfer (words per frame)
         self._batch = 1
         self.active = False
         self.words: Optional[np.ndarray] = None
         self.base = 0  # oldest unacknowledged word
         self.next = 0  # next word to transmit
-        self.done: Optional[Event] = None
         self._wake: Optional[Event] = None
         self.resends = 0
-        #: unique payload words completed (sum over finished transfers)
-        self.payload_words = 0
         #: words actually clocked onto the wire (>= payload under resends)
         self.wire_words = 0
         #: ACK control frames seen from the neighbour's receive unit
         self.acks_received = 0
-        #: DMA transfers run to completion by this unit
-        self.transfers_completed = 0
         self._t_start = 0.0
-        #: hard-fault watchdog: trips declared by this unit
-        self.watchdog_trips = 0
-        #: no-progress probes taken on the backoff ladder
-        self.backoff_waits = 0
         self._consec_resends = 0
-        #: generation counter invalidating in-flight watchdog callbacks
-        self._wd_gen = 0
         self._proc: Optional["Process"] = None
 
     @property
@@ -204,37 +266,45 @@ class SendUnit:
         ``word_batch`` overrides the SCU-wide batch for this one transfer
         (``"face"`` resolves to the whole transfer in a single frame).
         """
-        if self.active:
-            raise ProtocolError(
-                f"send unit {self.direction} already has an active transfer"
-            )
-        self.active = True
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+        done = self.claim(words)
         self._batch = resolve_word_batch(
             self.scu.word_batch if word_batch is None else word_batch,
             len(self.words),
         )
-        self.base = 0
-        self.next = 0
-        self.resends = 0
-        self._consec_resends = 0
-        self.done = self.sim.event()
         self._region = region
         self._proc = self.sim.process(
             self._run(), name=f"send[{self.scu.node_id}:{self.direction}]"
         )
         if self.scu.watchdog_enabled:
             self._arm_watchdog()
+        return done
+
+    def claim(self, words: np.ndarray) -> Event:
+        """Take the unit for one transfer of ``words``; its completion event.
+
+        Where every transfer begins: the interpreter's :meth:`start` goes
+        on to run the protocol, compiled replay to clock the one frame out
+        itself (:mod:`repro.machine.replay`).
+        """
+        if self.active:
+            raise ProtocolError(
+                f"send unit {self.direction} already has an active transfer"
+            )
+        self.active = True
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+        self.base = 0
+        self.next = 0
+        self.resends = 0
+        self._consec_resends = 0
+        self._t_start = self.sim.now
+        self.done = self.sim.event()
         return self.done
 
     @hot_path
     def _run(self):
         sim = self.sim
-        self._t_start = sim.now
         # First-word path: DMA fetch from local memory + SCU injection.
-        yield sim.timeout(
-            self.asic.dma_fetch_latency + self.asic.scu_inject_latency
-        )
+        yield sim.timeout(self.asic.first_word_delay)
         n, link = len(self.words), self.link
         sent_for_checksum = 0
         while self.base < n:
@@ -258,6 +328,17 @@ class SendUnit:
                 yield self._wake
         free_at = link.transmit(Frame(PacketType.EOT, seq=n))
         yield sim.timeout(free_at - sim.now)
+        self.finish(self.done)
+
+    def finish(self, done: Event) -> None:
+        """The EOT is clocked out: the transfer ``done`` stands for is
+        complete.  (Replay schedules this for the time its EOT leaves the
+        wire; if the transfer was cancelled meanwhile the unit no longer
+        holds ``done`` and the stale entry does nothing.)"""
+        if self.done is not done:
+            return
+        n = len(self.words)
+        self.words = None  # a gathered face is a copy: let it go with the transfer
         self.active = False
         self._wd_gen += 1  # disarm the watchdog: transfer complete
         self._proc = None
@@ -272,7 +353,7 @@ class SendUnit:
                 resends=self.resends,
                 dur=self.sim.now - self._t_start,
             )
-        self.done.succeed(n)
+        done.succeed(n)
 
     # -- control-frame handlers (called by the SCU dispatcher) -------------
     @hot_path
@@ -311,37 +392,9 @@ class SendUnit:
             wake.succeed()
 
     # -- hard-fault watchdog ------------------------------------------------
-    def _arm_watchdog(self) -> None:
-        self._wd_gen += 1
-        self.sim.schedule(
-            self.asic.watchdog_timeout, self._wd_check, self._wd_gen, self.base, 0
-        )
-
-    def _wd_check(self, gen: int, snapshot: int, backoffs: int) -> None:
-        """No-ack-progress probe (bounded exponential backoff ladder)."""
-        if gen != self._wd_gen or not self.active:
-            return  # transfer finished, tripped, or cancelled
-        if self.base > snapshot:
-            # Acked progress since the last probe: reset the ladder.
-            self.sim.schedule(
-                self.asic.watchdog_timeout, self._wd_check, gen, self.base, 0
-            )
-            return
-        if backoffs < self.asic.watchdog_max_backoffs:
-            self.backoff_waits += 1
-            wait = self.asic.watchdog_timeout * (
-                self.asic.watchdog_backoff_factor ** (backoffs + 1)
-            )
-            if self.scu.trace is not None:
-                self.scu.trace.emit(
-                    "scu.backoff",
-                    node=self.scu.node_id,
-                    direction=self.direction,
-                    wait=wait,
-                )
-            self.sim.schedule(wait, self._wd_check, gen, snapshot, backoffs + 1)
-            return
-        self._trip("no-ack-progress")
+    def _progress(self) -> Optional[int]:
+        """Acknowledged words, while a transfer is active."""
+        return self.base if self.active else None
 
     def _trip(self, reason: str) -> None:
         """Declare this direction dead: stop spinning, escalate."""
@@ -405,23 +458,14 @@ class SendUnit:
         "_wd_gen",
     )
 
-    def snapshot_state(self) -> dict:
-        return {name: getattr(self, name) for name in self._SNAPSHOT_ATTRS}
 
-    def restore_state(self, state: dict) -> None:
-        for name, value in sorted(state.items()):
-            setattr(self, name, value)
-
-
-class RecvUnit:
+class RecvUnit(_DmaUnit):
     """One direction's receive DMA engine, with idle-receive holding."""
 
+    _stall_reason = "recv-stall"
+
     def __init__(self, sim: Simulator, asic: ASICConfig, scu: "SCU", direction: int):
-        self.sim = sim
-        self.asic = asic
-        self.scu = scu
-        self.direction = direction
-        self.checksum = LinkChecksum()
+        super().__init__(sim, asic, scu, direction)
         self.control = _ControlPort(scu, direction)
         self.expected = 0  # next word sequence number we will accept
         self.held: List[np.ndarray] = []  # idle-receive holding registers
@@ -429,9 +473,6 @@ class RecvUnit:
         self.descriptor: Optional[DmaDescriptor] = None
         self.total = 0
         self.write_cursor = 0
-        self.done: Optional[Event] = None
-        #: payload words accepted into local memory (sum over transfers)
-        self.payload_words = 0
         #: corrupt data frames detected (header code / parity bits)
         self.parity_errors = 0
         #: RESEND control frames emitted (parity failures + window gaps)
@@ -448,39 +489,48 @@ class RecvUnit:
         #: duplicates seen during idle receive, dropped without re-ack
         #: (held words must not return window credit)
         self.idle_dups_discarded = 0
-        #: DMA receives run to completion by this unit
-        self.transfers_completed = 0
         self._t_post = 0.0
         #: expected EOT sequence numbers of transfers whose wire side has
         #: completed (FIFO: the EOT frame trails the final data word)
         self._eot_due: List[int] = []
-        #: hard-fault watchdog: trips declared by this unit
-        self.watchdog_trips = 0
-        #: no-progress probes taken on the backoff ladder
-        self.backoff_waits = 0
-        self._wd_gen = 0
 
     def post(self, descriptor: DmaDescriptor) -> Event:
         """Give the unit a destination; drains any idle-held words."""
+        for chunk in self.claim(descriptor, descriptor.indices()):
+            self._accept(chunk)
+        return self.done
+
+    def claim(self, descriptor: DmaDescriptor, indices: np.ndarray) -> List[np.ndarray]:
+        """Take the unit for one receive into ``descriptor`` (``indices``
+        its word addresses); hands back what idle receive was holding for
+        it.  The caller accepts those chunks its own way — :meth:`post`
+        through the interpreted protocol, compiled replay through its
+        legs — and finds the completion event in :attr:`done`."""
         if self.descriptor is not None or self.done is not None:
             raise ProtocolError(
                 f"recv unit {self.direction} already has an active descriptor"
             )
         self.descriptor = descriptor
         self._buffer_name = descriptor.buffer
-        self._indices = descriptor.indices()
+        self._indices = indices
         self.total = descriptor.total_words
         self.write_cursor = 0
         self.done = self.sim.event()
         self._t_post = self.sim.now
         if self.scu.watchdog_enabled:
             self._arm_watchdog()
-        if self.held:
-            held, self.held = self.held, []
-            self.held_words = 0
-            for chunk in held:
-                self._accept(chunk)
-        return self.done
+        held = self.held
+        if held:
+            self.held, self.held_words = [], 0
+        return held
+
+    def park(self, words: np.ndarray) -> None:
+        """Idle receive: hold ``words`` unacknowledged until a descriptor
+        is posted (the sender's window stalls it meanwhile)."""
+        self.held.append(words)
+        self.held_words += len(words)
+        self.idle_hold_events += 1
+        self.idle_held_words_total += len(words)
 
     @hot_path
     def on_data(self, frame: Frame) -> None:
@@ -555,10 +605,7 @@ class RecvUnit:
                     f"{self.asic.idle_hold_words} words; "
                     "the sender violated the ack window"
                 )
-            self.held.append(frame.words)
-            self.held_words += frame.nwords
-            self.idle_hold_events += 1
-            self.idle_held_words_total += frame.nwords
+            self.park(frame.words)
         else:
             self._accept(frame.words)
 
@@ -608,21 +655,20 @@ class RecvUnit:
         self.acks_sent += 1
         self.control.send(_ACK, self.expected)
         if self.write_cursor >= self.total:
-            # Wire-protocol side of this transfer is finished: rearm the
-            # sequence space so a back-to-back next transfer idle-receives
-            # correctly while the last words drain through the store pipe.
             # The sender still owes this transfer its trailing EOT frame.
             self._eot_due.append(self.total)
-            self._wd_gen += 1  # disarm the watchdog: wire side complete
-            self.descriptor = None
-            self.expected = 0
-            # Eject + DMA store pipeline latency before the data is usable:
-            # words store in arrival order, so only the last needs the heap.
-            self.sim.schedule(
-                self.asic.scu_eject_latency + self.asic.dma_store_latency,
-                self._complete,
-                self.done,
-            )
+            self.wire_done()
+
+    def wire_done(self) -> None:
+        """The last word is accepted: the wire side of the transfer is
+        finished.  Rearm the sequence space so a back-to-back next
+        transfer idle-receives correctly while the last words drain
+        through the eject + DMA store pipe — they store in arrival order,
+        so only the last needs the heap."""
+        self._wd_gen += 1  # disarm the watchdog
+        self.descriptor = None
+        self.expected = 0
+        self.sim.schedule(self.asic.store_delay, self._complete, self.done)
 
     def _complete(self, done: Event) -> None:
         if self.done is not done:
@@ -640,44 +686,9 @@ class RecvUnit:
         done.succeed(self.total)
 
     # -- hard-fault watchdog ------------------------------------------------
-    def _arm_watchdog(self) -> None:
-        self._wd_gen += 1
-        self.sim.schedule(
-            self.asic.watchdog_timeout,
-            self._wd_check,
-            self._wd_gen,
-            self.write_cursor,
-            0,
-        )
-
-    def _wd_check(self, gen: int, snapshot: int, backoffs: int) -> None:
-        """Posted-descriptor-to-progress probe (same ladder as the sender)."""
-        if gen != self._wd_gen or self.descriptor is None:
-            return  # wire side finished, tripped, or cancelled
-        if self.write_cursor > snapshot:
-            self.sim.schedule(
-                self.asic.watchdog_timeout,
-                self._wd_check,
-                gen,
-                self.write_cursor,
-                0,
-            )
-            return
-        if backoffs < self.asic.watchdog_max_backoffs:
-            self.backoff_waits += 1
-            wait = self.asic.watchdog_timeout * (
-                self.asic.watchdog_backoff_factor ** (backoffs + 1)
-            )
-            if self.scu.trace is not None:
-                self.scu.trace.emit(
-                    "scu.backoff",
-                    node=self.scu.node_id,
-                    direction=self.direction,
-                    wait=wait,
-                )
-            self.sim.schedule(wait, self._wd_check, gen, snapshot, backoffs + 1)
-            return
-        self._trip("recv-stall")
+    def _progress(self) -> Optional[int]:
+        """Words accepted, while a descriptor is posted."""
+        return self.write_cursor if self.descriptor is not None else None
 
     def _trip(self, reason: str) -> None:
         self.watchdog_trips += 1
@@ -741,13 +752,6 @@ class RecvUnit:
         "_eot_due",
         "_wd_gen",
     )
-
-    def snapshot_state(self) -> dict:
-        return {name: getattr(self, name) for name in self._SNAPSHOT_ATTRS}
-
-    def restore_state(self, state: dict) -> None:
-        for name, value in sorted(state.items()):
-            setattr(self, name, value)
 
 
 class SCU:
@@ -862,29 +866,26 @@ class SCU:
         """
         words = self.memory_read(descriptor.buffer, descriptor.indices())
         done = self._send(direction).start(words, word_batch=word_batch)
-        san = self.sanitizer
-        if san is not None:
-            claim = san.dma_begin(
-                self.node_id, descriptor.buffer, "send", direction, len(words)
-            )
-            # registered at start time, so the release runs before any
-            # process that later waits on ``done`` resumes (FIFO callbacks)
-            done.add_callback(lambda _e, c=claim, s=san: s.dma_end(c))
-        return done
+        return self.dma_claim(done, "send", direction, descriptor)
 
     def recv(self, direction: int, descriptor: DmaDescriptor) -> Event:
         """Post a receive destination (may be before or after the send)."""
         done = self._recv(direction).post(descriptor)
+        return self.dma_claim(done, "recv", direction, descriptor)
+
+    def dma_claim(
+        self, done: Event, kind: str, direction: int, descriptor: DmaDescriptor
+    ) -> Event:
+        """Tell the race sanitizer (if any) that ``descriptor``'s buffer
+        belongs to the DMA engine until ``done``; returns ``done``."""
         san = self.sanitizer
         if san is not None:
             claim = san.dma_begin(
-                self.node_id,
-                descriptor.buffer,
-                "recv",
-                direction,
-                descriptor.total_words,
+                self.node_id, descriptor.buffer, kind, direction, descriptor.total_words
             )
-            done.add_callback(lambda _e, c=claim, s=san: s.dma_end(c))
+            # registered at start time, so the release runs before any
+            # process that later waits on ``done`` resumes (FIFO callbacks)
+            done.add_callback(lambda _e: san.dma_end(claim))
         return done
 
     # -- persistent descriptors (paper section 3.3) ---------------------------

@@ -1,9 +1,9 @@
 """Analytic global-operation costs (experiment E5).
 
-Wraps the hop formulas of :mod:`repro.machine.globalops` with the
-cut-through timing model, for machine sizes the functional simulator cannot
-reach (the paper's 8,192-node ``32^3 x 64`` target machine, the 12,288-node
-production machines).
+The cut-through timing model of the ASIC sheet at machine sizes the
+functional simulator cannot reach (the paper's 8,192-node ``32^3 x 64``
+target machine, the 12,288-node production machines), beside the
+commodity-Ethernet baseline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.machine.asic import ASICConfig
-from repro.machine.globalops import broadcast_hops, sum_hops
 
 
 def global_sum_time(
@@ -20,30 +19,11 @@ def global_sum_time(
     doubled: bool = True,
     asic: Optional[ASICConfig] = None,
 ) -> float:
-    """Seconds for a dimension-sequenced global sum.
-
-    Per axis: one word serialisation to enter the ring, one 8-bit
-    pass-through per hop, plus pipelined streaming of the remaining words.
-    """
+    """Seconds for a dimension-sequenced global sum: the machine's own
+    figure (:meth:`~repro.machine.asic.ASICConfig.global_sum_time`), at
+    the design-point ASIC unless one is given."""
     asic = asic if asic is not None else ASICConfig()
-    t = 0.0
-    t_word = asic.word_serialisation_time
-    for d in machine_dims:
-        if d <= 1:
-            continue
-        hops = (d // 2) if doubled else (d - 1)
-        t += t_word + hops * asic.passthrough_latency + (nwords - 1) * t_word
-    return t
-
-
-def broadcast_time(
-    machine_dims: Sequence[int],
-    nwords: int = 1,
-    doubled: bool = True,
-    asic: Optional[ASICConfig] = None,
-) -> float:
-    """Seconds for a root broadcast (same wavefront structure as the sum)."""
-    return global_sum_time(machine_dims, nwords, doubled, asic)
+    return asic.global_sum_time(machine_dims, nwords, doubled)
 
 
 def ethernet_allreduce_time(

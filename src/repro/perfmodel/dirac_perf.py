@@ -66,7 +66,6 @@ import numpy as np
 
 from repro.fermions.flops import WORD_BYTES, OperatorCost, operator_cost
 from repro.machine.asic import ASICConfig
-from repro.machine.globalops import sum_hops
 from repro.machine.memory import MemoryModel
 from repro.util.errors import ConfigError
 
@@ -286,18 +285,13 @@ class DiracPerfModel:
         cpw = self._cpw_eff(op, int(np.prod(local_shape)), slices)
         linalg = lin_flops / self.asic.flops_per_cycle + lin_words * cpw
         gsum_cycles = (
-            2.0 * self._global_sum_seconds(machine_dims) * self.asic.clock_hz
+            2.0 * self.asic.global_sum_time(machine_dims) * self.asic.clock_hz
         ) / local_volume
         return (
             cost.dirac_applications_per_cg_iteration * (dirac + exposed)
             + linalg
             + gsum_cycles
         )
-
-    def _global_sum_seconds(self, machine_dims: Sequence[int]) -> float:
-        t_word = self.asic.word_serialisation_time
-        hops = sum_hops(machine_dims, doubled=True)
-        return t_word * sum(1 for d in machine_dims if d > 1) + hops * self.asic.passthrough_latency
 
     # -- headline outputs ------------------------------------------------------
     def cg_flops_per_site(self, op: str) -> float:
@@ -459,11 +453,9 @@ def calibrate(asic: Optional[ASICConfig] = None) -> Calibration:
         return fixed, coeff_cpw, coeff_c0, total_flops
 
     # global-sum cycles per site on the calibration machine
-    model = DiracPerfModel.__new__(DiracPerfModel)
-    model.asic = asic
     gsum = (
         2.0
-        * model._global_sum_seconds(CALIBRATION_MACHINE_DIMS)
+        * asic.global_sum_time(CALIBRATION_MACHINE_DIMS)
         * asic.clock_hz
         / int(np.prod(CALIBRATION_LOCAL_SHAPE))
     )

@@ -15,12 +15,7 @@ are broken by a monotone sequence number, never by hash order or id().
 from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from repro.sim.channel import Channel, Resource
 from repro.sim.shard import ShardedSimulator, ShardLane
-from repro.sim.sync import (
-    CrossShardRouter,
-    Notification,
-    ShardPost,
-    conservative_lookahead,
-)
+from repro.sim.sync import CrossShardRouter, Notification, ShardPost
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -30,7 +25,6 @@ __all__ = [
     "CrossShardRouter",
     "ShardPost",
     "Notification",
-    "conservative_lookahead",
     "Event",
     "Timeout",
     "Process",

@@ -36,7 +36,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.core import Event, Simulator
-from repro.sim.sync import CrossShardRouter, ShardPost, conservative_lookahead
+from repro.sim.sync import CrossShardRouter, ShardPost
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -5,13 +5,11 @@ lockstep *windows* ``[T, T + W)`` where ``T`` is the globally earliest
 pending event and ``W`` is the **conservative lookahead**: the minimum
 simulated time any cross-shard influence needs to take effect.  For the
 QCDOC mesh that bound is physical — the shortest thing that can cross a
-shard boundary is a bare-header HSSL frame, whose serialisation plus
-time of flight is
-
-    W = frame_header_bits / clock_hz + wire_latency
-
+shard boundary is a bare-header HSSL frame, so ``W`` is its serialisation
+plus time of flight, computed in one place
 (:meth:`repro.machine.asic.ASICConfig.shard_lookahead`; 26 ns at the
-500 MHz design point).  Every frame transmitted during a window is
+500 MHz design point) and handed to the simulator by the machine.  Every
+frame transmitted during a window is
 therefore delivered at ``>= T + W``, i.e. strictly after the window — so
 shards can process their local events for the window independently and
 exchange the buffered cross-shard traffic at the barrier without ever
@@ -42,22 +40,6 @@ from repro.util.errors import SimulationError
 #: (global-sum completions): sorts *before* every worker shard at equal
 #: time, which pins the cross-shard tie order.
 COORDINATOR = -1
-
-
-def conservative_lookahead(asic: Any) -> float:
-    """The window width ``W``: minimum cross-shard influence latency.
-
-    Duck-typed on the ASIC config (layering: :mod:`repro.sim` cannot
-    import :mod:`repro.machine`); the closed form itself lives with the
-    other link closed forms as
-    :meth:`repro.machine.asic.ASICConfig.shard_lookahead`.
-    """
-    lookahead = getattr(asic, "shard_lookahead", None)
-    if lookahead is not None:
-        return float(lookahead)
-    return float(asic.frame_header_bits) / float(asic.clock_hz) + float(
-        asic.wire_latency
-    )
 
 
 class ShardPost(NamedTuple):

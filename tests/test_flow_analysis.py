@@ -516,6 +516,45 @@ class TestSnapshotCompleteness:
         result = lint_files(tmp_path, {"repro/machine/u.py": src}, ["REPRO504"])
         assert result.clean
 
+    #: a base that carries shared mutable state *and* the snapshot pair,
+    #: and a unit that inherits both (the SCU units over their ladder)
+    INHERITED = (
+        "class Ladder:\n"
+        "    def __init__(self):\n"
+        "        self.rung = 0\n\n"
+        "    def climb(self):\n"
+        "        self.rung += 1\n\n"
+        "    def snapshot_state(self):\n"
+        "        return {{n: getattr(self, n) for n in self._SNAPSHOT_ATTRS}}\n\n"
+        "    def restore_state(self, state):\n"
+        "        for n, v in sorted(state.items()):\n"
+        "            setattr(self, n, v)\n\n\n"
+        "class Unit(Ladder):\n"
+        "    _SNAPSHOT_ATTRS = ({attrs})\n\n"
+        "    def bump(self):\n"
+        "        self.count = 1\n"
+    )
+
+    def test_inherited_mutation_audited_on_the_subclass(self, tmp_path):
+        # the base never declares what it mutates, the unit forgets it too
+        src = self.INHERITED.format(attrs="'count',")
+        result = lint_files(tmp_path, {"repro/machine/u.py": src}, ["REPRO504"])
+        assert sorted(f.message.split(" is ")[0] for f in result.findings) == [
+            "Ladder.rung",
+            "Unit.rung",
+        ]
+
+    def test_inherited_snapshot_state_makes_a_snapshot_class(self, tmp_path):
+        src = self.INHERITED.format(attrs="'count', 'rung'").replace(
+            "class Ladder:\n", "class Ladder:\n    _SNAPSHOT_ATTRS = ('rung',)\n\n"
+        )
+        result = lint_files(tmp_path, {"repro/machine/u.py": src}, ["REPRO504"])
+        assert result.clean
+        # ... and the unit's own state is held to the same account
+        forgot = src.replace("('count', 'rung')", "('rung',)")
+        result = lint_files(tmp_path, {"repro/machine/u.py": forgot}, ["REPRO504"])
+        assert [f.message.split(" is ")[0] for f in result.findings] == ["Unit.count"]
+
 
 # ---------------------------------------------------------------------------
 # the gate: src/ is clean under the whole flow family

@@ -181,13 +181,21 @@ class TestHotPathTags:
         # its transfer starts (SendUnit.start), which is not tagged.
         from repro.machine.hssl import SerialLink
         from repro.machine.packets import Frame, LinkChecksum
+        from repro.machine.replay import ReplayEngine
         from repro.machine.scu import SCU, RecvUnit, SendUnit
 
         for fn in (
             LinkChecksum.update,
             Frame.__init__,
             SerialLink.transmit,
+            SerialLink.carry,
+            SerialLink._land,
             SerialLink._deliver,
+            # the legs of a replayed transfer run once per face
+            ReplayEngine._tx_data,
+            ReplayEngine._rx_data,
+            ReplayEngine._accept,
+            ReplayEngine._rx_ack,
             SCU.on_frame,
             RecvUnit.on_data,
             RecvUnit._accept,

@@ -9,7 +9,7 @@ from repro.machine.machine import QCDOCMachine
 from repro.machine.scu import DmaDescriptor
 from repro.util.errors import ProtocolError
 from repro.util.units import NS, US
-from tests.harness import applied, booted, system
+from tests.harness import applied, assert_same_observables, booted, system
 
 
 def two_node_machine(**kwargs):
@@ -495,8 +495,8 @@ class TestProtocolRegression:
 
 
 class TestEventBudget:
-    """Heap entries of an interpreted transfer, pinned exactly: the counts
-    are deterministic, so the next engine change has to edit the numbers.
+    """Heap entries of a transfer, interpreted and replayed, pinned exactly:
+    the counts are deterministic, so the next engine change has to edit the numbers.
     The clock readings were taken when the same exchange cost 12n + 14 and
     26 entries: an engine change may move the counts, never the time."""
 
@@ -531,6 +531,52 @@ class TestEventBudget:
         assert m.sim.events_processed - before == 2 * (3 * frames + 6)
         assert m.sim.now == float.fromhex(self.CLOCK[word_batch, n])
         assert m.audit_checksums() == []
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    def test_replayed_exchange(self, n, trace):
+        """The same exchange from stored descriptors, twice in a hot epoch:
+        interpreted while the engine learns, replayed the second time."""
+
+        def two_epochs(replay):
+            m = two_node_machine(word_batch="face", replay=replay, trace=trace)
+            direction = m.topology.direction(0, +1)
+            arrival = m.topology.opposite(direction)
+            scus = [m.nodes[i].scu for i in (0, 1)]
+            for i, first in ((0, 1), (1, 100)):
+                m.nodes[i].memory.alloc("tx", np.arange(first, first + n, dtype=np.uint64))
+                m.nodes[i].memory.alloc("rx", np.zeros(n, dtype=np.uint64))
+                scus[i].store_descriptor("recv", arrival, DmaDescriptor("rx", block_len=n))
+                scus[i].store_descriptor("send", direction, DmaDescriptor("tx", block_len=n))
+            readings = []
+            for _ in range(2):
+                for scu in scus:
+                    scu.replay.begin_epoch("exchange")
+                before = m.sim.events_processed
+                events = [ev for scu in scus for ev in scu.start_stored().values()]
+                m.sim.run()
+                assert all(ev.ok and ev.value == n for ev in events)
+                for scu in scus:
+                    scu.replay.end_epoch("exchange")
+                readings.append((m.sim.events_processed - before, m.sim.now))
+            assert np.array_equal(m.nodes[1].memory.get("rx"), m.nodes[0].memory.get("tx"))
+            assert m.audit_checksums() == []
+            return m, readings
+
+        m_int, (first_int, second_int) = two_epochs(replay=False)
+        m_rep, (first_rep, second_rep) = two_epochs(replay=True)
+        assert m_rep.replay_stats()["replayed_transfers"] == 4  # 2 sends, 2 receives
+        # the first exchange reads the interpreted table above on both ...
+        assert first_int == (2 * 9, float.fromhex(self.CLOCK["face", n]))
+        assert first_rep[1] == first_int[1]
+        # ... the second is replayed: per direction the first word's DMA
+        # delay, the data landing, the ACK landing, the receive's
+        # completion and the send's, at the EOT's last bit.  Nothing reads
+        # that EOT at the far end, so it flies only to be traced.
+        assert second_rep[0] == 2 * (6 if trace else 5)
+        assert second_int[0] == 2 * 9
+        assert second_rep[1] == second_int[1]
+        assert_same_observables(m_int, m_rep)
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_wilson_exchange_2d_per_rank(self, shards):

@@ -12,13 +12,15 @@ and this suite is their contract:
 
 * **Compiled replay** (:mod:`repro.machine.replay`): from the second
   application of an operator, the SCU event schedule is replayed from
-  the compiled closed-form timeline instead of interpreted.  *Everything*
-  observable must match the interpreted machine bit-for-bit: results,
-  residual histories, the full counter bank, and the trace multiset —
-  under ``shards`` ∈ {1, 2, 4}.  The suite also pins the validity gate:
-  replay engages in steady state, never on watchdog-armed machines, and
-  a descriptor re-store invalidates the compiled schedule (relearn, same
-  bits).
+  the compiled schedule instead of interpreted.  *Everything* observable
+  must match the interpreted machine bit-for-bit: results, residual
+  histories, the full counter bank, the trace multiset and the simulated
+  clock — under ``shards`` ∈ {1, 2, 4}.  The suite also pins the validity
+  gate: replay engages in steady state, never on watchdog-armed machines,
+  and a descriptor re-store invalidates the compiled schedule (relearn,
+  same bits); and the abort path: a replayed transfer's state lives in
+  its SCU units, so a partition abort cancels and drains it like any
+  other.
 """
 
 import numpy as np
@@ -26,13 +28,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.machine.replay import ReplayEngine
+from repro.machine.scu import DmaDescriptor, RecvUnit, SendUnit
 from repro.parallel import solve_on_machine
+from repro.parallel.pcg import _apply_rank_program
+from repro.telemetry import observable_diff
+from repro.util.errors import ProtocolError
 from tests.harness import (
     applied,
     assert_same_observables,
     booted,
     scattered,
     system,
+    transfer_counters,
 )
 
 DIMS_1D = (2, 1, 1, 1, 1, 1)
@@ -146,6 +154,51 @@ class TestReplayBitIdentity:
         assert_same_observables(m_int, m_rep)
         assert m_rep.audit_checksums() == []
 
+    #: operator parameters of the shape sweep below
+    PARAMS = {
+        "wilson": {"mass": 0.3},
+        "dwf": {"Ls": 2, "M5": 1.8, "mf": 0.1},
+        "asqtad": {"mass": 0.1},
+    }
+
+    @pytest.mark.parametrize(
+        "dims, op, shape",
+        [
+            # replayed and interpreted timelines were one float rounding
+            # apart on these at 3f4da18 (trace timestamps on all six, the
+            # clock on five, link busy_seconds on three) ...
+            (DIMS_1D, "wilson", (4, 4, 4, 4)),
+            (DIMS_1D, "dwf", (8, 4, 4, 2)),
+            (DIMS_1D, "asqtad", (8, 2, 2, 2)),
+            (DIMS_2D, "wilson", (8, 2, 2, 2)),
+            (DIMS_2D, "wilson", (16, 4, 4, 4)),
+            (DIMS_2D, "asqtad", (8, 8, 4, 4)),
+            # ... and never on these
+            (DIMS_1D, "wilson", (8, 4, 4, 2)),
+            (DIMS_1D, "dwf", (4, 4, 4, 4)),
+            (DIMS_2D, "dwf", (8, 2, 2, 2)),
+        ],
+    )
+    def test_clock_and_trace_across_shapes(self, dims, op, shape):
+        """Replay clocks its legs out through the wire the interpreter
+        uses, so the two agree at every size, not at the sizes where two
+        spellings of one sum happen to round alike."""
+        params = self.PARAMS[op]
+        gauge, src = system((31, f"replay-shape-{op}"), shape, op, Ls=params.get("Ls"))
+
+        def four_applications(replay):
+            m, part = booted(dims, word_batch="face", trace=True, replay=replay)
+            out = applied(
+                m, part, op, gauge, src, applies=4, word_batch="face", **params
+            )
+            return m, out
+
+        m_int, r_int = four_applications(False)
+        m_rep, r_rep = four_applications(True)
+        assert np.array_equal(r_int, r_rep)
+        assert m_rep.replay_stats()["replayed_transfers"] > 0
+        assert_same_observables(m_int, m_rep)
+
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_short_cg_residual_history(self, shards):
         gauge, b = system((23, "replay-cg"), (4, 4, 2, 2))
@@ -227,3 +280,137 @@ class TestReplayValidityGate:
         assert stats["epochs_replayed"] > 0  # replayed again after relearn
         assert np.array_equal(r_rep, r_int)
         assert payload_counters(m_rep) == payload_counters(m_int)
+
+
+# ---------------------------------------------------------------------------
+# a replayed transfer lives in its units: abort, drain, reuse
+# ---------------------------------------------------------------------------
+
+
+def pending_callee(entry):
+    """What a heap entry will run: the landing callback for a frame on
+    the wire (``SerialLink._land(ptype, seq, nwords, land, cargo)``),
+    else the scheduled function itself."""
+    _time, _seq, fn, args = entry
+    return args[3] if fn.__name__ == "_land" else fn
+
+
+class TestReplayAbort:
+    """A partition abort while replayed transfers are in every phase.
+
+    At 3f4da18 replay kept its transfers in private engine state, outside
+    ``SCU.in_flight_words()`` / ``SerialLink.in_transit`` and the drain
+    filter: ``quiesced()`` held with payloads still on the heap, which
+    then landed in freed buffers (``KeyError``) or in the next job's.
+    """
+
+    SHAPE = (8, 8, 4, 4)
+
+    #: the replay-scheduled heap entry the abort interrupts: the first
+    #: word's DMA delay, the data frame in flight, the ACK in flight, the
+    #: store pipe, the EOT clocking out
+    PHASES = ["_tx_data", "_rx_data", "_rx_ack", "_complete", "finish"]
+
+    def launch(self, m, part, gauge, psi, applies):
+        context = scattered(part, "wilson", gauge, mass=0.3)
+        return m.launch_partition(
+            part,
+            _apply_rank_program,
+            context=context,
+            local_src=context.scatter(psi),
+            applies=applies,
+            dagger=False,
+        )
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_abort_drains_replayed_transfers(self, phase):
+        gauge, psi = system((7, "replay-abort"), self.SHAPE)
+        m, part = booted(DIMS_1D, word_batch="face")
+        run = self.launch(m, part, gauge, psi, applies=50)
+
+        def in_phase():
+            return m.replay_stats()["epochs_replayed"] >= 6 and any(
+                getattr(pending_callee(entry), "__name__", "") == phase
+                for entry in m.sim._heap
+            )
+
+        m.sim.run(stop=in_phase)
+        assert not run.settled
+        run.abort()
+        m.sim.run(stop=run.quiesced)
+
+        # nothing left on the heap can write memory or move a unit: no
+        # frame is on a wire, and what replay or a unit still has queued
+        # is guarded by the completion event the abort has already failed
+        for entry in m.sim._heap:
+            callee = pending_callee(entry)
+            assert entry[2].__name__ != "_land", entry
+            owner = getattr(callee, "__self__", None)
+            if isinstance(owner, (ReplayEngine, SendUnit, RecvUnit)):
+                done = entry[3][-1]
+                assert done.triggered and not done.ok, entry
+
+        run.finalize()
+        nodes = [m.nodes[part.physical_node(r)] for r in range(part.n_nodes)]
+        for node in nodes:
+            assert node.memory.buffer_names() == []
+            # the next job's buffers, under the names the aborted one used
+            for name in ("halo_fwd0", "halo_bwd0"):
+                node.memory.alloc(name, np.zeros(8192, dtype=np.uint64))
+        counters = transfer_counters(m, part)
+        m.sim.run()  # a full drain: raises nothing, writes nothing
+        assert transfer_counters(m, part) == counters
+        for node in nodes:
+            for name in ("halo_fwd0", "halo_bwd0"):
+                assert not node.memory.get(name).any()
+                node.memory.free(name)
+            scu = node.scu
+            assert scu.in_flight_words() == 0
+            assert not any(u.active for u in scu.send_units.values())
+            assert all(
+                u.descriptor is None and u.done is None and not u.held
+                for u in scu.recv_units.values()
+            )
+
+        # the same nodes run the next job exactly as a fresh machine does
+        def int_counters(machine):
+            sample = machine.counter_bank().sample()
+            return {k: v for k, v in sample.items() if isinstance(v, int)}
+
+        # (a frame the drain filter discarded was summed at the sending
+        # end only, so the aborted run's own wires may not audit clean)
+        mismatched = m.audit_checksums()
+        before, replayed = int_counters(m), m.replay_stats()["epochs_replayed"]
+        again = applied(m, part, "wilson", gauge, psi, applies=3, mass=0.3)
+        m.quiesce()
+        after = int_counters(m)
+        m_new, part_new = booted(DIMS_1D, word_batch="face")
+        fresh = applied(m_new, part_new, "wilson", gauge, psi, applies=3, mass=0.3)
+        m_new.quiesce()
+        assert np.array_equal(again, fresh)
+        moved = {k: after[k] - before[k] for k in after}
+        assert observable_diff({"counters": int_counters(m_new)}, {"counters": moved}) == {}
+        assert m.replay_stats()["epochs_replayed"] > replayed
+        assert len(m.audit_checksums()) == len(mismatched)
+        assert m_new.audit_checksums() == []
+
+    def test_interpreted_send_refused_while_replayed_one_is_in_flight(self):
+        """A replayed transfer claims its send unit like any other."""
+        gauge, psi = system((7, "replay-abort"), (4, 2, 2, 2))
+        m, part = booted(DIMS_1D, word_batch="face")
+        run = self.launch(m, part, gauge, psi, applies=8)
+        m.sim.run(
+            stop=lambda: any(
+                getattr(pending_callee(entry), "__name__", "") == "_rx_data"
+                for entry in m.sim._heap
+            )
+        )
+        scu = m.nodes[0].scu
+        busy = [d for d, unit in sorted(scu.send_units.items()) if unit.active]
+        assert busy and m.replay_stats()["replayed_transfers"] > 0
+        m.nodes[0].memory.alloc("intruder", np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ProtocolError, match="already has an active transfer"):
+            scu.send(busy[0], DmaDescriptor("intruder", block_len=4))
+        m.nodes[0].memory.free("intruder")
+        m.sim.run(stop=lambda: run.settled)
+        assert not run.faults

@@ -8,6 +8,7 @@ shape, and the gate this whole subsystem exists for — the repository's
 own ``src/`` tree lints clean.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -545,3 +546,98 @@ def test_source_tree_is_clean():
     assert [f.format() for f in result.findings] == []
     # and the allowlist carries no stale entries
     assert result.unused_allow_entries(allowlist) == []
+
+
+# ---------------------------------------------------------------------------
+# one timeline: a time of the machine is computed on the ASIC sheet
+# ---------------------------------------------------------------------------
+
+#: fields of ``ASICConfig`` that are times, rates or ladder constants
+_TIMING_FIELDS = {
+    "clock_hz",
+    "watchdog_timeout",
+    "watchdog_backoff_factor",
+    "word_serialisation_time",
+}
+
+
+def _timing_operand(node, dividing):
+    """The timing field ``node`` reads, if it is one (a ``frame_*_bits``
+    width counts only where a division turns it into a time)."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    name = node.attr
+    if name in _TIMING_FIELDS or name.endswith("_latency"):
+        return name
+    if dividing and name.startswith("frame_") and name.endswith("_bits"):
+        return name
+    return None
+
+
+def _timing_arithmetic(tree):
+    """``(function, line, field)`` for every arithmetic expression in
+    ``tree`` with a timing field as an operand."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        operands = ()
+        if isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            operands = (node.value,)
+        for operand in operands:
+            field = _timing_operand(operand, isinstance(node.op, ast.Div))
+            if field is not None:
+                found.append((function, node.lineno, field))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_timing_arithmetic_lives_on_the_sheet():
+    """``machine/`` and ``sim/`` read times off ``ASICConfig`` (or get them
+    from the wire, ``hssl.py``, whose occupancy and flight arithmetic is
+    the one copy of it); they do not rebuild one from its parts.  That is
+    how compiled replay and the interpreter came to disagree by a rounding:
+    the same sum spelled two ways."""
+    # the scan sees what it is meant to see
+    sample = ast.parse(
+        "def f(asic, n):\n"
+        "    a = asic.dma_fetch_latency + asic.scu_inject_latency\n"
+        "    b = n * asic.frame_payload_bits\n"
+        "    c = asic.frame_header_bits / asic.clock_hz\n"
+        "    return asic.wire_latency\n"
+    )
+    assert sorted(field for _f, _l, field in _timing_arithmetic(sample)) == [
+        "clock_hz",
+        "dma_fetch_latency",
+        "frame_header_bits",
+        "scu_inject_latency",
+    ]
+
+    offenders = []
+    for package in ("machine", "sim"):
+        for path in sorted((SRC / package).glob("*.py")):
+            rel = f"{package}/{path.name}"
+            if rel in ("machine/asic.py", "machine/hssl.py"):
+                continue
+            for function, line, field in _timing_arithmetic(ast.parse(path.read_text())):
+                # the one named exception: the partition-interrupt flood
+                # period, a bound with a safety margin, not a time the
+                # machine takes
+                if (rel, function) != ("machine/interrupts.py", "safe_period"):
+                    offenders.append(f"{rel}:{line} {function}: arithmetic on {field}")
+    assert offenders == []
+
+    # the analytic model asks the sheet for a global sum, hop latency included
+    readers = [
+        f"perfmodel/{path.name}:{node.lineno}"
+        for path in sorted((SRC / "perfmodel").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "passthrough_latency"
+    ]
+    assert readers == []
