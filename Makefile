@@ -36,15 +36,18 @@ bench-check:
 	python3 bench/run.py --check-repeat
 	$(PYTEST) bench/tests -q
 
-## one sha256 per case of a fixed matrix of machine runs (3 operators x
-## 1d/2d x word_batch face/1 x shards 1/2, plus one solve per operator)
+## two sha256 per case — results, then timeline — of a fixed matrix of
+## machine runs (3 operators x 1d/2d x word_batch face/1 x shards 1/2,
+## plus one solve per operator)
 fingerprint:
 	@PYTHONPATH=src $(PY) benchmarks/fingerprint.py
 
 ## "same numbers to the bit": the digests against the committed
 ## benchmarks/fingerprint.txt.  A change that means to move a result,
 ## a counter, a trace record or the simulated clock regenerates the file
-## (`make fingerprint > benchmarks/fingerprint.txt`) and says why.
+## (`make fingerprint > benchmarks/fingerprint.txt`) and says why — and
+## which column moved: one that only re-times the machine leaves the
+## results column equal to its parent's.
 fingerprint-check:
 	@PYTHONPATH=src $(PY) benchmarks/fingerprint.py | diff - benchmarks/fingerprint.txt
 	@echo "fingerprint-check: digests equal benchmarks/fingerprint.txt"

@@ -18,6 +18,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.lattice import GaugeField, LatticeGeometry
+from repro.machine.asic import MachineConfig
+from repro.machine.machine import QCDOCMachine
+from repro.parallel import (
+    solve_dwf_on_machine,
+    solve_on_machine,
+    solve_staggered_on_machine,
+)
+from repro.util import rng_stream
 from repro.util.tables import Table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +40,51 @@ def pytest_addoption(parser):
         help="write BENCH_<name>_telemetry.json machine-telemetry dumps "
         "beside the benchmark outputs",
     )
+
+
+def twin_cg(op: str, dims, local_shape, iterations: int = 4, Ls: int = 8) -> dict:
+    """A few CG iterations of ``op`` on the functional twin: a fresh
+    machine of ``dims`` (a 4D partition of all of it), ``local_shape`` per
+    node, one frame per face.  The "measured on the twin" column of E1 /
+    E2: the paper's sustained fraction of peak, and the seconds of one
+    rank split the way hep-lat/0210034 tabulates its estimates — compute,
+    exposed communication, global sums.  ``iterations`` is small on
+    purpose (the figure is the steady state's to three digits; the set-up
+    ``D^+ b`` and its two dots ride along)."""
+    machine = QCDOCMachine(MachineConfig(dims=dims), word_batch="face")
+    machine.bring_up()
+    partition = machine.partition(groups=[(0,), (1,), (2,), (3,)])
+    shape = tuple(l * d for l, d in zip(local_shape, partition.logical_dims))
+    geom = LatticeGeometry(shape)
+    rng = rng_stream(1, f"twin-cg-{op}")
+    gauge = GaugeField.weak(geom, rng, eps=0.25)
+    stop = dict(tol=1e-30, maxiter=iterations, max_time=1e9)
+    if op == "dwf":
+        b = rng.standard_normal((Ls, geom.volume, 4, 3)) + 0j
+        res = solve_dwf_on_machine(machine, partition, gauge, b, Ls=Ls, **stop)
+    elif op == "asqtad":
+        b = rng.standard_normal((geom.volume, 3)) + 0j
+        res = solve_staggered_on_machine(
+            machine, partition, gauge, b, mass=0.2, **stop
+        )
+    else:
+        b = rng.standard_normal((geom.volume, 4, 3)) + 0j
+        c_sw = 1.0 if op == "clover" else None
+        res = solve_on_machine(
+            machine, partition, gauge, b, mass=0.4, c_sw=c_sw, **stop
+        )
+    assert res.iterations == iterations and res.checksum_mismatches == []
+    rep = machine.report()
+    n = machine.n_nodes
+    return {
+        "nodes": n,
+        "machine_dims": partition.logical_dims,
+        "fraction": res.flops / (machine.peak_flops * res.machine_time),
+        "compute_s": rep.total_compute_seconds / n,
+        "exposed_comm_s": rep.exposed_comm_seconds(n),
+        "global_sum_s": machine.global_sum_seconds,
+        "run_s": machine.run_seconds,
+    }
 
 
 def emit(table: Table) -> None:

@@ -1,21 +1,35 @@
-"""``make fingerprint``: one sha256 per case of a fixed matrix of machine runs.
+"""``make fingerprint``: two sha256 per case of a fixed matrix of machine runs.
 
 A change that claims "same numbers to the bit" proves it with ``make
 fingerprint-check``, which ``diff``s this output against the committed
 ``benchmarks/fingerprint.txt``.  Each line digests everything a run can
-be observed by: the gathered result bytes and the
-:func:`repro.telemetry.observables` sample (counter bank, trace multiset,
-simulated clock, replay statistics).
+be observed by — the gathered result bytes and the
+:func:`repro.telemetry.observables` sample — split in two columns so a
+change can prove *what* it moved:
+
+``results``
+    what was computed and what it cost in countable things: gathered
+    bytes, residual histories, iteration counts, every counter that is
+    not a duration (words, flops, resends), the replay statistics, and
+    the trace as a multiset of tags and fields without their times;
+``timeline``
+    when: the simulated clock, ``machine_time``, the second-valued
+    counters, and every trace record's time and duration.
+
+A change to how long the machine takes over the same work moves the
+second column and leaves the first alone.
 
 The matrix: Wilson, DWF and ASQTAD × a 1D and a 2D decomposition ×
 ``word_batch`` ``"face"`` (compiled replay from the second application)
 and ``1`` (the interpreted word protocol) × ``shards`` 1 and 2, three
 chained applications each; then one CGNE solve per operator (solution,
-residual history, iteration count and ``machine_time`` in the digest).
+residual history and iteration count in the results digest,
+``machine_time`` in the timeline's).
 """
 
 import hashlib
 import itertools
+from collections import Counter
 
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
@@ -85,15 +99,36 @@ def booted(decomp, **machine_kwargs):
     return machine, machine.partition(groups=GROUPS)
 
 
-def digest(machine, *results):
-    obs = observables(machine)
+#: trace fields that are durations (the rest of a record is a result)
+TIME_FIELDS = ("dur", "wait")
+
+
+def _sha256(*parts):
     h = hashlib.sha256()
-    for part in results:
+    for part in parts:
         h.update(part if isinstance(part, bytes) else repr(part).encode())
-    for name in ("counters", "trace", "replay"):
-        h.update(repr(sorted(repr(item) for item in obs[name].items())).encode())
-    h.update(repr(obs["now"]).encode())
     return h.hexdigest()
+
+
+def digest(machine, *results, machine_time=None):
+    """``"<results sha256>  <timeline sha256>"`` of one drained run."""
+    obs = observables(machine)
+    seconds = {k: v for k, v in obs["counters"].items() if k.endswith("_seconds")}
+    counts = {k: v for k, v in obs["counters"].items() if k not in seconds}
+    what, when = Counter(), Counter()
+    for (time, tag, fields), n in obs["trace"].items():
+        # the untimed fields ride in both: they say whose duration it is
+        untimed = tuple(kv for kv in fields if kv[0] not in TIME_FIELDS)
+        timed = tuple(kv for kv in fields if kv[0] in TIME_FIELDS)
+        what[tag, untimed] += n
+        when[time, tag, untimed, timed] += n
+    ordered = lambda mapping: sorted(repr(item) for item in mapping.items())
+    return "  ".join(
+        (
+            _sha256(*results, ordered(counts), ordered(what), ordered(obs["replay"])),
+            _sha256(obs["now"], machine_time, ordered(seconds), ordered(when)),
+        )
+    )
 
 
 def apply_case(op, decomp, word_batch, shards):
@@ -112,7 +147,11 @@ def solve_case(op):
     *_, solve = OPERATORS[op]
     res = solve(machine, part, gauge, b)
     return digest(
-        machine, res.x.tobytes(), res.residuals, res.iterations, res.machine_time
+        machine,
+        res.x.tobytes(),
+        res.residuals,
+        res.iterations,
+        machine_time=res.machine_time,
     )
 
 

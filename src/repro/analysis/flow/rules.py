@@ -259,13 +259,14 @@ class ClaimReleaseBalanceRule(FlowRule):
         return findings
 
 
-#: flop-bearing operator kernels: each call performs O(volume) complex
-#: arithmetic the machine must charge.  O(V) vector algebra (vdot,
-#: axpy) is deliberately absent — the solver layer accounts for it in
-#: the closed-form model, not per call.
-_NUMPY_KERNELS_NP = frozenset({"einsum", "matmul", "tensordot"})
+#: flop-bearing kernels: each call performs O(volume) complex
+#: arithmetic the machine must charge.  The inner products (``vdot``,
+#: ``site_inner``) stand for a solver's whole vector algebra: the Krylov
+#: core is shared with the serial path and charges nothing, so the
+#: machine-side dot charges the iteration's axpys with its own flops.
+_NUMPY_KERNELS_NP = frozenset({"einsum", "matmul", "tensordot", "vdot"})
 _NUMPY_KERNELS_FREE = frozenset(
-    {"cmatvec", "spin_project", "spin_reconstruct", "apply_spin_matrix"}
+    {"cmatvec", "spin_project", "spin_reconstruct", "apply_spin_matrix", "site_inner"}
 )
 
 

@@ -302,14 +302,23 @@ class CommsAPI:
         return self.globals.contribute_sum(self.rank, np.zeros(1))
 
     # -- compute ------------------------------------------------------------
-    def compute(self, flops: float, kernel: Optional[str] = None) -> Event:
-        """Charge simulated CPU time for ``flops`` floating-point ops.
+    def compute(
+        self,
+        flops: float,
+        kernel: Optional[str] = None,
+        rate: Optional[float] = None,
+    ) -> Event:
+        """Charge simulated CPU time for ``flops`` floating-point ops at
+        ``rate`` seconds per flop — the one compute-time rule,
+        ``api.memory.model.seconds_per_flop(...)`` over the kernel's
+        cost-sheet mix and working set, worked out once per kernel; FPU
+        peak without one.
 
         ``kernel`` optionally attributes the work to a named kernel in the
         node's :attr:`~repro.machine.node.Node.kernel_flops` ledger (and
         the ``cpu.compute`` trace span when tracing is on).
         """
-        return self.node.compute(flops, kernel=kernel)
+        return self.node.compute(flops, kernel=kernel, rate=rate)
 
     @property
     def trace(self):

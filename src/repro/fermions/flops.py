@@ -31,6 +31,9 @@ SPINOR_WORDS = 24  #: Wilson spinor, 12 complex doubles per site
 HALF_SPINOR_WORDS = SPINOR_WORDS // 2  #: = 12, spin-projected two rows
 STAGGERED_WORDS = 6  #: one colour vector, 3 complex doubles per site
 
+#: solver vectors resident during a CG solve: x, r, p, Ap, b
+CG_VECTORS = 5
+
 #: canonical community count for the Wilson hopping term (8 directions,
 #: two half-spinor SU(3) matvecs each, plus spin project/reconstruct adds)
 WILSON_DSLASH_FLOPS = 8 * (2 * MATVEC_SU3) + 264  # = 1320
@@ -179,6 +182,46 @@ class OperatorCost:
         one sender-side ``U^+ psi`` SU(3) matvec per product site shipped
         (one block of products per hop layer)."""
         return sum(self.hop_depths) * face_sites * MATVEC_SU3
+
+    def site_mix(self, Ls: int = 1) -> Tuple[float, float, float]:
+        """``(flops, words, loop overheads)`` of one application per site,
+        as a blocked kernel streams it: the arguments the compute-time
+        rule (:meth:`repro.machine.memory.MemoryModel.compute_cycles`)
+        prices.  A 5-dimensional sheet streams the gauge field once per
+        ``Ls`` slices, and the quarter of the per-site overhead that is
+        4-dimensional address generation amortises over them too."""
+        slices = self.slices(Ls)
+        words = self.words_per_site - self.gauge_words_per_site * (
+            1.0 - 1.0 / slices
+        )
+        return float(self.flops_per_site), words, 0.75 + 0.25 / slices
+
+    def cg_linalg(self) -> Tuple[float, float]:
+        """CG linear-algebra ``(flops, words)`` per site per iteration:
+        three axpys (2 flops per real component; read 2 vectors, write 1)
+        and two inner products (8 flops per complex pair; read 2
+        vectors).  One 64-bit word holds one real component."""
+        w = self.site_words
+        flops = 3 * (2 * w) + 2 * (8 * (w // 2))
+        words = 3 * (3 * w) + 2 * (2 * w)
+        return float(flops), float(words)
+
+    def cg_dot(self) -> Tuple[float, float]:
+        """``(flops, words)`` per site the twin charges at each of a CG
+        iteration's two global inner products: the dot itself and its
+        half of the iteration's axpys (:meth:`cg_linalg`) — the solver
+        core is shared with the serial path and charges nothing, so the
+        machine-side dot is where a rank pays for its vector algebra."""
+        flops, words = self.cg_linalg()
+        return flops / 2, words / 2
+
+    def working_set_bytes(self, local_volume: int, Ls: int = 1) -> int:
+        """Solve-time resident bytes of a tile: the gauge (+ clover)
+        field and the CG vectors.  What decides EDRAM or DDR residency
+        (:meth:`repro.machine.memory.MemoryModel.spill_fraction`)."""
+        field_words = self.gauge_words_per_site + self.local_words_per_site
+        vec_words = CG_VECTORS * self.site_words * self.slices(Ls)
+        return local_volume * (field_words + vec_words) * WORD_BYTES
 
 
 _WILSON = OperatorCost(

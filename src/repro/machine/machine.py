@@ -80,6 +80,10 @@ class PartitionRun:
         self.aborted = False
         self.finalized = False
         self.launched_at = machine.sim.now
+        #: when the run settled (``None`` while it runs)
+        self.settled_at: Optional[float] = None
+        #: the run's own global-sum engine: collectives never cross jobs
+        self.engine = machine.global_ops(partition)
         #: host-side callback fired (synchronously, from inside the event
         #: that settled the run) the moment :attr:`settled` flips — the
         #: service layer's wake-up signal
@@ -157,6 +161,9 @@ class PartitionRun:
             self._notify()
 
     def _notify(self) -> None:
+        if self.settled_at is None:
+            self.settled_at = self.machine.sim.now
+            self.machine._account_run(self.launched_at, self.engine)
         if self.on_settled is not None:
             self.on_settled(self)
 
@@ -176,6 +183,13 @@ class PartitionRun:
 class QCDOCMachine:
     """A functional QCDOC machine of ``config.n_nodes`` simulated nodes.
 
+    There is no CPU-speed parameter: a node charges compute time by the
+    one compute-time rule
+    (:meth:`repro.machine.memory.MemoryModel.compute_cycles` — the
+    kernel's cost-sheet flops and words, the residency of its working
+    set), the same rule :mod:`repro.perfmodel` is built from, so a Wilson
+    CG at 4^4 per node sustains the paper's 40% of peak by construction.
+
     Parameters
     ----------
     word_batch:
@@ -184,10 +198,6 @@ class QCDOCMachine:
         transfer as one frame, see :mod:`repro.machine.scu`).
     bit_error_rate:
         Per-wire-bit fault probability for resend-protocol experiments.
-    compute_efficiency:
-        Fraction of FPU peak that :meth:`Node.compute` charges — lets a
-        benchmark model the measured sustained fraction without simulating
-        the PPC440 pipeline.
     trace:
         Attach a machine-wide :class:`~repro.sim.trace.Trace`; every unit
         (links, SCUs, CPUs, global-ops engines) emits into it.  Off by
@@ -234,7 +244,6 @@ class QCDOCMachine:
         config: MachineConfig,
         word_batch=1,
         bit_error_rate: float = 0.0,
-        compute_efficiency: float = 1.0,
         seed: int = 0,
         trace: bool = False,
         trace_maxlen: Optional[int] = None,
@@ -276,7 +285,6 @@ class QCDOCMachine:
                 i,
                 trace=self.trace,
                 word_batch=word_batch,
-                compute_efficiency=compute_efficiency,
                 sanitizer=sanitizer,
                 replay=replay,
             )
@@ -318,6 +326,13 @@ class QCDOCMachine:
             self.network.bind_shards(self.sim.router, self.shard_of)
             self.sim.router.note_handlers["link_down"] = self._link_down_note
         self._booted = False
+        #: simulated seconds spent inside rank programs, launch to settle,
+        #: summed over partition runs (the window the report decomposes
+        #: into compute, global sums and exposed communication), and the
+        #: seconds and words of the global sums reduced inside them
+        self.run_seconds = 0.0
+        self.global_sum_seconds = 0.0
+        self.global_sum_words = 0
         #: LINK_DOWN reports collected from SCU watchdogs: (node, direction,
         #: reason), in detection order.  The host daemon reads this after a
         #: faulted run to diagnose which cables to quarantine.
@@ -395,6 +410,13 @@ class QCDOCMachine:
             trace=self.trace,
         )
 
+    def _account_run(self, launched_at: float, engine: GlobalOpsEngine) -> None:
+        """Book a settled run: its span and its engine's global sums."""
+        self.run_seconds += self.sim.now - launched_at
+        for stats in engine.history:
+            self.global_sum_seconds += stats.duration
+            self.global_sum_words += stats.nwords
+
     # -- telemetry ------------------------------------------------------------
     def counter_bank(self):
         """A :class:`repro.telemetry.CounterBank` sampling this machine.
@@ -459,7 +481,6 @@ class QCDOCMachine:
                 "completion is reported by direct callback, not over "
                 "worker pipes)"
             )
-        engine = self.global_ops(partition)
         run = PartitionRun(self, partition, tag=tag)
 
         def guarded(api):
@@ -473,7 +494,7 @@ class QCDOCMachine:
 
         for rank in range(run.n_ranks):
             node = run.part_nodes[rank]
-            api = CommsAPI(self, partition, engine, rank, node)
+            api = CommsAPI(self, partition, run.engine, rank, node)
             shard = self.shard_of(node.node_id) if self.shards > 1 else 0
             with self.sim.context(shard):
                 run.processes.append(
@@ -579,6 +600,7 @@ class QCDOCMachine:
             return bool(faults) or len(done) == n
 
         self._install_fork_hooks(processes, part_nodes, shard_of_rank)
+        launched_at = self.sim.now
         try:
             self.sim.run_forked(
                 stop,
@@ -587,6 +609,7 @@ class QCDOCMachine:
             )
         finally:
             self.sim.fork_hooks.clear()
+            self._account_run(launched_at, engine)
         if not faults:
             return [done[r] for r in range(n)]
         # The abort control hook already interrupted surviving ranks and

@@ -9,9 +9,20 @@ suffering excessive page miss overheads").  More streams than that thrash
 rows and degrade toward the page-miss-dominated rate.  Off-chip DDR delivers
 2.6 GB/s.
 
-This module gives both an analytic timing model (used by
-:mod:`repro.perfmodel`) and event-simulation hooks (used by the SCU DMA
-engines through :class:`MemorySystem`).
+This module holds the analytic timing model of the two regions,
+:class:`MemoryModel`, and on it the **one compute-time rule**
+(:meth:`MemoryModel.compute_cycles`): how long a node takes over ``F``
+flops and ``W`` streamed words whose operands live in a working set of a
+given size.  The twin's kernels (:mod:`repro.parallel.halo`, which hands
+:meth:`repro.machine.node.Node.compute` the rate) and the analytic model
+(:mod:`repro.perfmodel.dirac_perf`) both ask it, with the same fitted
+constants (:class:`Calibration`).
+
+:class:`MemorySystem`, an event-simulation wrapper arbitrating a shared
+memory port, is **not wired into the machine**: the SCU DMA engines read
+and write node memory through :class:`repro.machine.node.NodeMemory`
+directly and charge their fixed fetch/store latencies off the ASIC sheet.
+It has no caller but its own unit tests.
 """
 
 from __future__ import annotations
@@ -34,6 +45,22 @@ class AccessStats:
     edram_bytes: int = 0
     ddr_bytes: int = 0
     accesses: int = 0
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The two constants of the compute-time rule
+    (:meth:`MemoryModel.compute_cycles`).  The machine does not know
+    them: :func:`repro.perfmodel.dirac_perf.calibrate` derives the pair
+    from the paper's measured efficiencies and the operator cost sheets,
+    and whoever prices a kernel hands it in."""
+
+    cycles_per_word: float
+    overhead_cycles_per_site: float
+
+
+#: a kernel that streams no memory: the FPU is all there is
+FPU_BOUND = Calibration(0.0, 0.0)
 
 
 class MemoryModel:
@@ -100,13 +127,53 @@ class MemoryModel:
             return 0.0
         return 1.0 - self.asic.edram_bytes / working_set_bytes
 
+    # -- the one compute-time rule ---------------------------------------------
+    def compute_cycles(
+        self,
+        fit: Calibration,
+        flops: float,
+        words: float = 0.0,
+        sites: float = 0.0,
+        working_set_bytes: int = 0,
+    ) -> float:
+        """Processor cycles to run ``flops`` over ``words`` streamed
+        8-byte words and ``sites`` per-site loop overheads.
+
+        The FPU retires ``flops_per_cycle``; every word costs ``fit``'s
+        cycles on the EDRAM path, and the fraction of the working set
+        spilled to DDR pays the EDRAM/DDR bandwidth ratio on top (the
+        paper's fall "to the range of 30% of peak").
+        """
+        asic = self.asic
+        fpu = flops / asic.flops_per_cycle
+        spill = self.spill_fraction(working_set_bytes)
+        ratio = asic.edram_bandwidth / asic.ddr_bandwidth
+        cpw = fit.cycles_per_word * (1.0 - spill + spill * ratio)
+        return fpu + words * cpw + sites * fit.overhead_cycles_per_site
+
+    def seconds_per_flop(
+        self,
+        fit: Calibration,
+        flops: float = 1.0,
+        words: float = 0.0,
+        sites: float = 0.0,
+        working_set_bytes: int = 0,
+    ) -> float:
+        """The rate of a kernel whose mix is ``flops : words : sites`` on
+        operands of this residency — what every flop it charges costs,
+        memory traffic and loop overhead apportioned by flops."""
+        cycles = self.compute_cycles(fit, flops, words, sites, working_set_bytes)
+        return cycles / self.asic.clock_hz / flops
+
 
 class MemorySystem:
     """Event-simulation wrapper: a shared port with arbitration.
 
-    The SCU DMA engines and the CPU contend for the memory port (on real
-    silicon, for the PLB and the EDRAM controller).  ``transfer`` is a
-    process-style generator: ``yield from mem.transfer(...)``.
+    On real silicon the SCU DMA engines and the CPU contend for the
+    memory port (the PLB and the EDRAM controller); the twin does not
+    model that contention, and nothing in the machine constructs one of
+    these (module docstring).  ``transfer`` is a process-style generator:
+    ``yield from mem.transfer(...)``.
     """
 
     def __init__(self, sim: Simulator, asic: ASICConfig, ports: int = 2):

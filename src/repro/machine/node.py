@@ -7,8 +7,8 @@ bundles:
   engines address memory in 64-bit words) and EDRAM/DDR placement
   accounting;
 * a CPU represented by whatever node *program* (generator) the kernel
-  runs, with :meth:`Node.compute` charging floating-point time at the
-  ASIC's peak rate scaled by an efficiency;
+  runs, with :meth:`Node.compute` charging floating-point time by the one
+  compute-time rule (:meth:`repro.machine.memory.MemoryModel.compute_cycles`);
 * the node's :class:`~repro.machine.scu.SCU`.
 """
 
@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.machine.asic import ASICConfig
-from repro.machine.memory import MemoryModel
+from repro.machine.memory import FPU_BOUND, MemoryModel
 from repro.machine.scu import SCU
 from repro.sim.core import Event, Process, Simulator
 from repro.sim.trace import Trace
@@ -142,7 +142,6 @@ class Node:
         node_id: int,
         trace: Optional[Trace] = None,
         word_batch=1,
-        compute_efficiency: float = 1.0,
         sanitizer: Optional["HaloRaceSanitizer"] = None,
         replay: bool = True,
     ):
@@ -165,7 +164,8 @@ class Node:
         #: the halo-buffer race sanitizer shared with :attr:`scu` (``None``
         #: when off — hook sites guard with a single attribute check)
         self.sanitizer = sanitizer
-        self.compute_efficiency = compute_efficiency
+        #: seconds per flop of arithmetic that streams no memory: FPU peak
+        self.peak_rate = self.memory.model.seconds_per_flop(FPU_BOUND)
         self.flops_charged = 0.0
         self.compute_time = 0.0
         #: flops charged per kernel tag (untagged work under ``None``)
@@ -175,8 +175,20 @@ class Node:
         self._supervisor_waiters: list = []
 
     # -- CPU time accounting -----------------------------------------------
-    def compute(self, flops: float, kernel: Optional[str] = None) -> Event:
-        """Charge floating-point work at ``efficiency x peak`` rate.
+    def compute(
+        self,
+        flops: float,
+        kernel: Optional[str] = None,
+        rate: Optional[float] = None,
+    ) -> Event:
+        """Charge ``flops`` of floating-point work at ``rate`` seconds per
+        flop.
+
+        ``rate`` comes from the one compute-time rule
+        (:meth:`~repro.machine.memory.MemoryModel.seconds_per_flop` over
+        the kernel's cost-sheet mix and the residency of its operands),
+        worked out once by whoever owns the kernel; without one the flops
+        stream no memory and run at FPU peak.
 
         Returns a timeout event the node program yields on; this is how
         numpy-computed physics (instantaneous in wall-clock terms) is
@@ -186,7 +198,7 @@ class Node:
         """
         if flops < 0:
             raise ConfigError("negative flop count")
-        duration = flops / (self.asic.peak_flops * self.compute_efficiency)
+        duration = flops * (self.peak_rate if rate is None else rate)
         self.flops_charged += flops
         self.compute_time += duration
         self.kernel_flops[kernel] = self.kernel_flops.get(kernel, 0.0) + flops

@@ -71,7 +71,9 @@ paper's section 4 claim is measured against: nothing starts before
 staging, every group then starts at once and the rank waits for all
 transfers before step 4, and no site counts as interior (one merge over
 the whole tile in step 6).  Kernels, payload and total charged flops are
-identical; only the timeline is longer.
+identical; only the timeline is longer — by the exchange it exposes, so
+a tile with no decomposed axis, which has none, runs the one order under
+either flag.
 
 The assembled sum is **bit-identical** (``==``, not allclose) in both
 orders and on any decomposition: all per-site kernels are
@@ -83,7 +85,10 @@ The source field always sits in the node-memory buffer ``work`` (so the
 descriptors can be persistent), every buffer the steady state touches is
 allocated once at construction (DESIGN.md §12), and every numpy
 evaluation charges simulated CPU time through the cost sheets of
-:mod:`repro.fermions.flops`.
+:mod:`repro.fermions.flops`, at the rate the machine's one compute-time
+rule gives the sheet's flops and words on this tile
+(:meth:`repro.machine.memory.MemoryModel.seconds_per_flop`, once per
+context).
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ from repro.fermions.flops import MATVEC_SU3, OperatorCost
 from repro.lattice.geometry import LatticeGeometry
 from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
 from repro.machine.scu import normalise_word_batch
+from repro.perfmodel.dirac_perf import calibrate
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
@@ -184,6 +190,24 @@ class HaloPipeline:
             - cost.local_flops_per_site
             - 2 * g.ndim * MATVEC_SU3
         )
+        # CPU time, by the one compute-time rule: the sheet's mix of flops,
+        # streamed words and loop overhead on a tile of this residency,
+        # worked out here once and apportioned to every charge by its
+        # flops — the phases of one application sum to the closed form.
+        self._fit = calibrate(api.node.asic)
+        #: seconds per flop of the operator's own arithmetic
+        self.rate = self.kernel_rate(cost)
+        #: what a machine-side CG inner product over this rank's vectors
+        #: charges (:mod:`repro.parallel.pcg`): the dot and its share of
+        #: the iteration's axpys, streamed with no per-site loop overhead
+        dot_flops, dot_words = cost.cg_dot()
+        self.dot_flops = self._slices * g.volume * dot_flops
+        self.dot_rate = api.memory.model.seconds_per_flop(
+            self._fit,
+            dot_flops,
+            dot_words,
+            working_set_bytes=cost.working_set_bytes(g.volume, self._slices),
+        )
         #: test seam: when set, called as ``hook(self)`` immediately after
         #: the overlapped order fires its "early" group — i.e. while all
         #: receives are in flight.  The race-sanitizer tests use it to
@@ -209,8 +233,10 @@ class HaloPipeline:
         self.interior_sites, self.boundary_sites = interior_boundary_sites(
             g, tuple(self.comm_axes), depth=depth
         )
-        if not self.overlap:
+        if not self.overlap and self.comm_axes:
             # serialised: every site waits, one merge over the whole tile
+            # (with no decomposed axis there is no exchange to wait for,
+            # and the two orders are one: the same charges, the same clock)
             self.interior_sites = self.boundary_sites[:0]
             self.boundary_sites = np.arange(g.volume)
 
@@ -258,6 +284,16 @@ class HaloPipeline:
             #  products arriving from the -mu neighbour.
             api.store_recv(mu, -1, whole(bwd_name, mu), group="early")
 
+    def kernel_rate(self, cost: OperatorCost) -> float:
+        """Seconds per flop of ``cost``'s kernel on this tile — the
+        operator's own sheet, or another kernel run over the same sites
+        (the fermion force)."""
+        return self.api.memory.model.seconds_per_flop(
+            self._fit,
+            *cost.site_mix(self._slices),
+            cost.working_set_bytes(self.volume, self._slices),
+        )
+
     @hot_path
     def exchange(self, src: np.ndarray):
         """One application of the pipeline (generator yielding machine
@@ -268,7 +304,7 @@ class HaloPipeline:
         result in context scratch (``out=`` kernels, ``np.take(...,
         out=)`` gathers).
         """
-        api, kernel, overlap = self.api, self.kernel, self.overlap
+        api, kernel, rate, overlap = self.api, self.kernel, self.rate, self.overlap
         fwd_name, bwd_name, stage_name = self._buffer_names
         api.begin_hot_epoch(self.tag)
         try:
@@ -291,7 +327,7 @@ class HaloPipeline:
                 api.cpu_write(f"{stage_name}{mu}")
                 staged += self.stage(mu)
             if staged:
-                yield api.compute(staged * MATVEC_SU3, kernel=kernel)
+                yield api.compute(staged * MATVEC_SU3, kernel=kernel, rate=rate)
             if overlap:
                 pending.update(api.start_stored_events(group="staged"))
             else:
@@ -305,7 +341,7 @@ class HaloPipeline:
             if len(interior):
                 self.merge(interior)
                 flops += len(interior) * self.merge_flops_per_site
-            yield api.compute(flops, kernel=kernel)
+            yield api.compute(flops, kernel=kernel, rate=rate)
 
             # ---- boundary phase: drain transfers in completion order ----
             while pending:
@@ -318,13 +354,15 @@ class HaloPipeline:
                 api.cpu_read(f"{fwd_name if sign > 0 else bwd_name}{mu}")
                 flops = self.on_halo(mu, sign)
                 if flops:
-                    yield api.compute(flops, kernel=kernel)
+                    yield api.compute(flops, kernel=kernel, rate=rate)
 
             boundary = self.boundary_sites
             if len(boundary):
                 self.merge(boundary)
                 yield api.compute(
-                    len(boundary) * self.merge_flops_per_site, kernel=kernel
+                    len(boundary) * self.merge_flops_per_site,
+                    kernel=kernel,
+                    rate=rate,
                 )
         finally:
             api.end_hot_epoch(self.tag)

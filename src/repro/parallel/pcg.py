@@ -71,26 +71,38 @@ class MachineSiteDot:
     it to the elementwise global sum, which rebuilds the very array the
     serial code reduces.  Works in any dtype the fields carry — the
     mixed-precision inner solver sends ``complex64`` sites through the tree.
+
+    ``ctx`` is the rank's operator context: the dot is where the rank pays
+    CPU time for the solver's vector algebra (``ctx.dot_flops`` at
+    ``ctx.dot_rate``, the Krylov core being shared with the serial path
+    and charging nothing).
     """
 
-    def __init__(self, api: CommsAPI, mapping: PhysicsMapping):
-        self.api = api
-        self.global_sites = mapping.tiling.global_of[api.rank]
+    def __init__(self, ctx: Any, mapping: PhysicsMapping):
+        self.ctx = ctx
+        self.global_sites = mapping.tiling.global_of[ctx.api.rank]
         self.global_volume = mapping.geometry.volume
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> Steps[complex]:
         site = site_inner(u, v)
         padded = np.zeros(self.global_volume, dtype=site.dtype)
         padded[self.global_sites] = site
-        summed = yield self.api.global_sum(padded)
+        ctx = self.ctx
+        api = ctx.api
+        yield api.compute(ctx.dot_flops, kernel="linalg", rate=ctx.dot_rate)
+        summed = yield api.global_sum(padded)
         return reduce_site_inner(summed)
 
 
-def rank_partial_dot(api: CommsAPI) -> GenDot:
-    """This rank's ``vdot`` partial through a one-word SCU global sum."""
+def rank_partial_dot(ctx: Any) -> GenDot:
+    """The rank's ``vdot`` partial through a one-word SCU global sum, its
+    vector algebra charged to the rank of ``ctx`` first."""
+    api = ctx.api
 
     def dot(u: np.ndarray, v: np.ndarray) -> Steps[complex]:
-        return (yield api.global_sum(np.array([np.vdot(u, v)])))[0]
+        partial = np.array([np.vdot(u, v)])
+        yield api.compute(ctx.dot_flops, kernel="linalg", rate=ctx.dot_rate)
+        return (yield api.global_sum(partial))[0]
 
     return dot
 
@@ -358,7 +370,7 @@ def cg_rank_program(
         rhs = yield from ctx.apply_dagger(rhs)  # normal equations: D^+ b
     hook = iteration_hook(api, checkpoint)
     result = yield from cg_iter(
-        ctx.normal, rank_partial_dot(api), rhs, tol, maxiter, hook, state
+        ctx.normal, rank_partial_dot(ctx), rhs, tol, maxiter, hook, state
     )
     return result
 

@@ -363,5 +363,5 @@ class DistributedWilsonContext(WilsonHops):
         np.subtract(out, hop, out=out)
         if self.clover_tensor is not None:
             np.add(out, self._clover_scratch, out=out)
-        yield self.api.compute(flops, kernel=kernel)
+        yield self.api.compute(flops, kernel=kernel, rate=self.rate)
         return out

@@ -90,6 +90,7 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
     v = g.volume
     r = ctx.r
     mem = api.memory
+    rate = ctx.kernel_rate(cost)
     halos = {}
     events = []
     for mu in ctx.comm_axes:
@@ -137,6 +138,7 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
         yield api.compute(
             v * cost.flops_per_site // g.ndim + cost.halo_flops(nface),
             kernel="fermion_force",
+            rate=rate,
         )
     return out
 
@@ -159,7 +161,7 @@ def hmc_heatbath_program(api, context, local_eta):
 def hmc_force_program(api, context, mapping, local_phi, solver, tol, maxiter):
     """Solve ``X = (D^+ D)^{-1} phi``, apply ``Y = D X``, form the force."""
     ctx = context(api)
-    dot = MachineSiteDot(api, mapping)
+    dot = MachineSiteDot(ctx, mapping)
     x, iters = yield from _machine_solve(
         api, ctx, dot, local_phi[api.rank], solver, tol, maxiter
     )
@@ -172,9 +174,10 @@ def hmc_force_program(api, context, mapping, local_phi, solver, tol, maxiter):
 
 def hmc_action_program(api, context, mapping, local_phi, solver, tol, maxiter):
     """``S_pf = phi^+ (D^+ D)^{-1} phi`` for the Metropolis Hamiltonian."""
-    dot = MachineSiteDot(api, mapping)
+    ctx = context(api)
+    dot = MachineSiteDot(ctx, mapping)
     x, iters = yield from _machine_solve(
-        api, context(api), dot, local_phi[api.rank], solver, tol, maxiter
+        api, ctx, dot, local_phi[api.rank], solver, tol, maxiter
     )
     s_pf = yield from dot(local_phi[api.rank], x)
     return s_pf, iters
@@ -182,9 +185,10 @@ def hmc_action_program(api, context, mapping, local_phi, solver, tol, maxiter):
 
 def hmc_multishift_program(api, context, mapping, local_b, shifts, tol, maxiter):
     """Multi-mass solve ``(D^+ D + sigma) x = b`` for an RHMC-style action."""
+    ctx = context(api)
     res = yield from multishift_iter(
-        context(api).normal,
-        MachineSiteDot(api, mapping),
+        ctx.normal,
+        MachineSiteDot(ctx, mapping),
         local_b[api.rank],
         shifts,
         tol,

@@ -231,7 +231,9 @@ class DistributedStaggeredContext(HaloPipeline):
         np.multiply(hop, 0.5, out=hop)
         combine(out, hop, out=out)
         yield self.api.compute(
-            self.cost.local_flops_per_site * self.volume, kernel="diag"
+            self.cost.local_flops_per_site * self.volume,
+            kernel="diag",
+            rate=self.rate,
         )
         return out
 

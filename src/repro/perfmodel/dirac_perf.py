@@ -8,7 +8,10 @@ A CG iteration on the normal equations costs, per lattice site,
 
 cycles, where ``F_op``/``W_op`` are the operator's exact flop and
 memory-word counts (:mod:`repro.fermions.flops`), ``C_linalg`` covers the
-three axpys and two inner products, ``C_gsum`` the two SCU global sums, and
+three axpys and two inner products, ``C_gsum`` the two SCU global sums,
+every bracket is one evaluation of the machine's compute-time rule
+(:meth:`repro.machine.memory.MemoryModel.compute_cycles` — the twin's
+``Node.compute`` charges the same rule, so the two cannot disagree), and
 
 * ``cpw`` — achieved processor cycles per 8-byte memory word streamed
   through the EDRAM path by the hand-tuned assembly, and
@@ -27,16 +30,17 @@ Refinements applied on top of the calibrated core:
 * **precision**: single precision halves every word count ("performance
   for single precision is slightly higher due to the decreased bandwidth
   to local memory");
-* **DDR spill**: when the working set exceeds the 4 MB EDRAM, the spilled
-  fraction of traffic pays the EDRAM/DDR bandwidth ratio
-  (:meth:`repro.machine.memory.MemoryModel.spill_fraction`) — the paper's
-  "fall to the range of 30% of peak";
+* **DDR spill**: when the working set
+  (:meth:`~repro.fermions.flops.OperatorCost.working_set_bytes`) exceeds
+  the 4 MB EDRAM, the spilled fraction of traffic pays the EDRAM/DDR
+  bandwidth ratio — part of the rule itself — the paper's "fall to the
+  range of 30% of peak";
 * **domain wall**: the gauge field is reused across the ``Ls`` fifth-
   dimension slices (streamed once per blocked pass), and the quarter of
   ``c0`` attributable to 4-dimensional address generation amortises over
-  ``Ls`` — the basis of the paper's expectation that the domain-wall
-  kernel "will surpass the performance of the clover improved Wilson
-  operator";
+  ``Ls`` (:meth:`~repro.fermions.flops.OperatorCost.site_mix`) — the
+  basis of the paper's expectation that the domain-wall kernel "will
+  surpass the performance of the clover improved Wilson operator";
 * **communication overlap** (``comms=`` on :meth:`DiracPerfModel.efficiency`
   / :meth:`DiracPerfModel.dirac_seconds`): the SCU runs all 24 DMA
   transfers concurrently with CPU arithmetic, so the overlapped pipeline
@@ -59,18 +63,15 @@ Refinements applied on top of the calibrated core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fermions.flops import WORD_BYTES, OperatorCost, operator_cost
+from repro.fermions.flops import operator_cost
 from repro.machine.asic import ASICConfig
-from repro.machine.memory import MemoryModel
+from repro.machine.memory import FPU_BOUND, Calibration, MemoryModel
 from repro.util.errors import ConfigError
-
-#: CG solver-vector count resident during a solve: x, r, p, Ap, b.
-CG_VECTORS = 5
 
 #: the paper's measured CG efficiencies used for calibration (section 4)
 CALIBRATION_TARGETS = {"wilson": 0.40, "clover": 0.465}
@@ -79,52 +80,15 @@ CALIBRATION_LOCAL_SHAPE = (4, 4, 4, 4)
 CALIBRATION_MACHINE_DIMS = (4, 4, 4, 2)  # 128 nodes as a 4D machine
 
 
-@dataclass(frozen=True)
-class Calibration:
-    """The two fitted constants (see module docstring)."""
-
-    cycles_per_word: float
-    overhead_cycles_per_site: float
-
-
-def _linalg_costs(cost: OperatorCost) -> Tuple[float, float]:
-    """CG linear-algebra (flops, words) per site per iteration.
-
-    Three axpys (2 flops per real component; read 2 vectors, write 1) and
-    two inner products (8 flops per complex pair; read 2 vectors).
-    """
-    # one 64-bit word holds one float64, i.e. one real component
-    w = cost.site_words
-    axpy_flops = 3 * (2 * w)
-    dot_flops = 2 * (8 * (w // 2))
-    flops = axpy_flops + dot_flops
-    words = 3 * (3 * w) + 2 * (2 * w)
-    return float(flops), float(words)
-
-
 class DiracPerfModel:
     """Calibrated single-node + collective performance model."""
 
-    def __init__(self, asic: Optional[ASICConfig] = None, calibration: Optional[Calibration] = None):
+    def __init__(self, asic: Optional[ASICConfig] = None):
         self.asic = asic if asic is not None else ASICConfig()
+        #: the machine's memory model: its ``compute_cycles`` is the rule
+        #: every cycle count below comes from, priced with the fitted pair
         self.memory = MemoryModel(self.asic)
-        self.calibration = calibration if calibration is not None else calibrate(self.asic)
-
-    # -- working set / residency ------------------------------------------------
-    def working_set_bytes(self, op: str, local_volume: int, Ls: int = 1) -> int:
-        """Solve-time resident bytes: gauge (+clover) field + CG vectors."""
-        cost = operator_cost(op)
-        field_words = cost.gauge_words_per_site + cost.local_words_per_site
-        vec_words = CG_VECTORS * cost.site_words * Ls
-        return local_volume * (field_words + vec_words) * WORD_BYTES
-
-    def _cpw_eff(self, op: str, local_volume: int, Ls: int) -> float:
-        """cycles/word including the DDR spill penalty."""
-        spill = self.memory.spill_fraction(
-            self.working_set_bytes(op, local_volume, Ls)
-        )
-        ratio = self.asic.edram_bandwidth / self.asic.ddr_bandwidth
-        return self.calibration.cycles_per_word * (1.0 - spill + spill * ratio)
+        self.calibration = calibrate(self.asic)
 
     # -- per-application costs ----------------------------------------------------
     def dirac_cycles_per_site(
@@ -139,20 +103,13 @@ class DiracPerfModel:
         if precision not in ("double", "single"):
             raise ConfigError(f"precision must be double/single, got {precision!r}")
         cost = operator_cost(op)
-        local_volume = int(np.prod(local_shape))
-        words = float(cost.words_per_site)
-        c0 = self.calibration.overhead_cycles_per_site
-        slices = cost.slices(Ls)
-        if slices > 1:
-            # gauge field streamed once per Ls slices; a quarter of the
-            # per-site overhead (4D address generation) amortises too.
-            words -= cost.gauge_words_per_site * (1.0 - 1.0 / slices)
-            c0 = c0 * (0.75 + 0.25 / slices)
+        flops, words, sites = cost.site_mix(Ls)
         if precision == "single":
             words /= 2.0
-        fpu = cost.flops_per_site / self.asic.flops_per_cycle
-        cpw = self._cpw_eff(op, local_volume, slices)
-        return fpu + words * cpw + c0
+        resident = cost.working_set_bytes(int(np.prod(local_shape)), Ls)
+        return self.memory.compute_cycles(
+            self.calibration, flops, words, sites, resident
+        )
 
     # -- communication -----------------------------------------------------------
     def halo_comm_seconds(
@@ -279,11 +236,13 @@ class DiracPerfModel:
             * self.asic.clock_hz
             / local_volume
         )
-        lin_flops, lin_words = _linalg_costs(cost)
+        lin_flops, lin_words = cost.cg_linalg()
         if precision == "single":
             lin_words /= 2.0
-        cpw = self._cpw_eff(op, int(np.prod(local_shape)), slices)
-        linalg = lin_flops / self.asic.flops_per_cycle + lin_words * cpw
+        resident = cost.working_set_bytes(int(np.prod(local_shape)), Ls)
+        linalg = self.memory.compute_cycles(
+            self.calibration, lin_flops, lin_words, 0.0, resident
+        )
         gsum_cycles = (
             2.0 * self.asic.global_sum_time(machine_dims) * self.asic.clock_hz
         ) / local_volume
@@ -296,7 +255,7 @@ class DiracPerfModel:
     # -- headline outputs ------------------------------------------------------
     def cg_flops_per_site(self, op: str) -> float:
         cost = operator_cost(op)
-        lin_flops, _ = _linalg_costs(cost)
+        lin_flops, _ = cost.cg_linalg()
         return (
             cost.dirac_applications_per_cg_iteration * cost.flops_per_site
             + lin_flops
@@ -364,10 +323,11 @@ class DiracPerfModel:
 
 # -- exact protocol predictions (telemetry crosscheck) ------------------------
 #
-# Unlike the calibrated timing model above, these two functions are *exact*
+# Unlike the calibrated timing model above, these functions are *exact*
 # counts of what the functional simulator's distributed operators do, each
 # one formula over the operator's cost sheet
-# (:mod:`repro.fermions.flops`).  ``repro.telemetry.report.MachineReport
+# (:mod:`repro.fermions.flops`) — and, for the seconds, the compute-time
+# rule over that sheet.  ``repro.telemetry.report.MachineReport
 # .crosscheck`` compares measured hardware-style counters against them, so
 # a drift in either the protocol implementation or the sheets fails the
 # telemetry test suite.
@@ -431,42 +391,96 @@ def dirac_flops_per_node(
     return float(cost.slices(Ls) * per_slice)
 
 
+def _seconds_per_flop(
+    asic: Optional[ASICConfig], cost, volume: int, Ls: int, *mix: float
+) -> float:
+    """The compute-time rule, at the calibrated pair, over ``mix`` =
+    ``(flops, words[, sites])`` on a tile of ``volume`` sites of ``cost``."""
+    asic = asic if asic is not None else ASICConfig()
+    return MemoryModel(asic).seconds_per_flop(
+        calibrate(asic), *mix, working_set_bytes=cost.working_set_bytes(volume, Ls)
+    )
+
+
+def dirac_compute_seconds_per_node(
+    op: str,
+    local_shape: Sequence[int],
+    machine_dims: Sequence[int],
+    Ls: int = 1,
+    asic: Optional[ASICConfig] = None,
+) -> float:
+    """Exact CPU seconds charged per node for **one** distributed ``D``
+    apply: every flop of :func:`dirac_flops_per_node` at the rate the
+    compute-time rule gives the sheet's mix on this tile (the model's
+    :meth:`DiracPerfModel.dirac_seconds` plus the staged halo matvecs)."""
+    cost, volume, _faces = _sheet_and_faces(op, local_shape, machine_dims)
+    rate = _seconds_per_flop(asic, cost, volume, Ls, *cost.site_mix(Ls))
+    return dirac_flops_per_node(op, local_shape, machine_dims, Ls) * rate
+
+
+def cg_dot_charge_per_node(
+    op: str,
+    local_shape: Sequence[int],
+    Ls: int = 1,
+    asic: Optional[ASICConfig] = None,
+) -> Tuple[float, float]:
+    """Exact ``(flops, CPU seconds)`` charged per node at **one**
+    machine-side CG inner product
+    (:meth:`~repro.fermions.flops.OperatorCost.cg_dot`): streamed vector
+    algebra, no per-site loop overhead."""
+    cost = operator_cost(op)
+    volume = int(np.prod(local_shape))
+    flops, words = cost.cg_dot()
+    charged = volume * cost.slices(Ls) * flops
+    return charged, charged * _seconds_per_flop(asic, cost, volume, Ls, flops, words)
+
+
 def calibrate(asic: Optional[ASICConfig] = None) -> Calibration:
     """Solve (cpw, c0) from the paper's Wilson and clover efficiencies.
 
     The CG cycle count is linear in both constants, so this is an exact
     2x2 linear solve — no fitting freedom beyond the two published
-    anchors.
+    anchors.  The coefficients are read off the compute-time rule itself
+    (:meth:`~repro.machine.memory.MemoryModel.compute_cycles`, evaluated
+    at unit constants), which is what makes it the derivation of the pair
+    that rule then prices every kernel with.
     """
-    asic = asic if asic is not None else ASICConfig()
+    return _calibrate(asic if asic is not None else ASICConfig())
 
-    def row(op: str) -> Tuple[float, float, float, float]:
+
+@lru_cache(maxsize=None)
+def _calibrate(asic: ASICConfig) -> Calibration:
+    memory = MemoryModel(asic)
+    volume = int(np.prod(CALIBRATION_LOCAL_SHAPE))
+
+    def cg_compute_cycles(op: str, fit: Calibration) -> float:
+        """Per site: the iteration's operator applications + its linalg."""
         cost = operator_cost(op)
-        lin_flops, lin_words = _linalg_costs(cost)
-        fixed = (
-            2.0 * cost.flops_per_site / asic.flops_per_cycle
-            + lin_flops / asic.flops_per_cycle
-        )
-        coeff_cpw = 2.0 * cost.words_per_site + lin_words
-        coeff_c0 = 2.0
-        total_flops = 2.0 * cost.flops_per_site + lin_flops
-        return fixed, coeff_cpw, coeff_c0, total_flops
+        resident = cost.working_set_bytes(volume)
+        lin_flops, lin_words = cost.cg_linalg()
+        return cost.dirac_applications_per_cg_iteration * memory.compute_cycles(
+            fit, *cost.site_mix(), resident
+        ) + memory.compute_cycles(fit, lin_flops, lin_words, 0.0, resident)
 
     # global-sum cycles per site on the calibration machine
     gsum = (
         2.0
         * asic.global_sum_time(CALIBRATION_MACHINE_DIMS)
         * asic.clock_hz
-        / int(np.prod(CALIBRATION_LOCAL_SHAPE))
+        / volume
     )
 
     a = np.zeros((2, 2))
     b = np.zeros(2)
     for i, (op, target) in enumerate(sorted(CALIBRATION_TARGETS.items())):
-        fixed, coeff_cpw, coeff_c0, flops = row(op)
-        target_cycles = flops / (asic.flops_per_cycle * target)
-        a[i] = [coeff_cpw, coeff_c0]
-        b[i] = target_cycles - fixed - gsum
+        fixed = cg_compute_cycles(op, FPU_BOUND)
+        a[i] = [
+            cg_compute_cycles(op, Calibration(1.0, 0.0)) - fixed,
+            cg_compute_cycles(op, Calibration(0.0, 1.0)) - fixed,
+        ]
+        # ``fixed`` cycles are the iteration at peak; the published
+        # fraction of peak stretches it
+        b[i] = fixed / target - fixed - gsum
     cpw, c0 = np.linalg.solve(a, b)
     if cpw <= 0 or c0 <= 0:
         raise ConfigError(

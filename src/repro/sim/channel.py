@@ -1,12 +1,16 @@
 """Shared-state primitives on top of the event kernel.
 
 :class:`Channel` — a FIFO message queue with optional capacity and per-item
-latency; used for the Ethernet tree and for test scaffolding.  The SCU mesh
-links do *not* use Channel: their flow control ("three in the air",
-idle-receive) is modelled explicitly in :mod:`repro.machine.scu`.
+latency.  The SCU mesh links do *not* use Channel: their flow control
+("three in the air", idle-receive) is modelled explicitly in
+:mod:`repro.machine.scu`.
 
-:class:`Resource` — an N-slot mutex with a FIFO wait queue; used for PLB bus
-and memory-port arbitration inside the ASIC model.
+:class:`Resource` — an N-slot mutex with a FIFO wait queue.
+
+Neither is wired into the machine: ``Channel`` has no caller under
+``src/`` and ``Resource`` only :class:`repro.machine.memory.MemorySystem`,
+which itself has none.  Both are exercised by their own unit and property
+tests only.
 """
 
 from __future__ import annotations

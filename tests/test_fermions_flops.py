@@ -73,6 +73,24 @@ class TestCostSheets:
             == asqtad.uncompressed_comm_bytes_per_face_site
         )
 
+    def test_what_the_compute_time_rule_reads(self):
+        """The sheet's mix, linear algebra and working set (moved here
+        from ``perfmodel.dirac_perf`` so the twin's CPU reads them too)."""
+        wilson, dwf = operator_cost("wilson"), operator_cost("dwf")
+        assert wilson.site_mix() == (1368.0, 384.0, 1.0)
+        # 5D: gauge streamed once per Ls slices, a quarter of the loop
+        # overhead amortised over them; a 4D sheet ignores Ls
+        assert dwf.site_mix(8) == (1416.0, 384 - 144 * 7 / 8, 0.75 + 0.25 / 8)
+        assert wilson.site_mix(8) == wilson.site_mix()
+        # three axpys + two dots on 24-word vectors; a dot carries half
+        assert wilson.cg_linalg() == (336.0, 312.0)
+        assert wilson.cg_dot() == (168.0, 156.0)
+        assert operator_cost("asqtad").cg_linalg() == (84.0, 78.0)
+        # gauge (+ clover) field and five solver vectors, 8 bytes a word
+        assert wilson.working_set_bytes(4**4) == 4**4 * (144 + 5 * 24) * 8
+        assert operator_cost("clover").working_set_bytes(1) == (144 + 72 + 120) * 8
+        assert dwf.working_set_bytes(1, Ls=8) == (144 + 8 * 120) * 8
+
     def test_costs_are_frozen(self):
         c = operator_cost("wilson")
         with pytest.raises(Exception):

@@ -440,6 +440,34 @@ class TestFlopChargeCoverage:
         result = lint_files(tmp_path, files, ["REPRO503"])
         assert result.clean
 
+    #: a machine-side inner product: the solver's vector algebra is
+    #: charged where the rank enters the global-sum tree
+    DOT = (
+        "import numpy as np\n\n"
+        "def rank_dot(ctx):\n"
+        "    api = ctx.api\n"
+        "    def dot(u, v):\n"
+        "        partial = np.array([np.vdot(u, v)])\n"
+        "{charge}"
+        "        return (yield api.global_sum(partial))[0]\n"
+        "    return dot\n"
+    )
+
+    def test_uncharged_machine_dot_fires(self, tmp_path):
+        files = {"repro/parallel/dots.py": self.DOT.format(charge="")}
+        result = lint_files(tmp_path, files, ["REPRO503"])
+        assert rules_fired(result) == ["REPRO503"]
+        assert "vdot" in result.findings[0].message
+
+    def test_charged_machine_dot_passes(self, tmp_path):
+        charge = (
+            "        yield api.compute(ctx.dot_flops, kernel='linalg', "
+            "rate=ctx.dot_rate)\n"
+        )
+        files = {"repro/parallel/dots.py": self.DOT.format(charge=charge)}
+        result = lint_files(tmp_path, files, ["REPRO503"])
+        assert result.clean
+
 
 # ---------------------------------------------------------------------------
 # REPRO504 snapshot-completeness

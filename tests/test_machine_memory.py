@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.asic import ASICConfig
-from repro.machine.memory import MemoryModel, MemorySystem
+from repro.machine.memory import FPU_BOUND, Calibration, MemoryModel, MemorySystem
 from repro.machine.node import Node, NodeMemory
 from repro.sim.core import Simulator
 from repro.util.errors import ConfigError, MachineError
@@ -141,14 +141,40 @@ class TestNodeCompute:
         assert node.sustained_flops == pytest.approx(1e9)
 
     def test_efficiency_scales_duration(self):
+        """The one compute-time rule: the same flops take longer once they
+        stream words, and longer again once the working set those words
+        live in has outgrown the 4 MB EDRAM."""
         sim = Simulator()
-        node = Node(sim, ASICConfig(), 0, compute_efficiency=0.4)
+        asic = ASICConfig()
+        node = Node(sim, asic, 0)
+        rule = node.memory.model
+        fit = Calibration(cycles_per_word=1.0, overhead_cycles_per_site=500.0)
+        flops, words = 1e6, 3e5
+        at_peak = rule.seconds_per_flop(FPU_BOUND, flops, words)
+        resident = rule.seconds_per_flop(fit, flops, words, working_set_bytes=int(1 * MB))
+        spilled = rule.seconds_per_flop(fit, flops, words, working_set_bytes=int(16 * MB))
+        assert at_peak == node.peak_rate == pytest.approx(1e-9)
+        assert at_peak < resident < spilled
+        # the charge is the rule's cycle count at the clock: the FPU's
+        # half cycle per flop plus the fitted cycles of every word, the
+        # spilled 3/4 of them at the EDRAM/DDR bandwidth ratio
+        slowdown = 0.25 + 0.75 * asic.edram_bandwidth / asic.ddr_bandwidth
+        cycles = flops / 2 + words * fit.cycles_per_word * slowdown
+        assert rule.compute_cycles(
+            fit, flops, words, working_set_bytes=int(16 * MB)
+        ) == pytest.approx(cycles, rel=1e-12)
+        # ... and every site of loop overhead its fitted cycles
+        assert rule.compute_cycles(fit, flops, words, 10.0) == (
+            flops / 2 + words * 1.0 + 10.0 * 500.0
+        )
 
         def prog(sim):
-            yield node.compute(1e6)
+            yield node.compute(flops, rate=spilled)
 
         sim.run(until=sim.process(prog(sim)))
-        assert sim.now == pytest.approx(2.5e-3)
+        assert sim.now == pytest.approx(cycles / asic.clock_hz, rel=1e-12)
+        assert node.compute_time == sim.now
+        assert node.flops_charged == flops
 
     def test_negative_flops_rejected(self):
         node = Node(Simulator(), ASICConfig(), 0)

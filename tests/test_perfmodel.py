@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.fermions.flops import operator_cost
 from repro.machine.asic import ASICConfig
+from repro.machine.memory import FPU_BOUND, MemoryModel
 from repro.perfmodel import (
     CLUSTER_2004,
     QCDSP,
@@ -48,6 +50,31 @@ class TestCalibration:
         assert model.efficiency("clover") == pytest.approx(0.465, abs=1e-6)
 
 
+    def test_the_rule_prices_with_the_calibrated_pair(self):
+        """``calibrate()`` is the derivation of the two constants the
+        machine's compute-time rule uses: solved from the rule itself, so
+        the model built on it lands on the anchors at any clock."""
+        for asic in (ASICConfig(), ASICConfig().at_clock(360 * MHZ)):
+            rule = MemoryModel(asic)
+            cal = calibrate(asic)
+            cost = operator_cost("wilson")
+            cycles = rule.compute_cycles(
+                cal, *cost.site_mix(), cost.working_set_bytes(4**4)
+            )
+            assert cycles == pytest.approx(
+                cost.flops_per_site / asic.flops_per_cycle
+                + cost.words_per_site * cal.cycles_per_word
+                + cal.overhead_cycles_per_site
+            )
+            model = DiracPerfModel(asic)
+            assert model.calibration == cal
+            assert model.dirac_cycles_per_site("wilson", (4,) * 4) == cycles
+            assert model.efficiency("wilson") == pytest.approx(0.40, abs=1e-6)
+            assert model.efficiency("clover") == pytest.approx(0.465, abs=1e-6)
+        # a kernel that streams no memory runs at the FPU's peak
+        assert MemoryModel(ASICConfig()).compute_cycles(FPU_BOUND, 1000.0) == 500.0
+
+
 class TestE1Efficiencies:
     def test_asqtad_prediction_near_paper(self, model):
         # Paper: 38%.  Prediction from the calibrated model: must land in
@@ -77,14 +104,14 @@ class TestE1Efficiencies:
 class TestE2LocalVolume:
     def test_6to4_still_fits_edram(self, model):
         # "a 6^4 local volume still fits in our 4 Megabytes"
-        assert model.working_set_bytes("wilson", 6**4) < 4e6
+        assert operator_cost("wilson").working_set_bytes(6**4) < 4e6
         assert model.efficiency("wilson", local_shape=(6, 6, 6, 6)) == pytest.approx(
             0.40, abs=0.01
         )
 
     def test_spill_drops_to_thirty_percent(self, model):
         # "For still larger volumes ... fall to the range of 30% of peak."
-        assert model.working_set_bytes("wilson", 8**4) > 4e6
+        assert operator_cost("wilson").working_set_bytes(8**4) > 4e6
         eff = model.efficiency("wilson", local_shape=(8, 8, 8, 8))
         assert 0.27 <= eff <= 0.33
 

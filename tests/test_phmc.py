@@ -186,23 +186,35 @@ class TestForceKernelInvariants:
     def test_force_flops_and_words_crosscheck(self):
         """REPRO503 coverage: one force evaluation charges exactly
         ``("wilson", 2*iters + 1)`` operator applies (CG on the normal
-        operator + the Y = D X apply) plus one ``"wilson-force"``
-        exchange — against the closed forms of ``dirac_perf``."""
+        operator + the Y = D X apply), the CG's ``2*iters + 2`` canonical
+        site dots (the vector algebra, and a global sum of the whole site
+        array each) plus one ``"wilson-force"`` exchange — flops, words
+        and seconds against the closed forms of ``dirac_perf``."""
         gauge, m, dist, phi = self.force_setup()
         dist.fermion_force(gauge, phi)
         iters = dist.cg_iterations[0]
         mapping = PhysicsMapping(gauge.geometry, dist.partition)
+        solve = dict(dots=2 * iters + 2)
         result = m.report().crosscheck_composite(
             [("wilson", 2 * iters + 1), ("wilson-force", 1)],
             mapping.local_shape,
             (2, 2, 1, 1),
+            **solve,
         )
         assert result.ok, f"crosscheck failed:\n{result}"
-        # the wrong composition must NOT pass
+        # the wrong composition must NOT pass, in kernels or in dots
         wrong = m.report().crosscheck_composite(
-            [("wilson", 2 * iters + 1)], mapping.local_shape, (2, 2, 1, 1)
+            [("wilson", 2 * iters + 1)], mapping.local_shape, (2, 2, 1, 1), **solve
         )
         assert not wrong.ok
+        uncharged = m.report().crosscheck_composite(
+            [("wilson", 2 * iters + 1), ("wilson-force", 1)],
+            mapping.local_shape,
+            (2, 2, 1, 1),
+        )
+        assert {e.metric for e in uncharged.failures()} >= {
+            "flops_charged", "compute_seconds", "global_sum_seconds"
+        }
 
     def test_force_emits_registered_trace(self):
         gauge = hot_gauge((4, 4, 2, 2))
@@ -306,7 +318,7 @@ def krylov_recorder(history):
 
 def krylov_rank_program(api, context, mapping, local_b, method):
     ctx = context(api)
-    dot = MachineSiteDot(api, mapping)
+    dot = MachineSiteDot(ctx, mapping)
     history = []
     result = yield from krylov_core(
         method, ctx.normal, ctx.apply_dagger, dot, local_b[api.rank],

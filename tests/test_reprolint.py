@@ -244,9 +244,10 @@ class TestAccountingRules:
         assert result.clean
 
     def test_untagged_compute_fires_in_parallel(self, tmp_path):
-        src = "def f(api, n):\n    yield api.compute(n)\n"
+        src = "def f(api, n, r):\n    yield api.compute(n)\n    yield api.compute(n, rate=r)\n"
         result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO302"])
         assert rules_fired(result) == ["REPRO302"]
+        assert len(result.findings) == 2  # a rate does not name the kernel
 
     def test_untagged_compute_allowed_outside_parallel(self, tmp_path):
         src = "def f(api, n):\n    yield api.compute(n)\n"
@@ -254,7 +255,7 @@ class TestAccountingRules:
         assert result.clean
 
     def test_tagged_compute_passes(self, tmp_path):
-        src = "def f(api, n):\n    yield api.compute(n, kernel='dslash')\n"
+        src = "def f(api, n, r):\n    yield api.compute(n, kernel='dslash', rate=r)\n"
         result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO302"])
         assert result.clean
 
@@ -598,6 +599,32 @@ def _timing_arithmetic(tree):
     return found
 
 
+#: where flops become cycles: ``(file, function)`` of the one rule
+COMPUTE_TIME_RULE = ("machine/memory.py", "compute_cycles")
+
+
+def _fpu_rate_divisions(tree):
+    """``(function, line, field)`` for every division whose divisor reads
+    ``peak_flops`` or ``flops_per_cycle``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            for sub in ast.walk(node.right):
+                if isinstance(sub, ast.Attribute) and sub.attr in (
+                    "peak_flops",
+                    "flops_per_cycle",
+                ):
+                    found.append((function, node.lineno, sub.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
 def test_timing_arithmetic_lives_on_the_sheet():
     """``machine/`` and ``sim/`` read times off ``ASICConfig`` (or get them
     from the wire, ``hssl.py``, whose occupancy and flight arithmetic is
@@ -626,12 +653,47 @@ def test_timing_arithmetic_lives_on_the_sheet():
             if rel in ("machine/asic.py", "machine/hssl.py"):
                 continue
             for function, line, field in _timing_arithmetic(ast.parse(path.read_text())):
-                # the one named exception: the partition-interrupt flood
+                # the named exceptions: the partition-interrupt flood
                 # period, a bound with a safety margin, not a time the
-                # machine takes
-                if (rel, function) != ("machine/interrupts.py", "safe_period"):
+                # machine takes; and the compute-time rule, which turns
+                # its own cycles into seconds
+                if (rel, function) not in (
+                    ("machine/interrupts.py", "safe_period"),
+                    ("machine/memory.py", "seconds_per_flop"),
+                ):
                     offenders.append(f"{rel}:{line} {function}: arithmetic on {field}")
     assert offenders == []
+
+    # one compute-time rule: flops become cycles in one place — nothing in
+    # machine/, comms/ or parallel/ divides by the FPU's rate on its own
+    sample = ast.parse(
+        "def f(asic, flops):\n"
+        "    a = flops / asic.peak_flops\n"
+        "    b = flops / (asic.peak_flops * 0.4)\n"
+        "    c = flops / asic.flops_per_cycle\n"
+        "    return asic.n_nodes * asic.peak_flops\n"
+    )
+    assert [field for _f, _l, field in _fpu_rate_divisions(sample)] == [
+        "peak_flops",
+        "peak_flops",
+        "flops_per_cycle",
+    ]
+    offenders = [
+        f"{package}/{path.name}:{line} {function}: divides by {field}"
+        for package in ("machine", "comms", "parallel")
+        for path in sorted((SRC / package).glob("*.py"))
+        for function, line, field in _fpu_rate_divisions(ast.parse(path.read_text()))
+        if (f"{package}/{path.name}", function) != COMPUTE_TIME_RULE
+    ]
+    assert offenders == []
+    # ... and the scan fires on a kernel that prices its own flops
+    seeded = ast.parse(
+        (SRC / "parallel" / "pdirac.py").read_text()
+        + "\ndef own_clock(asic, flops):\n    return flops / asic.peak_flops\n"
+    )
+    assert [(f, field) for f, _l, field in _fpu_rate_divisions(seeded)] == [
+        ("own_clock", "peak_flops")
+    ]
 
     # the analytic model asks the sheet for a global sum, hop latency included
     readers = [

@@ -91,7 +91,8 @@ def test_payload_survives_degradation(degraded):
 
 def test_crosscheck_flags_degraded_link(degraded):
     """The measured-vs-model crosscheck fails loudly — on the wire-rate
-    entry only — instead of absorbing retransmission traffic."""
+    entry, never on the useful work — instead of absorbing retransmission
+    traffic; the seconds the resends keep the ranks waiting show too."""
     m, mapping = degraded
     result = m.report().crosscheck("wilson", mapping.local_shape, MACHINE_DIMS)
     assert not result.ok
@@ -99,11 +100,16 @@ def test_crosscheck_flags_degraded_link(degraded):
     # useful-work entries stay exact under degradation
     assert by_metric["payload_words_sent"].ok
     assert by_metric["flops_charged"].ok
+    assert by_metric["compute_seconds"].ok
     # the wire-overhead prediction (1.0) is violated and reported
     flagged = by_metric["wire_overhead"]
     assert not flagged.ok
     assert flagged.measured > 1.0
-    assert result.failures() == [flagged]
+    # a clean run of this shape hides all its communication (the control
+    # below); go-back-N on a lossy wire does not
+    exposed = by_metric["exposed_comm_seconds"]
+    assert exposed.predicted == 0.0 < exposed.measured
+    assert [e for e in result.failures() if e is not exposed] == [flagged]
     assert "FAIL" in str(flagged)
 
 
@@ -124,5 +130,7 @@ def test_clean_machine_has_unit_overhead():
     m, mapping = faulty_dslash(ber=0.0)
     result = m.report().crosscheck("wilson", mapping.local_shape, MACHINE_DIMS)
     assert result.ok, str(result)
+    exposed = {e.metric: e for e in result.entries}["exposed_comm_seconds"]
+    assert exposed.rel_error < 1e-9
     assert m.report().wire_overhead == 1.0
     assert m.network.total_faults_injected() == 0

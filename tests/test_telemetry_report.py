@@ -32,8 +32,14 @@ from repro.fermions.flops import (
 )
 from repro.parallel import PhysicsMapping
 from repro.parallel.pcg import solve_on_machine
-from repro.perfmodel.dirac_perf import dirac_flops_per_node, halo_payload_words
+from repro.perfmodel.dirac_perf import (
+    DiracPerfModel,
+    dirac_compute_seconds_per_node,
+    dirac_flops_per_node,
+    halo_payload_words,
+)
 from repro.telemetry import MachineReport, validate_trace
+from repro.telemetry.report import EXACT_REL_TOL
 from repro.telemetry.chrometrace import export_chrome_trace
 from repro.util.errors import ConfigError
 from tests.harness import applied, booted, system
@@ -203,6 +209,112 @@ def test_unknown_operator_rejected():
         4**4 * operator_cost("naive-staggered").flops_per_site
         + nface * MATVEC_SU3
     )
+
+
+# ---------------------------------------------------------------------------
+# one compute-time rule: the twin's CPU clock reads the model's cost sheet
+# ---------------------------------------------------------------------------
+
+DIMS_16 = (2, 2, 2, 2, 1, 1)
+
+
+def kernel_fraction(machine):
+    """The paper's figure for the kernel alone: charged flops over FPU
+    peak times the seconds the CPUs spent on them."""
+    rep = machine.report()
+    return rep.total_flops / (machine.asic.peak_flops * rep.total_compute_seconds)
+
+
+def model_kernel_fraction(op, local_shape, Ls=1):
+    model = DiracPerfModel()
+    cycles = model.dirac_cycles_per_site(op, local_shape, Ls=Ls)
+    return operator_cost(op).flops_per_site / (model.asic.flops_per_cycle * cycles)
+
+
+def test_twin_reads_the_papers_kernel_efficiency():
+    """A 16-node, 4^4-per-node Wilson chain sustains the model's
+    kernel-only fraction of peak on the twin — 41.0%, the 40% CG figure
+    less its linear algebra and global sums — by construction."""
+    m, part = booted(DIMS_16, word_batch="face")
+    gauge, psi = system((29, "twin-4"), (8, 8, 8, 8))
+    applied(m, part, "wilson", gauge, psi, applies=2, mass=0.3)
+    expected = model_kernel_fraction("wilson", (4, 4, 4, 4))
+    assert expected == pytest.approx(0.410, abs=5e-4)
+    assert kernel_fraction(m) == pytest.approx(expected, rel=1e-12)
+
+
+def test_twin_falls_to_thirty_percent_when_the_tile_leaves_edram():
+    """E2 seen on the twin: an 8^4-per-node tile (8.65 MB against 4 MB of
+    EDRAM) streams half its words from DDR and falls to the model's
+    spilled 32.2% (two nodes: the residency is the tile's, not the
+    machine's)."""
+    m, part = booted(DIMS_1D, word_batch="face")
+    gauge, psi = system((29, "twin-8"), (16, 8, 8, 8))
+    applied(m, part, "wilson", gauge, psi, applies=1, mass=0.3)
+    cost = operator_cost("wilson")
+    assert m.asic.edram_bytes < cost.working_set_bytes(8**4) < 3 * m.asic.edram_bytes
+    expected = model_kernel_fraction("wilson", (8, 8, 8, 8))
+    assert expected == pytest.approx(0.322, abs=5e-4)
+    assert kernel_fraction(m) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op, params, Ls",
+    [
+        ("wilson", {"mass": 0.3}, None),
+        ("dwf", {"M5": 1.8, "mf": 0.1}, 4),
+        ("asqtad", {"mass": 0.1}, None),
+    ],
+)
+def test_crosscheck_seconds_at_the_hot_shape(op, params, Ls):
+    """``dslash-hot``'s shape (8^4 on 16 nodes, one frame per face): every
+    second of the run is accounted for — the CPU seconds equal the rule
+    over the sheet, there is no global sum, and the communication the
+    model says the boundary arithmetic hides is hidden."""
+    m, part = booted(DIMS_16, word_batch="face")
+    gauge, src = system((31, f"hot-{op}"), (8, 8, 8, 8), op, Ls=Ls)
+    if Ls is not None:
+        params = dict(params, Ls=Ls)
+    applied(m, part, op, gauge, src, applies=2, **params)
+    result = m.report().crosscheck(
+        op, (4, 4, 4, 4), (2, 2, 2, 2), n_applications=2, Ls=Ls or 1
+    )
+    assert result.ok, f"crosscheck failed:\n{result}"
+    entries = {e.metric: e for e in result.entries}
+    assert entries["compute_seconds"].measured > 0.0
+    assert entries["compute_seconds"].rel_error <= EXACT_REL_TOL
+    assert entries["compute_seconds"].residual == ""
+    assert entries["global_sum_seconds"].measured == 0.0
+    assert entries["exposed_comm_seconds"].residual != ""
+    assert entries["exposed_comm_seconds"].rel_error <= 1e-9
+    # one application's phases — staging, interior, each halo, merge, the
+    # site-local term — sum to the closed form: flops at the sheet's rate
+    per_rank = entries["compute_seconds"].predicted / m.n_nodes / 2
+    assert per_rank == pytest.approx(
+        dirac_compute_seconds_per_node(op, (4, 4, 4, 4), (2, 2, 2, 2), Ls=Ls or 1)
+    )
+
+
+def test_crosscheck_seconds_of_a_solve(cg_machine):
+    """A CG solve: with the dots' share of the vector algebra charged, the
+    CPU and global-sum seconds are closed forms too."""
+    m, result = cg_machine
+    solve = dict(
+        n_applications=2 * result.iterations + 1, dots=2 * result.iterations + 2
+    )
+    check = m.report().crosscheck("wilson", (2, 2, 2, 2), MACHINE_DIMS, **solve)
+    assert check.ok, f"crosscheck failed:\n{check}"
+    entries = {e.metric: e for e in check.entries}
+    assert entries["global_sum_seconds"].measured > 0.0
+    for metric in ("flops_charged", "compute_seconds", "global_sum_seconds"):
+        assert entries[metric].rel_error <= EXACT_REL_TOL
+    # the dots are part of the count: leave them out and three entries say so
+    without = m.report().crosscheck(
+        "wilson", (2, 2, 2, 2), MACHINE_DIMS, n_applications=solve["n_applications"]
+    )
+    assert {e.metric for e in without.failures()} == {
+        "flops_charged", "compute_seconds", "global_sum_seconds"
+    }
 
 
 # ---------------------------------------------------------------------------
