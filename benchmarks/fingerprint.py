@@ -25,12 +25,28 @@ and ``1`` (the interpreted word protocol) × ``shards`` 1 and 2, three
 chained applications each; then one CGNE solve per operator (solution,
 residual history and iteration count in the results digest,
 ``machine_time`` in the timeline's).
+
+Then the serial operators the machine runs are checked against, with no
+machine and so no timeline (the second column is dashes): Wilson, clover,
+DWF (``Ls = 4``) and ASQTAD × ``apply`` and ``apply_dagger`` × a random
+and a point source whose empty sites carry zeros of both signs, and one
+``EvenOddWilson.solve``.  These pin the serial kernels' bytes directly
+rather than through the distributed runs that are compared with them.
 """
 
 import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
+
+from repro.fermions import (
+    AsqtadDirac,
+    CloverDirac,
+    DomainWallDirac,
+    EvenOddWilson,
+    WilsonDirac,
+)
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
@@ -83,13 +99,18 @@ OPERATORS = {
 }
 
 
+def gaussian(rng, shape):
+    """A complex Gaussian field, the real part drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def problem(op, decomp, start):
     site, lead, lattices, _, _ = OPERATORS[op]
     rng = rng_stream(15, f"fingerprint-{op}-{decomp}")
     geom = LatticeGeometry(lattices[decomp])
     gauge = getattr(GaugeField, start)(geom, rng)
     shape = lead + (geom.volume,) + site
-    return gauge, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return gauge, gaussian(rng, shape)
 
 
 def booted(decomp, **machine_kwargs):
@@ -155,6 +176,42 @@ def solve_case(op):
     )
 
 
+SERIAL_SHAPE = (4, 4, 4, 4)
+SERIAL_LS = 4
+NO_TIMELINE = "-" * 64
+
+#: serial operator -> (field shape before the volume, after it, constructor)
+SERIAL = {
+    "wilson": ((), (4, 3), lambda gauge: WilsonDirac(gauge, mass=0.3)),
+    "clover": ((), (4, 3), lambda gauge: CloverDirac(gauge, mass=0.3)),
+    "dwf": ((SERIAL_LS,), (4, 3), lambda gauge: DomainWallDirac(gauge, Ls=SERIAL_LS)),
+    "asqtad": ((), (3,), lambda gauge: AsqtadDirac(gauge, mass=0.2)),
+}
+
+
+def serial_cases():
+    geom = LatticeGeometry(SERIAL_SHAPE)
+    for op, (lead, site, build) in SERIAL.items():
+        rng = rng_stream(15, f"fingerprint-serial-{op}")
+        dirac = build(GaugeField.hot(geom, rng))
+        shape = lead + (geom.volume,) + site
+        random = gaussian(rng, shape)
+        # one nonzero site; the empty ones carry zeros of both signs
+        point = np.zeros(shape, dtype=np.complex128)
+        point.reshape(-1)[1::2] = -0.0
+        site = (0,) * len(lead) + (7,)
+        point[site] = random[site]
+        for source, src in (("random", random), ("point", point)):
+            for method in ("apply", "apply_dagger"):
+                out = getattr(dirac, method)(src)
+                yield _sha256(out.tobytes()), f"serial/{op}/{method}/{source}"
+    rng = rng_stream(15, "fingerprint-serial-evenodd")
+    gauge = GaugeField.weak(geom, rng, eps=0.3)
+    b = gaussian(rng, (geom.volume, 4, 3))
+    res = EvenOddWilson(WilsonDirac(gauge, mass=0.3)).solve(b, tol=1e-8)
+    yield _sha256(res.x.tobytes(), res.residuals, res.iterations), "serial/evenodd/solve"
+
+
 def main():
     for op, decomp, word_batch, shards in itertools.product(
         OPERATORS, DIMS, ("face", 1), (1, 2)
@@ -163,6 +220,8 @@ def main():
         print(f"{apply_case(op, decomp, word_batch, shards)}  {name}", flush=True)
     for op in OPERATORS:
         print(f"{solve_case(op)}  solve/{op}/2d", flush=True)
+    for results, name in serial_cases():
+        print(f"{results}  {NO_TIMELINE}  {name}", flush=True)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fermions.gamma import gamma5_sandwich, sigma_munu
+from repro.fermions.gamma import sigma_munu
 from repro.fermions.wilson import WilsonDirac
 from repro.lattice.gauge import GaugeField
 
@@ -55,9 +55,6 @@ class CloverDirac(WilsonDirac):
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """``(D_wilson + clover) psi``."""
         return super().apply(psi) + self.clover_term(psi)
-
-    def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
-        return gamma5_sandwich(self.apply(gamma5_sandwich(psi)))
 
     def clover_is_hermitian(self, tol: float = 1e-12) -> bool:
         """The packed clover matrix must be hermitian in (spin x colour)."""

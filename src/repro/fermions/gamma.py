@@ -102,6 +102,33 @@ assert np.all(_PARTNER[:, :2] >= 2) and np.all(_PARTNER[:, 2:] < 2)
 assert np.allclose(np.abs(_COEFF), 1.0)
 
 
+def _rows(pair) -> slice:
+    """Two partner rows as a (possibly descending) slice: a strided view
+    where fancy indexing would copy."""
+    first, second = (int(row) for row in pair)
+    step = second - first
+    stop = second + step
+    return slice(first, stop if stop >= 0 else None, step)
+
+
+#: ``HALF_SPINOR[mu, sign]`` — everything the hopping kernels need of
+#: ``1 - sign * gamma_mu``: the partner rows of the upper pair and the
+#: coefficients :func:`spin_project` scales them by, then the partner rows
+#: of the lower pair and :func:`spin_reconstruct`'s coefficients.  The
+#: coefficient expressions are written here once; a zero in them carries
+#: a sign that reaches the result's bytes.
+HALF_SPINOR = {
+    (mu, sign): (
+        _rows(_PARTNER[mu, :2]),
+        sign * _COEFF[mu, :2],
+        _rows(_PARTNER[mu, 2:]),
+        -(sign * _COEFF[mu, 2:]),
+    )
+    for mu in range(4)
+    for sign in (+1, -1)
+}
+
+
 def spin_project(
     mu: int, sign: int, psi: np.ndarray, out: "np.ndarray | None" = None
 ) -> np.ndarray:
@@ -115,12 +142,14 @@ def spin_project(
     half the naive payload.  Forward hopping uses ``sign=+1``
     (``1 - gamma_mu``), backward ``sign=-1`` (``1 + gamma_mu``).
 
-    Implemented with the import-time ``_PARTNER``/``_COEFF`` tables as a
-    pure gather + scale — no dense 4x4 einsum in the hot loop.
+    Implemented with the import-time :data:`HALF_SPINOR` table as a
+    strided row view + scale — no dense 4x4 einsum and no partner copy
+    in the hot loop.
     """
+    rows, coeff, _, _ = HALF_SPINOR[mu, sign]
     upper = psi[..., :2, :]
-    partner = psi[..., _PARTNER[mu, :2], :]
-    coeff = (sign * _COEFF[mu, :2])[:, None]
+    partner = psi[..., rows, :]
+    coeff = coeff[:, None]
     if out is None:
         return upper - coeff * partner
     np.multiply(partner, coeff, out=out)
@@ -144,16 +173,25 @@ def spin_reconstruct(
     """
     if out is None:
         out = np.empty(half.shape[:-2] + (4, 3), dtype=half.dtype)
+    _, _, rows, coeff = HALF_SPINOR[mu, sign]
     out[..., :2, :] = half
-    coeff = (-(sign * _COEFF[mu, 2:]))[:, None]
-    np.multiply(half[..., _PARTNER[mu, 2:], :], coeff, out=out[..., 2:, :])
+    np.multiply(half[..., rows, :], coeff[:, None], out=out[..., 2:, :])
     return out
 
 
 def gamma5_sandwich(psi: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """``gamma_5 psi`` for fields ``(..., 4, 3)``.
 
-    ``out`` (which must not alias ``psi``) makes the call allocation-free
-    for the zero-copy hot-path ``D^+`` — identical einsum arithmetic.
+    ``gamma_5`` is ``diag(+1, +1, -1, -1)`` in this basis, so the upper
+    rows are copied and the lower negated — as ``x + 0`` and ``0 - x``,
+    which leave every zero ``+0`` exactly as the dense 4x4 product
+    ``apply_spin_matrix(GAMMA5, psi)`` does (a plain ``np.negative``
+    would hand back ``-0``: equal values, different bytes).  ``out``
+    (which must not alias ``psi``) makes the call allocation-free for the
+    zero-copy hot-path ``D^+``.
     """
-    return apply_spin_matrix(GAMMA5, psi, out=out)
+    if out is None:
+        out = np.empty(psi.shape, dtype=np.complex128)
+    np.add(psi[..., :2, :], 0.0, out=out[..., :2, :])
+    np.subtract(0.0, psi[..., 2:, :], out=out[..., 2:, :])
+    return out

@@ -20,10 +20,11 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.lattice.gauge import GaugeField, cmatvec
+from repro.lattice.gauge import GaugeField, cmatvec_site_fastest, site_fastest_pair
 from repro.lattice.geometry import LatticeGeometry
 from repro.lattice.su3 import dagger
 from repro.util.errors import ConfigError
+from repro.util.hotpath import hot_path
 
 #: Tree-level ASQTAD path coefficients.  Keys: path family -> coefficient
 #: applied to *each* path in the family.
@@ -142,6 +143,14 @@ def long_links(gauge: GaugeField) -> np.ndarray:
     return out
 
 
+def _site_slowest_view(u: np.ndarray) -> np.ndarray:
+    """``(ndim, 3, 3, V)`` links seen as ``(ndim, V, 3, 3)``, read-only (a
+    write would leave the ``U^dagger`` beside them stale)."""
+    view = u.transpose(0, 3, 1, 2)
+    view.setflags(write=False)
+    return view
+
+
 class NaiveStaggeredDirac:
     """One-link (Kogut-Susskind) staggered operator on ``(V, 3)`` fields.
 
@@ -159,21 +168,70 @@ class NaiveStaggeredDirac:
         self.geometry = gauge.geometry
         self.mass = float(mass)
         self.phases = staggered_phases(self.geometry)
+        # the hopping kernel's scratch, site index fastest (DESIGN.md §12):
+        # transposed input, accumulator, one direction's term, gather, product
+        self._src, self._acc, self._term, self._gathered, self._prod = np.empty(
+            (5, 3, self.geometry.volume), dtype=np.complex128
+        )
 
     def _check(self, chi: np.ndarray) -> None:
         expected = (self.geometry.volume,) + self.spin_dof
         if chi.shape != expected:
             raise ConfigError(f"field shape {chi.shape}, expected {expected}")
+        if chi.dtype != np.complex128:
+            # a complex64 field would otherwise be accumulated in double
+            # by the kernel scratch and handed back in single
+            raise ConfigError(f"field dtype {chi.dtype}, expected complex128")
+
+    def _one_link(self):
+        """``(U, U^dagger)`` of the one-link term, each ``(ndim, 3, 3, V)``."""
+        return self.gauge.resident_pair
 
     def hopping(self, chi: np.ndarray) -> np.ndarray:
-        """``sum_mu eta_mu (U chi_fwd - U^+ chi_bwd)`` (caller adds the 1/2)."""
+        """``sum_mu eta_mu (U chi_fwd - U^+ chi_bwd)`` (caller adds the
+        1/2); a fresh array the caller owns."""
         self._check(chi)
-        g = self.gauge
-        out = np.zeros_like(chi)
-        for mu in range(self.geometry.ndim):
-            term = g.transport_fwd(mu, chi) - g.transport_bwd(mu, chi)
-            out += self.phases[mu][:, None] * term
+        out = np.empty_like(chi)  # caller-owned: never the kernel's scratch
+        self._hop(chi, out)
         return out
+
+    @hot_path
+    def _hop(self, chi: np.ndarray, out: np.ndarray) -> None:
+        """The hopping sum of ``chi`` into ``out``, both ``(V, 3)``; every
+        array in between has the site index fastest."""
+        acc, term = self._acc, self._term
+        np.copyto(self._src, chi.T)
+        acc.fill(0)
+        for mu in range(self.geometry.ndim):
+            self._direction(mu)
+            np.multiply(self.phases[mu], term, out=term)
+            acc += term
+        np.copyto(out.T, acc)
+
+    @hot_path
+    def _direction(self, mu: int) -> None:
+        """Direction ``mu``'s transported difference into ``_term``,
+        before its phase."""
+        links = self._one_link()
+        self._transport(links, mu, +1, self._term)
+        self._transport(links, mu, -1, self._prod)
+        self._term -= self._prod
+
+    @hot_path
+    def _transport(self, links, mu: int, steps: int, out: np.ndarray) -> None:
+        """``U chi(x + steps mu)`` forward; backward ``U^+ chi`` multiplied
+        where the link lives and the product gathered, so no shifted copy
+        of the links exists."""
+        src, gathered = self._src, self._gathered
+        table = self.geometry.hop(mu, steps)
+        # mode="clip": the memoised tables are in range by construction,
+        # and numpy buffers ``out`` under the default "raise"
+        if steps > 0:
+            np.take(src, table, axis=-1, out=gathered, mode="clip")
+            cmatvec_site_fastest(links[0][mu], gathered, out=out)
+        else:
+            cmatvec_site_fastest(links[1][mu], src, out=gathered)
+            np.take(gathered, table, axis=-1, out=out, mode="clip")
 
     def apply(self, chi: np.ndarray) -> np.ndarray:
         return self.mass * chi + 0.5 * self.hopping(chi)
@@ -207,23 +265,27 @@ class AsqtadDirac(NaiveStaggeredDirac):
     ):
         super().__init__(gauge, mass)
         self.coeffs = dict(coeffs)
-        self.fat = fat_links(gauge, self.coeffs)
-        self.long = long_links(gauge)
+        # smeared once, held once: in the kernel's layout, with ``fat`` and
+        # ``long`` the ``(ndim, V, 3, 3)`` read-only views of it
+        self._fat = site_fastest_pair(fat_links(gauge, self.coeffs))
+        self._long = site_fastest_pair(long_links(gauge))
+        self.fat = _site_slowest_view(self._fat[0])
+        self.long = _site_slowest_view(self._long[0])
 
-    def hopping(self, chi: np.ndarray) -> np.ndarray:
-        self._check(chi)
-        g = self.geometry
+    def _one_link(self):
+        return self._fat
+
+    @hot_path
+    def _direction(self, mu: int) -> None:
+        super()._direction(mu)
+        term, prod = self._term, self._prod
         c_naik = self.coeffs["naik"]
-        out = np.zeros_like(chi)
-        for mu in range(g.ndim):
-            f1, b1 = g.hop(mu, +1), g.hop(mu, -1)
-            f3, b3 = g.hop(mu, +3), g.hop(mu, -3)
-            term = cmatvec(self.fat[mu], chi[f1])
-            term -= cmatvec(dagger(self.fat[mu][b1]), chi[b1])
-            term += c_naik * cmatvec(self.long[mu], chi[f3])
-            term -= c_naik * cmatvec(dagger(self.long[mu][b3]), chi[b3])
-            out += self.phases[mu][:, None] * term
-        return out
+        self._transport(self._long, mu, +3, prod)
+        np.multiply(c_naik, prod, out=prod)
+        term += prod
+        self._transport(self._long, mu, -3, prod)
+        np.multiply(c_naik, prod, out=prod)
+        term -= prod
 
     def __repr__(self) -> str:
         return f"AsqtadDirac(shape={self.geometry.shape}, m={self.mass})"

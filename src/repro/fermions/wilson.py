@@ -15,14 +15,13 @@ import numpy as np
 
 from repro.fermions.gamma import (
     GAMMA,
+    HALF_SPINOR,
     apply_spin_matrix,
     gamma5_sandwich,
-    spin_project,
-    spin_reconstruct,
 )
-from repro.lattice.gauge import GaugeField, cmatvec
-from repro.lattice.su3 import dagger
+from repro.lattice.gauge import GaugeField, cmatvec_site_fastest
 from repro.util.errors import ConfigError
+from repro.util.hotpath import hot_path
 
 
 class WilsonDirac:
@@ -46,22 +45,16 @@ class WilsonDirac:
         self.geometry = gauge.geometry
         self.mass = float(mass)
         self.r = float(r)
-        # Preallocated hopping-term workspaces (lazily built on first use):
-        # the projected half spinor, the SU(3) x half-spinor product, and
-        # the reconstructed full spinor.  The hand-tuned assembly the paper
-        # describes runs allocation-free; reusing these buffers is the
-        # numpy equivalent.
-        self._half: "np.ndarray | None" = None
-        self._prod: "np.ndarray | None" = None
-        self._rec: "np.ndarray | None" = None
-
-    def _workspaces(self):
-        if self._half is None:
-            v = self.geometry.volume
-            self._half = np.empty((v, 2, 3), dtype=np.complex128)
-            self._prod = np.empty((v, 2, 3), dtype=np.complex128)
-            self._rec = np.empty((v, 4, 3), dtype=np.complex128)
-        return self._half, self._prod, self._rec
+        # The r == 1 kernel's scratch, site index fastest (DESIGN.md §12):
+        # the transposed input and accumulator, then the projected half
+        # spinor, its gather, the SU(3) product and the scaled lower rows.
+        # The hand-tuned assembly the paper describes streams each operand
+        # once over a long site loop and allocates nothing; one inner loop
+        # of V sites per numpy call over buffers made once is the numpy
+        # equivalent.
+        v = self.geometry.volume
+        self._full = np.empty((2, 4, 3, v), dtype=np.complex128)
+        self._half = np.empty((4, 2, 3, v), dtype=np.complex128)
 
     @property
     def diag(self) -> float:
@@ -72,6 +65,10 @@ class WilsonDirac:
         expected = (self.geometry.volume,) + self.spin_dof
         if psi.shape != expected:
             raise ConfigError(f"field shape {psi.shape}, expected {expected}")
+        if psi.dtype != np.complex128:
+            # a complex64 field would otherwise be accumulated in double
+            # by the kernel scratch and handed back in single
+            raise ConfigError(f"field dtype {psi.dtype}, expected complex128")
 
     def hopping(self, psi: np.ndarray) -> np.ndarray:
         """The nearest-neighbour ("dslash") part, without the diagonal.
@@ -79,13 +76,14 @@ class WilsonDirac:
         Returns ``sum_mu [(r - gamma_mu) U psi_fwd + (r + gamma_mu) U^+ psi_bwd]``
         (the caller supplies the -1/2).  This is the routine the paper's
         hand-tuned assembly implements and the SCU halo exchange feeds.
+        The result is a fresh array the caller owns.
         """
         self._check(psi)
-        g = self.gauge
-        out = np.zeros_like(psi)
         if self.r != 1.0:
             # General-r fallback: the projector (r -+ gamma_mu) has full
             # rank, so no half-spinor shortcut exists.  Seed formulation.
+            g = self.gauge
+            out = np.zeros_like(psi)
             for mu in range(self.geometry.ndim):
                 fwd = g.transport_fwd(mu, psi)
                 bwd = g.transport_bwd(mu, psi)
@@ -94,30 +92,53 @@ class WilsonDirac:
                 out += self.r * (fwd + bwd)
                 out -= apply_spin_matrix(GAMMA[mu], fwd - bwd)
             return out
-        # r == 1 (the production choice): (1 -+ gamma_mu) is rank 2, so
-        # project to a half spinor *before* the SU(3) multiply — half the
-        # colour arithmetic of the naive path and exactly the compressed
-        # form QCDOC's SCU puts on the wire (paper section 2.2).  The
-        # statement sequence below is shared verbatim with the distributed
-        # operators in repro.parallel, which keeps serial and distributed
-        # results bitwise identical.
-        geom = self.geometry
-        half, prod, rec = self._workspaces()
-        for mu in range(geom.ndim):
-            # forward hop: U_mu(x) (1 - gamma_mu) psi(x + mu)
-            gathered = psi[geom.neighbour_fwd(mu)]
-            cmatvec(g.links[mu], spin_project(mu, +1, gathered, out=half), out=prod)
-            out += spin_reconstruct(mu, +1, prod, out=rec)
-            # backward hop: U_mu(x - mu)^+ (1 + gamma_mu) psi(x - mu)
-            bwd_idx = geom.neighbour_bwd(mu)
-            gathered = psi[bwd_idx]
-            cmatvec(
-                dagger(g.links[mu][bwd_idx]),
-                spin_project(mu, -1, gathered, out=half),
-                out=prod,
-            )
-            out += spin_reconstruct(mu, -1, prod, out=rec)
+        out = np.empty_like(psi)  # caller-owned: never the kernel's scratch
+        self._hop_half_spinors(psi, out)
         return out
+
+    @hot_path
+    def _hop_half_spinors(self, psi: np.ndarray, out: np.ndarray) -> None:
+        """The ``r == 1`` hopping sum of ``psi`` into ``out``, both ``(V, 4, 3)``.
+
+        ``(1 -+ gamma_mu)`` is rank 2, so project to a half spinor *before*
+        the SU(3) multiply — half the colour arithmetic of the naive path
+        and exactly the compressed form QCDOC's SCU puts on the wire
+        (paper section 2.2).  Every array here has the site index fastest.
+        Element for element these are the operations of the distributed
+        operators in repro.parallel, in the same ``mu``-ascending,
+        forward-then-backward order, which keeps serial and distributed
+        results bitwise identical.
+        """
+        geom = self.geometry
+        u, u_dagger = self.gauge.resident_pair
+        src, acc = self._full
+        half, gathered, prod, lower = self._half
+        np.copyto(src, psi.transpose(1, 2, 0))
+        acc.fill(0)
+        # mode="clip": the memoised tables are in range by construction,
+        # and numpy buffers ``out`` under the default "raise"
+        for mu in range(geom.ndim):
+            for sign in (+1, -1):
+                rows, coeff, low_rows, low_coeff = HALF_SPINOR[mu, sign]
+                np.multiply(src[rows], coeff[:, None, None], out=half)
+                np.subtract(src[:2], half, out=half)
+                if sign > 0:
+                    # forward hop: U_mu(x) (1 - gamma_mu) psi(x + mu)
+                    table = geom.neighbour_fwd(mu)
+                    np.take(half, table, axis=-1, out=gathered, mode="clip")
+                    hop = cmatvec_site_fastest(u[mu], gathered, out=prod)
+                else:
+                    # backward hop: U_mu(x - mu)^+ (1 + gamma_mu) psi(x - mu),
+                    # multiplied where the link lives (the sender-side
+                    # staging of the distributed pipeline) and the product
+                    # gathered: no shifted copy of the links exists
+                    table = geom.neighbour_bwd(mu)
+                    cmatvec_site_fastest(u_dagger[mu], half, out=prod)
+                    hop = np.take(prod, table, axis=-1, out=gathered, mode="clip")
+                acc[:2] += hop
+                np.multiply(hop[low_rows], low_coeff[:, None, None], out=lower)
+                acc[2:] += lower
+        np.copyto(out.transpose(1, 2, 0), acc)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """``D psi``."""
@@ -125,6 +146,7 @@ class WilsonDirac:
 
     def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
         """``D^+ psi = gamma_5 D gamma_5 psi``."""
+        self._check(psi)
         return gamma5_sandwich(self.apply(gamma5_sandwich(psi)))
 
     def normal(self, psi: np.ndarray) -> np.ndarray:

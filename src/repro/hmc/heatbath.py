@@ -154,7 +154,7 @@ class Heatbath:
             rot = _embed_su2(g2, sub)
             u = rot @ u
             w = rot @ w
-        g.links[mu][sites] = u
+        g.set_links(mu, sites, u)
 
     def sweep(self, overrelax: bool = False) -> float:
         """One full sweep (both parities, all directions); returns the

@@ -156,7 +156,7 @@ class TwoFlavorWilsonHMC(HMC):
         def perturbed(sign: float) -> float:
             g2 = gauge.copy()
             rot = expm_su3((sign * eps * direction)[None])[0]
-            g2.links[mu][site] = rot @ gauge.links[mu][site]
+            g2.set_links(mu, site, rot @ gauge.links[mu][site])
             return self.pseudofermion_action(g2, phi)
 
         return (perturbed(+1.0) - perturbed(-1.0)) / (2 * eps)

@@ -37,7 +37,7 @@ def with_boundary_phase(
         raise ConfigError(f"boundary phase must be a pure phase, got {phase!r}")
     out = gauge.copy()
     boundary = np.nonzero(g.coords[:, axis] == g.shape[axis] - 1)[0]
-    out.links[axis][boundary] = p * out.links[axis][boundary]
+    out.set_links(axis, boundary, p * out.links[axis][boundary])
     return out
 
 

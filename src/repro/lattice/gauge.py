@@ -7,7 +7,7 @@ batched over sites.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,36 @@ def cmatvec(
     return np.einsum("xab,x...b->x...a", u, psi, out=out)
 
 
+def cmatvec_site_fastest(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`cmatvec` on operands stored with the site index *fastest*.
+
+    ``u`` is ``(3, 3, V)``, ``psi`` and ``out`` are ``(..., 3, V)``.  The
+    products and their ``b = 0, 1, 2`` accumulation order are those of
+    :func:`cmatvec`, so the result is byte-equal to it; only einsum's
+    inner loop changes, from three colours to ``V`` sites (DESIGN.md §12).
+    This is the one site-fastest contraction string in the package.
+    """
+    return np.einsum("abx,...bx->...ax", u, psi, out=out)
+
+
+def site_fastest_pair(links: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(U, U^dagger)`` of ``(ndim, V, 3, 3)`` links, each ``(ndim, 3, 3, V)``."""
+    return (
+        np.ascontiguousarray(links.transpose(0, 2, 3, 1)),
+        np.ascontiguousarray(dagger(links).transpose(0, 2, 3, 1)),
+    )
+
+
+def to_site_fastest(field: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``(V, ...)`` ``field`` with the site axis last."""
+    return np.ascontiguousarray(np.moveaxis(field, 0, -1))
+
+
+def to_site_slowest(field: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_site_fastest`: a contiguous ``(V, ...)`` copy."""
+    return np.ascontiguousarray(np.moveaxis(field, -1, 0))
+
+
 class GaugeField:
     """SU(3) link variables on a :class:`LatticeGeometry`.
 
@@ -41,7 +71,16 @@ class GaugeField:
         The (4-dimensional for QCD) lattice.
     links:
         Optional ``(ndim, V, 3, 3)`` complex array; defaults to the unit
-        (free-field) configuration.
+        (free-field) configuration.  The field takes ownership of a
+        writeable array; a read-only one (another field's ``links``) is
+        copied.
+
+    ``links`` reads as a **read-only** view.  The field changes by
+    assignment (``gauge.links = new``) or through :meth:`set_links`; both
+    drop the site-fastest resident pair the Dirac kernels read, so an
+    operator built earlier applies the new field, and a write that goes
+    round them raises numpy's read-only error instead of leaving a stale
+    ``U^dagger`` behind.
     """
 
     def __init__(self, geometry: LatticeGeometry, links: Optional[np.ndarray] = None):
@@ -51,12 +90,42 @@ class GaugeField:
             links = np.broadcast_to(
                 np.eye(3, dtype=np.complex128), expected
             ).copy()
+        self.links = links
+
+    # -- the links and their resident kernel layout ---------------------------
+    @property
+    def links(self) -> np.ndarray:
+        """The ``(ndim, V, 3, 3)`` link matrices (read-only view)."""
+        view = self._links.view()
+        view.setflags(write=False)
+        return view
+
+    @links.setter
+    def links(self, links: np.ndarray) -> None:
         links = np.asarray(links, dtype=np.complex128)
+        expected = (self.geometry.ndim, self.geometry.volume, 3, 3)
         if links.shape != expected:
             raise ConfigError(
                 f"links shape {links.shape} does not match geometry {expected}"
             )
-        self.links = links
+        if not links.flags.writeable:
+            links = links.copy()
+        self._links = links
+        self._resident = None
+
+    def set_links(self, mu: int, sites, values: np.ndarray) -> None:
+        """``U_mu(sites) = values`` in place — the one in-place writer."""
+        self._links[mu][sites] = values
+        self._resident = None
+
+    @property
+    def resident_pair(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(U, U^dagger)``, each ``(ndim, 3, 3, V)``: the layout the
+        hopping kernels read.  Built on first use, dropped whenever the
+        links change."""
+        if self._resident is None:
+            self._resident = site_fastest_pair(self._links)
+        return self._resident
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -111,12 +180,20 @@ class GaugeField:
     def transport_fwd(self, mu: int, field: np.ndarray) -> np.ndarray:
         """``U_mu(x) field(x + mu)`` — pull the forward neighbour back to x."""
         fwd = self.geometry.neighbour_fwd(mu)
-        return cmatvec(self.links[mu], field[fwd])
+        gathered = to_site_fastest(field[fwd])
+        u = self.resident_pair[0][mu]
+        product = cmatvec_site_fastest(u, gathered, np.empty_like(gathered))
+        return to_site_slowest(product)
 
     def transport_bwd(self, mu: int, field: np.ndarray) -> np.ndarray:
         """``U_mu(x - mu)^dagger field(x - mu)``."""
+        # multiplied where the link lives, then the product is gathered:
+        # no shifted copy of the links exists
         bwd = self.geometry.neighbour_bwd(mu)
-        return cmatvec(dagger(self.links[mu][bwd]), field[bwd])
+        source = to_site_fastest(field)
+        u_dagger = self.resident_pair[1][mu]
+        product = cmatvec_site_fastest(u_dagger, source, np.empty_like(source))
+        return to_site_slowest(np.take(product, bwd, axis=-1))
 
     # -- observables ---------------------------------------------------------
     def plaquette_field(self, mu: int, nu: int) -> np.ndarray:

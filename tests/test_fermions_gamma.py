@@ -153,6 +153,32 @@ class TestFieldHelpers:
         psi = rng.standard_normal((7, 4, 3)) + 1j * rng.standard_normal((7, 4, 3))
         assert np.allclose(gamma5_sandwich(gamma5_sandwich(psi)), psi)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_gamma5_sandwich_bytes_are_the_dense_products(self, lead):
+        # the dense 4x4 product hands every zero back as +0; a copy with
+        # the lower rows negated has the same values and other bytes
+        rng = np.random.default_rng(6)
+        shape = lead + (11, 4, 3)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = psi.reshape(-1)
+        flat[0::5] = 0.0
+        flat[1::5] = complex(-0.0, -0.0)
+        flat[2::5] = complex(-0.0, 1.5)
+        dense = apply_spin_matrix(GAMMA5, psi)
+        negated = psi.copy()
+        np.negative(negated[..., 2:, :], out=negated[..., 2:, :])
+        assert np.array_equal(negated, dense) and negated.tobytes() != dense.tobytes()
+        assert gamma5_sandwich(psi).tobytes() == dense.tobytes()
+        out = np.full_like(psi, np.nan)
+        assert gamma5_sandwich(psi, out=out) is out
+        assert out.tobytes() == dense.tobytes()
+        # the domain-wall reflection hands in a reversed view
+        mirrored = psi[::-1]
+        assert (
+            gamma5_sandwich(mirrored).tobytes()
+            == apply_spin_matrix(GAMMA5, mirrored).tobytes()
+        )
+
     def test_apply_spin_matrix_broadcasts_over_extra_axes(self):
         rng = np.random.default_rng(5)
         psi = rng.standard_normal((2, 7, 4, 3)) + 0j  # e.g. (Ls, V, spin, colour)

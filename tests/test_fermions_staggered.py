@@ -127,6 +127,39 @@ class TestNaiveStaggered:
         assert ratio == pytest.approx(0.25 + np.sin(p) ** 2, rel=1e-10)
 
 
+class TestFieldContract:
+    @pytest.mark.parametrize("operator", [NaiveStaggeredDirac, AsqtadDirac])
+    def test_single_precision_field_rejected(self, geom, rng, operator):
+        d = operator(GaugeField.unit(geom), mass=0.1)
+        chi = random_vec(rng, geom)
+        for method in (d.apply, d.apply_dagger, d.hopping):
+            with pytest.raises(ConfigError, match="complex128"):
+                method(chi.astype(np.complex64))
+        assert d.apply(chi).dtype == np.complex128
+
+    @pytest.mark.parametrize("operator", [NaiveStaggeredDirac, AsqtadDirac])
+    def test_results_are_fresh_caller_owned_arrays(self, geom, rng, operator):
+        d = operator(GaugeField.hot(geom, rng), mass=0.1)
+        chi, eta = random_vec(rng, geom), random_vec(rng, geom)
+        for method in (d.hopping, d.apply, d.apply_dagger):
+            first = method(chi)
+            kept = first.copy()
+            second = method(eta)
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == kept.tobytes()
+
+
+    def test_smeared_links_keep_their_public_shape_and_cannot_go_stale(self, geom, rng):
+        # held once, in the kernel's layout; what callers scatter is a view
+        gauge = GaugeField.hot(geom, rng)
+        d = AsqtadDirac(gauge, mass=0.1)
+        assert d.fat.shape == d.long.shape == (4, geom.volume, 3, 3)
+        assert np.array_equal(d.fat, fat_links(gauge))
+        assert np.array_equal(d.long, long_links(gauge))
+        with pytest.raises(ValueError, match="read-only"):
+            d.fat[0, 0] = 0
+
+
 class TestAsqtad:
     def test_hopping_antihermitian(self, geom, rng):
         u = GaugeField.hot(geom, rng)

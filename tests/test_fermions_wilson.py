@@ -69,6 +69,31 @@ class TestWilsonStructure:
         with pytest.raises(ConfigError):
             d.apply(np.zeros((3, 4, 3), dtype=complex))
 
+    @pytest.mark.parametrize("r", [1.0, 0.7])
+    def test_single_precision_field_rejected(self, geom, rng, r):
+        # mixed-precision CG up-casts before every application; a
+        # complex64 field reaching the operator is a caller's mistake
+        d = WilsonDirac(GaugeField.unit(geom), mass=0.1, r=r)
+        psi = random_spinor(rng, geom)
+        for method in (d.apply, d.apply_dagger, d.hopping):
+            with pytest.raises(ConfigError, match="complex128"):
+                method(psi.astype(np.complex64))
+        assert d.apply(psi).dtype == np.complex128
+
+    @pytest.mark.parametrize("r", [1.0, 0.7])
+    def test_results_are_fresh_caller_owned_arrays(self, geom, rng, r):
+        # EvenOddWilson indexes one result after requesting the next and
+        # the Krylov loops hold A p across iterations
+        d = WilsonDirac(GaugeField.hot(geom, rng), mass=0.3, r=r)
+        psi, phi = random_spinor(rng, geom), random_spinor(rng, geom)
+        for method in (d.hopping, d.apply, d.apply_dagger):
+            first = method(psi)
+            kept = first.copy()
+            second = method(phi)
+            assert second is not first and not np.shares_memory(first, second)
+            assert first.tobytes() == kept.tobytes()
+            assert not np.shares_memory(first, psi)
+
 
 class TestWilsonFreeField:
     def test_zero_momentum_eigenvalue(self, geom, rng):
@@ -115,7 +140,7 @@ class TestWilsonFreeField:
         transformed = u.copy()
         for mu in range(4):
             fwd = geom.neighbour_fwd(mu)
-            transformed.links[mu] = g @ u.links[mu] @ dagger(g[fwd])
+            transformed.set_links(mu, slice(None), g @ u.links[mu] @ dagger(g[fwd]))
         dg = WilsonDirac(transformed, mass=0.3)
         rotated = np.einsum("xab,xsb->xsa", g, psi)
         assert np.allclose(

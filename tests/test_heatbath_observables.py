@@ -154,7 +154,7 @@ class TestObservables:
         g = random_su3(rng, geom.volume)
         for mu in range(4):
             fwd = geom.neighbour_fwd(mu)
-            u.links[mu] = g @ u.links[mu] @ dagger(g[fwd])
+            u.set_links(mu, slice(None), g @ u.links[mu] @ dagger(g[fwd]))
         assert wilson_loop(u, 0, 3, 2, 2) == pytest.approx(w0, abs=1e-12)
         assert polyakov_loop(u) == pytest.approx(p0, abs=1e-12)
 

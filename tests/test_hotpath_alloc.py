@@ -10,6 +10,11 @@ steady-state window.  Warmup applications and context construction are
 exempt — that is exactly where the scratch buffers are *supposed* to be
 allocated — as is the machine wire-sim layer (frames, checksums,
 global-op staging), which is the simulator, not the simulated hot path.
+
+The serial operators are under the same watch with one difference: their
+``hopping`` / ``apply`` hand the caller a fresh array (the Krylov loops
+keep ``A p`` across iterations), so a warmed-up application allocates
+exactly its results, from an untagged method, and nothing else.
 """
 
 import traceback
@@ -17,9 +22,10 @@ import traceback
 import numpy as np
 import pytest
 
-from repro.fermions import WilsonDirac
+from repro.fermions import AsqtadDirac, DomainWallDirac, WilsonDirac
+from repro.fermions.staggered import NaiveStaggeredDirac
 from repro.util.hotpath import is_hot_path
-from tests.harness import booted, scattered, system
+from tests.harness import applied, booted, scattered, system
 
 #: numpy entry points whose call means "a fresh array buffer" (the same
 #: catalogue REPRO105 checks statically)
@@ -50,6 +56,10 @@ WATCHED = (
     "parallel/pdwf.py",
     "parallel/pstaggered.py",
     "fermions/gamma.py",
+    "fermions/wilson.py",
+    "fermions/clover.py",
+    "fermions/dwf.py",
+    "fermions/staggered.py",
     "lattice/gauge.py",
 )
 
@@ -77,7 +87,7 @@ class AllocationTracker:
             for watched in WATCHED:
                 if frame.filename.endswith(watched):
                     self.violations.append(
-                        f"np.{name} from {watched}:{frame.lineno}"
+                        f"np.{name} from {watched}:{frame.lineno} in {frame.name}"
                     )
                     return
             return  # nearest repro frame is simulator code: in contract
@@ -150,6 +160,68 @@ class TestSteadyStateAllocationFree:
         run_and_check(tracker, "asqtad", (93, "hotpath-stag"), (8, 2, 2, 2), mass=0.1)
 
 
+class TestSerialOperators:
+    """A warmed-up serial application allocates its results and no more."""
+
+    #: operator -> (constructor, arrays one ``apply`` hands out: its own,
+    #: plus one per slice from the domain-wall operator's 4D kernel)
+    CASES = {
+        "wilson": (lambda gauge: WilsonDirac(gauge, mass=0.3), 1),
+        "asqtad": (lambda gauge: AsqtadDirac(gauge, mass=0.1), 1),
+        "dwf": (lambda gauge: DomainWallDirac(gauge, Ls=4), 1 + 4),
+    }
+
+    @pytest.mark.parametrize("op", CASES)
+    def test_apply_allocates_only_what_it_returns(self, tracker, op):
+        build, results = self.CASES[op]
+        gauge, src = system(
+            (94, f"hotpath-serial-{op}"), (4, 4, 2, 2), op, Ls=4 if op == "dwf" else None
+        )
+        dirac = build(gauge)
+        out = dirac.apply(dirac.apply(src))  # warm-up: resident links, tables
+        tracker.armed = True
+        out = dirac.apply(out)
+        tracker.armed = False
+        assert len(tracker.violations) == results, tracker.violations
+        for violation in tracker.violations:
+            assert violation.startswith("np.empty_like from fermions/"), violation
+            assert violation.endswith((" in hopping", " in apply")), violation
+
+    def test_the_tracker_sees_a_serial_kernel_allocation(self, tracker, monkeypatch):
+        # the guard above must be able to fail: an allocation under the
+        # tagged kernel is attributed to the operator's file and counted
+        gauge, src = system((95, "hotpath-serial-leak"), (4, 4, 2, 2))
+        dirac = WilsonDirac(gauge, mass=0.3)
+        real = WilsonDirac._hop_half_spinors
+
+        def leaking(self, psi, out):
+            np.zeros(3)
+            return real(self, psi, out)
+
+        monkeypatch.setattr(WilsonDirac, "_hop_half_spinors", leaking)
+        dirac.apply(src)
+        tracker.armed = True
+        dirac.apply(src)
+        tracker.armed = False
+        assert len(tracker.violations) == 2
+
+
+class TestSerialBytes:
+    """Serial against distributed, to the byte, signed zeros included."""
+
+    @pytest.mark.parametrize("dagger", [False, True])
+    def test_point_source_with_negative_zeros(self, dagger):
+        gauge, src = system((96, "serial-bytes"), (4, 4, 2, 2))
+        point = np.zeros_like(src)
+        point.reshape(-1)[1::2] = -0.0
+        point[5] = src[5]
+        serial = WilsonDirac(gauge, mass=0.3)
+        want = (serial.apply_dagger if dagger else serial.apply)(point)
+        machine, part = booted((2, 2, 1, 1, 1, 1), word_batch="face")
+        got = applied(machine, part, "wilson", gauge, point, dagger=dagger, mass=0.3)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestHotPathTags:
     """The contract only bites if the steady-state entry points are tagged."""
 
@@ -205,5 +277,15 @@ class TestHotPathTags:
             assert is_hot_path(fn), fn.__qualname__
         assert not is_hot_path(SendUnit.start)
 
+    def test_serial_kernels_tagged(self):
+        # REPRO105 then refuses an allocator in any of them statically
+        assert is_hot_path(WilsonDirac._hop_half_spinors)
+        for kernel in ("_hop", "_direction", "_transport"):
+            assert is_hot_path(getattr(NaiveStaggeredDirac, kernel)), kernel
+        assert is_hot_path(AsqtadDirac._direction)
+
     def test_untagged_serial_reference(self):
+        # apply and hopping allocate the array they return
         assert not is_hot_path(WilsonDirac.apply)
+        assert not is_hot_path(WilsonDirac.hopping)
+        assert not is_hot_path(NaiveStaggeredDirac.hopping)

@@ -41,8 +41,53 @@ class TestConstruction:
     def test_copy_is_independent(self, geom, rng):
         u = GaugeField.hot(geom, rng)
         v = u.copy()
-        v.links[0, 0] = 0
+        v.set_links(0, 0, 0)
         assert not np.allclose(u.links[0, 0], 0)
+
+
+class TestStaleLayout:
+    """The Dirac kernels read a site-fastest ``U`` / ``U^+`` pair the field
+    keeps resident; nothing may change the links and leave it behind."""
+
+    def test_in_place_write_raises(self, geom, rng):
+        u = GaugeField.hot(geom, rng)
+        with pytest.raises(ValueError, match="read-only"):
+            u.links[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            u[1][3] = np.eye(3)
+
+    def test_handed_out_links_are_not_adopted_writeable(self, geom, rng):
+        u = GaugeField.hot(geom, rng)
+        v = GaugeField(geom, u.links)  # a read-only view: copied, not shared
+        v.set_links(0, 0, 0)
+        assert not np.allclose(u.links[0, 0], 0)
+
+    @pytest.mark.parametrize("change", ["rebind", "set_links", "reunitarise"])
+    def test_operator_built_before_a_change_applies_the_new_field(
+        self, geom, rng, change
+    ):
+        from repro.fermions import NaiveStaggeredDirac, WilsonDirac
+
+        u = GaugeField.hot(geom, rng)
+        shape = (geom.volume, 4, 3)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wilson, staggered = WilsonDirac(u, mass=0.3), NaiveStaggeredDirac(u, mass=0.2)
+        wilson.apply(psi), staggered.apply(psi[:, 0])  # the pair is resident now
+        other = GaugeField.hot(geom, rng)
+        if change == "rebind":
+            u.links = other.links
+        elif change == "set_links":
+            u.set_links(2, geom.odd_sites, other.links[2][geom.odd_sites])
+        else:
+            u.links = u.links + 1e-3 * other.links
+            u.reunitarise()
+        fresh = u.copy()
+        for built, psi_ in ((wilson, psi), (staggered, psi[:, 0])):
+            again = type(built)(fresh, mass=built.mass)
+            assert built.apply(psi_).tobytes() == again.apply(psi_).tobytes()
+            assert (
+                built.apply_dagger(psi_).tobytes() == again.apply_dagger(psi_).tobytes()
+            )
 
 
 class TestTransport:
@@ -90,7 +135,7 @@ class TestPlaquette:
         g = random_su3(rng, geom.volume)
         for mu in range(geom.ndim):
             fwd = geom.neighbour_fwd(mu)
-            u.links[mu] = g @ u.links[mu] @ dagger(g[fwd])
+            u.set_links(mu, slice(None), g @ u.links[mu] @ dagger(g[fwd]))
         assert u.plaquette() == pytest.approx(p0, abs=1e-12)
 
     def test_plaquette_field_is_unitary(self, geom, rng):
@@ -155,7 +200,7 @@ class TestClover:
 class TestReunitarise:
     def test_drifted_field_restored(self, geom, rng):
         u = GaugeField.hot(geom, rng)
-        u.links += 1e-6 * rng.standard_normal(u.links.shape)
+        u.links = u.links + 1e-6 * rng.standard_normal(u.links.shape)
         assert not u.is_unitary(tol=1e-8)
         u.reunitarise()
         assert u.is_unitary(tol=1e-10)
