@@ -78,13 +78,12 @@ lint:
 		echo "lint: mypy not installed, skipping"; \
 	fi
 
-## whole-program flow analysis + SCU protocol state-machine verifier:
-## the REPRO5xx interprocedural rules over src/ and the bounded-model
-## protocol enumeration against the production scu.py (their suites,
-## tests/test_flow_analysis.py and tests/test_protocol_verifier.py, are
-## part of tier-1)
+## SCU protocol state-machine verifier: the bounded-model enumeration
+## against the production scu.py.  (The other non-pytest gate, the
+## whole-program REPRO5xx flow rules over src/, runs once, in `lint`;
+## both suites, tests/test_flow_analysis.py and
+## tests/test_protocol_verifier.py, are part of tier-1.)
 verify-flow:
-	PYTHONPATH=src $(PY) -m repro.analysis src --flow
 	PYTHONPATH=src $(PY) -m repro.analysis --protocol
 
 ## halo-buffer race sanitizer: clean-pipeline run + seeded-race detection
@@ -119,7 +118,7 @@ verify-hmc:
 ## what CI gates a merge on: tier-1 (which contains the overlap,
 ## sanitizer, faults, sharding, hot-path, service and HMC suites — the
 ## per-suite targets above are conveniences, not extra gates) + static
-## analysis + the two non-pytest gates (whole-program flow, protocol
-## verifier) + bit-identity against the committed fingerprint
+## analysis with the whole-program flow rules (`lint`) + the protocol
+## verifier (`verify-flow`) + bit-identity against the committed fingerprint
 verify: test lint verify-flow fingerprint-check
 	@echo "verify: tier-1 + lint + flow/protocol + fingerprint green"

@@ -42,13 +42,12 @@ the repo root:
 Marked ``perf`` so it can be selected with ``pytest -m perf``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import write_artifact
 from repro.fermions import WilsonDirac
 from repro.fermions.flops import HALF_SPINOR_WORDS, SPINOR_WORDS
 from repro.lattice import GaugeField, LatticeGeometry, stencil
@@ -304,8 +303,7 @@ def test_dslash_smoke(telemetry_report):
         },
         "gather_table_cache": info,
     }
-    out = Path(__file__).resolve().parents[1] / "BENCH_dslash.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out = write_artifact("dslash", payload)
 
     # -- full machine-telemetry dump beside the perf numbers --------------
     telemetry = telemetry_report(machine, "dslash", force=True)

@@ -11,7 +11,10 @@ a hardware loss).
 
 The campaign kills one link and (separately) one whole node mid-CG on a
 2^4 distributed Wilson solve and tabulates detection, recovery and the
-simulated-time cost of the restart.
+simulated-time cost of the restart.  The loop that recovers is the job
+service's (:class:`repro.service.QcdocService`: the one fail / diagnose /
+remap / resume loop in the repository) — each scenario is one submitted
+job, drained.
 """
 
 import numpy as np
@@ -19,12 +22,12 @@ import pytest
 
 from conftest import emit
 from repro.host.qdaemon import Qdaemon
-from repro.host.resilience import solve_resilient
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.faults import FaultEvent, FaultSchedule
 from repro.machine.machine import QCDOCMachine
 from repro.parallel.pcg import solve_on_machine
+from repro.service import QcdocService, WilsonJobSpec
 from repro.util import rng_stream
 
 DIMS = (2, 2, 2, 2, 2, 1)
@@ -91,26 +94,26 @@ def run_campaign():
             ]
         )
         sched.arm(m, d)
-        t_start = m.sim.now
-        report = solve_resilient(
-            d, gauge, b, mass=0.3, groups=GROUPS, extents=EXTENTS,
-            tol=1e-8, max_time=1e9, checkpoint_every=10,
+        service = QcdocService(d, checkpoint_every=10)
+        job = service.submit(
+            WilsonJobSpec(gauge, b, mass=0.3, groups=GROUPS, extents=EXTENTS, tol=1e-8)
         )
-        res = report.result
-        ev = report.recoveries[0]
+        service.run_until_drained(max_time=1e9)
+        res = job.result
+        ev = job.diagnoses[0]
         trips = [r.time for r in m.trace.records if r.tag == "scu.link_down"]
         rows.append(
             {
                 "scenario": label,
                 "detected": f"{(min(trips) - t_fault) * 1e3:.2f} ms",
-                "restarts": report.n_restarts,
+                "restarts": job.restarts,
                 "resumed_from": f"iter {ev.resumed_from}",
                 "converged": res.converged,
                 "identical": (
                     res.x.tobytes() == ref.x.tobytes()
                     and tuple(res.residuals) == tuple(ref.residuals)
                 ),
-                "overhead": (m.sim.now - t_start) / ref_time - 1.0,
+                "overhead": (job.finished_at - job.submit_time) / ref_time - 1.0,
                 "budget": m.config.asic.watchdog_detection_budget
                 + m.config.asic.watchdog_timeout,
                 "latency": min(trips) - t_fault,

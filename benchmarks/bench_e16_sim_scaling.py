@@ -14,14 +14,12 @@ cherry-picking.  The artifact lands gpaw-style in
 ``BENCH_sim_scaling.json`` at the repo root.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_artifact
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
@@ -168,8 +166,7 @@ def test_e16_sim_scaling(report):
             "row": probe,
         },
     }
-    out = Path(__file__).resolve().parents[1] / "BENCH_sim_scaling.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out = write_artifact("sim_scaling", payload)
 
     # determinism is the hard claim; wall numbers ride on host noise
     assert all(r["bit_identical"] for r in sweep)

@@ -17,12 +17,10 @@ the repo root) records the service-level objectives:
   (the paper's section-4 criterion under multi-tenant scheduling).
 """
 
-import json
-from pathlib import Path
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_artifact
 from repro.host.qdaemon import Qdaemon
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
@@ -182,5 +180,4 @@ def test_e17_service_chaos(benchmark, report):
         "quarantined_cables": svc["machine"]["quarantined_cables"],
         "failed_nodes": svc["machine"]["failed_nodes"],
     }
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_service.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_artifact("service", payload)

@@ -15,12 +15,10 @@ rebound partition and replays — reproducing the undisturbed run's
 Writes ``BENCH_hmc.json`` at the repo root.
 """
 
-import json
-from pathlib import Path
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_artifact
 from repro.hmc.checkpoint import HMCCheckpoint
 from repro.host.qdaemon import Qdaemon
 from repro.lattice import GaugeField, LatticeGeometry
@@ -184,8 +182,7 @@ def test_e18_dynamical_hmc(benchmark, report):
         "cg_iterations": hmc.cg_iterations,
         "acceptance_rate": hmc.acceptance_rate,
     }
-    bench_path = Path(__file__).resolve().parents[1] / "BENCH_hmc.json"
-    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_artifact("hmc", payload)
 
     assert out["restarts"] == 1
     assert out["identical"], "resumed dynamical chain diverged from reference"

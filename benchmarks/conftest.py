@@ -87,6 +87,14 @@ def twin_cg(op: str, dims, local_shape, iterations: int = 4, Ls: int = 8) -> dic
     }
 
 
+def write_artifact(name: str, payload: dict) -> Path:
+    """Write ``BENCH_<name>.json`` at the repo root: the one writer of the
+    committed benchmark artifacts (two-space indent, trailing newline)."""
+    out = REPO_ROOT / f"BENCH_{name}.json"
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    return out
+
+
 def emit(table: Table) -> None:
     """Print a results table, unbuffered, with surrounding whitespace."""
     sys.stdout.write("\n" + table.render() + "\n")
@@ -118,8 +126,6 @@ def telemetry_report(request):
     def write(machine, name: str, force: bool = False):
         if not (enabled or force):
             return None
-        out = REPO_ROOT / f"BENCH_{name}_telemetry.json"
-        out.write_text(json.dumps(machine.report().to_json(), indent=2) + "\n")
-        return out
+        return write_artifact(f"{name}_telemetry", machine.report().to_json())
 
     return write

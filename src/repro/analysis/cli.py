@@ -7,7 +7,6 @@ Usage::
     python -m repro.analysis --protocol           # SCU state-machine verifier
     python -m repro.analysis tests/ --hygiene     # REPRO401/402 only
     python -m repro.analysis src/ --format json   # machine-readable
-    python -m repro.analysis src/ --format sarif  # SARIF 2.1.0
     python -m repro.analysis --list-rules         # the rule catalogue
     python -m repro.analysis src/ --select REPRO101,REPRO504
     python -m repro.analysis src/ --allowlist path/to/.reprolint-allow
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -196,74 +195,6 @@ def _render_text(
     return "\n".join(lines)
 
 
-#: SARIF 2.1.0 schema reference (the de-facto static-analysis exchange
-#: format: code-review UIs ingest it natively)
-_SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
-def _render_sarif(result: LintResult, rules: Sequence[Type[Rule]]) -> str:
-    """Minimal valid SARIF 2.1.0: one run, one driver, one result per
-    finding.  Suppressed findings are carried with ``suppressions`` so
-    dashboards can distinguish excused from clean."""
-    rule_meta = [
-        {
-            "id": cls.rule_id,
-            "name": cls.name,
-            "shortDescription": {"text": cls.summary},
-        }
-        for cls in rules
-    ]
-    rule_meta.append(
-        {
-            "id": "REPRO000",
-            "name": "parse-error",
-            "shortDescription": {"text": "file failed to parse"},
-        }
-    )
-
-    def sarif_result(finding, suppressed=False):
-        entry = {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if suppressed:
-            entry["suppressions"] = [{"kind": "external"}]
-        return entry
-
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "informationUri": "https://example.invalid/reprolint",
-                        "rules": rule_meta,
-                    }
-                },
-                "results": [
-                    sarif_result(f) for f in result.parse_errors + result.findings
-                ]
-                + [sarif_result(f, suppressed=True) for f in result.suppressed],
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -334,14 +265,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload["unused_allowlist_entries"] = result.unused_allow_entries(allowlist)
         payload["stale_allowlist_entries"] = [e.format() for e in stale]
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(_render_sarif(result, rules))
-        if stale:
-            for entry in stale:
-                print(
-                    f"error: stale allowlist entry: {entry.format()}",
-                    file=sys.stderr,
-                )
     else:
         print(_render_text(result, allowlist, stale))
     if not result.clean or stale:

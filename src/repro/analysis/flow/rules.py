@@ -379,29 +379,38 @@ class FlopChargeCoverageRule(FlowRule):
 
 
 def _class_str_tuple(cls: ast.ClassDef, attr: str) -> Optional[Set[str]]:
-    """The string elements of a class-level ``attr = ("a", "b", ...)``."""
+    """The string elements of a class-level ``attr = ("a", "b", ...)``,
+    sums of such tuples and of the class's other tuples by name included
+    (``_SNAPSHOT_ATTRS = _RESET_KEPT + _REGISTERS``)."""
     for stmt in cls.body:
-        targets: Sequence[ast.expr] = ()
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == attr:
-                if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                    return {
-                        e.value
-                        for e in value.elts
-                        if isinstance(e, ast.Constant)
-                        and isinstance(e.value, str)
-                    }
-                return set()
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
+            found: Set[str] = set()
+            for node in ast.walk(stmt.value):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add(node.value)
+                elif isinstance(node, ast.Name) and node.id != attr:
+                    found |= _class_str_tuple(cls, node.id) or set()
+            return found
+    return None
+
+
+def _self_attr_of(node: ast.AST) -> Optional[str]:
+    """``attr`` when ``node`` is the expression ``self.attr``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
     return None
 
 
 def _self_attr_stores(fn: ast.AST) -> Dict[str, ast.stmt]:
-    """attr name -> first statement assigning ``self.attr`` in ``fn``."""
+    """attr name -> first statement assigning ``self.attr`` in ``fn``
+    (tuple-unpack targets, ``a, self.x = ...``, included)."""
     stores: Dict[str, ast.stmt] = {}
     for node in ast.walk(fn):
         targets: Sequence[ast.expr] = ()
@@ -410,34 +419,46 @@ def _self_attr_stores(fn: ast.AST) -> Dict[str, ast.stmt]:
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
         for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                stores.setdefault(target.attr, node)
-        # tuple-unpack targets: ``a, self.x = ...``
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    for elt in target.elts:
-                        if (
-                            isinstance(elt, ast.Attribute)
-                            and isinstance(elt.value, ast.Name)
-                            and elt.value.id == "self"
-                        ):
-                            stores.setdefault(elt.attr, node)
+            unpacked = isinstance(target, (ast.Tuple, ast.List))
+            for elt in target.elts if unpacked else [target]:
+                attr = _self_attr_of(elt)
+                if attr is not None:
+                    stores.setdefault(attr, node)
     return stores
+
+
+#: container methods that change the object they are called on
+_MUTATORS = frozenset(
+    "add append clear discard extend insert pop popitem remove setdefault "
+    "update".split()
+)
+
+
+def _self_attr_mutations(fn: ast.AST) -> Dict[str, ast.AST]:
+    """attr name -> first node in ``fn`` that changes ``self.attr``: a
+    store, an item store or delete (``self.attr[k] = v``), or a mutating
+    container call (``self.attr.append(x)``)."""
+    found: Dict[str, ast.AST] = dict(_self_attr_stores(fn))
+    for node in ast.walk(fn):
+        attr = None
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            attr = _self_attr_of(node.value)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+        ):
+            attr = _self_attr_of(node.func.value)
+        if attr is not None:
+            found.setdefault(attr, node)
+    return found
 
 
 def _self_attr_loads(fn: ast.AST) -> Set[str]:
     return {
         node.attr
         for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and isinstance(node.ctx, ast.Load)
+        if _self_attr_of(node) is not None and isinstance(node.ctx, ast.Load)
     }
 
 
@@ -461,16 +482,25 @@ class SnapshotCompletenessRule(FlowRule):
     Methods inherited from a base class in the scanned tree count as the
     class's own (``snapshot_state`` included): what a shared base mutates
     on ``self`` is audited against each subclass's declarations.
+
+    The same audit covers the return to boot state: a class with a
+    ``boot_reset`` method (``PartitionRun.finalize`` hands every node
+    through them) accounts for every attribute it changes after
+    ``__init__`` — rebinding, item stores, mutating container calls.
+    ``boot_reset`` names it (in its body, in a method of the class it
+    calls, through a declared tuple its loop runs over) or ``_RESET_KEPT``
+    lists it as kept on purpose; anything else leaks into the next job.
     """
 
     rule_id = "REPRO504"
     name = "snapshot-completeness"
     summary = (
-        "attributes mutated outside __init__ on a snapshot_state class "
-        "must be snapshotted or declared _SNAPSHOT_TRANSIENT"
+        "attributes mutated outside __init__ must be snapshotted or "
+        "declared _SNAPSHOT_TRANSIENT on a snapshot_state class, and "
+        "reset or declared _RESET_KEPT on a boot_reset class"
     )
 
-    _EXEMPT_METHODS = {"__init__", "snapshot_state", "restore_state"}
+    _EXEMPT_METHODS = {"__init__", "snapshot_state", "restore_state", "boot_reset"}
 
     def analyse(
         self, symbols: SymbolTable, graph: CallGraph
@@ -480,9 +510,10 @@ class SnapshotCompletenessRule(FlowRule):
             for cls_info in infos:
                 methods = self._methods(symbols, cls_info, set())
                 snap = methods.get("snapshot_state")
-                if snap is None:
-                    continue
-                findings.extend(self._check_class(cls_info, snap, methods))
+                if snap is not None:
+                    findings.extend(self._check_class(cls_info, snap, methods))
+                if "boot_reset" in methods:
+                    findings.extend(self._check_reset(cls_info, methods))
         return findings
 
     def _methods(self, symbols: SymbolTable, cls_info, seen: Set[int]) -> Dict:
@@ -497,61 +528,77 @@ class SnapshotCompletenessRule(FlowRule):
         methods.update(cls_info.methods)
         return methods
 
+    def _unaccounted(self, methods, covered: Set[str], changes, message: str):
+        """One finding per attribute outside ``covered`` that a method
+        (the exempt ones apart) changes, at the first such place by line;
+        ``changes`` maps a function to ``{attr: node}``."""
+        first: Dict[str, Tuple[ast.AST, FunctionInfo]] = {}
+        for name, method in sorted(methods.items()):
+            if name in self._EXEMPT_METHODS:
+                continue
+            for attr, node in changes(method.node).items():
+                prev = first.get(attr)
+                if attr not in covered and (
+                    prev is None or node.lineno < prev[0].lineno
+                ):
+                    first[attr] = (node, method)
+        return [
+            self.finding_at(first[attr][1], first[attr][0], message.format(attr=attr))
+            for attr in sorted(first)
+        ]
+
     def _check_class(self, cls_info, snap, methods) -> Iterable[Finding]:
         cls = cls_info.node
         attrs = _class_str_tuple(cls, "_SNAPSHOT_ATTRS") or set()
         transient = _class_str_tuple(cls, "_SNAPSHOT_TRANSIENT") or set()
-        covered = attrs | transient | _self_attr_loads(snap.node)
-
-        findings: List[Finding] = []
-        mutated: Dict[str, Tuple[ast.stmt, str]] = {}
-        for name, method in sorted(methods.items()):
-            if name in self._EXEMPT_METHODS:
-                continue
-            for attr, stmt in _self_attr_stores(method.node).items():
-                prev = mutated.get(attr)
-                if prev is None or stmt.lineno < prev[0].lineno:
-                    mutated[attr] = (stmt, method.module.relpath)
-        for attr in sorted(set(mutated) - covered):
-            stmt, relpath = mutated[attr]
-            findings.append(
-                Finding(
-                    rule=self.rule_id,
-                    path=relpath,
-                    line=stmt.lineno,
-                    col=stmt.col_offset,
-                    message=(
-                        f"{cls.name}.{attr} is mutated outside __init__ "
-                        "but missing from snapshot_state; add it to "
-                        "_SNAPSHOT_ATTRS (or declare it in "
-                        "_SNAPSHOT_TRANSIENT if it is live-heap-only "
-                        "state a quiesced-shard snapshot never carries)"
-                    ),
-                )
-            )
+        findings = self._unaccounted(
+            methods,
+            attrs | transient | _self_attr_loads(snap.node),
+            _self_attr_stores,
+            f"{cls.name}.{{attr}} is mutated outside __init__ but missing "
+            "from snapshot_state; add it to _SNAPSHOT_ATTRS (or declare it "
+            "in _SNAPSHOT_TRANSIENT if it is live-heap-only state a "
+            "quiesced-shard snapshot never carries)",
+        )
 
         # Restore symmetry: a hand-written restore_state must write back
         # every _SNAPSHOT_ATTRS entry (a generic setattr loop covers all).
         restore = methods.get("restore_state")
-        if restore is not None and attrs:
-            uses_setattr = any(
-                isinstance(node, ast.Call) and _callee(node) == "setattr"
-                for node in ast.walk(restore.node)
-            )
-            if not uses_setattr:
-                written = set(_self_attr_stores(restore.node))
-                for attr in sorted(attrs - written):
-                    findings.append(
-                        Finding(
-                            rule=self.rule_id,
-                            path=cls_info.module.relpath,
-                            line=restore.node.lineno,
-                            col=restore.node.col_offset,
-                            message=(
-                                f"{cls.name}.restore_state never restores "
-                                f"'{attr}' from _SNAPSHOT_ATTRS; the "
-                                "fork gather would drop it"
-                            ),
-                        )
+        if restore is not None and not any(
+            isinstance(node, ast.Call) and _callee(node) == "setattr"
+            for node in ast.walk(restore.node)
+        ):
+            for attr in sorted(attrs - set(_self_attr_stores(restore.node))):
+                findings.append(
+                    self.finding_at(
+                        restore,
+                        restore.node,
+                        f"{cls.name}.restore_state never restores '{attr}' "
+                        "from _SNAPSHOT_ATTRS; the fork gather would drop it",
                     )
+                )
         return findings
+
+    def _check_reset(self, cls_info, methods) -> Iterable[Finding]:
+        """``boot_reset`` completeness (class docstring)."""
+        cls = cls_info.node
+        named = _class_str_tuple(cls, "_RESET_KEPT") or set()
+        todo = ["boot_reset"]
+        while todo:  # every ``self.name`` boot_reset reaches
+            name = todo.pop()
+            if name in named:
+                continue
+            named.add(name)
+            if name in methods:  # a method of the class: what it names
+                todo += filter(None, map(_self_attr_of, ast.walk(methods[name].node)))
+            else:  # a declared tuple (the generic loop's): its elements
+                todo += _class_str_tuple(cls, name) or ()
+        return self._unaccounted(
+            methods,
+            named,
+            _self_attr_mutations,
+            f"{cls.name}.{{attr}} is mutated outside __init__ but boot_reset "
+            "neither resets it nor keeps it on purpose: a finalized node "
+            "would carry it into the next job; reset it in boot_reset or "
+            "declare it in _RESET_KEPT",
+        )

@@ -147,6 +147,12 @@ class HaloRaceSanitizer:
             if not claims:
                 del self._inflight[key]
 
+    def forget_node(self, node: int) -> None:
+        """Drop the shadow of ``node``: no claim and no logical link name
+        outlives the job a finalized run ends."""
+        self._inflight = {k: v for k, v in self._inflight.items() if k[0] != node}
+        self._logical = {k: v for k, v in self._logical.items() if k[0] != node}
+
     def in_flight(self, node: int, buffer: str) -> List[_DmaClaim]:
         return list(self._inflight.get((node, buffer), ()))
 

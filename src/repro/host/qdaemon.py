@@ -460,7 +460,7 @@ class Qdaemon:
         """
         if not alloc.active:
             raise MachineError(f"job {alloc.job_id} was released")
-        results = m_results = self.machine.run_partition(
+        results = self.machine.run_partition(
             alloc.partition, program, max_time=max_time, **kwargs
         )
         self.output_log.append(

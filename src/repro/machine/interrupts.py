@@ -123,3 +123,11 @@ class InterruptController:
         """Software acknowledgement: allow the same bits to be raised again."""
         self.seen_bits = 0
         self.presented_bits = 0
+
+    #: kept by :meth:`boot_reset`: the flood's state is the whole
+    #: machine's, acknowledged by the host (:meth:`clear`), not a job's
+    _RESET_KEPT = ("seen_bits", "latched_bits", "_presentation_scheduled")
+
+    def boot_reset(self) -> None:
+        """A finalized run's node shows its next CPU no interrupt."""
+        self.presented_bits = 0

@@ -43,10 +43,13 @@ class PartitionRun:
 
     Lifecycle: ranks report into :attr:`done` / :attr:`faults` as their
     generators finish; :attr:`settled` flips once every rank returned or
-    any rank died of a :class:`FaultError`.  To tear a run down (fault
-    recovery, preemption) call :meth:`abort`, advance the simulation
-    until :meth:`quiesced` holds, then :meth:`finalize` to free the
-    buffers the run allocated and leave the SCUs reusable.
+    any rank died of a :class:`FaultError`.  A run that must end early
+    (fault recovery, preemption) is :meth:`abort`-ed and the simulation
+    advanced until :meth:`quiesced` holds.  Either way :meth:`finalize` is
+    the one teardown, and **a node it hands back is indistinguishable from
+    a booted one** (DESIGN.md §16) — it keeps only monotone counters, link
+    checksums, wiring and ``links_down`` (a dead cable is the host
+    daemon's to quarantine, not a job's to forget).
     """
 
     def __init__(self, machine: "QCDOCMachine", partition: Partition, tag: str = ""):
@@ -88,6 +91,7 @@ class PartitionRun:
         #: that settled the run) the moment :attr:`settled` flips — the
         #: service layer's wake-up signal
         self.on_settled: Optional[Callable[["PartitionRun"], None]] = None
+        machine.last_run = self
 
     @property
     def settled(self) -> bool:
@@ -131,22 +135,21 @@ class PartitionRun:
         )
 
     def finalize(self) -> None:
-        """Free run-allocated buffers; after an abort, end SCU drain mode.
-
-        Idempotent.  Call only once the run settled (or aborted and
-        quiesced) — it returns the nodes to the pre-launch buffer
-        namespace so the next job can reuse them.
-        """
+        """Free what the run allocated and return every node it held to
+        boot state.  Idempotent; call once the run settled, or aborted and
+        quiesced (a clean settle's trailing EOTs are let land first)."""
         if self.finalized:
             return
+        if not self.quiesced():
+            self.machine.sim.run(stop=self.quiesced)
         self.finalized = True
         for node in self.part_nodes:
             for name in sorted(
                 set(node.memory.buffer_names()) - self.pre_buffers[node.node_id]
             ):
                 node.memory.free(name)
-            if self.aborted:
-                node.scu.finish_drain()
+            node.boot_reset()
+            self.machine.interrupts[node.node_id].boot_reset()
 
     # -- rank callbacks (wired by launch_partition) ---------------------------
     def _rank_done(self, rank: int, value: Any) -> None:
@@ -333,6 +336,8 @@ class QCDOCMachine:
         self.run_seconds = 0.0
         self.global_sum_seconds = 0.0
         self.global_sum_words = 0
+        #: the newest run: what :meth:`run_partition` leaves to finalize
+        self.last_run: Optional[PartitionRun] = None
         #: LINK_DOWN reports collected from SCU watchdogs: (node, direction,
         #: reason), in detection order.  The host daemon reads this after a
         #: faulted run to diagnose which cables to quarantine.
@@ -471,8 +476,6 @@ class QCDOCMachine:
         forked executor's worker processes cannot deliver (those runs go
         through :meth:`run_partition`'s window-notification protocol).
         """
-        from repro.comms.api import CommsAPI  # local import: layering
-
         if not self._booted:
             raise MachineError("bring_up() the machine before running programs")
         if self.shards > 1 and self.shard_workers != "serial":
@@ -482,27 +485,42 @@ class QCDOCMachine:
                 "worker pipes)"
             )
         run = PartitionRun(self, partition, tag=tag)
+        run.processes = self._spawn_ranks(
+            run, program, program_kwargs, run._rank_done, run._rank_fault
+        )
+        return run
+
+    def _spawn_ranks(
+        self,
+        run: PartitionRun,
+        program: Callable[..., object],
+        program_kwargs: dict,
+        done: Callable[[int, Any], None],
+        fault: Callable[[int, BaseException], None],
+    ) -> List[Process]:
+        """One guarded process per rank of ``run``, on its node's shard lane:
+        its return value goes to ``done``, a fault it dies of to ``fault``."""
+        from repro.comms.api import CommsAPI  # local import: layering
 
         def guarded(api):
             try:
                 result = yield from program(api, **program_kwargs)
             except FaultError as exc:
-                run._rank_fault(api.rank, exc)
+                fault(api.rank, exc)
                 return None
-            run._rank_done(api.rank, result)
+            done(api.rank, result)
             return result
 
-        for rank in range(run.n_ranks):
-            node = run.part_nodes[rank]
-            api = CommsAPI(self, partition, run.engine, rank, node)
-            shard = self.shard_of(node.node_id) if self.shards > 1 else 0
-            with self.sim.context(shard):
-                run.processes.append(
+        processes = []
+        for rank, node in enumerate(run.part_nodes):
+            api = CommsAPI(self, run.partition, run.engine, rank, node)
+            with self.sim.context(self.shard_of(node.node_id)):
+                processes.append(
                     self.sim.process(
-                        guarded(api), name=f"{tag or 'rank'}:{rank}"
+                        guarded(api), name=f"{run.tag or 'rank'}:{rank}"
                     )
                 )
-        return run
+        return processes
 
     def run_partition(
         self,
@@ -518,13 +536,17 @@ class QCDOCMachine:
         per-rank return values (rank order).  The machine must be brought
         up first.
 
+        On success the run is left open (a persistent operator context
+        stays for the caller's next ``run_partition``); a caller done with
+        it finalizes :attr:`last_run`, as ``pcg.run_on_partition`` does.
+
         If any rank dies of a hard fault (:class:`FaultError`, e.g. a
         watchdog :class:`~repro.util.errors.LinkDownError`) the whole
-        partition is aborted and cleaned — surviving ranks interrupted,
-        in-flight SCU transfers cancelled and drained, run-allocated
-        buffers freed — and the first fault re-raised.  The machine is
-        then reusable: a host daemon can remap the job onto healthy
-        hardware and resume from a checkpoint.
+        partition is aborted, drained and finalized — surviving ranks
+        interrupted, in-flight SCU transfers cancelled, the nodes back in
+        boot state — and the first fault re-raised.  The machine is then
+        reusable: a host daemon can remap the job onto healthy hardware
+        and resume from a checkpoint.
         """
         if not self._booted:
             raise MachineError("bring_up() the machine before running programs")
@@ -560,75 +582,40 @@ class QCDOCMachine:
         where every rank has reported or any rank faulted.  Rank return
         values and :class:`FaultError` instances must be picklable.
         """
-        from repro.comms.api import CommsAPI  # local import: layering
-
-        engine = self.global_ops(partition)
-        n = partition.n_nodes
-        part_nodes = [self.nodes[partition.physical_node(r)] for r in range(n)]
-        pre_buffers = {
-            nd.node_id: set(nd.memory.buffer_names()) for nd in part_nodes
-        }
+        run = PartitionRun(self, partition)  # ranks report into it by note
         router = self.sim.router
-        done: Dict[int, Any] = {}
-        faults: List[BaseException] = []
-        router.note_handlers["rank_done"] = lambda note: done.__setitem__(
+        router.note_handlers["rank_done"] = lambda note: run.done.__setitem__(
             note.data["rank"], note.data["value"]
         )
-        router.note_handlers["rank_fault"] = lambda note: faults.append(
+        router.note_handlers["rank_fault"] = lambda note: run.faults.append(
             note.data["exc"]
         )
-
-        def guarded(api):
-            try:
-                result = yield from program(api, **program_kwargs)
-            except FaultError as exc:
-                router.notify("rank_fault", rank=api.rank, exc=exc)
-                return None
-            router.notify("rank_done", rank=api.rank, value=result)
-            return result
-
-        shard_of_rank = [self.shard_of(nd.node_id) for nd in part_nodes]
-        processes: List[Process] = []
-        for rank in range(n):
-            api = CommsAPI(self, partition, engine, rank, part_nodes[rank])
-            with self.sim.context(shard_of_rank[rank]):
-                processes.append(
-                    self.sim.process(guarded(api), name=f"rank{rank}")
-                )
-
-        def stop() -> bool:
-            return bool(faults) or len(done) == n
-
-        self._install_fork_hooks(processes, part_nodes, shard_of_rank)
-        launched_at = self.sim.now
+        # the parent's images of the rank processes never run: not the run's
+        processes = self._spawn_ranks(
+            run,
+            program,
+            program_kwargs,
+            lambda rank, value: router.notify("rank_done", rank=rank, value=value),
+            lambda rank, exc: router.notify("rank_fault", rank=rank, exc=exc),
+        )
+        self._install_fork_hooks(processes, run.part_nodes)
         try:
             self.sim.run_forked(
-                stop,
+                lambda: run.settled,
                 max_time=max_time,
-                ctrl_for_stop=lambda: ["abort"] if faults else [],
+                ctrl_for_stop=lambda: ["abort"] if run.faults else [],
             )
         finally:
             self.sim.fork_hooks.clear()
-            self._account_run(launched_at, engine)
-        if not faults:
-            return [done[r] for r in range(n)]
-        # The abort control hook already interrupted surviving ranks and
-        # cancelled transfers *inside* the workers, and the run drained
-        # before the state merge — only the parent-side buffer/bookkeeping
-        # cleanup remains.
-        for node in part_nodes:
-            for name in sorted(
-                set(node.memory.buffer_names()) - pre_buffers[node.node_id]
-            ):
-                node.memory.free(name)
-            node.scu.finish_drain()
-        raise faults[0]
+            self._account_run(run.launched_at, run.engine)
+        if run.faults:
+            # The abort control hook interrupted ranks and cancelled
+            # transfers *inside* the workers, which drained before the merge.
+            run.finalize()
+        return run.results()
 
     def _install_fork_hooks(
-        self,
-        processes: List[Process],
-        part_nodes: List[Node],
-        shard_of_rank: List[int],
+        self, processes: List[Process], part_nodes: List[Node]
     ) -> None:
         """Wire this machine's state transfer into ``sim.run_forked``.
 
@@ -643,11 +630,10 @@ class QCDOCMachine:
             return self._shard_snapshot(shard, watermark)
 
         def abort_ctrl(shard: int) -> None:
-            for proc, home in zip(processes, shard_of_rank):
-                if home == shard and proc.is_alive:
-                    proc.interrupt("partition abort")
-            for node in part_nodes:
+            for proc, node in zip(processes, part_nodes):
                 if self.shard_of(node.node_id) == shard:
+                    if proc.is_alive:
+                        proc.interrupt("partition abort")
                     node.scu.cancel_active_transfers()
 
         self.sim.fork_hooks.update(
@@ -721,7 +707,12 @@ class QCDOCMachine:
                 ic.seen_bits, ic.latched_bits, ic.presented_bits = st["irq"]
                 ic._presentation_scheduled = False
             for key, link_state in sorted(snap["links"].items()):
-                self.network.links[key].restore_state(link_state)
+                link = self.network.links[key]
+                link.restore_state(link_state)
+                if link.cross_shard is not None:
+                    # a boundary wire's landings were counted down in the
+                    # receiving worker's image; shards ship home drained
+                    link.in_transit = 0
             for r in snap["trace"]:
                 merged_trace.append((r.time, r.seq, shard, r))
         if self.trace is not None:

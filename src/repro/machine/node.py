@@ -239,5 +239,18 @@ class Node:
         self._supervisor_waiters.append(ev)
         return ev
 
+    #: what :meth:`boot_reset` keeps: the CPU's monotone accounting
+    _RESET_KEPT = ("flops_charged", "compute_time", "kernel_flops")
+
+    def boot_reset(self) -> None:
+        """Hand the node back as a booted one: the SCU, the supervisor
+        interrupts a job received or waited for, the sanitizer's shadow
+        (what the run allocated, the run frees: it knows what was there)."""
+        self.scu.boot_reset()
+        self.supervisor_events = []
+        self._supervisor_waiters = []
+        if self.sanitizer is not None:
+            self.sanitizer.forget_node(self.node_id)
+
     def __repr__(self) -> str:
         return f"Node({self.node_id})"

@@ -148,6 +148,9 @@ class ReplayEngine:
         self.replayed_transfers = 0
         self.interpreted_fallbacks = 0
         self.invalidations = 0
+        #: tags compiled and not invalidated since (a finalized job's
+        #: stay counted: the statistics say what was done, not what is held)
+        self.compiled_tags = 0
 
     # -- epoch bracketing ---------------------------------------------------
     def begin_epoch(self, tag: str) -> None:
@@ -197,6 +200,7 @@ class ReplayEngine:
                 elif rec.uncompilable is None:
                     rec.compiled = True
                     self.epochs_learned += 1
+                    self.compiled_tags += 1
         elif self.mode == "replay":
             self.epochs_replayed += 1
         self.active_tag = None
@@ -206,14 +210,17 @@ class ReplayEngine:
         """Drop every compiled record; the next epoch per tag relearns."""
         if not self.enabled or (not self.records and self.active_tag is None):
             return
+        self.compiled_tags -= sum(rec.compiled for rec in self.records.values())
         self.records.clear()
         self.invalidations += 1
         # Mid-epoch invalidation: stop learning/replaying further transfers
         # this epoch (transfers already replayed run on in their units).
         self.mode = None
-        # Retract standing pair verdicts on both ends of every wire pair so
-        # neighbours re-evaluate against the cleared records (same-shard
-        # peers only — cross-shard pairs never hold verdicts).
+        self._retract_verdicts()
+
+    def _retract_verdicts(self) -> None:
+        """Drop the pair verdicts on both ends of every wire pair, so that
+        neighbours re-evaluate (cross-shard pairs never hold any)."""
         self._verdicts.clear()
         for direction, (peer_scu, arrival) in self.scu.peers.items():
             link = self.scu.out_links.get(direction)
@@ -226,6 +233,26 @@ class ReplayEngine:
                     for key, v in eng._verdicts.items()
                     if key[0] != arrival
                 }
+
+    #: what :meth:`boot_reset` keeps, and :meth:`stats` reports
+    _RESET_KEPT = (
+        "epochs_learned",
+        "epochs_replayed",
+        "replayed_transfers",
+        "interpreted_fallbacks",
+        "invalidations",
+        "compiled_tags",
+    )
+
+    def boot_reset(self) -> None:
+        """Forget what a job taught the engine — the epoch indices too:
+        nodes of different histories must key their ledgers alike."""
+        self.records.clear()
+        self.epoch_seq.clear()
+        self.active_tag = None
+        self.active_seq = 0
+        self.mode = None
+        self._retract_verdicts()
 
     # -- learning -----------------------------------------------------------
     def observe(self, kind, direction, descriptor, group, batch, event) -> None:
@@ -457,13 +484,4 @@ class ReplayEngine:
 
     # -- statistics ----------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        return {
-            "epochs_learned": self.epochs_learned,
-            "epochs_replayed": self.epochs_replayed,
-            "replayed_transfers": self.replayed_transfers,
-            "interpreted_fallbacks": self.interpreted_fallbacks,
-            "invalidations": self.invalidations,
-            "compiled_tags": sum(
-                1 for r in self.records.values() if r.compiled
-            ),
-        }
+        return {name: getattr(self, name) for name in self._RESET_KEPT}

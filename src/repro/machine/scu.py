@@ -205,11 +205,17 @@ class _DmaUnit:
             self.asic.watchdog_wait(rung), self._wd_check, gen, snapshot, rung
         )
 
-    # -- fork-executor state transfer --------------------------------------
+    # -- declared state: fork-executor transfer, and the return to boot ------
     #: what the ladder mutates (REPRO504 audits this class too); a unit's
-    #: own tuples, the ones ``snapshot_state`` reads, restate these
-    _SNAPSHOT_ATTRS: Tuple[str, ...] = ("backoff_waits",)
-    _SNAPSHOT_TRANSIENT: Tuple[str, ...] = ("_wd_gen",)
+    #: own tuples, the ones ``snapshot_state`` reads, restate these.
+    #: ``_RESET_KEPT`` is the part of ``_SNAPSHOT_ATTRS`` :meth:`boot_reset`
+    #: leaves alone — monotone counters, the end-of-run checksum, and the
+    #: watchdog generation (a stale probe still in the heap must never
+    #: match a later transfer's) — and ``_REGISTERS`` the rest of it
+    _RESET_KEPT: Tuple[str, ...] = ("backoff_waits", "_wd_gen")
+    _REGISTERS: Tuple[str, ...] = ()
+    _SNAPSHOT_ATTRS: Tuple[str, ...] = _RESET_KEPT + _REGISTERS
+    _SNAPSHOT_TRANSIENT: Tuple[str, ...] = ()
 
     def snapshot_state(self) -> dict:
         return {name: getattr(self, name) for name in self._SNAPSHOT_ATTRS}
@@ -217,6 +223,13 @@ class _DmaUnit:
     def restore_state(self, state: dict) -> None:
         for name, value in sorted(state.items()):
             setattr(self, name, value)
+
+    def boot_reset(self) -> None:
+        """Registers and transients back to what a freshly built unit
+        holds: boot state is whatever ``__init__`` says it is."""
+        boot = type(self)(self.sim, self.asic, self.scu, self.direction)
+        for name in self._REGISTERS + self._SNAPSHOT_TRANSIENT:
+            setattr(self, name, getattr(boot, name))
 
 
 class SendUnit(_DmaUnit):
@@ -255,12 +268,7 @@ class SendUnit(_DmaUnit):
     def window(self) -> int:
         return max(self.asic.ack_window_words, self._batch)
 
-    def start(
-        self,
-        words: np.ndarray,
-        region: str = "edram",
-        word_batch=None,
-    ) -> Event:
+    def start(self, words: np.ndarray, word_batch=None) -> Event:
         """Begin a DMA transfer of ``words`` (uint64) to the neighbour.
 
         ``word_batch`` overrides the SCU-wide batch for this one transfer
@@ -271,7 +279,6 @@ class SendUnit(_DmaUnit):
             self.scu.word_batch if word_batch is None else word_batch,
             len(self.words),
         )
-        self._region = region
         self._proc = self.sim.process(
             self._run(), name=f"send[{self.scu.node_id}:{self.direction}]"
         )
@@ -424,11 +431,11 @@ class SendUnit(_DmaUnit):
         if done is not None and not done.triggered:
             done.fail(FaultError(f"send transfer cancelled: {reason}"))
 
-    # -- fork-executor state transfer --------------------------------------
+    # -- declared state (see :class:`_DmaUnit`) --------------------------------
     #: plain-value attributes a forked shard worker owns and ships home
     #: (transfer-transient state — ``words``/``done``/``_proc`` — is not
     #: carried: the fork coordinator only snapshots quiesced shards)
-    _SNAPSHOT_ATTRS = (
+    _RESET_KEPT = (
         "checksum",
         "resends",
         "payload_words",
@@ -437,26 +444,16 @@ class SendUnit(_DmaUnit):
         "transfers_completed",
         "watchdog_trips",
         "backoff_waits",
-        "base",
-        "next",
-        "active",
-        "_consec_resends",
-    )
-
-    #: live-heap-only state (REPRO504 audit): events, the generator
-    #: process, the in-flight payload view and watchdog scheduling all
-    #: reference the worker's event heap and are rebuilt per transfer —
-    #: the fork coordinator only snapshots quiesced shards
-    _SNAPSHOT_TRANSIENT = (
-        "words",
-        "_batch",
-        "done",
-        "_region",
-        "_proc",
-        "_t_start",
-        "_wake",
         "_wd_gen",
     )
+    _REGISTERS = ("base", "next", "active", "_consec_resends")
+    _SNAPSHOT_ATTRS = _RESET_KEPT + _REGISTERS
+
+    #: live-heap-only state (REPRO504 audit): events, the generator
+    #: process and the in-flight payload view all reference the worker's
+    #: event heap and are rebuilt per transfer — the fork coordinator
+    #: only snapshots quiesced shards
+    _SNAPSHOT_TRANSIENT = ("words", "_batch", "done", "_proc", "_t_start", "_wake")
 
 
 class RecvUnit(_DmaUnit):
@@ -471,6 +468,8 @@ class RecvUnit(_DmaUnit):
         self.held: List[np.ndarray] = []  # idle-receive holding registers
         self.held_words = 0
         self.descriptor: Optional[DmaDescriptor] = None
+        self._buffer_name: Optional[str] = None
+        self._indices: Optional[np.ndarray] = None
         self.total = 0
         self.write_cursor = 0
         #: corrupt data frames detected (header code / parity bits)
@@ -716,12 +715,9 @@ class RecvUnit(_DmaUnit):
         if done is not None and not done.triggered:
             done.fail(exc)
 
-    # -- fork-executor state transfer --------------------------------------
-    #: see :attr:`SendUnit._SNAPSHOT_ATTRS`
-    _SNAPSHOT_ATTRS = (
+    # -- declared state (see :class:`_DmaUnit`) --------------------------------
+    _RESET_KEPT = (
         "checksum",
-        "expected",
-        "held_words",
         "payload_words",
         "parity_errors",
         "resend_requests",
@@ -733,9 +729,10 @@ class RecvUnit(_DmaUnit):
         "transfers_completed",
         "watchdog_trips",
         "backoff_waits",
-        "total",
-        "write_cursor",
+        "_wd_gen",
     )
+    _REGISTERS = ("expected", "held_words", "total", "write_cursor")
+    _SNAPSHOT_ATTRS = _RESET_KEPT + _REGISTERS
 
     #: live-heap-only state (REPRO504 audit): the active descriptor,
     #: its resolved destination view, the completion event, idle-held
@@ -750,7 +747,6 @@ class RecvUnit(_DmaUnit):
         "_t_post",
         "held",
         "_eot_due",
-        "_wd_gen",
     )
 
 
@@ -990,7 +986,7 @@ class SCU:
         Part of the machine's partition-abort path: after a watchdog
         trip fails one rank, the surviving ranks' half-finished transfers
         are cancelled (their events fail), and any frames still on the
-        wire are discarded on arrival until :meth:`finish_drain`.
+        wire are discarded on arrival until :meth:`boot_reset`.
         """
         self._draining = True
         for unit in self.send_units.values():
@@ -1000,9 +996,26 @@ class SCU:
         self._stored.clear()
         self.replay.invalidate("transfers cancelled")
 
-    def finish_drain(self) -> None:
-        """Leave abort-drain mode (call once the event heap has drained)."""
+    #: what :meth:`boot_reset` keeps: the wiring, the verdicts on dead
+    #: cables (the host daemon's to lift, not a job's) and the drain count
+    _RESET_KEPT = (
+        "out_links",
+        "send_units",
+        "recv_units",
+        "peers",
+        "links_down",
+        "drained_frames",
+    )
+
+    def boot_reset(self) -> None:
+        """Hand the SCU back as a booted one, once the run's last frame has
+        left the wires: units, descriptors, registers, drain mode, replay."""
+        for unit in (*self.send_units.values(), *self.recv_units.values()):
+            unit.boot_reset()
+        self._stored.clear()
+        self.supervisor_reg.clear()
         self._draining = False
+        self.replay.boot_reset()
 
     # -- transfer accounting ---------------------------------------------------
     def transfer_counters(self) -> Dict[str, int]:

@@ -131,7 +131,7 @@ def iteration_hook(
     return on_iteration
 
 
-# -- the shared driver: scatter -> run -> free -> agree-and-gather ---------------
+# -- the shared driver: scatter -> launch, settle, finalize -> agree-and-gather --
 def run_on_partition(
     machine: QCDOCMachine,
     partition: Partition,
@@ -139,23 +139,15 @@ def run_on_partition(
     max_time: float,
     **kwargs: Any,
 ) -> List[Any]:
-    """``run_partition`` + free the buffers the programs allocated.
-
-    Its success path leaves node buffers in place (only the fault path
-    finalizes), so a second run on the same nodes would die on a duplicate
-    allocation; every run returns the nodes to their pre-run namespace.
-    """
-    nodes = [
-        machine.nodes[partition.physical_node(rank)]
-        for rank in range(partition.n_nodes)
-    ]
-    pre = {n.node_id: set(n.memory.buffer_names()) for n in nodes}
+    """One whole job: ``run_partition`` (launch, drive to settle), then
+    the ``finalize`` it leaves to its caller on success — the nodes are
+    back in boot state for the next run of any shape."""
+    before = machine.last_run
     try:
         return machine.run_partition(partition, program, max_time=max_time, **kwargs)
     finally:
-        for n in nodes:
-            for name in sorted(set(n.memory.buffer_names()) - pre[n.node_id]):
-                n.memory.free(name)
+        if machine.last_run is not before:  # it got as far as launching
+            machine.last_run.finalize()
 
 
 def agreed(values: Sequence[Any], what: str) -> Any:

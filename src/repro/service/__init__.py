@@ -11,7 +11,7 @@ per job — realised over the software twin:
   and fault-driven remap + resubmit.
 """
 
-from repro.service.jobs import Job, JobResult, JobState, WilsonJobSpec
+from repro.service.jobs import Job, JobResult, JobState, TenantRollup, WilsonJobSpec
 from repro.service.scheduler import (
     AdmissionError,
     Preempt,
@@ -21,7 +21,7 @@ from repro.service.scheduler import (
     Start,
 )
 from repro.service.service import QcdocService
-from repro.service.telemetry import TenantRollup, usage_delta, usage_totals
+from repro.telemetry.counters import usage_delta, usage_totals
 
 __all__ = [
     "AdmissionError",

@@ -12,12 +12,13 @@ completions).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.solvers.checkpoint import CGCheckpointStore
+from repro.telemetry.counters import USAGE_COUNTERS, merge_samples
 from repro.util.errors import ConfigError
 
 
@@ -89,6 +90,18 @@ class JobResult:
     queue_latency: float
 
 
+@dataclass
+class Recovery:
+    """One fault-and-restart cycle of a job: what failed and what the
+    daemon found; then, once it is launched again, where it went on."""
+
+    time: float
+    error: str
+    diagnosis: dict
+    resumed_from: Optional[int] = None  # checkpoint iteration; None = cold
+    partition_nodes: List[int] = field(default_factory=list)  # rank order
+
+
 class Job:
     """Host-side record of one submitted job (the service owns these)."""
 
@@ -119,8 +132,8 @@ class Job:
         self.usage_baseline: Optional[Dict[str, float]] = None
         self.restarts = 0
         self.preemptions = 0
-        #: qdaemon diagnoses collected after each fault recovery
-        self.diagnoses: List[dict] = []
+        #: one :class:`Recovery` per fault survived (or died of), in order
+        self.diagnoses: List[Recovery] = []
         self.started_at: Optional[float] = None
         self.last_start: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -147,3 +160,40 @@ class Job:
             f"Job({self.job_id}, {self.tenant!r}, {self.state.value}, "
             f"{self.spec.n_nodes} nodes)"
         )
+
+
+@dataclass
+class TenantRollup:
+    """Accumulated per-tenant accounting, fed one resolved job at a time."""
+
+    tenant: str
+    jobs_completed: int = 0
+    jobs_failed: int = 0
+    restarts: int = 0
+    preemptions: int = 0
+    node_seconds: float = 0.0
+    queue_latencies: List[float] = field(default_factory=list)
+    usage: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(USAGE_COUNTERS, 0.0)
+    )
+
+    def absorb(self, job: Job) -> None:
+        """Fold one terminal job into the rollup."""
+        if job.state is JobState.DONE:
+            self.jobs_completed += 1
+        else:
+            self.jobs_failed += 1
+        self.restarts += job.restarts
+        self.preemptions += job.preemptions
+        self.node_seconds += job.run_seconds * job.spec.n_nodes
+        self.queue_latencies.append(job.queue_latency)
+        self.usage = merge_samples([self.usage, job.usage])
+
+    def as_dict(self) -> dict:
+        out = asdict(self)
+        usage, waits = out.pop("usage"), out.pop("queue_latencies")
+        out["queue_latency_p50"], out["queue_latency_p99"] = (
+            np.percentile(waits, [50, 99]).tolist() if waits else (0.0, 0.0)
+        )
+        out["usage"] = usage
+        return out

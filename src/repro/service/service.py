@@ -41,24 +41,28 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.host.qdaemon import Qdaemon
 from repro.host.remap import find_healthy_partition
 from repro.parallel.decomp import PhysicsMapping
 from repro.parallel.pcg import cg_rank_program, gather_cg_results, wilson_context
-from repro.service.jobs import Job, JobResult, JobState, WilsonJobSpec
+from repro.service.jobs import (
+    Job,
+    JobResult,
+    JobState,
+    Recovery,
+    TenantRollup,
+    WilsonJobSpec,
+)
 from repro.service.scheduler import (
     Preempt,
     SchedJob,
     SchedulerCore,
     Start,
 )
-from repro.service.telemetry import (
-    TenantRollup,
-    percentile,
-    usage_delta,
-    usage_totals,
-)
 from repro.solvers.checkpoint import CGCheckpointStore
+from repro.telemetry.counters import merge_samples, usage_delta, usage_totals
 from repro.util.errors import (
     ConfigError,
     DegradedMachineError,
@@ -316,6 +320,13 @@ class QcdocService:
             resume_states = job.store.latest_complete_states(
                 partition.n_nodes
             )
+        last = job.diagnoses[-1] if job.diagnoses else None
+        if last is not None and not last.partition_nodes:
+            # the relaunch after a fault closes that recovery's record
+            if resume_states is not None:
+                last.resumed_from = next(iter(resume_states.values()))["it"]
+            ranks = range(partition.n_nodes)
+            last.partition_nodes = [partition.physical_node(r) for r in ranks]
         mapping = PhysicsMapping(spec.gauge.geometry, partition)
         run = self.machine.launch_partition(
             partition,
@@ -379,53 +390,53 @@ class QcdocService:
 
         self.sim.process(tick(), name=f"revoke-ticker{job.job_id}")
 
-    def _finish_revoke(self, job: Job) -> None:
-        """The drained victim's teardown: finalize, release, requeue."""
+    def _teardown(self, job: Job, requeue: bool) -> None:
+        """The one end of an attempt, however it ended: finalize (nodes
+        back in boot state), release, account, tell the scheduler."""
         run = job.run
         run.finalize()
         self.daemon.release(job.alloc)
-        self._account_attempt(job)
-        node_seconds = run.n_ranks * (self.sim.now - job.last_start)
+        after = usage_totals(self.machine, run.node_ids())
+        job.usage = merge_samples([job.usage, usage_delta(after, job.usage_baseline)])
+        held = self.sim.now - job.last_start
+        job.run_seconds += held
         del self._active[job.job_id]
+        self.core.job_ended(job.job_id, run.n_ranks * held, requeue=requeue)
+
+    def _finish_revoke(self, job: Job) -> None:
+        """A drained victim goes back to the queue — after a fault, past the
+        daemon's bounded diagnosis and only while its restart budget lasts."""
         if job.state is JobState.PREEMPTING:
             job.preemptions += 1
-            self.core.job_ended(job.job_id, node_seconds, requeue=True)
+            self._teardown(job, requeue=True)
             job.state = JobState.QUEUED
             return
-        # fault recovery: bounded diagnosis sweep, then requeue or fail
-        diagnosis = self.daemon.handle_fault(drain=False)
-        job.diagnoses.append(diagnosis)
         job.restarts += 1
-        if job.restarts > self.max_restarts:
-            self.core.job_ended(job.job_id, node_seconds, requeue=False)
+        exhausted = job.restarts > self.max_restarts
+        self._teardown(job, requeue=not exhausted)
+        fault = job.run.faults[0]
+        job.diagnoses.append(
+            Recovery(
+                time=self.sim.now,
+                error=str(fault),
+                diagnosis=self.daemon.handle_fault(drain=False),
+            )
+        )
+        if exhausted:
             self._fail(
                 job,
                 MachineError(
-                    f"job {job.job_id} exceeded {self.max_restarts} "
-                    f"fault restarts (last fault: {run.faults[0]!r})"
+                    f"job {job.job_id} exceeded its restart budget of "
+                    f"{self.max_restarts} (last fault: {fault!r})"
                 ),
             )
-            return
-        self.core.job_ended(job.job_id, node_seconds, requeue=True)
-        job.state = JobState.QUEUED
+        else:
+            job.state = JobState.QUEUED
 
     # -- resolution ----------------------------------------------------------
-    def _account_attempt(self, job: Job) -> None:
-        """Fold this attempt's node-counter deltas into the job ledger."""
-        after = usage_totals(self.machine, job.run.node_ids())
-        for key, value in usage_delta(after, job.usage_baseline).items():
-            job.usage[key] = job.usage.get(key, 0.0) + value
-        job.run_seconds += self.sim.now - job.last_start
-
     def _complete(self, job: Job) -> None:
-        run = job.run
-        results = run.results()
-        self._account_attempt(job)
-        run.finalize()
-        self.daemon.release(job.alloc)
-        node_seconds = run.n_ranks * (self.sim.now - job.last_start)
-        del self._active[job.job_id]
-        self.core.job_ended(job.job_id, node_seconds, requeue=False)
+        results = job.run.results()
+        self._teardown(job, requeue=False)
         solve = gather_cg_results(
             self.machine,
             job.mapping.gather_field,
@@ -447,15 +458,17 @@ class QcdocService:
             preemptions=job.preemptions,
             queue_latency=job.queue_latency,
         )
-        job.state = JobState.DONE
-        job.finished_at = self.sim.now
-        self._rollup(job.tenant).absorb(job)
+        self._resolve(job, JobState.DONE)
 
     def _fail(self, job: Job, error: BaseException) -> None:
         job.error = error
-        job.state = JobState.FAILED
+        self._resolve(job, JobState.FAILED)
+
+    def _resolve(self, job: Job, state: JobState) -> None:
+        """A job reaches its terminal state, once, and its tenant's rollup."""
+        job.state = state
         job.finished_at = self.sim.now
-        self._rollup(job.tenant).absorb(job)
+        self.rollups.setdefault(job.tenant, TenantRollup(job.tenant)).absorb(job)
 
     def _fail_unplaceable(self) -> bool:
         """Nothing runs and nothing starts: the leftovers cannot ever run.
@@ -489,12 +502,6 @@ class QcdocService:
             )
         return progressed
 
-    def _rollup(self, tenant: str) -> TenantRollup:
-        rollup = self.rollups.get(tenant)
-        if rollup is None:
-            rollup = self.rollups[tenant] = TenantRollup(tenant)
-        return rollup
-
     # -- reporting -----------------------------------------------------------
     def report(self) -> dict:
         """Service-level accounting (the E17 artifact's body)."""
@@ -504,6 +511,9 @@ class QcdocService:
             states[state] = states.get(state, 0) + 1
         terminal = [j for j in self.jobs.values() if j.terminal]
         latencies = [j.queue_latency for j in terminal]
+        p50, p99 = (
+            np.percentile(latencies, [50, 99]).tolist() if latencies else (0.0, 0.0)
+        )
         busy_node_seconds = sum(
             j.run_seconds * j.spec.n_nodes for j in self.jobs.values()
         )
@@ -526,8 +536,8 @@ class QcdocService:
                 ),
             },
             "queue_latency": {
-                "p50": percentile(latencies, 50),
-                "p99": percentile(latencies, 99),
+                "p50": p50,
+                "p99": p99,
                 "max": max(latencies) if latencies else 0.0,
             },
             "packing": {

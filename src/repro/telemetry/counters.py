@@ -224,6 +224,29 @@ def sample_nodes(machine, node_ids: Iterable[int]) -> Sample:
     return out
 
 
+#: job-attributed totals -> the per-node counter path suffix they sum
+USAGE_COUNTERS: Dict[str, str] = {
+    "flops": "cpu.flops_charged",
+    "compute_seconds": "cpu.compute_seconds",
+    "payload_words": "scu.payload_words_sent",
+    "wire_words": "scu.wire_words_sent",
+    "resends": "scu.resends",
+}
+
+
+def usage_totals(machine, node_ids: Iterable[int]) -> Sample:
+    """:func:`sample_nodes` collapsed to the :data:`USAGE_COUNTERS` totals."""
+    by_suffix: Dict[str, List[float]] = {}
+    for path, value in sample_nodes(machine, node_ids).items():
+        by_suffix.setdefault(path.split(".", 1)[1], []).append(value)
+    return {k: sum(by_suffix.get(s, ()), 0.0) for k, s in USAGE_COUNTERS.items()}
+
+
+def usage_delta(after: Sample, before: Sample) -> Sample:
+    """Per-key difference (counters are monotone, so this is the usage)."""
+    return {key: after[key] - before.get(key, 0.0) for key in after}
+
+
 def bank_for_machine(machine) -> CounterBank:
     """The canonical :class:`CounterBank` over a
     :class:`~repro.machine.machine.QCDOCMachine`.

@@ -81,3 +81,22 @@ def assert_same_observables(m_ref, m_got):
     ref, got = observables(m_ref), observables(m_got)
     drift = observable_diff({k: ref[k] for k in ("counters", "trace", "now")}, got)
     assert drift == {}, f"observable drift: {drift}"
+
+
+def assert_boot_state(machine, node_ids):
+    """What ``PartitionRun.finalize`` promises of every node a run held,
+    however the run ended: nothing of the job is left on it."""
+    for node_id in node_ids:
+        node, scu = machine.nodes[node_id], machine.nodes[node_id].scu
+        assert node.memory.buffer_names() == [], node_id
+        assert len(scu._stored) == 0 and scu.supervisor_reg == {}, node_id
+        assert scu.in_flight_words() == 0 and not scu._draining, node_id
+        replay = scu.replay
+        assert replay.records == {} and replay.epoch_seq == {}, node_id
+        assert replay.active_tag is None and replay._verdicts == {}, node_id
+        assert not any(u.active for u in scu.send_units.values()), node_id
+        assert all(
+            u.descriptor is None and u.done is None and not u.held and not u._eot_due
+            for u in scu.recv_units.values()
+        ), node_id
+        assert machine.interrupts[node_id].presented_bits == 0, node_id

@@ -1,5 +1,5 @@
 """CLI modes added in PR 9: --flow gating, --hygiene, --protocol,
-SARIF output, allowlist budget and stale-entry enforcement."""
+allowlist budget and stale-entry enforcement."""
 
 import json
 
@@ -116,71 +116,6 @@ class TestProtocolFlag:
         assert code == EXIT_FINDINGS  # the scan's finding, not the verifier
         out = capsys.readouterr().out
         assert "protocol verification: ok" in out and "REPRO101" in out
-
-
-# ---------------------------------------------------------------------------
-# SARIF output
-# ---------------------------------------------------------------------------
-
-
-class TestSarif:
-    def _sarif(self, capsys):
-        return json.loads(capsys.readouterr().out)
-
-    def test_exit_codes_unchanged_by_format(self, tmp_path, capsys):
-        root = write_pkg(tmp_path, WALLCLOCK_BAD)
-        assert (
-            main([str(root), "--format", "sarif", "--no-allowlist"])
-            == EXIT_FINDINGS
-        )
-        capsys.readouterr()
-        clean = write_pkg(tmp_path / "c", "x = 1\n")
-        assert (
-            main([str(clean), "--format", "sarif", "--no-allowlist"])
-            == EXIT_CLEAN
-        )
-        capsys.readouterr()
-
-    def test_sarif_round_trips_the_findings(self, tmp_path, capsys):
-        root = write_pkg(tmp_path, WALLCLOCK_BAD + "y = time.time()\n")
-        main([str(root), "--format", "json", "--no-allowlist"])
-        findings = json.loads(capsys.readouterr().out)["findings"]
-        main([str(root), "--format", "sarif", "--no-allowlist"])
-        sarif = self._sarif(capsys)
-
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        results = run["results"]
-        assert len(results) == len(findings)
-        for want, got in zip(findings, results):
-            assert got["ruleId"] == want["rule"]
-            assert got["message"]["text"] == want["message"]
-            loc = got["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uri"] == want["path"]
-            assert loc["region"]["startLine"] == want["line"]
-            # SARIF columns are 1-based; findings are 0-based
-            assert loc["region"]["startColumn"] == want["col"] + 1
-
-    def test_sarif_declares_every_run_rule(self, tmp_path, capsys):
-        root = write_pkg(tmp_path, "x = 1\n")
-        main([str(root), "--format", "sarif", "--flow", "--no-allowlist"])
-        sarif = self._sarif(capsys)
-        declared = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"REPRO101", "REPRO501", "REPRO504", "REPRO000"} <= declared
-
-    def test_sarif_marks_suppressed_findings(self, tmp_path, capsys):
-        root = write_pkg(tmp_path, WALLCLOCK_BAD)
-        allow = tmp_path / "allow"
-        allow.write_text("REPRO101  repro/machine/user.py  :: fixture\n")
-        code = main(
-            [str(root), "--format", "sarif", "--allowlist", str(allow)]
-        )
-        assert code == EXIT_CLEAN
-        sarif = self._sarif(capsys)
-        results = sarif["runs"][0]["results"]
-        assert len(results) == 1
-        assert results[0]["suppressions"] == [{"kind": "external"}]
 
 
 # ---------------------------------------------------------------------------

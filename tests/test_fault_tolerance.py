@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.hmc.checkpoint import HMCCheckpoint, run_with_checkpoints
 from repro.hmc.hmc import HMC
 from repro.host.qdaemon import Qdaemon
-from repro.host.resilience import solve_resilient
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import ASICConfig, MachineConfig
 from repro.machine.faults import (
@@ -41,6 +40,7 @@ from repro.machine.globalops import GlobalOpsEngine
 from repro.machine.machine import QCDOCMachine
 from repro.machine.scu import DmaDescriptor
 from repro.parallel.pcg import solve_on_machine
+from repro.service import JobState, QcdocService, WilsonJobSpec
 from repro.sim.core import Simulator
 from repro.solvers.checkpoint import CGCheckpointStore
 from repro.util import rng_stream
@@ -99,6 +99,17 @@ def chaos_problem():
     gauge = GaugeField.weak(geom, r, eps=0.3)
     b = r.standard_normal((geom.volume, 4, 3)) + 0j
     return gauge, b
+
+
+def solve_through_faults(daemon, gauge, b, **service_kwargs):
+    """One fault-tolerant solve: the chaos problem submitted to the job
+    service (its recovery loop is the only one) and drained."""
+    service = QcdocService(daemon, **service_kwargs)
+    job = service.submit(
+        WilsonJobSpec(gauge, b, mass=0.3, groups=GROUPS, extents=EXTENTS, tol=1e-8)
+    )
+    service.run_until_drained(max_time=1e9)
+    return job
 
 
 @pytest.fixture(scope="module")
@@ -536,42 +547,40 @@ class TestChaosAcceptance:
             [FaultEvent(time=t_fault, kind=kind, node=node, direction=direction)]
         )
         sched.arm(m, d)
-        report = solve_resilient(
-            d, gauge, b, mass=0.3, groups=GROUPS, extents=EXTENTS,
-            tol=1e-8, max_time=1e9, checkpoint_every=10,
-        )
-        return m, d, report, t_fault
+        job = solve_through_faults(d, gauge, b, checkpoint_every=10)
+        return m, d, job, t_fault
 
-    def check_bit_identity(self, report, baseline):
-        res = report.result
+    def check_bit_identity(self, job, baseline):
+        assert job.state is JobState.DONE
+        res = job.result
         assert res.converged
-        assert report.n_restarts == 1
+        assert job.restarts == 1 and len(job.diagnoses) == 1
         assert res.iterations == baseline["iterations"]
         assert tuple(res.residuals) == baseline["residuals"]
         assert res.x.tobytes() == baseline["x"]
-        ev = report.recoveries[0]
+        ev = job.diagnoses[0]
         assert ev.resumed_from is not None and ev.resumed_from > 0
         return ev
 
     def test_link_dead_mid_cg(self, chaos_baseline):
-        m, _d, report, t_fault = self.run_chaos(
+        m, _d, job, t_fault = self.run_chaos(
             "link-dead", node=0, direction=0, baseline=chaos_baseline
         )
-        ev = self.check_bit_identity(report, chaos_baseline)
+        ev = self.check_bit_identity(job, chaos_baseline)
         # detection within the ASIC's declared watchdog budget
         budget = m.config.asic.watchdog_detection_budget
         trips = [r.time for r in m.trace.records if r.tag == "scu.link_down"]
         assert trips
         assert min(trips) - t_fault <= budget + m.config.asic.watchdog_timeout
         # the job moved off the broken hyperplane
-        assert ev.partition_nodes != chaos_baseline["nodes"]
+        assert sorted(ev.partition_nodes) != chaos_baseline["nodes"]
 
     def test_node_dead_mid_cg(self, chaos_baseline):
         victim = 4
-        m, d, report, _t = self.run_chaos(
+        m, d, job, _t = self.run_chaos(
             "node-dead", node=victim, direction=None, baseline=chaos_baseline
         )
-        ev = self.check_bit_identity(report, chaos_baseline)
+        ev = self.check_bit_identity(job, chaos_baseline)
         assert victim not in ev.partition_nodes
         # the RPC sweep saw the death, not just the mesh watchdogs
         assert d.failed[victim] == "rpc-timeout"
@@ -591,11 +600,10 @@ class TestChaosAcceptance:
             ]
         )
         sched.arm(m, d)
+        job = solve_through_faults(d, gauge, b, max_restarts=0)
+        assert job.state is JobState.FAILED and job.result is None
         with pytest.raises(MachineError, match="restart budget"):
-            solve_resilient(
-                d, gauge, b, mass=0.3, groups=GROUPS, extents=EXTENTS,
-                tol=1e-8, max_time=1e9, max_restarts=0,
-            )
+            raise job.error
 
 
 # ---------------------------------------------------------------------------
@@ -730,18 +738,15 @@ class TestCrossShardFaults:
             [FaultEvent(time=t_fault, kind="link-dead", node=0, direction=0)]
         )
         sched.arm(m, d)
-        report = solve_resilient(
-            d, gauge, b, mass=0.3, groups=GROUPS, extents=EXTENTS,
-            tol=1e-8, max_time=1e9, checkpoint_every=10,
-        )
-        res = report.result
+        job = solve_through_faults(d, gauge, b, checkpoint_every=10)
+        res = job.result
         assert res.converged
-        assert report.n_restarts == 1
+        assert job.restarts == 1
         assert res.iterations == chaos_baseline["iterations"]
         assert tuple(res.residuals) == chaos_baseline["residuals"]
         assert res.x.tobytes() == chaos_baseline["x"]
-        ev = report.recoveries[0]
-        assert ev.partition_nodes != chaos_baseline["nodes"]
+        ev = job.diagnoses[0]
+        assert sorted(ev.partition_nodes) != chaos_baseline["nodes"]
         # detection budget holds with one window of barrier latency
         budget = m.config.asic.watchdog_detection_budget
         trips = [r.time for r in m.trace.records if r.tag == "scu.link_down"]

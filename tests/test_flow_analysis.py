@@ -584,6 +584,82 @@ class TestSnapshotCompleteness:
         assert [f.message.split(" is ")[0] for f in result.findings] == ["Unit.count"]
 
 
+RESET_CLASS = """\
+class Unit:
+    _RESET_KEPT = ({kept})
+
+    def __init__(self):
+        self.count = 0
+        self.mode = "idle"
+        self.held = []
+
+    def bump(self, word):
+        self.count += 1
+        self.mode = "run"
+        self.held.append(word)
+
+    def boot_reset(self):
+{reset}
+"""
+
+
+class TestBootResetCompleteness:
+    """REPRO504's second audit: what ``PartitionRun.finalize`` must reset."""
+
+    def lint(self, tmp_path, kept, reset, extra=""):
+        body = "".join(f"        {line}\n" for line in reset)
+        src = RESET_CLASS.format(kept=kept, reset=body) + extra
+        return lint_files(tmp_path, {"repro/machine/u.py": src}, ["REPRO504"])
+
+    def test_attribute_neither_reset_nor_kept_fires(self, tmp_path):
+        result = self.lint(tmp_path, "'count',", ["self.mode = 'idle'"])
+        assert [f.message.split(" is ")[0] for f in result.findings] == ["Unit.held"]
+        assert "boot_reset" in result.findings[0].message
+
+    def test_rebind_clear_and_kept_cover(self, tmp_path):
+        result = self.lint(
+            tmp_path, "'count',", ["self.mode = 'idle'", "self.held.clear()"]
+        )
+        assert result.clean
+
+    def test_reset_in_a_method_boot_reset_calls_counts(self, tmp_path):
+        helper = "\n    def _drop(self):\n        self.held = []\n"
+        result = self.lint(
+            tmp_path, "'count',", ["self.mode = 'idle'", "self._drop()"], helper
+        )
+        assert result.clean
+
+    def test_generic_setattr_loop_covers_the_declared(self, tmp_path):
+        declared = (
+            "    _SNAPSHOT_ATTRS = ('mode',)\n"
+            "    _SNAPSHOT_TRANSIENT = ('held',)\n"
+        )
+        loop = [
+            "for name in self._SNAPSHOT_ATTRS + self._SNAPSHOT_TRANSIENT:",
+            "    setattr(self, name, None)",
+        ]
+        result = self.lint(tmp_path, "'count',", loop, declared)
+        assert result.clean
+        result = self.lint(tmp_path, "'count',", loop, declared.splitlines(True)[0])
+        assert [f.message.split(" is ")[0] for f in result.findings] == ["Unit.held"]
+
+    def test_seeded_mutation_of_the_production_recv_unit(self, tmp_path):
+        """A new transient on ``RecvUnit`` that no declaration names — so
+        the declaration-driven reset misses it — trips the gate."""
+        scu = (SRC / "machine" / "scu.py").read_text()
+        park = "        self.held.append(words)\n"
+        assert scu.count(park) == 1
+        seeded = scu.replace(park, park + "        self._parked_at = self.sim.now\n")
+        files = {"repro/machine/scu.py": seeded}
+        found = lint_files(tmp_path, files, ["REPRO504"]).findings
+        messages = [f.message for f in found]
+        assert any(
+            m.startswith("RecvUnit._parked_at") and "boot_reset" in m for m in messages
+        ), messages
+        files = {"repro/machine/scu.py": scu}
+        assert lint_files(tmp_path / "clean", files, ["REPRO504"]).clean
+
+
 # ---------------------------------------------------------------------------
 # the gate: src/ is clean under the whole flow family
 # ---------------------------------------------------------------------------

@@ -31,11 +31,13 @@ from hypothesis import strategies as st
 from repro.machine.replay import ReplayEngine
 from repro.machine.scu import DmaDescriptor, RecvUnit, SendUnit
 from repro.parallel import solve_on_machine
-from repro.parallel.pcg import _apply_rank_program
+from repro.parallel.pcg import _apply_rank_program, cg_rank_program
 from repro.telemetry import observable_diff
 from repro.util.errors import ProtocolError
 from tests.harness import (
+    GROUPS,
     applied,
+    assert_boot_state,
     assert_same_observables,
     booted,
     scattered,
@@ -295,6 +297,39 @@ def pending_callee(entry):
     return args[3] if fn.__name__ == "_land" else fn
 
 
+def int_counters(machine):
+    sample = machine.counter_bank().sample()
+    return {k: v for k, v in sample.items() if isinstance(v, int)}
+
+
+def assert_next_job_as_fresh(m, job, **machine_kwargs):
+    """``job(machine)`` on the used machine ``m`` — every earlier run on it
+    finalized — is the job a machine booted for it runs: the same fields,
+    the same integer counters moved, the same replay statistics (its
+    first epoch of a tag learns, the rest replay) and the same simulated
+    time taken."""
+
+    def measured(machine):
+        machine.quiesce()
+        counters, stats, t0 = (
+            int_counters(machine), machine.replay_stats(), machine.sim.now
+        )
+        out = job(machine)
+        machine.quiesce()
+        moved = {k: v - counters[k] for k, v in int_counters(machine).items()}
+        learned = {k: v - stats[k] for k, v in machine.replay_stats().items()}
+        return out, moved, learned, machine.sim.now - t0
+
+    fresh, _ = booted(m.config.dims, **machine_kwargs)
+    got, want = measured(m), measured(fresh)
+    assert np.array_equal(got[0], want[0])
+    assert observable_diff({"counters": want[1]}, {"counters": got[1]}) == {}
+    assert got[2] == want[2]
+    # two clocks started at different offsets: equal to rounding
+    assert got[3] == pytest.approx(want[3], rel=1e-9)
+    return fresh
+
+
 class TestReplayAbort:
     """A partition abort while replayed transfers are in every phase.
 
@@ -372,27 +407,121 @@ class TestReplayAbort:
                 for u in scu.recv_units.values()
             )
 
-        # the same nodes run the next job exactly as a fresh machine does
-        def int_counters(machine):
-            sample = machine.counter_bank().sample()
-            return {k: v for k, v in sample.items() if isinstance(v, int)}
+        assert_boot_state(m, sorted(m.nodes))
 
+        # the same nodes run the next job exactly as a fresh machine does
         # (a frame the drain filter discarded was summed at the sending
         # end only, so the aborted run's own wires may not audit clean)
         mismatched = m.audit_checksums()
-        before, replayed = int_counters(m), m.replay_stats()["epochs_replayed"]
-        again = applied(m, part, "wilson", gauge, psi, applies=3, mass=0.3)
-        m.quiesce()
-        after = int_counters(m)
-        m_new, part_new = booted(DIMS_1D, word_batch="face")
-        fresh = applied(m_new, part_new, "wilson", gauge, psi, applies=3, mass=0.3)
-        m_new.quiesce()
-        assert np.array_equal(again, fresh)
-        moved = {k: after[k] - before[k] for k in after}
-        assert observable_diff({"counters": int_counters(m_new)}, {"counters": moved}) == {}
-        assert m.replay_stats()["epochs_replayed"] > replayed
+        m_new = assert_next_job_as_fresh(
+            m,
+            lambda machine: applied(
+                machine,
+                machine.partition(groups=GROUPS),
+                "wilson",
+                gauge,
+                psi,
+                applies=3,
+                mass=0.3,
+            ),
+            word_batch="face",
+        )
         assert len(m.audit_checksums()) == len(mismatched)
         assert m_new.audit_checksums() == []
+
+    @pytest.mark.parametrize("word_batch", [1, "face"])
+    def test_clean_settle_then_a_job_of_another_shape(self, word_batch):
+        """The same promise on the path no fault takes.  At 6677975 a run
+        that settled cleanly left its 12 stored descriptors in every SCU,
+        and a second job of another shape on overlapping nodes started
+        them: ``KeyError: ('recv', 2)`` in ``start_stored_events``."""
+        folded = [[0], [1], [2], [3, 4, 5]]
+        m, part = booted((2, 2, 2, 1, 1, 1), groups=folded, word_batch=word_batch)
+        gauge, psi = system((7, "replay-abort"), (4, 4, 4, 2))
+        applied(m, part, "wilson", gauge, psi, applies=3, mass=0.3)
+        assert_boot_state(m, sorted(m.nodes))
+
+        gauge2, src2 = system((9, "another-shape"), (4, 2, 2, 2), "dwf", Ls=4)
+
+        def second(machine):  # another operator, on two of the eight nodes
+            sub = machine.partition(groups=folded, extents=(2, 1, 1, 1, 1, 1))
+            return applied(machine, sub, "dwf", gauge2, src2, applies=3, Ls=4)
+
+        m_new = assert_next_job_as_fresh(m, second, word_batch=word_batch)
+        assert_boot_state(m, sorted(m.nodes))
+        assert m.audit_checksums() == m_new.audit_checksums() == []
+
+    def test_abort_with_a_resume_still_queued(self):
+        """A rank whose wake-up is already on the heap when ``abort()``
+        queues its interrupt runs on first, into one more hot epoch — with
+        the records dropped and the descriptors cancelled it *learns*, and
+        compiles, an empty schedule.  After ``finalize()`` no engine holds
+        an epoch, open, half-learned or compiled."""
+        gauge, b = system((7, "abort-queued"), (4, 2, 2, 2), start="weak", eps=0.3)
+        for skip in range(6):  # at 6677975 the third and fourth leave a record
+            m, part = booted(DIMS_1D, word_batch="face")
+            context = scattered(part, "wilson", gauge, mass=0.3)
+            run = m.launch_partition(
+                part,
+                cg_rank_program,
+                context=context,
+                local_b=context.scatter(b),
+                tol=1e-10,
+                maxiter=50,
+            )
+            seen = []
+
+            def resume_queued():
+                if m.replay_stats()["epochs_replayed"] < 4:
+                    return False
+                if any(
+                    when == m.sim.now
+                    and getattr(fn, "__name__", "") == "_resume"
+                    and getattr(fn, "__self__", None) in run.processes
+                    for when, _seq, fn, _args in m.sim._heap
+                ):
+                    seen.append(m.sim.now)
+                return len(seen) > skip
+
+            m.sim.run(stop=resume_queued)
+            assert not run.settled
+            run.abort()
+            m.sim.run(stop=run.quiesced)
+            run.finalize()
+            assert_boot_state(m, sorted(m.nodes))
+            m.sim.run()  # what is left on the heap raises nothing
+
+    def test_nodes_of_different_histories_count_epochs_alike(self):
+        """Two of four nodes run a job first; all four then join one
+        partition.  At 6677975 ``epoch_seq`` outlived the first job, the
+        two veterans keyed their verdicts ``(direction, tag, 6..9)`` and
+        the newcomers ``(…, 1..4)``, and no endpoint ever read the verdict
+        its neighbour had written for it."""
+        m, part = booted(DIMS_2D, word_batch="face")
+        sub = m.partition(groups=GROUPS, extents=DIMS_1D)
+        gauge, psi = system((3, "history"), (4, 2, 2, 2))
+        applied(m, sub, "wilson", gauge, psi, applies=5, mass=0.3)
+
+        gauge, psi = system((4, "joined"), (4, 4, 2, 2))
+        applies, before = 4, {i: n.scu.replay.stats() for i, n in m.nodes.items()}
+        run = self.launch(m, part, gauge, psi, applies)
+        m.sim.run(stop=lambda: run.settled)
+        assert not run.faults
+        ledgers = {
+            i: {key[1:] for key in n.scu.replay._verdicts}
+            for i, n in sorted(m.nodes.items())
+        }
+        assert len({frozenset(keys) for keys in ledgers.values()}) == 1, ledgers
+        for i, node in sorted(m.nodes.items()):
+            stats = node.scu.replay.stats()
+            # the first application learns forward and backward hopping
+            # alike; every later one replays, on every node
+            assert stats["epochs_replayed"] - before[i]["epochs_replayed"] == (
+                applies - 1
+            )
+            assert stats["interpreted_fallbacks"] == 0
+        run.finalize()
+        assert_boot_state(m, sorted(m.nodes))
 
     def test_interpreted_send_refused_while_replayed_one_is_in_flight(self):
         """A replayed transfer claims its send unit like any other."""

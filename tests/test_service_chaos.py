@@ -31,6 +31,7 @@ from repro.parallel.pcg import solve_on_machine
 from repro.service import JobState, QcdocService, WilsonJobSpec
 from repro.util import rng_stream
 from repro.util.errors import DegradedMachineError
+from tests.harness import assert_boot_state
 
 pytestmark = pytest.mark.service
 
@@ -89,7 +90,8 @@ class TestSingleFaultRecovery:
         t0 = svc.sim.now
         job = svc.submit(spec(), tenant="chaos")
         svc.pump()  # launched on the first-fit sub-torus
-        src = job.run.node_ids()[0]
+        first_attempt = job.run.node_ids()
+        src = first_attempt[0]
         FaultSchedule(
             [FaultEvent(t0 + 0.002, "link-dead", src, 0)]
         ).arm(svc.machine, svc.daemon)
@@ -101,6 +103,11 @@ class TestSingleFaultRecovery:
         # the cut cable (and its quarantined partners) are out of service
         assert (src, 0) in svc.daemon.quarantined_cables
         assert job.diagnoses, "recovery must record the daemon's diagnosis"
+        where = job.diagnoses[0]
+        assert where.resumed_from > 0 and "link declared down" in where.error
+        assert sorted(where.partition_nodes) == job.run.node_ids() != first_attempt
+        # the faulted attempt's nodes and the finishing one's: all as booted
+        assert_boot_state(svc.machine, first_attempt + job.run.node_ids())
 
     def test_node_death_mid_solve_remaps_bit_identically(self, baselines):
         svc = booted_service((2, 2, 2, 1, 1, 1))

@@ -39,6 +39,7 @@ from repro.service import (
     WilsonJobSpec,
 )
 from repro.util import rng_stream
+from tests.harness import assert_boot_state
 
 pytestmark = pytest.mark.service
 
@@ -279,6 +280,8 @@ class TestServiceInvariants:
         assert low.state is JobState.DONE and hi.state is JobState.DONE
         assert low.preemptions == 1
         assert report["jobs"]["lost"] == 0
+        # a preempted run hands its nodes back as booted ones, too
+        assert_boot_state(svc.machine, sorted(svc.machine.nodes))
 
     def test_drain_leaves_no_allocation_and_no_inflight_words(self):
         gauge, b = tiny_problem()
@@ -291,9 +294,9 @@ class TestServiceInvariants:
         assert report["machine"]["held_nodes"] == 0
         assert report["machine"]["in_flight_words"] == 0
         assert report["machine"]["checksum_mismatches"] == []
-        # node memory is back to the pre-launch namespace on every node
-        for node in svc.machine.nodes.values():
-            assert node.memory.buffer_names() == []
+        # every node is back in boot state: the pre-launch buffer
+        # namespace, no descriptor, no compiled record, no held word
+        assert_boot_state(svc.machine, sorted(svc.machine.nodes))
 
     def test_concurrent_jobs_never_share_nodes(self):
         gauge, b = tiny_problem()
