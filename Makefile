@@ -57,14 +57,13 @@ fingerprint-check:
 verify-telemetry:
 	$(PYTEST) -m telemetry -q
 
-## reprolint (the in-tree simulator-aware linter): full rule set
-## including the whole-program REPRO5xx flow family over src/, plus
-## API-hygiene-only scans of tests/ and benchmarks/ (fixture code there
-## would trip the simulator-semantics rules on purpose).  ruff and mypy
-## run when installed (skipped gracefully — the container does not bake
-## them in).
+## reprolint (the in-tree simulator-aware linter): every rule over src/,
+## one project parsed once, plus API-hygiene-only scans of tests/ and
+## benchmarks/ (fixture code there would trip the simulator-semantics
+## rules on purpose).  ruff and mypy run when installed (skipped
+## gracefully — the container does not bake them in).
 lint:
-	PYTHONPATH=src $(PY) -m repro.analysis src --flow
+	PYTHONPATH=src $(PY) -m repro.analysis src
 	PYTHONPATH=src $(PY) -m repro.analysis tests --hygiene --no-allowlist
 	PYTHONPATH=src $(PY) -m repro.analysis benchmarks --hygiene --no-allowlist
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -79,10 +78,10 @@ lint:
 	fi
 
 ## SCU protocol state-machine verifier: the bounded-model enumeration
-## against the production scu.py.  (The other non-pytest gate, the
-## whole-program REPRO5xx flow rules over src/, runs once, in `lint`;
-## both suites, tests/test_flow_analysis.py and
-## tests/test_protocol_verifier.py, are part of tier-1.)
+## against the production scu.py.  (The other non-pytest gate, reprolint
+## over src/, runs once, in `lint`; both suites,
+## tests/test_flow_analysis.py and tests/test_protocol_verifier.py, are
+## part of tier-1.)
 verify-flow:
 	PYTHONPATH=src $(PY) -m repro.analysis --protocol
 
@@ -118,7 +117,7 @@ verify-hmc:
 ## what CI gates a merge on: tier-1 (which contains the overlap,
 ## sanitizer, faults, sharding, hot-path, service and HMC suites — the
 ## per-suite targets above are conveniences, not extra gates) + static
-## analysis with the whole-program flow rules (`lint`) + the protocol
+## analysis, every reprolint rule (`lint`) + the protocol
 ## verifier (`verify-flow`) + bit-identity against the committed fingerprint
 verify: test lint verify-flow fingerprint-check
 	@echo "verify: tier-1 + lint + flow/protocol + fingerprint green"

@@ -6,13 +6,18 @@ Two correctness layers live here (PR 4):
 QCDOC software twin's *machine invariants* as static checks:
 determinism (no wall-clock, no unseeded RNG, no unordered iteration
 where order reaches the wire or the trace), SCU protocol conformance
-(every send-family call's completion event must be consumed), counter
-and flop accounting hygiene (magic constants single-sourced in
+(every send-family completion event is consumed, through wrappers
+too; counters written only by their units), counter and flop
+accounting hygiene (magic constants single-sourced in
 :mod:`repro.fermions.flops`, every distributed compute charge tagged
-with a ``kernel=``, every trace tag registered in
+with a ``kernel=`` and reached by one, every trace tag registered in
 :data:`repro.telemetry.schema.TRACE_SCHEMA`), API hygiene (no mutable
-default arguments, no bare ``except``), and package layering (imports
-flow strictly downward, ``machine`` never up into ``fermions``).
+default arguments, no bare ``except``), package layering (imports
+flow strictly downward, ``machine`` never up into ``fermions``),
+sanitizer-claim balance and snapshot / boot-reset completeness.  Every
+rule checks one :class:`~repro.analysis.engine.Project` — the scan's
+modules, parsed once, with a symbol table and call graph built on
+first use.
 
 Run it as a CLI (the CI gate)::
 
@@ -39,6 +44,7 @@ from repro.analysis.engine import (
     LintEngine,
     LintResult,
     ModuleContext,
+    Project,
     Rule,
     all_rules,
     get_rule,
@@ -58,6 +64,7 @@ __all__ = [
     "LintEngine",
     "LintResult",
     "ModuleContext",
+    "Project",
     "RaceReport",
     "Rule",
     "all_rules",

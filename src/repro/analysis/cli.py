@@ -2,8 +2,7 @@
 
 Usage::
 
-    python -m repro.analysis src/                 # per-file rules, exit 0/1
-    python -m repro.analysis src/ --flow          # + whole-program REPRO5xx
+    python -m repro.analysis src/                 # every rule, exit 0/1
     python -m repro.analysis --protocol           # SCU state-machine verifier
     python -m repro.analysis tests/ --hygiene     # REPRO401/402 only
     python -m repro.analysis src/ --format json   # machine-readable
@@ -17,12 +16,12 @@ stale entry, or the protocol verifier failed), **2** usage error.  The
 allowlist defaults to the ``.reprolint-allow`` found walking up from
 the first scanned path (the repository root's checked-in file).
 
-Rule families and modes:
+Modes:
 
-* default — every per-file rule (REPRO1xx-4xx);
-* ``--flow`` — additionally the whole-program REPRO5xx flow family
-  (interprocedural, so it wants the whole ``src/`` tree as input);
-  an explicit ``--select`` naming a 5xx rule also runs it;
+* default — every rule of the catalogue (REPRO1xx-5xx), each over the
+  whole scan: the REPRO5xx rules follow calls across files, so a scan
+  of part of a tree sees less than a scan of all of it;
+* ``--select`` — exactly the rules it names;
 * ``--hygiene`` — only the API-hygiene rules (REPRO401/402), the mode
   ``make lint`` applies to ``tests/`` and ``benchmarks/`` where the
   simulator-semantics rules would misread fixture code;
@@ -91,12 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule ids to run (default: all per-file rules)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the whole-program REPRO5xx flow rules",
+        help="comma-separated rule ids to run (default: every rule)",
     )
     parser.add_argument(
         "--hygiene",
@@ -120,27 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_rules() -> str:
     lines = []
     for cls in all_rules():
-        tag = "  [whole-program]" if cls.whole_program else ""
-        lines.append(f"{cls.rule_id}  {cls.name}{tag}")
+        lines.append(f"{cls.rule_id}  {cls.name}")
         lines.append(f"    {cls.summary}")
     return "\n".join(lines)
 
 
 def _select_rules(args: argparse.Namespace) -> List[Type[Rule]]:
-    """Resolve the rule set from --select/--hygiene/--flow (or raise
-    SystemExit-style by returning None upstream)."""
+    """The rule set --select/--hygiene name (ValueError on an unknown id)."""
     rules = all_rules()
     if args.select:
         wanted = {r.strip() for r in args.select.split(",") if r.strip()}
         unknown = wanted - {cls.rule_id for cls in rules}
         if unknown:
             raise ValueError(f"unknown rule id(s): {sorted(unknown)}")
-        # an explicit select runs exactly what it names, including
-        # whole-program rules, with no --flow needed
         return [cls for cls in rules if cls.rule_id in wanted]
     if args.hygiene:
         return [cls for cls in rules if cls.rule_id in HYGIENE_RULES]
-    return [cls for cls in rules if args.flow or not cls.whole_program]
+    return rules
 
 
 def _stale_entries(

@@ -1,9 +1,11 @@
-"""The reprolint engine: findings, rule registry, and the lint driver.
+"""The reprolint engine: findings, the project, the rule registry and
+the lint driver.
 
-A :class:`Rule` sees one parsed module at a time through
-:meth:`Rule.check` and may emit cross-module findings from
-:meth:`Rule.finish` once every module has been visited (used by the
-trace-schema rule to flag registry entries no scanned module emits).
+:meth:`LintEngine.run` parses every scanned file once into one
+:class:`Project`, and every :class:`Rule` sees that project through its
+one method, :meth:`Rule.check`.  The project's symbol table and call
+graph are built on first use, once per run, so a scan whose rules never
+ask for them (``--hygiene``) never builds them.
 
 Rules register themselves with :func:`register_rule`; the registry is
 populated by importing :mod:`repro.analysis.rules`.  The engine itself
@@ -15,10 +17,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.allowlist import Allowlist
+from repro.analysis.flow.callgraph import CallGraph, build_call_graph
+from repro.analysis.flow.symbols import SymbolTable, build_symbols
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,8 @@ class ModuleContext:
         ``repro`` tree (e.g. a test fixture).
     tree:
         The parsed :class:`ast.Module`.
+    nodes, calls:
+        Every node of ``tree`` (every call), walked once for all rules.
     """
 
     def __init__(self, path: Path, relpath: str, source: str):
@@ -68,6 +75,14 @@ class ModuleContext:
         self.source = source
         self.tree: ast.Module = ast.parse(source, filename=str(path))
         self.package = self._infer_package(relpath)
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def calls(self) -> List[ast.Call]:
+        return [node for node in self.nodes if isinstance(node, ast.Call)]
 
     @staticmethod
     def _infer_package(relpath: str) -> str:
@@ -86,30 +101,39 @@ class ModuleContext:
         return f"ModuleContext({self.relpath!r})"
 
 
+class Project:
+    """Every module of one scan, parsed once.
+
+    :attr:`symbols` (the symbol table) and :attr:`graph` (the call graph
+    over it) are built on first use and shared by every rule of the run.
+    """
+
+    def __init__(self, modules: Sequence[ModuleContext]):
+        self.modules = list(modules)
+
+    @cached_property
+    def symbols(self) -> SymbolTable:
+        return build_symbols(self.modules)
+
+    @cached_property
+    def graph(self) -> CallGraph:
+        return build_call_graph(self.symbols)
+
+
 class Rule:
     """Base class for reprolint rules.
 
     Subclasses set :attr:`rule_id` (stable, e.g. ``"REPRO101"``),
     :attr:`name` (kebab-case slug) and :attr:`summary`, and implement
-    :meth:`check`.  One rule *instance* lives for one engine run, so
-    rules may accumulate cross-module state and report it in
-    :meth:`finish`.
+    :meth:`check` over the run's :class:`Project`.
     """
 
     rule_id: str = ""
     name: str = ""
     summary: str = ""
-    #: whole-program rules (the REPRO5xx flow family) accumulate every
-    #: module in :meth:`check` and analyse in :meth:`finish`; the CLI
-    #: runs them only under ``--flow`` or an explicit ``--select``
-    whole_program: bool = False
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
+    def check(self, project: Project) -> Iterable[Finding]:
         raise NotImplementedError
-
-    def finish(self) -> Iterable[Finding]:
-        """Cross-module findings, after every module was checked."""
-        return ()
 
     def finding(
         self, module: ModuleContext, node: ast.AST, message: str
@@ -212,11 +236,11 @@ class LintEngine:
 
     def run(self, paths: Sequence[Path]) -> LintResult:
         result = LintResult()
-        instances = [cls() for cls in self.rule_classes]
+        modules: List[ModuleContext] = []
         for path, relpath in iter_python_files(paths):
             result.files_scanned += 1
             try:
-                module = ModuleContext(path, relpath, path.read_text())
+                modules.append(ModuleContext(path, relpath, path.read_text()))
             except SyntaxError as exc:
                 result.parse_errors.append(
                     Finding(
@@ -227,12 +251,9 @@ class LintEngine:
                         message=f"syntax error: {exc.msg}",
                     )
                 )
-                continue
-            for rule in instances:
-                for finding in rule.check(module):
-                    self._file(result, finding)
-        for rule in instances:
-            for finding in rule.finish():
+        project = Project(modules)
+        for cls in self.rule_classes:
+            for finding in cls().check(project):
                 self._file(result, finding)
         result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         result.suppressed.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -1,7 +1,7 @@
-"""Whole-program flow analysis for reprolint (the REPRO5xx rule family).
+"""Interprocedural analysis for reprolint (the REPRO5xx rules).
 
-This subpackage layers interprocedural analysis on top of the per-file
-engine in :mod:`repro.analysis.engine`:
+The engine (:mod:`repro.analysis.engine`) builds the symbol table and
+call graph once per run, on the project's first request for them:
 
 ``symbols``
     A project-wide symbol table: every function/method of every scanned
@@ -16,9 +16,8 @@ engine in :mod:`repro.analysis.engine`:
     Def-use helpers: dead-store detection, taint-style return/escape
     tracking, and consuming-use classification.
 ``rules``
-    The REPRO501..REPRO504 whole-program rules.  They register into the
-    ordinary rule registry but carry ``whole_program = True`` so the CLI
-    only runs them under ``--flow`` (or an explicit ``--select``).
+    The REPRO501..REPRO504 rules.  They register into the one rule
+    registry and run on every scan, like every other rule.
 
 The model-bounds and soundness caveats are documented in DESIGN.md
 section 14.

@@ -19,29 +19,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.flow.symbols import FunctionInfo, SymbolTable
-
-
-@dataclass
-class CallSite:
-    """One call expression inside one function body."""
-
-    caller: FunctionInfo
-    call: ast.Call
-    callee_name: str
-    candidates: Tuple[FunctionInfo, ...]
+from repro.analysis.visitor import attr_chain
 
 
 @dataclass
 class CallGraph:
-    """Edges between qualified names, plus per-callee call sites."""
+    """Edges between qualified names."""
 
     symbols: SymbolTable
     callees: Dict[str, Set[str]] = field(default_factory=dict)
     callers: Dict[str, Set[str]] = field(default_factory=dict)
-    sites: List[CallSite] = field(default_factory=list)
 
     def callers_of(self, qualname: str) -> Set[str]:
         return self.callers.get(qualname, set())
@@ -50,31 +40,20 @@ class CallGraph:
         return self.callees.get(qualname, set())
 
 
-def callee_name(call: ast.Call) -> str:
-    """The bare name a call binds through (``a.b.c(...)`` -> ``"c"``)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def resolve(
-    call: ast.Call, caller: FunctionInfo, symbols: SymbolTable
+    call: ast.Call, cls: Optional[str], symbols: SymbolTable
 ) -> Tuple[FunctionInfo, ...]:
-    """Candidate definitions for one call site (possibly empty)."""
-    name = callee_name(call)
-    if not name:
-        return ()
+    """Candidate definitions for one call site (possibly empty); ``cls``
+    is the class ``self`` names at the site, if any."""
     func = call.func
+    name = attr_chain(func)[-1]
     if (
-        isinstance(func, ast.Attribute)
+        cls is not None
+        and isinstance(func, ast.Attribute)
         and isinstance(func.value, ast.Name)
         and func.value.id in ("self", "cls")
-        and caller.cls is not None
     ):
-        own = symbols.methods_of(caller.cls, name)
+        own = symbols.methods_of(cls, name)
         if own:
             return tuple(own)
     return tuple(symbols.functions.get(name, ()))
@@ -82,24 +61,13 @@ def resolve(
 
 def build_call_graph(symbols: SymbolTable) -> CallGraph:
     graph = CallGraph(symbols=symbols)
-    for infos in symbols.functions.values():
-        for info in infos:
-            graph.callees.setdefault(info.qualname, set())
-            graph.callers.setdefault(info.qualname, set())
-    for infos in symbols.functions.values():
-        for info in infos:
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                candidates = resolve(node, info, symbols)
-                site = CallSite(
-                    caller=info,
-                    call=node,
-                    callee_name=callee_name(node),
-                    candidates=candidates,
-                )
-                graph.sites.append(site)
-                for target in candidates:
+    for info in symbols.all_functions():
+        graph.callees.setdefault(info.qualname, set())
+        graph.callers.setdefault(info.qualname, set())
+    for info in symbols.all_functions():
+        for node in ast.walk(info.node):
+            if isinstance(node, ast.Call):
+                for target in resolve(node, info.cls, symbols):
                     graph.callees[info.qualname].add(target.qualname)
                     graph.callers[target.qualname].add(info.qualname)
     return graph

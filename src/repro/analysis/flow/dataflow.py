@@ -3,47 +3,27 @@
 These are the small, deliberately flow-*insensitive* building blocks
 the REPRO5xx rules compose with the CFG (which supplies the
 path-sensitivity where it matters).  Everything here operates on one
-function body at a time.
+body — a function's or a module's — at a time.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Set, Tuple
 
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-def own_statements(fn: FunctionNode) -> Iterator[ast.stmt]:
-    """Every statement of ``fn`` excluding bodies of nested defs."""
-    stack: List[ast.stmt] = list(fn.body)
-    while stack:
-        stmt = stack.pop()
-        yield stmt
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                stack.append(child)
-            elif isinstance(child, (ast.ExceptHandler,)):
-                stack.extend(child.body)
-    return
+from repro.analysis.visitor import Scope, own_statements
 
 
-def load_counts(fn: FunctionNode) -> Dict[str, int]:
+def load_counts(fn: Scope) -> Dict[str, int]:
     """How often each local name is *read* anywhere in ``fn``.
 
-    Loads inside nested lambdas/defs count — a captured name is a use.
+    Loads inside nested lambdas/defs count — a captured name is a use,
+    the ``lambda _e, c=claim: ...`` default included.
     """
     counts: Dict[str, int] = {}
     for node in ast.walk(fn):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             counts[node.id] = counts.get(node.id, 0) + 1
-        elif isinstance(node, ast.arg):
-            # lambda capture idiom: ``lambda _e, c=claim: ...`` reads
-            # ``claim`` via the default, which is an ast.Name Load and
-            # already counted; nothing extra needed here.
-            pass
     return counts
 
 
@@ -121,7 +101,7 @@ def _expr_tainted(
 
 
 def tainted_locals(
-    fn: FunctionNode, is_source_call: Callable[[ast.Call], bool]
+    fn: Scope, is_source_call: Callable[[ast.Call], bool]
 ) -> Set[str]:
     """Fixpoint of local names holding source values.
 
@@ -160,7 +140,7 @@ def tainted_locals(
 
 
 def returns_source(
-    fn: FunctionNode, is_source_call: Callable[[ast.Call], bool]
+    fn: Scope, is_source_call: Callable[[ast.Call], bool]
 ) -> bool:
     """Does some ``return`` of ``fn`` hand a source value to the caller?"""
     tainted = tainted_locals(fn, is_source_call)
@@ -176,7 +156,7 @@ def returns_source(
 
 
 def dropped_calls(
-    fn: FunctionNode, matches: Callable[[ast.Call], bool]
+    fn: Scope, matches: Callable[[ast.Call], bool]
 ) -> Iterator[ast.Call]:
     """Bare-expression statements whose call result is discarded."""
     for stmt in own_statements(fn):
@@ -186,7 +166,7 @@ def dropped_calls(
 
 
 def dead_stores(
-    fn: FunctionNode, matches: Callable[[ast.Call], bool]
+    fn: Scope, matches: Callable[[ast.Call], bool]
 ) -> Iterator[Tuple[str, ast.Call]]:
     """``x = matching_call(...)`` where ``x`` is never read afterwards.
 

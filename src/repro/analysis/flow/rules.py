@@ -1,8 +1,6 @@
-"""The REPRO5xx whole-program rules.
-
-Each rule accumulates every :class:`ModuleContext` during
-:meth:`check` and runs its interprocedural analysis in :meth:`finish`,
-once the symbol table and call graph cover the full scan.
+"""The REPRO5xx rules: the ones that read the project's symbol table
+and call graph (:attr:`repro.analysis.engine.Project.symbols`,
+:attr:`~repro.analysis.engine.Project.graph`).
 
 Ambiguity policy: Python call sites resolve by *name*, so a site can
 bind to several definitions.  Every rule here fires only when the
@@ -13,168 +11,132 @@ zero false-positive budget, because these rules gate CI.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.engine import Finding, ModuleContext, Rule, register_rule
+from repro.analysis.engine import Finding, Project, Rule, register_rule
 from repro.analysis.flow import cfg as cfgmod
-from repro.analysis.flow.callgraph import CallGraph, build_call_graph, resolve
+from repro.analysis.flow.callgraph import resolve
 from repro.analysis.flow.dataflow import (
     dead_stores,
     dropped_calls,
-    own_statements,
     returns_source,
     stmt_mentions_load,
 )
-from repro.analysis.flow.symbols import FunctionInfo, SymbolTable, build_symbols
-from repro.analysis.rules.protocol import _SEND_FAMILY_ALWAYS, _SEND_FAMILY_ON
-from repro.analysis.visitor import attr_chain
+from repro.analysis.flow.symbols import FunctionInfo
+from repro.analysis.visitor import attr_chain, dotted_name, iter_calls, own_statements
+
+#: methods that start SCU traffic and return a completion event,
+#: regardless of the receiver expression
+_SEND_FAMILY_ALWAYS = frozenset(
+    {
+        "send_buffer",
+        "recv_buffer",
+        "start_stored",
+        "start_stored_events",
+        "send_supervisor",
+    }
+)
+
+#: ambiguous method names that count only on comms-ish receivers
+#: (`api.send(...)`, `scu.recv(...)` — not `_ControlPort.send`, which is
+#: the link-level fire-and-forget control path, or arbitrary queues)
+_SEND_FAMILY_ON = {
+    "send": {"api", "scu"},
+    "recv": {"api", "scu"},
+    "global_sum": {"api", "globals"},
+    "barrier": {"api"},
+}
 
 
-class FlowRule(Rule):
-    """Base for REPRO5xx: collect modules, analyse in finish()."""
-
-    whole_program = True
-
-    def __init__(self) -> None:
-        self._modules: List[ModuleContext] = []
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        self._modules.append(module)
-        return ()
-
-    def finish(self) -> Iterable[Finding]:
-        symbols = build_symbols(self._modules)
-        graph = build_call_graph(symbols)
-        return self.analyse(symbols, graph)
-
-    def analyse(
-        self, symbols: SymbolTable, graph: CallGraph
-    ) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self, info: FunctionInfo, node: ast.AST, message: str
-    ) -> Finding:
-        return Finding(
-            rule=self.rule_id,
-            path=info.module.relpath,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-
-def _is_base_send_call(call: ast.Call) -> bool:
-    """The syntactic send-family matcher REPRO201 already polices."""
+def _is_send_call(call: ast.Call) -> bool:
+    """A send-family call: it starts SCU traffic and returns the event
+    that says when the transfer is done."""
     chain = attr_chain(call.func)
-    method = chain[-1]
-    base = chain[-2] if len(chain) >= 2 else None
-    return method in _SEND_FAMILY_ALWAYS or (
-        method in _SEND_FAMILY_ON and base in _SEND_FAMILY_ON[method]
-    )
+    method, base = chain[-1], (chain[-2] if len(chain) >= 2 else None)
+    return method in _SEND_FAMILY_ALWAYS or base in _SEND_FAMILY_ON.get(method, ())
+
+
+def _scopes(
+    node: ast.AST, cls: Optional[str] = None
+) -> Iterator[Tuple[ast.AST, Optional[str]]]:
+    """Every def under ``node`` — methods and defs nested in functions
+    alike — with the class its ``self`` names (a nested def shares its
+    method's)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, cls
+        yield from _scopes(child, child.name if isinstance(child, ast.ClassDef) else cls)
 
 
 @register_rule
-class SendCompletionEscapeRule(FlowRule):
-    """Completion events must be consumed through *wrappers* too.
+class SendCompletionRule(Rule):
+    """Every SCU completion event must be consumed, through wrappers too.
 
-    REPRO201 flags a discarded ``api.send(...)`` syntactically.  This
-    rule closes the interprocedural hole: a helper that *returns* a
-    send-family completion event (directly, through a local, or inside
-    a container) is itself event-returning, and dropping its result —
-    or assigning it to a name that is never read — loses the only
-    handle proving the DMA engine is done with the buffer.
+    A send-family call (``api.send``, ``scu.recv``, ``start_stored``,
+    ``send_supervisor``, ``api.global_sum``, ...) returns the only handle
+    proving the DMA engine is done with the buffer.  So does a function
+    that *returns* such an event (directly, through a local, or inside a
+    container) or another such function's result.  Dropping either — a
+    bare expression statement, or a store to a name that is never read —
+    leaves the transfer without a completion wait.  ``yield``, ``return``,
+    a read of the stored name, or handing it to ``wait``/``wait_any``/
+    ``all_of`` consume it.  Module-level code and defs nested in functions
+    are checked like every other body, each statement once.
     """
 
     rule_id = "REPRO501"
-    name = "send-completion-escape"
+    name = "send-completion-consumed"
     summary = (
-        "a function returning an SCU completion event (directly or via "
-        "locals/containers) must have its result consumed at every "
-        "call site, like the send-family calls themselves"
+        "SCU send/recv/start_stored/supervisor calls, and functions "
+        "returning their completion events, must have the event consumed "
+        "at every call site, never discarded"
     )
 
-    def analyse(
-        self, symbols: SymbolTable, graph: CallGraph
-    ) -> Iterable[Finding]:
-        # Fixpoint: functions whose return value derives from a
-        # send-family call or from another derived function.
-        derived: Set[str] = set()
+    def check(self, project: Project) -> Iterable[Finding]:
+        symbols = project.symbols
+        derived: Set[str] = set()  # qualnames of event-returning functions
 
-        def source_call(call: ast.Call) -> bool:
-            if _is_base_send_call(call):
+        def event_call(cls: Optional[str], call: ast.Call) -> bool:
+            """A send-family call, or one every candidate of which is
+            derived."""
+            if _is_send_call(call):
                 return True
-            candidates = [
-                info
-                for infos in (symbols.functions.get(_callee(call), ()),)
-                for info in infos
-            ]
-            return bool(candidates) and all(
-                c.qualname in derived for c in candidates
-            )
+            candidates = resolve(call, cls, symbols)
+            return bool(candidates) and all(c.qualname in derived for c in candidates)
 
         changed = True
         while changed:
             changed = False
-            for infos in symbols.functions.values():
-                for info in infos:
-                    if info.qualname in derived:
-                        continue
-                    if returns_source(info.node, source_call):
-                        derived.add(info.qualname)
-                        changed = True
+            for info in symbols.all_functions():
+                if info.qualname not in derived and returns_source(
+                    info.node, lambda call, cls=info.cls: event_call(cls, call)
+                ):
+                    derived.add(info.qualname)
+                    changed = True
 
-        def event_call(caller: FunctionInfo, call: ast.Call) -> bool:
-            """Event-producing call at a site: base family (dead-store
-            checks only) or an unambiguously derived wrapper."""
-            if _is_base_send_call(call):
-                return True
-            candidates = resolve(call, caller, symbols)
-            return bool(candidates) and all(
-                c.qualname in derived for c in candidates
-            )
+        for module in project.modules:
+            for scope, cls in [(module.tree, None), *_scopes(module.tree)]:
 
-        findings: List[Finding] = []
-        for infos in symbols.functions.values():
-            for info in infos:
-                def matches(call: ast.Call, _info: FunctionInfo = info) -> bool:
-                    return event_call(_info, call)
+                def matches(call: ast.Call, cls: Optional[str] = cls) -> bool:
+                    return event_call(cls, call)
 
-                for call in dropped_calls(info.node, matches):
-                    if _is_base_send_call(call):
-                        continue  # REPRO201's beat: don't double-report
-                    chain = attr_chain(call.func)
-                    findings.append(
-                        self.finding_at(
-                            info,
-                            call,
-                            f"completion event of {'.'.join(chain)}() is "
-                            "discarded; the callee returns an SCU "
-                            "completion handle that some path must wait on",
-                        )
+                for call in dropped_calls(scope, matches):
+                    yield self.finding(
+                        module,
+                        call,
+                        f"completion event of {dotted_name(call.func)}() is "
+                        "discarded; yield it (or hand it to wait/wait_any) so "
+                        "the transfer has a completion wait on every path",
                     )
-                for name, call in dead_stores(info.node, matches):
-                    chain = attr_chain(call.func)
-                    findings.append(
-                        self.finding_at(
-                            info,
-                            call,
-                            f"completion event of {'.'.join(chain)}() is "
-                            f"assigned to '{name}' but never consumed on "
-                            "any path; wait on it, return it, or register "
-                            "a completion callback",
-                        )
+                for name, call in dead_stores(scope, matches):
+                    yield self.finding(
+                        module,
+                        call,
+                        f"completion event of {dotted_name(call.func)}() is "
+                        f"assigned to '{name}' but never consumed on any "
+                        "path; wait on it, return it, or register a "
+                        "completion callback",
                     )
-        return findings
-
-
-def _callee(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
 
 
 #: sanitizer acquire -> release method-name pairs REPRO502 balances
@@ -182,7 +144,7 @@ _CLAIM_PAIRS = {"dma_begin": "dma_end"}
 
 
 @register_rule
-class ClaimReleaseBalanceRule(FlowRule):
+class ClaimReleaseBalanceRule(Rule):
     """Sanitizer claims must be handed off on every path.
 
     A ``claim = san.dma_begin(...)`` opens a DMA window on a halo
@@ -205,14 +167,9 @@ class ClaimReleaseBalanceRule(FlowRule):
         "exception edges) must release or hand off the claim"
     )
 
-    def analyse(
-        self, symbols: SymbolTable, graph: CallGraph
-    ) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for infos in symbols.functions.values():
-            for info in infos:
-                findings.extend(self._check_function(info))
-        return findings
+    def check(self, project: Project) -> Iterable[Finding]:
+        for info in project.symbols.all_functions():
+            yield from self._check_function(info)
 
     def _check_function(self, info: FunctionInfo) -> Iterable[Finding]:
         acquires: List[Tuple[ast.stmt, str]] = []
@@ -224,13 +181,12 @@ class ClaimReleaseBalanceRule(FlowRule):
             if (
                 isinstance(target, ast.Name)
                 and isinstance(value, ast.Call)
-                and _callee(value) in _CLAIM_PAIRS
+                and attr_chain(value.func)[-1] in _CLAIM_PAIRS
             ):
                 acquires.append((stmt, target.id))
         if not acquires:
-            return ()
+            return
         cfg = cfgmod.build_cfg(info.node)
-        findings: List[Finding] = []
         for stmt, name in acquires:
             start = cfg.nid_of(stmt)
             if start is None:  # unreachable fixture code
@@ -243,20 +199,17 @@ class ClaimReleaseBalanceRule(FlowRule):
                 and stmt_mentions_load(node, name)
             }
             if cfg.reaches_exit_avoiding(start, touching):
-                findings.append(
-                    self.finding_at(
-                        info,
-                        stmt,
-                        f"sanitizer claim '{name}' from "
-                        f"{_callee(stmt.value)}() can reach the exit of "
-                        f"{info.qualname.split('::')[-1]}() without being "
-                        "released or handed off (check exception edges: "
-                        "LinkDownError/DegradedMachineError handlers and "
-                        "early returns must route through dma_end or a "
-                        "completion callback)",
-                    )
+                yield self.finding(
+                    info.module,
+                    stmt,
+                    f"sanitizer claim '{name}' from "
+                    f"{attr_chain(stmt.value.func)[-1]}() can reach the exit "
+                    f"of {info.qualname.split('::')[-1]}() without being "
+                    "released or handed off (check exception edges: "
+                    "LinkDownError/DegradedMachineError handlers and "
+                    "early returns must route through dma_end or a "
+                    "completion callback)",
                 )
-        return findings
 
 
 #: flop-bearing kernels: each call performs O(volume) complex
@@ -279,64 +232,74 @@ def _is_numpy_kernel(call: ast.Call) -> bool:
     return name in _NUMPY_KERNELS_FREE
 
 
-def _is_charge_call(call: ast.Call) -> bool:
-    return _callee(call) == "compute" and any(
-        kw.arg == "kernel" for kw in call.keywords
-    )
+def _names_kernel(call: ast.Call) -> bool:
+    return any(kw.arg == "kernel" for kw in call.keywords)
 
 
 @register_rule
-class FlopChargeCoverageRule(FlowRule):
-    """Numpy operator kernels in the parallel layer must be charged.
+class FlopChargeCoverageRule(Rule):
+    """Flops in the parallel layer are charged, and charged by kernel.
 
     The measured-vs-model crosscheck is only as good as the charging
-    discipline: every function in ``repro.parallel`` that runs an
-    operator kernel (``np.einsum``, ``cmatvec``, spin projection /
-    reconstruction) must either charge ``compute(..., kernel=...)``
-    itself or be reachable *only* through callers that do.  A helper
-    reachable from an uncharging entry point computes real flops the
-    telemetry books never see.
+    discipline.  Two audits of ``repro.parallel``:
 
-    This replaces the per-file REPRO302 heuristic with call-graph
-    coverage: helpers like face projection stay charge-free because
-    every caller charges for them.
+    * every ``api.compute(...)`` charge passes ``kernel=`` — an untagged
+      charge lands in the anonymous bucket of
+      :attr:`repro.machine.node.Node.kernel_flops`, and the per-kernel
+      ledger (and the Chrome-trace lanes) lie by omission;
+    * every function that runs an operator kernel (``np.einsum``,
+      ``cmatvec``, spin projection / reconstruction, the machine-side
+      inner products) either charges ``compute(..., kernel=...)`` itself
+      or is reachable *only* through callers that do.  A helper reachable
+      from an uncharging entry point computes real flops the telemetry
+      books never see; helpers like face projection stay charge-free
+      because every caller charges for them.
     """
 
     rule_id = "REPRO503"
     name = "flop-charge-coverage"
     summary = (
-        "numpy operator kernels reachable from an uncharged repro."
-        "parallel entry path must charge compute(kernel=...) somewhere "
-        "on every call chain"
+        "api.compute(...) in repro.parallel must pass kernel=, and numpy "
+        "operator kernels there must be charged somewhere on every call "
+        "chain that reaches them"
     )
 
     #: the package this rule audits (fixtures use any 'parallel' dir)
     package = "parallel"
 
-    def analyse(
-        self, symbols: SymbolTable, graph: CallGraph
-    ) -> Iterable[Finding]:
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            if module.package != self.package:
+                continue
+            for call in module.calls:
+                chain = attr_chain(call.func)
+                if chain[-1] == "compute" and chain[-2:-1] in ([], ["api"]):
+                    if not _names_kernel(call):
+                        yield self.finding(
+                            module,
+                            call,
+                            "compute() charge without kernel= tag; untagged "
+                            "flops break per-kernel attribution in telemetry",
+                        )
+        yield from self._coverage(project)
+
+    def _coverage(self, project: Project) -> Iterable[Finding]:
         in_pkg: Dict[str, FunctionInfo] = {
             info.qualname: info
-            for infos in symbols.functions.values()
-            for info in infos
+            for info in project.symbols.all_functions()
             if info.module.package == self.package
         }
-        if not in_pkg:
-            return ()
+        graph = project.graph
 
         def charges(qualname: str) -> bool:
-            info = in_pkg[qualname]
             return any(
-                _is_charge_call(node)
-                for node in ast.walk(info.node)
-                if isinstance(node, ast.Call)
+                attr_chain(node.func)[-1] == "compute" and _names_kernel(node)
+                for node in iter_calls(in_pkg[qualname].node)
             )
 
-        pkg_callers: Dict[str, Set[str]] = {
-            q: {c for c in graph.callers_of(q) if c in in_pkg} for q in in_pkg
-        }
-        roots = [q for q, callers in pkg_callers.items() if not callers]
+        roots = [
+            q for q in in_pkg if not any(c in in_pkg for c in graph.callers_of(q))
+        ]
 
         # Propagate "reachable without passing a charge" from the roots.
         unprotected: Set[str] = set()
@@ -353,29 +316,20 @@ class FlopChargeCoverageRule(FlowRule):
                     unprotected.add(callee)
                     work.append(callee)
 
-        findings: List[Finding] = []
         for qualname in sorted(unprotected):
             info = in_pkg[qualname]
-            kernel_calls = [
-                node
-                for node in ast.walk(info.node)
-                if isinstance(node, ast.Call) and _is_numpy_kernel(node)
-            ]
+            kernel_calls = [c for c in iter_calls(info.node) if _is_numpy_kernel(c)]
             if not kernel_calls:
                 continue
             first = min(kernel_calls, key=lambda c: (c.lineno, c.col_offset))
-            chain = attr_chain(first.func)
-            findings.append(
-                self.finding_at(
-                    info,
-                    first,
-                    f"operator kernel {'.'.join(chain)}() runs in "
-                    f"{qualname.split('::')[-1]}() but no call chain "
-                    "reaching it charges compute(..., kernel=...); the "
-                    "flop books will not see this work",
-                )
+            yield self.finding(
+                info.module,
+                first,
+                f"operator kernel {dotted_name(first.func)}() runs in "
+                f"{qualname.split('::')[-1]}() but no call chain "
+                "reaching it charges compute(..., kernel=...); the "
+                "flop books will not see this work",
             )
-        return findings
 
 
 def _class_str_tuple(cls: ast.ClassDef, attr: str) -> Optional[Set[str]]:
@@ -463,7 +417,7 @@ def _self_attr_loads(fn: ast.AST) -> Set[str]:
 
 
 @register_rule
-class SnapshotCompletenessRule(FlowRule):
+class SnapshotCompletenessRule(Rule):
     """Fork-snapshot classes must account for every mutable attribute.
 
     The fork executor ships shard state home through
@@ -502,21 +456,18 @@ class SnapshotCompletenessRule(FlowRule):
 
     _EXEMPT_METHODS = {"__init__", "snapshot_state", "restore_state", "boot_reset"}
 
-    def analyse(
-        self, symbols: SymbolTable, graph: CallGraph
-    ) -> Iterable[Finding]:
-        findings: List[Finding] = []
+    def check(self, project: Project) -> Iterable[Finding]:
+        symbols = project.symbols
         for infos in symbols.classes.values():
             for cls_info in infos:
                 methods = self._methods(symbols, cls_info, set())
                 snap = methods.get("snapshot_state")
                 if snap is not None:
-                    findings.extend(self._check_class(cls_info, snap, methods))
+                    yield from self._check_class(cls_info, snap, methods)
                 if "boot_reset" in methods:
-                    findings.extend(self._check_reset(cls_info, methods))
-        return findings
+                    yield from self._check_reset(cls_info, methods)
 
-    def _methods(self, symbols: SymbolTable, cls_info, seen: Set[int]) -> Dict:
+    def _methods(self, symbols, cls_info, seen: Set[int]) -> Dict:
         """``cls_info``'s methods by name, inherited ones included (a
         definition nearer the class wins, as in the MRO)."""
         seen.add(id(cls_info))
@@ -543,7 +494,9 @@ class SnapshotCompletenessRule(FlowRule):
                 ):
                     first[attr] = (node, method)
         return [
-            self.finding_at(first[attr][1], first[attr][0], message.format(attr=attr))
+            self.finding(
+                first[attr][1].module, first[attr][0], message.format(attr=attr)
+            )
             for attr in sorted(first)
         ]
 
@@ -565,13 +518,13 @@ class SnapshotCompletenessRule(FlowRule):
         # every _SNAPSHOT_ATTRS entry (a generic setattr loop covers all).
         restore = methods.get("restore_state")
         if restore is not None and not any(
-            isinstance(node, ast.Call) and _callee(node) == "setattr"
-            for node in ast.walk(restore.node)
+            attr_chain(call.func)[-1] == "setattr"
+            for call in iter_calls(restore.node)
         ):
             for attr in sorted(attrs - set(_self_attr_stores(restore.node))):
                 findings.append(
-                    self.finding_at(
-                        restore,
+                    self.finding(
+                        restore.module,
                         restore.node,
                         f"{cls.name}.restore_state never restores '{attr}' "
                         "from _SNAPSHOT_ATTRS; the fork gather would drop it",

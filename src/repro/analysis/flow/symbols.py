@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.analysis.engine import ModuleContext
+if TYPE_CHECKING:  # the engine imports this module, not the reverse
+    from repro.analysis.engine import ModuleContext
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -52,6 +53,11 @@ class SymbolTable:
         self.classes: Dict[str, List[ClassInfo]] = {}
         #: qualified name -> unique definition
         self.by_qualname: Dict[str, FunctionInfo] = {}
+
+    def all_functions(self) -> Iterator[FunctionInfo]:
+        """Every definition, name by name."""
+        for infos in self.functions.values():
+            yield from infos
 
     def add_function(self, info: FunctionInfo) -> None:
         self.functions.setdefault(info.name, []).append(info)

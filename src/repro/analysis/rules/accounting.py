@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from repro.analysis.engine import Finding, ModuleContext, Rule, register_rule
+from repro.analysis.engine import Finding, ModuleContext, Project, Rule, register_rule
 from repro.analysis.visitor import attr_chain, int_constants, iter_calls
 from repro.telemetry.schema import TRACE_SCHEMA
 
@@ -70,16 +70,19 @@ class NoMagicFlopConstantsRule(Rule):
         "must use the named constants of repro.fermions.flops"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if module.is_module(_COST_SHEET):
-            return
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            if not module.is_module(_COST_SHEET):
+                yield from self._check_module(module)
+
+    def _check_module(self, module: ModuleContext) -> Iterable[Finding]:
         seen: Set[int] = set()  # id()s of already-reported Constant nodes
-        for call in iter_calls(module.tree):
+        for call in module.calls:
             if attr_chain(call.func)[-1] != "compute":
                 continue
             for arg in call.args:
                 yield from self._scan(module, arg, seen, "compute() charge")
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             targets: List[ast.expr] = []
             value = None
             if isinstance(node, ast.Assign):
@@ -108,40 +111,6 @@ class NoMagicFlopConstantsRule(Rule):
                     f"magic constant {const.value} in {where}; use "
                     f"{MAGIC_FLOP_CONSTANTS[const.value]} from "
                     "repro.fermions.flops",
-                )
-
-
-@register_rule
-class KernelTagRequiredRule(Rule):
-    """Every distributed compute charge names its kernel.
-
-    ``api.compute(flops)`` without ``kernel=`` lands in the anonymous
-    bucket of :attr:`repro.machine.node.Node.kernel_flops`, making the
-    per-kernel ledger (and the Chrome-trace lanes) lie by omission.
-    Scoped to the distributed-physics layer (``repro.parallel``), where
-    the telemetry report attributes sustained GFlops by kernel.
-    """
-
-    rule_id = "REPRO302"
-    name = "kernel-tag-required"
-    summary = (
-        "api.compute(...) in repro.parallel must pass kernel= so flops "
-        "are attributed in the per-kernel ledger"
-    )
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if module.package != "parallel":
-            return
-        for call in iter_calls(module.tree):
-            chain = attr_chain(call.func)
-            if chain[-1] != "compute" or (len(chain) >= 2 and chain[-2] not in ("api",)):
-                continue
-            if not any(kw.arg == "kernel" for kw in call.keywords):
-                yield self.finding(
-                    module,
-                    call,
-                    "compute() charge without kernel= tag; untagged flops "
-                    "break per-kernel attribution in telemetry",
                 )
 
 
@@ -191,44 +160,37 @@ class TraceSchemaRule(Rule):
 
     _SCHEMA_MODULE = "repro/telemetry/schema.py"
 
-    def __init__(self) -> None:
-        self._emitted_tags: Set[str] = set()
-        self._schema_module: "ModuleContext | None" = None
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if module.is_module(self._SCHEMA_MODULE):
-            self._schema_module = module
-        for call, tag, fields in emit_call_sites(module.tree):
-            self._emitted_tags.add(tag)
-            expected = TRACE_SCHEMA.get(tag)
-            if expected is None:
-                yield self.finding(
-                    module,
-                    call,
-                    f"unregistered trace tag {tag!r}; add it to "
-                    "repro.telemetry.schema.TRACE_SCHEMA",
-                )
-            elif fields != expected:
-                missing = sorted(expected - fields)
-                extra = sorted(fields - expected)
-                yield self.finding(
-                    module,
-                    call,
-                    f"trace tag {tag!r} field drift: missing {missing}, "
-                    f"extra {extra}",
-                )
-
-    def finish(self) -> Iterable[Finding]:
-        if self._schema_module is None:
+    def check(self, project: Project) -> Iterable[Finding]:
+        emitted: Set[str] = set()
+        schema_module = None
+        for module in project.modules:
+            if module.is_module(self._SCHEMA_MODULE):
+                schema_module = module
+            for call, tag, fields in emit_call_sites(module.tree):
+                emitted.add(tag)
+                expected = TRACE_SCHEMA.get(tag)
+                if expected is None:
+                    yield self.finding(
+                        module,
+                        call,
+                        f"unregistered trace tag {tag!r}; add it to "
+                        "repro.telemetry.schema.TRACE_SCHEMA",
+                    )
+                elif fields != expected:
+                    missing = sorted(expected - fields)
+                    extra = sorted(fields - expected)
+                    yield self.finding(
+                        module,
+                        call,
+                        f"trace tag {tag!r} field drift: missing {missing}, "
+                        f"extra {extra}",
+                    )
+        if schema_module is None:
             return  # partial scan: dead-entry audit needs the full tree
-        for tag in sorted(set(TRACE_SCHEMA) - self._emitted_tags):
-            yield Finding(
-                rule=self.rule_id,
-                path=self._schema_module.relpath,
-                line=1,
-                col=0,
-                message=(
-                    f"TRACE_SCHEMA entry {tag!r} is never emitted by any "
-                    "scanned module (dead registry entry)"
-                ),
+        for tag in sorted(set(TRACE_SCHEMA) - emitted):
+            yield self.finding(
+                schema_module,
+                schema_module.tree,
+                f"TRACE_SCHEMA entry {tag!r} is never emitted by any "
+                "scanned module (dead registry entry)",
             )

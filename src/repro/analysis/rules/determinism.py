@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.engine import Finding, ModuleContext, Rule, register_rule
+from repro.analysis.engine import Finding, Project, Rule, register_rule
 from repro.analysis.visitor import dotted_name, is_set_expression, iter_calls
 
 #: call targets that read the wall clock or the ambient environment
@@ -56,28 +56,29 @@ class NoWallclockRule(Rule):
         "or entropy sources (determinism)"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for call in iter_calls(module.tree):
-            target = dotted_name(call.func)
-            if target in _WALLCLOCK_CALLS:
-                yield self.finding(
-                    module,
-                    call,
-                    f"call to {target}() breaks bit-exact repeatability; "
-                    "use sim.now / seeded rng_stream instead",
-                )
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "environ"
-                and dotted_name(node) == "os.environ"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "os.environ read in simulator code: configuration must "
-                    "arrive through explicit parameters",
-                )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            for call in module.calls:
+                target = dotted_name(call.func)
+                if target in _WALLCLOCK_CALLS:
+                    yield self.finding(
+                        module,
+                        call,
+                        f"call to {target}() breaks bit-exact repeatability; "
+                        "use sim.now / seeded rng_stream instead",
+                    )
+            for node in module.nodes:
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "environ"
+                    and dotted_name(node) == "os.environ"
+                ):
+                    yield self.finding(
+                        module,
+                        node,
+                        "os.environ read in simulator code: configuration must "
+                        "arrive through explicit parameters",
+                    )
 
 
 @register_rule
@@ -101,40 +102,41 @@ class SeededRngOnlyRule(Rule):
     #: the one module allowed to touch numpy's RNG constructors
     _HOME = "repro/util/rng.py"
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if module.is_module(self._HOME):
-            return
-        for stmt in ast.walk(module.tree):
-            if isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    if alias.name == "random":
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            if module.is_module(self._HOME):
+                continue
+            for stmt in module.nodes:
+                if isinstance(stmt, ast.Import):
+                    for alias in stmt.names:
+                        if alias.name == "random":
+                            yield self.finding(
+                                module,
+                                stmt,
+                                "import of stdlib 'random' (global-state RNG); "
+                                "use repro.util.rng streams",
+                            )
+                elif isinstance(stmt, ast.ImportFrom):
+                    if stmt.module == "random":
                         yield self.finding(
                             module,
                             stmt,
-                            "import of stdlib 'random' (global-state RNG); "
-                            "use repro.util.rng streams",
+                            "from-import of stdlib 'random'; use repro.util.rng",
                         )
-            elif isinstance(stmt, ast.ImportFrom):
-                if stmt.module == "random":
+            for call in module.calls:
+                target = dotted_name(call.func)
+                if target.startswith(("np.random.", "numpy.random.")):
                     yield self.finding(
                         module,
-                        stmt,
-                        "from-import of stdlib 'random'; use repro.util.rng",
+                        call,
+                        f"direct {target}() call: construct generators only in "
+                        "repro.util.rng (order-independent named streams)",
                     )
-        for call in iter_calls(module.tree):
-            target = dotted_name(call.func)
-            if target.startswith(("np.random.", "numpy.random.")):
-                yield self.finding(
-                    module,
-                    call,
-                    f"direct {target}() call: construct generators only in "
-                    "repro.util.rng (order-independent named streams)",
-                )
 
 
-def _iteration_sites(tree: ast.AST) -> Iterator[ast.expr]:
+def _iteration_sites(nodes: Iterable[ast.AST]) -> Iterator[ast.expr]:
     """Expressions whose iteration order becomes program behaviour."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             yield node.iter
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -166,16 +168,17 @@ class OrderedIterationRule(Rule):
         "expressions; wrap in sorted() so order is canonical"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for iter_expr in _iteration_sites(module.tree):
-            if is_set_expression(iter_expr):
-                yield self.finding(
-                    module,
-                    iter_expr,
-                    "iteration over a set expression has hash order; wrap "
-                    "in sorted() before the order can reach the wire or "
-                    "the trace",
-                )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            for iter_expr in _iteration_sites(module.nodes):
+                if is_set_expression(iter_expr):
+                    yield self.finding(
+                        module,
+                        iter_expr,
+                        "iteration over a set expression has hash order; wrap "
+                        "in sorted() before the order can reach the wire or "
+                        "the trace",
+                    )
 
 
 #: attribute names (underscore-insensitive) that hold cross-shard message
@@ -214,19 +217,20 @@ class CrossShardIterationRule(Rule):
         "order, never raw insertion order"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for iter_expr in _iteration_sites(module.tree):
-            if (
-                isinstance(iter_expr, ast.Attribute)
-                and iter_expr.attr.lstrip("_") in _CROSS_SHARD_BUFFERS
-            ):
-                yield self.finding(
-                    module,
-                    iter_expr,
-                    f"iteration over cross-shard buffer "
-                    f"{iter_expr.attr!r} in raw insertion order; drain "
-                    "through sorted(...) on the canonical post order",
-                )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            for iter_expr in _iteration_sites(module.nodes):
+                if (
+                    isinstance(iter_expr, ast.Attribute)
+                    and iter_expr.attr.lstrip("_") in _CROSS_SHARD_BUFFERS
+                ):
+                    yield self.finding(
+                        module,
+                        iter_expr,
+                        f"iteration over cross-shard buffer "
+                        f"{iter_expr.attr!r} in raw insertion order; drain "
+                        "through sorted(...) on the canonical post order",
+                    )
 
 
 #: numpy entry points that allocate a fresh array buffer.  The hot-path
@@ -301,33 +305,34 @@ class NoAllocationInHotLoopRule(Rule):
         "use out= kernel forms"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if not _is_hot_path_def(node):
-                continue
-            for call in iter_calls(node):
-                target = dotted_name(call.func)
-                parts = target.split(".")
-                if (
-                    len(parts) >= 2
-                    and parts[0] in ("np", "numpy")
-                    and parts[-1] in _NP_ALLOCATORS
-                ):
-                    yield self.finding(
-                        module,
-                        call,
-                        f"{target}() allocates inside @hot_path "
-                        f"{node.name!r}; preallocate context scratch and "
-                        "use the out= form",
-                    )
-                elif len(parts) >= 2 and parts[-1] == "copy" and parts[0] not in (
-                    "copy",
-                    "copyreg",
-                ):
-                    yield self.finding(
-                        module,
-                        call,
-                        f"{target}() allocates a fresh array inside "
-                        f"@hot_path {node.name!r}; use np.copyto into "
-                        "context scratch",
-                    )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            for node in module.nodes:
+                if not _is_hot_path_def(node):
+                    continue
+                for call in iter_calls(node):
+                    target = dotted_name(call.func)
+                    parts = target.split(".")
+                    if (
+                        len(parts) >= 2
+                        and parts[0] in ("np", "numpy")
+                        and parts[-1] in _NP_ALLOCATORS
+                    ):
+                        yield self.finding(
+                            module,
+                            call,
+                            f"{target}() allocates inside @hot_path "
+                            f"{node.name!r}; preallocate context scratch and "
+                            "use the out= form",
+                        )
+                    elif len(parts) >= 2 and parts[-1] == "copy" and parts[0] not in (
+                        "copy",
+                        "copyreg",
+                    ):
+                        yield self.finding(
+                            module,
+                            call,
+                            f"{target}() allocates a fresh array inside "
+                            f"@hot_path {node.name!r}; use np.copyto into "
+                            "context scratch",
+                        )

@@ -13,8 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
-from repro.analysis.engine import Finding, ModuleContext, Rule, register_rule
-from repro.analysis.visitor import dotted_name, iter_functions
+from repro.analysis.engine import Finding, Project, Rule, register_rule
+from repro.analysis.visitor import dotted_name
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "deque", "defaultdict"})
@@ -39,18 +39,21 @@ class NoMutableDefaultRule(Rule):
         "default aliases state across every call"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for func in iter_functions(module.tree):
-            defaults: List[ast.expr] = list(func.args.defaults)
-            defaults += [d for d in func.args.kw_defaults if d is not None]
-            for default in defaults:
-                if _is_mutable_default(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"mutable default argument in {func.name}(); use "
-                        "None and construct inside the body",
-                    )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            for func in module.nodes:
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                defaults: List[ast.expr] = list(func.args.defaults)
+                defaults += [d for d in func.args.kw_defaults if d is not None]
+                for default in defaults:
+                    if _is_mutable_default(default):
+                        yield self.finding(
+                            module,
+                            default,
+                            f"mutable default argument in {func.name}(); use "
+                            "None and construct inside the body",
+                        )
 
 
 @register_rule
@@ -66,26 +69,27 @@ class NoBareExceptRule(Rule):
     name = "no-bare-except"
     summary = "except: must name an exception class (narrowest repro error)"
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    module,
-                    node,
-                    "bare except: catches KeyboardInterrupt and masks "
-                    "simulator diagnostics; name the exception class",
-                )
-            elif (
-                isinstance(node.type, ast.Name)
-                and node.type.id in ("Exception", "BaseException")
-                and len(node.body) == 1
-                and isinstance(node.body[0], ast.Pass)
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"except {node.type.id}: pass silently swallows every "
-                    "error; handle or re-raise",
-                )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            for node in module.nodes:
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                if node.type is None:
+                    yield self.finding(
+                        module,
+                        node,
+                        "bare except: catches KeyboardInterrupt and masks "
+                        "simulator diagnostics; name the exception class",
+                    )
+                elif (
+                    isinstance(node.type, ast.Name)
+                    and node.type.id in ("Exception", "BaseException")
+                    and len(node.body) == 1
+                    and isinstance(node.body[0], ast.Pass)
+                ):
+                    yield self.finding(
+                        module,
+                        node,
+                        f"except {node.type.id}: pass silently swallows every "
+                        "error; handle or re-raise",
+                    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.analysis.engine import Finding, ModuleContext, Rule, register_rule
+from repro.analysis.engine import Finding, Project, Rule, register_rule
 from repro.analysis.visitor import module_level_imports
 
 #: package -> layer rank; module-level imports must flow downward
@@ -56,24 +56,25 @@ class LayeringRule(Rule):
         "never up into fermions; upcalls go function-local)"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        my_rank = LAYER_RANKS.get(module.package)
-        if my_rank is None:
-            return
-        for stmt, target in module_level_imports(module.tree):
-            parts = target.split(".")
-            if parts[0] != "repro" or len(parts) < 2:
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            my_rank = LAYER_RANKS.get(module.package)
+            if my_rank is None:
                 continue
-            target_pkg = parts[1]
-            target_rank = LAYER_RANKS.get(target_pkg)
-            if target_rank is None:
-                continue
-            if target_rank > my_rank:
-                yield self.finding(
-                    module,
-                    stmt,
-                    f"cross-layer import: repro.{module.package} (layer "
-                    f"{my_rank}) imports repro.{target_pkg} (layer "
-                    f"{target_rank}) at module scope; invert the dependency "
-                    "or make the upcall function-local",
-                )
+            for stmt, target in module_level_imports(module.tree):
+                parts = target.split(".")
+                if parts[0] != "repro" or len(parts) < 2:
+                    continue
+                target_pkg = parts[1]
+                target_rank = LAYER_RANKS.get(target_pkg)
+                if target_rank is None:
+                    continue
+                if target_rank > my_rank:
+                    yield self.finding(
+                        module,
+                        stmt,
+                        f"cross-layer import: repro.{module.package} (layer "
+                        f"{my_rank}) imports repro.{target_pkg} (layer "
+                        f"{target_rank}) at module scope; invert the dependency "
+                        "or make the upcall function-local",
+                    )

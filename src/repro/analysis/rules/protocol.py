@@ -1,12 +1,11 @@
-"""SCU protocol-conformance rules (REPRO2xx).
+"""SCU counter ownership (REPRO2xx).
 
-The hardware contract (paper section 2.2): DMA sends are acknowledged
-within the three-in-the-air window, receives complete only when the
-store pipeline drains, and node programs learn both *only* through the
-completion :class:`~repro.sim.core.Event` the API hands back.  A
-dropped completion event is therefore a latent halo-buffer race — the
-static sibling of what :class:`repro.analysis.sanitizer.
-HaloRaceSanitizer` catches at runtime.
+The SCU and the links keep always-on hardware counters (paper section
+2.2), and the measured-vs-model crosscheck audits them.  They are
+charged inside the owning units and read through the telemetry
+``CounterBank``; nothing else writes them.  (The SCU's other contract —
+every send-family completion event is consumed — is REPRO501,
+:mod:`repro.analysis.flow.rules`, which follows it through wrappers.)
 """
 
 from __future__ import annotations
@@ -14,71 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.engine import Finding, ModuleContext, Rule, register_rule
-from repro.analysis.visitor import (
-    attr_chain,
-    dropped_expression_calls,
-)
-
-#: methods that start SCU traffic and return a completion event,
-#: regardless of the receiver expression
-_SEND_FAMILY_ALWAYS = frozenset(
-    {
-        "send_buffer",
-        "recv_buffer",
-        "start_stored",
-        "start_stored_events",
-        "send_supervisor",
-    }
-)
-
-#: ambiguous method names that count only on comms-ish receivers
-#: (`api.send(...)`, `scu.recv(...)` — not `_ControlPort.send`, which is
-#: the link-level fire-and-forget control path, or arbitrary queues)
-_SEND_FAMILY_ON = {
-    "send": {"api", "scu"},
-    "recv": {"api", "scu"},
-    "global_sum": {"api", "globals"},
-    "barrier": {"api"},
-}
-
-
-@register_rule
-class SendCompletionConsumedRule(Rule):
-    """Every send-family call's completion event must be consumed.
-
-    Conservative static approximation of "every send is dominated by a
-    matching completion wait on all paths": the returned event must not
-    be discarded at the call site.  ``yield api.send(...)``, assigning
-    it, returning it, or passing it into ``wait``/``wait_any``/
-    ``all_of`` all consume it; a bare expression statement drops it —
-    the program then has *no way* to know when the DMA engine is done
-    with the buffer.
-    """
-
-    rule_id = "REPRO201"
-    name = "send-completion-consumed"
-    summary = (
-        "SCU send/recv/start_stored/supervisor calls return completion "
-        "events that must be waited on, not discarded"
-    )
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        for call in dropped_expression_calls(module.tree):
-            chain = attr_chain(call.func)
-            method = chain[-1]
-            base = chain[-2] if len(chain) >= 2 else None
-            applies = method in _SEND_FAMILY_ALWAYS or (
-                method in _SEND_FAMILY_ON and base in _SEND_FAMILY_ON[method]
-            )
-            if applies:
-                yield self.finding(
-                    module,
-                    call,
-                    f"completion event of {'.'.join(chain)}() is discarded; "
-                    "yield it (or hand it to wait/wait_any) so the DMA "
-                    "transfer has a completion wait on every path",
-                )
+from repro.analysis.engine import Finding, Project, Rule, register_rule
 
 
 #: always-on hardware counters: mutating them anywhere but inside the
@@ -131,25 +66,26 @@ class CounterBankOnlyRule(Rule):
         "mutated only inside repro.machine / repro.sim units"
     )
 
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if module.package in _COUNTER_OWNERS:
-            return
-        for node in ast.walk(module.tree):
-            targets: list = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr in _COUNTER_ATTRS
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"write to hardware counter .{target.attr} outside "
-                        "the owning machine unit; charge through the unit "
-                        "(compute(), SCU transfers) and read through the "
-                        "telemetry CounterBank",
-                    )
+    def check(self, project: Project) -> Iterable[Finding]:
+        for module in project.modules:
+            if module.package in _COUNTER_OWNERS:
+                continue
+            for node in module.nodes:
+                targets: list = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr in _COUNTER_ATTRS
+                    ):
+                        yield self.finding(
+                            module,
+                            node,
+                            f"write to hardware counter .{target.attr} outside "
+                            "the owning machine unit; charge through the unit "
+                            "(compute(), SCU transfers) and read through the "
+                            "telemetry CounterBank",
+                        )

@@ -2,15 +2,18 @@
 
 Rules work on plain :mod:`ast` trees; these helpers give them the small
 vocabulary they all need — dotted attribute chains for call targets,
-"is this call a bare expression statement" (a dropped completion
-event), module-level-vs-function-local import classification, and a
-generic walker that tracks the enclosing function.
+the statements of one body (a module's or a function's) short of the
+defs nested in it, and module-level-vs-function-local import
+classification.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple, Union
+
+#: a body :func:`own_statements` walks
+Scope = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def attr_chain(node: ast.AST) -> List[str]:
@@ -39,37 +42,10 @@ def dotted_name(node: ast.AST) -> str:
     return ".".join(attr_chain(node))
 
 
-def call_method(call: ast.Call) -> str:
-    """The method/function name a call targets (last chain element)."""
-    return attr_chain(call.func)[-1]
-
-
-def call_base(call: ast.Call) -> Optional[str]:
-    """The name the method is called on (``api`` in ``self.api.send``)."""
-    chain = attr_chain(call.func)
-    return chain[-2] if len(chain) >= 2 else None
-
-
 def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-def iter_functions(
-    tree: ast.AST,
-) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node  # type: ignore[misc]
-
-
-def dropped_expression_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    """Calls whose value is discarded: ``ast.Expr`` statements wrapping a
-    bare :class:`ast.Call` (not a yield/await of one)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            yield node.value
 
 
 def module_level_imports(
@@ -83,7 +59,7 @@ def module_level_imports(
     ``repro.telemetry``), because it cannot create an import cycle and
     is visibly marked at the call site.
     """
-    for stmt in _statements_outside_functions(tree):
+    for stmt in own_statements(tree):
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 yield stmt, alias.name
@@ -91,21 +67,21 @@ def module_level_imports(
             yield stmt, stmt.module
 
 
-def _statements_outside_functions(tree: ast.Module) -> Iterator[ast.stmt]:
-    """Every statement not nested inside a function (class bodies count
-    as module scope: class-level imports execute at import time)."""
-    stack: List[ast.stmt] = list(tree.body)
+def own_statements(scope: Scope) -> Iterator[ast.stmt]:
+    """Every statement of ``scope``'s body short of the bodies of the defs
+    nested in it (the def statements themselves are yielded).  Class
+    bodies are included: they run where their class statement does."""
+    stack: List[ast.stmt] = list(scope.body)
     while stack:
         stmt = stack.pop()
         yield stmt
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue  # function bodies run later: local imports are exempt
-        for field_name in ("body", "orelse", "finalbody", "handlers"):
-            for child in getattr(stmt, field_name, []):
-                if isinstance(child, ast.stmt):
-                    stack.append(child)
-                elif isinstance(child, ast.ExceptHandler):
-                    stack.extend(child.body)
+            continue  # its body is its own scope
+        for child in ast.iter_child_nodes(stmt):
+            if isinstance(child, ast.stmt):
+                stack.append(child)
+            elif isinstance(child, ast.ExceptHandler):
+                stack.extend(child.body)
 
 
 def int_constants(node: ast.AST) -> Iterator[ast.Constant]:

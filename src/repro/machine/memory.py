@@ -18,11 +18,10 @@ given size.  The twin's kernels (:mod:`repro.parallel.halo`, which hands
 (:mod:`repro.perfmodel.dirac_perf`) both ask it, with the same fitted
 constants (:class:`Calibration`).
 
-:class:`MemorySystem`, an event-simulation wrapper arbitrating a shared
-memory port, is **not wired into the machine**: the SCU DMA engines read
-and write node memory through :class:`repro.machine.node.NodeMemory`
+Contention for the memory port (the PLB, the EDRAM controller) between
+the CPU and the SCU DMA engines is not modelled: the engines read and
+write node memory through :class:`repro.machine.node.NodeMemory`
 directly and charge their fixed fetch/store latencies off the ASIC sheet.
-It has no caller but its own unit tests.
 """
 
 from __future__ import annotations
@@ -31,20 +30,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 from repro.machine.asic import ASICConfig
-from repro.sim.channel import Resource
-from repro.sim.core import Simulator
 from repro.util.errors import ConfigError
 
 Region = Literal["edram", "ddr"]
-
-
-@dataclass
-class AccessStats:
-    """Running totals kept by a :class:`MemorySystem`."""
-
-    edram_bytes: int = 0
-    ddr_bytes: int = 0
-    accesses: int = 0
 
 
 @dataclass(frozen=True)
@@ -164,33 +152,3 @@ class MemoryModel:
         memory traffic and loop overhead apportioned by flops."""
         cycles = self.compute_cycles(fit, flops, words, sites, working_set_bytes)
         return cycles / self.asic.clock_hz / flops
-
-
-class MemorySystem:
-    """Event-simulation wrapper: a shared port with arbitration.
-
-    On real silicon the SCU DMA engines and the CPU contend for the
-    memory port (the PLB and the EDRAM controller); the twin does not
-    model that contention, and nothing in the machine constructs one of
-    these (module docstring).  ``transfer`` is a process-style generator:
-    ``yield from mem.transfer(...)``.
-    """
-
-    def __init__(self, sim: Simulator, asic: ASICConfig, ports: int = 2):
-        self.sim = sim
-        self.model = MemoryModel(asic)
-        self.port = Resource(sim, slots=ports)
-        self.stats = AccessStats()
-
-    def transfer(self, nbytes: int, region: Region = "edram", streams: int = 1):
-        """Occupy a memory port for the duration of an access (generator)."""
-        yield self.port.acquire()
-        try:
-            yield self.sim.timeout(self.model.access_time(nbytes, region, streams))
-            self.stats.accesses += 1
-            if region == "edram":
-                self.stats.edram_bytes += nbytes
-            else:
-                self.stats.ddr_bytes += nbytes
-        finally:
-            self.port.release()

@@ -4,7 +4,7 @@ The QCDOC machine model (:mod:`repro.machine`) is a timed, functional
 simulation: SCU DMA engines, serial links, Ethernet hubs and node programs
 are all *processes* — Python generators that yield events to this kernel.
 The kernel is deliberately SimPy-shaped (events, generator processes,
-timeouts, shared stores) but written from scratch so the whole stack is
+timeouts) but written from scratch so the whole stack is
 self-contained and deterministic.
 
 Determinism contract: given the same initial processes and the same RNG
@@ -13,7 +13,6 @@ are broken by a monotone sequence number, never by hash order or id().
 """
 
 from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
-from repro.sim.channel import Channel, Resource
 from repro.sim.shard import ShardedSimulator, ShardLane
 from repro.sim.sync import CrossShardRouter, Notification, ShardPost
 from repro.sim.trace import Trace
@@ -31,7 +30,5 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Interrupt",
-    "Channel",
-    "Resource",
     "Trace",
 ]

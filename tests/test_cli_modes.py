@@ -1,4 +1,4 @@
-"""CLI modes added in PR 9: --flow gating, --hygiene, --protocol,
+"""CLI modes: --select across rule families, --hygiene, --protocol,
 allowlist budget and stale-entry enforcement."""
 
 import json
@@ -19,7 +19,7 @@ FLOW_BAD = (
     "    return None\n"
 )
 
-#: fires REPRO101 (wall-clock call) — a per-file rule
+#: fires REPRO101 (wall-clock call)
 WALLCLOCK_BAD = "import time\nx = time.time()\n"
 
 
@@ -31,21 +31,11 @@ def write_pkg(tmp_path, source, rel="repro/machine/user.py"):
 
 
 # ---------------------------------------------------------------------------
-# --flow gating of the whole-program family
+# every selected rule runs on every scan
 # ---------------------------------------------------------------------------
 
 
 class TestFlowGating:
-    def test_default_run_excludes_flow_rules(self, tmp_path, capsys):
-        root = write_pkg(tmp_path, FLOW_BAD)
-        assert main([str(root), "--no-allowlist"]) == EXIT_CLEAN
-        assert "REPRO501" not in capsys.readouterr().out
-
-    def test_flow_flag_includes_them(self, tmp_path, capsys):
-        root = write_pkg(tmp_path, FLOW_BAD)
-        assert main([str(root), "--flow", "--no-allowlist"]) == EXIT_FINDINGS
-        assert "REPRO501" in capsys.readouterr().out
-
     def test_explicit_select_needs_no_flow_flag(self, tmp_path, capsys):
         root = write_pkg(tmp_path, FLOW_BAD)
         code = main([str(root), "--select", "REPRO501", "--no-allowlist"])
@@ -60,11 +50,6 @@ class TestFlowGating:
         assert code == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "REPRO501" in out and "REPRO101" in out
-
-    def test_list_rules_tags_whole_program(self, capsys):
-        assert main(["--list-rules"]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        assert "REPRO501" in out and "[whole-program]" in out
 
 
 # ---------------------------------------------------------------------------

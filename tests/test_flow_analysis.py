@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Allowlist, LintEngine, get_rule
+from repro.analysis import Allowlist, LintEngine, all_rules, get_rule
+from repro.analysis.allowlist import find_default_allowlist
 from repro.analysis.flow import build_call_graph, build_cfg, build_symbols
 from repro.analysis.flow import cfg as cfgmod
 from repro.analysis.flow.dataflow import returns_source
@@ -272,18 +273,16 @@ class TestSendCompletionEscape:
         result = lint_files(tmp_path, files, ["REPRO501"])
         assert rules_fired(result) == ["REPRO501"]
 
-    def test_base_family_drop_left_to_repro201(self, tmp_path):
-        # a bare api.send_buffer() drop is REPRO201's finding, not ours
+    def test_bare_drop_reported_once_by_one_rule(self, tmp_path):
+        # a bare api.send_buffer() drop: one finding over the whole catalogue
         files = {
             "repro/machine/user.py": (
                 "def go(api, buf):\n"
                 "    api.send_buffer(buf)\n"
             ),
         }
-        result = lint_files(tmp_path, files, ["REPRO501"])
-        assert result.clean
-        result = lint_files(tmp_path, files, ["REPRO201"])
-        assert rules_fired(result) == ["REPRO201"]
+        result = lint_files(tmp_path, files, [cls.rule_id for cls in all_rules()])
+        assert [(f.rule, f.line) for f in result.findings] == [("REPRO501", 2)]
 
     def test_ambiguous_callee_does_not_fire(self, tmp_path):
         # two defs share the name; only one returns an event -> no fire
@@ -667,17 +666,15 @@ class TestBootResetCompleteness:
 
 class TestSourceTreeFlowClean:
     def test_source_tree_clean_under_flow_rules(self):
+        # the repository allowlist, as test_source_tree_is_clean loads it:
+        # its one entry is REPRO501's (the watchdog's LINK_DOWN escalation)
+        allowlist = Allowlist.load(find_default_allowlist(SRC))
         engine = LintEngine(
-            rules=[get_rule(r) for r in FLOW_RULES], allowlist=Allowlist.empty()
+            rules=[get_rule(r) for r in FLOW_RULES], allowlist=allowlist
         )
         result = engine.run([SRC.parent])
         assert result.findings == [], [f.format() for f in result.findings]
-
-    def test_flow_rules_are_whole_program(self):
-        for rule_id in FLOW_RULES:
-            assert get_rule(rule_id).whole_program
-        for rule_id in ("REPRO101", "REPRO201", "REPRO303", "REPRO401"):
-            assert not get_rule(rule_id).whole_program
+        assert result.unused_allow_entries(allowlist) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine.asic import ASICConfig
-from repro.machine.memory import FPU_BOUND, Calibration, MemoryModel, MemorySystem
+from repro.machine.memory import FPU_BOUND, Calibration, MemoryModel
 from repro.machine.node import Node, NodeMemory
 from repro.sim.core import Simulator
 from repro.util.errors import ConfigError, MachineError
@@ -52,24 +52,6 @@ class TestMemoryModel:
     def test_spill_fraction(self, model):
         assert model.spill_fraction(int(2 * MB)) == 0.0
         assert model.spill_fraction(int(8 * MB)) == pytest.approx(0.5)
-
-
-class TestMemorySystem:
-    def test_transfers_serialise_on_the_port(self):
-        sim = Simulator()
-        mem = MemorySystem(sim, ASICConfig(), ports=1)
-        done = []
-
-        def client(sim, nbytes):
-            yield from mem.transfer(nbytes, "edram")
-            done.append(sim.now)
-
-        sim.process(client(sim, 8_000_000))
-        sim.process(client(sim, 8_000_000))
-        sim.run()
-        assert done[1] == pytest.approx(2 * done[0])
-        assert mem.stats.accesses == 2
-        assert mem.stats.edram_bytes == 16_000_000
 
 
 class TestNodeMemory:

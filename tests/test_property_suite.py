@@ -10,7 +10,6 @@ from repro.lattice import LatticeGeometry, face_indices
 from repro.machine.packets import LinkChecksum
 from repro.machine.scu import DmaDescriptor
 from repro.machine.topology import snake_cycle, snake_is_cyclic
-from repro.sim import Channel, Simulator
 from repro.util import rng_stream
 
 shapes = st.lists(st.integers(min_value=2, max_value=5), min_size=2, max_size=4)
@@ -73,49 +72,6 @@ class TestFaceDescriptorProperties:
         sites = face_indices(geom, axis, side, depth)
         expected = (sites[:, None] * wps + np.arange(wps)[None, :]).reshape(-1)
         assert np.array_equal(desc.indices(), expected)
-
-
-class TestChannelProperties:
-    @given(st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=30, deadline=None)
-    def test_fifo_order_for_any_sequence(self, items):
-        sim = Simulator()
-        ch = Channel(sim)
-        got = []
-
-        def consumer(sim):
-            for _ in items:
-                value = yield ch.get()
-                got.append(value)
-
-        p = sim.process(consumer(sim))
-        for item in items:
-            ch.put(item)
-        sim.run(until=p)
-        assert got == items
-
-    @given(st.lists(st.integers(), min_size=1, max_size=15),
-           st.integers(min_value=1, max_value=4))
-    @settings(max_examples=20, deadline=None)
-    def test_capacity_never_loses_items(self, items, capacity):
-        sim = Simulator()
-        ch = Channel(sim, capacity=capacity)
-        got = []
-
-        def producer(sim):
-            for item in items:
-                yield ch.put(item)
-
-        def consumer(sim):
-            for _ in items:
-                value = yield ch.get()
-                got.append(value)
-                yield sim.timeout(0.01)
-
-        sim.process(producer(sim))
-        p = sim.process(consumer(sim))
-        sim.run(until=p)
-        assert got == items
 
 
 class TestChecksumProperties:

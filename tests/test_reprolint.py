@@ -1,19 +1,22 @@
 """reprolint regression suite (PR 4).
 
 Every rule in the catalogue gets a minimal fixture that *fires* it and
-a matching fixture that *passes* — the rule's contract, pinned.  Plus
-the framework itself: allowlist round-trip and strict parsing, engine
-determinism and parse-error reporting, the CLI's exit codes and JSON
-shape, and the gate this whole subsystem exists for — the repository's
-own ``src/`` tree lints clean.
+a matching fixture that *passes* — the rule's contract, pinned — and a
+one-line mutation of the real tree that it catches (the coverage table
+of DESIGN.md section 14).  Plus the framework itself: allowlist
+round-trip and strict parsing, engine determinism and parse-error
+reporting, the CLI's exit codes and JSON shape, and the gate this whole
+subsystem exists for — the repository's own ``src/`` tree lints clean.
 """
 
 import ast
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import repro.analysis.engine as engine_module
 from repro.analysis import (
     Allowlist,
     LintEngine,
@@ -185,7 +188,7 @@ class TestProtocolRules:
             "    api.send_buffer(0, 1, 'face')\n"
             "    api.start_stored()\n"
         )
-        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO201"])
+        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO501"])
         assert len(result.findings) == 2
         assert "completion event" in result.findings[0].message
 
@@ -196,14 +199,32 @@ class TestProtocolRules:
             "    done = api.start_stored()\n"
             "    yield api.wait([done])\n"
         )
-        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO201"])
+        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO501"])
         assert result.clean
 
     def test_control_port_send_not_flagged(self, tmp_path):
         # link-level fire-and-forget control path: not a completion-event API
         src = "def f(port):\n    port.send('ACK', 3)\n"
-        result = lint(tmp_path, "repro/machine/x.py", src, ["REPRO201"])
+        result = lint(tmp_path, "repro/machine/x.py", src, ["REPRO501"])
         assert result.clean
+
+    def test_drop_in_nested_def_fires_once(self, tmp_path):
+        # a callback nested in a method, and code at module level: each
+        # body is checked, each statement once
+        src = (
+            "class Unit:\n"
+            "    def arm(self, api):\n"
+            "        def on_timeout(_event):\n"
+            "            api.send_supervisor(0, 1)\n"
+            "        return on_timeout\n"
+            "\n"
+            "api.barrier()\n"
+        )
+        result = lint(tmp_path, "repro/machine/x.py", src, ["REPRO501"])
+        assert [(f.rule, f.line) for f in result.findings] == [
+            ("REPRO501", 4),
+            ("REPRO501", 7),
+        ]
 
     def test_counter_write_outside_owner_fires(self, tmp_path):
         src = "def f(node):\n    node.flops_charged += 100\n"
@@ -245,18 +266,18 @@ class TestAccountingRules:
 
     def test_untagged_compute_fires_in_parallel(self, tmp_path):
         src = "def f(api, n, r):\n    yield api.compute(n)\n    yield api.compute(n, rate=r)\n"
-        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO302"])
-        assert rules_fired(result) == ["REPRO302"]
+        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO503"])
+        assert rules_fired(result) == ["REPRO503"]
         assert len(result.findings) == 2  # a rate does not name the kernel
 
     def test_untagged_compute_allowed_outside_parallel(self, tmp_path):
         src = "def f(api, n):\n    yield api.compute(n)\n"
-        result = lint(tmp_path, "repro/machine/x.py", src, ["REPRO302"])
+        result = lint(tmp_path, "repro/machine/x.py", src, ["REPRO503"])
         assert result.clean
 
     def test_tagged_compute_passes(self, tmp_path):
         src = "def f(api, n, r):\n    yield api.compute(n, kernel='dslash', rate=r)\n"
-        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO302"])
+        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO503"])
         assert result.clean
 
     def test_unregistered_trace_tag_fires(self, tmp_path):
@@ -439,22 +460,43 @@ class TestAllowlist:
 class TestEngine:
     def test_rule_catalogue_is_complete(self):
         ids = [cls.rule_id for cls in all_rules()]
-        assert ids == sorted(ids)
-        assert {
+        assert ids == [
             "REPRO101",
             "REPRO102",
             "REPRO103",
-            "REPRO201",
+            "REPRO104",
+            "REPRO105",
             "REPRO202",
             "REPRO301",
-            "REPRO302",
             "REPRO303",
             "REPRO401",
             "REPRO402",
             "REPRO403",
-        } <= set(ids)
+            "REPRO501",
+            "REPRO502",
+            "REPRO503",
+            "REPRO504",
+        ]
         for cls in all_rules():
             assert cls.name and cls.summary
+
+    def test_project_is_built_once_per_run(self, tmp_path, monkeypatch):
+        """Every rule that reads the symbol table shares one; a run whose
+        rules never ask for it never builds it."""
+        real, builds = engine_module.build_symbols, []
+
+        def counting(modules):
+            builds.append(len(modules))
+            return real(modules)
+
+        monkeypatch.setattr(engine_module, "build_symbols", counting)
+        (tmp_path / "a.py").write_text("def f(api):\n    return api.send(0)\n")
+        (tmp_path / "b.py").write_text("def g(api):\n    f(api)\n")
+        flow = ["REPRO501", "REPRO502", "REPRO503", "REPRO504"]
+        LintEngine(rules=[get_rule(r) for r in flow]).run([tmp_path])
+        assert builds == [2]
+        LintEngine(rules=[get_rule("REPRO401"), get_rule("REPRO402")]).run([tmp_path])
+        assert builds == [2]
 
     def test_findings_sorted_deterministically(self, tmp_path):
         for name in ("b.py", "a.py"):
@@ -547,6 +589,100 @@ def test_source_tree_is_clean():
     assert [f.format() for f in result.findings] == []
     # and the allowlist carries no stale entries
     assert result.unused_allow_entries(allowlist) == []
+
+
+# ---------------------------------------------------------------------------
+# coverage: every rule catches a one-line mutation of today's tree
+# ---------------------------------------------------------------------------
+
+#: rule id -> (file under src/repro, text, its mutation); the table of
+#: DESIGN.md section 14
+MUTATIONS = {
+    "REPRO101": (
+        "hmc/hmc.py",
+        'rng_stream(self.seed, f"momenta/',
+        'rng_stream(time.time_ns(), f"momenta/',
+    ),
+    "REPRO102": (
+        "hmc/hmc.py",
+        'rng_stream(self.seed, f"metropolis/{self.trajectory_index}")',
+        "np.random.default_rng(self.seed)",
+    ),
+    "REPRO103": (
+        "lattice/stencil.py",
+        "tuple(sorted(set(int(a) for a in comm_axes)))",
+        "tuple(set(int(a) for a in comm_axes))",
+    ),
+    "REPRO104": (
+        "sim/sync.py",
+        "sorted(self._outbox, key=lambda p: p.order)",
+        "list(self._outbox)",
+    ),
+    "REPRO105": ("parallel/halo.py", "np.copyto(self.work, src)", "self.work = src.copy()"),
+    "REPRO202": (
+        "parallel/pcg.py",
+        "flops_before = sum(n.flops_charged for n in machine.nodes.values())",
+        "for n in machine.nodes.values(): n.flops_charged = 0",
+    ),
+    "REPRO301": ("parallel/halo.py", "staged * MATVEC_SU3", "staged * 66"),
+    "REPRO303": ("machine/scu.py", '"scu.link_down",', '"scu.link_down", cause=reason,'),
+    "REPRO401": ("parallel/halo.py", "word_batch=None,", "word_batch=[],"),
+    "REPRO402": ("lattice/stencil.py", "except KeyError:", "except:"),
+    "REPRO403": (
+        "machine/memory.py",
+        "from repro.util.errors import ConfigError",
+        "from repro.perfmodel.dirac_perf import calibrate",
+    ),
+    "REPRO501": (
+        "parallel/pcg.py",
+        "summed = yield api.global_sum(padded)",
+        "api.global_sum(padded)",
+    ),
+    "REPRO502": ("machine/scu.py", "san.dma_end(claim)", "san.dma_end(None)"),
+    "REPRO503": (
+        "parallel/pcg.py",
+        'kernel="linalg", rate=ctx.dot_rate',
+        "rate=ctx.dot_rate",
+    ),
+    "REPRO504": (
+        "machine/node.py",
+        '_RESET_KEPT = ("flops_charged", "compute_time", "kernel_flops")',
+        '_RESET_KEPT = ("flops_charged", "compute_time")',
+    ),
+}
+
+
+def _repo_allowlist():
+    return Allowlist.load(find_default_allowlist(SRC))
+
+
+@pytest.fixture(scope="module")
+def unmutated(tmp_path_factory):
+    """Every rule over an unmutated copy of the tree: the allowlisted
+    findings and nothing else."""
+    root = tmp_path_factory.mktemp("unmutated")
+    shutil.copytree(SRC, root / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    allowlist = _repo_allowlist()
+    result = LintEngine(allowlist=allowlist).run([root])
+    assert result.findings == [] and result.parse_errors == []
+    assert result.unused_allow_entries(allowlist) == []
+    return result
+
+
+@pytest.mark.parametrize("rule_id", [cls.rule_id for cls in all_rules()])
+def test_rule_catches_a_mutation_of_the_tree(rule_id, tmp_path, unmutated):
+    if rule_id not in MUTATIONS:
+        pytest.fail(f"{rule_id} has no mutation of the tree it catches")
+    rel, text, mutated = MUTATIONS[rule_id]
+    shutil.copytree(SRC, tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "repro" / rel
+    source = path.read_text()
+    assert text in source, f"{rel} no longer reads {text!r}"
+    path.write_text(source.replace(text, mutated, 1))
+    engine = LintEngine(rules=[get_rule(rule_id)], allowlist=_repo_allowlist())
+    fired = [f.path for f in engine.run([tmp_path]).findings if f.rule == rule_id]
+    assert f"repro/{rel}" in fired
+    assert [f for f in unmutated.findings if f.rule == rule_id] == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Trace
 from repro.util.errors import SimulationError
 
 
@@ -358,3 +358,22 @@ class TestAnyOfDetaches:
         sim.run()
         assert cond.triggered and not cond.ok
         assert isinstance(cond.exception, RuntimeError)
+
+
+class TestTrace:
+    def test_records_time_and_fields(self, sim):
+        tr = Trace(sim)
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+            tr.emit("send", word=3)
+            yield sim.timeout(1.0)
+            tr.emit("ack", word=3)
+
+        sim.run(until=sim.process(proc(sim)))
+        assert tr.count("send") == 1
+        assert tr.tagged("ack")[0].time == 2.0
+        assert tr.last("send").fields["word"] == 3
+        assert len(tr) == 2
+        tr.clear()
+        assert len(tr) == 0
