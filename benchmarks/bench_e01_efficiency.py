@@ -127,8 +127,8 @@ def test_e01_measured_on_the_twin(model, report):
                 f"{100*model.efficiency(op, Ls=8):.1f}%",
             ]
         )
-        # the twin sustains the model's figure: what is left is the
-        # set-up's extra dots and the staged face matvecs, a fifth of a point
+        # the twin sustains the model's figure over its iterations (the
+        # set-up taken out): what is left is a few hundredths of a point
         assert twin["fraction"] == pytest.approx(same, abs=0.002)
         # at this volume the boundary arithmetic hides the whole exchange
         assert abs(twin["exposed_comm_s"]) <= 1e-9 * twin["run_s"]

@@ -132,7 +132,8 @@ def test_e02_measured_on_the_twin(model, report):
                 f"{100*same:.1f}%",
             ]
         )
-        # set-up dots and staged face matvecs weigh most on the smallest tile
+        # what the model leaves out (X1's named residuals) weighs most on
+        # the smallest tile
         assert twin["fraction"] == pytest.approx(same, abs=0.01 if L == 2 else 0.003)
     emit(t)
     assert measured[4] == pytest.approx(0.40, abs=0.005)

@@ -26,6 +26,7 @@ from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.parallel import solve_on_machine
 from repro.perfmodel import DiracPerfModel
+from repro.perfmodel.dirac_perf import cg_kernel_calls
 from repro.telemetry.report import EXACT_REL_TOL
 from repro.util import rng_stream
 from repro.util.units import US
@@ -54,14 +55,14 @@ def test_x01_functional_vs_model(benchmark, report):
     machine, res = benchmark.pedantic(run_functional, rounds=1, iterations=1)
     iterations = res.iterations
 
-    # the solve: D^+ b, then two applications per iteration; two inner
-    # products per iteration after the two of the set-up
+    # the solve: D^+ b, then two applications per iteration; each
+    # iteration's vector kernels after the set-up's two inner products
     crosscheck = machine.report().crosscheck(
         "wilson",
         LOCAL_SHAPE,
         MACHINE_DIMS,
         n_applications=2 * iterations + 1,
-        dots=2 * iterations + 2,
+        linalg=cg_kernel_calls(iterations),
     )
     entries = {entry.metric: entry for entry in crosscheck.entries}
 

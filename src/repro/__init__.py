@@ -56,7 +56,7 @@ from repro.machine import (
 )
 from repro.parallel import PhysicsMapping, solve_on_machine
 from repro.perfmodel import DiracPerfModel, HardScalingModel, PackagingModel
-from repro.solvers import SolveResult, bicgstab, cg, cgne
+from repro.solvers import SolveResult, cg, cgne
 
 __version__ = "1.0.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     # solvers + hmc
     "cg",
     "cgne",
-    "bicgstab",
     "SolveResult",
     "HMC",
     "WilsonGaugeAction",

@@ -250,7 +250,8 @@ class FlopChargeCoverageRule(Rule):
     * every function that runs an operator kernel (``np.einsum``,
       ``cmatvec``, spin projection / reconstruction, the machine-side
       inner products) either charges ``compute(..., kernel=...)`` itself
-      or is reachable *only* through callers that do.  A helper reachable
+      (or through a package function it calls that does) or is
+      reachable *only* through callers that do.  A helper reachable
       from an uncharging entry point computes real flops the telemetry
       books never see; helpers like face projection stay charge-free
       because every caller charges for them.
@@ -291,10 +292,16 @@ class FlopChargeCoverageRule(Rule):
         }
         graph = project.graph
 
-        def charges(qualname: str) -> bool:
-            return any(
+        def charges(qualname: str, via_callee: bool = True) -> bool:
+            """Calls ``compute(..., kernel=)`` itself, or through a package
+            function it calls that does (a machine dot's ``ctx.charge``)."""
+            if any(
                 attr_chain(node.func)[-1] == "compute" and _names_kernel(node)
                 for node in iter_calls(in_pkg[qualname].node)
+            ):
+                return True
+            return via_callee and any(
+                charges(c, False) for c in graph.callees_of(qualname) if c in in_pkg
             )
 
         roots = [

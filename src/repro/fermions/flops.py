@@ -15,7 +15,7 @@ once; no speculative reuse beyond registers).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 CMUL = 6  #: flops in one complex multiply
 CADD = 2  #: flops in one complex add
@@ -33,6 +33,28 @@ STAGGERED_WORDS = 6  #: one colour vector, 3 complex doubles per site
 
 #: solver vectors resident during a CG solve: x, r, p, Ap, b
 CG_VECTORS = 5
+
+#: the Krylov solvers' vector kernels, ``(flops, words)`` per real component
+#: with real scalars: ``axpy`` / ``xpay`` multiply and add (read two vectors,
+#: write one), ``scale_axpy`` multiplies twice, ``dot`` is 8 flops per
+#: complex pair (read two vectors); a word holds one double-precision real
+LINALG_KERNELS = {"axpy": (2, 3), "xpay": (2, 3), "scale_axpy": (3, 3), "dot": (4, 2)}
+
+#: one CG iteration's vector kernels: the x, r and p updates, two dots
+CG_UPDATE_KERNELS = {"axpy": 2, "xpay": 1}
+CG_ITERATION_KERNELS = dict(CG_UPDATE_KERNELS, dot=2)
+
+
+def linalg_mix(
+    kernels: Mapping[str, int], components: float, itemsize: int = 16
+) -> Tuple[float, float]:
+    """``(flops, words)`` of ``kernels`` (name -> calls) on operands of
+    ``components`` real components stored ``itemsize`` bytes per complex
+    element: single precision streams half the words."""
+    flops = sum(calls * LINALG_KERNELS[k][0] for k, calls in kernels.items())
+    words = sum(calls * LINALG_KERNELS[k][1] for k, calls in kernels.items())
+    return float(components * flops), components * words * itemsize / 16
+
 
 #: canonical community count for the Wilson hopping term (8 directions,
 #: two half-spinor SU(3) matvecs each, plus spin project/reconstruct adds)
@@ -197,23 +219,10 @@ class OperatorCost:
         return float(self.flops_per_site), words, 0.75 + 0.25 / slices
 
     def cg_linalg(self) -> Tuple[float, float]:
-        """CG linear-algebra ``(flops, words)`` per site per iteration:
-        three axpys (2 flops per real component; read 2 vectors, write 1)
-        and two inner products (8 flops per complex pair; read 2
-        vectors).  One 64-bit word holds one real component."""
-        w = self.site_words
-        flops = 3 * (2 * w) + 2 * (8 * (w // 2))
-        words = 3 * (3 * w) + 2 * (2 * w)
-        return float(flops), float(words)
-
-    def cg_dot(self) -> Tuple[float, float]:
-        """``(flops, words)`` per site the twin charges at each of a CG
-        iteration's two global inner products: the dot itself and its
-        half of the iteration's axpys (:meth:`cg_linalg`) — the solver
-        core is shared with the serial path and charges nothing, so the
-        machine-side dot is where a rank pays for its vector algebra."""
-        flops, words = self.cg_linalg()
-        return flops / 2, words / 2
+        """CG linear-algebra ``(flops, words)`` per site per iteration in
+        double precision: :data:`CG_ITERATION_KERNELS` on vectors of
+        ``site_words`` real components."""
+        return linalg_mix(CG_ITERATION_KERNELS, self.site_words)
 
     def working_set_bytes(self, local_volume: int, Ls: int = 1) -> int:
         """Solve-time resident bytes of a tile: the gauge (+ clover)

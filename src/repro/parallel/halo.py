@@ -94,12 +94,12 @@ context).
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
 from repro.comms.api import CommsAPI, face_descriptor, full_descriptor
-from repro.fermions.flops import MATVEC_SU3, OperatorCost
+from repro.fermions.flops import MATVEC_SU3, OperatorCost, linalg_mix
 from repro.lattice.geometry import LatticeGeometry
 from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
 from repro.machine.scu import normalise_word_batch
@@ -197,17 +197,6 @@ class HaloPipeline:
         self._fit = calibrate(api.node.asic)
         #: seconds per flop of the operator's own arithmetic
         self.rate = self.kernel_rate(cost)
-        #: what a machine-side CG inner product over this rank's vectors
-        #: charges (:mod:`repro.parallel.pcg`): the dot and its share of
-        #: the iteration's axpys, streamed with no per-site loop overhead
-        dot_flops, dot_words = cost.cg_dot()
-        self.dot_flops = self._slices * g.volume * dot_flops
-        self.dot_rate = api.memory.model.seconds_per_flop(
-            self._fit,
-            dot_flops,
-            dot_words,
-            working_set_bytes=cost.working_set_bytes(g.volume, self._slices),
-        )
         #: test seam: when set, called as ``hook(self)`` immediately after
         #: the overlapped order fires its "early" group — i.e. while all
         #: receives are in flight.  The race-sanitizer tests use it to
@@ -293,6 +282,16 @@ class HaloPipeline:
             *cost.site_mix(self._slices),
             cost.working_set_bytes(self.volume, self._slices),
         )
+
+    def charge(self, kernels: Mapping[str, int], v: np.ndarray):
+        """The solver's vector ``kernels`` (name -> calls) on operands like
+        ``v`` as one charge (generator): the table's mix, the words from
+        ``v``'s dtype, no per-site loop overhead on this tile."""
+        flops, words = linalg_mix(kernels, 2 * v.size, v.itemsize)
+        resident = self.cost.working_set_bytes(self.volume, self._slices)
+        model = self.api.memory.model
+        rate = model.seconds_per_flop(self._fit, flops, words, 0.0, resident)
+        yield self.api.compute(flops, kernel="linalg", rate=rate)
 
     @hot_path
     def exchange(self, src: np.ndarray):

@@ -4,8 +4,9 @@ This is the paper's benchmark workload end to end: CG on the Dirac normal
 equations, every hopping term through SCU DMA halo exchanges and every
 inner product through the SCU global-sum tree.  Rank programs ``yield
 from`` the one Krylov core of :mod:`repro.solvers.krylov` — the very
-generators the serial solvers run to completion — over ``ctx.normal`` and
-one of two dots (DESIGN.md §15): :func:`rank_partial_dot`, the paper's
+generators the serial solvers run to completion — over ``ctx.normal``,
+``ctx.charge`` (the solver's vector kernels, priced on the rank's tile)
+and one of two dots (DESIGN.md §15): :func:`rank_partial_dot`, the paper's
 one-word collective (equal to serial ``cgne`` to rounding, bit-reproducible
 run over run, restart and shard count), or :class:`MachineSiteDot`, the
 V-word canonical site sum (equal to a serial ``canonical_dot`` solve in
@@ -72,10 +73,8 @@ class MachineSiteDot:
     serial code reduces.  Works in any dtype the fields carry — the
     mixed-precision inner solver sends ``complex64`` sites through the tree.
 
-    ``ctx`` is the rank's operator context: the dot is where the rank pays
-    CPU time for the solver's vector algebra (``ctx.dot_flops`` at
-    ``ctx.dot_rate``, the Krylov core being shared with the serial path
-    and charging nothing).
+    ``ctx`` is the rank's operator context, whose ``charge`` prices the
+    dot on the rank's tile.
     """
 
     def __init__(self, ctx: Any, mapping: PhysicsMapping):
@@ -87,21 +86,20 @@ class MachineSiteDot:
         site = site_inner(u, v)
         padded = np.zeros(self.global_volume, dtype=site.dtype)
         padded[self.global_sites] = site
-        ctx = self.ctx
-        api = ctx.api
-        yield api.compute(ctx.dot_flops, kernel="linalg", rate=ctx.dot_rate)
+        api = self.ctx.api
+        yield from self.ctx.charge({"dot": 1}, u)
         summed = yield api.global_sum(padded)
         return reduce_site_inner(summed)
 
 
 def rank_partial_dot(ctx: Any) -> GenDot:
-    """The rank's ``vdot`` partial through a one-word SCU global sum, its
-    vector algebra charged to the rank of ``ctx`` first."""
+    """The rank's ``vdot`` partial through a one-word SCU global sum,
+    charged to the rank of ``ctx`` first."""
     api = ctx.api
 
     def dot(u: np.ndarray, v: np.ndarray) -> Steps[complex]:
         partial = np.array([np.vdot(u, v)])
-        yield api.compute(ctx.dot_flops, kernel="linalg", rate=ctx.dot_rate)
+        yield from ctx.charge({"dot": 1}, u)
         return (yield api.global_sum(partial))[0]
 
     return dot
@@ -362,7 +360,8 @@ def cg_rank_program(
         rhs = yield from ctx.apply_dagger(rhs)  # normal equations: D^+ b
     hook = iteration_hook(api, checkpoint)
     result = yield from cg_iter(
-        ctx.normal, rank_partial_dot(ctx), rhs, tol, maxiter, hook, state
+        ctx.normal, rank_partial_dot(ctx), rhs, tol, maxiter, hook, state,
+        charge=ctx.charge,
     )
     return result
 

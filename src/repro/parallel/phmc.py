@@ -145,7 +145,8 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
 
 def _machine_solve(api, ctx, dot, b, solver, tol, maxiter):
     res = yield from SOLVERS[solver](
-        ctx.normal, dot, b, tol, maxiter, on_iteration=iteration_hook(api)
+        ctx.normal, dot, b, tol, maxiter, on_iteration=iteration_hook(api),
+        charge=ctx.charge,
     )
     if not res.converged:
         raise ConfigError(f"fermion-force CG failed to converge in {maxiter}")
@@ -194,6 +195,7 @@ def hmc_multishift_program(api, context, mapping, local_b, shifts, tol, maxiter)
         tol,
         maxiter,
         on_iteration=iteration_hook(api),
+        charge=ctx.charge,
     )
     return res
 

@@ -64,11 +64,11 @@ Refinements applied on top of the calibrated core:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fermions.flops import operator_cost
+from repro.fermions.flops import CG_ITERATION_KERNELS, linalg_mix, operator_cost
 from repro.machine.asic import ASICConfig
 from repro.machine.memory import FPU_BOUND, Calibration, MemoryModel
 from repro.util.errors import ConfigError
@@ -418,21 +418,36 @@ def dirac_compute_seconds_per_node(
     return dirac_flops_per_node(op, local_shape, machine_dims, Ls) * rate
 
 
-def cg_dot_charge_per_node(
+def linalg_charge_per_node(
     op: str,
     local_shape: Sequence[int],
+    linalg: Mapping[Tuple[str, str], int],
     Ls: int = 1,
     asic: Optional[ASICConfig] = None,
 ) -> Tuple[float, float]:
-    """Exact ``(flops, CPU seconds)`` charged per node at **one**
-    machine-side CG inner product
-    (:meth:`~repro.fermions.flops.OperatorCost.cg_dot`): streamed vector
-    algebra, no per-site loop overhead."""
+    """Exact ``(flops, CPU seconds)`` charged per node by a solver's
+    vector kernels, ``linalg`` = ``(kernel, dtype name) -> calls`` on the
+    vectors of ``op``'s tile: each kernel at the table's mix
+    (:func:`~repro.fermions.flops.linalg_mix`), no per-site loop overhead."""
     cost = operator_cost(op)
     volume = int(np.prod(local_shape))
-    flops, words = cost.cg_dot()
-    charged = volume * cost.slices(Ls) * flops
-    return charged, charged * _seconds_per_flop(asic, cost, volume, Ls, flops, words)
+    components = volume * cost.slices(Ls) * cost.site_words
+    flops = seconds = 0.0
+    for (kernel, dtype), calls in linalg.items():
+        if calls:
+            mix = linalg_mix({kernel: calls}, components, np.dtype(dtype).itemsize)
+            flops += mix[0]
+            seconds += mix[0] * _seconds_per_flop(asic, cost, volume, Ls, *mix)
+    return flops, seconds
+
+
+def cg_kernel_calls(iterations: int) -> Dict[Tuple[str, str], int]:
+    """A double-precision CG solve's vector-kernel calls per rank
+    (:func:`repro.solvers.krylov.cg_iter`): every iteration's, and the
+    set-up's two dots — the ``linalg`` of the solve's crosscheck."""
+    calls = {k: iterations * n for k, n in CG_ITERATION_KERNELS.items()}
+    calls["dot"] += 2
+    return {(k, "complex128"): n for k, n in calls.items()}
 
 
 def calibrate(asic: Optional[ASICConfig] = None) -> Calibration:

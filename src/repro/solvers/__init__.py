@@ -9,8 +9,6 @@ machine's SCU global-sum hardware.
 """
 
 from repro.solvers.cg import SolveResult, cg, cgne, mixed_precision_cg
-from repro.solvers.bicgstab import bicgstab
-from repro.solvers.mr import minres_iteration
 from repro.solvers.multishift import MultiShiftResult, multishift_cg
 from repro.solvers.sitedot import canonical_dot
 
@@ -20,8 +18,6 @@ __all__ = [
     "cgne",
     "mixed_precision_cg",
     "canonical_dot",
-    "bicgstab",
-    "minres_iteration",
     "multishift_cg",
     "MultiShiftResult",
 ]

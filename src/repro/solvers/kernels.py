@@ -11,61 +11,19 @@ performs the exact elementwise operations of ``y += a * x``), so swapping
 them into a solver changes no convergence history, only the allocation
 count.  The inner products stay behind the backend's ``dot`` (a generator,
 see :mod:`repro.solvers.krylov`) so distributed solves can route
-reductions through the simulated SCU global-sum tree.
+reductions through the simulated SCU global-sum tree, and the kernels
+price nothing: the core charges them through the backend's ``charge``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator
+from typing import Any, Callable, Generator
 
 import numpy as np
-
-from repro.fermions.flops import CADD, CMUL
 
 #: a backend inner product: a generator that may yield simulator events
 #: (the SCU global sum) before returning the global ``<u, v>``
 GenDot = Callable[[np.ndarray, np.ndarray], Generator[Any, Any, complex]]
-
-
-class FlopLedger:
-    """Opt-in flop accounting for the fused solver kernels.
-
-    Disabled by default: the hot-path cost of telemetry-off is one
-    attribute check per kernel call (``if LEDGER.enabled``), matching the
-    rule of :mod:`repro.telemetry.counters`.  When enabled, every kernel
-    records its exact flop count per the complex-arithmetic conventions
-    of :mod:`repro.fermions.flops` (cmul = 6, cadd = 2), keyed by kernel
-    name — so a telemetry report can attribute solver linear-algebra work
-    alongside the machine-charged operator flops.
-    """
-
-    __slots__ = ("enabled", "flops", "calls")
-
-    def __init__(self):
-        self.enabled = False
-        self.flops: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-
-    def add(self, kernel: str, flops: float) -> None:
-        self.flops[kernel] = self.flops.get(kernel, 0.0) + flops
-        self.calls[kernel] = self.calls.get(kernel, 0) + 1
-
-    def reset(self) -> None:
-        self.flops.clear()
-        self.calls.clear()
-
-    def total(self) -> float:
-        return sum(self.flops.values())
-
-
-#: module-level ledger shared by every kernel call (enable around a solve:
-#: ``LEDGER.enabled = True; ...; LEDGER.total()``)
-LEDGER = FlopLedger()
-
-#: flops per complex element, flops.py conventions
-AXPY_FLOPS_PER_ELEM = CMUL + CADD  # scalar multiply + add = 8
-DOT_FLOPS_PER_ELEM = CMUL + CADD  # conjugate multiply + accumulate = 8
-SCALE_AXPY_FLOPS_PER_ELEM = 2 * CMUL + CADD  # two scalings + add = 14
 
 
 def axpy(alpha, x: np.ndarray, y: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -77,8 +35,6 @@ def axpy(alpha, x: np.ndarray, y: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """
     np.multiply(x, alpha, out=ws)
     np.add(y, ws, out=y)
-    if LEDGER.enabled:
-        LEDGER.add("axpy", AXPY_FLOPS_PER_ELEM * y.size)
     return y
 
 
@@ -92,8 +48,6 @@ def xpay(x: np.ndarray, beta, y: np.ndarray) -> np.ndarray:
     """
     np.multiply(y, beta, out=y)
     np.add(x, y, out=y)
-    if LEDGER.enabled:
-        LEDGER.add("xpay", AXPY_FLOPS_PER_ELEM * y.size)
     return y
 
 
@@ -105,8 +59,6 @@ def axpy_norm2(
     A generator, like the ``dot`` it is handed: the reduction is the
     backend's, so distributed solves hit the global-sum tree."""
     axpy(alpha, x, y, ws)
-    if LEDGER.enabled:
-        LEDGER.add("dot", DOT_FLOPS_PER_ELEM * y.size)
     return (yield from dot(y, y)).real
 
 
@@ -122,6 +74,4 @@ def scale_axpy(
     np.multiply(y, beta, out=y)
     np.multiply(x, gamma, out=ws)
     np.add(ws, y, out=y)
-    if LEDGER.enabled:
-        LEDGER.add("scale_axpy", SCALE_AXPY_FLOPS_PER_ELEM * y.size)
     return y

@@ -1,16 +1,17 @@
 """The Krylov recurrences, each written once, as generators over a backend.
 
-A *backend* is two generator callables — ``apply(v)`` (the operator) and
-``dot(u, v)`` (the global inner product) — that may ``yield`` simulator
-events before returning their value.  A rank program on the simulated
-machine hands in ``ctx.normal`` and a dot that flows through the SCU
-global-sum tree and drives a solver with ``yield from``; the serial entry
+A *backend* is three generator callables — ``apply(v)`` (the operator),
+``dot(u, v)`` (the global inner product) and ``charge(kernels, v)`` (the
+price of the vector kernels just run on operands like ``v``) — that may
+``yield`` simulator events before returning their value.  A rank program
+hands in ``ctx.normal``, a dot through the SCU global-sum tree and
+``ctx.charge``, and drives a solver with ``yield from``; the serial entry
 points of :mod:`repro.solvers.cg` and :mod:`repro.solvers.multishift`
 :func:`lift` plain callables and :func:`run_serial` the very same
-generator to completion.  Serial and distributed solves therefore share
-every arithmetic statement and can differ only in the ``dot`` they were
-given — which is what makes them bitwise comparable under one
-decomposition-independent dot (:mod:`repro.solvers.sitedot`).
+generator to completion, charging nothing.  Serial and distributed solves
+therefore share every arithmetic statement and can differ only in the
+``dot`` they were given — which is what makes them bitwise comparable
+under one decomposition-independent dot (:mod:`repro.solvers.sitedot`).
 
 ``on_iteration(state, converged)`` is the single hook: ``state`` is a
 dict that always carries ``"it"`` and ``"residuals"``.  For
@@ -24,11 +25,12 @@ checkpointing and user callbacks all live behind the hook, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
-from typing import Tuple, TypeVar
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
+from typing import Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from repro.fermions.flops import CG_UPDATE_KERNELS
 from repro.solvers.kernels import GenDot, axpy, axpy_norm2, scale_axpy, xpay
 from repro.util.errors import ConfigError
 
@@ -36,6 +38,7 @@ T = TypeVar("T")
 #: a computation that may yield simulator events before returning ``T``
 Steps = Generator[Any, Any, T]
 GenApply = Callable[[np.ndarray], Steps[np.ndarray]]
+GenCharge = Callable[[Mapping[str, int], np.ndarray], Steps[None]]
 IterationHook = Callable[[Dict[str, Any], bool], None]
 
 
@@ -86,6 +89,10 @@ def lift(fn: Callable[..., T]) -> Callable[..., Steps[T]]:
     return lifted
 
 
+#: the serial backend's ``charge``: no machine, no price
+NO_CHARGE: GenCharge = lift(lambda kernels, v: None)
+
+
 def run_serial(steps: Steps[T]) -> T:
     """Run a solver generator to completion with no simulator under it."""
     try:
@@ -112,9 +119,9 @@ def _cg_step(
     One operator application, two global inner products, three axpy-type
     vector updates — the mix the performance model (E1) costs out; the
     updates stream through one workspace (:mod:`repro.solvers.kernels`,
-    elementwise and so invisible to tiling).  ``x`` is ``None`` for
-    multishift, which keeps no unshifted solution.  Returns
-    ``(alpha, beta, <r, r>)``.
+    elementwise and so invisible to tiling) and the caller charges them,
+    with its own, as one step.  ``x`` is ``None`` for multishift, which
+    keeps no unshifted solution.  Returns ``(alpha, beta, <r, r>)``.
     """
     ap = yield from apply(p)
     alpha = rr / (yield from dot(p, ap)).real
@@ -140,6 +147,7 @@ def cg_iter(
     on_iteration: Optional[IterationHook] = None,
     resume_state: Optional[Dict[str, Any]] = None,
     x0: Optional[np.ndarray] = None,
+    charge: GenCharge = NO_CHARGE,
 ) -> Steps[SolveResult]:
     """Conjugate gradients on hermitian positive-definite ``A x = b``."""
     _check_tol(tol)
@@ -171,6 +179,7 @@ def cg_iter(
         report()
     while not converged and it < maxiter:
         _alpha, _beta, rr = yield from _cg_step(apply, dot, x, r, p, rr, ws)
+        yield from charge(CG_UPDATE_KERNELS, r)
         it += 1
         residuals.append(float(np.sqrt(rr / bb)))
         converged = rr <= target
@@ -187,6 +196,7 @@ def mixed_cg_iter(
     delta: float = 1e-2,
     max_inner: int = 100,
     on_iteration: Optional[IterationHook] = None,
+    charge: GenCharge = NO_CHARGE,
 ) -> Steps[SolveResult]:
     """CG with single-precision inner accumulation and reliable updates.
 
@@ -235,6 +245,7 @@ def mixed_cg_iter(
             _alpha, _beta, rr32 = yield from _cg_step(
                 apply32, dot, e, r32, p, rr32, ws32
             )
+            yield from charge(CG_UPDATE_KERNELS, r32)
             inner += 1
         it += inner
         # -- reliable update: promote, accumulate, replace the residual --
@@ -256,6 +267,7 @@ def multishift_iter(
     tol: float,
     maxiter: int,
     on_iteration: Optional[IterationHook] = None,
+    charge: GenCharge = NO_CHARGE,
 ) -> Steps[MultiShiftResult]:
     """Multi-shift CG (B. Jegerlehner, hep-lat/9612014) with freezing.
 
@@ -266,7 +278,8 @@ def multishift_iter(
     (two fused vector kernels per iteration) stop while the shared
     recursion keeps running for the shifts still live — large shifts
     converge far earlier than the base system, so freezing removes most
-    of the per-shift work of a mass sweep — and the iteration ends when
+    of the per-shift work of a mass sweep, and of its charge — and the
+    iteration ends when
     every shift is frozen.  For ``sigma = 0`` the zeta factors are
     identically ``1.0``, so its freeze criterion is bit for bit the plain
     CG stopping rule.  The hook's state carries ``"active"``, the shifts
@@ -308,6 +321,7 @@ def multishift_iter(
     while active and it < maxiter:
         # base-system step (alpha positive); r and p are now at n + 1
         alpha, beta, rr_new = yield from _cg_step(apply, dot, None, r, p, rr, ws)
+        step = {"axpy": 1 + len(active), "xpay": 1}  # r, p and every live x_s
         for s in active:
             denom = (
                 alpha * beta_old * (zeta_prev[s] - zeta[s])
@@ -321,6 +335,8 @@ def multishift_iter(
         for s in active:
             beta_s = beta * (zeta[s] / zeta_prev[s]) ** 2
             scale_axpy(zeta[s], r, beta_s, ps[s], ws)  # p_s <- zeta_s r + beta_s p_s
+        step["scale_axpy"] = len(active)
+        yield from charge(step, r)
         alpha_old, beta_old = alpha, beta
         rr = rr_new
         it += 1

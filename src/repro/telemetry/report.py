@@ -25,14 +25,14 @@ the behaviour the fault-injection telemetry test pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.perfmodel.dirac_perf import (
     DiracPerfModel,
-    cg_dot_charge_per_node,
     dirac_compute_seconds_per_node,
     dirac_flops_per_node,
     halo_payload_words,
+    linalg_charge_per_node,
 )
 from repro.telemetry.counters import CounterBank, bank_for_machine
 
@@ -265,7 +265,7 @@ class MachineReport:
         compress: bool = True,
         rel_tol: float = EXACT_REL_TOL,
         wire_tol: float = EXACT_REL_TOL,
-        dots: int = 0,
+        linalg: Optional[Mapping[Tuple[str, str], int]] = None,
     ) -> CrosscheckResult:
         """Compare measured counters against the perf-model predictions.
 
@@ -276,7 +276,7 @@ class MachineReport:
         ``wire_overhead`` is predicted 1.0 and *fails* under injected
         faults — the report flags a degraded link rather than absorbing
         the retransmission traffic into the payload accounting.  The
-        seconds entries and ``dots`` are :meth:`crosscheck_composite`'s.
+        seconds entries and ``linalg`` are :meth:`crosscheck_composite`'s.
         """
         return self.crosscheck_composite(
             [(op, n_applications)],
@@ -287,7 +287,7 @@ class MachineReport:
             compress=compress,
             rel_tol=rel_tol,
             wire_tol=wire_tol,
-            dots=dots,
+            linalg=linalg,
         )
 
     def crosscheck_composite(
@@ -300,7 +300,7 @@ class MachineReport:
         compress: bool = True,
         rel_tol: float = EXACT_REL_TOL,
         wire_tol: float = EXACT_REL_TOL,
-        dots: int = 0,
+        linalg: Optional[Mapping[Tuple[str, str], int]] = None,
     ) -> CrosscheckResult:
         """Crosscheck a window that mixed *several* distributed kernels.
 
@@ -308,12 +308,13 @@ class MachineReport:
         dynamical-HMC force evaluation charges ``("wilson", 2 * iters + 1)``
         operator applies plus ``("wilson-force", 1)`` — and the payload /
         flop predictions are the sums of the per-op exact closed forms.
-        ``dots`` counts the machine-side CG inner products per rank, each
-        charging its share of the solver's vector algebra on the first
-        op's vectors and one global sum, of an equal share of the words
-        the machine recorded reducing (2 for the complex scalar of
-        :func:`repro.parallel.pcg.rank_partial_dot`, a site array for
-        :class:`~repro.parallel.pcg.MachineSiteDot`).
+        ``linalg`` names a solver's vector-kernel calls per rank,
+        ``(kernel, dtype name) -> calls`` on the first op's vectors
+        (:func:`repro.perfmodel.dirac_perf.cg_kernel_calls` for a CG
+        solve); each ``"dot"`` is also one global sum, of an equal share
+        of the words the machine recorded reducing (2 for the complex
+        scalar of :func:`repro.parallel.pcg.rank_partial_dot`, a site
+        array for :class:`~repro.parallel.pcg.MachineSiteDot`).
 
         Six entries.  ``payload_words_sent``, ``flops_charged``,
         ``compute_seconds`` and ``global_sum_seconds`` are closed forms of
@@ -344,13 +345,15 @@ class MachineReport:
             exposed += n_applications * model.exposed_comm_seconds(
                 op, local_shape, machine_dims, Ls=Ls
             )
+        linalg = linalg or {}
+        linalg_flops, linalg_seconds = linalg_charge_per_node(
+            ops[0][0], local_shape, linalg, Ls, asic=asic
+        )
+        flops_per_rank += linalg_flops
+        compute_per_rank += linalg_seconds
+        dots = sum(calls for (kernel, _), calls in linalg.items() if kernel == "dot")
         gsum = 0.0
         if dots:
-            dot_flops, dot_seconds = cg_dot_charge_per_node(
-                ops[0][0], local_shape, Ls, asic=asic
-            )
-            flops_per_rank += dots * dot_flops
-            compute_per_rank += dots * dot_seconds
             gsum = dots * asic.global_sum_time(
                 machine_dims, max(1, machine.global_sum_words // dots)
             )

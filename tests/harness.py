@@ -13,6 +13,8 @@ from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping, apply_on_machine
 from repro.parallel.pcg import dwf_context, staggered_context, wilson_context
+from repro.solvers.krylov import lift
+from repro.solvers.sitedot import canonical_dot
 from repro.telemetry import observable_diff, observables
 from repro.util import rng_stream
 
@@ -64,6 +66,23 @@ def applied(machine, partition, op, gauge, src, applies=1, dagger=False, **param
     """``op`` applied to ``src`` on the machine; the gathered result."""
     context = scattered(partition, op, gauge, **params)
     return apply_on_machine(machine, partition, context, src, applies, dagger)
+
+
+def counting_backend(tally, dot=canonical_dot):
+    """A serial ``(dot, charge)`` pair for the Krylov core that tallies
+    its vector kernels into the ``Counter`` ``tally`` as ``(kernel, dtype
+    name) -> calls``: per rank, what a machine run of the same solve
+    charges, in the shape of the crosscheck's ``linalg=``."""
+
+    def counted(u, v):
+        tally["dot", u.dtype.name] += 1
+        return dot(u, v)
+
+    def charge(kernels, v):
+        for kernel, calls in kernels.items():
+            tally[kernel, v.dtype.name] += calls
+
+    return lift(counted), lift(charge)
 
 
 def transfer_counters(machine, partition):

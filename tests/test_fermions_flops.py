@@ -5,9 +5,11 @@ import pytest
 from repro.fermions import OPERATOR_COSTS, operator_cost
 from repro.fermions.flops import (
     ASQTAD_DSLASH_FLOPS,
+    CG_ITERATION_KERNELS,
     CLOVER_TERM_FLOPS,
     MATVEC_SU3,
     WILSON_DSLASH_FLOPS,
+    linalg_mix,
 )
 
 
@@ -82,10 +84,16 @@ class TestCostSheets:
         # overhead amortised over them; a 4D sheet ignores Ls
         assert dwf.site_mix(8) == (1416.0, 384 - 144 * 7 / 8, 0.75 + 0.25 / 8)
         assert wilson.site_mix(8) == wilson.site_mix()
-        # three axpys + two dots on 24-word vectors; a dot carries half
+        # three axpys + two dots on 24-word vectors, read off the table
+        # of vector kernels the twin charges from
         assert wilson.cg_linalg() == (336.0, 312.0)
-        assert wilson.cg_dot() == (168.0, 156.0)
+        assert wilson.cg_linalg() == (
+            24.0 * (2 * 2 + 2 + 2 * 4), 24.0 * (2 * 3 + 3 + 2 * 2)
+        )
+        assert linalg_mix(CG_ITERATION_KERNELS, 24) == wilson.cg_linalg()
         assert operator_cost("asqtad").cg_linalg() == (84.0, 78.0)
+        # single precision streams half the words for the same flops
+        assert linalg_mix({"dot": 1}, 24, itemsize=8) == (96.0, 24.0)
         # gauge (+ clover) field and five solver vectors, 8 bytes a word
         assert wilson.working_set_bytes(4**4) == 4**4 * (144 + 5 * 24) * 8
         assert operator_cost("clover").working_set_bytes(1) == (144 + 72 + 120) * 8

@@ -439,10 +439,13 @@ class TestFlopChargeCoverage:
         result = lint_files(tmp_path, files, ["REPRO503"])
         assert result.clean
 
-    #: a machine-side inner product: the solver's vector algebra is
-    #: charged where the rank enters the global-sum tree
+    #: a machine-side inner product, charged through the context's
+    #: ``charge`` before the rank enters the global-sum tree
     DOT = (
         "import numpy as np\n\n"
+        "class Context:\n"
+        "    def charge(self, kernels, v):\n"
+        "        yield self.api.compute(1, kernel='linalg')\n\n"
         "def rank_dot(ctx):\n"
         "    api = ctx.api\n"
         "    def dot(u, v):\n"
@@ -459,10 +462,7 @@ class TestFlopChargeCoverage:
         assert "vdot" in result.findings[0].message
 
     def test_charged_machine_dot_passes(self, tmp_path):
-        charge = (
-            "        yield api.compute(ctx.dot_flops, kernel='linalg', "
-            "rate=ctx.dot_rate)\n"
-        )
+        charge = "        yield from ctx.charge({'dot': 1}, u)\n"
         files = {"repro/parallel/dots.py": self.DOT.format(charge=charge)}
         result = lint_files(tmp_path, files, ["REPRO503"])
         assert result.clean

@@ -14,6 +14,7 @@ pinned down.
 """
 
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,9 +36,9 @@ from repro.parallel.pcg import (
     wilson_context,
 )
 from repro.parallel.phmc import DistributedTwoFlavorHMC, multishift_solve_on_machine
+from repro.perfmodel.dirac_perf import cg_kernel_calls
 from repro.solvers.cg import cg, cgne, mixed_precision_cg
 from repro.solvers.checkpoint import CGCheckpointStore
-from repro.solvers.kernels import LEDGER
 from repro.solvers.krylov import (
     cg_iter,
     lift,
@@ -47,9 +48,10 @@ from repro.solvers.krylov import (
 )
 from repro.solvers.multishift import multishift_cg
 from repro.solvers.sitedot import canonical_dot
+from repro.telemetry.report import EXACT_REL_TOL
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
-from tests.harness import booted
+from tests.harness import booted, counting_backend
 
 pytestmark = pytest.mark.hmc
 
@@ -153,10 +155,10 @@ class TestDistributedVsSerial:
 # sanitizer + telemetry invariants of the force kernel
 # ---------------------------------------------------------------------------
 class TestForceKernelInvariants:
-    def force_setup(self, **machine_kw):
+    def force_setup(self, solver="cg", **machine_kw):
         gauge = hot_gauge((4, 4, 2, 2))
         m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096, **machine_kw)
-        dist = distributed_driver(m, p, gauge)
+        dist = distributed_driver(m, p, gauge, solver=solver)
         # host-side heat-bath (no machine traffic) so the counters below
         # cover exactly one force evaluation
         rng = rng_stream(9, "phmc-force")
@@ -186,15 +188,15 @@ class TestForceKernelInvariants:
     def test_force_flops_and_words_crosscheck(self):
         """REPRO503 coverage: one force evaluation charges exactly
         ``("wilson", 2*iters + 1)`` operator applies (CG on the normal
-        operator + the Y = D X apply), the CG's ``2*iters + 2`` canonical
-        site dots (the vector algebra, and a global sum of the whole site
-        array each) plus one ``"wilson-force"`` exchange — flops, words
+        operator + the Y = D X apply), the CG's vector kernels (its
+        ``2*iters + 2`` canonical site dots are a global sum of the whole
+        site array each) plus one ``"wilson-force"`` exchange — flops, words
         and seconds against the closed forms of ``dirac_perf``."""
         gauge, m, dist, phi = self.force_setup()
         dist.fermion_force(gauge, phi)
         iters = dist.cg_iterations[0]
         mapping = PhysicsMapping(gauge.geometry, dist.partition)
-        solve = dict(dots=2 * iters + 2)
+        solve = dict(linalg=cg_kernel_calls(iters))
         result = m.report().crosscheck_composite(
             [("wilson", 2 * iters + 1), ("wilson-force", 1)],
             mapping.local_shape,
@@ -202,7 +204,7 @@ class TestForceKernelInvariants:
             **solve,
         )
         assert result.ok, f"crosscheck failed:\n{result}"
-        # the wrong composition must NOT pass, in kernels or in dots
+        # the wrong composition must NOT pass, in operators or in kernels
         wrong = m.report().crosscheck_composite(
             [("wilson", 2 * iters + 1)], mapping.local_shape, (2, 2, 1, 1), **solve
         )
@@ -215,6 +217,47 @@ class TestForceKernelInvariants:
         assert {e.metric for e in uncharged.failures()} >= {
             "flops_charged", "compute_seconds", "global_sum_seconds"
         }
+
+    def test_mixed_force_crosscheck_prices_single_precision(self):
+        """A ``solver="mixed"`` force evaluation: the inner cycles' kernels
+        run on complex64 vectors and stream half the words, so priced from
+        the same solve's kernel calls the crosscheck is exact — and the
+        same calls priced in double precision miss on the seconds alone."""
+        gauge, m, dist, phi = self.force_setup(solver="mixed")
+        dist.fermion_force(gauge, phi)
+        # per rank, the kernel calls and normal applies of the same solve
+        tally = Counter()
+        dot, charge = counting_backend(tally)
+        normals = []
+        d = WilsonDirac(gauge, mass=0.5)
+
+        def normal(v):
+            normals.append(v.dtype)
+            return d.normal(v)
+
+        res = run_serial(
+            mixed_cg_iter(
+                lift(normal), dot, phi, dist.cg_tol, dist.cg_maxiter, charge=charge
+            )
+        )
+        assert res.iterations == dist.cg_iterations[0]
+        assert tally["dot", "complex64"] > 0 and tally["axpy", "complex64"] > 0
+        ops = [("wilson", 2 * len(normals) + 1), ("wilson-force", 1)]
+        mapping = PhysicsMapping(gauge.geometry, dist.partition)
+        check = m.report().crosscheck_composite(
+            ops, mapping.local_shape, (2, 2, 1, 1), linalg=tally
+        )
+        assert check.ok, f"crosscheck failed:\n{check}"
+        entries = {e.metric: e for e in check.entries}
+        for metric in ("flops_charged", "compute_seconds", "global_sum_seconds"):
+            assert entries[metric].rel_error <= EXACT_REL_TOL
+        as_double = Counter()
+        for (kernel, _dtype), calls in tally.items():
+            as_double[kernel, "complex128"] += calls
+        wrong = m.report().crosscheck_composite(
+            ops, mapping.local_shape, (2, 2, 1, 1), linalg=as_double
+        )
+        assert {e.metric for e in wrong.failures()} == {"compute_seconds"}
 
     def test_force_emits_registered_trace(self):
         gauge = hot_gauge((4, 4, 2, 2))
@@ -257,6 +300,42 @@ class TestDistributedMultishift:
         assert residuals == ref.residuals
         for s in shifts:
             assert x[s].tobytes() == ref.x[s].tobytes()
+
+    def test_crosscheck_with_a_frozen_shift(self):
+        """Every live shift's ``x_s`` / ``p_s`` updates are charged with
+        the base step, a frozen shift's no longer: priced from the same
+        solve's kernel calls, flops and seconds are exact."""
+        gauge = hot_gauge((4, 4, 2, 2))
+        rng = rng_stream(5, "phmc-ms")
+        b = (
+            rng.standard_normal((gauge.geometry.volume, 4, 3))
+            + 1j * rng.standard_normal((gauge.geometry.volume, 4, 3))
+        )
+        shifts = [0.0, 50.0]
+        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
+        _x, converged, iters, _residuals = multishift_solve_on_machine(
+            m, p, gauge, b, shifts, mass=0.5, tol=1e-8
+        )
+        tally = Counter()
+        dot, charge = counting_backend(tally)
+        d = WilsonDirac(gauge, mass=0.5)
+        ref = run_serial(
+            multishift_iter(lift(d.normal), dot, b, shifts, 1e-8, 2000, charge=charge)
+        )
+        assert converged and ref.iterations == iters
+        # the base shift's p_s is updated on every iteration but the last,
+        # the big shift's only until it froze, early
+        frozen_at = tally["scale_axpy", "complex128"] - (iters - 1)
+        assert 0 < frozen_at < iters // 2
+        mapping = PhysicsMapping(gauge.geometry, p)
+        check = m.report().crosscheck(
+            "wilson", mapping.local_shape, (2, 2, 1, 1),
+            n_applications=2 * iters, linalg=tally,
+        )
+        assert check.ok, f"crosscheck failed:\n{check}"
+        entries = {e.metric: e for e in check.entries}
+        for metric in ("flops_charged", "compute_seconds", "global_sum_seconds"):
+            assert entries[metric].rel_error <= EXACT_REL_TOL
 
     def test_bad_source_shape_refused(self):
         gauge = hot_gauge((4, 4, 2, 2))
@@ -453,20 +532,22 @@ class TestOneKrylovCore:
             run_serial(cg_iter(lift(lambda v: v), machine_style_dot, b, 1e-8, 10))
 
     def test_serial_cg_kernel_ledger(self):
-        """Per iteration: two axpys (x, and the r half of the fused
-        ``axpy_norm2``), that fused kernel's one ``dot``, one xpay."""
+        """Per iteration the core charges two axpys (x, and the r half of
+        the fused ``axpy_norm2``) and one xpay; the backend's dots are two
+        per iteration after the set-up's two — ``cg_kernel_calls``."""
         apply_a, _a, b = _spd_problem()
-        LEDGER.reset()
-        LEDGER.enabled = True
-        try:
-            res = cg(apply_a, b, tol=1e-10)
-            calls = dict(LEDGER.calls)
-        finally:
-            LEDGER.enabled = False
-            LEDGER.reset()
+        tally = Counter()
+        dot, charge = counting_backend(tally, dot=np.vdot)
+        res = run_serial(cg_iter(lift(apply_a), dot, b, 1e-10, 2000, charge=charge))
         n = res.iterations
         assert n > 3
-        assert calls == {"axpy": 2 * n, "dot": n, "xpay": n}
+        assert res.x.tobytes() == cg(apply_a, b, tol=1e-10).x.tobytes()
+        assert tally == {
+            ("axpy", "complex128"): 2 * n,
+            ("xpay", "complex128"): n,
+            ("dot", "complex128"): 2 * n + 2,
+        }
+        assert tally == cg_kernel_calls(n)
 
 
 # ---------------------------------------------------------------------------
@@ -600,22 +681,21 @@ def _spd_problem(n=48, seed=2):
 class TestMultishiftFreezing:
     def test_frozen_shifts_skip_vector_work(self):
         """Converged shifts stop their per-shift recursions: with one
-        huge shift (converges almost immediately) the per-shift kernel
-        count drops strictly below iterations x nshifts, while every
-        solution still converges to its own system."""
+        huge shift (converges almost immediately) the charged ``p_s``
+        updates drop strictly below (iterations - 1) x nshifts, what
+        every shift staying live to the last iteration would cost, while
+        every solution still converges to its own system."""
         apply_a, a, b = _spd_problem()
         shifts = [0.0, 1e4]
-        LEDGER.reset()
-        LEDGER.enabled = True
-        try:
-            res = multishift_cg(apply_a, b, shifts, tol=1e-10)
-            scale_axpy_calls = LEDGER.calls.get("scale_axpy", 0)
-        finally:
-            LEDGER.enabled = False
-            LEDGER.reset()
+        tally = Counter()
+        dot, charge = counting_backend(tally, dot=np.vdot)
+        res = run_serial(
+            multishift_iter(lift(apply_a), dot, b, shifts, 1e-10, 2000, charge=charge)
+        )
+        scale_axpy_calls = tally["scale_axpy", "complex128"]
         assert res.converged
         # active bookkeeping: the 1e4 shift froze early
-        assert scale_axpy_calls < res.iterations * len(shifts)
+        assert scale_axpy_calls < (res.iterations - 1) * len(shifts)
         for s in shifts:
             r = b - (a @ res.x[s] + s * res.x[s])
             assert np.linalg.norm(r) / np.linalg.norm(b) < 1e-9

@@ -640,9 +640,9 @@ MUTATIONS = {
     ),
     "REPRO502": ("machine/scu.py", "san.dma_end(claim)", "san.dma_end(None)"),
     "REPRO503": (
-        "parallel/pcg.py",
-        'kernel="linalg", rate=ctx.dot_rate',
-        "rate=ctx.dot_rate",
+        "parallel/halo.py",
+        'compute(flops, kernel="linalg", rate=rate)',
+        "compute(flops, rate=rate)",
     ),
     "REPRO504": (
         "machine/node.py",

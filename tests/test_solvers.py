@@ -5,7 +5,7 @@ import pytest
 
 from repro.fermions import AsqtadDirac, CloverDirac, DomainWallDirac, WilsonDirac
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.solvers import bicgstab, cg, cgne, minres_iteration
+from repro.solvers import cg, cgne
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
 
@@ -88,35 +88,6 @@ class TestCGDense:
         assert len(calls) > 0
 
 
-class TestBiCGStabAndMR:
-    def test_bicgstab_solves_nonhermitian(self, rng):
-        n = 40
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a += 3 * n * np.eye(n)  # comfortably diagonally dominant
-        b = rng.standard_normal(n) + 0j
-        res = bicgstab(lambda v: a @ v, b, tol=1e-10)
-        assert res.converged
-        assert np.linalg.norm(a @ res.x - b) / np.linalg.norm(b) < 1e-9
-
-    def test_mr_solves_definite_system(self, rng):
-        a = hpd_matrix(rng, 25)
-        b = rng.standard_normal(25) + 0j
-        res = minres_iteration(lambda v: a @ v, b, tol=1e-8, maxiter=5000)
-        assert res.converged
-
-    def test_mr_damping_changes_trajectory_and_still_converges(self, rng):
-        a = hpd_matrix(rng, 25)
-        b = rng.standard_normal(25) + 0j
-        full = minres_iteration(lambda v: a @ v, b, tol=1e-6, maxiter=5000)
-        damped = minres_iteration(lambda v: a @ v, b, tol=1e-6, omega=0.5, maxiter=5000)
-        assert full.converged and damped.converged
-        assert damped.residuals[1] != full.residuals[1]
-
-    def test_bicgstab_zero_rhs(self, rng):
-        res = bicgstab(lambda v: v, np.zeros(4, dtype=complex))
-        assert res.converged
-
-
 class TestDiracSolves:
     """The paper's benchmark workload: CG on the Dirac normal equations."""
 
@@ -159,11 +130,3 @@ class TestDiracSolves:
         res = cgne(d.apply, d.apply_dagger, b, tol=1e-8, maxiter=4000)
         assert res.converged
         assert res.true_residual < 1e-7
-
-    def test_bicgstab_matches_cgne_solution(self, geom, rng):
-        u = GaugeField.weak(geom, rng, eps=0.2)
-        d = WilsonDirac(u, mass=0.5)
-        b = rng.standard_normal((geom.volume, 4, 3)) + 0j
-        x1 = cgne(d.apply, d.apply_dagger, b, tol=1e-10).x
-        x2 = bicgstab(d.apply, b, tol=1e-10).x
-        assert np.allclose(x1, x2, atol=1e-7)

@@ -12,8 +12,7 @@ That makes them cheap — and it makes their *invariants* the test surface:
 * **flop exactness** — machine-charged flops for each fermion action
   match the :mod:`repro.fermions.flops` cost sheets to the word, via the
   :mod:`repro.perfmodel.dirac_perf` closed forms;
-* **attribution** — per-kernel flop counters partition the total exactly;
-* **ledger** — the solver flop ledger is off by default and exact when on.
+* **attribution** — per-kernel flop counters partition the total exactly.
 
 The protocol-level cases are property-based (hypothesis drives transfer
 sizes, batching and fault rates); the physics cases pin one configuration
@@ -27,14 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fermions.flops import CADD, CMUL
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.machine.scu import DmaDescriptor
 from repro.parallel import PhysicsMapping
 from repro.perfmodel.dirac_perf import dirac_flops_per_node, halo_payload_words
-from repro.solvers import kernels
-from repro.solvers.krylov import lift, run_serial
 from repro.telemetry import observable_diff, observables
 from repro.telemetry.counters import CounterBank, bank_for_machine
 from tests.harness import applied, booted, system
@@ -282,57 +278,3 @@ def test_bank_providers_are_pull_mode():
     bank.sample()
     bank.sample()
     assert len(calls) == 2
-
-
-# ---------------------------------------------------------------------------
-# solver flop ledger
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def _ledger_off():
-    """Keep the module-global ledger disabled and empty across tests."""
-    kernels.LEDGER.enabled = False
-    kernels.LEDGER.reset()
-    yield
-    kernels.LEDGER.enabled = False
-    kernels.LEDGER.reset()
-
-
-def test_ledger_disabled_by_default_records_nothing():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    y = x.copy()
-    ws = np.empty_like(x)
-    kernels.axpy(0.5, x, y, ws)
-    kernels.xpay(x, 0.25, y)
-    assert kernels.LEDGER.total() == 0.0
-    assert kernels.LEDGER.calls == {}
-
-
-def test_ledger_exact_flop_counts():
-    n = 48
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ws = np.empty_like(x)
-    kernels.LEDGER.enabled = True
-    kernels.axpy(0.5 + 0.1j, x, y, ws)
-    kernels.xpay(x, 0.25, y)
-    run_serial(kernels.axpy_norm2(-0.5, x, y, ws, lift(np.vdot)))
-    kernels.scale_axpy(0.3, x, 0.7j, y, ws)
-    per = {
-        "axpy": 2 * (CMUL + CADD) * n,  # two axpy-class calls (axpy + inner
-        # axpy of axpy_norm2)
-        "xpay": (CMUL + CADD) * n,
-        "dot": (CMUL + CADD) * n,
-        "scale_axpy": (2 * CMUL + CADD) * n,
-    }
-    assert kernels.LEDGER.flops == pytest.approx(per)
-    assert kernels.LEDGER.calls == {
-        "axpy": 2,
-        "xpay": 1,
-        "dot": 1,
-        "scale_axpy": 1,
-    }
-    assert kernels.LEDGER.total() == pytest.approx(sum(per.values()))

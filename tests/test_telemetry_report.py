@@ -34,6 +34,7 @@ from repro.parallel import PhysicsMapping
 from repro.parallel.pcg import solve_on_machine
 from repro.perfmodel.dirac_perf import (
     DiracPerfModel,
+    cg_kernel_calls,
     dirac_compute_seconds_per_node,
     dirac_flops_per_node,
     halo_payload_words,
@@ -296,11 +297,12 @@ def test_crosscheck_seconds_at_the_hot_shape(op, params, Ls):
 
 
 def test_crosscheck_seconds_of_a_solve(cg_machine):
-    """A CG solve: with the dots' share of the vector algebra charged, the
-    CPU and global-sum seconds are closed forms too."""
+    """A CG solve: with its vector kernels charged, the CPU and
+    global-sum seconds are closed forms too."""
     m, result = cg_machine
     solve = dict(
-        n_applications=2 * result.iterations + 1, dots=2 * result.iterations + 2
+        n_applications=2 * result.iterations + 1,
+        linalg=cg_kernel_calls(result.iterations),
     )
     check = m.report().crosscheck("wilson", (2, 2, 2, 2), MACHINE_DIMS, **solve)
     assert check.ok, f"crosscheck failed:\n{check}"
@@ -308,13 +310,36 @@ def test_crosscheck_seconds_of_a_solve(cg_machine):
     assert entries["global_sum_seconds"].measured > 0.0
     for metric in ("flops_charged", "compute_seconds", "global_sum_seconds"):
         assert entries[metric].rel_error <= EXACT_REL_TOL
-    # the dots are part of the count: leave them out and three entries say so
+    # the kernels are part of the count: leave them out and three entries
+    # say so
     without = m.report().crosscheck(
         "wilson", (2, 2, 2, 2), MACHINE_DIMS, n_applications=solve["n_applications"]
     )
     assert {e.metric for e in without.failures()} == {
         "flops_charged", "compute_seconds", "global_sum_seconds"
     }
+
+
+def test_crosscheck_of_a_solve_set_up():
+    """A solve with no iteration to run is its set-up: ``D^+ b`` and the
+    two inner products ``<r, r>`` and ``<b, b>``, each charging its own
+    dot and no share of an iteration's updates."""
+    m, part = booted(DIMS_1D, word_batch=4096)
+    gauge, b = system((23, "report-cg"), (4, 2, 2, 2))
+    result = solve_on_machine(m, part, gauge, b, mass=0.3, maxiter=0)
+    assert result.iterations == 0
+    assert cg_kernel_calls(0) == {
+        ("axpy", "complex128"): 0, ("xpay", "complex128"): 0, ("dot", "complex128"): 2
+    }
+    check = m.report().crosscheck(
+        "wilson", (2, 2, 2, 2), MACHINE_DIMS, n_applications=1,
+        linalg=cg_kernel_calls(0),
+    )
+    assert check.ok, f"crosscheck failed:\n{check}"
+    entries = {e.metric: e for e in check.entries}
+    for metric in ("flops_charged", "compute_seconds", "global_sum_seconds"):
+        assert entries[metric].measured > 0.0
+        assert entries[metric].rel_error <= EXACT_REL_TOL
 
 
 # ---------------------------------------------------------------------------

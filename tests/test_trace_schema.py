@@ -257,6 +257,35 @@ def test_one_cost_sheet_for_every_operator_count():
     assert sheets >= 4  # not vacuous: the pipeline and its three specs
 
 
+def test_one_linear_algebra_charge():
+    """Structural guard: a solver's vector algebra is charged at one site,
+    ``HaloPipeline.charge``'s ``compute(..., kernel="linalg")`` at the
+    table's mix, which the Krylov core and the machine dots call.  No
+    ledger of any name comes back, and no per-kernel CG rule (a dot's or
+    an axpy's share of an iteration) sits on the sheet beside
+    ``cg_linalg``."""
+    from repro.fermions.flops import LINALG_KERNELS
+
+    per_kernel = {f"cg_{kernel}" for kernel in LINALG_KERNELS}
+    sites, retired = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+                name = node.name
+            if name and ("ledger" in name.lower() or name in per_kernel):
+                retired.append(f"{path.relative_to(SRC)}:{name}")
+            if (
+                isinstance(node, ast.keyword)
+                and node.arg == "kernel"
+                and isinstance(node.value, ast.Constant)
+                and node.value.value == "linalg"
+            ):
+                sites.append(f"{path.relative_to(SRC)}:{node.value.lineno}")
+    assert retired == [], f"retired linear-algebra accounting is back: {retired}"
+    assert len(sites) == 1 and sites[0].startswith("parallel/halo.py:"), sites
+
+
 def test_scan_roots_exist_and_exclude_tests():
     for root in SCAN_ROOTS:
         assert root.is_dir(), f"scan root vanished: {root}"
