@@ -7,9 +7,7 @@ Walks the paper's host-software story (sections 2.3 and 3) end to end:
    packets per kernel stage, one hardware-faulty node detected);
 2. two users allocate disjoint partitions via qcsh text commands and run
    jobs concurrently-in-spirit;
-3. a RISCWatch session probes and single-steps the faulty node over the
-   Ethernet/JTAG path (no node software needed);
-4. a machine-wide partition interrupt stops-the-world coherently: every
+3. a machine-wide partition interrupt stops-the-world coherently: every
    node observes the same bits at the same global-clock sample instant.
 
 Run:  python examples/machine_operations.py
@@ -18,7 +16,6 @@ Run:  python examples/machine_operations.py
 import numpy as np
 
 from repro import MachineConfig, QCDOCMachine, Qcsh, Qdaemon
-from repro.host.riscwatch import RiscWatchSession
 from repro.util import Table
 
 
@@ -59,18 +56,7 @@ def main() -> None:
     out = alice.run(alice_job)
     print(f"alice's job returned {out[0]} on each of {len(out)} ranks")
 
-    # -- 3. debug the failed node over Ethernet/JTAG ----------------------------
-    session = RiscWatchSession(machine.sim, 5, daemon.agents[5].jtag)
-    status = session.hardware_status()
-    session.halt()
-    session.set_breakpoint(0x10)
-    hit = session.run_to_breakpoint()
-    print(
-        f"\nRISCWatch on node 5: status={status:#x}, stepped to "
-        f"breakpoint {hit:#x} ({len(session.transcript)} transcript entries)"
-    )
-
-    # -- 4. stop the world ---------------------------------------------------
+    # -- 3. stop the world ---------------------------------------------------
     sample_times = {}
     for nid, ctrl in machine.interrupts.items():
         ctrl.on_present = lambda bits, n=nid: sample_times.__setitem__(

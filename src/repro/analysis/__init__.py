@@ -13,8 +13,8 @@ accounting hygiene (magic constants single-sourced in
 with a ``kernel=`` and reached by one, every trace tag registered in
 :data:`repro.telemetry.schema.TRACE_SCHEMA`), API hygiene (no mutable
 default arguments, no bare ``except``), package layering (imports
-flow strictly downward, ``machine`` never up into ``fermions``),
-sanitizer-claim balance and snapshot / boot-reset completeness.  Every
+flow strictly downward, ``machine`` never up into ``fermions``) and
+snapshot / boot-reset completeness.  Every
 rule checks one :class:`~repro.analysis.engine.Project` — the scan's
 modules, parsed once, with a symbol table and call graph built on
 first use.

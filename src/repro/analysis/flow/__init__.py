@@ -9,22 +9,18 @@ call graph once per run, on the project's first request for them:
 ``callgraph``
     A name-resolved call graph over the symbol table (``self.m()`` binds
     to the caller's own class when it defines ``m``).
-``cfg``
-    Per-function control-flow graphs at statement granularity, with
-    exception edges into enclosing ``except`` handlers.
 ``dataflow``
     Def-use helpers: dead-store detection, taint-style return/escape
     tracking, and consuming-use classification.
 ``rules``
-    The REPRO501..REPRO504 rules.  They register into the one rule
-    registry and run on every scan, like every other rule.
+    The REPRO501, REPRO503 and REPRO504 rules.  They register into the
+    one rule registry and run on every scan, like every other rule.
 
 The model-bounds and soundness caveats are documented in DESIGN.md
 section 14.
 """
 
 from repro.analysis.flow.callgraph import CallGraph, build_call_graph
-from repro.analysis.flow.cfg import CFG, build_cfg
 from repro.analysis.flow.symbols import (
     ClassInfo,
     FunctionInfo,
@@ -33,12 +29,10 @@ from repro.analysis.flow.symbols import (
 )
 
 __all__ = [
-    "CFG",
     "CallGraph",
     "ClassInfo",
     "FunctionInfo",
     "SymbolTable",
     "build_call_graph",
-    "build_cfg",
     "build_symbols",
 ]

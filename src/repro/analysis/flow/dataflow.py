@@ -1,9 +1,8 @@
 """Def-use helpers: dead stores, consuming uses, and return-escape taint.
 
 These are the small, deliberately flow-*insensitive* building blocks
-the REPRO5xx rules compose with the CFG (which supplies the
-path-sensitivity where it matters).  Everything here operates on one
-body — a function's or a module's — at a time.
+the REPRO5xx rules compose.  Everything here operates on one body — a
+function's or a module's — at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ def load_counts(fn: Scope) -> Dict[str, int]:
     """How often each local name is *read* anywhere in ``fn``.
 
     Loads inside nested lambdas/defs count — a captured name is a use,
-    the ``lambda _e, c=claim: ...`` default included.
+    the ``lambda _e, c=done: ...`` default included.
     """
     counts: Dict[str, int] = {}
     for node in ast.walk(fn):
@@ -43,18 +42,6 @@ def assign_value(stmt: ast.stmt) -> Optional[ast.expr]:
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         return stmt.value
     return None
-
-
-def stmt_mentions_load(stmt: ast.AST, name: str) -> bool:
-    """Does ``stmt`` read ``name`` (including inside a nested lambda)?"""
-    for node in ast.walk(stmt):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == name
-            and isinstance(node.ctx, ast.Load)
-        ):
-            return True
-    return False
 
 
 # -- return/escape taint ----------------------------------------------------

@@ -11,19 +11,13 @@ zero false-positive budget, because these rules gate CI.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import Finding, Project, Rule, register_rule
-from repro.analysis.flow import cfg as cfgmod
 from repro.analysis.flow.callgraph import resolve
-from repro.analysis.flow.dataflow import (
-    dead_stores,
-    dropped_calls,
-    returns_source,
-    stmt_mentions_load,
-)
+from repro.analysis.flow.dataflow import dead_stores, dropped_calls, returns_source
 from repro.analysis.flow.symbols import FunctionInfo
-from repro.analysis.visitor import attr_chain, dotted_name, iter_calls, own_statements
+from repro.analysis.visitor import attr_chain, dotted_name, iter_calls
 
 #: methods that start SCU traffic and return a completion event,
 #: regardless of the receiver expression
@@ -137,79 +131,6 @@ class SendCompletionRule(Rule):
                         "path; wait on it, return it, or register a "
                         "completion callback",
                     )
-
-
-#: sanitizer acquire -> release method-name pairs REPRO502 balances
-_CLAIM_PAIRS = {"dma_begin": "dma_end"}
-
-
-@register_rule
-class ClaimReleaseBalanceRule(Rule):
-    """Sanitizer claims must be handed off on every path.
-
-    A ``claim = san.dma_begin(...)`` opens a DMA window on a halo
-    buffer; the window closes through ``dma_end(claim)`` — usually
-    deferred via a completion callback.  Any control-flow path (most
-    dangerously an ``except LinkDownError`` / ``DegradedMachineError``
-    edge, or a ``finally``-less early return) that reaches the function
-    exit without *touching* the claim leaks the window: the sanitizer
-    then reports phantom races against a transfer that was abandoned.
-
-    "Touching" means any read of the claim variable — a release call,
-    a callback capture (``lambda _e, c=claim: san.dma_end(c)``), or an
-    escape (returning/storing it, transferring ownership).
-    """
-
-    rule_id = "REPRO502"
-    name = "claim-release-balance"
-    summary = (
-        "every path from dma_begin() to function exit (including "
-        "exception edges) must release or hand off the claim"
-    )
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for info in project.symbols.all_functions():
-            yield from self._check_function(info)
-
-    def _check_function(self, info: FunctionInfo) -> Iterable[Finding]:
-        acquires: List[Tuple[ast.stmt, str]] = []
-        for stmt in own_statements(info.node):
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            value = stmt.value
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(value, ast.Call)
-                and attr_chain(value.func)[-1] in _CLAIM_PAIRS
-            ):
-                acquires.append((stmt, target.id))
-        if not acquires:
-            return
-        cfg = cfgmod.build_cfg(info.node)
-        for stmt, name in acquires:
-            start = cfg.nid_of(stmt)
-            if start is None:  # unreachable fixture code
-                continue
-            touching = {
-                nid
-                for nid, node in cfg.stmts.items()
-                if node is not None
-                and node is not stmt
-                and stmt_mentions_load(node, name)
-            }
-            if cfg.reaches_exit_avoiding(start, touching):
-                yield self.finding(
-                    info.module,
-                    stmt,
-                    f"sanitizer claim '{name}' from "
-                    f"{attr_chain(stmt.value.func)[-1]}() can reach the exit "
-                    f"of {info.qualname.split('::')[-1]}() without being "
-                    "released or handed off (check exception edges: "
-                    "LinkDownError/DegradedMachineError handlers and "
-                    "early returns must route through dma_end or a "
-                    "completion callback)",
-                )
 
 
 #: flop-bearing kernels: each call performs O(volume) complex

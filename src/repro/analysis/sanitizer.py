@@ -11,10 +11,11 @@ physics is simply wrong in a word_batch-dependent way.
 
 The sanitizer keeps **shadow ownership state per (node, buffer)**:
 
-* ``dma_begin`` / ``dma_end`` bracket every SCU transfer (hooked in
-  :meth:`repro.machine.scu.SCU.send` / ``recv``, releasing on the
-  completion event — i.e. exactly the interval the hardware owns the
-  buffer);
+* ``claim`` opens the shadow of every SCU transfer (hooked in
+  :meth:`repro.machine.scu.SCU.dma_claim`) and registers its release on
+  the transfer's completion event — exactly the interval the hardware
+  owns the buffer.  The claim never leaves this module, so no caller
+  can leak one;
 * ``cpu_read`` / ``cpu_write`` are declared by the compute side
   (:class:`~repro.comms.api.CommsAPI` helpers and the guarded
   checkpoints in ``repro.parallel``).
@@ -38,9 +39,10 @@ accumulates :class:`RaceReport` entries for post-run assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.core import Event
 from repro.util.errors import ProtocolError
 
 
@@ -89,7 +91,6 @@ class _DmaClaim:
     kind: str  # "send" | "recv"
     direction: int
     nwords: int
-    released: bool = field(default=False)
 
 
 class HaloRaceSanitizer:
@@ -129,21 +130,31 @@ class HaloRaceSanitizer:
         think in."""
         self._logical[(node, direction)] = (axis, sign)
 
-    # -- DMA side (hooked in repro.machine.scu.SCU) -------------------------
-    def dma_begin(
-        self, node: int, buffer: str, kind: str, direction: int, nwords: int
-    ) -> _DmaClaim:
+    # -- DMA side (hooked in repro.machine.scu.SCU.dma_claim) ---------------
+    def claim(
+        self,
+        done: Event,
+        node: int,
+        buffer: str,
+        kind: str,
+        direction: int,
+        nwords: int,
+    ) -> None:
+        """``buffer`` belongs to the DMA engine until ``done`` fires.
+
+        The release is registered on ``done`` now, at start time, so it
+        runs before any process that later waits on ``done`` resumes
+        (FIFO callbacks)."""
         claim = _DmaClaim(node, buffer, kind, direction, nwords)
         self._inflight.setdefault((node, buffer), []).append(claim)
         self.claims_opened += 1
-        return claim
+        done.add_callback(lambda _e: self._release(claim))
 
-    def dma_end(self, claim: _DmaClaim) -> None:
-        claim.released = True
+    def _release(self, claim: _DmaClaim) -> None:
         key = (claim.node, claim.buffer)
         claims = self._inflight.get(key)
-        if claims is not None:
-            claims[:] = [c for c in claims if not c.released]
+        if claims is not None:  # None: forget_node dropped the shadow
+            claims[:] = [c for c in claims if c is not claim]
             if not claims:
                 del self._inflight[key]
 
@@ -152,9 +163,6 @@ class HaloRaceSanitizer:
         outlives the job a finalized run ends."""
         self._inflight = {k: v for k, v in self._inflight.items() if k[0] != node}
         self._logical = {k: v for k, v in self._logical.items() if k[0] != node}
-
-    def in_flight(self, node: int, buffer: str) -> List[_DmaClaim]:
-        return list(self._inflight.get((node, buffer), ()))
 
     @property
     def quiesced(self) -> bool:

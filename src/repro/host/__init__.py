@@ -20,10 +20,8 @@ from repro.host.jtag import EthernetJtagController, JtagCommand, JtagOp
 from repro.host.boot import BootReport
 from repro.host.qdaemon import Qdaemon
 from repro.host.qcsh import Qcsh
-from repro.host.riscwatch import RiscWatchSession
 
 __all__ = [
-    "RiscWatchSession",
     "EthernetFabric",
     "UdpDatagram",
     "EthernetJtagController",

@@ -9,15 +9,15 @@ the UDP packet."
 
 That hardware path is what makes a PROM-less machine bootable: code is
 written *directly into the PPC 440's instruction cache* over the network,
-and the core released from reset.  The same path carries single-step /
-register-peek debugging (RISCWatch) and failure probing.
+and the core released from reset.  The same path carries failure
+probing (the hardware status word).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.host.ethernet import UdpDatagram
 from repro.util.errors import ProtocolError
@@ -30,10 +30,7 @@ class JtagOp(Enum):
     RESET = auto()  # hold the core in reset
     WRITE_ICACHE = auto()  # write a code block into the instruction cache
     START = auto()  # release from reset, begin executing the icache
-    READ_REGISTER = auto()  # debug: peek a register
-    WRITE_REGISTER = auto()  # debug: poke a register
     READ_STATUS = auto()  # hardware status word
-    SINGLE_STEP = auto()  # RISCWatch-style stepping
 
 
 @dataclass
@@ -55,10 +52,8 @@ class EthernetJtagController:
         self.in_reset = True
         self.running = False
         self.icache: Dict[int, object] = {}  # address -> code block
-        self.registers: Dict[int, int] = {}
         self.status_word = 0x1  # bit 0: alive
         self.commands_processed = 0
-        self.step_count = 0
         #: callback fired on START with the loaded icache contents
         self.on_start = None
 
@@ -95,16 +90,6 @@ class EthernetJtagController:
             if self.on_start is not None:
                 self.on_start(dict(self.icache))
             return None
-        if cmd.op == JtagOp.READ_REGISTER:
-            return self.registers.get(cmd.address, 0)
-        if cmd.op == JtagOp.WRITE_REGISTER:
-            self.registers[cmd.address] = int(cmd.data)
-            return None
         if cmd.op == JtagOp.READ_STATUS:
             return self.status_word
-        if cmd.op == JtagOp.SINGLE_STEP:
-            if self.in_reset:
-                raise ProtocolError(f"node {self.node_id}: step while in reset")
-            self.step_count += 1
-            return self.step_count
         raise ProtocolError(f"unknown JTAG op {cmd.op}")

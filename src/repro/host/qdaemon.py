@@ -31,6 +31,7 @@ from repro.host.jtag import JTAG_UDP_PORT, JtagCommand, JtagOp
 from repro.host.remap import find_healthy_partition, partition_is_healthy
 from repro.machine.machine import QCDOCMachine
 from repro.machine.topology import Partition
+from repro.parallel.pcg import run_on_partition
 from repro.sim.core import Event
 from repro.util.errors import DegradedMachineError, MachineError
 
@@ -457,11 +458,13 @@ class Qdaemon:
 
         Returns the per-rank results; the application's summary line is
         appended to the output stream returned to the user (via qcsh).
+        The run is one whole job: it is finalized however it ends, so the
+        partition's nodes are back in boot state for the next job.
         """
         if not alloc.active:
             raise MachineError(f"job {alloc.job_id} was released")
-        results = self.machine.run_partition(
-            alloc.partition, program, max_time=max_time, **kwargs
+        results = run_on_partition(
+            self.machine, alloc.partition, program, max_time, **kwargs
         )
         self.output_log.append(
             (self.sim.now, f"job {alloc.job_id} ({alloc.user}): completed "

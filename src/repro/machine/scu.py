@@ -876,12 +876,14 @@ class SCU:
         belongs to the DMA engine until ``done``; returns ``done``."""
         san = self.sanitizer
         if san is not None:
-            claim = san.dma_begin(
-                self.node_id, descriptor.buffer, kind, direction, descriptor.total_words
+            san.claim(
+                done,
+                self.node_id,
+                descriptor.buffer,
+                kind,
+                direction,
+                descriptor.total_words,
             )
-            # registered at start time, so the release runs before any
-            # process that later waits on ``done`` resumes (FIFO callbacks)
-            done.add_callback(lambda _e: san.dma_end(claim))
         return done
 
     # -- persistent descriptors (paper section 3.3) ---------------------------

@@ -1,14 +1,12 @@
-"""Boundary phases, the RISCWatch debug session, and qcsh text commands."""
+"""Boundary phases and qcsh text commands."""
 
 import numpy as np
 import pytest
 
 from repro.fermions import WilsonDirac
 from repro.fermions.gamma import GAMMA
-from repro.host.jtag import EthernetJtagController, JtagCommand, JtagOp
 from repro.host.qcsh import Qcsh
 from repro.host.qdaemon import Qdaemon
-from repro.host.riscwatch import RiscWatchSession
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.lattice.boundary import antiperiodic_in_time, with_boundary_phase
 from repro.machine.asic import MachineConfig
@@ -73,49 +71,6 @@ class TestBoundaryPhases:
             with_boundary_phase(u, 9)
         with pytest.raises(ConfigError):
             with_boundary_phase(u, 0, 2.0)  # not a pure phase
-
-
-class TestRiscWatch:
-    @pytest.fixture
-    def session(self):
-        m = QCDOCMachine(MachineConfig(dims=(2, 1, 1, 1, 1, 1)))
-        jtag = EthernetJtagController(0)
-        jtag.execute(JtagCommand(JtagOp.WRITE_ICACHE, 0, "code"))
-        jtag.execute(JtagCommand(JtagOp.START))
-        return RiscWatchSession(m.sim, 0, jtag)
-
-    def test_halt_step_resume(self, session):
-        session.halt()
-        n = session.step(3)
-        assert n == 3
-        assert session.read_register(RiscWatchSession.PC_REGISTER) == 12
-        session.resume()
-        assert not session.halted
-
-    def test_step_requires_halt(self, session):
-        with pytest.raises(MachineError, match="halted"):
-            session.step()
-
-    def test_register_poke_peek(self, session):
-        session.write_register(5, 0xABCD)
-        assert session.read_register(5) == 0xABCD
-
-    def test_breakpoint(self, session):
-        session.halt()
-        session.set_breakpoint(0x20)  # 8 steps of 4 bytes
-        hit = session.run_to_breakpoint()
-        assert hit == 0x20
-        assert session.read_register(RiscWatchSession.PC_REGISTER) == 0x20
-
-    def test_run_to_breakpoint_needs_breakpoints(self, session):
-        session.halt()
-        with pytest.raises(MachineError, match="breakpoint"):
-            session.run_to_breakpoint()
-
-    def test_status_probe_works_without_halt(self, session):
-        # probing a failing node must not require any node-side software
-        assert session.hardware_status() == 0x1
-        assert any(e.action == "status" for e in session.transcript)
 
 
 class TestQcshTextInterface:

@@ -1,11 +1,10 @@
-"""Whole-program flow analysis suite (PR 9): REPRO501..REPRO504.
+"""Whole-program flow analysis suite: REPRO501, REPRO503 and REPRO504.
 
 Four layers:
 
-1. **Infrastructure** — the CFG builder's exception edges, ``finally``
-   routing and loop structure; call-graph resolution (``self.m()``
-   binds to the caller's class); return-escape taint through locals
-   and containers.
+1. **Infrastructure** — call-graph resolution (``self.m()`` binds to
+   the caller's class); return-escape taint through locals and
+   containers.
 2. **Rule fixtures** — every REPRO5xx rule gets minimal fire *and*
    pass fixtures pinning its contract, including the interprocedural
    cases a per-file rule cannot see.
@@ -24,8 +23,7 @@ import pytest
 
 from repro.analysis import Allowlist, LintEngine, all_rules, get_rule
 from repro.analysis.allowlist import find_default_allowlist
-from repro.analysis.flow import build_call_graph, build_cfg, build_symbols
-from repro.analysis.flow import cfg as cfgmod
+from repro.analysis.flow import build_call_graph, build_symbols
 from repro.analysis.flow.dataflow import returns_source
 from repro.analysis.engine import ModuleContext
 from repro.machine.asic import MachineConfig
@@ -37,7 +35,7 @@ pytestmark = pytest.mark.analysis
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-FLOW_RULES = ["REPRO501", "REPRO502", "REPRO503", "REPRO504"]
+FLOW_RULES = ["REPRO501", "REPRO503", "REPRO504"]
 
 
 def lint_files(tmp_path, files, rule_ids):
@@ -71,96 +69,8 @@ def _module(relpath, source):
 
 
 # ---------------------------------------------------------------------------
-# infrastructure: CFG, call graph, taint
+# infrastructure: call graph, taint
 # ---------------------------------------------------------------------------
-
-
-class TestCFG:
-    def _stmt_nid(self, cfg, fn, want):
-        for nid, stmt in cfg.stmts.items():
-            if stmt is not None and getattr(stmt, "lineno", None) == want:
-                return nid
-        raise AssertionError(f"no node at line {want}")
-
-    def test_linear_chain_reaches_exit(self):
-        fn = _fn("def f():\n    a = 1\n    b = 2\n    return b\n")
-        cfg = build_cfg(fn)
-        first = self._stmt_nid(cfg, fn, 2)
-        assert cfg.reaches_exit_avoiding(first, set())
-        # blocking the only path cuts EXIT off
-        ret = self._stmt_nid(cfg, fn, 4)
-        assert not cfg.reaches_exit_avoiding(first, {ret})
-
-    def test_if_else_has_two_paths(self):
-        fn = _fn(
-            "def f(c):\n"
-            "    if c:\n"
-            "        a = 1\n"
-            "    else:\n"
-            "        b = 2\n"
-            "    return 0\n"
-        )
-        cfg = build_cfg(fn)
-        test_nid = self._stmt_nid(cfg, fn, 2)
-        then_nid = self._stmt_nid(cfg, fn, 3)
-        # avoiding the then-branch still reaches EXIT via else
-        assert cfg.reaches_exit_avoiding(test_nid, {then_nid})
-
-    def test_exception_edge_into_handler(self):
-        fn = _fn(
-            "def f(g):\n"
-            "    try:\n"
-            "        g()\n"
-            "        done = True\n"
-            "    except ValueError:\n"
-            "        done = False\n"
-            "    return done\n"
-        )
-        cfg = build_cfg(fn)
-        call_nid = self._stmt_nid(cfg, fn, 3)
-        after_nid = self._stmt_nid(cfg, fn, 4)
-        # the call can bypass line 4 entirely (handler path)
-        assert cfg.reaches_exit_avoiding(call_nid, {after_nid})
-
-    def test_finally_dominates_all_exits(self):
-        fn = _fn(
-            "def f(g, h):\n"
-            "    try:\n"
-            "        g()\n"
-            "    finally:\n"
-            "        h()\n"
-        )
-        cfg = build_cfg(fn)
-        call_nid = self._stmt_nid(cfg, fn, 3)
-        fin_nid = self._stmt_nid(cfg, fn, 5)
-        # no path (normal or exceptional) dodges the finally body
-        assert not cfg.reaches_exit_avoiding(call_nid, {fin_nid})
-
-    def test_return_routes_through_finally(self):
-        fn = _fn(
-            "def f(g, h):\n"
-            "    try:\n"
-            "        return g()\n"
-            "    finally:\n"
-            "        h()\n"
-        )
-        cfg = build_cfg(fn)
-        ret_nid = self._stmt_nid(cfg, fn, 3)
-        fin_nid = self._stmt_nid(cfg, fn, 5)
-        assert not cfg.reaches_exit_avoiding(ret_nid, {fin_nid})
-
-    def test_while_loop_back_edge(self):
-        fn = _fn(
-            "def f(n):\n"
-            "    i = 0\n"
-            "    while i < n:\n"
-            "        i += 1\n"
-            "    return i\n"
-        )
-        cfg = build_cfg(fn)
-        body_nid = self._stmt_nid(cfg, fn, 4)
-        test_nid = self._stmt_nid(cfg, fn, 3)
-        assert test_nid in cfg.succ[body_nid]
 
 
 class TestCallGraphAndTaint:
@@ -295,76 +205,6 @@ class TestSendCompletionEscape:
             ),
         }
         result = lint_files(tmp_path, files, ["REPRO501"])
-        assert result.clean
-
-
-# ---------------------------------------------------------------------------
-# REPRO502 claim-release-balance
-# ---------------------------------------------------------------------------
-
-
-class TestClaimReleaseBalance:
-    def test_handler_path_leaks_claim_fires(self, tmp_path):
-        src = (
-            "def xfer(san, api, ev):\n"
-            "    claim = san.dma_begin('halo', 0, 4)\n"
-            "    try:\n"
-            "        yield ev\n"
-            "    except LinkDownError:\n"
-            "        return\n"
-            "    san.dma_end(claim)\n"
-        )
-        result = lint_files(tmp_path, {"repro/machine/x.py": src}, ["REPRO502"])
-        assert rules_fired(result) == ["REPRO502"]
-        assert "claim" in result.findings[0].message
-
-    def test_early_return_leaks_claim_fires(self, tmp_path):
-        src = (
-            "def xfer(san, fast):\n"
-            "    claim = san.dma_begin('halo', 0, 4)\n"
-            "    if fast:\n"
-            "        return None\n"
-            "    san.dma_end(claim)\n"
-        )
-        result = lint_files(tmp_path, {"repro/machine/x.py": src}, ["REPRO502"])
-        assert rules_fired(result) == ["REPRO502"]
-
-    def test_finally_release_passes(self, tmp_path):
-        src = (
-            "def xfer(san, ev):\n"
-            "    claim = san.dma_begin('halo', 0, 4)\n"
-            "    try:\n"
-            "        yield ev\n"
-            "    finally:\n"
-            "        san.dma_end(claim)\n"
-        )
-        result = lint_files(tmp_path, {"repro/machine/x.py": src}, ["REPRO502"])
-        assert result.clean
-
-    def test_callback_handoff_passes(self, tmp_path):
-        # the scu.py idiom: the claim rides a completion callback
-        src = (
-            "def xfer(san, unit, words):\n"
-            "    claim = san.dma_begin('halo', 0, 4)\n"
-            "    done = unit.start(words)\n"
-            "    done.add_callback(lambda _e, c=claim, s=san: s.dma_end(c))\n"
-            "    return done\n"
-        )
-        result = lint_files(tmp_path, {"repro/machine/x.py": src}, ["REPRO502"])
-        assert result.clean
-
-    def test_handler_release_on_both_paths_passes(self, tmp_path):
-        src = (
-            "def xfer(san, ev):\n"
-            "    claim = san.dma_begin('halo', 0, 4)\n"
-            "    try:\n"
-            "        yield ev\n"
-            "    except LinkDownError:\n"
-            "        san.dma_end(claim)\n"
-            "        raise\n"
-            "    san.dma_end(claim)\n"
-        )
-        result = lint_files(tmp_path, {"repro/machine/x.py": src}, ["REPRO502"])
         assert result.clean
 
 

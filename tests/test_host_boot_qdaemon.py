@@ -10,6 +10,7 @@ from repro.kernel.kernel import RunKernel, ThreadState
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.util.errors import MachineError
+from tests.harness import assert_boot_state
 
 
 def make_system(dims=(2, 2, 1, 1, 1, 1), **kw):
@@ -137,6 +138,28 @@ class TestQcsh:
         sh.free()
         assert sh.status()["active_jobs"] == 0
         assert len(sh.history) == 5
+
+    def test_run_then_free_hands_back_boot_state(self):
+        """``qrun`` is a whole job: the daemon finalizes its run, so every
+        node ``qfree`` hands back holds nothing of it."""
+        machine, daemon = make_system()
+        daemon.boot()
+        sh = Qcsh(daemon, "alice")
+        partition = sh.alloc(groups=[(0,), (1,)]).partition
+
+        def prog(api):
+            api.alloc("out", np.full(4, float(api.rank)))
+            api.alloc("in", np.zeros(4))
+            sent = api.send_buffer(0, +1, "out")
+            yield api.wait([sent, api.recv_buffer(0, -1, "in")])
+            total = yield api.global_sum(api.buffer("in")[:1])
+            return float(total[0])
+
+        assert sh.run(prog) == [6.0] * 4
+        sh.free()
+        held = [partition.physical_node(r) for r in range(partition.n_nodes)]
+        assert_boot_state(machine, sorted(held))
+        assert machine.last_run.finalized
 
     def test_run_without_alloc_rejected(self):
         _machine, daemon = make_system()

@@ -104,21 +104,6 @@ class TestJtagController:
         with pytest.raises(ProtocolError, match="empty icache"):
             ctrl.execute(JtagCommand(JtagOp.START))
 
-    def test_register_debug_path(self):
-        # The RISCWatch debugging path: poke and peek registers.
-        ctrl = EthernetJtagController(0)
-        ctrl.execute(JtagCommand(JtagOp.WRITE_REGISTER, address=3, data=77))
-        assert ctrl.execute(JtagCommand(JtagOp.READ_REGISTER, address=3)) == 77
-
-    def test_single_step_requires_running_core(self):
-        ctrl = EthernetJtagController(0)
-        with pytest.raises(ProtocolError, match="in reset"):
-            ctrl.execute(JtagCommand(JtagOp.SINGLE_STEP))
-        ctrl.execute(JtagCommand(JtagOp.WRITE_ICACHE, 0, "x"))
-        ctrl.execute(JtagCommand(JtagOp.START))
-        assert ctrl.execute(JtagCommand(JtagOp.SINGLE_STEP)) == 1
-        assert ctrl.execute(JtagCommand(JtagOp.SINGLE_STEP)) == 2
-
     def test_non_jtag_port_ignored(self):
         ctrl = EthernetJtagController(0)
         before = ctrl.commands_processed

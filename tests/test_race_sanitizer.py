@@ -33,6 +33,7 @@ from repro.analysis.sanitizer import (
     RaceReport,
 )
 from repro.lattice import GaugeField, LatticeGeometry
+from repro.sim.core import Simulator
 from repro.util import rng_stream
 from tests.harness import booted, scattered, source
 
@@ -209,45 +210,72 @@ class TestOffByDefault:
 # ---------------------------------------------------------------------------
 
 
+def claimed(san, kind="recv", direction=3):
+    """Open one claim on node 0's ``buf``; returns its completion event."""
+    done = Simulator().event()
+    san.claim(done, 0, "buf", kind, direction, 96)
+    return done
+
+
+def complete(done):
+    """Fire ``done`` and run the heap entries its callbacks scheduled."""
+    done.succeed()
+    done.sim.run()
+
+
 class TestRaceMatrix:
     def test_read_during_send_is_safe(self):
         san = HaloRaceSanitizer(mode="raise")
-        claim = san.dma_begin(0, "buf", "send", 3, 96)
+        done = claimed(san, "send")
         san.cpu_read(0, "buf")  # read/read: fine
-        san.dma_end(claim)
+        complete(done)
         assert san.reports == [] and san.quiesced
 
     def test_read_during_recv_races(self):
         san = HaloRaceSanitizer(mode="raise")
-        san.dma_begin(0, "buf", "recv", 3, 96)
+        claimed(san)
         with pytest.raises(HaloRaceError):
             san.cpu_read(0, "buf")
 
     def test_write_races_with_any_dma(self):
         for kind in ("send", "recv"):
             san = HaloRaceSanitizer(mode="raise")
-            san.dma_begin(0, "buf", kind, 3, 96)
+            claimed(san, kind)
             with pytest.raises(HaloRaceError):
                 san.cpu_write(0, "buf")
 
     def test_release_clears_ownership(self):
         san = HaloRaceSanitizer(mode="raise")
-        claim = san.dma_begin(0, "buf", "recv", 3, 96)
-        san.dma_end(claim)
+        complete(claimed(san))
         san.cpu_read(0, "buf")  # transfer done: fine
         san.cpu_write(0, "buf")
         assert san.reports == [] and san.quiesced
 
+    def test_release_is_the_completion_event_firing(self):
+        """The claim is released when ``done`` fires, not before and not
+        never: a read during the receive races, one after it is clean."""
+        san = HaloRaceSanitizer(mode="record")
+        sim = Simulator()
+        done = sim.event()
+        san.claim(done, 0, "buf", "recv", 3, 96)
+        assert not san.quiesced
+        for t in (1e-6, 3e-6):
+            sim.schedule(t, lambda: san.cpu_read(0, "buf", now=sim.now))
+        sim.schedule(2e-6, done.succeed)
+        sim.run()
+        assert [r.time for r in san.reports] == [1e-6]
+        assert san.quiesced
+
     def test_other_buffers_and_nodes_unaffected(self):
         san = HaloRaceSanitizer(mode="raise")
-        san.dma_begin(0, "buf", "recv", 3, 96)
+        claimed(san)
         san.cpu_read(0, "other")  # different buffer
         san.cpu_read(1, "buf")  # different node
         assert san.reports == []
 
     def test_record_mode_collects_without_raising(self):
         san = HaloRaceSanitizer(mode="record")
-        san.dma_begin(0, "buf", "recv", 3, 96)
+        claimed(san)
         san.cpu_read(0, "buf", now=1.5e-6)
         san.cpu_write(0, "buf", now=2.0e-6)
         assert [r.access for r in san.reports] == ["read", "write"]
@@ -255,14 +283,14 @@ class TestRaceMatrix:
 
     def test_unregistered_link_reports_physical_direction(self):
         san = HaloRaceSanitizer(mode="record")
-        san.dma_begin(0, "buf", "recv", 7, 96)
+        claimed(san, direction=7)
         san.cpu_read(0, "buf")
         assert "direction 7" in san.reports[0].describe()
 
     def test_logical_registration_upgrades_the_report(self):
         san = HaloRaceSanitizer(mode="record")
         san.register_logical(0, 7, axis=2, sign=-1)
-        san.dma_begin(0, "buf", "recv", 7, 96)
+        claimed(san, direction=7)
         san.cpu_read(0, "buf")
         assert "axis 2 sign -1" in san.reports[0].describe()
 

@@ -473,7 +473,6 @@ class TestEngine:
             "REPRO402",
             "REPRO403",
             "REPRO501",
-            "REPRO502",
             "REPRO503",
             "REPRO504",
         ]
@@ -492,7 +491,7 @@ class TestEngine:
         monkeypatch.setattr(engine_module, "build_symbols", counting)
         (tmp_path / "a.py").write_text("def f(api):\n    return api.send(0)\n")
         (tmp_path / "b.py").write_text("def g(api):\n    f(api)\n")
-        flow = ["REPRO501", "REPRO502", "REPRO503", "REPRO504"]
+        flow = ["REPRO501", "REPRO503", "REPRO504"]
         LintEngine(rules=[get_rule(r) for r in flow]).run([tmp_path])
         assert builds == [2]
         LintEngine(rules=[get_rule("REPRO401"), get_rule("REPRO402")]).run([tmp_path])
@@ -638,7 +637,6 @@ MUTATIONS = {
         "summed = yield api.global_sum(padded)",
         "api.global_sum(padded)",
     ),
-    "REPRO502": ("machine/scu.py", "san.dma_end(claim)", "san.dma_end(None)"),
     "REPRO503": (
         "parallel/halo.py",
         'compute(flops, kernel="linalg", rate=rate)',
