@@ -24,7 +24,11 @@ The matrix: Wilson, DWF and ASQTAD × a 1D and a 2D decomposition ×
 and ``1`` (the interpreted word protocol) × ``shards`` 1 and 2, three
 chained applications each; then one CGNE solve per operator (solution,
 residual history and iteration count in the results digest,
-``machine_time`` in the timeline's).
+``machine_time`` in the timeline's).  Four more on the 2D decomposition
+pin paths the matrix does not reach: the clover operator and Wilson at
+``r = 0.8`` (the uncompressed full-spinor wire), three applications each;
+and DWF and ASQTAD, ``apply`` and ``apply_dagger``, on a point source
+whose empty sites carry zeros of both signs.
 
 Then the serial operators the machine runs are checked against, with no
 machine and so no timeline (the second column is dashes): Wilson, clover,
@@ -162,6 +166,40 @@ def apply_case(op, decomp, word_batch, shards):
     return digest(machine, out.tobytes())
 
 
+def point_source(src, lead):
+    """``src`` reduced to one nonzero site; the empty ones carry zeros of
+    both signs, whose bytes a kernel that re-associated a sum would move."""
+    point = np.zeros_like(src)
+    point.reshape(-1)[1::2] = -0.0
+    site = (0,) * len(lead) + (7,)
+    point[site] = src[site]
+    return point
+
+
+#: name -> (operator, context arguments, point source, dagger)
+EXTRA = {
+    "apply/clover/2d": ("wilson", {"c_sw": 1.0}, False, False),
+    "apply/wilson-r0.8/2d": ("wilson", {"r": 0.8}, False, False),
+    "apply/dwf/2d/point": ("dwf", {}, True, False),
+    "apply_dagger/dwf/2d/point": ("dwf", {}, True, True),
+    "apply/asqtad/2d/point": ("asqtad", {}, True, False),
+    "apply_dagger/asqtad/2d/point": ("asqtad", {}, True, True),
+}
+
+
+def extra_case(op, ctx, point, dagger):
+    gauge, src = problem(op, "2d", "hot")
+    if point:
+        src = point_source(src, OPERATORS[op][1])
+    machine, part = booted("2d", word_batch="face")
+    *_, factory, _solve = OPERATORS[op]
+    context = factory(PhysicsMapping(gauge.geometry, part), gauge, **ctx)
+    out = apply_on_machine(
+        machine, part, context, src, applies=1 if point else 3, dagger=dagger
+    )
+    return digest(machine, out.tobytes())
+
+
 def solve_case(op):
     gauge, b = problem(op, "2d", "weak")
     machine, part = booted("2d", word_batch="face")
@@ -220,6 +258,8 @@ def main():
         print(f"{apply_case(op, decomp, word_batch, shards)}  {name}", flush=True)
     for op in OPERATORS:
         print(f"{solve_case(op)}  solve/{op}/2d", flush=True)
+    for name, case in EXTRA.items():
+        print(f"{extra_case(*case)}  {name}", flush=True)
     for results, name in serial_cases():
         print(f"{results}  {NO_TIMELINE}  {name}", flush=True)
 
