@@ -1,7 +1,7 @@
 PY      ?= python
 PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
-.PHONY: test protocol overlap bench bench-smoke bench-check fingerprint \
+.PHONY: test protocol overlap bench bench-smoke bench-check bench-ab fingerprint \
         fingerprint-check verify verify-telemetry lint verify-sanitizer verify-faults \
         verify-sharding verify-hotpath verify-service verify-flow verify-hmc
 
@@ -35,6 +35,17 @@ bench-smoke:
 bench-check:
 	python3 bench/run.py --check-repeat
 	$(PYTEST) bench/tests -q
+
+## a speed claim's ten alternating pairs as one command: W's bench/run.py
+## run with seeds 1..N in a git worktree of BASE (under $$TMPDIR, else
+## /tmp; removed afterwards) and in the working tree, alternating which
+## goes first; prints each pair's wall_s, setup_s and peak_rss_mb and the
+## median here/base ratios, and writes nothing under bench/
+W    ?= dslash-hot
+N    ?= 10
+BASE ?= HEAD
+bench-ab:
+	$(PY) benchmarks/ab.py --workload $(W) --pairs $(N) --base $(BASE)
 
 ## two sha256 per case — results, then timeline — of a fixed matrix of
 ## machine runs (3 operators x 1d/2d x word_batch face/1 x shards 1/2,

@@ -1,0 +1,94 @@
+"""``make bench-ab``: alternating pairs of one benchmark workload, base vs here.
+
+    python3 benchmarks/ab.py --workload dslash-hot --pairs 10 --base HEAD~1
+
+Checks ``--base`` out into a ``git worktree`` under the temporary
+directory (``$TMPDIR``, else ``/tmp``), then runs ``python3 bench/run.py
+--workload W --seed i`` for ``i = 1..pairs`` in that checkout and in the
+working tree, alternating which goes first, and prints each pair's
+``wall_s``, ``setup_s`` and ``peak_rss_mb`` and the median of the
+per-pair ratios (here / base; below 1 is better), each side's median
+and quartiles, and how many pairs the working tree won.  The worktree is
+removed afterwards; nothing is written under ``bench/``.  This is the
+"ten alternating pairs" rule a speed claim is held to (ROADMAP.md), as
+one command.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+
+
+def run(tree: Path, workload: str, seed: int) -> dict:
+    """One ``bench/run.py`` run in ``tree``: its end-to-end metrics."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=False,
+    )
+    record = json.loads(done.stdout.strip().splitlines()[-1])
+    if not record["correct"]:
+        raise SystemExit(f"{tree}: {workload} seed {seed} failed its oracles")
+    return {name: record["metrics"][name]["value"] for name in METRICS}
+
+
+def spread(values) -> str:
+    """``median [q1, q3]``."""
+    if len(values) < 2:
+        return f"{values[0]:.4g}"
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--base", default="HEAD")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
+        base = Path(tmp) / "base"
+        git = ["git", "-C", str(ROOT)]
+        subprocess.run(
+            git + ["worktree", "add", "--detach", "--quiet", str(base), args.base],
+            check=True,
+        )
+        try:
+            runs = {tree: {name: [] for name in METRICS} for tree in (base, ROOT)}
+            print(f"{args.workload}: base {args.base} vs working tree, "
+                  f"{args.pairs} pairs")
+            print("pair  " + "  ".join(
+                f"{m + ' base':>16} {m + ' here':>16}" for m in METRICS
+            ))
+            for seed in range(1, args.pairs + 1):
+                trees = (base, ROOT) if seed % 2 else (ROOT, base)
+                got = {tree: run(tree, args.workload, seed) for tree in trees}
+                for tree in trees:
+                    for name in METRICS:
+                        runs[tree][name].append(got[tree][name])
+                print(f"{seed:4d}  " + "  ".join(
+                    f"{got[base][name]:16.4g} {got[ROOT][name]:16.4g}"
+                    for name in METRICS
+                ), flush=True)
+            for name in METRICS:
+                was, now = runs[base][name], runs[ROOT][name]
+                ratio = statistics.median(b / a for a, b in zip(was, now))
+                wins = sum(b < a for a, b in zip(was, now))
+                print(f"{name}: base {spread(was)}  here {spread(now)}  "
+                      f"median here/base {ratio:.3f}  here lower in {wins}/{len(was)}")
+        finally:
+            subprocess.run(
+                git + ["worktree", "remove", "--force", str(base)], check=False
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

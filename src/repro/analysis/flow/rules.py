@@ -140,7 +140,14 @@ class SendCompletionRule(Rule):
 #: machine-side dot charges the iteration's axpys with its own flops.
 _NUMPY_KERNELS_NP = frozenset({"einsum", "matmul", "tensordot", "vdot"})
 _NUMPY_KERNELS_FREE = frozenset(
-    {"cmatvec", "spin_project", "spin_reconstruct", "apply_spin_matrix", "site_inner"}
+    {
+        "cmatvec_site_fastest",
+        "spin_project",
+        "reconstruct_lower",
+        "apply_spin_matrix",
+        "apply_spin_matrix_site_fastest",
+        "site_inner",
+    }
 )
 
 
@@ -169,7 +176,8 @@ class FlopChargeCoverageRule(Rule):
       :attr:`repro.machine.node.Node.kernel_flops`, and the per-kernel
       ledger (and the Chrome-trace lanes) lie by omission;
     * every function that runs an operator kernel (``np.einsum``,
-      ``cmatvec``, spin projection / reconstruction, the machine-side
+      ``cmatvec_site_fastest``, spin projection / reconstruction, spin
+      matrices, the machine-side
       inner products) either charges ``compute(..., kernel=...)`` itself
       (or through a package function it calls that does) or is
       reachable *only* through callers that do.  A helper reachable

@@ -15,7 +15,7 @@ All four are implemented here against :mod:`repro.lattice`, each exposing
 accounting in :mod:`repro.fermions.flops` consumed by the performance model.
 """
 
-from repro.fermions.gamma import GAMMA, GAMMA5, sigma_munu, spin_project, spin_reconstruct
+from repro.fermions.gamma import GAMMA, GAMMA5, reconstruct_lower, sigma_munu, spin_project
 from repro.fermions.wilson import WilsonDirac
 from repro.fermions.clover import CloverDirac
 from repro.fermions.staggered import AsqtadDirac, NaiveStaggeredDirac, fat_links, long_links
@@ -39,7 +39,7 @@ __all__ = [
     "GAMMA5",
     "sigma_munu",
     "spin_project",
-    "spin_reconstruct",
+    "reconstruct_lower",
     "WilsonDirac",
     "CloverDirac",
     "NaiveStaggeredDirac",

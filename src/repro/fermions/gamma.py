@@ -72,12 +72,27 @@ def apply_spin_matrix(
 ) -> np.ndarray:
     """Apply a 4x4 spin matrix to a field ``(..., 4, 3)``.
 
-    ``out`` (which must not alias ``psi``) makes the call allocation-free
-    for the zero-copy hot path; the einsum arithmetic is identical.
+    ``out`` (which must not alias ``psi``) makes the call allocation-free;
+    the einsum arithmetic is identical.
     """
     if out is None:
         return np.einsum("st,...tc->...sc", m, psi)
     return np.einsum("st,...tc->...sc", m, psi, out=out)
+
+
+def apply_spin_matrix_site_fastest(
+    m: np.ndarray, psi: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """:func:`apply_spin_matrix` on ``(..., 4, 3, V)`` fields, the site
+    index fastest (the layout of
+    :func:`repro.lattice.gauge.cmatvec_site_fastest`).
+
+    The products and their ``t = 0..3`` accumulation order are those of
+    :func:`apply_spin_matrix`, so the result is byte-equal to it; only
+    einsum's inner loop changes, from three colours to ``V`` sites.
+    ``out`` must not alias ``psi``.
+    """
+    return np.einsum("st,...tcx->...scx", m, psi, out=out)
 
 
 #: ``_PARTNER[mu, s]`` — the single column where ``GAMMA[mu]`` row ``s``
@@ -114,7 +129,7 @@ def _rows(pair) -> slice:
 #: ``HALF_SPINOR[mu, sign]`` — everything the hopping kernels need of
 #: ``1 - sign * gamma_mu``: the partner rows of the upper pair and the
 #: coefficients :func:`spin_project` scales them by, then the partner rows
-#: of the lower pair and :func:`spin_reconstruct`'s coefficients.  The
+#: of the lower pair and :func:`reconstruct_lower`'s coefficients.  The
 #: coefficient expressions are written here once; a zero in them carries
 #: a sign that reaches the result's bytes.
 HALF_SPINOR = {
@@ -129,54 +144,50 @@ HALF_SPINOR = {
 }
 
 
-def spin_project(
-    mu: int, sign: int, psi: np.ndarray, out: "np.ndarray | None" = None
-) -> np.ndarray:
+def spin_project(mu: int, sign: int, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Compress ``(1 - sign * gamma_mu) psi`` to its two independent rows.
 
     The Wilson hopping projector ``1 -+ gamma_mu`` has rank 2: the lower
     two spin rows of the projected spinor are fixed phase multiples of the
-    upper two (see :func:`spin_reconstruct`).  QCDOC's SCU therefore never
-    puts a full spinor on the wire — only the ``(..., 2, 3)`` **half
-    spinor** returned here travels (12 words per face site instead of 24),
-    half the naive payload.  Forward hopping uses ``sign=+1``
+    upper two (see :func:`reconstruct_lower`).  QCDOC's SCU therefore
+    never puts a full spinor on the wire — only the **half spinor**
+    computed here travels (12 words per face site instead of 24), half
+    the naive payload.  Forward hopping uses ``sign=+1``
     (``1 - gamma_mu``), backward ``sign=-1`` (``1 + gamma_mu``).
 
-    Implemented with the import-time :data:`HALF_SPINOR` table as a
-    strided row view + scale — no dense 4x4 einsum and no partner copy
-    in the hot loop.
+    ``psi`` is ``(..., 4, 3, V)`` and ``out`` ``(..., 2, 3, V)``: the site
+    index fastest, the layout every hopping kernel computes in (DESIGN.md
+    §12).  ``out`` may be a strided view (a node-memory stage buffer read
+    site-fastest).  Implemented with the import-time :data:`HALF_SPINOR`
+    table as a strided row view, a multiply and a subtract — no dense 4x4
+    einsum and no partner copy.
     """
     rows, coeff, _, _ = HALF_SPINOR[mu, sign]
-    upper = psi[..., :2, :]
-    partner = psi[..., rows, :]
-    coeff = coeff[:, None]
-    if out is None:
-        return upper - coeff * partner
-    np.multiply(partner, coeff, out=out)
-    np.subtract(upper, out, out=out)
+    np.multiply(psi[..., rows, :, :], coeff[:, None, None], out=out)
+    np.subtract(psi[..., :2, :, :], out, out=out)
     return out
 
 
-def spin_reconstruct(
-    mu: int, sign: int, half: np.ndarray, out: "np.ndarray | None" = None
+def reconstruct_lower(
+    mu: int, sign: int, half: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Expand a ``(..., 2, 3)`` half spinor back to the full projected spinor.
+    """The lower two rows of the projected spinor, from its half spinor.
 
     For ``h = (1 - sign * gamma_mu) psi`` the lower rows satisfy
     ``h[j] = -(sign * c_j) h[p_j]`` with ``c_j = GAMMA[mu, j, p_j]`` and
     ``p_j`` the chirality partner of row ``j`` — a consequence of
-    ``gamma_mu^2 = 1`` (so ``c_j c_{p_j} = 1``).  Reconstruction is thus
-    the receiving node's index + scale expansion of the 12 words that
-    arrived on the wire; commuting with the SU(3) colour multiply, it lets
-    the sender ship half spinors (and half products) with **no** change to
-    the assembled physics.
+    ``gamma_mu^2 = 1`` (so ``c_j c_{p_j} = 1``); the upper two rows are
+    ``half`` itself.  Reconstruction is thus the receiving node's index +
+    scale expansion of the 12 words that arrived on the wire; commuting
+    with the SU(3) colour multiply, it lets the sender ship half spinors
+    (and half products) with **no** change to the assembled physics.  The
+    hopping kernels accumulate ``half`` into the upper rows and this into
+    the lower ones, so no reconstructed full spinor is ever stored.
+
+    ``half`` and ``out`` are ``(..., 2, 3, V)``, the site index fastest.
     """
-    if out is None:
-        out = np.empty(half.shape[:-2] + (4, 3), dtype=half.dtype)
     _, _, rows, coeff = HALF_SPINOR[mu, sign]
-    out[..., :2, :] = half
-    np.multiply(half[..., rows, :], coeff[:, None], out=out[..., 2:, :])
-    return out
+    return np.multiply(half[..., rows, :, :], coeff[:, None, None], out=out)
 
 
 def gamma5_sandwich(psi: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:

@@ -15,9 +15,10 @@ import numpy as np
 
 from repro.fermions.gamma import (
     GAMMA,
-    HALF_SPINOR,
     apply_spin_matrix,
     gamma5_sandwich,
+    reconstruct_lower,
+    spin_project,
 )
 from repro.lattice.gauge import GaugeField, cmatvec_site_fastest
 from repro.util.errors import ConfigError
@@ -119,9 +120,7 @@ class WilsonDirac:
         # and numpy buffers ``out`` under the default "raise"
         for mu in range(geom.ndim):
             for sign in (+1, -1):
-                rows, coeff, low_rows, low_coeff = HALF_SPINOR[mu, sign]
-                np.multiply(src[rows], coeff[:, None, None], out=half)
-                np.subtract(src[:2], half, out=half)
+                spin_project(mu, sign, src, out=half)
                 if sign > 0:
                     # forward hop: U_mu(x) (1 - gamma_mu) psi(x + mu)
                     table = geom.neighbour_fwd(mu)
@@ -136,8 +135,7 @@ class WilsonDirac:
                     cmatvec_site_fastest(u_dagger[mu], half, out=prod)
                     hop = np.take(prod, table, axis=-1, out=gathered, mode="clip")
                 acc[:2] += hop
-                np.multiply(hop[low_rows], low_coeff[:, None, None], out=lower)
-                acc[2:] += lower
+                acc[2:] += reconstruct_lower(mu, sign, hop, out=lower)
         np.copyto(out.transpose(1, 2, 0), acc)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:

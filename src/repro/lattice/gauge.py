@@ -16,30 +16,17 @@ from repro.lattice.su3 import dagger, is_su3, project_su3, random_algebra, rando
 from repro.util.errors import ConfigError
 
 
-def cmatvec(
-    u: np.ndarray, psi: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Apply per-site colour matrices to a field with colour as last axis.
-
-    ``u`` is ``(V, 3, 3)``; ``psi`` is ``(V, ..., 3)`` (any spin axes in
-    between).  Returns ``(V, ..., 3)``.  ``out`` reuses a caller-owned
-    buffer (allocation-free hot loops); the contraction string is the
-    single one used by every kernel in the package, so serial and
-    distributed applications are arithmetically identical.
-    """
-    if out is None:
-        return np.einsum("xab,x...b->x...a", u, psi)
-    return np.einsum("xab,x...b->x...a", u, psi, out=out)
-
-
 def cmatvec_site_fastest(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`cmatvec` on operands stored with the site index *fastest*.
+    """Apply per-site colour matrices to a field, the site index *fastest*.
 
-    ``u`` is ``(3, 3, V)``, ``psi`` and ``out`` are ``(..., 3, V)``.  The
-    products and their ``b = 0, 1, 2`` accumulation order are those of
-    :func:`cmatvec`, so the result is byte-equal to it; only einsum's
-    inner loop changes, from three colours to ``V`` sites (DESIGN.md §12).
-    This is the one site-fastest contraction string in the package.
+    ``u`` is ``(3, 3, V)``; ``psi`` and ``out`` are ``(..., 3, V)`` (any
+    spin or fifth-dimension axes in front).  Each output element is
+    ``sum_b u[a, b] psi[b]``, accumulated ``b = 0, 1, 2`` from ``+0``, and
+    einsum's innermost loop runs over the ``V`` sites (DESIGN.md §12).
+    This is the one contraction string of the package: the serial and
+    the distributed hopping kernels all call it, so their applications
+    are arithmetically identical.  ``out`` may be a strided view (a
+    node-memory buffer read site-fastest) but must not alias ``psi``.
     """
     return np.einsum("abx,...bx->...ax", u, psi, out=out)
 

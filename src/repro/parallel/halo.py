@@ -22,22 +22,29 @@ arithmetic: the ``work`` source buffer and per-axis halo/staging node
 buffers, the stored descriptors in their start groups, the
 interior/boundary site cover, the hot-epoch bracket, the sanitizer
 checkpoints, and the one generator (:meth:`HaloPipeline.exchange`) that
-sequences an application.  An operator is a subclass that declares its
-**spec** (constructor arguments below, plus the ``groups`` it fires) and
-supplies the site kernels the generator calls between the steps:
+sequences an application.  The site kernels compute with the site index
+fastest (DESIGN.md §12) while the node buffers keep the layout the
+descriptors and the wire read: the pipeline hands the kernels ``source``
+(the one transposed copy of ``work`` an application makes), the halo and
+stage buffers as site-fastest views, and ``out_t``, the site-fastest
+view of the caller-visible result ``out``.  An operator is a subclass
+that declares its **spec** (constructor arguments below, plus the
+``groups`` it fires) and supplies the site kernels the generator calls
+between the steps:
 
 ``project(mu)``
     only when the wire is compressed: fill ``stage_fwd[mu]`` from the low
-    face of ``work`` (matvec-free, uncharged);
+    face of ``source`` (matvec-free, uncharged);
 ``stage(mu) -> sites``
     fill ``stage_bwd[mu]`` with the sender-side products of the high
     face; returns the site count, charged one SU(3) matvec each;
 ``interior() -> flops``
-    initialise ``self.out`` and run every matvec that needs no halo data;
+    run every matvec that needs no halo data;
 ``on_halo(mu, sign) -> flops``
     patch the face rows from the halo that just landed;
 ``merge(sites)``
-    accumulate the per-``mu`` terms into ``self.out`` on ``sites``,
+    accumulate the per-``mu`` terms on ``sites`` and scatter them into
+    ``self.out`` (every site is merged exactly once per application),
     charged ``merge_flops_per_site`` each — what the operator's cost
     sheet leaves once its site-local flops and the ``2 * ndim`` SU(3)
     matvecs charged where their rows are computed are taken out.
@@ -50,9 +57,10 @@ The paper's sustained-efficiency claims (section 4) model dslash time as
 (the first learns the SCU transfer schedule, the rest replay its compiled
 trace, :mod:`repro.machine.replay`) and runs:
 
-1. copy the source into ``work`` and start group ``"early"`` — *both*
-   receives, plus the raw low-face send when the wire is uncompressed, so
-   no link ever idles waiting for a late receive;
+1. copy the source into ``work``, transpose it into ``source``
+   (:meth:`HaloPipeline.transpose_source`) and start group ``"early"`` —
+   *both* receives, plus the raw low-face send when the wire is
+   uncompressed, so no link ever idles waiting for a late receive;
 2. ``project`` every axis, then start group ``"proj"`` (the projected
    low-face sends: pure sign/permute adds, on the wire before any matvec
    is charged);
@@ -106,6 +114,15 @@ from repro.machine.scu import normalise_word_batch
 from repro.perfmodel.dirac_perf import calibrate
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
+
+
+def sites_view(buffer: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` sites' worth of a contiguous site-fastest scratch
+    ``buffer``, as a *contiguous* ``buffer.shape[:-1] + (n,)`` view — a
+    merge's scratch for its site set (the slice ``buffer[..., :n]`` would
+    be strided, and ``np.take`` copies into a strided ``out``)."""
+    size = math.prod(buffer.shape[:-1]) * n
+    return buffer.reshape(-1)[:size].reshape(buffer.shape[:-1] + (n,))
 
 
 class HaloPipeline:
@@ -233,8 +250,24 @@ class HaloPipeline:
         wire_shape = (site_shape[0] * wire_words // site_words,) + site_shape[1:]
         fwd_name, bwd_name, stage_name = self._buffer_names = buffers
         mem = api.memory
+        site_axis = len(lead)
+
+        def site_fastest(buffer: np.ndarray) -> np.ndarray:
+            """A node buffer's view with its site axis moved last."""
+            return np.moveaxis(buffer, site_axis, -1)
+
         self.work = mem.zeros("work", lead + (g.volume,) + site_shape)
-        # per decomposed axis: the two receive halos and the two send stages
+        self._work_t = site_fastest(self.work)
+        #: the source, site index fastest: the one transposed copy an
+        #: application makes (:meth:`transpose_source`)
+        self.source = np.empty(lead + site_shape + (g.volume,), dtype=self.work.dtype)
+        #: the caller-visible result, in the caller's layout; the merges
+        #: scatter their accumulators into its site-fastest view ``out_t``
+        self.out = np.empty_like(self.work)
+        self.out_t = site_fastest(self.out)
+        # per decomposed axis: the two receive halos and the two send
+        # stages, each the site-fastest view of its node buffer (the
+        # buffer itself keeps the descriptors' layout)
         self.halo_fwd, self.halo_bwd, self.stage_fwd, self.stage_bwd = {}, {}, {}, {}
         batch = self.word_batch
 
@@ -248,15 +281,16 @@ class HaloPipeline:
             n_bwd = sum(len(self.hop_plans[h][mu].send_high) for h in hops)
             fwd_shape = lead + (n_fwd,) + wire_shape
             bwd_shape = lead + (n_bwd,) + wire_shape
-            self.halo_fwd[mu] = mem.zeros(f"{fwd_name}{mu}", fwd_shape)
-            self.halo_bwd[mu] = mem.zeros(f"{bwd_name}{mu}", bwd_shape)
-            self.stage_bwd[mu] = mem.zeros(f"{stage_name}{mu}", bwd_shape)
+            self.halo_fwd[mu] = site_fastest(mem.zeros(f"{fwd_name}{mu}", fwd_shape))
+            self.halo_bwd[mu] = site_fastest(mem.zeros(f"{bwd_name}{mu}", bwd_shape))
+            self.stage_bwd[mu] = site_fastest(mem.zeros(f"{stage_name}{mu}", bwd_shape))
             # Persistent descriptors (stored once, restarted every apply).
             if self.compress:
                 # The forward halo is projected *before* the send, so its
                 # descriptor reads the staged buffer, in its own start
                 # group: on the wire before any staging matvec is charged.
-                self.stage_fwd[mu] = mem.zeros(f"stage_fwd{mu}", fwd_shape)
+                stage_fwd = mem.zeros(f"stage_fwd{mu}", fwd_shape)
+                self.stage_fwd[mu] = site_fastest(stage_fwd)
                 low_face, group = whole("stage_fwd", mu), "proj"
             else:
                 low_face, group = face_descriptor(
@@ -294,6 +328,17 @@ class HaloPipeline:
         yield self.api.compute(flops, kernel="linalg", rate=rate)
 
     @hot_path
+    def transpose_source(self) -> None:
+        """Copy ``work`` into ``source`` with the site index fastest.
+
+        The node buffers keep the layout the descriptors and the wire
+        read; every site kernel computes in this one (DESIGN.md §12), so
+        an application transposes its source once, here, and its result
+        once, as the merges scatter into ``out``.
+        """
+        np.copyto(self.source, self._work_t)
+
+    @hot_path
     def exchange(self, src: np.ndarray):
         """One application of the pipeline (generator yielding machine
         events); returns the context-owned ``self.out``, valid until the
@@ -309,6 +354,7 @@ class HaloPipeline:
         try:
             api.cpu_write("work")
             np.copyto(self.work, src)
+            self.transpose_source()
 
             pending = {}  # steps 1-3 of the module docstring
             if overlap:

@@ -28,9 +28,10 @@ from repro.fermions.flops import operator_cost
 from repro.fermions.gamma import (
     P_MINUS,
     P_PLUS,
-    apply_spin_matrix,
-    spin_reconstruct,
+    apply_spin_matrix_site_fastest,
+    reconstruct_lower,
 )
+from repro.parallel.halo import sites_view
 from repro.parallel.pdirac import WilsonHops
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
@@ -68,11 +69,11 @@ class DistributedDWFContext(WilsonHops):
             overlap=overlap,
             word_batch=word_batch,
         )
-        # 5th-dimension wall terms (-mf * edge slice) and merge gathers
-        self._wall_up = np.empty_like(self.out[0])
-        self._wall_dn = np.empty_like(self.out[0])
-        self._m5_up = np.empty_like(self.out[0])
-        self._m5_rec = np.empty_like(self.out[0])
+        # 5th-dimension wall terms (-mf * edge slice) and merge gathers,
+        # one 4D slice each, site index fastest
+        self._wall_up, self._wall_dn, self._m5_up, self._m5_rec = (
+            np.empty_like(self.source[0]) for _ in range(4)
+        )
 
     def apply(self, src: np.ndarray):
         """Distributed ``D_dwf src`` (generator yielding machine events);
@@ -81,55 +82,53 @@ class DistributedDWFContext(WilsonHops):
 
     @hot_path
     def interior(self) -> float:
-        # Wall terms and 5th-dim hop sources are read from ``self.work``
+        # Wall terms and 5th-dim hop sources are read from ``self.source``
         # (identical to ``src``, and never mutated during an application)
         # so that passing the context's own output buffer back in as
         # ``src`` stays well-defined.
-        np.multiply(self.work[0], -self.mf, out=self._wall_up)
-        np.multiply(self.work[self.Ls - 1], -self.mf, out=self._wall_dn)
-        # 4D Wilson kernel D_w(-M5) + 1, slice-batched.
-        np.multiply(self.work, (-self.M5 + 4.0) + 1.0, out=self.out)
+        np.multiply(self.source[0], -self.mf, out=self._wall_up)
+        np.multiply(self.source[self.Ls - 1], -self.mf, out=self._wall_dn)
         # the sheet's site-local part (the diagonal axpy) is charged here,
-        # full-volume; the chiral 5th-dimension hops ride in the merge
+        # full-volume, and computed by the merge as it starts each row;
+        # the chiral 5th-dimension hops ride in the merge too
         diag = self.cost.local_flops_per_site * self._slices * self.volume
         return diag + self.hop_matvecs()
 
     @hot_path
     def merge(self, sites: np.ndarray) -> None:
-        """Assemble the 4D merge and the 5th-dim chiral hops on ``sites``.
+        """Assemble the 4D Wilson kernel ``D_w(-M5) + 1`` and the 5th-dim
+        chiral hops on ``sites``, scattered into ``out``.
 
-        One fixed statement sequence per row (mu ascending, then the
-        s loop), so merged rows are bit-identical on any site cover: the
-        site rows are gathered once into context scratch, accumulated in
-        that order, and scattered back.  The wall terms ``-mf *
-        src[edge]`` are precomputed per application in
-        ``_wall_up``/``_wall_dn``.
+        One fixed statement sequence per row (the diagonal, mu ascending,
+        then the s loop), so merged rows are bit-identical on any site
+        cover: the site rows of the source are gathered once into context
+        scratch, scaled by the diagonal, accumulated in that order, and
+        scattered.  The wall terms ``-mf * src[edge]`` are precomputed
+        per application in ``_wall_up``/``_wall_dn``.
         """
         n = len(sites)
-        src = self.work
-        acc = self._merge_acc[:, :n]
-        f = self._merge_f[:, :n]
-        b = self._merge_b[:, :n]
-        rec = self._merge_rec[:, :n]
-        np.take(self.out, sites, axis=1, out=acc)
+        src = self.source
+        acc = sites_view(self._merge_acc, n)
+        half, lower = (sites_view(terms, n) for terms in self._merge_terms)
+        np.take(src, sites, axis=-1, out=acc, mode="clip")
+        np.multiply(acc, (-self.M5 + 4.0) + 1.0, out=acc)
+        upper_rows, lower_rows = acc[:, :2], acc[:, 2:]
         for mu in range(4):
-            np.take(self._fwd[mu], sites, axis=1, out=f)
-            np.take(self._bwd[mu], sites, axis=1, out=b)
-            spin_reconstruct(mu, +1, f, out=rec)
-            np.multiply(rec, 0.5, out=rec)
-            acc -= rec
-            spin_reconstruct(mu, -1, b, out=rec)
-            np.multiply(rec, 0.5, out=rec)
-            acc -= rec
+            for sign, hops in ((+1, self._fwd), (-1, self._bwd)):
+                # acc -= 0.5 * (the reconstructed half product)
+                np.take(hops[mu], sites, axis=-1, out=half, mode="clip")
+                reconstruct_lower(mu, sign, half, out=lower)
+                np.multiply(lower, 0.5, out=lower)
+                np.multiply(half, 0.5, out=half)
+                upper_rows -= half
+                lower_rows -= lower
+        up_g = sites_view(self._m5_up, n)
+        rec4 = sites_view(self._m5_rec, n)
         for s in range(self.Ls):
             up = src[s + 1] if s + 1 < self.Ls else self._wall_up
             dn = src[s - 1] if s - 1 >= 0 else self._wall_dn
-            up_g = self._m5_up[:n]
-            rec4 = self._m5_rec[:n]
-            np.take(up, sites, axis=0, out=up_g)
-            apply_spin_matrix(P_MINUS, up_g, out=rec4)
-            acc[s] -= rec4
-            np.take(dn, sites, axis=0, out=up_g)
-            apply_spin_matrix(P_PLUS, up_g, out=rec4)
-            acc[s] -= rec4
-        self.out[:, sites] = acc
+            np.take(up, sites, axis=-1, out=up_g, mode="clip")
+            acc[s] -= apply_spin_matrix_site_fastest(P_MINUS, up_g, out=rec4)
+            np.take(dn, sites, axis=-1, out=up_g, mode="clip")
+            acc[s] -= apply_spin_matrix_site_fastest(P_PLUS, up_g, out=rec4)
+        self.out_t[..., sites] = acc

@@ -33,9 +33,8 @@ from repro.comms.api import CommsAPI
 from repro.fermions.flops import MATVEC_SU3, operator_cost
 from repro.fermions.staggered import staggered_phases
 from repro.lattice import stencil
-from repro.lattice.gauge import cmatvec
-from repro.lattice.su3 import dagger
-from repro.parallel.halo import HaloPipeline
+from repro.lattice.gauge import cmatvec_site_fastest, site_fastest_pair
+from repro.parallel.halo import HaloPipeline, sites_view
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
@@ -93,35 +92,39 @@ class DistributedStaggeredContext(HaloPipeline):
         v, ndim = g.volume, g.ndim
         if fat.shape != (ndim, v, 3, 3) or long.shape != (ndim, v, 3, 3):
             raise ConfigError("bad local link shapes for staggered context")
+        #: the caller's ``(ndim, v, 3, 3)`` links
         self.fat = fat
         self.long = long
         self.mass = float(mass)
         self.c_naik = float(c_naik)
         self.phases = staggered_phases(g)
-        self.fat_dagger_bwd = np.stack(
-            [dagger(fat[mu][g.neighbour_bwd(mu)]) for mu in range(ndim)]
-        )
-        self.long_dagger_bwd3 = np.stack(
-            [dagger(long[mu][g.hop(mu, -3)]) for mu in range(ndim)]
-        )
+        #: ``(V, V^dagger)`` and ``(W, W^dagger)``, each ``(ndim, 3, 3, v)``:
+        #: a backward hop multiplies by the daggered link at the source
+        #: site and gathers the product, so no shifted copy of the links
+        #: exists
+        self._fat = site_fastest_pair(fat)
+        self._long = site_fastest_pair(long)
         self.plan3 = self.hop_plans[3]
 
         # ---- zero-copy hot-path scratch (see DESIGN.md §12) -----------
-        # Preallocated once; reused every application.  Gauge-gather
-        # constants on the staging faces are hoisted (links immutable).
+        # Preallocated once; reused every application, site index
+        # fastest.  Gauge-gather constants on the staging faces are
+        # hoisted (links immutable).
         dt = self.work.dtype
 
-        def vec() -> np.ndarray:
-            return np.empty((v, 3), dtype=dt)
+        def vec(sites: int = v) -> np.ndarray:
+            return np.empty((3, sites), dtype=dt)
 
         self._fwd1, self._fwd3, self._bwd1, self._bwd3 = (
             [vec() for _ in range(ndim)] for _ in range(4)
         )
-        self.out, self._gather, self._apply_out, self._dagger_out = (
-            vec() for _ in range(4)
-        )
+        self._apply_out = np.empty_like(self.out)
+        self._dagger_out = np.empty_like(self.out)
+        # merge scratch, viewed per call for its site set (``sites_view``);
+        # the backward products borrow ``_m_term``, as every hop matvec
+        # runs before the first merge of an application
         self._m_acc, self._m_term, self._m_tmp, self._m_vec = (vec() for _ in range(4))
-        self._m_gauge = np.empty((v, 3, 3), dtype=dt)
+        self._m_gauge = np.empty((3, 3, v), dtype=dt)
         self._m_ph = np.empty((v,), dtype=self.phases.dtype)
         #: rows of the depth-3 raw halo that form the neighbour's x==0
         #: layer (used for the 1-hop forward fill); memoised process-wide
@@ -135,10 +138,10 @@ class DistributedStaggeredContext(HaloPipeline):
             high1 = self.plans[mu].send_high
             high3 = self.plan3[mu].send_high
             self.raw_layer0[mu] = stencil.face_layer_rows(g.shape, mu, -1, 3, 0)
-            self._fat_dagger_high[mu] = dagger(fat[mu][high1])
-            self._long_dagger_high3[mu] = dagger(long[mu][high3])
-            self._stage_v1[mu] = np.empty((len(high1), 3), dtype=dt)
-            self._stage_v3[mu] = np.empty((len(high3), 3), dtype=dt)
+            self._fat_dagger_high[mu] = np.take(self._fat[1][mu], high1, axis=-1)
+            self._long_dagger_high3[mu] = np.take(self._long[1][mu], high3, axis=-1)
+            self._stage_v1[mu] = vec(len(high1))
+            self._stage_v3[mu] = vec(len(high3))
 
     def hopping(self, src: np.ndarray):
         """Distributed ASQTAD dslash (generator); returns the
@@ -152,24 +155,30 @@ class DistributedStaggeredContext(HaloPipeline):
         high3 = self.plan3[mu].send_high
         n1 = len(high1)
         buf = self.stage_bwd[mu]
-        np.take(self.work, high1, axis=0, out=self._stage_v1[mu])
-        cmatvec(self._fat_dagger_high[mu], self._stage_v1[mu], out=buf[:n1])
-        np.take(self.work, high3, axis=0, out=self._stage_v3[mu])
-        cmatvec(self._long_dagger_high3[mu], self._stage_v3[mu], out=buf[n1:])
+        # mode="clip": the memoised tables are in range by construction,
+        # and numpy buffers ``out`` under the default "raise"
+        np.take(self.source, high1, axis=-1, out=self._stage_v1[mu], mode="clip")
+        cmatvec_site_fastest(
+            self._fat_dagger_high[mu], self._stage_v1[mu], out=buf[:, :n1]
+        )
+        np.take(self.source, high3, axis=-1, out=self._stage_v3[mu], mode="clip")
+        cmatvec_site_fastest(
+            self._long_dagger_high3[mu], self._stage_v3[mu], out=buf[:, n1:]
+        )
         return n1 + len(high3)
 
     @hot_path
     def interior(self) -> float:
         """Raw forward gathers + local backward matvecs."""
         g = self.geometry
+        src, prod = self.source, self._m_term
         for mu in range(g.ndim):
-            np.take(self.work, g.hop(mu, +1), axis=0, out=self._fwd1[mu])
-            np.take(self.work, g.hop(mu, +3), axis=0, out=self._fwd3[mu])
-            np.take(self.work, g.hop(mu, -1), axis=0, out=self._gather)
-            cmatvec(self.fat_dagger_bwd[mu], self._gather, out=self._bwd1[mu])
-            np.take(self.work, g.hop(mu, -3), axis=0, out=self._gather)
-            cmatvec(self.long_dagger_bwd3[mu], self._gather, out=self._bwd3[mu])
-        self.out.fill(0)
+            np.take(src, g.hop(mu, +1), axis=-1, out=self._fwd1[mu], mode="clip")
+            np.take(src, g.hop(mu, +3), axis=-1, out=self._fwd3[mu], mode="clip")
+            cmatvec_site_fastest(self._fat[1][mu], src, out=prod)
+            np.take(prod, g.hop(mu, -1), axis=-1, out=self._bwd1[mu], mode="clip")
+            cmatvec_site_fastest(self._long[1][mu], src, out=prod)
+            np.take(prod, g.hop(mu, -3), axis=-1, out=self._bwd3[mu], mode="clip")
         return 0.0 + 2 * g.ndim * g.volume * MATVEC_SU3
 
     @hot_path
@@ -177,50 +186,52 @@ class DistributedStaggeredContext(HaloPipeline):
         if sign > 0:
             raw = self.halo_fwd[mu]
             layer0 = self._stage_v1[mu]  # staging is over: reuse its scratch
-            np.take(raw, self.raw_layer0[mu], axis=0, out=layer0)
-            self._fwd1[mu][self.plans[mu].fill_from_fwd] = layer0
-            self._fwd3[mu][self.plan3[mu].fill_from_fwd] = raw
+            np.take(raw, self.raw_layer0[mu], axis=-1, out=layer0, mode="clip")
+            self._fwd1[mu][:, self.plans[mu].fill_from_fwd] = layer0
+            self._fwd3[mu][:, self.plan3[mu].fill_from_fwd] = raw
         else:
             prod = self.halo_bwd[mu]
             n1 = len(self.plans[mu].send_low)
-            self._bwd1[mu][self.plans[mu].fill_from_bwd] = prod[:n1]
-            self._bwd3[mu][self.plan3[mu].fill_from_bwd] = prod[n1:]
+            self._bwd1[mu][:, self.plans[mu].fill_from_bwd] = prod[:, :n1]
+            self._bwd3[mu][:, self.plan3[mu].fill_from_bwd] = prod[:, n1:]
         return 0
 
     @hot_path
     def merge(self, sites: np.ndarray) -> None:
-        """Forward matvecs + combine/phase accumulate on ``sites``.
+        """Forward matvecs + combine/phase accumulate on ``sites``,
+        scattered into ``out``.
 
         One fixed statement sequence per row (mu ascending), so merged
-        rows are bit-identical on any site cover: site rows are gathered
-        once into context scratch, accumulated in that order, and
-        scattered back.
+        rows are bit-identical on any site cover: every term is formed on
+        the gathered site rows and added in that order to an accumulator
+        that starts at ``+0``, which then scatters into ``out``.
         """
         n = len(sites)
-        acc = self._m_acc[:n]
-        term = self._m_term[:n]
-        tmp = self._m_tmp[:n]
-        vec = self._m_vec[:n]
-        gauge = self._m_gauge[:n]
+        acc, term, tmp, vec = (
+            sites_view(buf, n)
+            for buf in (self._m_acc, self._m_term, self._m_tmp, self._m_vec)
+        )
+        gauge = sites_view(self._m_gauge, n)
         ph = self._m_ph[:n]
-        np.take(self.out, sites, axis=0, out=acc)
+        fat, long = self._fat[0], self._long[0]
+        acc.fill(0)
         for mu in range(self.geometry.ndim):
-            np.take(self.fat[mu], sites, axis=0, out=gauge)
-            np.take(self._fwd1[mu], sites, axis=0, out=vec)
-            cmatvec(gauge, vec, out=term)
-            np.take(self._bwd1[mu], sites, axis=0, out=vec)
+            np.take(fat[mu], sites, axis=-1, out=gauge, mode="clip")
+            np.take(self._fwd1[mu], sites, axis=-1, out=vec, mode="clip")
+            cmatvec_site_fastest(gauge, vec, out=term)
+            np.take(self._bwd1[mu], sites, axis=-1, out=vec, mode="clip")
             term -= vec
-            np.take(self.long[mu], sites, axis=0, out=gauge)
-            np.take(self._fwd3[mu], sites, axis=0, out=vec)
-            cmatvec(gauge, vec, out=tmp)
-            np.take(self._bwd3[mu], sites, axis=0, out=vec)
+            np.take(long[mu], sites, axis=-1, out=gauge, mode="clip")
+            np.take(self._fwd3[mu], sites, axis=-1, out=vec, mode="clip")
+            cmatvec_site_fastest(gauge, vec, out=tmp)
+            np.take(self._bwd3[mu], sites, axis=-1, out=vec, mode="clip")
             np.subtract(tmp, vec, out=tmp)
             np.multiply(tmp, self.c_naik, out=tmp)
             term += tmp
-            np.take(self.phases[mu], sites, axis=0, out=ph)
-            np.multiply(term, ph[:, None], out=tmp)
+            np.take(self.phases[mu], sites, axis=0, out=ph, mode="clip")
+            np.multiply(term, ph, out=tmp)
             acc += tmp
-        self.out[sites] = acc
+        self.out_t[:, sites] = acc
 
     @hot_path
     def _mass_and_hop(self, src: np.ndarray, combine, out: np.ndarray):

@@ -9,11 +9,38 @@ from repro.fermions.gamma import (
     P_MINUS,
     P_PLUS,
     apply_spin_matrix,
+    apply_spin_matrix_site_fastest,
     gamma5_sandwich,
+    reconstruct_lower,
     sigma_munu,
     spin_project,
-    spin_reconstruct,
 )
+from repro.lattice.gauge import cmatvec_site_fastest
+
+
+def field(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def with_signed_zeros(psi):
+    """``psi`` with every fifth element a zero of one sign or the other in
+    each part: their bytes show a re-associated or re-ordered sum."""
+    flat = psi.reshape(-1)
+    flat[0::5] = 0.0
+    flat[1::5] = complex(-0.0, -0.0)
+    flat[2::5] = complex(-0.0, 1.5)
+    return psi
+
+
+def project(mu, sign, psi):
+    return spin_project(mu, sign, psi, out=np.empty_like(psi[..., :2, :, :]))
+
+
+def reconstruct(mu, sign, half):
+    """The full projected spinor from its half spinor: the upper rows are
+    the half spinor, the lower its scaled partner rows."""
+    lower = reconstruct_lower(mu, sign, half, out=np.empty_like(half))
+    return np.concatenate([half, lower], axis=-3)
 
 
 class TestCliffordAlgebra:
@@ -66,65 +93,72 @@ class TestProjectors:
         # spin_project returns the *half spinor* (the two independent rows
         # of the rank-2 projection) — exactly the 12 words per face site
         # QCDOC puts on the wire.  The upper rows must agree with the dense
-        # projector product.
+        # projector product.  Fields are (spin, colour, site): site fastest.
         rng = np.random.default_rng(3)
-        psi = rng.standard_normal((10, 4, 3)) + 1j * rng.standard_normal((10, 4, 3))
-        out = spin_project(1, +1, psi)
-        assert out.shape == (10, 2, 3)
-        ref = np.einsum("st,xtc->xsc", np.eye(4) - GAMMA[1], psi)
-        assert np.allclose(out, ref[:, :2, :])
+        psi = field(rng, (4, 3, 10))
+        out = project(1, +1, psi)
+        assert out.shape == (2, 3, 10)
+        ref = np.einsum("st,tcx->scx", np.eye(4) - GAMMA[1], psi)
+        assert np.allclose(out, ref[:2])
 
     def test_reconstruct_project_roundtrip_all_directions(self):
         # Property test for the satellite contract: for every direction and
         # hop sign, reconstruct(project(psi)) == (1 -+ gamma_mu) psi to
         # 1e-12 — the compression is lossless for Wilson-type hops.
         rng = np.random.default_rng(11)
-        psi = rng.standard_normal((32, 4, 3)) + 1j * rng.standard_normal((32, 4, 3))
+        psi = field(rng, (4, 3, 32))
         for mu in range(4):
             for sign in (+1, -1):
-                full = spin_reconstruct(mu, sign, spin_project(mu, sign, psi))
-                ref = np.einsum(
-                    "st,xtc->xsc", np.eye(4) - sign * GAMMA[mu], psi
-                )
+                full = reconstruct(mu, sign, project(mu, sign, psi))
+                ref = np.einsum("st,tcx->scx", np.eye(4) - sign * GAMMA[mu], psi)
                 assert np.max(np.abs(full - ref)) < 1e-12, (mu, sign)
 
     def test_project_reconstruct_out_params_match_fresh(self):
-        # The out= fast paths used by the allocation-free kernels must be
-        # bitwise identical to the allocating paths.
+        # The kernels write the half spinor straight into a node-memory
+        # stage buffer read site-fastest, a strided view: its bytes must
+        # be those of a fresh contiguous buffer, leading axes included.
         rng = np.random.default_rng(12)
-        psi = rng.standard_normal((16, 4, 3)) + 1j * rng.standard_normal((16, 4, 3))
-        half_ws = np.empty((16, 2, 3), dtype=np.complex128)
-        full_ws = np.empty((16, 4, 3), dtype=np.complex128)
+        psi = with_signed_zeros(field(rng, (3, 4, 3, 16)))
+        stage = np.empty((3, 16, 2, 3), dtype=np.complex128)
+        view = np.moveaxis(stage, 1, -1)
         for mu in range(4):
             for sign in (+1, -1):
-                half = spin_project(mu, sign, psi)
-                assert np.array_equal(
-                    spin_project(mu, sign, psi, out=half_ws), half
-                )
-                assert np.array_equal(
-                    spin_reconstruct(mu, sign, half, out=full_ws),
-                    spin_reconstruct(mu, sign, half),
-                )
+                half = project(mu, sign, psi)
+                assert spin_project(mu, sign, psi, out=view) is view
+                assert view.tobytes(order="C") == half.tobytes()
+                lower = reconstruct_lower(mu, sign, half, out=view)
+                assert lower.tobytes(order="C") == reconstruct(mu, sign, half)[
+                    :, 2:
+                ].tobytes()
 
     def test_reconstruct_commutes_with_colour_multiply(self):
         # U (1 -+ gamma) psi == reconstruct(U . project(psi)): the SU(3)
         # multiply acts on colour only, so the sender may ship half
         # products — the theorem behind the compressed SCU exchange.
         rng = np.random.default_rng(13)
-        psi = rng.standard_normal((8, 4, 3)) + 1j * rng.standard_normal((8, 4, 3))
-        u = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
+        psi = field(rng, (4, 3, 8))
+        u = field(rng, (3, 3, 8))
         for mu in range(4):
             for sign in (+1, -1):
-                lhs = np.einsum(
-                    "xab,xsb->xsa",
-                    u,
-                    np.einsum("st,xtc->xsc", np.eye(4) - sign * GAMMA[mu], psi),
-                )
-                half = spin_project(mu, sign, psi)
-                rhs = spin_reconstruct(
-                    mu, sign, np.einsum("xab,xsb->xsa", u, half)
-                )
+                projected = np.einsum("st,tcx->scx", np.eye(4) - sign * GAMMA[mu], psi)
+                lhs = cmatvec_site_fastest(u, projected, out=np.empty_like(psi))
+                half = project(mu, sign, psi)
+                product = cmatvec_site_fastest(u, half, out=np.empty_like(half))
+                rhs = reconstruct(mu, sign, product)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12, (mu, sign)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_site_fastest_spin_matrix_bytes(self, lead):
+        # the domain-wall chiral hops and the r != 1 Wilson merge multiply
+        # site-fastest fields: the same products, summed in the same
+        # order, so the bytes of the site-slowest product, zeros included
+        rng = np.random.default_rng(14)
+        psi = with_signed_zeros(field(rng, lead + (9, 4, 3)))
+        moved = np.ascontiguousarray(np.moveaxis(psi, len(lead), -1))
+        for m in (P_MINUS, P_PLUS, GAMMA5, *GAMMA):
+            want = apply_spin_matrix(m, psi)
+            got = apply_spin_matrix_site_fastest(m, moved, out=np.empty_like(moved))
+            assert np.moveaxis(got, -1, len(lead)).tobytes(order="C") == want.tobytes()
 
 
 class TestSigma:

@@ -270,6 +270,34 @@ class TestFlopChargeCoverage:
         assert rules_fired(result) == ["REPRO503"]
         assert len(result.findings) == 1  # only the kernel site, not mid
 
+    @pytest.mark.parametrize(
+        "kernel, module",
+        [
+            ("cmatvec_site_fastest", "repro.lattice.gauge"),
+            ("spin_project", "repro.fermions.gamma"),
+            ("reconstruct_lower", "repro.fermions.gamma"),
+            ("apply_spin_matrix_site_fastest", "repro.fermions.gamma"),
+        ],
+    )
+    def test_uncharged_package_kernel_fires(self, tmp_path, kernel, module):
+        # the hopping kernels the distributed contexts call by name are
+        # flop-bearing: one left uncharged must not fall out of the audit
+        files = {
+            "repro/parallel/ops.py": (
+                f"from {module} import {kernel}\n\n"
+                "def entry(api, u, v, out):\n"
+                f"    return {kernel}(u, v, out=out)\n"
+            ),
+        }
+        result = lint_files(tmp_path, files, ["REPRO503"])
+        assert rules_fired(result) == ["REPRO503"]
+        assert kernel in result.findings[0].message
+        charged = files["repro/parallel/ops.py"].replace(
+            "    return", "    yield api.compute(66, kernel='dslash')\n    return"
+        )
+        result = lint_files(tmp_path, {"repro/parallel/ops.py": charged}, ["REPRO503"])
+        assert result.clean
+
     def test_outside_parallel_package_ignored(self, tmp_path):
         files = {
             "repro/host/ops.py": (

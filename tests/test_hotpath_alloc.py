@@ -24,6 +24,7 @@ import pytest
 
 from repro.fermions import AsqtadDirac, DomainWallDirac, WilsonDirac
 from repro.fermions.staggered import NaiveStaggeredDirac
+from repro.parallel.halo import HaloPipeline
 from repro.util.hotpath import is_hot_path
 from tests.harness import applied, booted, scattered, system
 
@@ -228,8 +229,10 @@ class TestHotPathTags:
     def test_operator_hot_paths_tagged(self):
         from repro.parallel import pdirac, pdwf, pstaggered
 
-        # the one generator every operator's hopping/apply runs ...
+        # the one generator every operator's hopping/apply runs, and its
+        # one transposed copy of the source ...
         assert is_hot_path(pdirac.DistributedWilsonContext.exchange)
+        assert is_hot_path(HaloPipeline.transpose_source)
         assert is_hot_path(pdirac.DistributedWilsonContext.merge)
         assert is_hot_path(pdirac.DistributedWilsonContext.apply)
         assert is_hot_path(pdwf.DistributedDWFContext.exchange)
@@ -245,6 +248,7 @@ class TestHotPathTags:
             for kernel in ("stage", "interior", "on_halo"):
                 assert is_hot_path(getattr(ctx, kernel)), (ctx, kernel)
         assert is_hot_path(pdirac.WilsonHops.project)
+        assert is_hot_path(pdirac.WilsonHops.hop_matvecs)
 
     def test_per_frame_path_tagged(self):
         # every body the interpreted SCU/HSSL protocol runs once per frame
