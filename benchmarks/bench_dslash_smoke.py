@@ -7,7 +7,8 @@ the repo root:
 * **Wire compression** — the compressed SCU exchange ships 12 words per
   Wilson face site instead of the seed's 24; with word-at-a-time DMA
   (``word_batch=1``, the protocol-test convention) the simulated exchange
-  — read off the serialised order, which exposes all of it — must be at
+  — read off the serialised order, which exposes all of it, and equal
+  on either wire to what the model prices that order at — must be at
   least 1.5x faster than the seed full-spinor one.  In the overlapped
   step the tile's arithmetic hides the compressed exchange whole and
   leaves a sixth of the seed step exposed, which is asserted as that
@@ -55,6 +56,8 @@ from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.parallel import PhysicsMapping, apply_on_machine
 from repro.parallel.pcg import wilson_context
+from repro.perfmodel import DiracPerfModel
+from repro.telemetry.report import EXACT_REL_TOL
 from repro.util import rng_stream
 
 GLOBAL_SHAPE = (4, 2, 2, 2)  # -> 2^4 local volume on a 2-node decomposition
@@ -162,13 +165,21 @@ def test_dslash_smoke(telemetry_report):
     words_full = counters_full[0]["payload_words_sent"] // (2 * nface)
     assert words_comp == HALF_SPINOR_WORDS  # 12 on the wire
     assert words_full == SPINOR_WORDS  # the seed's 24
-    # the exchange itself, read off the serialised order (nothing hides it)
+    # the exchange itself, read off the serialised order (nothing hides it),
+    # is what the model prices the serialised order at, on either wire
     exchange_seed, exchange_comp = (
         _dslash_step(compress=compress, word_batch=1, overlap=False)[5]
         .report()
         .exposed_comm_seconds(2)
         for compress in (False, True)
     )
+    for compress, exchange in ((False, exchange_seed), (True, exchange_comp)):
+        assert exchange == pytest.approx(
+            DiracPerfModel().exposed_comm_seconds(
+                "wilson", (2, 2, 2, 2), DIMS[:4], overlap=False, compress=compress
+            ),
+            rel=EXACT_REL_TOL,
+        )
     exchange_speedup = exchange_seed / exchange_comp
     assert exchange_speedup >= 1.5, f"compression speedup {exchange_speedup:.3f} < 1.5"
     # overlapped, the tile's arithmetic hides the compressed exchange whole

@@ -34,12 +34,12 @@ def test_e01_cg_efficiency_table(benchmark, model, report):
             rows[op] = (
                 model.efficiency(op),
                 model.efficiency(op, precision="single"),
-                model.efficiency(op, comms="serial"),
+                model.efficiency(op, overlap=False),
             )
         rows["dwf (Ls=8)"] = (
             model.efficiency("dwf", Ls=8),
             model.efficiency("dwf", Ls=8, precision="single"),
-            model.efficiency("dwf", Ls=8, comms="serial"),
+            model.efficiency("dwf", Ls=8, overlap=False),
         )
         return rows
 

@@ -36,7 +36,7 @@ def test_e02_local_volume_sweep(benchmark, model, report):
                     L,
                     ws,
                     model.efficiency("wilson", local_shape=shape),
-                    model.efficiency("wilson", local_shape=shape, comms="serial"),
+                    model.efficiency("wilson", local_shape=shape, overlap=False),
                 )
             )
         return rows

@@ -7,19 +7,26 @@ compute-time rule over the operator's cost sheet); the *analytic* model
 prices the identical configuration with the same rule.  The comparison is
 in seconds, part by part:
 
-* what is a closed form of what the twin does — the CPU seconds of every
-  operator application and inner product, the global-sum seconds — is
-  **equal** to float tolerance (``MachineReport.crosscheck``);
-* what is not is **named and bounded**: the exposed communication
-  (predicted zero at this shape, measured zero), and the sender-side
-  staging matvecs the twin charges on decomposed faces and the model's
-  per-site sheet does not — 3.5% of an iteration here, the whole of the
-  gap between the simulated and the modelled seconds per iteration.
+* every part is a closed form of what the twin does — the CPU seconds of
+  every operator application and inner product, the global-sum seconds,
+  and the seconds the ranks wait on the wires (the pipeline's own phase
+  order over the error-free transfer times) — and is **equal** to float
+  tolerance (``MachineReport.crosscheck``);
+* the seconds per iteration differ by what the model's per-site sheet
+  leaves out: the sender-side staging matvecs the twin charges on
+  decomposed faces — 3.5% of an iteration here, the whole of the gap.
+
+The exposure is then held over the full product the pipelines run:
+Wilson, DWF (``Ls = 4``) and ASQTAD, every local extent 1-4 on 1-4
+decomposed axes (ASQTAD only at 4: its Kawamoto-Smit phases need an even
+extent, its Naik halo 3), word at a time and one frame per face.  Every
+point's crosscheck passes; the largest exposure error is recorded in
+``BENCH_crosscheck.json``.
 """
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_artifact
 from repro.fermions.flops import operator_cost
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.machine.asic import MachineConfig
@@ -30,6 +37,7 @@ from repro.perfmodel.dirac_perf import cg_kernel_calls
 from repro.telemetry.report import EXACT_REL_TOL
 from repro.util import rng_stream
 from repro.util.units import US
+from tests.harness import crosschecked
 
 LOCAL_SHAPE = (4, 4, 4, 4)
 MACHINE_DIMS = (2, 2, 2, 1)
@@ -116,13 +124,12 @@ def test_x01_functional_vs_model(benchmark, report):
     t.add_row(["CG iterations (tol 1e-7)", iterations, "-", "-"])
     emit(t)
 
-    # the closed part is an equality ...
+    # every part is an equality ...
     assert crosscheck.ok, f"crosscheck failed:\n{crosscheck}"
-    for name in ("compute_seconds", "global_sum_seconds"):
+    for name in ("compute_seconds", "global_sum_seconds", "exposed_comm_seconds"):
         assert entries[name].rel_error <= EXACT_REL_TOL
-    # ... the communication the model says is hidden is hidden ...
+    # ... at this shape the wires keep no rank waiting ...
     assert entries["exposed_comm_seconds"].predicted == 0.0
-    assert entries["exposed_comm_seconds"].rel_error <= 1e-9
     # ... and the seconds per iteration differ by the staging flops the
     # twin charges and the per-site sheet leaves out, and by nothing else
     assert 0.0 < t_iter / predicted - 1.0 <= staging < 0.05
@@ -130,3 +137,65 @@ def test_x01_functional_vs_model(benchmark, report):
     # sustained fraction of peak — is the model's 40% on the twin
     assert measured_fraction == pytest.approx(modelled_fraction, rel=1e-3)
     assert measured_fraction == pytest.approx(0.40, abs=1e-3)
+
+
+#: the sweep's operators and their parameters
+SWEEP = {
+    "wilson": {"mass": 0.3},
+    "dwf": {"M5": 1.8, "mf": 0.1, "Ls": 4},
+    "asqtad": {"mass": 0.1},
+}
+
+
+def test_x01_exposure_sweep(report):
+    points = []
+    for op, params in SWEEP.items():
+        for comm_axes in (1, 2, 3, 4):
+            for extent in (4,) if op == "asqtad" else (1, 2, 3, 4):
+                tile = (extent,) * comm_axes + (2,) * (4 - comm_axes)
+                batches = (1, "face")
+                results = crosschecked(op, tile, comm_axes, batches, **params)
+                for batch, result in zip(batches, results):
+                    assert result.ok, f"{op} {tile} {batch}:\n{result}"
+                    exposed = {e.metric: e for e in result.entries}[
+                        "exposed_comm_seconds"
+                    ]
+                    points.append(
+                        {
+                            "op": op,
+                            "tile": list(tile),
+                            "comm_axes": comm_axes,
+                            "word_batch": batch,
+                            "exposed_measured_s": exposed.measured,
+                            "exposed_predicted_s": exposed.predicted,
+                            "run_s": exposed.scale,
+                            "rel_error": exposed.rel_error,
+                        }
+                    )
+
+    t = report(
+        "X1: exposed communication, twin vs the pipeline's phase order "
+        "(per operator: points, largest exposure, largest error)",
+        ["operator", "points", "largest share of the run", "largest rel. error"],
+    )
+    for op in SWEEP:
+        mine = [p for p in points if p["op"] == op]
+        t.add_row(
+            [
+                op,
+                len(mine),
+                f"{max(p['exposed_measured_s'] / p['run_s'] for p in mine):.1%}",
+                f"{max(p['rel_error'] for p in mine):.1e}",
+            ]
+        )
+    emit(t)
+    largest = max(p["rel_error"] for p in points)
+    assert largest <= EXACT_REL_TOL
+    write_artifact(
+        "crosscheck",
+        {
+            "experiment": "X1 exposure sweep",
+            "points": points,
+            "max_exposure_rel_error": largest,
+        },
+    )

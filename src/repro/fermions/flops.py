@@ -160,6 +160,15 @@ class OperatorCost:
         gauge field (the packed clover term).
     hop_depths:
         Hop distances needing halo exchange (ASQTAD needs 1 and 3).
+    landing_matvecs:
+        SU(3) matvecs a distributed application charges per forward-halo
+        site as that halo lands (:mod:`repro.parallel.halo`): a Wilson-type
+        kernel multiplies the received spinor by its own link there, the
+        staggered merge multiplies every forward hop itself.
+    local_in_interior:
+        The site-local term is charged with the interior phase, before the
+        halos are waited for (the domain wall's merge starts each row with
+        the diagonal), not after the exchange.
     five_dimensional:
         The sheet is stated per 5-dimensional site, so ``Ls`` slices of
         it run per 4-dimensional site (:meth:`slices`).
@@ -177,6 +186,8 @@ class OperatorCost:
     local_flops_per_site: int
     local_words_per_site: int = 0
     hop_depths: Tuple[int, ...] = (1,)
+    landing_matvecs: int = 1
+    local_in_interior: bool = False
     five_dimensional: bool = False
     dirac_applications_per_cg_iteration: int = 2
 
@@ -193,6 +204,14 @@ class OperatorCost:
             else self.uncompressed_comm_bytes_per_face_site
         )
         return nbytes // WORD_BYTES
+
+    def wire_sites(self, face_sites: int, extent: int) -> Tuple[int, int]:
+        """Sites of one slice a decomposed axis of ``extent`` ships each way,
+        ``face_sites`` its one-deep face: the low face as deep as the
+        deepest hop one way, one block of sender-side products per hop
+        layer the other — no layer deeper than the neighbour's tile."""
+        layers = [min(h, extent) for h in self.hop_depths]
+        return max(layers) * face_sites, sum(layers) * face_sites
 
     def slices(self, Ls: int = 1) -> int:
         """Applications of the sheet per 4-dimensional site."""
@@ -268,6 +287,7 @@ _ASQTAD = OperatorCost(
     site_words=STAGGERED_WORDS,
     local_flops_per_site=STAGGERED_DIAG_FLOPS,
     hop_depths=(1, 3),
+    landing_matvecs=0,
 )
 
 _NAIVE_STAGGERED = replace(
@@ -291,17 +311,23 @@ _DWF = replace(
     _WILSON,
     name="dwf",
     flops_per_site=WILSON_DSLASH_FLOPS + DWF_5D_EXTRA_FLOPS,  # 1416
+    local_in_interior=True,
     five_dimensional=True,
 )
 
 
 class _WilsonForceCost(OperatorCost):
-    """The fermion force fits the sheet except in what its exchange adds:
-    no sender-side matvec, but the receiver's ``(r + gamma_mu) Y``
-    reprojection of every forward-face site it was sent."""
+    """The fermion force fits the sheet except in its exchange: one
+    transfer per axis and no sender-side matvec, but the receiver's
+    ``(r + gamma_mu) Y`` reprojection of every forward-face site it was
+    sent."""
 
     def halo_flops(self, face_sites: int) -> int:
         return face_sites * WILSON_FORCE_HALO_PROJ_FLOPS
+
+    def wire_sites(self, face_sites: int, extent: int) -> Tuple[int, int]:
+        """Both fields' low faces in one transfer; nothing comes back."""
+        return 2 * face_sites, 0
 
 
 #: One evaluation of the two-flavor fermion-force kernel, all four
@@ -321,6 +347,7 @@ _WILSON_FORCE = _WilsonForceCost(
     uncompressed_comm_bytes_per_face_site=SPINOR_WORDS * WORD_BYTES,
     site_words=SPINOR_WORDS,
     local_flops_per_site=0,
+    landing_matvecs=0,
 )
 
 OPERATOR_COSTS: Dict[str, OperatorCost] = {

@@ -21,6 +21,8 @@ Every number here is taken from the paper:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, Sequence, Tuple
 
@@ -184,6 +186,73 @@ class ASICConfig:
         word serialisation (144 ns).
         """
         return self.frame_header_bits / self.clock_hz + self.wire_latency
+
+    def transfer_times(
+        self, sends: Sequence[Tuple[float, int]], word_batch=1
+    ) -> Tuple[Tuple[float, float], ...]:
+        """When the DMA transfers on one cable pair complete, error free.
+
+        ``sends`` holds up to two ``(start, nwords)`` transfers, one each
+        way: transfer ``i`` clocks its frames onto wire ``i``, and the far
+        end acknowledges each frame on the other wire, behind whatever that
+        wire is clocking — the other transfer's frames among it.  This is
+        the protocol of :class:`~repro.machine.scu.SendUnit` and
+        :class:`~repro.machine.scu.RecvUnit` over
+        :meth:`~repro.machine.hssl.SerialLink.carry` with no bit errors: a
+        send waits :attr:`first_word_delay`, clocks frames of ``word_batch``
+        words (``"face"``: the whole transfer in one) as its ack window
+        allows, and clocks out an EOT once its last word is acknowledged;
+        the last word is stored :attr:`store_delay` after it lands.
+
+        Returns ``(stored, sent)`` per transfer: when its last word is in
+        the receiver's memory and when its sender has clocked out the EOT —
+        the receive's and the send's completion events.
+        """
+        clock, header = self.clock_hz, self.frame_header_bits
+        n = [int(nwords) for _start, nwords in sends]
+        batch = [max(1, k if word_batch == "face" else int(word_batch)) for k in n]
+        window = [max(self.ack_window_words, b) for b in batch]
+        sent, acked, stalled = [0] * len(n), [0] * len(n), [False] * len(n)
+        busy = [0.0, 0.0]  # the pair's two wires
+        times = [[0.0, 0.0] for _ in n]
+        heap: list = []
+        order = itertools.count()
+
+        def at(time, kind, i, seq=0):
+            heapq.heappush(heap, (time, next(order), kind, i, seq))
+
+        def carry(wire, bits, now):
+            busy[wire] = max(now, busy[wire]) + bits / clock
+            return busy[wire]
+
+        for i, (start, nwords) in enumerate(sends):
+            if nwords:
+                at(start + self.first_word_delay, "send", i)
+        while heap:
+            now, _, kind, i, seq = heapq.heappop(heap)
+            if kind == "send":
+                in_flight = sent[i] - acked[i]
+                if acked[i] == n[i]:
+                    times[i][1] = carry(i, header, now)  # the EOT
+                elif sent[i] < n[i] and in_flight < window[i]:
+                    words = min(batch[i], n[i] - sent[i], window[i] - in_flight)
+                    sent[i] += words
+                    free = carry(i, header + words * self.frame_payload_bits, now)
+                    at(free + self.wire_latency, "land", i, sent[i])
+                    at(free, "send", i)
+                else:
+                    stalled[i] = True
+            elif kind == "land":
+                ack = carry(1 - i, header, now)
+                at(ack + self.wire_latency, "ack", i, seq)
+                if seq == n[i]:
+                    times[i][0] = now + self.store_delay
+            elif seq > acked[i]:
+                acked[i] = seq
+                if stalled[i]:
+                    stalled[i] = False
+                    at(now, "send", i)
+        return tuple(map(tuple, times))
 
     def watchdog_wait(self, rung: int) -> float:
         """The no-progress wait on ``rung`` of the backoff ladder (rung 0

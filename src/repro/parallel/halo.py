@@ -51,9 +51,11 @@ between the steps:
 
 The pipeline, step by step
 --------------------------
-The paper's sustained-efficiency claims (section 4) model dslash time as
-``T_interior + max(T_comm, T_boundary)`` — DMA transfers run
-*concurrently* with CPU arithmetic.  One application is one hot epoch
+The paper's sustained-efficiency claims (section 4) rest on DMA transfers
+running *concurrently* with CPU arithmetic; the steps below are the
+order :meth:`repro.perfmodel.dirac_perf.DiracPerfModel.exposed_comm_seconds`
+prices, so the seconds a rank waits on the wires are the model's.  One
+application is one hot epoch
 (the first learns the SCU transfer schedule, the rest replay its compiled
 trace, :mod:`repro.machine.replay`) and runs:
 

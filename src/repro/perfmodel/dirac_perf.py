@@ -41,24 +41,20 @@ Refinements applied on top of the calibrated core:
   ``Ls`` (:meth:`~repro.fermions.flops.OperatorCost.site_mix`) — the
   basis of the paper's expectation that the domain-wall kernel "will
   surpass the performance of the clover improved Wilson operator";
-* **communication overlap** (``comms=`` on :meth:`DiracPerfModel.efficiency`
-  / :meth:`DiracPerfModel.dirac_seconds`): the SCU runs all 24 DMA
-  transfers concurrently with CPU arithmetic, so the overlapped pipeline
-  of :mod:`repro.parallel` pays
-
-  ``T = T_interior + max(T_comm, T_boundary)``
-
-  per application — only communication in *excess* of the boundary-shell
-  compute is exposed (``comms="overlap"``, the default; hep-lat/0306023
-  and hep-lat/0210034 model efficiency the same way).  ``comms="serial"``
-  charges ``T_compute + T_comm`` — the monolithic assembly that waits for
-  every halo before touching a single site — and ``comms="none"`` ignores
-  communication entirely (single-node kernel efficiency).  At the
-  calibration point the overlapped model is compute-bound (the exposed
-  comm time is zero), so the published Wilson/clover anchors are
-  reproduced exactly; at small local volumes (the paper's 2^4 headline)
-  the serialized model falls well below the published 40-50% band while
-  the overlapped model stays inside it.
+* **communication overlap** (``overlap=`` on :meth:`DiracPerfModel.efficiency`,
+  as on the pipeline): the SCU runs all 24 DMA transfers concurrently with
+  CPU arithmetic, and an application waits on the wires only where
+  :meth:`repro.parallel.halo.HaloPipeline.exchange`'s own phase order
+  makes it wait — staging, then ``max(T_wire, T_interior)``, then each
+  halo's terms as it lands (:meth:`DiracPerfModel.exposed_comm_seconds`,
+  every wire time from :meth:`~repro.machine.asic.ASICConfig.transfer_times`).
+  ``overlap=False`` is the serialised order — the monolithic assembly
+  that waits for every halo before touching a single site.  At the
+  calibration point the overlapped order waits for nothing, so the
+  published Wilson/clover anchors are reproduced exactly; at small local
+  volumes (the paper's 2^4 headline) the serialized model falls well
+  below the published 40-50% band while the overlapped model stays
+  inside it.
 """
 
 from __future__ import annotations
@@ -68,10 +64,19 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fermions.flops import CG_ITERATION_KERNELS, linalg_mix, operator_cost
+from repro.fermions.flops import (
+    CG_ITERATION_KERNELS,
+    MATVEC_SU3,
+    linalg_mix,
+    operator_cost,
+)
 from repro.machine.asic import ASICConfig
 from repro.machine.memory import FPU_BOUND, Calibration, MemoryModel
 from repro.util.errors import ConfigError
+
+#: a cable pair's wire times (:meth:`ASICConfig.transfer_times`), memoised:
+#: a sweep asks for the same pairs under every operator and precision
+_transfer_times = lru_cache(maxsize=4096)(ASICConfig.transfer_times)
 
 #: the paper's measured CG efficiencies used for calibration (section 4)
 CALIBRATION_TARGETS = {"wilson": 0.40, "clover": 0.465}
@@ -112,78 +117,6 @@ class DiracPerfModel:
         )
 
     # -- communication -----------------------------------------------------------
-    def halo_comm_seconds(
-        self,
-        op: str,
-        local_shape: Sequence[int],
-        machine_dims: Sequence[int] = CALIBRATION_MACHINE_DIMS,
-        precision: str = "double",
-        Ls: int = 1,
-    ) -> float:
-        """Halo-exchange time of one operator application, all links concurrent.
-
-        Each decomposed axis drives an independent pair of unidirectional
-        wires (the SCU's 24 links run simultaneously), so the exchange
-        time is the **max** over axes, not the sum: per axis, the face
-        payload — ``comm_bytes_per_face_site`` per boundary site per unit
-        hop depth (the ASQTAD links ship depth-1 fat plus depth-3 Naik
-        data, hence ``sum(hop_depths)``) — serialised at one link's
-        bandwidth, plus the fixed memory-to-memory neighbour latency.
-
-        ``comm_bytes_per_face_site`` is the **compressed** wire payload:
-        Wilson-type operators ship spin-projected half spinors (12 words
-        = 96 bytes per face site, exactly what the functional simulator's
-        transfer counters measure for :mod:`repro.parallel`); staggered
-        colour vectors have no spin structure and go uncompressed.  The
-        generic full-spinor payload lives in
-        ``uncompressed_comm_bytes_per_face_site`` and is what the
-        commodity-cluster baseline of :mod:`repro.perfmodel.scaling` pays.
-        """
-        cost = operator_cost(op)
-        shape = tuple(int(s) for s in local_shape)
-        volume = int(np.prod(shape))
-        comm_axes = [
-            mu
-            for mu in range(len(shape))
-            if mu < len(machine_dims) and machine_dims[mu] > 1
-        ]
-        if not comm_axes:
-            return 0.0
-        depth_factor = sum(cost.hop_depths)
-        slices = cost.slices(Ls)
-        per_axis = []
-        for mu in comm_axes:
-            face_sites = volume // shape[mu]
-            nbytes = face_sites * cost.comm_bytes_per_face_site * depth_factor * slices
-            if precision == "single":
-                nbytes /= 2.0
-            per_axis.append(
-                nbytes / self.asic.link_bandwidth + self.asic.neighbour_latency
-            )
-        return max(per_axis)
-
-    def boundary_fraction(
-        self,
-        op: str,
-        local_shape: Sequence[int],
-        machine_dims: Sequence[int] = CALIBRATION_MACHINE_DIMS,
-    ) -> float:
-        """Fraction of local sites in the halo-dependent boundary shell.
-
-        The overlapped pipeline computes interior sites
-        (``d <= x_mu < L_mu - d`` on every decomposed axis, ``d`` the
-        operator's deepest hop) during communication; only the boundary
-        shell's arithmetic can contend with the wires.
-        """
-        cost = operator_cost(op)
-        depth = max(cost.hop_depths)
-        shape = tuple(int(s) for s in local_shape)
-        interior = 1.0
-        for mu in range(len(shape)):
-            if mu < len(machine_dims) and machine_dims[mu] > 1:
-                interior *= max(0, shape[mu] - 2 * depth) / shape[mu]
-        return 1.0 - interior
-
     def exposed_comm_seconds(
         self,
         op: str,
@@ -191,27 +124,71 @@ class DiracPerfModel:
         machine_dims: Sequence[int] = CALIBRATION_MACHINE_DIMS,
         precision: str = "double",
         Ls: int = 1,
-        comms: str = "overlap",
+        overlap: bool = True,
+        word_batch=1,
+        compress: bool = True,
     ) -> float:
-        """Communication time *not* hidden behind compute, per application.
+        """Seconds of one application a rank waits on the wires.
 
-        ``overlap``: ``max(0, T_comm - T_boundary)`` — the two-phase
-        pipeline of :mod:`repro.parallel` exposes only the excess of the
-        exchange over the boundary-shell arithmetic.  ``serial``: the
-        whole ``T_comm`` (monolithic assembly).  ``none``: zero.
+        The phase order of :meth:`repro.parallel.halo.HaloPipeline.exchange`
+        (``overlap``, ``word_batch`` and ``compress`` are its own): per
+        decomposed axis the low face leaves at once and the sender-side
+        products once staging is charged, each pair on its own cable
+        (:meth:`~repro.machine.asic.ASICConfig.transfer_times`).  The rank
+        stages, computes the interior phase, then takes the transfers as
+        they complete, each forward halo's landing matvecs on the spot;
+        the seconds it waits are the exposure.  Serialised, it waits for
+        every transfer straight after staging; a sheet with no products
+        (the fermion force) ships its faces and waits for them first.
         """
-        if comms not in ("overlap", "serial", "none"):
-            raise ConfigError(
-                f"comms must be overlap/serial/none, got {comms!r}"
-            )
-        if comms == "none":
+        cost, shape, volume, faces = _sheet_and_faces(op, local_shape, machine_dims)
+        if not faces:
             return 0.0
-        t_comm = self.halo_comm_seconds(op, local_shape, machine_dims, precision, Ls)
-        if comms == "serial":
-            return t_comm
-        t_compute = self.dirac_seconds(op, local_shape, precision=precision, Ls=Ls)
-        t_boundary = t_compute * self.boundary_fraction(op, local_shape, machine_dims)
-        return max(0.0, t_comm - t_boundary)
+        halve = 2 if precision == "single" else 1  # words in single precision
+        flops, streamed, loops = cost.site_mix(Ls)
+        rate = _seconds_per_flop(
+            self.asic, cost, volume, Ls, flops, streamed / halve, loops
+        )
+        slices = cost.slices(Ls)
+        sites = {mu: cost.wire_sites(face, shape[mu]) for mu, face in faces.items()}
+        products = sum(bwd for _fwd, bwd in sites.values())
+        t_stage = slices * products * MATVEC_SU3 * rate  # one matvec per product
+        words = slices * cost.wire_words(compress) // halve
+        landing = slices * cost.landing_matvecs * MATVEC_SU3
+        pipelined = overlap and products > 0
+        events = []  # (time a transfer completes, flops its landing runs)
+        for mu, (fwd, bwd) in sites.items():
+            start = 0.0 if pipelined else t_stage
+            (fwd_in, fwd_out), (bwd_in, bwd_out) = _transfer_times(
+                self.asic, ((start, fwd * words), (t_stage, bwd * words)), word_batch
+            )
+            events += [(fwd_in, landing * faces[mu]), (bwd_in, 0)]
+            events += [(fwd_out, 0), (bwd_out, 0)]
+        if not pipelined:
+            return max(time for time, _flops in events) - t_stage
+        # the interior phase: every hop matvec but the landings', the
+        # site-local term where the sheet charges it there, and the merge
+        # of the sites no halo reaches
+        depth = max(cost.hop_depths)
+        interior_sites = volume
+        for mu in faces:
+            interior_sites = interior_sites // shape[mu] * max(0, shape[mu] - 2 * depth)
+        ndim = len(shape)
+        merge = cost.flops_per_site - cost.local_flops_per_site - 2 * ndim * MATVEC_SU3
+        interior = (
+            slices * 2 * ndim * volume * MATVEC_SU3
+            - landing * sum(faces.values())
+            + cost.local_in_interior * slices * volume * cost.local_flops_per_site
+            + interior_sites * slices * merge
+        )
+        t = t_stage + interior * rate
+        waited = 0.0
+        for time, halo_flops in sorted(events):
+            if time > t:
+                waited += time - t
+                t = time
+            t += halo_flops * rate
+        return waited
 
     def cg_cycles_per_site(
         self,
@@ -220,7 +197,7 @@ class DiracPerfModel:
         machine_dims: Sequence[int] = CALIBRATION_MACHINE_DIMS,
         precision: str = "double",
         Ls: int = 1,
-        comms: str = "overlap",
+        overlap: bool = True,
     ) -> float:
         """Cycles per site for one full CG iteration (2 operator
         applications + exposed halo communication + linear algebra +
@@ -231,7 +208,7 @@ class DiracPerfModel:
         dirac = self.dirac_cycles_per_site(op, local_shape, precision, Ls)
         exposed = (
             self.exposed_comm_seconds(
-                op, local_shape, machine_dims, precision, Ls, comms
+                op, local_shape, machine_dims, precision, Ls, overlap
             )
             * self.asic.clock_hz
             / local_volume
@@ -268,18 +245,12 @@ class DiracPerfModel:
         machine_dims: Sequence[int] = CALIBRATION_MACHINE_DIMS,
         precision: str = "double",
         Ls: int = 1,
-        comms: str = "overlap",
+        overlap: bool = True,
     ) -> float:
-        """Sustained fraction of peak for the CG solver.
-
-        ``comms="overlap"`` (default) models the two-phase pipeline —
-        zero exposed communication whenever the boundary-shell compute
-        covers the exchange, which holds at the calibration point, so the
-        published anchors are unchanged.  ``comms="serial"`` models the
-        monolithic assembly; ``comms="none"`` the isolated kernel.
-        """
+        """Sustained fraction of peak for the CG solver, in the pipeline's
+        overlapped order or (``overlap=False``) its serialised one."""
         cycles = self.cg_cycles_per_site(
-            op, local_shape, machine_dims, precision, Ls, comms
+            op, local_shape, machine_dims, precision, Ls, overlap
         )
         return self.cg_flops_per_site(op) / (
             self.asic.flops_per_cycle * cycles
@@ -287,38 +258,6 @@ class DiracPerfModel:
 
     def sustained_flops(self, op: str, n_nodes: int, **kwargs) -> float:
         return self.efficiency(op, **kwargs) * n_nodes * self.asic.peak_flops
-
-    def dirac_seconds(
-        self,
-        op: str,
-        local_shape,
-        machine_dims: Optional[Sequence[int]] = None,
-        comms: str = "none",
-        **kwargs,
-    ) -> float:
-        """Wall time of one operator application on one node.
-
-        With ``machine_dims`` given, ``comms="overlap"`` adds the exposed
-        communication ``max(0, T_comm - T_boundary)`` and
-        ``comms="serial"`` the full exchange; the default (``None`` /
-        ``"none"``) is the pure compute time of the kernel.
-        """
-        v = int(np.prod(local_shape)) * operator_cost(op).slices(kwargs.get("Ls", 1))
-        seconds = (
-            self.dirac_cycles_per_site(op, local_shape, **kwargs)
-            * v
-            / self.asic.clock_hz
-        )
-        if machine_dims is not None and comms != "none":
-            seconds += self.exposed_comm_seconds(
-                op,
-                local_shape,
-                machine_dims,
-                kwargs.get("precision", "double"),
-                kwargs.get("Ls", 1),
-                comms,
-            )
-        return seconds
 
 
 # -- exact protocol predictions (telemetry crosscheck) ------------------------
@@ -334,20 +273,20 @@ class DiracPerfModel:
 
 
 def _sheet_and_faces(op: str, local_shape, machine_dims):
-    """The operator's cost sheet, the tile volume and the total one-deep
-    face sites over the decomposed axes."""
+    """The operator's cost sheet, the tile's shape and volume, and the
+    one-deep face sites of each decomposed axis."""
     try:
         cost = operator_cost(op)
     except KeyError as exc:
         raise ConfigError(f"no distributed cost sheet: {exc.args[0]}") from None
     shape = tuple(int(s) for s in local_shape)
     volume = int(np.prod(shape))
-    face_sites = sum(
-        volume // shape[mu]
+    faces = {
+        mu: volume // shape[mu]
         for mu in range(len(shape))
         if mu < len(machine_dims) and int(machine_dims[mu]) > 1
-    )
-    return cost, volume, face_sites
+    }
+    return cost, shape, volume, faces
 
 
 def halo_payload_words(
@@ -367,8 +306,10 @@ def halo_payload_words(
     wire where the two differ), times ``Ls`` slices for a 5-dimensional
     sheet.
     """
-    cost, _volume, face_sites = _sheet_and_faces(op, local_shape, machine_dims)
-    wire_sites = (max(cost.hop_depths) + sum(cost.hop_depths)) * face_sites
+    cost, shape, _volume, faces = _sheet_and_faces(op, local_shape, machine_dims)
+    wire_sites = sum(
+        sum(cost.wire_sites(face, shape[mu])) for mu, face in faces.items()
+    )
     return wire_sites * cost.wire_words(compress) * cost.slices(Ls)
 
 
@@ -386,8 +327,8 @@ def dirac_flops_per_node(
     face site for the one-hop operators, four for ASQTAD's fat + Naik
     blocks), times ``Ls`` slices for a 5-dimensional sheet.
     """
-    cost, volume, face_sites = _sheet_and_faces(op, local_shape, machine_dims)
-    per_slice = volume * cost.flops_per_site + cost.halo_flops(face_sites)
+    cost, _shape, volume, faces = _sheet_and_faces(op, local_shape, machine_dims)
+    per_slice = volume * cost.flops_per_site + cost.halo_flops(sum(faces.values()))
     return float(cost.slices(Ls) * per_slice)
 
 
@@ -412,8 +353,9 @@ def dirac_compute_seconds_per_node(
     """Exact CPU seconds charged per node for **one** distributed ``D``
     apply: every flop of :func:`dirac_flops_per_node` at the rate the
     compute-time rule gives the sheet's mix on this tile (the model's
-    :meth:`DiracPerfModel.dirac_seconds` plus the staged halo matvecs)."""
-    cost, volume, _faces = _sheet_and_faces(op, local_shape, machine_dims)
+    :meth:`DiracPerfModel.dirac_cycles_per_site` plus the staged halo
+    matvecs)."""
+    cost, _shape, volume, _faces = _sheet_and_faces(op, local_shape, machine_dims)
     rate = _seconds_per_flop(asic, cost, volume, Ls, *cost.site_mix(Ls))
     return dirac_flops_per_node(op, local_shape, machine_dims, Ls) * rate
 

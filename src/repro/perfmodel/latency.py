@@ -27,11 +27,12 @@ class ClusterNetwork:
 
 def qcdoc_message_time(nwords: int, asic: Optional[ASICConfig] = None) -> float:
     """Memory-to-memory time for an ``nwords`` x 64-bit nearest-neighbour
-    transfer: 600 ns first word + streaming at the wire rate."""
+    transfer, word at a time on an otherwise idle cable: 600 ns first word
+    + streaming at the wire rate
+    (:meth:`~repro.machine.asic.ASICConfig.transfer_times`)."""
     asic = asic if asic is not None else ASICConfig()
-    if nwords <= 0:
-        return 0.0
-    return asic.neighbour_latency + (nwords - 1) * asic.word_serialisation_time
+    stored, _sent = asic.transfer_times(((0.0, nwords),))[0]
+    return stored
 
 
 def cluster_message_time(nwords: int, net: Optional[ClusterNetwork] = None) -> float:

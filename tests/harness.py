@@ -68,6 +68,27 @@ def applied(machine, partition, op, gauge, src, applies=1, dagger=False, **param
     return apply_on_machine(machine, partition, context, src, applies, dagger)
 
 
+def crosschecked(op, tile, comm_axes, word_batches, applies=1, **params):
+    """``op`` applied ``applies`` times on the ``2**comm_axes``-node machine
+    whose first ``comm_axes`` axes are decomposed, ``tile`` per node, once
+    per frame batch in ``word_batches`` (one scattered system serves them
+    all: their partitions agree); each run's crosscheck."""
+    dims = tuple(2 if mu < comm_axes else 1 for mu in range(4)) + (1, 1)
+    shape = tuple(extent * d for extent, d in zip(tile, dims))
+    gauge, src = system((37, f"crosscheck-{op}"), shape, op, Ls=params.get("Ls"))
+    context, results = None, []
+    for batch in word_batches:
+        machine, partition = booted(dims, word_batch=batch)
+        context = context or scattered(partition, op, gauge, **params)
+        apply_on_machine(machine, partition, context, src, applies)
+        results.append(
+            machine.report().crosscheck(
+                op, tile, dims[:4], n_applications=applies, Ls=params.get("Ls", 1)
+            )
+        )
+    return results
+
+
 def counting_backend(tally, dot=canonical_dot):
     """A serial ``(dot, charge)`` pair for the Krylov core that tallies
     its vector kernels into the ``Counter`` ``tally`` as ``(kernel, dtype

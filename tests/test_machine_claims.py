@@ -144,6 +144,6 @@ class TestOverlapClaims:
         assert 0.39 <= eff2 <= 0.50
         # ... while the serialized model collapses below it.
         ser2 = model.efficiency(
-            "wilson", local_shape=(2, 2, 2, 2), comms="serial"
+            "wilson", local_shape=(2, 2, 2, 2), overlap=False
         )
         assert ser2 < 0.35 < eff2

@@ -709,9 +709,33 @@ def _timing_operand(node, dividing):
     return None
 
 
-def _timing_arithmetic(tree):
+def _wire_operand(node, _dividing):
+    """The ASIC wire field ``node`` reads, if it is one: a latency, a frame
+    width, the word time or the link rate — what the analytic model takes
+    from :meth:`ASICConfig.transfer_times` instead of pricing itself."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    name = node.attr
+    if (
+        name.endswith("_latency")
+        or name in ("word_serialisation_time", "link_bandwidth")
+        or (name.startswith("frame_") and name.endswith("_bits"))
+    ):
+        return name
+    return None
+
+
+#: ``(file, function)`` pricing networks that are not QCDOC's: the
+#: commodity-cluster and QCDSP baselines
+_BASELINE_NETWORKS = {
+    ("perfmodel/latency.py", "cluster_message_time"),
+    ("perfmodel/scaling.py", "baseline_point"),
+}
+
+
+def _timing_arithmetic(tree, operand=_timing_operand):
     """``(function, line, field)`` for every arithmetic expression in
-    ``tree`` with a timing field as an operand."""
+    ``tree`` with a timing field (as ``operand`` tells one) as an operand."""
     found = []
 
     def visit(node, function):
@@ -722,8 +746,8 @@ def _timing_arithmetic(tree):
             operands = (node.left, node.right)
         elif isinstance(node, ast.AugAssign):
             operands = (node.value,)
-        for operand in operands:
-            field = _timing_operand(operand, isinstance(node.op, ast.Div))
+        for side in operands:
+            field = operand(side, isinstance(node.op, ast.Div))
             if field is not None:
                 found.append((function, node.lineno, field))
         for child in ast.iter_child_nodes(node):
@@ -760,11 +784,12 @@ def _fpu_rate_divisions(tree):
 
 
 def test_timing_arithmetic_lives_on_the_sheet():
-    """``machine/`` and ``sim/`` read times off ``ASICConfig`` (or get them
-    from the wire, ``hssl.py``, whose occupancy and flight arithmetic is
-    the one copy of it); they do not rebuild one from its parts.  That is
-    how compiled replay and the interpreter came to disagree by a rounding:
-    the same sum spelled two ways."""
+    """``machine/``, ``sim/`` and ``perfmodel/`` read times off
+    ``ASICConfig`` (or get them from the wire, ``hssl.py``, whose occupancy
+    and flight arithmetic is the one copy of it); they do not rebuild one
+    from its parts.  That is how compiled replay and the interpreter came
+    to disagree by a rounding, and the model and the twin by a formula:
+    the same time spelled two ways."""
     # the scan sees what it is meant to see
     sample = ast.parse(
         "def f(asic, n):\n"
@@ -827,6 +852,32 @@ def test_timing_arithmetic_lives_on_the_sheet():
     )
     assert [(f, field) for f, _l, field in _fpu_rate_divisions(seeded)] == [
         ("own_clock", "peak_flops")
+    ]
+
+    # the analytic model reads its wire times off the sheet as well: one
+    # transfer time, not a second spelling of it in perfmodel/
+    offenders = [
+        f"perfmodel/{path.name}:{line} {function}: arithmetic on {field}"
+        for path in sorted((SRC / "perfmodel").glob("*.py"))
+        for function, line, field in _timing_arithmetic(
+            ast.parse(path.read_text()), _wire_operand
+        )
+        if (f"perfmodel/{path.name}", function) not in _BASELINE_NETWORKS
+    ]
+    assert offenders == []
+    # ... and the scan fires on a model that prices a message itself
+    seeded = ast.parse(
+        (SRC / "perfmodel" / "latency.py").read_text()
+        + "\ndef hand_priced(asic, n):\n"
+        "    return asic.neighbour_latency + (n - 1) * asic.word_serialisation_time\n"
+    )
+    assert [
+        (f, field)
+        for f, _l, field in _timing_arithmetic(seeded, _wire_operand)
+        if ("perfmodel/latency.py", f) not in _BASELINE_NETWORKS
+    ] == [
+        ("hand_priced", "neighbour_latency"),
+        ("hand_priced", "word_serialisation_time"),
     ]
 
     # the analytic model asks the sheet for a global sum, hop latency included
