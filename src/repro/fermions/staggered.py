@@ -12,6 +12,23 @@ Path coefficients are the standard tree-level ASQTAD set; on the unit gauge
 configuration the smeared link sums to 9/8 and together with
 ``c_naik = -1/24`` gives the improved free dispersion
 ``(9/8) sin p - (1/24) sin 3p = p + O(p^5)``.
+
+The paths are summed as nested staples (DESIGN.md §12).  With ``F_a`` the
+link of a signed step ``a``, ``staple(a, X)(x) = F_a(x) X(x+a) F_a(x+mu)^+``
+maps a transporter ``x -> x+mu`` to another, and the families of
+:func:`_staple_paths` are
+
+* 3-link: ``sum_a staple(a, U_mu)``;
+* Lepage: ``sum_a staple(a, staple(a, U_mu))``;
+* 5-link: ``sum_a staple(a, sum_{b perp a} staple(b, U_mu))``;
+* 7-link: ``sum_a staple(a, sum_{b perp a} staple(b, sum_{c perp a,b} staple(c, U_mu)))``,
+
+"perp" meaning an axis other than ``mu`` and those already used.  Every
+link product is :func:`~repro.lattice.gauge.cmatmul_site_fastest` on
+``(3, 3, V)`` arrays, the site index fastest: no BLAS, so the smeared
+links are a function of the gauge field alone, whatever matrix kernel
+the host's BLAS would pick.  :func:`link_path` multiplies one path at a
+time, the definition the nested sums are tested against.
 """
 
 from __future__ import annotations
@@ -20,9 +37,14 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.lattice.gauge import GaugeField, cmatvec_site_fastest, site_fastest_pair
+from repro.lattice.gauge import (
+    GaugeField,
+    cmatmul_site_fastest,
+    cmatvec_site_fastest,
+    site_fastest_pair,
+    to_site_slowest,
+)
 from repro.lattice.geometry import LatticeGeometry
-from repro.lattice.su3 import dagger
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
@@ -57,9 +79,12 @@ def link_path(gauge: GaugeField, steps: Sequence[int]) -> np.ndarray:
 
     ``steps`` is a sequence of signed axes encoded ``+(mu+1)`` for a hop in
     ``+mu`` and ``-(mu+1)`` for ``-mu`` (1-based so direction 0 is signable).
-    Returns ``(V, 3, 3)``: the transporter from ``x`` to the path endpoint.
+    Returns ``(V, 3, 3)``: the transporter from ``x`` to the path endpoint,
+    multiplied left to right.  This is the smearing's definition, one
+    path at a time: :func:`fat_links` sums the same paths as nested staples.
     """
     g = gauge.geometry
+    u, u_dag = gauge.resident_pair
     idx = np.arange(g.volume)
     prod = None
     for s in steps:
@@ -67,15 +92,20 @@ def link_path(gauge: GaugeField, steps: Sequence[int]) -> np.ndarray:
             raise ConfigError(f"bad path step {s} for {g.ndim}-dim lattice")
         mu = abs(s) - 1
         if s > 0:
-            factor = gauge.links[mu][idx]
+            factor = np.take(u[mu], idx, axis=-1)
             idx = g.neighbour_fwd(mu)[idx]
         else:
             idx = g.neighbour_bwd(mu)[idx]
-            factor = dagger(gauge.links[mu][idx])
-        prod = factor if prod is None else prod @ factor
+            factor = np.take(u_dag[mu], idx, axis=-1)
+        prod = factor if prod is None else _times(prod, factor)
     if prod is None:
         raise ConfigError("empty path")
-    return prod
+    return to_site_slowest(prod)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A fresh ``(3, 3, V)`` array of the per-site products ``a b``."""
+    return cmatmul_site_fastest(a, b, np.empty_like(a))
 
 
 def _staple_paths(mu: int, ndim: int) -> Dict[str, list]:
@@ -109,27 +139,88 @@ def _staple_paths(mu: int, ndim: int) -> Dict[str, list]:
     return fams
 
 
+def _stapler(gauge: GaugeField, mu: int):
+    """``staple(step, inner)`` around direction ``mu``, site-fastest.
+
+    For ``step = (nu, +1)`` it is ``U_nu(x) inner(x+nu) U_nu(x+mu)^+``;
+    for ``(nu, -1)`` the mirror ``U_nu(x-nu)^+ inner(x-nu) U_nu(x-nu+mu)``,
+    multiplied where the links live and the product gathered, as the
+    backward hops are.  ``inner`` is a ``(3, 3, V)`` transporter from
+    ``x`` to ``x + mu``, and so is the staple.
+    """
+    g = gauge.geometry
+    u, u_dag = gauge.resident_pair
+    up = g.hop(mu, +1)
+    # every staple closes at x + mu: the transverse links seen from there
+    closing = {
+        nu: (np.take(u[nu], up, axis=-1), np.take(u_dag[nu], up, axis=-1))
+        for nu in range(g.ndim)
+        if nu != mu
+    }
+
+    def staple(step: Tuple[int, int], inner: np.ndarray) -> np.ndarray:
+        nu, sign = step
+        if sign > 0:
+            ahead = np.take(inner, g.hop(nu, +1), axis=-1)
+            return _times(_times(u[nu], ahead), closing[nu][1])
+        below = _times(_times(u_dag[nu], inner), closing[nu][0])
+        return np.take(below, g.hop(nu, -1), axis=-1)
+
+    return staple
+
+
+def _fat_direction(gauge: GaugeField, mu: int, coeffs: Dict[str, float]) -> np.ndarray:
+    """``fat_mu`` as ``(3, 3, V)``: the families of :func:`_staple_paths`
+    as nested staples (module docstring).
+
+    A staple is linear in its inner transporter, so each first step ``a``
+    takes one outer staple of the Lepage, 5- and 7-link inner sums
+    together; the 7-link inner sum depends on ``a``'s axis only.
+    """
+    u = gauge.resident_pair[0]
+    staple = _stapler(gauge, mu)
+    axes = [nu for nu in range(gauge.geometry.ndim) if nu != mu]
+    steps = [(nu, sign) for nu in axes for sign in (+1, -1)]
+
+    def off(*used: int) -> list:
+        """The steps along none of the axes ``used``."""
+        return [b for b in steps if b[0] not in used]
+
+    three = {a: staple(a, u[mu]) for a in steps}
+
+    def threes_off(*used: int):
+        """The 3-link staples of the steps off ``used`` summed (0 if none)."""
+        return sum(three[c] for c in off(*used))
+
+    seven = {
+        nu: sum(staple(b, threes_off(nu, b[0])) for b in off(nu) if off(nu, b[0]))
+        for nu in axes
+    }
+    fat = coeffs["one_link"] * u[mu]
+    for a in steps:
+        inner = (
+            coeffs["lepage"] * three[a]
+            + coeffs["staple5"] * threes_off(a[0])
+            + coeffs["staple7"] * seven[a[0]]
+        )
+        fat += coeffs["staple3"] * three[a] + staple(a, inner)
+    return fat
+
+
 def fat_links(
     gauge: GaugeField, coeffs: Dict[str, float] = ASQTAD_COEFFS
 ) -> np.ndarray:
     """ASQTAD smeared ("fat") links, shape ``(ndim, V, 3, 3)``.
 
-    ``fat_mu(x) = c1 U_mu(x) + sum over staple families coeff * path``.
-    Fat links are *not* SU(3) (they are sums of group elements); on the unit
+    ``fat_mu(x) = c1 U_mu(x) + sum over staple families coeff * path``,
+    the paths summed as nested staples in the kernels' layout.  Fat links
+    are *not* SU(3) (they are sums of group elements); on the unit
     configuration every entry equals ``(9/8) * identity``.
     """
     g = gauge.geometry
     out = np.empty((g.ndim, g.volume, 3, 3), dtype=np.complex128)
     for mu in range(g.ndim):
-        acc = coeffs["one_link"] * gauge.links[mu].copy()
-        fams = _staple_paths(mu, g.ndim)
-        for fam, paths in fams.items():
-            c = coeffs[fam]
-            if c == 0.0:
-                continue
-            for path in paths:
-                acc += c * link_path(gauge, path)
-        out[mu] = acc
+        out[mu] = to_site_slowest(_fat_direction(gauge, mu, coeffs))
     return out
 
 

@@ -25,10 +25,26 @@ def cmatvec_site_fastest(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.
     einsum's innermost loop runs over the ``V`` sites (DESIGN.md §12).
     This is the one contraction string of the package: the serial and
     the distributed hopping kernels all call it, so their applications
-    are arithmetically identical.  ``out`` may be a strided view (a
-    node-memory buffer read site-fastest) but must not alias ``psi``.
+    are arithmetically identical, and the link products of
+    :func:`cmatmul_site_fastest` go through it too.  ``out`` may be a
+    strided view (a node-memory buffer read site-fastest) but must not
+    alias ``psi``.
     """
     return np.einsum("abx,...bx->...ax", u, psi, out=out)
+
+
+def cmatmul_site_fastest(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-site colour-matrix products ``out = a b``, each ``(3, 3, V)``.
+
+    :func:`cmatvec_site_fastest` with ``b``'s columns as the leading
+    axis, so each element is ``sum_k a[i, k] b[k, j]`` accumulated
+    ``k = 0, 1, 2`` from ``+0`` with the site loop innermost.  No BLAS
+    call is made: the bytes depend on the operands alone, not on which
+    matrix kernel the host's BLAS picks.  ``out`` must alias neither
+    operand.
+    """
+    cmatvec_site_fastest(a, b.swapaxes(0, 1), out=out.swapaxes(0, 1))
+    return out
 
 
 def site_fastest_pair(links: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,21 @@
 """Staggered operators: phases, fat links, Naik term, improved dispersion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.fermions import AsqtadDirac, NaiveStaggeredDirac, fat_links, long_links
-from repro.fermions.staggered import ASQTAD_COEFFS, link_path, staggered_phases
+from repro.fermions.staggered import (
+    ASQTAD_COEFFS,
+    _staple_paths,
+    link_path,
+    staggered_phases,
+)
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
@@ -87,9 +98,62 @@ class TestFatLinks:
         fat = fat_links(GaugeField.hot(geom, rng))
         assert unitarity_defect(fat) > 0.01
 
-    def test_path_family_counts(self):
-        from repro.fermions.staggered import _staple_paths
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (4, 4, 4), (4, 4, 4, 4)], ids=["2d", "3d", "4d"]
+    )
+    def test_nested_staples_are_the_path_sums(self, shape, rng):
+        # 2-d has no 5- or 7-link family, 3-d no 7-link one; one distinct
+        # coefficient per family, so two mixed-up families cannot cancel
+        coeffs = {"one_link": 0.3, "staple3": 0.11, "staple5": 0.07,
+                  "staple7": 0.013, "lepage": -0.05, "naik": -0.1}
+        gauge = GaugeField.hot(LatticeGeometry(shape), rng)
+        fat = fat_links(gauge, coeffs)
+        for mu in range(len(shape)):
+            ref = coeffs["one_link"] * gauge.links[mu]
+            for family, paths in _staple_paths(mu, len(shape)).items():
+                for path in paths:
+                    ref = ref + coeffs[family] * link_path(gauge, path)
+            assert np.abs(fat[mu] - ref).max() <= 1e-14 * np.abs(fat).max(), mu
 
+    def test_smearing_bytes_do_not_depend_on_the_blas_kernel(self, geom, rng, tmp_path):
+        # OpenBLAS picks its zgemm kernel by CPU, or by OPENBLAS_CORETYPE;
+        # the link products must not call it.  The field is made here and
+        # loaded there: the hot start itself goes through LAPACK
+        try:  # numpy >= 2.0 reports both
+            from numpy._core._multiarray_umath import __cpu_features__
+
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (ImportError, TypeError, KeyError):
+            pytest.skip("this numpy does not report its BLAS and CPU features")
+        if "openblas" not in str(blas).lower():
+            pytest.skip("numpy is not linked to OpenBLAS")
+        if not __cpu_features__.get("AVX"):
+            pytest.skip("no AVX: OpenBLAS cannot run its Sandybridge kernels")
+        links = tmp_path / "links.npy"
+        np.save(links, GaugeField.hot(geom, rng).links)
+        program = (
+            "import hashlib, sys, numpy as np\n"
+            "from repro.fermions import fat_links, long_links\n"
+            "from repro.lattice import GaugeField, LatticeGeometry\n"
+            "g = GaugeField(LatticeGeometry((4, 4, 4, 4)), np.load(sys.argv[1]))\n"
+            "for w in (fat_links(g), long_links(g)):\n"
+            "    print(hashlib.sha256(w.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        digests = []
+        for coretype in (None, "Sandybridge"):
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            done = subprocess.run(
+                [sys.executable, "-c", program, str(links)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
+    def test_path_family_counts(self):
         fams = _staple_paths(0, 4)
         assert len(fams["staple3"]) == 6
         assert len(fams["staple5"]) == 24

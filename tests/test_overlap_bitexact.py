@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fermions import AsqtadDirac, DomainWallDirac, WilsonDirac
-from repro.parallel import pcg
 from tests.harness import applied, booted, system, transfer_counters
 
 #: (machine dims, logical decomposition) — 0D (single node), 1D, 2D, 4D
@@ -148,15 +147,11 @@ class TestDecompositionInvariance:
             assert np.array_equal(out, outs["0d"]), name
 
     @pytest.mark.parametrize("overlap", [True, False])
-    def test_asqtad(self, overlap, monkeypatch):
+    def test_asqtad(self, overlap):
         # 8^4: the 4D cut still leaves the Naik halo its even extent >= 4
         gauge, chi = system(
             (32, "decomp-invariance-asqtad"), (8, 8, 8, 8), "asqtad"
         )
-        # one gauge field, four decompositions: smear it (seconds) once
-        for name in ("fat_links", "long_links"):
-            smeared = getattr(pcg, name)(gauge)
-            monkeypatch.setattr(pcg, name, lambda g, smeared=smeared: smeared)
         outs = {
             name: run(dims, "asqtad", gauge, chi, overlap, mass=0.2)[0]
             for name, dims in DECOMPS.items()
