@@ -40,12 +40,16 @@ bench-check:
 ## run with seeds 1..N in a git worktree of BASE (under $$TMPDIR, else
 ## /tmp; removed afterwards) and in the working tree, alternating which
 ## goes first; prints each pair's wall_s, setup_s and peak_rss_mb and the
-## median here/base ratios, and writes nothing under bench/
+## median here/base ratios, and writes nothing under bench/.  EXACT=1
+## instead compares one seed-1 pass's exact figures: those that differ,
+## the count of equal ones, each side's failed oracle checks
 W    ?= dslash-hot
 N    ?= 10
 BASE ?= HEAD
+EXACT ?=
 bench-ab:
-	$(PY) benchmarks/ab.py --workload $(W) --pairs $(N) --base $(BASE)
+	$(PY) benchmarks/ab.py --workload $(W) --pairs $(N) --base $(BASE) \
+		$(if $(filter 1,$(EXACT)),--exact)
 
 ## two sha256 per case — results, then timeline — of a fixed matrix of
 ## machine runs (3 operators x 1d/2d x word_batch face/1 x shards 1/2,

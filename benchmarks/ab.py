@@ -1,6 +1,7 @@
 """``make bench-ab``: alternating pairs of one benchmark workload, base vs here.
 
     python3 benchmarks/ab.py --workload dslash-hot --pairs 10 --base HEAD~1
+    python3 benchmarks/ab.py --workload dslash-wire --base HEAD~1 --exact
 
 Checks ``--base`` out into a ``git worktree`` under the temporary
 directory (``$TMPDIR``, else ``/tmp``), then runs ``python3 bench/run.py
@@ -12,17 +13,29 @@ and quartiles, and how many pairs the working tree won.  The worktree is
 removed afterwards; nothing is written under ``bench/``.  This is the
 "ten alternating pairs" rule a speed claim is held to (ROADMAP.md), as
 one command.
+
+``--exact`` runs instead one seed-1 pass of the workload in each tree —
+the measuring worker ``bench/run.py --workload W --seed 1`` spawns, whose
+JSON carries the figures at full precision where the pass prints six
+digits — and prints every figure marked ``exact`` that differs (name,
+base, here), how many are equal, and each side's failed oracle checks:
+"the exact figures are equal except the ones named" as one command.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from metrics import THREAD_PINS  # noqa: E402  (the pins bench/run.py's workers get)
+
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
@@ -38,6 +51,62 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     return {name: record["metrics"][name]["value"] for name in METRICS}
 
 
+def exact_run(tree: Path, workload: str) -> "tuple[dict, int]":
+    """``tree``'s seed-1 worker for ``workload``: its exact figures and
+    how many oracle checks failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    env.update(dict.fromkeys(THREAD_PINS, "1"))
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--worker", "--workload", workload,
+         "--seed", "1", "--spawned-at", repr(time.time())],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return result["exact"], len(result["failures"])
+
+
+def compare_exact(base: Path, workload: str) -> None:
+    """Print the exact figures of ``workload`` that differ between the
+    trees, the count of equal ones and each side's failed checks."""
+    (was, failed_was), (now, failed_now) = (
+        exact_run(tree, workload) for tree in (base, ROOT)
+    )
+    print(f"{'figure':44s} {'base':>24} {'here':>24}")
+    equal = 0
+    for name in sorted(set(was) | set(now)):
+        if was.get(name) == now.get(name):
+            equal += 1
+        else:
+            print(f"{name:44s} {was.get(name)!r:>24} {now.get(name)!r:>24}")
+    print(f"{equal} exact figures equal; failed oracle checks: "
+          f"base {failed_was}, here {failed_now}")
+
+
+def pairs(base: Path, workload: str, n: int) -> None:
+    """``n`` alternating pairs, seeds 1..n: each pair's figures, then each
+    metric's spread, median ratio and wins."""
+    runs = {tree: {name: [] for name in METRICS} for tree in (base, ROOT)}
+    print("pair  " + "  ".join(
+        f"{m + ' base':>16} {m + ' here':>16}" for m in METRICS
+    ))
+    for seed in range(1, n + 1):
+        trees = (base, ROOT) if seed % 2 else (ROOT, base)
+        got = {tree: run(tree, workload, seed) for tree in trees}
+        for tree in trees:
+            for name in METRICS:
+                runs[tree][name].append(got[tree][name])
+        print(f"{seed:4d}  " + "  ".join(
+            f"{got[base][name]:16.4g} {got[ROOT][name]:16.4g}"
+            for name in METRICS
+        ), flush=True)
+    for name in METRICS:
+        was, now = runs[base][name], runs[ROOT][name]
+        ratio = statistics.median(b / a for a, b in zip(was, now))
+        wins = sum(b < a for a, b in zip(was, now))
+        print(f"{name}: base {spread(was)}  here {spread(now)}  "
+              f"median here/base {ratio:.3f}  here lower in {wins}/{len(was)}")
+
+
 def spread(values) -> str:
     """``median [q1, q3]``."""
     if len(values) < 2:
@@ -51,6 +120,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD")
+    parser.add_argument("--exact", action="store_true",
+                        help="compare the exact figures of one seed-1 pass instead")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
@@ -61,28 +132,14 @@ def main(argv=None) -> int:
             check=True,
         )
         try:
-            runs = {tree: {name: [] for name in METRICS} for tree in (base, ROOT)}
-            print(f"{args.workload}: base {args.base} vs working tree, "
-                  f"{args.pairs} pairs")
-            print("pair  " + "  ".join(
-                f"{m + ' base':>16} {m + ' here':>16}" for m in METRICS
-            ))
-            for seed in range(1, args.pairs + 1):
-                trees = (base, ROOT) if seed % 2 else (ROOT, base)
-                got = {tree: run(tree, args.workload, seed) for tree in trees}
-                for tree in trees:
-                    for name in METRICS:
-                        runs[tree][name].append(got[tree][name])
-                print(f"{seed:4d}  " + "  ".join(
-                    f"{got[base][name]:16.4g} {got[ROOT][name]:16.4g}"
-                    for name in METRICS
-                ), flush=True)
-            for name in METRICS:
-                was, now = runs[base][name], runs[ROOT][name]
-                ratio = statistics.median(b / a for a, b in zip(was, now))
-                wins = sum(b < a for a, b in zip(was, now))
-                print(f"{name}: base {spread(was)}  here {spread(now)}  "
-                      f"median here/base {ratio:.3f}  here lower in {wins}/{len(was)}")
+            if args.exact:
+                print(f"{args.workload}: exact figures, seed 1, "
+                      f"base {args.base} vs working tree")
+                compare_exact(base, args.workload)
+            else:
+                print(f"{args.workload}: base {args.base} vs working tree, "
+                      f"{args.pairs} pairs")
+                pairs(base, args.workload, args.pairs)
         finally:
             subprocess.run(
                 git + ["worktree", "remove", "--force", str(base)], check=False

@@ -71,7 +71,7 @@ DEFAULT_SPEC = SpecToggles()
 #: transition spec, for documentation and the conformance report:
 #: (toggle, class, handler, what the guard does)
 TRANSITIONS = (
-    ("ack_window_guard", "SendUnit", "_run",
+    ("ack_window_guard", "SendUnit", "_pump",
      "transmit only while in_flight < window"),
     ("ack_monotonic", "SendUnit", "on_ack",
      "advance base only for seq > base"),
@@ -89,8 +89,8 @@ TRANSITIONS = (
      "cap idle-receive holding at idle_hold_words"),
     ("stale_eot_filter", "RecvUnit", "on_data",
      "discard stale duplicates while an EOT is owed"),
-    ("eot_after_drain", "SendUnit", "_run",
-     "loop until base == n before transmitting EOT"),
+    ("eot_after_drain", "SendUnit", "_pump",
+     "return from the frame branch while base < n; EOT after it"),
     ("eot_accounting", "RecvUnit", "on_eot",
      "check every EOT against the owed-EOT FIFO"),
 )
@@ -152,8 +152,8 @@ def _branch_sends(branch: List[ast.stmt], ptype: str) -> bool:
 
 
 def _match_ack_window_guard(tree: ast.Module) -> bool:
-    """``_run`` guards transmission on ``in_flight < self.window``."""
-    fn = _find_method(tree, "SendUnit", "_run")
+    """``_pump`` guards transmission on ``in_flight < self.window``."""
+    fn = _find_method(tree, "SendUnit", "_pump")
     if fn is None:
         return False
     for node in ast.walk(fn):
@@ -379,23 +379,24 @@ def _match_stale_eot_filter(tree: ast.Module) -> bool:
 
 
 def _match_eot_after_drain(tree: ast.Module) -> bool:
-    """``_run`` loops on ``self.base < n`` (window drained), then EOT."""
-    fn = _find_method(tree, "SendUnit", "_run")
+    """``_pump``'s frame branch sits under ``if self.base < n:`` (window
+    not drained) and returns; the EOT transmit comes after it."""
+    fn = _find_method(tree, "SendUnit", "_pump")
     if fn is None:
         return False
     for i, stmt in enumerate(fn.body):
-        if not isinstance(stmt, ast.While):
+        if not isinstance(stmt, ast.If):
             continue
         test = stmt.test
-        loops_on_base = (
+        guards_on_base = (
             isinstance(test, ast.Compare)
             and len(test.ops) == 1
             and isinstance(test.ops[0], ast.Lt)
             and _is_self_attr(test.left, "base")
         )
-        if not loops_on_base:
+        if not guards_on_base or not isinstance(stmt.body[-1], ast.Return):
             continue
-        # an EOT transmit must follow the loop
+        # an EOT transmit must follow the branch
         for later in fn.body[i + 1 :]:
             for node in ast.walk(later):
                 if (

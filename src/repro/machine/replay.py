@@ -4,9 +4,9 @@ The distributed operators apply the same dslash thousands of times per
 solve, and every application starts the *identical* set of SCU
 transfers: the same stored descriptors in the same groups, every face
 one error-free frame (``word_batch="face"``).  Interpreting such a
-transfer costs nine heap entries (``test_machine_scu.py::
-TestEventBudget``): a generator process per send, window bookkeeping,
-a ``Frame`` per leg, sequence checks and per-frame dispatch at each end.
+transfer costs seven heap entries (``test_machine_scu.py::
+TestEventBudget``): window bookkeeping, a ``Frame`` per leg, sequence
+checks and per-frame dispatch at each end.
 
 This module skips that machinery once it knows it is not needed.  Each
 operator application is bracketed as a **hot epoch**
@@ -18,10 +18,10 @@ and records its descriptor signature.  From the second epoch on,
 (six where the trace is on) — the first word's DMA delay, the data
 landing, the ACK landing, the receive's completion, the send's.
 
-What replay skips: the send process, the window, the sequence space and
-the EOT FIFO, ``Frame`` objects, ``SCU.on_frame`` dispatch, and the
-landing of a trailing EOT that nothing at the far end reads (it still
-occupies its wire, and flies where its arrival is traced).
+What replay skips: the window, the sequence space and the EOT FIFO,
+``Frame`` objects, ``SCU.on_frame`` dispatch, and the landing of a
+trailing EOT that nothing at the far end reads (it still occupies its
+wire, and flies where its arrival is traced).
 
 What replay **shares** with the interpreter — it calls it, it does not
 restate it:

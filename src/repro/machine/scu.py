@@ -245,7 +245,10 @@ class SendUnit(_DmaUnit):
         self.words: Optional[np.ndarray] = None
         self.base = 0  # oldest unacknowledged word
         self.next = 0  # next word to transmit
-        self._wake: Optional[Event] = None
+        #: the window is full: the next ACK or RESEND pumps (no entry pending)
+        self._waiting = False
+        #: words of the active transfer folded into ``checksum`` so far
+        self._checksummed = 0
         self.resends = 0
         #: words actually clocked onto the wire (>= payload under resends)
         self.wire_words = 0
@@ -253,7 +256,6 @@ class SendUnit(_DmaUnit):
         self.acks_received = 0
         self._t_start = 0.0
         self._consec_resends = 0
-        self._proc: Optional["Process"] = None
 
     @property
     def link(self) -> SerialLink:
@@ -279,9 +281,8 @@ class SendUnit(_DmaUnit):
             self.scu.word_batch if word_batch is None else word_batch,
             len(self.words),
         )
-        self._proc = self.sim.process(
-            self._run(), name=f"send[{self.scu.node_id}:{self.direction}]"
-        )
+        # the first word's path: DMA fetch from local memory + SCU injection
+        self.sim.schedule(self.asic.first_word_delay, self._pump, done)
         if self.scu.watchdog_enabled:
             self._arm_watchdog()
         return done
@@ -301,6 +302,7 @@ class SendUnit(_DmaUnit):
         self.words = np.ascontiguousarray(words, dtype=np.uint64)
         self.base = 0
         self.next = 0
+        self._checksummed = 0
         self.resends = 0
         self._consec_resends = 0
         self._t_start = self.sim.now
@@ -308,13 +310,15 @@ class SendUnit(_DmaUnit):
         return self.done
 
     @hot_path
-    def _run(self):
-        sim = self.sim
-        # First-word path: DMA fetch from local memory + SCU injection.
-        yield sim.timeout(self.asic.first_word_delay)
-        n, link = len(self.words), self.link
-        sent_for_checksum = 0
-        while self.base < n:
+    def _pump(self, done: Event) -> None:
+        """Clock out the frame the window allows and come back when the wire
+        is free (window full: :meth:`_wakeup` calls again); once the window
+        has drained, the EOT.  An entry of a transfer since finished,
+        tripped or cancelled finds ``done`` gone and does nothing."""
+        if self.done is not done:
+            return
+        sim, n = self.sim, len(self.words)
+        if self.base < n:
             in_flight = self.next - self.base
             if self.next < n and in_flight < self.window:
                 seq = self.next
@@ -322,33 +326,29 @@ class SendUnit(_DmaUnit):
                 chunk = self.words[seq : seq + batch]
                 self.next += batch
                 self.wire_words += batch
-                if self.next > sent_for_checksum:
-                    self.checksum.update(
-                        self.words[sent_for_checksum : self.next]
-                    )
-                    sent_for_checksum = self.next
-                # the wire carries one frame at a time: sleep it out
-                free_at = link.transmit(Frame(_NORMAL, chunk, seq))
-                yield sim.timeout(free_at - sim.now)
+                if self.next > self._checksummed:
+                    self.checksum.update(self.words[self._checksummed : self.next])
+                    self._checksummed = self.next
+                # the wire carries one frame at a time: come back when free
+                free_at = self.link.transmit(Frame(_NORMAL, chunk, seq))
+                sim.schedule(free_at - sim.now, self._pump, done)
             else:
-                self._wake = sim.event()
-                yield self._wake
-        free_at = link.transmit(Frame(PacketType.EOT, seq=n))
-        yield sim.timeout(free_at - sim.now)
-        self.finish(self.done)
+                self._waiting = True
+            return
+        free_at = self.link.transmit(Frame(PacketType.EOT, seq=n))
+        sim.schedule(free_at - sim.now, self.finish, done)
 
     def finish(self, done: Event) -> None:
         """The EOT is clocked out: the transfer ``done`` stands for is
-        complete.  (Replay schedules this for the time its EOT leaves the
-        wire; if the transfer was cancelled meanwhile the unit no longer
-        holds ``done`` and the stale entry does nothing.)"""
+        complete.  (:meth:`_pump` or replay schedules this for the time the
+        EOT leaves the wire; if the transfer was cancelled meanwhile the unit
+        no longer holds ``done`` and the stale entry does nothing.)"""
         if self.done is not done:
             return
         n = len(self.words)
         self.words = None  # a gathered face is a copy: let it go with the transfer
         self.active = False
         self._wd_gen += 1  # disarm the watchdog: transfer complete
-        self._proc = None
         self.payload_words += n
         self.transfers_completed += 1
         if self.scu.trace is not None:
@@ -394,9 +394,9 @@ class SendUnit(_DmaUnit):
             self._wakeup()
 
     def _wakeup(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            wake, self._wake = self._wake, None
-            wake.succeed()
+        if self._waiting:
+            self._waiting = False
+            self._pump(self.done)
 
     # -- hard-fault watchdog ------------------------------------------------
     def _progress(self) -> Optional[int]:
@@ -408,10 +408,7 @@ class SendUnit(_DmaUnit):
         self.watchdog_trips += 1
         self._wd_gen += 1
         self.active = False
-        self._wake = None
-        proc, self._proc = self._proc, None
-        if proc is not None and proc.is_alive:
-            proc.interrupt(reason)
+        self._waiting = False
         done, self.done = self.done, None
         self.scu._escalate_link_down(self.direction, reason)
         if done is not None and not done.triggered:
@@ -423,17 +420,14 @@ class SendUnit(_DmaUnit):
             return
         self._wd_gen += 1
         self.active = False
-        self._wake = None
-        proc, self._proc = self._proc, None
-        if proc is not None and proc.is_alive:
-            proc.interrupt(reason)
+        self._waiting = False
         done, self.done = self.done, None
         if done is not None and not done.triggered:
             done.fail(FaultError(f"send transfer cancelled: {reason}"))
 
     # -- declared state (see :class:`_DmaUnit`) --------------------------------
     #: plain-value attributes a forked shard worker owns and ships home
-    #: (transfer-transient state — ``words``/``done``/``_proc`` — is not
+    #: (transfer-transient state — ``words``/``done``/``_waiting`` — is not
     #: carried: the fork coordinator only snapshots quiesced shards)
     _RESET_KEPT = (
         "checksum",
@@ -449,11 +443,13 @@ class SendUnit(_DmaUnit):
     _REGISTERS = ("base", "next", "active", "_consec_resends")
     _SNAPSHOT_ATTRS = _RESET_KEPT + _REGISTERS
 
-    #: live-heap-only state (REPRO504 audit): events, the generator
-    #: process and the in-flight payload view all reference the worker's
-    #: event heap and are rebuilt per transfer — the fork coordinator
-    #: only snapshots quiesced shards
-    _SNAPSHOT_TRANSIENT = ("words", "_batch", "done", "_proc", "_t_start", "_wake")
+    #: live-heap-only state (REPRO504 audit): the completion event, the
+    #: in-flight payload view and the pump's window-wait and checksum
+    #: marks are rebuilt per transfer — the fork coordinator only
+    #: snapshots quiesced shards
+    _SNAPSHOT_TRANSIENT = (
+        "words", "_batch", "done", "_t_start", "_waiting", "_checksummed"
+    )
 
 
 class RecvUnit(_DmaUnit):

@@ -275,7 +275,7 @@ class TestHotPathTags:
             SCU.on_frame,
             RecvUnit.on_data,
             RecvUnit._accept,
-            SendUnit._run,
+            SendUnit._pump,
             SendUnit.on_ack,
         ):
             assert is_hot_path(fn), fn.__qualname__

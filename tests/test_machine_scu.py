@@ -153,6 +153,76 @@ class TestIdleReceive:
         assert max_in_flight_until(m, sender, send_done, recv_done) <= 3
 
 
+class TestStaleEntry:
+    """A transfer abandoned mid-flight leaves its send unit's next pump on
+    the heap, or the unit waiting on its window; neither may clock
+    another frame, and the next transfer on the unit, started at once,
+    must run exactly as on a fresh unit.  The receiver idles throughout
+    the abandoned transfer, so no ACK of it is on the wire either."""
+
+    N_NEXT = 8
+
+    def fresh(self):
+        """The next transfer on an unused unit: claim to completion, in
+        simulated seconds and in heap entries."""
+        m = two_node_machine(word_batch=1)
+        t0, before = m.sim.now, m.sim.events_processed
+        _data, send_done, _recv_done = send_words(m, self.N_NEXT)
+        m.sim.run(until=send_done)
+        return m.sim.now - t0, m.sim.events_processed - before
+
+    @pytest.mark.parametrize("how", ["cancel-on-wire", "cancel-on-window", "trip"])
+    def test_abandoned_transfer_clocks_nothing(self, how):
+        m = two_node_machine(word_batch=1, watchdog=how == "trip")
+        d_out = m.topology.direction(0, +1)
+        d_in = m.topology.opposite(d_out)
+        scu = m.nodes[0].scu
+        sender, link = scu.send_units[d_out], scu.out_links[d_out]
+        receiver = m.nodes[1].scu.recv_units[d_in]
+        m.nodes[0].memory.alloc("tx", np.arange(1, 11, dtype=np.uint64))
+        abandoned = scu.send(d_out, DmaDescriptor("tx", block_len=10))
+        if how == "cancel-on-wire":
+            # the first frame is out: its pump for the wire-free time is due
+            m.sim.run(stop=lambda: sender.next == 1)
+            assert not sender._waiting
+            sender.cancel()
+        elif how == "cancel-on-window":
+            m.sim.run()  # three words idle-held, no ACK: nothing on the heap
+            assert sender._waiting and sender.next == 3
+            sender.cancel()
+        else:
+            m.sim.run(stop=lambda: sender.watchdog_trips == 1)
+        assert abandoned.triggered and not abandoned.ok
+        assert not sender._waiting  # no ACK of the next transfer pumps for it
+        clocked, wire = sender.next, (sender.wire_words, link.frames_sent)
+
+        # the next transfer claims the unit at the same sim.now
+        t1 = m.sim.now
+        data = np.arange(100, 100 + self.N_NEXT, dtype=np.uint64)
+        m.nodes[0].memory.alloc("tx2", data)
+        m.nodes[1].memory.alloc("rx", np.zeros(self.N_NEXT, dtype=np.uint64))
+        send_done = scu.send(d_out, DmaDescriptor("tx2", self.N_NEXT))
+        first_pump = t1 + m.asic.first_word_delay
+        m.sim.run(stop=lambda: m.sim.peek() >= first_pump)
+        # every abandoned word has landed and is held; nothing more went out
+        assert (sender.wire_words, link.frames_sent) == wire
+        assert receiver.held_words == clocked
+
+        receiver.cancel()  # the abandoned words go with their transfer
+        recv_done = m.nodes[1].scu.recv(d_in, DmaDescriptor("rx", self.N_NEXT))
+        before = m.sim.events_processed
+        m.sim.run(until=send_done)
+        took, entries = m.sim.now - t1, m.sim.events_processed - before
+        m.sim.run(until=recv_done)
+        assert send_done.value == recv_done.value == self.N_NEXT
+        assert np.array_equal(m.nodes[1].memory.get("rx"), data)
+        assert sender.wire_words == wire[0] + self.N_NEXT
+        fresh_took, fresh_entries = self.fresh()
+        assert took == pytest.approx(fresh_took, rel=1e-12)
+        assert entries == fresh_entries  # one pump, never a second
+        assert m.audit_checksums() == []
+
+
 class TestFaultInjectionAndResend:
     def test_resends_recover_corrupted_words(self):
         m = two_node_machine(bit_error_rate=2e-3, seed=7, trace=True)
@@ -523,12 +593,12 @@ class TestEventBudget:
         for (data, *events), dst in ((there, 1), (back, 0)):
             assert all(ev.ok and ev.value == n for ev in events)
             assert np.array_equal(m.nodes[dst].memory.get("rx"), data)
-        # per direction and frame: the wire-free sleep of the sender, the
-        # data delivery, the ACK delivery; per direction: the send
-        # process's kick-off, its DMA-fetch sleep, its wake-up on the last
-        # ACK, the EOT's sleep and delivery, the receive's completion
+        # per direction and frame: the sender's pump once the wire is free,
+        # the data delivery, the ACK delivery; per direction: the first
+        # pump after the DMA fetch, the EOT's sleep and delivery, the
+        # receive's completion (the last ACK pumps the EOT out inline)
         frames = n if word_batch == 1 else 1
-        assert m.sim.events_processed - before == 2 * (3 * frames + 6)
+        assert m.sim.events_processed - before == 2 * (3 * frames + 4)
         assert m.sim.now == float.fromhex(self.CLOCK[word_batch, n])
         assert m.audit_checksums() == []
 
@@ -567,14 +637,14 @@ class TestEventBudget:
         m_rep, (first_rep, second_rep) = two_epochs(replay=True)
         assert m_rep.replay_stats()["replayed_transfers"] == 4  # 2 sends, 2 receives
         # the first exchange reads the interpreted table above on both ...
-        assert first_int == (2 * 9, float.fromhex(self.CLOCK["face", n]))
+        assert first_int == (2 * 7, float.fromhex(self.CLOCK["face", n]))
         assert first_rep[1] == first_int[1]
         # ... the second is replayed: per direction the first word's DMA
         # delay, the data landing, the ACK landing, the receive's
         # completion and the send's, at the EOT's last bit.  Nothing reads
         # that EOT at the far end, so it flies only to be traced.
         assert second_rep[0] == 2 * (6 if trace else 5)
-        assert second_int[0] == 2 * 9
+        assert second_int[0] == 2 * 7
         assert second_rep[1] == second_int[1]
         assert_same_observables(m_int, m_rep)
 
@@ -593,10 +663,10 @@ class TestEventBudget:
         applied(m, part, "wilson", gauge, psi, mass=0.3)
         m.quiesce()
         spent = [lane.events_processed - was for lane, was in zip(lanes, before)]
-        # 59, and a later clock, since the CPU reads the cost sheet (60 at
-        # FPU peak): the interior charge now outlasts the exchange, so all
-        # eight transfers have landed when the drain loop starts and none
-        # of its waits sleeps — at peak the loop began with all eight in
-        # flight and slept twice.
-        assert spent == ([59] * 4 if shards > 1 else [4 * 59])
+        # 51, and a later clock, since the CPU reads the cost sheet: the
+        # interior charge outlasts the exchange, so all eight transfers
+        # have landed when the drain loop starts and none of its waits
+        # sleeps — at FPU peak the loop began with all eight in flight and
+        # slept twice.
+        assert spent == ([51] * 4 if shards > 1 else [4 * 51])
         assert m.sim.now == float.fromhex("0x1.f7c2ed889920ep-15")
