@@ -42,14 +42,18 @@ bench-check:
 ## goes first; prints each pair's wall_s, setup_s and peak_rss_mb and the
 ## median here/base ratios, and writes nothing under bench/.  EXACT=1
 ## instead compares one seed-1 pass's exact figures: those that differ,
-## the count of equal ones, each side's failed oracle checks
+## the count of equal ones, each side's failed oracle checks.  ENTRIES=1
+## instead tallies one seed-1 repeat's heap entries by callback in each
+## tree (each side's total checked against its sim.events) and prints
+## base, here and the difference per callback
 W    ?= dslash-hot
 N    ?= 10
 BASE ?= HEAD
 EXACT ?=
+ENTRIES ?=
 bench-ab:
 	$(PY) benchmarks/ab.py --workload $(W) --pairs $(N) --base $(BASE) \
-		$(if $(filter 1,$(EXACT)),--exact)
+		$(if $(filter 1,$(EXACT)),--exact) $(if $(filter 1,$(ENTRIES)),--entries)
 
 ## two sha256 per case — results, then timeline — of a fixed matrix of
 ## machine runs (3 operators x 1d/2d x word_batch face/1 x shards 1/2,

@@ -2,6 +2,7 @@
 
     python3 benchmarks/ab.py --workload dslash-hot --pairs 10 --base HEAD~1
     python3 benchmarks/ab.py --workload dslash-wire --base HEAD~1 --exact
+    python3 benchmarks/ab.py --workload torus64-cg --base HEAD~1 --entries
 
 Checks ``--base`` out into a ``git worktree`` under the temporary
 directory (``$TMPDIR``, else ``/tmp``), then runs ``python3 bench/run.py
@@ -20,9 +21,17 @@ JSON carries the figures at full precision where the pass prints six
 digits — and prints every figure marked ``exact`` that differs (name,
 base, here), how many are equal, and each side's failed oracle checks:
 "the exact figures are equal except the ones named" as one command.
+
+``--entries`` runs instead, in each tree, the workload's seed-1 set-up
+and one repeat with the engines' heap pops tallied by callback
+``__qualname__`` over the repeat's counter windows, checks that each
+tree's tally sums to its ``sim.events``, and prints base, here and the
+difference per callback: "these entries went, nothing else moved" as
+one command.
 """
 
 import argparse
+import heapq
 import json
 import os
 import statistics
@@ -30,7 +39,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -51,15 +62,20 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     return {name: record["metrics"][name]["value"] for name in METRICS}
 
 
+def tree_env(tree: Path) -> dict:
+    """The environment of a worker that imports ``tree``'s package."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    env.update(dict.fromkeys(THREAD_PINS, "1"))
+    return env
+
+
 def exact_run(tree: Path, workload: str) -> "tuple[dict, int]":
     """``tree``'s seed-1 worker for ``workload``: its exact figures and
     how many oracle checks failed."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    env.update(dict.fromkeys(THREAD_PINS, "1"))
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--worker", "--workload", workload,
          "--seed", "1", "--spawned-at", repr(time.time())],
-        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=tree, env=tree_env(tree), stdout=subprocess.PIPE, text=True, check=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return result["exact"], len(result["failures"])
@@ -80,6 +96,72 @@ def compare_exact(base: Path, workload: str) -> None:
             print(f"{name:44s} {was.get(name)!r:>24} {now.get(name)!r:>24}")
     print(f"{equal} exact figures equal; failed oracle checks: "
           f"base {failed_was}, here {failed_now}")
+
+
+def entries_worker(workload: str) -> dict:
+    """In a worker whose working directory is the tree: the workload's
+    seed-1 set-up, then one repeat with every heap entry the engines pop
+    tallied by callback over the repeat's counter windows (the windows
+    its ``sim.events`` is summed over), and that ``sim.events``."""
+    sys.path.insert(0, str(Path.cwd() / "bench"))
+    import workloads
+    from repro.sim import core, shard
+
+    popped = Counter()
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        callback = entry[2]
+        popped[getattr(callback, "__qualname__", type(callback).__qualname__)] += 1
+        return entry
+
+    core.heapq = SimpleNamespace(heappush=heapq.heappush, heappop=pop)
+    shard.heappop = pop
+    counters, machine_figures = workloads.counters, workloads.machine_figures
+    windowed = Counter()
+
+    def counted(machine):
+        return dict(counters(machine), entries=Counter(popped))
+
+    def figures(windows, *args, **kwargs):
+        for before, after in windows:
+            windowed.update(after["entries"] - before["entries"])
+        return machine_figures(windows, *args, **kwargs)
+
+    workloads.counters, workloads.machine_figures = counted, figures
+    job = workloads.REGISTRY[workload](1)
+    job.setup()
+    windowed.clear()
+    sample = job.repeat()
+    return {"entries": windowed, "events": sample.exact.get("sim.events", 0)}
+
+
+def entries_run(tree: Path, workload: str) -> Counter:
+    """``tree``'s entries by callback over one repeat of ``workload``,
+    checked against its ``sim.events``."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--entries-worker",
+         "--workload", workload],
+        cwd=tree, env=tree_env(tree), stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    entries = Counter(result["entries"])
+    if sum(entries.values()) != result["events"]:
+        raise SystemExit(f"{tree}: {sum(entries.values())} entries tallied, "
+                         f"sim.events {result['events']}")
+    return entries
+
+
+def compare_entries(base: Path, workload: str) -> None:
+    """Print each callback's heap entries in both trees and the change,
+    the most changed first, then the totals."""
+    was, now = (entries_run(tree, workload) for tree in (base, ROOT))
+    print(f"{'callback':44s} {'base':>10} {'here':>10} {'diff':>10}")
+    for name in sorted(set(was) | set(now), key=lambda n: (-abs(now[n] - was[n]), n)):
+        print(f"{name:44s} {was[name]:10d} {now[name]:10d} {now[name] - was[name]:+10d}")
+    total_was, total_now = sum(was.values()), sum(now.values())
+    print(f"{'total (= sim.events)':44s} {total_was:10d} {total_now:10d} "
+          f"{total_now - total_was:+10d}")
 
 
 def pairs(base: Path, workload: str, n: int) -> None:
@@ -122,7 +204,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--exact", action="store_true",
                         help="compare the exact figures of one seed-1 pass instead")
+    parser.add_argument("--entries", action="store_true",
+                        help="compare one seed-1 repeat's heap entries by callback instead")
+    parser.add_argument("--entries-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.entries_worker:
+        print(json.dumps(entries_worker(args.workload)))
+        return 0
 
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         base = Path(tmp) / "base"
@@ -136,6 +224,10 @@ def main(argv=None) -> int:
                 print(f"{args.workload}: exact figures, seed 1, "
                       f"base {args.base} vs working tree")
                 compare_exact(base, args.workload)
+            elif args.entries:
+                print(f"{args.workload}: heap entries by callback, seed-1 set-up "
+                      f"and one repeat, base {args.base} vs working tree")
+                compare_entries(base, args.workload)
             else:
                 print(f"{args.workload}: base {args.base} vs working tree, "
                       f"{args.pairs} pairs")

@@ -27,8 +27,9 @@ receive completes, concurrently with the remaining transfers.  For that,
   completion events keyed ``(kind, axis, sign)`` with
   ``kind in {"send", "recv"}``;
 * ``wait_any(events)`` yields when the *first* of a set fires (and tells
-  you which), enabling the completion-order drain loop of the two-phase
-  hopping term;
+  you which): the completion-order drain loop of the two-phase hopping
+  term sleeps on it when none of its pending transfers has landed (one
+  that has, it takes inline, with no wait);
 * ``wait([])`` on an empty iterable is defined to resolve immediately at
   ``sim.now`` — an interior phase may legitimately wait on zero halo
   axes in a 0-dimensional decomposition;

@@ -114,15 +114,20 @@ class DmaDescriptor:
             raise ProtocolError(
                 f"overlapping DMA blocks: stride {self.stride} < block {self.block_len}"
             )
+        starts = self.offset + self.stride * np.arange(self.nblocks)
+        words = (starts[:, None] + np.arange(self.block_len)[None, :]).reshape(-1)
+        words.setflags(write=False)
+        object.__setattr__(self, "_words", words)
 
     @property
     def total_words(self) -> int:
         return self.block_len * self.nblocks
 
     def indices(self) -> np.ndarray:
-        base = np.arange(self.block_len)
-        starts = self.offset + self.stride * np.arange(self.nblocks)
-        return (starts[:, None] + base[None, :]).reshape(-1)
+        """The word addresses, in transfer order: built once per
+        descriptor and read-only, so every transfer a stored descriptor
+        starts shares one array."""
+        return self._words
 
 
 class _ControlPort:

@@ -71,9 +71,13 @@ trace, :mod:`repro.machine.replay`) and runs:
 4. ``interior()`` plus ``merge`` on the interior sites (``depth <= x_mu <
    L_mu - depth`` on every decomposed axis), one charge — all of it while
    the wires are busy;
-5. a completion-order drain loop (:meth:`CommsAPI.wait_any`, keyed
-   ``(kind, mu, sign)``): each landed receive runs ``on_halo`` and is
-   charged on the spot; send completions need no compute;
+5. a completion-order drain loop over the events keyed ``(kind, mu,
+   sign)``: each turn takes the first transfer, in start order, that has
+   already landed — inline, as the CPU reads a finished DMA's status —
+   and sleeps on :meth:`CommsAPI.wait_any` over the rest only when none
+   has; a failed transfer raises where it is taken, each landed receive
+   runs ``on_halo`` and is charged on the spot, send completions need no
+   compute;
 6. ``merge`` on the boundary sites, one charge.
 
 ``overlap=False`` is the same pipeline in the *serialised* order the
@@ -392,8 +396,14 @@ class HaloPipeline:
 
             # ---- boundary phase: drain transfers in completion order ----
             while pending:
-                fired = yield api.wait_any(pending.values())
-                key = next(k for k, e in pending.items() if e is fired)
+                # take a landed transfer inline (the first in start order,
+                # the one wait_any would resolve to); sleep only if none has
+                key = next((k for k, e in pending.items() if e.triggered), None)
+                if key is None:
+                    fired = yield api.wait_any(pending.values())
+                    key = next(k for k, e in pending.items() if e is fired)
+                elif not pending[key].ok:
+                    raise pending[key].exception
                 del pending[key]
                 kind, mu, sign = key
                 if kind != "recv":

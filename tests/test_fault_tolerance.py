@@ -19,6 +19,8 @@ Run with ``make verify-faults`` (or plain tier-1: the suite is fast
 enough to gate merges).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,10 +49,12 @@ from repro.util import rng_stream
 from repro.util.errors import (
     ConfigError,
     DegradedMachineError,
+    FaultError,
     LinkDownError,
     MachineError,
     ProtocolError,
 )
+from tests.harness import booted, system
 
 pytestmark = pytest.mark.faults
 
@@ -313,6 +317,66 @@ class TestPartitionAbort:
         ref = solve_on_machine(m2, p2, gauge, b, mass=0.3, tol=1e-8, max_time=1e9)
         assert res.x.tobytes() == ref.x.tobytes()
         assert tuple(res.residuals) == tuple(ref.residuals)
+
+    #: fault -> (raised type, message, sim.now after the abort drain,
+    #: sha256 of the sorted trace records, wires whose checksums differ)
+    ABORTED = {
+        "link-dead": (
+            LinkDownError,
+            "node 2 direction 1: link declared down (recv-stall)",
+            "0x1.cd4a23f05c4f7p-8",
+            "9482c372c6d0a6312d36e49bbd593e584470e7a26dbdd028fb39726cbfafd2ed",
+            ["n0.d0->n2"],
+        ),
+        "node-dead": (
+            LinkDownError,
+            "node 0 direction 2: link declared down (recv-stall)",
+            "0x1.cd4a23f05c4f7p-8",
+            "86c1dec06e34df35aaab08d833cdbf525950d4d78e3ff717771b3a8fd54760b2",
+            ["n0.d2->n1", "n0.d3->n1", "n1.d0->n3", "n1.d1->n3",
+             "n1.d2->n0", "n1.d3->n0", "n3.d0->n1", "n3.d1->n1"],
+        ),
+        "cancelled": (
+            FaultError,
+            "recv transfer cancelled: mid-exchange",
+            "0x1.8782214d4aa75p-15",
+            "c15ea7c752d63382bb164c94c71d9179e90e682568db535a541bda119f64cfde",
+            ["n1.d2->n0", "n1.d3->n0", "n2.d0->n0", "n2.d1->n0"],
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(ABORTED))
+    def test_aborted_cg_is_pinned(self, fault):
+        """A 2-D Wilson CG aborted mid-solve, pinned to the bit: the raised
+        fault, the clock once the abort has drained, every trace record
+        with its time, and the wires whose end-of-run checksums disagree
+        (words that went into a dead or drained wire never land).  The
+        watchdog needs milliseconds without progress to declare a link
+        dead, so its faults find the rank asleep in the halo drain;
+        ``cancelled`` abandons node 0's transfers while its rank computes
+        the interior, so the drain meets a transfer that has already
+        failed."""
+        m, part = booted((2, 2, 1, 1, 1, 1), word_batch=4096, watchdog=True, trace=True)
+        gauge, b = system((5, "drain-fault"), (4, 4, 2, 2), start="weak", eps=0.3)
+        if fault == "cancelled":
+            m.sim.schedule(5e-6, m.nodes[0].scu.cancel_active_transfers, "mid-exchange")
+        else:
+            node, direction = (0, 0) if fault == "link-dead" else (1, None)
+            FaultSchedule(
+                [FaultEvent(time=4.5e-3, kind=fault, node=node, direction=direction)]
+            ).arm(m)
+        error, message, now, trace, wires = self.ABORTED[fault]
+        with pytest.raises(error) as raised:
+            solve_on_machine(m, part, gauge, b, mass=0.3, tol=1e-8, max_time=1e9)
+        assert str(raised.value) == message
+        assert m.sim.now == float.fromhex(now)
+        records = sorted(
+            repr((r.time, r.tag, sorted(r.fields.items()))) for r in m.trace.records
+        )
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == trace
+        assert [line.split(":")[0] for line in m.audit_checksums()] == [
+            f"link {wire}" for wire in wires
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -648,25 +648,43 @@ class TestEventBudget:
         assert second_rep[1] == second_int[1]
         assert_same_observables(m_int, m_rep)
 
+    @staticmethod
+    def wilson_exchange(dims, word_batch, shards):
+        """Heap entries per lane of one Wilson application on ``dims``
+        (at shards=1 the one heap), and the clock once it has drained."""
+        gauge, psi = system((7, "scu-budget"), (4, 4, 2, 2))
+        m, part = booted(dims, word_batch=word_batch, replay=False, shards=shards)
+        lanes = m.sim.lanes if shards > 1 else [m.sim]
+        before = [lane.events_processed for lane in lanes]
+        applied(m, part, "wilson", gauge, psi, mass=0.3)
+        m.quiesce()
+        spent = [lane.events_processed - was for lane, was in zip(lanes, before)]
+        return spent, m.sim.now
+
     @pytest.mark.parametrize("shards", [1, 4])
     def test_wilson_exchange_2d_per_rank(self, shards):
         # one application = one HaloPipeline.exchange per rank, 8 face
         # transfers each: a drain loop that leaves its AnyOf registered on
         # every pending transfer grows with their number squared (109
         # entries per rank here).  At shards=4 a lane is a rank.
-        gauge, psi = system((7, "scu-budget"), (4, 4, 2, 2))
-        m, part = booted(
-            (2, 2, 1, 1, 1, 1), word_batch="face", replay=False, shards=shards
-        )
-        lanes = m.sim.lanes if shards > 1 else [m.sim]
-        before = [lane.events_processed for lane in lanes]
-        applied(m, part, "wilson", gauge, psi, mass=0.3)
-        m.quiesce()
-        spent = [lane.events_processed - was for lane, was in zip(lanes, before)]
-        # 51, and a later clock, since the CPU reads the cost sheet: the
-        # interior charge outlasts the exchange, so all eight transfers
-        # have landed when the drain loop starts and none of its waits
-        # sleeps — at FPU peak the loop began with all eight in flight and
-        # slept twice.
-        assert spent == ([51] * 4 if shards > 1 else [4 * 51])
-        assert m.sim.now == float.fromhex("0x1.f7c2ed889920ep-15")
+        spent, now = self.wilson_exchange((2, 2, 1, 1, 1, 1), "face", shards)
+        # 35: the interior charge outlasts the exchange (the CPU reads the
+        # cost sheet), so all eight transfers have landed when the drain
+        # loop reaches them and it takes each inline, with no AnyOf and
+        # no wake-up — none of them costs an entry of its own (51 while
+        # it built an AnyOf for each).
+        assert spent == ([35] * 4 if shards > 1 else [4 * 35])
+        assert now == float.fromhex("0x1.f7c2ed889920ep-15")
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_wilson_exchange_4d_per_rank(self, shards):
+        # a drain that sleeps: on the 16-node 4-d machine a rank's tile is
+        # 2x2x1x1, all boundary, so no interior charge covers the exchange.
+        # Four times per rank the drain finds nothing landed and waits on
+        # what is left (an AnyOf, its child callback, the wake-up); the
+        # rest of its sixteen transfers it takes inline.  The clock is the
+        # one the drain gave when it built an AnyOf for every transfer
+        # (101 entries per rank then).  At shards=4 a lane is four ranks.
+        spent, now = self.wilson_exchange((2, 2, 2, 2, 1, 1), 4096, shards)
+        assert spent == ([4 * 77] * 4 if shards > 1 else [16 * 77])
+        assert now == float.fromhex("0x1.5d9b089e58c16p-16")

@@ -318,8 +318,10 @@ class TestAnyOfDetaches:
 
     @pytest.mark.parametrize("k", [1, 4, 16, 64])
     def test_drain_loop_costs_a_linear_number_of_entries(self, sim, k):
-        # the shape of HaloPipeline.exchange's drain: wait on what is left
-        # of a set until nothing is.  Per event: the entry that succeeds
+        # the shape of HaloPipeline.exchange's drain while it sleeps (a
+        # transfer that has already landed it takes inline, with no
+        # AnyOf): wait on what is left of a set until nothing is.  Per
+        # event, each landing while the loop waits: the entry that succeeds
         # it, the AnyOf's child callback, the resumed process; plus the
         # kick-off.  (A registration left behind on every still-pending
         # event by every earlier turn made this k(k+1)/2 + 2k + 1.)
