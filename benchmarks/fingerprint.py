@@ -24,11 +24,11 @@ The matrix: Wilson, DWF and ASQTAD × a 1D and a 2D decomposition ×
 and ``1`` (the interpreted word protocol) × ``shards`` 1 and 2, three
 chained applications each; then one CGNE solve per operator (solution,
 residual history and iteration count in the results digest,
-``machine_time`` in the timeline's).  Four more on the 2D decomposition
+``machine_time`` in the timeline's).  Ten more on the 2D decomposition
 pin paths the matrix does not reach: the clover operator and Wilson at
 ``r = 0.8`` (the uncompressed full-spinor wire), three applications each;
-and DWF and ASQTAD, ``apply`` and ``apply_dagger``, on a point source
-whose empty sites carry zeros of both signs.
+and DWF, ASQTAD, Wilson and clover, ``apply`` and ``apply_dagger``, on a
+point source whose empty sites carry zeros of both signs.
 
 Then the serial operators the machine runs are checked against, with no
 machine and so no timeline (the second column is dashes): Wilson, clover,
@@ -184,6 +184,10 @@ EXTRA = {
     "apply_dagger/dwf/2d/point": ("dwf", {}, True, True),
     "apply/asqtad/2d/point": ("asqtad", {}, True, False),
     "apply_dagger/asqtad/2d/point": ("asqtad", {}, True, True),
+    "apply/wilson/2d/point": ("wilson", {}, True, False),
+    "apply_dagger/wilson/2d/point": ("wilson", {}, True, True),
+    "apply/clover/2d/point": ("wilson", {"c_sw": 1.0}, True, False),
+    "apply_dagger/clover/2d/point": ("wilson", {"c_sw": 1.0}, True, True),
 }
 
 

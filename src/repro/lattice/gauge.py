@@ -23,14 +23,28 @@ def cmatvec_site_fastest(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.
     spin or fifth-dimension axes in front).  Each output element is
     ``sum_b u[a, b] psi[b]``, accumulated ``b = 0, 1, 2`` from ``+0``, and
     einsum's innermost loop runs over the ``V`` sites (DESIGN.md §12).
-    This is the one contraction string of the package: the serial and
-    the distributed hopping kernels all call it, so their applications
-    are arithmetically identical, and the link products of
+    This is the one contraction string of the package, with its
+    all-directions form :func:`cmatvec_directions`: the serial and the
+    distributed hopping kernels all call one of them, so their
+    applications are arithmetically identical, and the link products of
     :func:`cmatmul_site_fastest` go through it too.  ``out`` may be a
     strided view (a node-memory buffer read site-fastest) but must not
     alias ``psi``.
     """
     return np.einsum("abx,...bx->...ax", u, psi, out=out)
+
+
+def cmatvec_directions(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`cmatvec_site_fastest` for every direction in one call.
+
+    ``u`` is ``(ndim, 3, 3, V)``, ``psi`` and ``out`` ``(ndim, ..., 3,
+    V)``: direction ``mu`` of ``out`` is ``u[mu]`` applied to
+    ``psi[mu]``.  The products and their ``b = 0, 1, 2`` order from
+    ``+0`` are those of ``ndim`` calls of :func:`cmatvec_site_fastest`,
+    so the bytes are too.  ``psi`` and ``out`` may be strided views (one
+    sign of a hop-term array, a broadcast source) but must not alias.
+    """
+    return np.einsum("mabx,m...bx->m...ax", u, psi, out=out)
 
 
 def cmatmul_site_fastest(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

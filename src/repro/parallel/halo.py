@@ -20,9 +20,9 @@ to 24 communications" usage of paper section 3.3.
 :class:`HaloPipeline` owns what that mechanism needs and no operator
 arithmetic: the ``work`` source buffer and per-axis halo/staging node
 buffers, the stored descriptors in their start groups, the
-interior/boundary site cover, the hot-epoch bracket, the sanitizer
-checkpoints, and the one generator (:meth:`HaloPipeline.exchange`) that
-sequences an application.  The site kernels compute with the site index
+interior/boundary site counts the merge charge is split by, the
+hot-epoch bracket, the sanitizer checkpoints, and the one generator
+(:meth:`HaloPipeline.exchange`) that sequences an application.  The site kernels compute with the site index
 fastest (DESIGN.md §12) while the node buffers keep the layout the
 descriptors and the wire read: the pipeline hands the kernels ``source``
 (the one transposed copy of ``work`` an application makes), the halo and
@@ -42,12 +42,13 @@ between the steps:
     run every matvec that needs no halo data;
 ``on_halo(mu, sign) -> flops``
     patch the face rows from the halo that just landed;
-``merge(sites)``
-    accumulate the per-``mu`` terms on ``sites`` and scatter them into
-    ``self.out`` (every site is merged exactly once per application),
-    charged ``merge_flops_per_site`` each — what the operator's cost
-    sheet leaves once its site-local flops and the ``2 * ndim`` SU(3)
-    matvecs charged where their rows are computed are taken out.
+``merge()``
+    accumulate the per-``mu`` terms over the whole tile into
+    ``self.out``, once per application, after the drain; charged
+    ``merge_flops_per_site`` per site — what the operator's cost sheet
+    leaves once its site-local flops and the ``2 * ndim`` SU(3) matvecs
+    charged where their rows are computed are taken out — the interior
+    sites' share in step 4 and the boundary sites' in step 6.
 
 The pipeline, step by step
 --------------------------
@@ -68,9 +69,10 @@ trace, :mod:`repro.machine.replay`) and runs:
    is charged);
 3. ``stage`` every axis, charge the staged matvecs, start group
    ``"staged"`` (the product sends);
-4. ``interior()`` plus ``merge`` on the interior sites (``depth <= x_mu <
-   L_mu - depth`` on every decomposed axis), one charge — all of it while
-   the wires are busy;
+4. ``interior()``, charged together with the merge flops of the
+   interior sites (``depth <= x_mu < L_mu - depth`` on every decomposed
+   axis), which need no halo — one charge, all of it while the wires
+   are busy;
 5. a completion-order drain loop over the events keyed ``(kind, mu,
    sign)``: each turn takes the first transfer, in start order, that has
    already landed — inline, as the CPU reads a finished DMA's status —
@@ -78,22 +80,25 @@ trace, :mod:`repro.machine.replay`) and runs:
    has; a failed transfer raises where it is taken, each landed receive
    runs ``on_halo`` and is charged on the spot, send completions need no
    compute;
-6. ``merge`` on the boundary sites, one charge.
+6. ``merge()`` over the whole tile, computed by the host once, here,
+   where every hop term is complete, and charged the boundary sites'
+   merge flops.  The interior/boundary split lives in the charges the
+   model prices, not in what the host computes: one pass of whole-tile
+   numpy calls, no per-site-set gathers.
 
 ``overlap=False`` is the same pipeline in the *serialised* order the
 paper's section 4 claim is measured against: nothing starts before
 staging, every group then starts at once and the rank waits for all
-transfers before step 4, and no site counts as interior (one merge over
-the whole tile in step 6).  Kernels, payload and total charged flops are
-identical; only the timeline is longer — by the exchange it exposes, so
+transfers before step 4, and no site counts as interior (the whole
+merge is charged in step 6).  Kernels, payload and total charged flops
+are identical; only the timeline is longer — by the exchange it exposes, so
 a tile with no decomposed axis, which has none, runs the one order under
 either flag.
 
 The assembled sum is **bit-identical** (``==``, not allclose) in both
 orders and on any decomposition: all per-site kernels are
-row-independent, the interior/boundary site sets are a disjoint sorted
-cover, and each operator's ``merge`` preserves its per-``mu``
-accumulation order.
+row-independent, and each operator's ``merge`` adds its per-``mu``
+terms in one fixed order per element.
 
 The source field always sits in the node-memory buffer ``work`` (so the
 descriptors can be persistent), every buffer the steady state touches is
@@ -120,15 +125,6 @@ from repro.machine.scu import normalise_word_batch
 from repro.perfmodel.dirac_perf import calibrate
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
-
-
-def sites_view(buffer: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` sites' worth of a contiguous site-fastest scratch
-    ``buffer``, as a *contiguous* ``buffer.shape[:-1] + (n,)`` view — a
-    merge's scratch for its site set (the slice ``buffer[..., :n]`` would
-    be strided, and ``np.take`` copies into a strided ``out``)."""
-    size = math.prod(buffer.shape[:-1]) * n
-    return buffer.reshape(-1)[:size].reshape(buffer.shape[:-1] + (n,))
 
 
 class HaloPipeline:
@@ -239,18 +235,20 @@ class HaloPipeline:
         }
         #: the nearest-neighbour plans (every operator has a 1-hop term)
         self.plans = self.hop_plans[1]
-        #: disjoint sorted cover of the tile: interior sites touch no halo
-        #: and are fully computable during communication; boundary sites
-        #: wait on per-axis halo arrival.
-        self.interior_sites, self.boundary_sites = interior_boundary_sites(
-            g, tuple(self.comm_axes), depth=depth
+        #: how many sites the merge charge prices during the exchange and
+        #: after it: interior sites touch no halo and are fully computable
+        #: during communication; boundary sites wait on per-axis halo
+        #: arrival.  The host merges the whole tile once, after the drain.
+        self.interior_count, self.boundary_count = (
+            len(sites)
+            for sites in interior_boundary_sites(g, tuple(self.comm_axes), depth=depth)
         )
         if not self.overlap and self.comm_axes:
-            # serialised: every site waits, one merge over the whole tile
-            # (with no decomposed axis there is no exchange to wait for,
-            # and the two orders are one: the same charges, the same clock)
-            self.interior_sites = self.boundary_sites[:0]
-            self.boundary_sites = np.arange(g.volume)
+            # serialised: every site waits, all of the merge after the
+            # drain (with no decomposed axis there is no exchange to wait
+            # for, and the two orders are one: the same charges, the same
+            # clock)
+            self.interior_count, self.boundary_count = 0, g.volume
 
         self.compress = wire_words < site_words
         wire_shape = (site_shape[0] * wire_words // site_words,) + site_shape[1:]
@@ -386,12 +384,9 @@ class HaloPipeline:
                 pending.update(api.start_stored_events())
                 yield api.wait(pending.values())
 
-            # ---- interior phase: every matvec that needs no halo data ---
-            flops = self.interior()
-            interior = self.interior_sites
-            if len(interior):
-                self.merge(interior)
-                flops += len(interior) * self.merge_flops_per_site
+            # ---- interior phase: every matvec that needs no halo data, and
+            # the interior sites' share of the merge ----------------------
+            flops = self.interior() + self.interior_count * self.merge_flops_per_site
             yield api.compute(flops, kernel=kernel, rate=rate)
 
             # ---- boundary phase: drain transfers in completion order ----
@@ -413,11 +408,12 @@ class HaloPipeline:
                 if flops:
                     yield api.compute(flops, kernel=kernel, rate=rate)
 
-            boundary = self.boundary_sites
-            if len(boundary):
-                self.merge(boundary)
+            # ---- the merge, over the whole tile; the boundary sites' share
+            # is charged here -----------------------------------------------
+            self.merge()
+            if self.boundary_count:
                 yield api.compute(
-                    len(boundary) * self.merge_flops_per_site,
+                    self.boundary_count * self.merge_flops_per_site,
                     kernel=kernel,
                     rate=rate,
                 )

@@ -31,8 +31,10 @@ full-spinor wire format for comparison benchmarks.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,15 +42,57 @@ from repro.comms.api import CommsAPI
 from repro.fermions.flops import MATVEC_SU3, operator_cost
 from repro.fermions.gamma import (
     GAMMA,
+    HALF_SPINOR,
     apply_spin_matrix_site_fastest,
     gamma5_sandwich,
-    reconstruct_lower,
     spin_project,
 )
-from repro.lattice.gauge import cmatvec_site_fastest, site_fastest_pair
-from repro.parallel.halo import HaloPipeline, sites_view
+from repro.lattice.gauge import (
+    cmatvec_directions,
+    cmatvec_site_fastest,
+    site_fastest_pair,
+)
+from repro.parallel.halo import HaloPipeline
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
+
+
+@functools.cache
+def half_spinor_tables(ndim: int, lead: Tuple[int, ...]):
+    """Index and coefficient tables of every ``(mu, sign)`` half spinor
+    of a ``lead + (4, 3, v)`` field, from :data:`HALF_SPINOR`: what
+    ``(1 -+ gamma_mu)`` does to each row becomes one ``np.take`` over a
+    flattened array and one broadcast multiply, so all directions project
+    (and reconstruct) together, with the per-element arithmetic of
+    :func:`spin_project` and :func:`~repro.fermions.gamma.reconstruct_lower`.
+    Built once per ``(ndim, lead)``, read-only, shared by every context.
+
+    Returns ``(proj_rows, proj_coeff, lower_rows, lower_coeff)``: the
+    partner row of each upper row of ``(1 - sign gamma_mu) psi`` in the
+    field viewed as ``(slices * 4, 3, v)`` and its coefficient, then per
+    lower row ``2 + j`` of term ``(mu, sign)`` the half-spinor row it is
+    scaled from, in the hop terms viewed as ``(ndim * 2 * slices * 2, 3,
+    v)``, and its coefficient.
+    """
+    slices = math.prod(lead)
+    bcast = (ndim, 2) + (1,) * len(lead)
+    # HALF_SPINOR's fields per (mu, sign), its row slices as row indices
+    rows = np.arange(4)
+    entries = [HALF_SPINOR[mu, sign] for mu in range(ndim) for sign in (+1, -1)]
+    partner, upper_coeff, half_row, scale = (
+        np.array([e[k] if k % 2 else rows[e[k]] for e in entries]).reshape(ndim, 2, 2)
+        for k in range(4)
+    )
+    proj_rows = partner.reshape(bcast + (2,)) + 4 * np.arange(slices).reshape(
+        lead + (1,)
+    )
+    proj_coeff = upper_coeff.reshape(bcast + (2, 1, 1))
+    terms = 2 * np.arange(ndim * 2 * slices).reshape((ndim, 2) + lead)
+    lower_rows = tuple(terms + half_row[..., j].reshape(bcast) for j in range(2))
+    lower_coeff = tuple(scale[..., j].reshape(bcast + (1, 1)) for j in range(2))
+    for array in (proj_rows, proj_coeff) + lower_rows + lower_coeff:
+        array.setflags(write=False)
+    return proj_rows, proj_coeff, lower_rows, lower_coeff
 
 
 class WilsonHops(HaloPipeline):
@@ -56,13 +100,15 @@ class WilsonHops(HaloPipeline):
 
     The Wilson/clover field is ``(v, 4, 3)``; the domain-wall field is
     ``lead + (v, 4, 3)`` with ``lead = (Ls,)`` — every ``s`` slice sees
-    the same gauge field, so the same projection, staging, matvec loop
-    and halo patch run slice-batched.  Every array the kernels touch has
-    the site index fastest, ``lead + (spin, 3, v)`` (the layout of the
+    the same gauge field, so the same projection, staging, matvecs and
+    halo patch run slice-batched.  Every array the kernels touch has the
+    site index fastest, ``lead + (spin, 3, v)`` (the layout of the
     serial operators, DESIGN.md §12): ``source``, the hop terms, the
-    merge scratch, and the node buffers' site-fastest views.  Subclasses
-    add ``interior``/``merge`` (whose accumulation order is what the
-    bit-identity contracts pin) and name their cost sheet.
+    merge scratch, and the node buffers' site-fastest views.  The hop
+    terms of every direction live in one array and are computed
+    together: one spin projection, one SU(3) contraction per sign.
+    Subclasses add ``interior``/``merge`` (whose accumulation order is
+    what the bit-identity contracts pin) and name their cost sheet.
     """
 
     groups = ("early", "proj", "staged")
@@ -91,6 +137,12 @@ class WilsonHops(HaloPipeline):
         #: R of ``D^+ = (Gamma_5 R) D (R Gamma_5)``: reflects the leading
         #: (5th-dimension) axes; the identity for the 4D operator
         self._reflect = (slice(None, None, -1),) * len(lead)
+        #: per direction, the forward and backward nearest-neighbour tables
+        self._tables = [(g.hop(mu, +1), g.hop(mu, -1)) for mu in range(ndim)]
+        #: the hop matvecs charged in the interior phase: every one but the
+        #: forward face rows, which ``on_halo`` charges as they land
+        nface = sum(len(plan.fill_from_fwd) for plan in self.plans.values())
+        self._hop_flops = float(self._slices * (2 * ndim * v - nface) * MATVEC_SU3)
 
         # ---- zero-copy hot-path scratch -------------------------------
         # Every buffer the steady-state pipeline touches is allocated
@@ -104,18 +156,34 @@ class WilsonHops(HaloPipeline):
         def scratch(spin_rows: int, sites: int = v) -> np.ndarray:
             return np.empty(lead + (spin_rows, 3, sites), dtype=dt)
 
-        # hop-matvec scratch: the projected source (compressed only),
-        # then the gathered operand or the product to gather
-        self._half = scratch(2) if compress else None
-        self._prod = scratch(rows)
-        self._fwd = [scratch(rows) for _ in range(ndim)]
-        self._bwd = [scratch(rows) for _ in range(ndim)]
+        #: every hop term, ``(ndim, 2) + lead + (rows, 3, v)``: sign 0 the
+        #: forward hop ``U_mu(x) psi(x + mu)``, sign 1 the backward hop
+        #: ``U_mu(x - mu)^+ psi(x - mu)`` (half spinors when compressed);
+        #: ``_fwd[mu]`` and ``_bwd[mu]`` are its per-direction views
+        self._hops = np.empty((ndim, 2) + lead + (rows, 3, v), dtype=dt)
+        self._fwd = [self._hops[mu, 0] for mu in range(ndim)]
+        self._bwd = [self._hops[mu, 1] for mu in range(ndim)]
+        #: ``(ndim,) + lead + (rows, 3, v)``: the gathered operands and the
+        #: products to gather of ``hop_matvecs``, then the merge's scratch
+        #: (the hop terms are complete before a merge starts) — on the
+        #: uncompressed wire, its accumulator too
+        self._gathered = np.empty((ndim,) + lead + (rows, 3, v), dtype=dt)
+        self._merge_acc = scratch(4) if compress else self._gathered[2]
         self._rot_in = np.empty_like(self.out)
         self._rot_out = np.empty_like(self.out)
-        # merge scratch, viewed per call for its site set (``sites_view``):
-        # the accumulator and two term buffers
-        self._merge_acc = scratch(4)
-        self._merge_terms = (scratch(rows), scratch(rows))
+        if compress:
+            (
+                self._proj_rows,
+                self._proj_coeff,
+                self._lower_rows,
+                self._lower_coeff,
+            ) = half_spinor_tables(ndim, lead)
+        else:
+            #: the source seen once per direction (a view): the operand of
+            #: every uncompressed hop
+            self._source_per_direction = np.broadcast_to(
+                self.source, self._gathered.shape
+            )
         # per-axis face scratch + constant gauge-face gathers (links are
         # immutable for the context's lifetime, so they are gathered here
         # once)
@@ -166,31 +234,52 @@ class WilsonHops(HaloPipeline):
 
     @hot_path
     def hop_matvecs(self) -> float:
-        """Every full-volume hop matvec; returns the flops to charge.
+        """Every full-volume hop matvec, all directions together; returns
+        the flops to charge.
 
         Forward hop: for decomposed axes the face rows are placeholders
         until the halo lands (their matvec is charged by ``on_halo``
         instead).  Backward hop: the local matvec is always computed in
         full — face rows are later *replaced* by the received products.
-        Compressed, the source is projected before the gather: the same
-        per-site arithmetic, half the rows moved.
+        Compressed, every ``(mu, sign)`` projection of the source is made
+        first, into the hop terms themselves, and the gathers move half
+        spinors: the same per-site arithmetic as the serial kernel, half
+        the rows moved.
         """
-        g = self.geometry
-        src, prod = self.source, self._prod
-        flops = 0.0
-        for mu in range(g.ndim):
-            # forward: U_mu(x) psi(x + mu)
-            fwd = spin_project(mu, +1, src, out=self._half) if self.compress else src
-            np.take(fwd, g.hop(mu, +1), axis=-1, out=prod, mode="clip")
-            cmatvec_site_fastest(self._u[mu], prod, out=self._fwd[mu])
-            # backward: U_mu(x - mu)^+ psi(x - mu), multiplied where the
-            # link lives and the product gathered
-            bwd = spin_project(mu, -1, src, out=self._half) if self.compress else src
-            cmatvec_site_fastest(self._u_dagger[mu], bwd, out=prod)
-            np.take(prod, g.hop(mu, -1), axis=-1, out=self._bwd[mu], mode="clip")
-            nface = len(self.plans[mu].fill_from_fwd) if mu in self.plans else 0
-            flops += self._slices * (2 * g.volume - nface) * MATVEC_SU3
-        return flops
+        hops, gathered, src = self._hops, self._gathered, self.source
+        if self.compress:
+            # (1 -+ gamma_mu) psi for every (mu, sign): psi[:2] - c psi[p]
+            rows = src.reshape((-1,) + src.shape[-2:])
+            np.take(rows, self._proj_rows, axis=0, out=hops, mode="clip")
+            np.multiply(hops, self._proj_coeff, out=hops)
+            np.subtract(src[..., :2, :, :], hops, out=hops)
+            fwd, bwd = hops[:, 0], hops[:, 1]
+        else:
+            fwd = bwd = self._source_per_direction
+        # forward: U_mu(x) psi(x + mu).  mode="clip": the memoised tables
+        # are in range by construction, and numpy buffers ``out`` under
+        # the default "raise"
+        for mu, (ahead, _) in enumerate(self._tables):
+            np.take(fwd[mu], ahead, axis=-1, out=gathered[mu], mode="clip")
+        cmatvec_directions(self._u, gathered, out=hops[:, 0])
+        # backward: U_mu(x - mu)^+ psi(x - mu), multiplied where the link
+        # lives and the product gathered
+        cmatvec_directions(self._u_dagger, bwd, out=gathered)
+        for mu, (_, behind) in enumerate(self._tables):
+            np.take(gathered[mu], behind, axis=-1, out=hops[mu, 1], mode="clip")
+        return self._hop_flops
+
+    @hot_path
+    def lower_row(self, j: int) -> np.ndarray:
+        """Row ``2 + j`` of every compressed hop term's full spinor,
+        ``(ndim, 2) + lead + (3, v)`` in the merge scratch: the scaled
+        partner rows :func:`~repro.fermions.gamma.reconstruct_lower`
+        forms, for all ``(mu, sign)`` at once."""
+        hops = self._hops
+        terms = self._gathered.reshape(hops.shape[:-3] + hops.shape[-2:])
+        rows = hops.reshape((-1,) + hops.shape[-2:])
+        np.take(rows, self._lower_rows[j], axis=0, out=terms, mode="clip")
+        return np.multiply(terms, self._lower_coeff[j], out=terms)
 
     @hot_path
     def on_halo(self, mu: int, sign: int) -> int:
@@ -276,8 +365,6 @@ class DistributedWilsonContext(WilsonHops):
         )
         self.clover_tensor = clover_tensor
         self._apply_out = np.empty_like(self.out)
-        if not self.compress:
-            self._merge_t = np.empty_like(self._merge_acc)
         if clover_tensor is not None:
             self._clover_scratch = np.empty_like(self.out)
 
@@ -291,40 +378,37 @@ class DistributedWilsonContext(WilsonHops):
         return self.hop_matvecs()
 
     @hot_path
-    def merge(self, sites: np.ndarray) -> None:
-        """Per-``mu`` spin accumulate on ``sites``, scattered into ``out``.
+    def merge(self) -> None:
+        """The hop terms summed over ``(mu, sign)``, into ``out``.
 
-        Row-for-row the same mu-ascending accumulation sequence as the
-        serial operator, so the merged rows are bit-identical: every
-        per-mu term is gathered for the site rows and added in that order
-        to an accumulator that starts at ``+0`` — per element exactly
-        ``((0 + t_0) + t_1) + ...`` — which then scatters into ``out``.
+        Element for element the serial operator's ``mu``-ascending,
+        forward-then-backward accumulation from ``+0``, so the result is
+        bit-identical: compressed, one ``np.add.reduce`` from ``+0`` over
+        the ``(mu, sign)`` axes per row pair — the upper rows from the
+        half spinors as they are, each lower row from :meth:`lower_row`
+        — which numpy adds in that order, term by term, with the site
+        loop innermost.
         """
-        n = len(sites)
-        acc = sites_view(self._merge_acc, n)
-        f, b = (sites_view(terms, n) for terms in self._merge_terms)
-        acc.fill(0)
-        for mu in range(self.geometry.ndim):
-            if self.compress:
-                # half products: the upper rows accumulate as they are,
-                # the lower from the scaled partner rows (into ``b``) —
-                # the exact per-row arithmetic of the serial kernel
-                for sign, hops in ((+1, self._fwd), (-1, self._bwd)):
-                    np.take(hops[mu], sites, axis=-1, out=f, mode="clip")
-                    acc[:2] += f
-                    acc[2:] += reconstruct_lower(mu, sign, f, out=b)
-            else:
-                # r (f + b) - gamma_mu (f - b): the sum and the difference
-                # in ``t``, the difference's spin product in ``f``
-                t = sites_view(self._merge_t, n)
-                np.take(self._fwd[mu], sites, axis=-1, out=f, mode="clip")
-                np.take(self._bwd[mu], sites, axis=-1, out=b, mode="clip")
+        acc, hops = self._merge_acc, self._hops
+        if self.compress:
+            np.add.reduce(hops, axis=(0, 1), out=acc[..., :2, :, :], initial=0)
+            for j in range(2):
+                np.add.reduce(
+                    self.lower_row(j), axis=(0, 1), out=acc[..., 2 + j, :, :], initial=0
+                )
+        else:
+            # r (f + b) - gamma_mu (f - b): the sum and the difference in
+            # ``t``, the difference's spin product in ``d`` (``acc`` is
+            # the third of these scratch fields)
+            t, d = self._gathered[0], self._gathered[1]
+            acc.fill(0)
+            for mu, (f, b) in enumerate(hops):
                 np.add(f, b, out=t)
                 np.multiply(t, self.r, out=t)
                 acc += t
                 np.subtract(f, b, out=t)
-                acc -= apply_spin_matrix_site_fastest(GAMMA[mu], t, out=f)
-        self.out_t[..., sites] = acc
+                acc -= apply_spin_matrix_site_fastest(GAMMA[mu], t, out=d)
+        np.copyto(self.out_t, acc)
 
     @hot_path
     def apply(self, src: np.ndarray):

@@ -15,8 +15,9 @@ Wilson dslash, so this spec reuses the Wilson hopping kernels of
 half-spinor one — the rank-2 ``(1 -+ gamma_mu)`` compression is exact by
 construction: 12 words per (face site, s slice) instead of 24.  The
 5th-dimension chiral hops are site-local in space-time and need no
-communication at all, so they ride in the pipeline's ``merge`` (interior
-sites assemble them, diagonal included, while the wires are busy).
+communication at all, so they ride in the pipeline's ``merge``, diagonal
+included (the interior sites' share is charged while the wires are
+busy).
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import numpy as np
 
 from repro.comms.api import CommsAPI
 from repro.fermions.flops import operator_cost
-from repro.fermions.gamma import (
-    P_MINUS,
-    P_PLUS,
-    apply_spin_matrix_site_fastest,
-    reconstruct_lower,
-)
-from repro.parallel.halo import sites_view
+from repro.fermions.gamma import P_MINUS, P_PLUS, apply_spin_matrix_site_fastest
 from repro.parallel.pdirac import WilsonHops
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
@@ -69,10 +64,10 @@ class DistributedDWFContext(WilsonHops):
             overlap=overlap,
             word_batch=word_batch,
         )
-        # 5th-dimension wall terms (-mf * edge slice) and merge gathers,
-        # one 4D slice each, site index fastest
-        self._wall_up, self._wall_dn, self._m5_up, self._m5_rec = (
-            np.empty_like(self.source[0]) for _ in range(4)
+        # 5th-dimension wall terms (-mf * edge slice) and the chiral hop
+        # product, one 4D slice each, site index fastest
+        self._wall_up, self._wall_dn, self._m5_rec = (
+            np.empty_like(self.source[0]) for _ in range(3)
         )
 
     def apply(self, src: np.ndarray):
@@ -89,46 +84,41 @@ class DistributedDWFContext(WilsonHops):
         np.multiply(self.source[0], -self.mf, out=self._wall_up)
         np.multiply(self.source[self.Ls - 1], -self.mf, out=self._wall_dn)
         # the sheet's site-local part (the diagonal axpy) is charged here,
-        # full-volume, and computed by the merge as it starts each row;
+        # full-volume, and computed by the merge as it starts;
         # the chiral 5th-dimension hops ride in the merge too
         diag = self.cost.local_flops_per_site * self._slices * self.volume
         return diag + self.hop_matvecs()
 
     @hot_path
-    def merge(self, sites: np.ndarray) -> None:
+    def merge(self) -> None:
         """Assemble the 4D Wilson kernel ``D_w(-M5) + 1`` and the 5th-dim
-        chiral hops on ``sites``, scattered into ``out``.
+        chiral hops over the whole tile, into ``out``.
 
-        One fixed statement sequence per row (the diagonal, mu ascending,
-        then the s loop), so merged rows are bit-identical on any site
-        cover: the site rows of the source are gathered once into context
-        scratch, scaled by the diagonal, accumulated in that order, and
-        scattered.  The wall terms ``-mf * src[edge]`` are precomputed
-        per application in ``_wall_up``/``_wall_dn``.
+        One fixed statement sequence per element (the diagonal, then
+        ``mu`` ascending forward-then-backward, then the s loop), so the
+        result is bit-identical on any decomposition: the source is
+        scaled by the diagonal, each half-scaled hop term subtracted in
+        that order — the lower rows from :meth:`lower_row`, built before
+        the half spinors are scaled in place — then the 5th-dimension
+        hops.  The wall terms ``-mf * src[edge]`` are precomputed per
+        application in ``_wall_up``/``_wall_dn``.
         """
-        n = len(sites)
-        src = self.source
-        acc = sites_view(self._merge_acc, n)
-        half, lower = (sites_view(terms, n) for terms in self._merge_terms)
-        np.take(src, sites, axis=-1, out=acc, mode="clip")
-        np.multiply(acc, (-self.M5 + 4.0) + 1.0, out=acc)
-        upper_rows, lower_rows = acc[:, :2], acc[:, 2:]
-        for mu in range(4):
-            for sign, hops in ((+1, self._fwd), (-1, self._bwd)):
-                # acc -= 0.5 * (the reconstructed half product)
-                np.take(hops[mu], sites, axis=-1, out=half, mode="clip")
-                reconstruct_lower(mu, sign, half, out=lower)
-                np.multiply(lower, 0.5, out=lower)
-                np.multiply(half, 0.5, out=half)
-                upper_rows -= half
-                lower_rows -= lower
-        up_g = sites_view(self._m5_up, n)
-        rec4 = sites_view(self._m5_rec, n)
+        src, acc, hops = self.source, self._merge_acc, self._hops
+        np.multiply(src, (-self.M5 + 4.0) + 1.0, out=acc)
+        # acc -= 0.5 * (each reconstructed half product), row by row
+        for j in range(2):
+            lower = self.lower_row(j)
+            np.multiply(lower, 0.5, out=lower)
+            for term in lower.reshape((-1,) + lower.shape[2:]):
+                acc[..., 2 + j, :, :] -= term
+        np.multiply(hops, 0.5, out=hops)
+        upper_rows = acc[..., :2, :, :]
+        for term in hops.reshape((-1,) + hops.shape[2:]):
+            upper_rows -= term
+        rec4 = self._m5_rec
         for s in range(self.Ls):
             up = src[s + 1] if s + 1 < self.Ls else self._wall_up
             dn = src[s - 1] if s - 1 >= 0 else self._wall_dn
-            np.take(up, sites, axis=-1, out=up_g, mode="clip")
-            acc[s] -= apply_spin_matrix_site_fastest(P_MINUS, up_g, out=rec4)
-            np.take(dn, sites, axis=-1, out=up_g, mode="clip")
-            acc[s] -= apply_spin_matrix_site_fastest(P_PLUS, up_g, out=rec4)
-        self.out_t[..., sites] = acc
+            acc[s] -= apply_spin_matrix_site_fastest(P_MINUS, up, out=rec4)
+            acc[s] -= apply_spin_matrix_site_fastest(P_PLUS, dn, out=rec4)
+        np.copyto(self.out_t, acc)

@@ -34,7 +34,7 @@ from repro.fermions.flops import MATVEC_SU3, operator_cost
 from repro.fermions.staggered import staggered_phases
 from repro.lattice import stencil
 from repro.lattice.gauge import cmatvec_site_fastest, site_fastest_pair
-from repro.parallel.halo import HaloPipeline, sites_view
+from repro.parallel.halo import HaloPipeline
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
@@ -120,12 +120,15 @@ class DistributedStaggeredContext(HaloPipeline):
         )
         self._apply_out = np.empty_like(self.out)
         self._dagger_out = np.empty_like(self.out)
-        # merge scratch, viewed per call for its site set (``sites_view``);
-        # the backward products borrow ``_m_term``, as every hop matvec
-        # runs before the first merge of an application
-        self._m_acc, self._m_term, self._m_tmp, self._m_vec = (vec() for _ in range(4))
-        self._m_gauge = np.empty((3, 3, v), dtype=dt)
-        self._m_ph = np.empty((v,), dtype=self.phases.dtype)
+        # merge scratch; the backward products borrow ``_m_term``, as
+        # every hop matvec runs before the merge
+        self._m_acc, self._m_term, self._m_tmp = (vec() for _ in range(3))
+        #: per direction, the hop tables ``x + mu``, ``x + 3 mu``,
+        #: ``x - mu`` and ``x - 3 mu``
+        self._tables = [
+            tuple(g.hop(mu, steps) for steps in (+1, +3, -1, -3))
+            for mu in range(ndim)
+        ]
         #: rows of the depth-3 raw halo that form the neighbour's x==0
         #: layer (used for the 1-hop forward fill); memoised process-wide
         #: (same table on every rank of a run)
@@ -172,13 +175,13 @@ class DistributedStaggeredContext(HaloPipeline):
         """Raw forward gathers + local backward matvecs."""
         g = self.geometry
         src, prod = self.source, self._m_term
-        for mu in range(g.ndim):
-            np.take(src, g.hop(mu, +1), axis=-1, out=self._fwd1[mu], mode="clip")
-            np.take(src, g.hop(mu, +3), axis=-1, out=self._fwd3[mu], mode="clip")
+        for mu, (ahead1, ahead3, behind1, behind3) in enumerate(self._tables):
+            np.take(src, ahead1, axis=-1, out=self._fwd1[mu], mode="clip")
+            np.take(src, ahead3, axis=-1, out=self._fwd3[mu], mode="clip")
             cmatvec_site_fastest(self._fat[1][mu], src, out=prod)
-            np.take(prod, g.hop(mu, -1), axis=-1, out=self._bwd1[mu], mode="clip")
+            np.take(prod, behind1, axis=-1, out=self._bwd1[mu], mode="clip")
             cmatvec_site_fastest(self._long[1][mu], src, out=prod)
-            np.take(prod, g.hop(mu, -3), axis=-1, out=self._bwd3[mu], mode="clip")
+            np.take(prod, behind3, axis=-1, out=self._bwd3[mu], mode="clip")
         return 0.0 + 2 * g.ndim * g.volume * MATVEC_SU3
 
     @hot_path
@@ -197,41 +200,28 @@ class DistributedStaggeredContext(HaloPipeline):
         return 0
 
     @hot_path
-    def merge(self, sites: np.ndarray) -> None:
-        """Forward matvecs + combine/phase accumulate on ``sites``,
-        scattered into ``out``.
+    def merge(self) -> None:
+        """Forward matvecs + combine/phase accumulate over the whole tile,
+        into ``out``.
 
-        One fixed statement sequence per row (mu ascending), so merged
-        rows are bit-identical on any site cover: every term is formed on
-        the gathered site rows and added in that order to an accumulator
-        that starts at ``+0``, which then scatters into ``out``.
+        One fixed statement sequence per element (mu ascending), so the
+        result is bit-identical on any decomposition: every term is
+        formed and added in that order to an accumulator that starts at
+        ``+0``, which is then copied into ``out``.
         """
-        n = len(sites)
-        acc, term, tmp, vec = (
-            sites_view(buf, n)
-            for buf in (self._m_acc, self._m_term, self._m_tmp, self._m_vec)
-        )
-        gauge = sites_view(self._m_gauge, n)
-        ph = self._m_ph[:n]
+        acc, term, tmp = self._m_acc, self._m_term, self._m_tmp
         fat, long = self._fat[0], self._long[0]
         acc.fill(0)
         for mu in range(self.geometry.ndim):
-            np.take(fat[mu], sites, axis=-1, out=gauge, mode="clip")
-            np.take(self._fwd1[mu], sites, axis=-1, out=vec, mode="clip")
-            cmatvec_site_fastest(gauge, vec, out=term)
-            np.take(self._bwd1[mu], sites, axis=-1, out=vec, mode="clip")
-            term -= vec
-            np.take(long[mu], sites, axis=-1, out=gauge, mode="clip")
-            np.take(self._fwd3[mu], sites, axis=-1, out=vec, mode="clip")
-            cmatvec_site_fastest(gauge, vec, out=tmp)
-            np.take(self._bwd3[mu], sites, axis=-1, out=vec, mode="clip")
-            np.subtract(tmp, vec, out=tmp)
+            cmatvec_site_fastest(fat[mu], self._fwd1[mu], out=term)
+            term -= self._bwd1[mu]
+            cmatvec_site_fastest(long[mu], self._fwd3[mu], out=tmp)
+            np.subtract(tmp, self._bwd3[mu], out=tmp)
             np.multiply(tmp, self.c_naik, out=tmp)
             term += tmp
-            np.take(self.phases[mu], sites, axis=0, out=ph, mode="clip")
-            np.multiply(term, ph, out=tmp)
+            np.multiply(term, self.phases[mu], out=tmp)
             acc += tmp
-        self.out_t[:, sites] = acc
+        np.copyto(self.out_t, acc)
 
     @hot_path
     def _mass_and_hop(self, src: np.ndarray, combine, out: np.ndarray):

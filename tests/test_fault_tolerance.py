@@ -343,7 +343,19 @@ class TestPartitionAbort:
             "c15ea7c752d63382bb164c94c71d9179e90e682568db535a541bda119f64cfde",
             ["n1.d2->n0", "n1.d3->n0", "n2.d0->n0", "n2.d1->n0"],
         ),
+        "cancelled-13us": (
+            FaultError,
+            "recv transfer cancelled: mid-exchange",
+            "0x1.8782214d4aa75p-15",
+            "d7162006be774bd6d8413f53aaded6bfdbc0856aa651c61883df44bf2d9ec059",
+            ["n1.d2->n0", "n2.d0->n0"],
+        ),
     }
+
+    #: simulated time at which node 0's transfers are cancelled; at
+    #: +13 us the other ranks are taking a transfer that has already
+    #: landed at the instant the fault interrupts them
+    CANCEL_AT = {"cancelled": 5e-6, "cancelled-13us": 13e-6}
 
     @pytest.mark.parametrize("fault", sorted(ABORTED))
     def test_aborted_cg_is_pinned(self, fault):
@@ -358,8 +370,12 @@ class TestPartitionAbort:
         failed."""
         m, part = booted((2, 2, 1, 1, 1, 1), word_batch=4096, watchdog=True, trace=True)
         gauge, b = system((5, "drain-fault"), (4, 4, 2, 2), start="weak", eps=0.3)
-        if fault == "cancelled":
-            m.sim.schedule(5e-6, m.nodes[0].scu.cancel_active_transfers, "mid-exchange")
+        if fault in self.CANCEL_AT:
+            m.sim.schedule(
+                self.CANCEL_AT[fault],
+                m.nodes[0].scu.cancel_active_transfers,
+                "mid-exchange",
+            )
         else:
             node, direction = (0, 0) if fault == "link-dead" else (1, None)
             FaultSchedule(

@@ -127,12 +127,13 @@ def steady_state_program(context, local_src, tracker, warmup=2, steady=3):
     return program
 
 
-def run_and_check(tracker, op, stream, shape, **params):
-    """Steady-state program on a fresh 2-node face-batched machine per
-    pipeline order, over one seeded (real-source) system."""
+def run_and_check(tracker, op, stream, shape, dims=(2, 1, 1, 1, 1, 1), **params):
+    """Steady-state program on a fresh face-batched machine of ``dims``
+    (2 nodes by default) per pipeline order, over one seeded (real-source)
+    system."""
     gauge, src = system(stream, shape, op, Ls=params.get("Ls"), imag=False)
     for order, overlap in ORDERS.items():
-        machine, part = booted((2, 1, 1, 1, 1, 1), word_batch="face")
+        machine, part = booted(dims, word_batch="face")
         context = scattered(part, op, gauge, overlap=overlap, **params)
         program = steady_state_program(context, context.scatter(src), tracker)
         machine.run_partition(part, program)
@@ -159,6 +160,24 @@ class TestSteadyStateAllocationFree:
 
     def test_staggered(self, tracker):
         run_and_check(tracker, "asqtad", (93, "hotpath-stag"), (8, 2, 2, 2), mass=0.1)
+
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("wilson", {"mass": 0.3}),
+            ("wilson", {"mass": 0.3, "c_sw": 1.0}),
+            ("dwf", {"Ls": 2}),
+        ],
+        ids=["wilson", "clover", "dwf"],
+    )
+    def test_all_boundary_tile(self, tracker, op, params):
+        # the 16-site tile of the service and CG workloads, every axis
+        # cut: the batched hop terms and their strided per-sign views,
+        # and the whole-tile merge, where their host cost is measured
+        run_and_check(
+            tracker, op, (98, f"hotpath-tile16-{op}"), (4, 4, 4, 4),
+            dims=(2, 2, 2, 2, 1, 1), **params,
+        )
 
 
 class TestSerialOperators:

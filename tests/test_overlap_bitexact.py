@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fermions import AsqtadDirac, DomainWallDirac, WilsonDirac
+from repro.fermions import AsqtadDirac, CloverDirac, DomainWallDirac, WilsonDirac
 from tests.harness import applied, booted, system, transfer_counters
 
 #: (machine dims, logical decomposition) — 0D (single node), 1D, 2D, 4D
@@ -158,6 +158,65 @@ class TestDecompositionInvariance:
         }
         for name, out in outs.items():
             assert np.array_equal(out, outs["0d"]), name
+
+
+class TestAllBoundaryTile:
+    """Sixteen ranks of one 16-site tile, all four axes cut: every site is
+    a boundary site, both hop terms of every direction have face rows
+    patched from a wire, and the merge has no interior share at all.  On
+    a point source whose empty sites carry zeros of both signs, Wilson
+    and clover are byte-equal to the serial operators in either order.
+    The serial domain-wall operator adds its diagonal in another order
+    (``(d psi - hop/2) + psi``), so DWF is held to the bytes of the same
+    operator on one node, where no site waits for a halo, and to the
+    serial one's values."""
+
+    DIMS = DECOMPS["4d"]
+    SHAPE = (4, 4, 4, 4)
+
+    @staticmethod
+    def point(src, lead=()):
+        point = np.zeros_like(src)
+        point.reshape(-1)[1::2] = -0.0
+        site = (0,) * len(lead) + (7,)
+        point[site] = src[site]
+        return point
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize(
+        "params, serial",
+        [
+            ({"mass": 0.3}, lambda gauge: WilsonDirac(gauge, mass=0.3)),
+            ({"mass": 0.3, "c_sw": 1.0}, lambda gauge: CloverDirac(gauge, mass=0.3)),
+        ],
+        ids=["wilson", "clover"],
+    )
+    def test_wilson_and_clover_equal_serial(self, params, serial, dagger, overlap):
+        gauge, src = system((41, "all-boundary-wilson"), self.SHAPE)
+        point = self.point(src)
+        dirac = serial(gauge)
+        want = (dirac.apply_dagger if dagger else dirac.apply)(point)
+        machine, partition = booted(self.DIMS, word_batch="face")
+        got = applied(
+            machine, partition, "wilson", gauge, point,
+            dagger=dagger, overlap=overlap, **params,
+        )
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_dwf_equals_one_node(self, overlap):
+        gauge, src = system((41, "all-boundary-dwf"), self.SHAPE, "dwf", Ls=2)
+        point = self.point(src, lead=(2,))
+        outs = {}
+        for name in ("0d", "4d"):
+            machine, partition = booted(DECOMPS[name], word_batch="face")
+            outs[name] = applied(
+                machine, partition, "dwf", gauge, point, overlap=overlap, Ls=2
+            )
+        assert outs["4d"].tobytes() == outs["0d"].tobytes()
+        serial = DomainWallDirac(gauge, Ls=2).apply(point)
+        assert np.allclose(outs["4d"], serial, atol=1e-14)
 
 
 class TestPayloadInvariance:
