@@ -10,7 +10,9 @@ directory (``$TMPDIR``, else ``/tmp``), then runs ``python3 bench/run.py
 working tree, alternating which goes first, and prints each pair's
 ``wall_s``, ``setup_s`` and ``peak_rss_mb`` and the median of the
 per-pair ratios (here / base; below 1 is better), each side's median
-and quartiles, and how many pairs the working tree won.  The worktree is
+and quartiles, how many pairs the working tree won, and whether a claim
+that the metric fell holds: lower in at least nine pairs of ten, and a
+median gap wider than the base's interquartile range.  The worktree is
 removed afterwards; nothing is written under ``bench/``.  This is the
 "ten alternating pairs" rule a speed claim is held to (ROADMAP.md), as
 one command.
@@ -33,6 +35,7 @@ one command.
 import argparse
 import heapq
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -187,14 +190,35 @@ def pairs(base: Path, workload: str, n: int) -> None:
         wins = sum(b < a for a, b in zip(was, now))
         print(f"{name}: base {spread(was)}  here {spread(now)}  "
               f"median here/base {ratio:.3f}  here lower in {wins}/{len(was)}")
+        print(f"  {name} claim: {claim_verdict(was, now, wins)}")
+
+
+def quartiles(values) -> "tuple[float, float, float]":
+    """``(q1, median, q3)``; one value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
 
 
 def spread(values) -> str:
     """``median [q1, q3]``."""
     if len(values) < 2:
         return f"{values[0]:.4g}"
-    q1, median, q3 = statistics.quantiles(values, n=4)
+    q1, median, q3 = quartiles(values)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def claim_verdict(was, now, wins: int) -> str:
+    """Whether a claim that ``now`` is lower than ``was`` holds: lower
+    in at least nine pairs of ten, and the medians further apart than
+    the base's interquartile range."""
+    q1, base_median, q3 = quartiles(was)
+    gap = base_median - quartiles(now)[1]
+    needed = math.ceil(0.9 * len(was))
+    holds = wins >= needed and gap > q3 - q1
+    return (f"{'holds' if holds else 'does not hold'}: lower in {wins}/{len(was)} "
+            f"(needs {needed}), median gap {gap:.4g} vs base IQR {q3 - q1:.4g}")
 
 
 def main(argv=None) -> int:

@@ -318,11 +318,11 @@ class NaiveStaggeredDirac:
         # mode="clip": the memoised tables are in range by construction,
         # and numpy buffers ``out`` under the default "raise"
         if steps > 0:
-            np.take(src, table, axis=-1, out=gathered, mode="clip")
+            src.take(table, axis=-1, out=gathered, mode="clip")
             cmatvec_site_fastest(links[0][mu], gathered, out=out)
         else:
             cmatvec_site_fastest(links[1][mu], src, out=gathered)
-            np.take(gathered, table, axis=-1, out=out, mode="clip")
+            gathered.take(table, axis=-1, out=out, mode="clip")
 
     def apply(self, chi: np.ndarray) -> np.ndarray:
         return self.mass * chi + 0.5 * self.hopping(chi)

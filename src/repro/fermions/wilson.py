@@ -124,7 +124,7 @@ class WilsonDirac:
                 if sign > 0:
                     # forward hop: U_mu(x) (1 - gamma_mu) psi(x + mu)
                     table = geom.neighbour_fwd(mu)
-                    np.take(half, table, axis=-1, out=gathered, mode="clip")
+                    half.take(table, axis=-1, out=gathered, mode="clip")
                     hop = cmatvec_site_fastest(u[mu], gathered, out=prod)
                 else:
                     # backward hop: U_mu(x - mu)^+ (1 + gamma_mu) psi(x - mu),
@@ -133,7 +133,7 @@ class WilsonDirac:
                     # gathered: no shifted copy of the links exists
                     table = geom.neighbour_bwd(mu)
                     cmatvec_site_fastest(u_dagger[mu], half, out=prod)
-                    hop = np.take(prod, table, axis=-1, out=gathered, mode="clip")
+                    hop = prod.take(table, axis=-1, out=gathered, mode="clip")
                 acc[:2] += hop
                 acc[2:] += reconstruct_lower(mu, sign, hop, out=lower)
         np.copyto(out.transpose(1, 2, 0), acc)

@@ -718,9 +718,7 @@ class QCDOCMachine:
         if self.trace is not None:
             merged_trace.sort(key=lambda item: (item[0], item[1], item[2]))
             for _t, _s, _k, r in merged_trace:
-                self.trace.records.append(
-                    TraceRecord(r.time, r.tag, r.fields, self.trace.emitted)
-                )
+                self.trace.records.append(r._replace(seq=self.trace.emitted))
                 self.trace.emitted += 1
 
     # -- machine-wide services ---------------------------------------------------

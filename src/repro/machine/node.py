@@ -202,12 +202,15 @@ class Node:
         self.flops_charged += flops
         self.compute_time += duration
         self.kernel_flops[kernel] = self.kernel_flops.get(kernel, 0.0) + flops
+        done = self.sim.timeout(duration)
         if self.trace is not None:
             # A span record: emitted at the *end* time of the charged
-            # interval so ``time - dur`` is the start.
+            # interval so ``time - dur`` is the start, by the timeout's
+            # first callback — in the timeout's own heap entry, before
+            # the program that yields on it resumes.
             trace, node_id = self.trace, self.node_id
 
-            def _emit_span():
+            def _emit_span(_done: Event) -> None:
                 trace.emit(
                     "cpu.compute",
                     node=node_id,
@@ -216,8 +219,8 @@ class Node:
                     dur=duration,
                 )
 
-            self.sim.schedule(duration, _emit_span)
-        return self.sim.timeout(duration)
+            done.add_callback(_emit_span)
+        return done
 
     @property
     def sustained_flops(self) -> float:

@@ -91,6 +91,22 @@ def resolve_word_batch(word_batch, nwords: int) -> int:
     return max(1, int(word_batch))
 
 
+#: word addresses ``0, 1, 2, ...``: every contiguous descriptor's
+#: addresses are a read-only view of this one array, which grows by
+#: doubling (a view keeps the array it was cut from alive)
+_ADDRESSES = np.arange(0)
+
+
+def _contiguous_words(start: int, count: int) -> np.ndarray:
+    """Words ``start .. start + count - 1`` as a view of :data:`_ADDRESSES`."""
+    global _ADDRESSES
+    end = start + count
+    if end > len(_ADDRESSES):
+        _ADDRESSES = np.arange(max(end, 2 * len(_ADDRESSES)))
+        _ADDRESSES.setflags(write=False)
+    return _ADDRESSES[start:end]
+
+
 @dataclass(frozen=True)
 class DmaDescriptor:
     """Block-strided access pattern into a named local-memory buffer.
@@ -98,7 +114,9 @@ class DmaDescriptor:
     Words ``offset + b*stride + i`` for ``b in range(nblocks)``,
     ``i in range(block_len)`` — the SCU hardware's native addressing, which
     is exactly what lattice face extraction needs (contiguous runs of sites
-    separated by a fixed pitch).
+    separated by a fixed pitch).  A contiguous descriptor (one block, or
+    blocks that abut) shares its addresses with every other one — a view
+    of one process-wide range; a strided one owns its array.
     """
 
     buffer: str
@@ -114,9 +132,12 @@ class DmaDescriptor:
             raise ProtocolError(
                 f"overlapping DMA blocks: stride {self.stride} < block {self.block_len}"
             )
-        starts = self.offset + self.stride * np.arange(self.nblocks)
-        words = (starts[:, None] + np.arange(self.block_len)[None, :]).reshape(-1)
-        words.setflags(write=False)
+        if self.nblocks == 1 or self.stride == self.block_len:
+            words = _contiguous_words(self.offset, self.total_words)
+        else:
+            starts = self.offset + self.stride * np.arange(self.nblocks)
+            words = (starts[:, None] + np.arange(self.block_len)[None, :]).reshape(-1)
+            words.setflags(write=False)
         object.__setattr__(self, "_words", words)
 
     @property
@@ -125,8 +146,9 @@ class DmaDescriptor:
 
     def indices(self) -> np.ndarray:
         """The word addresses, in transfer order: built once per
-        descriptor and read-only, so every transfer a stored descriptor
-        starts shares one array."""
+        descriptor (a view of the shared range when contiguous) and
+        read-only, so every transfer a stored descriptor starts shares
+        one array."""
         return self._words
 
 

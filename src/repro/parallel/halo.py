@@ -349,7 +349,7 @@ class HaloPipeline:
         next application.
 
         Steady-state allocation-free: the site kernels land every numpy
-        result in context scratch (``out=`` kernels, ``np.take(...,
+        result in context scratch (``out=`` kernels, ``a.take(...,
         out=)`` gathers).
         """
         api, kernel, rate, overlap = self.api, self.kernel, self.rate, self.overlap

@@ -61,7 +61,7 @@ from repro.util.hotpath import hot_path
 def half_spinor_tables(ndim: int, lead: Tuple[int, ...]):
     """Index and coefficient tables of every ``(mu, sign)`` half spinor
     of a ``lead + (4, 3, v)`` field, from :data:`HALF_SPINOR`: what
-    ``(1 -+ gamma_mu)`` does to each row becomes one ``np.take`` over a
+    ``(1 -+ gamma_mu)`` does to each row becomes one ``take`` over a
     flattened array and one broadcast multiply, so all directions project
     (and reconstruct) together, with the per-element arithmetic of
     :func:`spin_project` and :func:`~repro.fermions.gamma.reconstruct_lower`.
@@ -210,7 +210,7 @@ class WilsonHops(HaloPipeline):
         exactly as the seed charged its raw-face sends.
         """
         face = self._face_gather[mu]
-        np.take(self.source, self.plans[mu].send_low, axis=-1, out=face, mode="clip")
+        self.source.take(self.plans[mu].send_low, axis=-1, out=face, mode="clip")
         spin_project(mu, +1, face, out=self.stage_fwd[mu])
 
     @hot_path
@@ -226,7 +226,7 @@ class WilsonHops(HaloPipeline):
         face = self._face_gather[mu]
         # mode="clip": the memoised tables are in range by construction,
         # and numpy buffers ``out`` under the default "raise"
-        np.take(self.source, high, axis=-1, out=face, mode="clip")
+        self.source.take(high, axis=-1, out=face, mode="clip")
         if self.compress:
             face = spin_project(mu, -1, face, out=self._face_wire[mu])
         cmatvec_site_fastest(self._u_dagger_high[mu], face, out=self.stage_bwd[mu])
@@ -250,7 +250,7 @@ class WilsonHops(HaloPipeline):
         if self.compress:
             # (1 -+ gamma_mu) psi for every (mu, sign): psi[:2] - c psi[p]
             rows = src.reshape((-1,) + src.shape[-2:])
-            np.take(rows, self._proj_rows, axis=0, out=hops, mode="clip")
+            rows.take(self._proj_rows, axis=0, out=hops, mode="clip")
             np.multiply(hops, self._proj_coeff, out=hops)
             np.subtract(src[..., :2, :, :], hops, out=hops)
             fwd, bwd = hops[:, 0], hops[:, 1]
@@ -260,13 +260,13 @@ class WilsonHops(HaloPipeline):
         # are in range by construction, and numpy buffers ``out`` under
         # the default "raise"
         for mu, (ahead, _) in enumerate(self._tables):
-            np.take(fwd[mu], ahead, axis=-1, out=gathered[mu], mode="clip")
+            fwd[mu].take(ahead, axis=-1, out=gathered[mu], mode="clip")
         cmatvec_directions(self._u, gathered, out=hops[:, 0])
         # backward: U_mu(x - mu)^+ psi(x - mu), multiplied where the link
         # lives and the product gathered
         cmatvec_directions(self._u_dagger, bwd, out=gathered)
         for mu, (_, behind) in enumerate(self._tables):
-            np.take(gathered[mu], behind, axis=-1, out=hops[mu, 1], mode="clip")
+            gathered[mu].take(behind, axis=-1, out=hops[mu, 1], mode="clip")
         return self._hop_flops
 
     @hot_path
@@ -278,7 +278,7 @@ class WilsonHops(HaloPipeline):
         hops = self._hops
         terms = self._gathered.reshape(hops.shape[:-3] + hops.shape[-2:])
         rows = hops.reshape((-1,) + hops.shape[-2:])
-        np.take(rows, self._lower_rows[j], axis=0, out=terms, mode="clip")
+        rows.take(self._lower_rows[j], axis=0, out=terms, mode="clip")
         return np.multiply(terms, self._lower_coeff[j], out=terms)
 
     @hot_path

@@ -160,11 +160,11 @@ class DistributedStaggeredContext(HaloPipeline):
         buf = self.stage_bwd[mu]
         # mode="clip": the memoised tables are in range by construction,
         # and numpy buffers ``out`` under the default "raise"
-        np.take(self.source, high1, axis=-1, out=self._stage_v1[mu], mode="clip")
+        self.source.take(high1, axis=-1, out=self._stage_v1[mu], mode="clip")
         cmatvec_site_fastest(
             self._fat_dagger_high[mu], self._stage_v1[mu], out=buf[:, :n1]
         )
-        np.take(self.source, high3, axis=-1, out=self._stage_v3[mu], mode="clip")
+        self.source.take(high3, axis=-1, out=self._stage_v3[mu], mode="clip")
         cmatvec_site_fastest(
             self._long_dagger_high3[mu], self._stage_v3[mu], out=buf[:, n1:]
         )
@@ -176,12 +176,12 @@ class DistributedStaggeredContext(HaloPipeline):
         g = self.geometry
         src, prod = self.source, self._m_term
         for mu, (ahead1, ahead3, behind1, behind3) in enumerate(self._tables):
-            np.take(src, ahead1, axis=-1, out=self._fwd1[mu], mode="clip")
-            np.take(src, ahead3, axis=-1, out=self._fwd3[mu], mode="clip")
+            src.take(ahead1, axis=-1, out=self._fwd1[mu], mode="clip")
+            src.take(ahead3, axis=-1, out=self._fwd3[mu], mode="clip")
             cmatvec_site_fastest(self._fat[1][mu], src, out=prod)
-            np.take(prod, behind1, axis=-1, out=self._bwd1[mu], mode="clip")
+            prod.take(behind1, axis=-1, out=self._bwd1[mu], mode="clip")
             cmatvec_site_fastest(self._long[1][mu], src, out=prod)
-            np.take(prod, behind3, axis=-1, out=self._bwd3[mu], mode="clip")
+            prod.take(behind3, axis=-1, out=self._bwd3[mu], mode="clip")
         return 0.0 + 2 * g.ndim * g.volume * MATVEC_SU3
 
     @hot_path
@@ -189,7 +189,7 @@ class DistributedStaggeredContext(HaloPipeline):
         if sign > 0:
             raw = self.halo_fwd[mu]
             layer0 = self._stage_v1[mu]  # staging is over: reuse its scratch
-            np.take(raw, self.raw_layer0[mu], axis=-1, out=layer0, mode="clip")
+            raw.take(self.raw_layer0[mu], axis=-1, out=layer0, mode="clip")
             self._fwd1[mu][:, self.plans[mu].fill_from_fwd] = layer0
             self._fwd3[mu][:, self.plan3[mu].fill_from_fwd] = raw
         else:

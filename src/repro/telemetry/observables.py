@@ -24,7 +24,7 @@ def observables(machine: Any) -> Dict[str, Any]:
     return {
         "counters": machine.counter_bank().sample(),
         "trace": Counter(
-            (r.time, r.tag, tuple(sorted(r.fields.items()))) for r in records
+            (r.time, r.tag, tuple(sorted(zip(r.names, r.values)))) for r in records
         ),
         "now": machine.sim.now,
         "replay": machine.replay_stats(),

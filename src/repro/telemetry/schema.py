@@ -82,7 +82,7 @@ def validate_record(record: TraceRecord) -> List[str]:
     if expected is None:
         problems.append(f"unregistered trace tag {record.tag!r}")
         return problems
-    got = frozenset(record.fields)
+    got = frozenset(record.names)
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)

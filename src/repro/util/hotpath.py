@@ -11,14 +11,15 @@ tag is enforced twice:
 
 * statically, by reprolint rule REPRO105 (no numpy allocation calls —
   ``np.zeros``/``np.empty``/``np.concatenate``/... — anywhere in a
-  ``@hot_path`` body);
+  ``@hot_path`` body, and no ``np.take``, whose Python wrapper costs
+  more than a small gather: ``a.take`` is the same C call);
 * at runtime, by the allocation-counting fixture in
   ``tests/test_hotpath_alloc.py``, which patches the allocator entry
   points and fails if a tagged path triggers one mid-iteration.
 
 The contract covers *Python-level allocation calls*.  C-level expression
 temporaries (e.g. ``a + b`` materialising a result array) are outside its
-scope — the approved allocation-free idioms are ``np.take(..., out=)``,
+scope — the approved allocation-free idioms are ``a.take(..., out=)``,
 ``np.copyto``, ``np.einsum(..., out=)`` and the ``out=`` forms of the
 spin/colour kernels (see DESIGN.md §12).
 """

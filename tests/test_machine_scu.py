@@ -649,11 +649,13 @@ class TestEventBudget:
         assert_same_observables(m_int, m_rep)
 
     @staticmethod
-    def wilson_exchange(dims, word_batch, shards):
+    def wilson_exchange(dims, word_batch, shards, trace=False):
         """Heap entries per lane of one Wilson application on ``dims``
         (at shards=1 the one heap), and the clock once it has drained."""
         gauge, psi = system((7, "scu-budget"), (4, 4, 2, 2))
-        m, part = booted(dims, word_batch=word_batch, replay=False, shards=shards)
+        m, part = booted(
+            dims, word_batch=word_batch, replay=False, shards=shards, trace=trace
+        )
         lanes = m.sim.lanes if shards > 1 else [m.sim]
         before = [lane.events_processed for lane in lanes]
         applied(m, part, "wilson", gauge, psi, mass=0.3)
@@ -673,6 +675,16 @@ class TestEventBudget:
         # loop reaches them and it takes each inline, with no AnyOf and
         # no wake-up — none of them costs an entry of its own (51 while
         # it built an AnyOf for each).
+        assert spent == ([35] * 4 if shards > 1 else [4 * 35])
+        assert now == float.fromhex("0x1.f7c2ed889920ep-15")
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_wilson_exchange_2d_traced(self, shards):
+        # tracing costs no entry: a compute charge's cpu.compute span is
+        # written by its timeout's first callback, in the timeout's own
+        # entry (41 per rank while each of the six charges scheduled an
+        # entry of its own for the span)
+        spent, now = self.wilson_exchange((2, 2, 1, 1, 1, 1), "face", shards, trace=True)
         assert spent == ([35] * 4 if shards > 1 else [4 * 35])
         assert now == float.fromhex("0x1.f7c2ed889920ep-15")
 

@@ -37,6 +37,29 @@ class TestDmaDescriptorProperties:
         d = DmaDescriptor("b", block_len=n)
         assert np.array_equal(d.indices(), np.arange(n))
 
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=5000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indices_formula_read_only_and_shared(self, block, nblocks, stride_extra, offset):
+        stride = block + stride_extra
+        d = DmaDescriptor("b", block_len=block, nblocks=nblocks, stride=stride, offset=offset)
+        idx = d.indices()
+        expected = [offset + b * stride + i for b in range(nblocks) for i in range(block)]
+        assert idx.tolist() == expected and idx.dtype == np.int64
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
+        # a contiguous descriptor (one block, or blocks that abut) views
+        # the one shared range, so an equal one reads the same memory; a
+        # strided one owns its array
+        twin = DmaDescriptor("c", block_len=block, nblocks=nblocks, stride=stride, offset=offset)
+        contiguous = nblocks == 1 or stride_extra == 0
+        assert np.shares_memory(idx, twin.indices()) == contiguous
+
 
 class TestSnakeProperties:
     @given(shapes)

@@ -164,13 +164,29 @@ class TestDeterminismRules:
         assert len(result.findings) == 3  # np.zeros, .copy(), np.concatenate
         assert "hot_path" in result.findings[0].message
 
+    def test_hot_path_np_take_fires(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "from repro.util.hotpath import hot_path\n\n"
+            "@hot_path\n"
+            "def gather(ctx, sites):\n"
+            "    np.take(ctx.work, sites, axis=0, out=ctx.scratch, mode='clip')\n"
+            "    ctx.work.take(sites, axis=0, out=ctx.scratch, mode='clip')\n\n"
+            "def cold_gather(ctx, sites):\n"
+            "    return np.take(ctx.work, sites, axis=0)\n"  # untagged: allowed
+        )
+        result = lint(tmp_path, "repro/parallel/x.py", src, ["REPRO105"])
+        (finding,) = result.findings
+        assert finding.rule == "REPRO105" and finding.line == 6
+        assert "a.take(" in finding.message and "'gather'" in finding.message
+
     def test_hot_path_out_forms_pass(self, tmp_path):
         src = (
             "import numpy as np\n"
             "from repro.util.hotpath import hot_path\n\n"
             "@hot_path\n"
             "def merge(ctx, sites):\n"
-            "    np.take(ctx.work, sites, axis=0, out=ctx.scratch)\n"
+            "    ctx.work.take(sites, axis=0, out=ctx.scratch)\n"
             "    np.copyto(ctx.acc, ctx.scratch)\n"
             "    np.einsum('xab,xb->xa', ctx.links, ctx.scratch, out=ctx.acc)\n"
             "    return ctx.acc\n\n"

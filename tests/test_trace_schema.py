@@ -21,6 +21,7 @@ namespaced emitters, and the bounded ring-buffer mode.
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -338,11 +339,11 @@ def test_reprolint_trace_rule_agrees():
 
 
 def test_validate_record_flags_violations():
-    ok = TraceRecord(0.0, "scu.resend", {"node": 0, "direction": 1, "seq": 2}, 0)
+    ok = TraceRecord(0.0, "scu.resend", ("node", "direction", "seq"), (0, 1, 2), 0)
     assert validate_record(ok) == []
-    bad_tag = TraceRecord(0.0, "scu.bogus", {}, 1)
+    bad_tag = TraceRecord(0.0, "scu.bogus", (), (), 1)
     assert any("unregistered" in p for p in validate_record(bad_tag))
-    drift = TraceRecord(0.0, "scu.resend", {"node": 0, "word": 9}, 2)
+    drift = TraceRecord(0.0, "scu.resend", ("node", "word"), (0, 9), 2)
     (problem,) = validate_record(drift)
     assert "field drift" in problem and "direction" in problem
 
@@ -397,6 +398,54 @@ def test_ring_buffer_drops_oldest_and_counts():
     assert t.emitted == 10
     assert t.dropped == 7
     assert [r.fields["iteration"] for r in t.tagged("cg.iteration")] == [7, 8, 9]
+
+
+# ---------------------------------------------------------------------------
+# Record layout: a tuple of values and one shared tuple of names
+# ---------------------------------------------------------------------------
+
+
+def compute_spans(t, n):
+    """``n`` records from one call site (the node's compute span)."""
+    for i in range(n):
+        t.emit("cpu.compute", node=i, flops=2.0 * i, kernel="dslash", dur=1e-6)
+    return t.tagged("cpu.compute")
+
+
+def test_record_holds_no_dict_and_shares_names():
+    t = Trace()
+    first, *rest = compute_spans(t, 3)
+    t.emit("cpu.compute", dur=1e-6, node=0, flops=0.0, kernel=None)  # another key order
+    for r in t:
+        assert not any(isinstance(part, dict) for part in r)
+        assert not any(isinstance(v, dict) for v in r.values)
+    assert all(r.names is first.names for r in rest)
+    assert first.names == ("node", "flops", "kernel", "dur")
+    assert t.last("cpu.compute").names == ("dur", "node", "flops", "kernel")
+    # a second trace's records from the same call site share it too
+    assert compute_spans(Trace(), 1)[0].names is first.names
+
+
+def test_fields_round_trip():
+    t = Trace()
+    fields = {"rank": 3, "iteration": 7, "residual": 0.25}
+    t.emit("cg.iteration", **fields)
+    (r,) = t
+    assert r.fields == fields and list(r.fields) == list(fields)
+    assert r.values == (3, 7, 0.25)
+    with pytest.raises(TypeError):
+        r.fields["rank"] = 4  # read-only
+    assert r._replace(seq=9).fields == fields
+
+
+def test_record_bytes_are_bounded():
+    """A 4-field record, its tuple and its values' tuple: 152 B on
+    CPython 3.11 (a 5-slot tuple and a 4-slot one), against 256 B for the
+    4-slot tuple and 184 B kwargs dict it used to be.  The names tuple is
+    shared, so it is not the record's."""
+    (r,) = compute_spans(Trace(), 1)
+    assert len(r.values) == 4
+    assert sys.getsizeof(r) + sys.getsizeof(r.values) <= 160
 
 
 # ---------------------------------------------------------------------------
