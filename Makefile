@@ -96,8 +96,9 @@ lint:
 		echo "lint: mypy not installed, skipping"; \
 	fi
 
-## SCU protocol state-machine verifier: the bounded-model enumeration
-## against the production scu.py.  (The other non-pytest gate, reprolint
+## SCU link protocol: a bounded enumeration of the production send/receive
+## units of a two-node machine (DESIGN.md section 14), each failing run
+## printed as the Case that replays it.  (The other non-pytest gate, reprolint
 ## over src/, runs once, in `lint`; both suites,
 ## tests/test_flow_analysis.py and tests/test_protocol_verifier.py, are
 ## part of tier-1.)

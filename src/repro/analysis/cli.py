@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.analysis src/                 # every rule, exit 0/1
-    python -m repro.analysis --protocol           # SCU state-machine verifier
+    python -m repro.analysis --protocol           # SCU link-protocol enumeration
     python -m repro.analysis tests/ --hygiene     # REPRO401/402 only
     python -m repro.analysis src/ --format json   # machine-readable
     python -m repro.analysis --list-rules         # the rule catalogue
@@ -25,9 +25,10 @@ Modes:
 * ``--hygiene`` — only the API-hygiene rules (REPRO401/402), the mode
   ``make lint`` applies to ``tests/`` and ``benchmarks/`` where the
   simulator-semantics rules would misread fixture code;
-* ``--protocol`` — no scanning at all: run the bounded SCU
-  state-machine verifier (conformance + exhaustive enumeration)
-  against the installed ``repro.machine.scu``.
+* ``--protocol`` — no scanning at all: run the bounded enumeration of
+  the installed ``repro.machine.scu`` link protocol
+  (:mod:`repro.analysis.protocol`), print each failing case as the
+  ``Case(...)`` that replays it, and the count of cases run and failing.
 
 A **stale** allowlist entry — its rule ran, its file was scanned, and
 nothing was suppressed — fails the run loudly instead of warning:
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--protocol",
         action="store_true",
-        help="run the SCU protocol state-machine verifier and exit",
+        help="run the bounded enumeration of the SCU link protocol and exit",
     )
     parser.add_argument(
         "--list-rules",

@@ -393,7 +393,12 @@ class SendUnit(_DmaUnit):
     @hot_path
     def on_ack(self, seq: int) -> None:
         self.acks_received += 1
-        if seq > self.base:
+        # ``_checksummed`` is the most this transfer has clocked out: an
+        # ACK beyond it is stale.  A receive that drains idle-held frames
+        # acks each one, and the last ACK can land after a back-to-back
+        # next transfer claimed the unit (protocol enumeration case
+        # ``Case(n=3, batch=1, window=3, post=3, transfers=2)``).
+        if self.base < seq <= self._checksummed:
             self.base = seq
             self._consec_resends = 0  # forward progress: not a storm
             self._wakeup()
@@ -565,8 +570,9 @@ class RecvUnit(_DmaUnit):
             # the receiver already accepted).  Without this filter the
             # duplicate matches the rearmed ``expected == 0`` sequence
             # space and is idle-held — to be drained into the *next*
-            # transfer's buffer by a later post().  Found by exhaustive
-            # enumeration of the protocol model (DESIGN.md section 14).
+            # transfer's buffer by a later post(): protocol enumeration
+            # case ``Case(n=2, batch=1, window=3, post=2, faults=(0, 3),
+            # transfers=2)`` (DESIGN.md section 14).
             self.stale_frames_discarded += 1
             return
         if frame.is_corrupt():
@@ -599,7 +605,8 @@ class RecvUnit(_DmaUnit):
                     # sender could then finish and EOT a transfer the
                     # receiver never began accepting, tripping on_eot.
                     # Stay silent; post() drains the held words and acks
-                    # then.  Found by the protocol-model enumeration.
+                    # then.  Enumeration case ``Case(n=4, batch=1,
+                    # window=3, post='stall', faults=(0,))``.
                     self.idle_dups_discarded += 1
                     return
                 # Duplicate: re-ack so the sender's window advances.

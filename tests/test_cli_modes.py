@@ -5,9 +5,12 @@ import json
 
 import pytest
 
+from repro.analysis import protocol
 from repro.analysis.allowlist import ALLOWLIST_BUDGET, parse_allowlist
 from repro.analysis.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.analysis.protocol import Case
 from repro.util.errors import ConfigError
+from tests.test_protocol_verifier import mutate
 
 pytestmark = pytest.mark.analysis
 
@@ -89,11 +92,20 @@ class TestHygiene:
 
 
 class TestProtocolFlag:
+    """The CLI over a few cases (the whole enumeration is
+    ``tests/test_protocol_verifier.py``'s to run)."""
+
+    #: passes on production; the idle_dup_silence mutant fails it
+    CASE = Case(n=2, batch=1, window=3, post="stall", faults=(0, 3))
+
+    @pytest.fixture(autouse=True)
+    def few_cases(self, monkeypatch):
+        monkeypatch.setattr(protocol, "cases", lambda: iter([self.CASE]))
+
     def test_protocol_verifier_passes_and_exits_clean(self, capsys):
         assert main(["--protocol"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         assert "protocol verification: ok" in out
-        assert "conformance: ok" in out
 
     def test_protocol_combines_with_scan(self, tmp_path, capsys):
         root = write_pkg(tmp_path, WALLCLOCK_BAD)
@@ -101,6 +113,14 @@ class TestProtocolFlag:
         assert code == EXIT_FINDINGS  # the scan's finding, not the verifier
         out = capsys.readouterr().out
         assert "protocol verification: ok" in out and "REPRO101" in out
+
+    def test_failing_case_is_named_for_replay(self, monkeypatch, capsys):
+        mutate(monkeypatch, "idle_dup_silence")
+        assert main(["--protocol"]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert f"FAILED {self.CASE!r}: ProtocolError" in out
+        assert "protocol enumeration: 1 cases, 1 failing" in out
+        assert "protocol verification: FAILED" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,227 +1,225 @@
-"""SCU protocol state-machine verifier suite (PR 9).
+"""The SCU link-protocol enumeration and its mutant catalogue.
 
-Four layers:
-
-1. **The verdict** — the full default matrix (word_batch 1 and
-   FACE_BATCH, fault budgets, drain variants) passes against the
-   production ``scu.py``, and conformance finds every spec'd guard.
-2. **Mutation catching** — clearing each safety-critical
-   :class:`SpecToggles` flag makes the enumeration fail (the
-   acceptance criterion: a seeded spec bug is demonstrably caught);
-   the four guards that are provably redundant within the model's
-   bounds are pinned as such.
-3. **Conformance drift** — doctoring the production source (deleting
-   a guard textually) is reported against the right toggle.
-4. **Runtime regressions** — the two protocol bugs the enumeration
-   found in ``scu.py`` (stale post-completion duplicates idle-held
-   into the next transfer; idle-receive duplicates leaking window
-   credit) stay fixed at the RecvUnit level.
+1. **The verdict** — :func:`repro.analysis.protocol.verify_protocol`
+   passes every case of its bounds on the production ``scu.py``.
+2. **Mutants** — each guard of the protocol has one: a one-snippet edit
+   of one ``scu.py`` method, exec'd and swapped onto the real class.  A
+   *killed* guard's mutant fails the enumeration (its test stops at the
+   first failing case); an *unobserved* one passes, for a stated reason.
+3. **The catalogue stays true** — each snippet occurs exactly once in
+   its method, so an edit that moves a guard fails and names it.
+4. **Runtime regressions** — the two ``RecvUnit`` bugs the enumeration
+   found stay fixed at the unit level.
 """
 
 import inspect
-from dataclasses import replace
+import textwrap
 
 import numpy as np
 import pytest
 
-from repro.analysis.protocol import (
-    DEFAULT_SPEC,
-    ModelConfig,
-    check_conformance,
-    explore,
-    verify_protocol,
-)
-from repro.analysis.protocol.model import FACE, initial_state, successors
-from repro.analysis.protocol.verifier import default_matrix
+from repro.analysis import protocol
+from repro.analysis.protocol import ABORTS, Case, cases, check, verify_protocol
 from repro.machine import scu as scu_module
 from repro.machine.asic import MachineConfig
 from repro.machine.machine import QCDOCMachine
 from repro.machine.packets import Frame, PacketType
+from repro.machine.scu import FACE_BATCH, DmaDescriptor, RecvUnit, SendUnit
 
 pytestmark = pytest.mark.analysis
 
-DIMS = (2, 1, 1, 1, 1, 1)
+KILLED = "killed"
+#: why an unobserved guard's mutant passes every case
+FIFO = "FIFO-excluded: what it handles arrives after the frame that settles it"
+LATENCY = "latency-only: the go-back-N rewind recovers, later"
+ASSERTION = "assertion: raises ProtocolError, which no correct run reaches"
+
+ACKED = "self.base < seq <= self._checksummed"
+#: guard -> (class, method, snippet, its mutant, verdict)
+GUARDS = {
+    "ack_window_guard": (
+        SendUnit, "_pump",
+        "if self.next < n and in_flight < self.window:\n"
+        "                seq = self.next\n"
+        "                batch = min(self._batch, n - seq, self.window - in_flight)",
+        "if self.next < n:\n"
+        "                seq = self.next\n"
+        "                batch = min(self._batch, n - seq)",
+        KILLED,
+    ),
+    "eot_after_drain": (SendUnit, "_pump", "if self.base < n:", "if self.next < n:", KILLED),
+    "stale_ack_filter": (SendUnit, "on_ack", ACKED, "self.base < seq", KILLED),
+    "ack_monotonic": (SendUnit, "on_ack", ACKED, "seq <= self._checksummed", FIFO),
+    "resend_rewind_floor": (SendUnit, "on_resend", "max(seq, self.base)", "seq", LATENCY),
+    "corrupt_resend": (
+        RecvUnit, "on_data", "self.control.send(PacketType.RESEND, frame.seq)", "pass", KILLED
+    ),
+    "gap_resend": (
+        RecvUnit, "on_data", "self.control.send(PacketType.RESEND, self.expected)", "pass",
+        LATENCY,
+    ),
+    "dup_reack": (
+        RecvUnit, "on_data", "self.control.send(PacketType.ACK, self.expected)", "pass", FIFO
+    ),
+    "idle_dup_silence": (
+        RecvUnit, "on_data",
+        "self.idle_dups_discarded += 1\n                    return",
+        "self.idle_dups_discarded += 1",
+        KILLED,
+    ),
+    "idle_hold_guard": (
+        RecvUnit, "on_data", "self.held_words + frame.nwords > self.asic.idle_hold_words",
+        "False", ASSERTION,
+    ),
+    "stale_eot_filter": (
+        RecvUnit, "on_data",
+        "self.stale_frames_discarded += 1\n            return",
+        "self.stale_frames_discarded += 1",
+        KILLED,
+    ),
+    "eot_accounting": (RecvUnit, "on_eot", "seq != expected", "False", ASSERTION),
+}
+UNOBSERVED = sorted(g for g, spec in GUARDS.items() if spec[-1] != KILLED)
+
+
+def stale_guards(source_of=inspect.getsource):
+    """Guards whose snippet does not occur exactly once in their method."""
+    return [
+        guard
+        for guard, (cls, method, snippet, _mutant, _verdict) in GUARDS.items()
+        if source_of(getattr(cls, method)).count(snippet) != 1
+    ]
+
+
+def mutate(monkeypatch, *guards):
+    """Swap the guards' mutants onto their classes (edits to one method
+    are applied together)."""
+    edited = {}
+    for guard in guards:
+        cls, method, snippet, mutant, _verdict = GUARDS[guard]
+        source = edited.get((cls, method)) or inspect.getsource(getattr(cls, method))
+        assert source.count(snippet) == 1, f"stale mutant: {guard}"
+        edited[cls, method] = source.replace(snippet, mutant)
+    for (cls, method), source in edited.items():
+        namespace = {}
+        exec(textwrap.dedent(source), vars(scu_module), namespace)
+        monkeypatch.setattr(cls, method, namespace[method])
+
+
+# -- the verdict -----------------------------------------------------------
+
+
+class TestVerdict:
+    def test_full_default_verification_passes(self):
+        report = verify_protocol()
+        assert report.ok, report.format()
+        assert report.cases > sum(1 for _ in cases())  # the aborts ran too
+
+    def test_word_batch_one_cell(self):
+        assert check(Case(3, 1, 3, 2, (1, 4), True, 2))[0] == []
+
+    def test_face_batch_cell(self):
+        assert check(Case(4, FACE_BATCH, 3, "stall", (0, 1), True, 2))[0] == []
+
+    def test_matrix_covers_required_axes(self):
+        space = list(cases())
+        assert {c.n for c in space} == {1, 2, 3, 4}
+        assert {c.batch for c in space} == {1, FACE_BATCH}
+        assert {c.window for c in space} == {3, 2}
+        assert {c.post for c in space} == {"before", 1, 2, 3, "stall"}
+        assert {len(c.faults) for c in space} == {0, 1, 2}
+        assert max(max(c.faults, default=0) - 2 * c.n for c in space) == 1
+        assert {(c.watchdog, c.transfers) for c in space} == {
+            (False, 1), (False, 2), (True, 1), (True, 2)
+        }
+        assert ABORTS == ("sender", "node0", "node1")
+
+    def test_exploration_is_deterministic(self):
+        for case in (Case(2, 1, 3, "stall", (0, 3), True, 2), Case(3, 1, 2, 1, abort=("node1", 9))):
+            assert check(case) == check(case)
+
+
+# -- mutants ---------------------------------------------------------------
+
+
+class TestMutations:
+    @pytest.mark.parametrize("guard", sorted(g for g in GUARDS if g not in UNOBSERVED))
+    def test_seeded_spec_bug_is_caught(self, guard, monkeypatch):
+        mutate(monkeypatch, guard)
+        assert not verify_protocol(first_failure=True).ok, f"dropping {guard} went unnoticed"
+
+    @pytest.fixture(scope="class")
+    def unobserved_failures(self):
+        """Every unobserved mutant at once, over every case but the aborts
+        (fault-free, they reach no duplicate, gap or raise)."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            mutate(monkeypatch, *UNOBSERVED)
+            return [(case, bad) for case in cases() for bad in [check(case)[0]] if bad]
+
+    @pytest.mark.parametrize("guard", UNOBSERVED)
+    def test_redundant_guard_documented(self, guard, unobserved_failures):
+        assert GUARDS[guard][-1] in (FIFO, LATENCY, ASSERTION)
+        assert unobserved_failures == [], f"{guard} may be observed: {unobserved_failures[0]}"
+
+    def test_window_mutation_names_the_violation(self, monkeypatch):
+        mutate(monkeypatch, "ack_window_guard")
+        assert check(Case(3, 1, 2, 2))[0] == ["3 words unacknowledged, window 2"]
+
+    def test_stale_eot_mutation_reproduces_the_found_bug(self, monkeypatch):
+        # a late RESEND has the sender repeat word 0 after the receive
+        # completed: held, it lands in the next transfer's buffer
+        case = Case(2, 1, 3, 2, (0, 3), False, 2)
+        assert check(case)[0] == []
+        mutate(monkeypatch, "stale_eot_filter")
+        assert "transfer 1 delivered [1, 102]" in check(case)[0]
+
+    def test_violation_traces_are_replayable(self, monkeypatch):
+        # the CLI prints the failing Case; its repr runs it again
+        mutate(monkeypatch, "idle_dup_silence")
+        (case, bad), = verify_protocol(first_failure=True).failing
+        assert check(eval(repr(case), vars(protocol)))[0] == bad
+
+
+# -- the catalogue stays true to scu.py ------------------------------------
+
+
+def doctored(text, edit):
+    return lambda fn: inspect.getsource(fn).replace(text, edit)
+
+
+class TestConformance:
+    def test_production_source_conforms(self):
+        assert stale_guards() == []
+
+    def test_doctored_ack_guard_is_reported(self):
+        source_of = doctored("self.base < seq <=", "self.base <= seq <=")
+        assert stale_guards(source_of) == ["stale_ack_filter", "ack_monotonic"]
+
+    def test_doctored_rewind_floor_is_reported(self):
+        source_of = doctored("max(seq, self.base)", "max(self.base, seq)")
+        assert stale_guards(source_of) == ["resend_rewind_floor"]
+
+    def test_doctored_window_guard_is_reported(self):
+        source_of = doctored("in_flight < self.window", "self.window > in_flight")
+        assert stale_guards(source_of) == ["ack_window_guard"]
+
+    def test_gutted_source_fails_every_guard(self, monkeypatch):
+        assert stale_guards(lambda fn: "") == list(GUARDS)
+        monkeypatch.setattr(RecvUnit, "on_eot", lambda self, seq: None)
+        with pytest.raises(AssertionError, match="stale mutant: eot_accounting"):
+            mutate(monkeypatch, "eot_accounting")
+
+
+# -- runtime regressions for the two RecvUnit bugs the enumeration found ---
 
 
 def words(*vals):
     return np.array(vals, dtype=np.uint64)
 
 
-# ---------------------------------------------------------------------------
-# the verdict
-# ---------------------------------------------------------------------------
-
-
-class TestVerdict:
-    def test_full_default_verification_passes(self):
-        report = verify_protocol()
-        assert report.conformance_failures == []
-        assert report.ok, report.format()
-        # every cell completed at least one quiesced execution
-        for result in report.results:
-            assert result.completed_runs >= 1, result.format()
-
-    def test_word_batch_one_cell(self):
-        result = explore(ModelConfig(n=3, batch=1, faults=1, drain=True))
-        assert result.ok, result.format()
-
-    def test_face_batch_cell(self):
-        result = explore(ModelConfig(n=3, batch=FACE, faults=1, drain=True))
-        assert result.ok, result.format()
-
-    def test_matrix_covers_required_axes(self):
-        matrix = default_matrix()
-        assert {c.batch for c in matrix} == {1, FACE}
-        assert {c.faults for c in matrix} == {0, 1}
-        assert {c.drain for c in matrix} == {False, True}
-        # the tighter-window cells that observe ack-window violations
-        assert any(c.resolved_window < c.idle_hold for c in matrix)
-
-    def test_exploration_is_deterministic(self):
-        cfg = ModelConfig(n=2, batch=1, faults=1, drain=True)
-        a, b = explore(cfg), explore(cfg)
-        assert (a.states, a.completed_runs) == (b.states, b.completed_runs)
-
-
-# ---------------------------------------------------------------------------
-# mutation catching
-# ---------------------------------------------------------------------------
-
-
-#: safety-critical guards: clearing any must fail the default matrix
-CAUGHT = (
-    "ack_window_guard",
-    "corrupt_resend",
-    "stale_eot_filter",
-    "idle_dup_silence",
-    "eot_after_drain",
-    "eot_accounting",
-)
-
-#: redundant-within-bounds guards (see the model module docstring):
-#: go-back-N rewind + FIFO wires make these latency/robustness-only
-REDUNDANT = (
-    "gap_resend",
-    "dup_reack",
-    "resend_rewind_floor",
-    "ack_monotonic",
-    "idle_hold_guard",
-)
-
-
-class TestMutations:
-    @pytest.mark.parametrize("toggle", CAUGHT)
-    def test_seeded_spec_bug_is_caught(self, toggle):
-        spec = replace(DEFAULT_SPEC, **{toggle: False})
-        report = verify_protocol(spec=spec)
-        assert not report.ok, f"dropping {toggle} went unnoticed"
-        # conformance skips disabled toggles, so the catch is the model's
-        assert report.conformance_failures == []
-
-    @pytest.mark.parametrize("toggle", REDUNDANT)
-    def test_redundant_guard_documented(self, toggle):
-        spec = replace(DEFAULT_SPEC, **{toggle: False})
-        report = verify_protocol(spec=spec)
-        assert report.ok, (
-            f"{toggle} became safety-critical: move it to CAUGHT and "
-            "update the model docstring\n" + report.format()
-        )
-
-    def test_window_mutation_names_the_violation(self):
-        spec = replace(DEFAULT_SPEC, ack_window_guard=False)
-        result = explore(
-            ModelConfig(n=3, batch=1, window=2, drain=True, toggles=spec)
-        )
-        assert not result.ok
-        kinds = {v.kind for v in result.violations}
-        assert kinds & {"window-exceeded", "idle-hold-overflow"}
-
-    def test_stale_eot_mutation_reproduces_the_found_bug(self):
-        # the held-stale-duplicate bug the enumeration originally found
-        spec = replace(DEFAULT_SPEC, stale_eot_filter=False)
-        result = explore(
-            ModelConfig(n=2, batch=1, faults=1, drain=False, toggles=spec)
-        )
-        assert not result.ok
-        assert any(v.kind == "deadlock" and "held=" in v.message
-                   for v in result.violations)
-
-    def test_violation_traces_are_replayable(self):
-        # every reported trace is a genuine action path from the initial
-        # state: replay it through successors() step by step
-        spec = replace(DEFAULT_SPEC, stale_eot_filter=False)
-        cfg = ModelConfig(n=2, batch=1, faults=1, drain=False, toggles=spec)
-        result = explore(cfg)
-        assert result.violations
-        trace = result.violations[0].trace
-        state = initial_state(cfg)
-        for label in trace:
-            succ = dict(successors(state, cfg))
-            assert label in succ, f"trace step {label} not enabled"
-            state = succ[label]
-            if not hasattr(state, "s_base"):  # reached the Violation
-                break
-
-
-# ---------------------------------------------------------------------------
-# conformance drift
-# ---------------------------------------------------------------------------
-
-
-class TestConformance:
-    @pytest.fixture(scope="class")
-    def production_source(self):
-        return inspect.getsource(scu_module)
-
-    def test_production_source_conforms(self, production_source):
-        assert check_conformance(production_source) == []
-
-    def test_doctored_ack_guard_is_reported(self, production_source):
-        doctored = production_source.replace(
-            "if seq > self.base:", "if True:"
-        )
-        assert doctored != production_source
-        failures = check_conformance(doctored)
-        assert any("ack_monotonic" in f for f in failures)
-
-    def test_doctored_rewind_floor_is_reported(self, production_source):
-        doctored = production_source.replace(
-            "self.next = max(seq, self.base)", "self.next = seq"
-        )
-        assert doctored != production_source
-        failures = check_conformance(doctored)
-        assert any("resend_rewind_floor" in f for f in failures)
-
-    def test_doctored_window_guard_is_reported(self, production_source):
-        doctored = production_source.replace(
-            "in_flight < self.window", "True"
-        )
-        assert doctored != production_source
-        failures = check_conformance(doctored)
-        assert any("ack_window_guard" in f for f in failures)
-
-    def test_disabled_toggle_skips_its_matcher(self, production_source):
-        doctored = production_source.replace(
-            "self.next = max(seq, self.base)", "self.next = seq"
-        )
-        spec = replace(DEFAULT_SPEC, resend_rewind_floor=False)
-        assert check_conformance(doctored, spec) == []
-
-    def test_gutted_source_fails_every_guard(self):
-        failures = check_conformance("class SendUnit:\n    pass\n")
-        assert len(failures) == len(
-            [f for f in DEFAULT_SPEC.__dataclass_fields__]
-        )
-
-
-# ---------------------------------------------------------------------------
-# runtime regressions for the two bugs the enumeration found
-# ---------------------------------------------------------------------------
-
-
 class TestRecvUnitRegressions:
     def _recv_unit(self):
-        machine = QCDOCMachine(MachineConfig(dims=DIMS))
+        machine = QCDOCMachine(MachineConfig(dims=protocol.DIMS))
         machine.bring_up()
         node = machine.nodes[0]
         node.memory.alloc("recv", np.zeros(8, dtype=np.uint64))
@@ -260,8 +258,6 @@ class TestRecvUnitRegressions:
 
     def test_posted_duplicate_still_reacked(self):
         unit = self._recv_unit()
-        from repro.machine.scu import DmaDescriptor
-
         unit.post(DmaDescriptor(buffer="recv", block_len=4))
         unit.on_data(Frame(PacketType.NORMAL, words(1), seq=0))
         acks_before = unit.acks_sent
