@@ -33,9 +33,9 @@ point source whose empty sites carry zeros of both signs.
 Then the serial operators the machine runs are checked against, with no
 machine and so no timeline (the second column is dashes): Wilson, clover,
 DWF (``Ls = 4``) and ASQTAD × ``apply`` and ``apply_dagger`` × a random
-and a point source whose empty sites carry zeros of both signs, and one
-``EvenOddWilson.solve``.  These pin the serial kernels' bytes directly
-rather than through the distributed runs that are compared with them.
+and a point source whose empty sites carry zeros of both signs.  These pin
+the serial kernels' bytes directly rather than through the distributed
+runs that are compared with them.
 """
 
 import hashlib
@@ -48,7 +48,6 @@ from repro.fermions import (
     AsqtadDirac,
     CloverDirac,
     DomainWallDirac,
-    EvenOddWilson,
     WilsonDirac,
 )
 from repro.lattice import GaugeField, LatticeGeometry
@@ -247,11 +246,6 @@ def serial_cases():
             for method in ("apply", "apply_dagger"):
                 out = getattr(dirac, method)(src)
                 yield _sha256(out.tobytes()), f"serial/{op}/{method}/{source}"
-    rng = rng_stream(15, "fingerprint-serial-evenodd")
-    gauge = GaugeField.weak(geom, rng, eps=0.3)
-    b = gaussian(rng, (geom.volume, 4, 3))
-    res = EvenOddWilson(WilsonDirac(gauge, mass=0.3)).solve(b, tol=1e-8)
-    yield _sha256(res.x.tobytes(), res.residuals, res.iterations), "serial/evenodd/solve"
 
 
 def main():

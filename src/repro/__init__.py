@@ -38,36 +38,23 @@ from repro.fermions import (
     AsqtadDirac,
     CloverDirac,
     DomainWallDirac,
-    NaiveStaggeredDirac,
-    OperatorCost,
     WilsonDirac,
     operator_cost,
 )
-from repro.hmc import HMC, WilsonGaugeAction
+from repro.hmc import HMC
 from repro.host import Qcsh, Qdaemon
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.machine import (
-    ASICConfig,
-    MachineConfig,
-    PRESETS,
-    Partition,
-    QCDOCMachine,
-    TorusTopology,
-)
-from repro.parallel import PhysicsMapping, solve_on_machine
-from repro.perfmodel import DiracPerfModel, HardScalingModel, PackagingModel
-from repro.solvers import SolveResult, cg, cgne
+from repro.machine import MachineConfig, PRESETS, QCDOCMachine
+from repro.perfmodel import DiracPerfModel, PackagingModel
+from repro.solvers import cg, cgne
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
     # machine
-    "ASICConfig",
     "MachineConfig",
     "PRESETS",
-    "TorusTopology",
-    "Partition",
     "QCDOCMachine",
     "Qdaemon",
     "Qcsh",
@@ -76,22 +63,14 @@ __all__ = [
     "GaugeField",
     "WilsonDirac",
     "CloverDirac",
-    "NaiveStaggeredDirac",
     "AsqtadDirac",
     "DomainWallDirac",
-    "OperatorCost",
     "operator_cost",
     # solvers + hmc
     "cg",
     "cgne",
-    "SolveResult",
     "HMC",
-    "WilsonGaugeAction",
-    # parallel
-    "PhysicsMapping",
-    "solve_on_machine",
     # evaluation
     "DiracPerfModel",
-    "HardScalingModel",
     "PackagingModel",
 ]

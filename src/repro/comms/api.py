@@ -74,7 +74,7 @@ def face_descriptor(
     section 2.2) moves lattice halos with *zero* copying or packing.
 
     The word order produced equals the site order of
-    :func:`repro.lattice.halos.face_indices`, so sender and receiver agree
+    :func:`repro.lattice.stencil.face_sites`, so sender and receiver agree
     element-by-element.
     """
     shape = tuple(int(s) for s in local_shape)

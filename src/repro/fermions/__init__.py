@@ -20,7 +20,6 @@ from repro.fermions.wilson import WilsonDirac
 from repro.fermions.clover import CloverDirac
 from repro.fermions.staggered import AsqtadDirac, NaiveStaggeredDirac, fat_links, long_links
 from repro.fermions.dwf import DomainWallDirac
-from repro.fermions.evenodd import EvenOddWilson
 from repro.fermions.flops import OPERATOR_COSTS, OperatorCost, operator_cost
 from repro.fermions.propagator import (
     effective_mass,
@@ -30,7 +29,6 @@ from repro.fermions.propagator import (
 )
 
 __all__ = [
-    "EvenOddWilson",
     "point_source",
     "point_propagator",
     "pion_correlator",

@@ -29,29 +29,13 @@ from repro.lattice.su3 import (
     unitarity_defect,
 )
 from repro.lattice.gauge import GaugeField
-from repro.lattice.halos import face_indices, halo_exchange_plan
-from repro.lattice.boundary import antiperiodic_in_time, with_boundary_phase
 from repro.lattice.io import gauge_from_bytes, gauge_to_bytes, load_gauge, save_gauge
-from repro.lattice.observables import (
-    average_wilson_loops,
-    creutz_ratio,
-    plaquette_by_plane,
-    polyakov_loop,
-    wilson_loop,
-)
 
 __all__ = [
-    "with_boundary_phase",
-    "antiperiodic_in_time",
     "save_gauge",
     "load_gauge",
     "gauge_to_bytes",
     "gauge_from_bytes",
-    "wilson_loop",
-    "average_wilson_loops",
-    "creutz_ratio",
-    "polyakov_loop",
-    "plaquette_by_plane",
     "LatticeGeometry",
     "GaugeField",
     "random_su3",
@@ -61,6 +45,4 @@ __all__ = [
     "gell_mann",
     "su3_distance",
     "unitarity_defect",
-    "face_indices",
-    "halo_exchange_plan",
 ]

@@ -1,8 +1,8 @@
 """Memoised gather-index tables: the one place stencil indices are built.
 
-Every Dirac operator, halo plan, and observable in the stack gathers
-neighbour sites through index tables keyed only by a lattice *shape* (plus
-axis / sign / hop depth).  Before this module each
+Every Dirac operator and halo plan in the stack gathers neighbour sites
+through index tables keyed only by a lattice *shape* (plus axis / sign /
+hop depth).  Before this module each
 :class:`~repro.lattice.geometry.LatticeGeometry` instance rebuilt its own
 ``np.roll`` tables and every halo plan recomputed its face masks — per
 rank, per context, per call.  The hardware this codebase twins does the
@@ -31,8 +31,8 @@ arrays) but can never corrupt the shared state.
 path performs *zero* per-call index recomputation.
 
 Layering: this module imports only numpy and the error types;
-:mod:`repro.lattice.geometry` and :mod:`repro.lattice.halos` delegate to
-it (not the other way around).
+:class:`~repro.lattice.geometry.LatticeGeometry` and the halo pipeline of
+:mod:`repro.parallel.halo` call it (not the other way around).
 """
 
 from __future__ import annotations
@@ -218,7 +218,25 @@ def face_sites(shape: ShapeLike, axis: int, side: int, depth: int = 1) -> np.nda
 
 
 def halo_plan(shape: ShapeLike, axis: int, depth: int = 1) -> HaloPlan:
-    """The memoised :class:`HaloPlan` for one axis at one hop distance."""
+    """The memoised :class:`HaloPlan` for one axis at one hop distance.
+
+    ``depth=1`` is the nearest-neighbour plan every Wilson-type operator
+    uses; ASQTAD also needs ``depth=3`` for its Naik hops.  The wire
+    convention (:mod:`repro.parallel.halo`):
+
+    * a tile sends its **low** face (``x_mu < depth``) toward its ``-mu``
+      neighbour, which needs it as "my forward neighbour's value";
+    * rows of ``field[hop(mu, +depth)]`` on the **high** face wrapped
+      around the local torus and are overwritten with the halo received
+      from the ``+mu`` neighbour (and symmetrically backward).
+
+    Every tile has the same local shape and faces are listed in site
+    order, so element ``k`` of the sender's low face and element ``k`` of
+    the receiver's high face share transverse coordinates: no permutation
+    on the wire.  That is what lets the SCU DMA engines move a face with
+    plain block-strided descriptors (paper section 2.2) and keeps the
+    distributed arithmetic bitwise identical to the serial one.
+    """
     key = shape_key(shape)
 
     def build():

@@ -46,7 +46,8 @@ restate it:
   claim (:meth:`~repro.machine.scu.SCU.dma_claim`).  So a second
   transfer on a busy direction is refused as always, a partition abort
   cancels a replayed transfer with the units and discards its frames in
-  flight while the SCU drains, and ``PartitionRun.quiesced()`` /
+  flight while the SCU drains (the receive unit summing their words, as
+  it does an interpreted frame's), and ``PartitionRun.quiesced()`` /
   ``SCU.in_flight_words()`` see it like any other.
 
 Bit-identical to the interpreted path, clock included: results, the
@@ -436,10 +437,11 @@ class ReplayEngine:
         """``sender``'s frame lands on this node: accept it into the
         posted descriptor, or park it in the idle-receive registers."""
         scu = self.scu
+        unit = scu.recv_units[sender.scu.peers[sender.direction][1]]
         if scu._draining:
             scu.drained_frames += 1  # frame of a cancelled transfer
+            unit.drain(0, sender.words)
             return
-        unit = scu.recv_units[sender.scu.peers[sender.direction][1]]
         unit.checksum.update(sender.words)
         if unit.descriptor is None:
             unit.park(sender.words)
@@ -450,7 +452,7 @@ class ReplayEngine:
     def _accept(self, unit, words) -> None:
         """Payload meets descriptor: store it, ACK it, let it drain."""
         scu, n = self.scu, len(words)
-        scu.memory_write(unit._buffer_name, unit._indices, words)
+        scu.memory_write(unit.descriptor.buffer, unit._indices, words)
         unit.write_cursor += n
         unit.payload_words += n
         unit.acks_sent += 1

@@ -46,7 +46,7 @@ mismatched send/recv batch is impossible by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -496,7 +496,6 @@ class RecvUnit(_DmaUnit):
         self.held: List[np.ndarray] = []  # idle-receive holding registers
         self.held_words = 0
         self.descriptor: Optional[DmaDescriptor] = None
-        self._buffer_name: Optional[str] = None
         self._indices: Optional[np.ndarray] = None
         self.total = 0
         self.write_cursor = 0
@@ -520,6 +519,12 @@ class RecvUnit(_DmaUnit):
         #: expected EOT sequence numbers of transfers whose wire side has
         #: completed (FIFO: the EOT frame trails the final data word)
         self._eot_due: List[int] = []
+        #: where :meth:`cancel` left the receive as its SCU began to
+        #: drain, for :meth:`drain`: the EOTs still owed ahead of its
+        #: frames, and the sequence numbers of its words summed so far
+        #: (one attribute: past 29 attributes CPython stops sharing the
+        #: keys of instance dicts, about 1.3 kB more per unit)
+        self._drain: Tuple[int, Set[int]] = (0, frozenset())
 
     def post(self, descriptor: DmaDescriptor) -> Event:
         """Give the unit a destination; drains any idle-held words."""
@@ -538,7 +543,6 @@ class RecvUnit(_DmaUnit):
                 f"recv unit {self.direction} already has an active descriptor"
             )
         self.descriptor = descriptor
-        self._buffer_name = descriptor.buffer
         self._indices = indices
         self.total = descriptor.total_words
         self.write_cursor = 0
@@ -677,7 +681,7 @@ class RecvUnit(_DmaUnit):
                 f"recv overrun: {len(words)} words but descriptor has "
                 f"{self.total - self.write_cursor} slots left"
             )
-        self.scu.memory_write(self._buffer_name, idx, words)
+        self.scu.memory_write(self.descriptor.buffer, idx, words)
         self.write_cursor += len(words)
         self.payload_words += len(words)
         # Acknowledge acceptance (returns window credit to the sender).
@@ -726,11 +730,32 @@ class RecvUnit(_DmaUnit):
 
     def cancel(self, reason: str = "partition abort") -> None:
         """Abandon any posted receive without declaring the link dead."""
+        if not self.scu._draining:  # a drain's second cancel keeps the first's
+            self._drain = (len(self._eot_due), set(range(self.expected)))
         if self.descriptor is None and self.done is None and not self.held:
             self.expected = 0
             self._eot_due = []
             return
         self._reset(FaultError(f"recv transfer cancelled: {reason}"))
+
+    def drain(self, seq: int, words: Optional[np.ndarray]) -> None:
+        """An intact frame lands after :meth:`cancel`, while the SCU
+        drains (``words`` is ``None`` for an EOT).  The sender summed
+        every word it clocked out, so the words the cancelled receive had
+        not summed are summed here, once each: not go-back-N duplicates
+        of words it had, nor frames of a transfer already complete (they
+        come before that transfer's owed EOT on the FIFO wire)."""
+        owed, summed = self._drain
+        if words is None:
+            if owed:
+                self._drain = (owed - 1, summed)
+            return
+        if owed:
+            return
+        fresh = [i for i in range(seq, seq + len(words)) if i not in summed]
+        if fresh:
+            summed.update(fresh)
+            self.checksum.update(words[np.asarray(fresh) - seq])
 
     def _reset(self, exc: BaseException) -> None:
         self._wd_gen += 1
@@ -771,12 +796,12 @@ class RecvUnit(_DmaUnit):
     #: carry them
     _SNAPSHOT_TRANSIENT = (
         "descriptor",
-        "_buffer_name",
         "_indices",
         "done",
         "_t_post",
         "held",
         "_eot_due",
+        "_drain",
     )
 
 
@@ -853,8 +878,13 @@ class SCU:
         ptype = frame.ptype
         if self._draining and ptype in _TRANSFER_FRAMES:
             # Partition-abort drain: in-flight frames of cancelled
-            # transfers are discarded so they cannot poison reset units.
+            # transfers are discarded so they cannot poison reset units;
+            # the receive end still sums what the sender summed.
             self.drained_frames += 1
+            if ptype is _EOT:
+                self._recv(direction).drain(frame.seq, None)
+            elif ptype is _NORMAL and not frame.is_corrupt():
+                self._recv(direction).drain(frame.seq, frame.words)
         elif ptype is _NORMAL:
             self._recv(direction).on_data(frame)
         elif ptype is _ACK:
@@ -1020,11 +1050,11 @@ class SCU:
         are cancelled (their events fail), and any frames still on the
         wire are discarded on arrival until :meth:`boot_reset`.
         """
-        self._draining = True
         for unit in self.send_units.values():
             unit.cancel(reason)
         for unit in self.recv_units.values():
             unit.cancel(reason)
+        self._draining = True
         self._stored.clear()
         self.replay.invalidate("transfers cancelled")
 

@@ -22,10 +22,7 @@ from repro.parallel.pcg import (
     solve_on_machine,
     solve_staggered_on_machine,
 )
-from repro.parallel.phmc import (
-    DistributedTwoFlavorHMC,
-    multishift_solve_on_machine,
-)
+from repro.parallel.phmc import DistributedTwoFlavorHMC
 
 __all__ = [
     "PhysicsMapping",
@@ -39,5 +36,4 @@ __all__ = [
     "solve_staggered_on_machine",
     "solve_dwf_on_machine",
     "DistributedTwoFlavorHMC",
-    "multishift_solve_on_machine",
 ]

@@ -119,8 +119,8 @@ import numpy as np
 
 from repro.comms.api import CommsAPI, face_descriptor, full_descriptor
 from repro.fermions.flops import MATVEC_SU3, OperatorCost, linalg_mix
+from repro.lattice import stencil
 from repro.lattice.geometry import LatticeGeometry
-from repro.lattice.halos import halo_exchange_plan, interior_boundary_sites
 from repro.machine.scu import normalise_word_batch
 from repro.perfmodel.dirac_perf import calibrate
 from repro.util.errors import ConfigError
@@ -230,7 +230,7 @@ class HaloPipeline:
         depth = max(hops)
         #: per hop distance, the halo plans of the decomposed axes
         self.hop_plans = {
-            h: {mu: halo_exchange_plan(g, mu, h) for mu in self.comm_axes}
+            h: {mu: stencil.halo_plan(g.shape, mu, h) for mu in self.comm_axes}
             for h in hops
         }
         #: the nearest-neighbour plans (every operator has a 1-hop term)
@@ -241,7 +241,7 @@ class HaloPipeline:
         #: arrival.  The host merges the whole tile once, after the drain.
         self.interior_count, self.boundary_count = (
             len(sites)
-            for sites in interior_boundary_sites(g, tuple(self.comm_axes), depth=depth)
+            for sites in stencil.site_partition(g.shape, tuple(self.comm_axes), depth)
         )
         if not self.overlap and self.comm_axes:
             # serialised: every site waits, all of the merge after the

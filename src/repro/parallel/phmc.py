@@ -62,7 +62,6 @@ from repro.parallel.pcg import (
     run_on_partition,
     wilson_context,
 )
-from repro.solvers.krylov import multishift_iter
 from repro.util.errors import ConfigError
 
 
@@ -182,70 +181,6 @@ def hmc_action_program(api, context, mapping, local_phi, solver, tol, maxiter):
     )
     s_pf = yield from dot(local_phi[api.rank], x)
     return s_pf, iters
-
-
-def hmc_multishift_program(api, context, mapping, local_b, shifts, tol, maxiter):
-    """Multi-mass solve ``(D^+ D + sigma) x = b`` for an RHMC-style action."""
-    ctx = context(api)
-    res = yield from multishift_iter(
-        ctx.normal,
-        MachineSiteDot(ctx, mapping),
-        local_b[api.rank],
-        shifts,
-        tol,
-        maxiter,
-        on_iteration=iteration_hook(api),
-        charge=ctx.charge,
-    )
-    return res
-
-
-def multishift_solve_on_machine(
-    machine: QCDOCMachine,
-    partition: Partition,
-    gauge: GaugeField,
-    b: np.ndarray,
-    shifts,
-    mass: float,
-    r: float = 1.0,
-    tol: float = 1e-8,
-    maxiter: int = 2000,
-    max_time: float = 1e9,
-    word_batch=None,
-):
-    """Distributed multi-shift CG on the normal operator (blocking).
-
-    Returns ``(x, converged, iterations, residuals)`` with ``x`` a dict
-    of *global* solution fields keyed by shift — the machine run of
-    :func:`repro.solvers.krylov.multishift_iter`, which the serial
-    :func:`~repro.solvers.multishift.multishift_cg` matches bit for bit
-    when it uses the canonical site dot.
-    """
-    mapping = PhysicsMapping(gauge.geometry, partition)
-    if b.shape != (gauge.geometry.volume, 4, 3):
-        raise ConfigError(f"bad source shape {b.shape}")
-    results = run_on_partition(
-        machine,
-        partition,
-        hmc_multishift_program,
-        max_time,
-        context=wilson_context(mapping, gauge, mass, r, word_batch=word_batch),
-        mapping=mapping,
-        local_b=mapping.scatter_field(b),
-        shifts=shifts,
-        tol=tol,
-        maxiter=maxiter,
-    )
-    first = results[0]
-    x = mapping.gather_stack(
-        np.stack([[res.x[s] for s in first.shifts] for res in results])
-    )
-    return (
-        dict(zip(first.shifts, x)),
-        all(res.converged for res in results),
-        agreed([res.iterations for res in results], "iteration count"),
-        first.residuals,
-    )
 
 
 class DistributedTwoFlavorHMC(TwoFlavorWilsonHMC):

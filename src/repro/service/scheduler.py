@@ -17,7 +17,7 @@ invariants:
 Policy: strict priority first, then fair share (tenants with less
 accumulated node-seconds go first), then FIFO.  Placement is first-fit
 over the injected enumeration with backfill — a job that does not fit
-does not block smaller jobs behind it — and optional priority
+does not block smaller jobs behind it — and priority
 preemption: when the head job fits nowhere, the cheapest set of
 lower-priority victims whose nodes would make room is asked to
 checkpoint and drain.
@@ -92,14 +92,10 @@ class SchedulerCore:
         place_fn: PlaceFn,
         quotas: Optional[Dict[str, int]] = None,
         max_queue: int = 256,
-        backfill: bool = True,
-        preemption: bool = True,
     ) -> None:
         self.place_fn = place_fn
         self.quotas: Dict[str, int] = dict(quotas or {})
         self.max_queue = int(max_queue)
-        self.backfill = bool(backfill)
-        self.preemption = bool(preemption)
         #: admitted, not running (insertion order; :meth:`order` ranks it)
         self.pending: List[SchedJob] = []
         #: job_id -> (entry, held nodes, start counter)
@@ -215,16 +211,12 @@ class SchedulerCore:
                 quota is not None
                 and active.get(job.tenant, 0) + job.n_nodes > quota
             ):
-                if self.backfill:
-                    continue
-                break
+                continue
             placed = self.place_fn(job, frozenset(held))
             if placed is None:
                 if space_blocked is None:
                     space_blocked = job
-                if self.backfill:
-                    continue
-                break
+                continue
             placement, nodes = placed
             nodes = frozenset(nodes)
             self.pending.remove(job)
@@ -233,7 +225,7 @@ class SchedulerCore:
             actions.append(Start(job.job_id, placement, nodes))
             held |= nodes
             active[job.tenant] = active.get(job.tenant, 0) + len(nodes)
-        if not actions and space_blocked is not None and self.preemption:
+        if not actions and space_blocked is not None:
             actions.extend(
                 self._plan_preemption(space_blocked, frozenset(held))
             )

@@ -73,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import PartitionRun
     from repro.machine.topology import Partition
 
+#: simulated seconds between revocation-ticker checks while a victim
+#: drains: pure polling granularity, results are identical for any value,
+#: only decision timestamps move
+POLL_PERIOD = 2e-6
+
 
 class QcdocService:
     """Multi-tenant job service over one booted, qdaemon-managed machine.
@@ -95,10 +100,6 @@ class QcdocService:
         Fault-driven restarts a single job may survive before it is
         failed (a job repeatedly unlucky enough to sit on dying
         hardware must not cycle forever).
-    poll_period:
-        Simulated seconds between revocation-ticker checks while a
-        victim drains.  Pure polling granularity — results are
-        identical for any value, only decision timestamps move.
     """
 
     def __init__(
@@ -108,9 +109,6 @@ class QcdocService:
         max_queue: int = 256,
         checkpoint_every: int = 5,
         max_restarts: int = 3,
-        backfill: bool = True,
-        preemption: bool = True,
-        poll_period: float = 2e-6,
     ) -> None:
         if not daemon.booted:
             raise MachineError("boot the machine before serving jobs")
@@ -125,13 +123,10 @@ class QcdocService:
         self.sim = machine.sim
         self.checkpoint_every = int(checkpoint_every)
         self.max_restarts = int(max_restarts)
-        self.poll_period = float(poll_period)
         self.core = SchedulerCore(
             self._place,
             quotas=quotas,
             max_queue=max_queue,
-            backfill=backfill,
-            preemption=preemption,
         )
         #: every job ever admitted, by id (terminal jobs included —
         #: the zero-lost-jobs audit trail)
@@ -386,7 +381,7 @@ class QcdocService:
         def tick():
             while job.state in (JobState.PREEMPTING, JobState.RECOVERING):
                 self._wake = True
-                yield self.sim.timeout(self.poll_period)
+                yield self.sim.timeout(POLL_PERIOD)
 
         self.sim.process(tick(), name=f"revoke-ticker{job.job_id}")
 

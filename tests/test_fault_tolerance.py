@@ -341,14 +341,14 @@ class TestPartitionAbort:
             "recv transfer cancelled: mid-exchange",
             "0x1.8782214d4aa75p-15",
             "c15ea7c752d63382bb164c94c71d9179e90e682568db535a541bda119f64cfde",
-            ["n1.d2->n0", "n1.d3->n0", "n2.d0->n0", "n2.d1->n0"],
+            [],
         ),
         "cancelled-13us": (
             FaultError,
             "recv transfer cancelled: mid-exchange",
             "0x1.8782214d4aa75p-15",
             "d7162006be774bd6d8413f53aaded6bfdbc0856aa651c61883df44bf2d9ec059",
-            ["n1.d2->n0", "n2.d0->n0"],
+            [],
         ),
     }
 
@@ -362,7 +362,8 @@ class TestPartitionAbort:
         """A 2-D Wilson CG aborted mid-solve, pinned to the bit: the raised
         fault, the clock once the abort has drained, every trace record
         with its time, and the wires whose end-of-run checksums disagree
-        (words that went into a dead or drained wire never land).  The
+        (words that went into a dead wire never land; the receive end of
+        a drained one sums what it drains, so a cancel leaves none).  The
         watchdog needs milliseconds without progress to declare a link
         dead, so its faults find the rank asleep in the halo drain;
         ``cancelled`` abandons node 0's transfers while its rank computes

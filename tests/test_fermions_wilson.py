@@ -82,8 +82,8 @@ class TestWilsonStructure:
 
     @pytest.mark.parametrize("r", [1.0, 0.7])
     def test_results_are_fresh_caller_owned_arrays(self, geom, rng, r):
-        # EvenOddWilson indexes one result after requesting the next and
-        # the Krylov loops hold A p across iterations
+        # the Krylov loops hold A p across iterations, so a second call
+        # must not write into the array the first one returned
         d = WilsonDirac(GaugeField.hot(geom, rng), mass=0.3, r=r)
         psi, phi = random_spinor(rng, geom), random_spinor(rng, geom)
         for method in (d.hopping, d.apply, d.apply_dagger):

@@ -1,4 +1,4 @@
-"""Heatbath/overrelaxation updates and gauge observables."""
+"""Heatbath and overrelaxation updates."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,7 @@ from repro.hmc.heatbath import (
     _su2_project,
 )
 from repro.lattice import GaugeField, LatticeGeometry
-from repro.lattice.observables import (
-    average_wilson_loops,
-    creutz_ratio,
-    line_product,
-    plaquette_by_plane,
-    polyakov_loop,
-    wilson_loop,
-)
-from repro.lattice.su3 import dagger, is_su3, random_su3
+from repro.lattice.su3 import dagger, is_su3
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
 
@@ -116,57 +108,3 @@ class TestHeatbath:
     def test_bad_beta(self, geom):
         with pytest.raises(ConfigError):
             Heatbath(GaugeField.unit(geom), beta=0)
-
-
-class TestObservables:
-    def test_line_product_on_unit_field(self, geom):
-        line = line_product(GaugeField.unit(geom), 0, 3)
-        assert np.allclose(line, np.eye(3))
-
-    def test_wilson_1x1_is_plaquette(self, geom, rng):
-        u = GaugeField.weak(geom, rng, eps=0.4)
-        planes = plaquette_by_plane(u)
-        assert wilson_loop(u, 0, 1, 1, 1) == pytest.approx(planes[(0, 1)], rel=1e-12)
-
-    def test_wilson_loops_unit_field(self, geom):
-        u = GaugeField.unit(geom)
-        loops = average_wilson_loops(u, 2, 2)
-        assert all(v == pytest.approx(1.0) for v in loops.values())
-
-    def test_loops_decay_with_area(self, geom, rng):
-        # Rough field: larger loops are smaller (area-law-ish decay).
-        u = GaugeField.weak(geom, rng, eps=0.8)
-        loops = average_wilson_loops(u, 2, 2)
-        assert loops[(1, 1)] > loops[(1, 2)] > loops[(2, 2)]
-
-    def test_creutz_ratio_positive_on_thermalised_field(self, geom, rng):
-        # The string-tension estimator needs a genuinely equilibrated
-        # configuration (random near-unit fields have no area law).
-        hb = Heatbath(GaugeField.hot(geom, rng), beta=5.5, seed=21)
-        hb.run(10)
-        loops = average_wilson_loops(hb.gauge, 2, 2)
-        assert creutz_ratio(loops, 2, 2) > 0
-
-    def test_gauge_invariance(self, geom, rng):
-        u = GaugeField.weak(geom, rng, eps=0.5)
-        w0 = wilson_loop(u, 0, 3, 2, 2)
-        p0 = polyakov_loop(u)
-        g = random_su3(rng, geom.volume)
-        for mu in range(4):
-            fwd = geom.neighbour_fwd(mu)
-            u.set_links(mu, slice(None), g @ u.links[mu] @ dagger(g[fwd]))
-        assert wilson_loop(u, 0, 3, 2, 2) == pytest.approx(w0, abs=1e-12)
-        assert polyakov_loop(u) == pytest.approx(p0, abs=1e-12)
-
-    def test_polyakov_unit_field(self, geom):
-        assert polyakov_loop(GaugeField.unit(geom)) == pytest.approx(1.0)
-
-    def test_polyakov_near_zero_on_hot_field(self, geom, rng):
-        assert abs(polyakov_loop(GaugeField.hot(geom, rng))) < 0.2
-
-    def test_bad_inputs(self, geom):
-        u = GaugeField.unit(geom)
-        with pytest.raises(ConfigError):
-            wilson_loop(u, 1, 1, 2, 2)
-        with pytest.raises(ConfigError):
-            line_product(u, 0, 0)

@@ -1,44 +1,44 @@
-"""Halo plans: faces, fill orderings, and surface counting."""
+"""Halo plans: boundary faces and their fill orderings."""
 
 import numpy as np
 import pytest
 
-from repro.lattice import LatticeGeometry, face_indices, halo_exchange_plan
-from repro.lattice.halos import all_halo_plans, surface_site_count
+from repro.lattice import LatticeGeometry
+from repro.lattice.stencil import face_sites, halo_plan
 from repro.util.errors import ConfigError
 
 
 class TestFaceIndices:
     def test_low_and_high_faces(self):
         g = LatticeGeometry((4, 4))
-        low = face_indices(g, 0, -1)
-        high = face_indices(g, 0, +1)
+        low = face_sites(g.shape, 0, -1)
+        high = face_sites(g.shape, 0, +1)
         assert np.all(g.coords[low][:, 0] == 0)
         assert np.all(g.coords[high][:, 0] == 3)
         assert len(low) == len(high) == 4
 
     def test_depth_selects_layers(self):
         g = LatticeGeometry((8, 2))
-        low3 = face_indices(g, 0, -1, depth=3)
+        low3 = face_sites(g.shape, 0, -1, depth=3)
         assert sorted(set(g.coords[low3][:, 0])) == [0, 1, 2]
         assert len(low3) == 6
 
     def test_bad_axis_and_depth_rejected(self):
         g = LatticeGeometry((4, 4))
         with pytest.raises(ConfigError):
-            face_indices(g, 5, 1)
+            face_sites(g.shape, 5, 1)
         with pytest.raises(ConfigError):
-            face_indices(g, 0, 1, depth=0)
+            face_sites(g.shape, 0, 1, depth=0)
         with pytest.raises(ConfigError):
-            face_indices(g, 0, 1, depth=5)
+            face_sites(g.shape, 0, 1, depth=5)
 
     def test_faces_have_matching_transverse_order(self):
         # The core wire-format property: element k of the low face and
         # element k of the high face share transverse coordinates.
         g = LatticeGeometry((4, 3, 5))
         for axis in range(3):
-            low = face_indices(g, axis, -1)
-            high = face_indices(g, axis, +1)
+            low = face_sites(g.shape, axis, -1)
+            high = face_sites(g.shape, axis, +1)
             other = [a for a in range(3) if a != axis]
             assert np.array_equal(
                 g.coords[low][:, other], g.coords[high][:, other]
@@ -51,7 +51,7 @@ class TestHaloPlan:
         g = LatticeGeometry((8, 4))
         t = g.tile((2, 1))
         lg = t.local_geometry
-        plan = halo_exchange_plan(lg, 0)
+        plan = halo_plan(lg.shape, 0)
 
         field = np.arange(g.volume, dtype=float)
         local = t.scatter(field)  # (2, 16)
@@ -68,7 +68,7 @@ class TestHaloPlan:
         g = LatticeGeometry((8, 4))
         t = g.tile((2, 1))
         lg = t.local_geometry
-        plan = halo_exchange_plan(lg, 0)
+        plan = halo_plan(lg.shape, 0)
         field = np.arange(g.volume, dtype=float)
         local = t.scatter(field)
 
@@ -81,7 +81,7 @@ class TestHaloPlan:
         g = LatticeGeometry((16, 4))
         t = g.tile((2, 1))
         lg = t.local_geometry
-        plan = halo_exchange_plan(lg, 0, depth=3)
+        plan = halo_plan(lg.shape, 0, depth=3)
         field = np.arange(g.volume, dtype=float)
         local = t.scatter(field)
 
@@ -89,22 +89,3 @@ class TestHaloPlan:
         gathered[plan.fill_from_fwd] = local[1][plan.send_low]
         truth = field[g.hop(0, +3)][t.global_of[0]]
         assert np.array_equal(gathered, truth)
-
-    def test_all_halo_plans_keys(self):
-        g = LatticeGeometry((4, 4, 4, 4))
-        plans = all_halo_plans(g, depths=(1, 3))
-        assert set(plans) == {(mu, d) for mu in range(4) for d in (1, 3)}
-
-
-class TestSurfaceCount:
-    def test_hypercube_surface(self):
-        g = LatticeGeometry((4, 4, 4, 4))
-        # Each axis face has 4^3 sites, two faces per axis, 4 axes.
-        assert surface_site_count(g) == 2 * 4 * 64
-
-    def test_paper_local_volume_surface_ratio(self):
-        # 4^4 local volume: 512 surface transfers vs 256 sites; hard scaling
-        # makes the ratio comm/compute grow as volumes shrink (paper sec. 1).
-        small = surface_site_count(LatticeGeometry((4, 4, 4, 4))) / 4**4
-        large = surface_site_count(LatticeGeometry((8, 8, 8, 8))) / 8**4
-        assert small == 2 * large

@@ -138,15 +138,14 @@ class TestRunPartition:
 
 class TestFaceDescriptor:
     def test_matches_face_indices(self):
-        from repro.lattice import LatticeGeometry, face_indices
+        from repro.lattice.stencil import face_sites
 
         shape = (4, 3, 2)
         wps = 2
-        geom = LatticeGeometry(shape)
         for axis in range(3):
             for side in (-1, +1):
                 desc = face_descriptor("b", shape, axis, side, wps)
-                sites = face_indices(geom, axis, side)
+                sites = face_sites(shape, axis, side)
                 expected = (
                     sites[:, None] * wps + np.arange(wps)[None, :]
                 ).reshape(-1)

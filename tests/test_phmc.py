@@ -6,9 +6,8 @@ exchange and the Metropolis Hamiltonian all running on the machine — is
 **bit-identical** to the serial :class:`TwoFlavorWilsonHMC` at any node
 count, shard count or word batch.  Alongside: the force kernel is clean
 under the halo-race sanitizer, its flop/word charges match the exact
-closed forms (``crosscheck_composite``), the distributed multishift
-matches serial bit for bit, mid-evolution checkpoints restore onto a
-rebound partition, and the satellite bugfixes (multishift freezing,
+closed forms (``crosscheck_composite``), mid-evolution checkpoints
+restore onto a rebound partition, and the satellite bugfixes (multishift freezing,
 mixed-precision CG, retyped integrators, generalized checkpoints) are
 pinned down.
 """
@@ -35,7 +34,7 @@ from repro.parallel.pcg import (
     run_on_partition,
     wilson_context,
 )
-from repro.parallel.phmc import DistributedTwoFlavorHMC, multishift_solve_on_machine
+from repro.parallel.phmc import DistributedTwoFlavorHMC
 from repro.perfmodel.dirac_perf import cg_kernel_calls
 from repro.solvers.cg import cg, cgne, mixed_precision_cg
 from repro.solvers.checkpoint import CGCheckpointStore
@@ -273,77 +272,6 @@ class TestForceKernelInvariants:
         recs = [r for r in m.trace.records if r.tag == "hmc.force"]
         assert {r.fields["rank"] for r in recs} == {0, 1}
         assert all(r.fields["iterations"] == dist.cg_iterations[0] for r in recs)
-
-
-# ---------------------------------------------------------------------------
-# distributed multishift
-# ---------------------------------------------------------------------------
-class TestDistributedMultishift:
-    def test_matches_serial_bitwise(self):
-        gauge = hot_gauge((4, 4, 2, 2))
-        rng = rng_stream(5, "phmc-ms")
-        b = (
-            rng.standard_normal((gauge.geometry.volume, 4, 3))
-            + 1j * rng.standard_normal((gauge.geometry.volume, 4, 3))
-        )
-        shifts = [0.0, 0.1, 1.0]
-        d = WilsonDirac(gauge, mass=0.5)
-        ref = multishift_cg(
-            d.normal, b, shifts, tol=1e-8, dot=canonical_dot
-        )
-        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
-        x, converged, iters, residuals = multishift_solve_on_machine(
-            m, p, gauge, b, shifts, mass=0.5, tol=1e-8
-        )
-        assert converged and ref.converged
-        assert iters == ref.iterations
-        assert residuals == ref.residuals
-        for s in shifts:
-            assert x[s].tobytes() == ref.x[s].tobytes()
-
-    def test_crosscheck_with_a_frozen_shift(self):
-        """Every live shift's ``x_s`` / ``p_s`` updates are charged with
-        the base step, a frozen shift's no longer: priced from the same
-        solve's kernel calls, flops and seconds are exact."""
-        gauge = hot_gauge((4, 4, 2, 2))
-        rng = rng_stream(5, "phmc-ms")
-        b = (
-            rng.standard_normal((gauge.geometry.volume, 4, 3))
-            + 1j * rng.standard_normal((gauge.geometry.volume, 4, 3))
-        )
-        shifts = [0.0, 50.0]
-        m, p = booted((2, 2, 1, 1, 1, 1), word_batch=4096)
-        _x, converged, iters, _residuals = multishift_solve_on_machine(
-            m, p, gauge, b, shifts, mass=0.5, tol=1e-8
-        )
-        tally = Counter()
-        dot, charge = counting_backend(tally)
-        d = WilsonDirac(gauge, mass=0.5)
-        ref = run_serial(
-            multishift_iter(lift(d.normal), dot, b, shifts, 1e-8, 2000, charge=charge)
-        )
-        assert converged and ref.iterations == iters
-        # the base shift's p_s is updated on every iteration but the last,
-        # the big shift's only until it froze, early
-        frozen_at = tally["scale_axpy", "complex128"] - (iters - 1)
-        assert 0 < frozen_at < iters // 2
-        mapping = PhysicsMapping(gauge.geometry, p)
-        check = m.report().crosscheck(
-            "wilson", mapping.local_shape, (2, 2, 1, 1),
-            n_applications=2 * iters, linalg=tally,
-        )
-        assert check.ok, f"crosscheck failed:\n{check}"
-        entries = {e.metric: e for e in check.entries}
-        for metric in ("flops_charged", "compute_seconds", "global_sum_seconds"):
-            assert entries[metric].rel_error <= EXACT_REL_TOL
-
-    def test_bad_source_shape_refused(self):
-        gauge = hot_gauge((4, 4, 2, 2))
-        m, p = booted((2, 1, 1, 1, 1, 1), word_batch=4096)
-        with pytest.raises(ConfigError, match="source shape"):
-            multishift_solve_on_machine(
-                m, p, gauge, np.zeros((3, 4, 3), complex), [0.0], mass=0.5
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.comms.api import face_descriptor
-from repro.lattice import LatticeGeometry, face_indices
+from repro.lattice import LatticeGeometry
+from repro.lattice.stencil import face_sites
 from repro.machine.packets import LinkChecksum
 from repro.machine.scu import DmaDescriptor
 from repro.machine.topology import snake_cycle, snake_is_cyclic
@@ -90,9 +91,8 @@ class TestFaceDescriptorProperties:
     def test_matches_face_indices_for_any_geometry(self, shape, axis, side, depth, wps):
         assume(axis < len(shape))
         assume(depth <= shape[axis])
-        geom = LatticeGeometry(shape)
         desc = face_descriptor("b", shape, axis, side, wps, depth=depth)
-        sites = face_indices(geom, axis, side, depth)
+        sites = face_sites(shape, axis, side, depth)
         expected = (sites[:, None] * wps + np.arange(wps)[None, :]).reshape(-1)
         assert np.array_equal(desc.indices(), expected)
 

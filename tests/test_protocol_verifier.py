@@ -33,6 +33,10 @@ KILLED = "killed"
 FIFO = "FIFO-excluded: what it handles arrives after the frame that settles it"
 LATENCY = "latency-only: the go-back-N rewind recovers, later"
 ASSERTION = "assertion: raises ProtocolError, which no correct run reaches"
+#: the abort drain's guards: the enumeration's aborts are fault-free, so
+#: no duplicate, gap or owed EOT reaches a drain; each is caught by a
+#: faulted abort of ``DRAIN_PINS`` (the record's, cancelled twice)
+PINNED = "pinned: a faulted abort's drain"
 
 ACKED = "self.base < seq <= self._checksummed"
 #: guard -> (class, method, snippet, its mutant, verdict)
@@ -78,8 +82,25 @@ GUARDS = {
         KILLED,
     ),
     "eot_accounting": (RecvUnit, "on_eot", "seq != expected", "False", ASSERTION),
+    "drain_once": (RecvUnit, "drain", "if i not in summed", "if True", PINNED),
+    "drain_after_owed_eot": (
+        RecvUnit, "drain",
+        "if owed:\n            return", "if False:\n            return",
+        PINNED,
+    ),
+    "drain_record_kept": (RecvUnit, "cancel", "if not self.scu._draining:", "if True:", PINNED),
 }
-UNOBSERVED = sorted(g for g, spec in GUARDS.items() if spec[-1] != KILLED)
+CAUGHT = sorted(g for g, spec in GUARDS.items() if spec[-1] == KILLED)
+UNOBSERVED = sorted(
+    g for g, spec in GUARDS.items() if spec[-1] in (FIFO, LATENCY, ASSERTION)
+)
+#: drain guard -> a faulted abort (word 0 corrupted, a resend in flight
+#: when node 1 drains) that audits clean with it and sums a word twice
+#: without it
+DRAIN_PINS = {
+    "drain_once": Case(2, 1, 3, 1, (0,), False, 1, ("node1", 3)),
+    "drain_after_owed_eot": Case(2, 1, 3, 1, (0, 3), False, 1, ("node1", 15)),
+}
 
 
 def stale_guards(source_of=inspect.getsource):
@@ -143,7 +164,7 @@ class TestVerdict:
 
 
 class TestMutations:
-    @pytest.mark.parametrize("guard", sorted(g for g in GUARDS if g not in UNOBSERVED))
+    @pytest.mark.parametrize("guard", CAUGHT)
     def test_seeded_spec_bug_is_caught(self, guard, monkeypatch):
         mutate(monkeypatch, guard)
         assert not verify_protocol(first_failure=True).ok, f"dropping {guard} went unnoticed"
@@ -160,6 +181,32 @@ class TestMutations:
     def test_redundant_guard_documented(self, guard, unobserved_failures):
         assert GUARDS[guard][-1] in (FIFO, LATENCY, ASSERTION)
         assert unobserved_failures == [], f"{guard} may be observed: {unobserved_failures[0]}"
+
+    @pytest.mark.parametrize("guard", sorted(DRAIN_PINS))
+    def test_drain_guard_is_caught_by_a_faulted_abort(self, guard, monkeypatch):
+        case = DRAIN_PINS[guard]
+        assert check(case)[0] == []
+        mutate(monkeypatch, guard)
+        (bad,) = check(case)[0]
+        assert bad.startswith("link n0.d0->n1: sent LinkChecksum(words=4,")
+        assert "received LinkChecksum(words=5," in bad
+
+    def test_a_second_cancel_keeps_the_drain_record(self, monkeypatch):
+        """A job revoked and then faulted is aborted twice while it
+        drains: the second cancel must not move where the first left the
+        receive."""
+        cancel = scu_module.SCU.cancel_active_transfers
+
+        def twice(scu, reason="partition abort"):
+            cancel(scu, reason)
+            cancel(scu, reason)
+
+        monkeypatch.setattr(scu_module.SCU, "cancel_active_transfers", twice)
+        case = Case(2, 1, 3, 1, (0,), False, 1, ("node1", 9))
+        assert check(case)[0] == []
+        mutate(monkeypatch, "drain_record_kept")
+        (bad,) = check(case)[0]
+        assert bad.startswith("link n0.d0->n1: sent LinkChecksum(words=4,")
 
     def test_window_mutation_names_the_violation(self, monkeypatch):
         mutate(monkeypatch, "ack_window_guard")

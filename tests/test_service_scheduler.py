@@ -169,14 +169,6 @@ class TestSchedulerProperties:
         # a second dispatch must not double-revoke the same victims
         assert core.dispatch() == []
 
-    def test_preemption_disabled_never_revokes(self):
-        core = SchedulerCore(block_place_fn, preemption=False)
-        core.submit(SchedJob(1, "batch", 16, priority=0, seq=1))
-        core.dispatch()
-        core.submit(SchedJob(2, "urgent", 16, priority=9, seq=2))
-        assert core.dispatch() == []
-        assert core.preempting == {}
-
     def test_equal_priority_never_preempts(self):
         core = SchedulerCore(block_place_fn)
         core.submit(SchedJob(1, "a", 16, priority=5, seq=1))
@@ -193,13 +185,6 @@ class TestSchedulerProperties:
         # the 16-node head cannot fit while job 1 runs, but the 8-node
         # job behind it can take the other half of the machine
         assert [a.job_id for a in core.dispatch()] == [3]
-        # with backfill off, the stuck head blocks everything behind it
-        strict = SchedulerCore(block_place_fn, backfill=False)
-        strict.submit(SchedJob(1, "a", 8, priority=0, seq=1))
-        strict.dispatch()
-        strict.submit(SchedJob(2, "a", 16, priority=0, seq=2))
-        strict.submit(SchedJob(3, "b", 8, priority=0, seq=3))
-        assert strict.dispatch() == []
 
     def test_requeue_preserves_queue_position(self):
         core = SchedulerCore(block_place_fn)
