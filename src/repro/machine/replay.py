@@ -46,8 +46,8 @@ restate it:
   claim (:meth:`~repro.machine.scu.SCU.dma_claim`).  So a second
   transfer on a busy direction is refused as always, a partition abort
   cancels a replayed transfer with the units and discards its frames in
-  flight while the SCU drains (the receive unit summing their words, as
-  it does an interpreted frame's), and ``PartitionRun.quiesced()`` /
+  flight while the SCU drains (an ACK still credits its send unit, as
+  an interpreted one does), and ``PartitionRun.quiesced()`` /
   ``SCU.in_flight_words()`` see it like any other.
 
 Bit-identical to the interpreted path, clock included: results, the
@@ -421,7 +421,6 @@ class ReplayEngine:
         n = len(words)
         unit.next = n
         unit.wire_words += n
-        unit.checksum.update(words)
         peer_scu, _arrival = scu.peers[unit.direction]
         scu.out_links[unit.direction].carry(
             asic.frame_header_bits + n * asic.frame_payload_bits,
@@ -440,9 +439,7 @@ class ReplayEngine:
         unit = scu.recv_units[sender.scu.peers[sender.direction][1]]
         if scu._draining:
             scu.drained_frames += 1  # frame of a cancelled transfer
-            unit.drain(0, sender.words)
             return
-        unit.checksum.update(sender.words)
         if unit.descriptor is None:
             unit.park(sender.words)
         else:
@@ -455,6 +452,7 @@ class ReplayEngine:
         scu.memory_write(unit.descriptor.buffer, unit._indices, words)
         unit.write_cursor += n
         unit.payload_words += n
+        unit.checksum.update(words)  # acknowledged: summed at both ends
         unit.acks_sent += 1
         # The ACK travels on this node's out-wire toward the sender.
         peer_scu, back = scu.peers[unit.direction]
@@ -470,15 +468,15 @@ class ReplayEngine:
 
     @hot_path
     def _rx_ack(self, unit) -> None:
-        """The ACK lands back at the sender: clock out the trailing EOT
-        (nothing at the far end reads it) and finish when it has left."""
-        scu = self.scu
-        if scu._draining:
-            scu.drained_frames += 1
-            return
-        n = len(unit.words)
+        """The ACK lands back at the sender: sum the words it acknowledges,
+        then clock out the trailing EOT (nothing at the far end reads it)
+        and finish when it has left — unless the transfer was cancelled."""
+        scu, n = self.scu, len(unit.words)
         unit.acks_received += 1
         unit.base = n
+        unit.checksum.update(unit.words)
+        if scu._draining:
+            return
         free_at = scu.out_links[unit.direction].carry(
             scu.asic.frame_header_bits, _EOT, n, 0, None, None
         )

@@ -17,7 +17,9 @@ connections (12 send + 12 receive), each with:
   the window;
 * **supervisor packets**: a single 64-bit word written into a register of
   the neighbour's SCU, raising a CPU interrupt there;
-* per-end **checksums** compared at the end of a calculation;
+* per-end **checksums** compared at the end of a calculation: each end
+  sums a word when it is acknowledged, so both sum what the receiver
+  accepted;
 * **stored-descriptor groups + per-direction completion**: persistent
   descriptors may be tagged with a group name, and ``start_stored`` starts
   one group per register write while returning *one completion event per
@@ -46,7 +48,7 @@ mismatched send/recv batch is impossible by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,12 +64,14 @@ from repro.util.hotpath import hot_path
 
 #: the frame types of a DMA transfer, bound once: the per-frame dispatch
 #: compares identities instead of looking the members up on the enum
-_NORMAL, _ACK, _EOT, _RESEND = _TRANSFER_FRAMES = (
+_NORMAL, _ACK, _EOT, _RESEND = (
     PacketType.NORMAL,
     PacketType.ACK,
     PacketType.EOT,
     PacketType.RESEND,
 )
+#: what a draining SCU discards: every transfer frame but the ACK
+_DRAINED = (_NORMAL, _EOT, _RESEND)
 
 #: sentinel ``word_batch`` value: resolve the batch per transfer to the
 #: whole descriptor length (one frame per face)
@@ -274,8 +278,8 @@ class SendUnit(_DmaUnit):
         self.next = 0  # next word to transmit
         #: the window is full: the next ACK or RESEND pumps (no entry pending)
         self._waiting = False
-        #: words of the active transfer folded into ``checksum`` so far
-        self._checksummed = 0
+        #: the most words of the active transfer clocked out so far
+        self._clocked = 0
         self.resends = 0
         #: words actually clocked onto the wire (>= payload under resends)
         self.wire_words = 0
@@ -329,7 +333,7 @@ class SendUnit(_DmaUnit):
         self.words = np.ascontiguousarray(words, dtype=np.uint64)
         self.base = 0
         self.next = 0
-        self._checksummed = 0
+        self._clocked = 0
         self.resends = 0
         self._consec_resends = 0
         self._t_start = self.sim.now
@@ -353,9 +357,8 @@ class SendUnit(_DmaUnit):
                 chunk = self.words[seq : seq + batch]
                 self.next += batch
                 self.wire_words += batch
-                if self.next > self._checksummed:
-                    self.checksum.update(self.words[self._checksummed : self.next])
-                    self._checksummed = self.next
+                if self.next > self._clocked:
+                    self._clocked = self.next
                 # the wire carries one frame at a time: come back when free
                 free_at = self.link.transmit(Frame(_NORMAL, chunk, seq))
                 sim.schedule(free_at - sim.now, self._pump, done)
@@ -393,12 +396,15 @@ class SendUnit(_DmaUnit):
     @hot_path
     def on_ack(self, seq: int) -> None:
         self.acks_received += 1
-        # ``_checksummed`` is the most this transfer has clocked out: an
-        # ACK beyond it is stale.  A receive that drains idle-held frames
+        # ``_clocked`` is the most this transfer has clocked out: an ACK
+        # beyond it is stale.  A receive that drains idle-held frames
         # acks each one, and the last ACK can land after a back-to-back
         # next transfer claimed the unit (protocol enumeration case
-        # ``Case(n=3, batch=1, window=3, post=3, transfers=2)``).
-        if self.base < seq <= self._checksummed:
+        # ``Case(n=3, batch=1, window=3, post=3, transfers=2)``).  The
+        # words an ACK acknowledges are the ones the receive end summed
+        # as it accepted them: both ends sum them now, and only now.
+        if self.base < seq <= self._clocked:
+            self.checksum.update(self.words[self.base : seq])
             self.base = seq
             self._consec_resends = 0  # forward progress: not a storm
             self._wakeup()
@@ -476,11 +482,11 @@ class SendUnit(_DmaUnit):
     _SNAPSHOT_ATTRS = _RESET_KEPT + _REGISTERS
 
     #: live-heap-only state (REPRO504 audit): the completion event, the
-    #: in-flight payload view and the pump's window-wait and checksum
+    #: in-flight payload view and the pump's window-wait and clock-out
     #: marks are rebuilt per transfer — the fork coordinator only
     #: snapshots quiesced shards
     _SNAPSHOT_TRANSIENT = (
-        "words", "_batch", "done", "_t_start", "_waiting", "_checksummed"
+        "words", "_batch", "done", "_t_start", "_waiting", "_clocked"
     )
 
 
@@ -519,12 +525,6 @@ class RecvUnit(_DmaUnit):
         #: expected EOT sequence numbers of transfers whose wire side has
         #: completed (FIFO: the EOT frame trails the final data word)
         self._eot_due: List[int] = []
-        #: where :meth:`cancel` left the receive as its SCU began to
-        #: drain, for :meth:`drain`: the EOTs still owed ahead of its
-        #: frames, and the sequence numbers of its words summed so far
-        #: (one attribute: past 29 attributes CPython stops sharing the
-        #: keys of instance dicts, about 1.3 kB more per unit)
-        self._drain: Tuple[int, Set[int]] = (0, frozenset())
 
     def post(self, descriptor: DmaDescriptor) -> Event:
         """Give the unit a destination; drains any idle-held words."""
@@ -618,7 +618,6 @@ class RecvUnit(_DmaUnit):
                 self.control.send(PacketType.ACK, self.expected)
             return
         self.expected += frame.nwords
-        self.checksum.update(frame.words)
         if self.descriptor is None:
             # Idle receive: hold without acknowledging; the sender's
             # unacknowledged window stalls it until a descriptor is
@@ -684,7 +683,9 @@ class RecvUnit(_DmaUnit):
         self.scu.memory_write(self.descriptor.buffer, idx, words)
         self.write_cursor += len(words)
         self.payload_words += len(words)
-        # Acknowledge acceptance (returns window credit to the sender).
+        # Acknowledge acceptance (returns window credit to the sender);
+        # what is acknowledged is what each end of the link sums.
+        self.checksum.update(words)
         self.acks_sent += 1
         self.control.send(_ACK, self.expected)
         if self.write_cursor >= self.total:
@@ -730,32 +731,11 @@ class RecvUnit(_DmaUnit):
 
     def cancel(self, reason: str = "partition abort") -> None:
         """Abandon any posted receive without declaring the link dead."""
-        if not self.scu._draining:  # a drain's second cancel keeps the first's
-            self._drain = (len(self._eot_due), set(range(self.expected)))
         if self.descriptor is None and self.done is None and not self.held:
             self.expected = 0
             self._eot_due = []
             return
         self._reset(FaultError(f"recv transfer cancelled: {reason}"))
-
-    def drain(self, seq: int, words: Optional[np.ndarray]) -> None:
-        """An intact frame lands after :meth:`cancel`, while the SCU
-        drains (``words`` is ``None`` for an EOT).  The sender summed
-        every word it clocked out, so the words the cancelled receive had
-        not summed are summed here, once each: not go-back-N duplicates
-        of words it had, nor frames of a transfer already complete (they
-        come before that transfer's owed EOT on the FIFO wire)."""
-        owed, summed = self._drain
-        if words is None:
-            if owed:
-                self._drain = (owed - 1, summed)
-            return
-        if owed:
-            return
-        fresh = [i for i in range(seq, seq + len(words)) if i not in summed]
-        if fresh:
-            summed.update(fresh)
-            self.checksum.update(words[np.asarray(fresh) - seq])
 
     def _reset(self, exc: BaseException) -> None:
         self._wd_gen += 1
@@ -801,7 +781,6 @@ class RecvUnit(_DmaUnit):
         "_t_post",
         "held",
         "_eot_due",
-        "_drain",
     )
 
 
@@ -845,8 +824,8 @@ class SCU:
         self.links_down: Dict[int, str] = {}
         #: machine hook called as ``on_link_down(node, direction, reason)``
         self.on_link_down: Optional[Callable[[int, int, str], None]] = None
-        #: abort-drain mode: stale protocol frames of a cancelled run are
-        #: discarded instead of dispatched (counted here)
+        #: abort-drain mode: stale data, EOT and RESEND frames of a
+        #: cancelled run are discarded instead of dispatched (counted here)
         self.drained_frames = 0
         self._draining = False
         #: stored ("persistent") descriptors:
@@ -876,15 +855,12 @@ class SCU:
     def on_frame(self, direction: int, frame: Frame) -> None:
         """Dispatch a frame arriving from the neighbour in ``direction``."""
         ptype = frame.ptype
-        if self._draining and ptype in _TRANSFER_FRAMES:
+        if self._draining and ptype in _DRAINED:
             # Partition-abort drain: in-flight frames of cancelled
-            # transfers are discarded so they cannot poison reset units;
-            # the receive end still sums what the sender summed.
+            # transfers are discarded so they cannot poison reset units.
+            # An ACK still credits its cancelled send unit: the receive
+            # end summed the words it acknowledges.
             self.drained_frames += 1
-            if ptype is _EOT:
-                self._recv(direction).drain(frame.seq, None)
-            elif ptype is _NORMAL and not frame.is_corrupt():
-                self._recv(direction).drain(frame.seq, frame.words)
         elif ptype is _NORMAL:
             self._recv(direction).on_data(frame)
         elif ptype is _ACK:
@@ -1048,7 +1024,8 @@ class SCU:
         Part of the machine's partition-abort path: after a watchdog
         trip fails one rank, the surviving ranks' half-finished transfers
         are cancelled (their events fail), and any frames still on the
-        wire are discarded on arrival until :meth:`boot_reset`.
+        wire are discarded on arrival until :meth:`boot_reset` — all but
+        the ACKs, which credit their cancelled send units.
         """
         for unit in self.send_units.values():
             unit.cancel(reason)

@@ -326,15 +326,14 @@ class TestPartitionAbort:
             "node 2 direction 1: link declared down (recv-stall)",
             "0x1.cd4a23f05c4f7p-8",
             "9482c372c6d0a6312d36e49bbd593e584470e7a26dbdd028fb39726cbfafd2ed",
-            ["n0.d0->n2"],
+            ["n2.d1->n0"],
         ),
         "node-dead": (
             LinkDownError,
             "node 0 direction 2: link declared down (recv-stall)",
             "0x1.cd4a23f05c4f7p-8",
             "86c1dec06e34df35aaab08d833cdbf525950d4d78e3ff717771b3a8fd54760b2",
-            ["n0.d2->n1", "n0.d3->n1", "n1.d0->n3", "n1.d1->n3",
-             "n1.d2->n0", "n1.d3->n0", "n3.d0->n1", "n3.d1->n1"],
+            [],
         ),
         "cancelled": (
             FaultError,
@@ -361,9 +360,12 @@ class TestPartitionAbort:
     def test_aborted_cg_is_pinned(self, fault):
         """A 2-D Wilson CG aborted mid-solve, pinned to the bit: the raised
         fault, the clock once the abort has drained, every trace record
-        with its time, and the wires whose end-of-run checksums disagree
-        (words that went into a dead wire never land; the receive end of
-        a drained one sums what it drains, so a cancel leaves none).  The
+        with its time, and the wires whose end-of-run checksums disagree.
+        Each end sums a word when it is acknowledged, so a cancel leaves
+        none, and neither does a dead node (no word sent into it was
+        acknowledged); a dead cable leaves the data direction whose ACKs
+        it carried, ``n2.d1->n0``: words node 0 accepted whose ACKs never
+        reached node 2.  The
         watchdog needs milliseconds without progress to declare a link
         dead, so its faults find the rank asleep in the halo drain;
         ``cancelled`` abandons node 0's transfers while its rank computes

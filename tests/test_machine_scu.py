@@ -6,6 +6,7 @@ import pytest
 
 from repro.machine.asic import ASICConfig, MachineConfig
 from repro.machine.machine import QCDOCMachine
+from repro.machine.packets import PacketType, decode_header, encode_header
 from repro.machine.scu import DmaDescriptor
 from repro.util.errors import ProtocolError
 from repro.util.units import NS, US
@@ -266,6 +267,53 @@ class TestFaultInjectionAndResend:
         )
         audit = m.audit_checksums()
         assert len(audit) == 1 and "n0.d0->n1" in audit[0]
+
+    #: two flips on the even bit phase: parity passes (see
+    #: test_machine_packets.py::test_same_phase_double_flip_evades_parity)
+    FLIP = np.uint64((1 << 2) | (1 << 4))
+
+    def flipped_then_aborted(self, rate, seed, after, planted):
+        """A 30-word transfer from node 0 completes, word 7 flipped on the
+        wire in every copy sent if ``planted``; then a transfer from node
+        1 is aborted ``after`` heap entries in: both SCUs cancel, drain and
+        boot-reset.  The wires the audit names."""
+        m = two_node_machine(bit_error_rate=rate, seed=seed)
+        link = m.network.links[(0, m.topology.direction(0, +1))]
+        transmit = link.transmit
+
+        def flipping(frame):
+            if frame.ptype is PacketType.NORMAL and frame.seq == 7:
+                frame.words = frame.words ^ self.FLIP
+            return transmit(frame)
+
+        if planted:
+            link.transmit = flipping
+        data, send_done, recv_done = send_words(m, 30)
+        m.sim.run(until=m.sim.all_of([send_done, recv_done]), max_time=1.0)
+        link.transmit = transmit
+        # the flip landed in the completed transfer, parity none the wiser
+        assert np.count_nonzero(m.nodes[1].memory.get("rx") != data) == planted
+        assert decode_header(encode_header(PacketType.NORMAL, 7), 7 ^ int(self.FLIP))[1]
+
+        send_words(m, 30, src=1, dst=0)
+        first = m.sim.events_processed
+        m.sim.run(stop=lambda: m.sim.events_processed - first >= after)
+        for node in m.nodes.values():
+            node.scu.cancel_active_transfers()
+        m.sim.run(max_time=m.sim.now + 1.0)
+        for node in m.nodes.values():
+            node.boot_reset()
+        return [line.split(":")[0] for line in m.audit_checksums()]
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_parity_evading_flip_on_the_wire_caught_by_audit(self, planted):
+        """E14 with the corruption on the wire: under bit errors, with a
+        partition abort of another transfer at any point, the audit names
+        the link that carried the flip and no other."""
+        named = ["link n0.d0->n1"] if planted else []
+        for rate, seed in ((1e-3, 3), (2e-3, 7), (5e-3, 11)):
+            for after in (5, 20, 40, 80, 120):
+                assert self.flipped_then_aborted(rate, seed, after, planted) == named
 
 
 class TestSupervisorPackets:

@@ -409,9 +409,9 @@ class TestReplayAbort:
 
         assert_boot_state(m, sorted(m.nodes))
 
-        # the drained frames were summed at the receive end too: every
-        # wire audits clean, and the same nodes run the next job exactly
-        # as a fresh machine does
+        # both ends summed what was acknowledged, drained ACKs included:
+        # every wire audits clean, and the same nodes run the next job
+        # exactly as a fresh machine does
         assert m.audit_checksums() == []
         m_new = assert_next_job_as_fresh(
             m,
