@@ -45,15 +45,19 @@ bench-check:
 ## the count of equal ones, each side's failed oracle checks.  ENTRIES=1
 ## instead tallies one seed-1 repeat's heap entries by callback in each
 ## tree (each side's total checked against its sim.events) and prints
-## base, here and the difference per callback
+## base, here and the difference per callback.  CALLS=1 instead counts
+## one warm seed-1 repeat's Python calls by src/repro file and C calls by
+## function in each tree and prints base, here and the difference
 W    ?= dslash-hot
 N    ?= 10
 BASE ?= HEAD
 EXACT ?=
 ENTRIES ?=
+CALLS ?=
 bench-ab:
 	$(PY) benchmarks/ab.py --workload $(W) --pairs $(N) --base $(BASE) \
-		$(if $(filter 1,$(EXACT)),--exact) $(if $(filter 1,$(ENTRIES)),--entries)
+		$(if $(filter 1,$(EXACT)),--exact) $(if $(filter 1,$(ENTRIES)),--entries) \
+		$(if $(filter 1,$(CALLS)),--calls)
 
 ## two sha256 per case — results, then timeline — of a fixed matrix of
 ## machine runs (3 operators x 1d/2d x word_batch face/1 x shards 1/2,

@@ -3,6 +3,7 @@
     python3 benchmarks/ab.py --workload dslash-hot --pairs 10 --base HEAD~1
     python3 benchmarks/ab.py --workload dslash-wire --base HEAD~1 --exact
     python3 benchmarks/ab.py --workload torus64-cg --base HEAD~1 --entries
+    python3 benchmarks/ab.py --workload torus64-cg --base HEAD~1 --calls
 
 Checks ``--base`` out into a ``git worktree`` under the temporary
 directory (``$TMPDIR``, else ``/tmp``), then runs ``python3 bench/run.py
@@ -30,6 +31,13 @@ and one repeat with the engines' heap pops tallied by callback
 tree's tally sums to its ``sim.events``, and prints base, here and the
 difference per callback: "these entries went, nothing else moved" as
 one command.
+
+``--calls`` runs instead, in a fresh process per tree, the workload's
+seed-1 set-up and one warm repeat, then one more repeat under
+``sys.setprofile``, counting Python calls by ``src/repro`` file and C
+calls by function name, and prints base, here and the difference: every
+file, and every C function whose count changed.  The counts are exact:
+two runs of one tree print the same numbers.
 """
 
 import argparse
@@ -155,16 +163,76 @@ def entries_run(tree: Path, workload: str) -> Counter:
     return entries
 
 
+def print_counts(label: str, was: Counter, now: Counter, total: str = "total",
+                 changed_only: bool = False) -> None:
+    """Print each name's count in both trees and the change, the most
+    changed first — with ``changed_only``, only the names whose count
+    changed — then the totals."""
+    names = sorted(was.keys() | now.keys(), key=lambda n: (-abs(now[n] - was[n]), n))
+    shown = [n for n in names if not changed_only or now[n] != was[n]]
+    print(f"{label:44s} {'base':>10} {'here':>10} {'diff':>10}")
+    for name in shown:
+        print(f"{name:44s} {was[name]:10d} {now[name]:10d} {now[name] - was[name]:+10d}")
+    if len(shown) < len(names):
+        print(f"({len(names) - len(shown)} unchanged)")
+    total_was, total_now = sum(was.values()), sum(now.values())
+    print(f"{total:44s} {total_was:10d} {total_now:10d} {total_now - total_was:+10d}")
+
+
 def compare_entries(base: Path, workload: str) -> None:
     """Print each callback's heap entries in both trees and the change,
     the most changed first, then the totals."""
     was, now = (entries_run(tree, workload) for tree in (base, ROOT))
-    print(f"{'callback':44s} {'base':>10} {'here':>10} {'diff':>10}")
-    for name in sorted(set(was) | set(now), key=lambda n: (-abs(now[n] - was[n]), n)):
-        print(f"{name:44s} {was[name]:10d} {now[name]:10d} {now[name] - was[name]:+10d}")
-    total_was, total_now = sum(was.values()), sum(now.values())
-    print(f"{'total (= sim.events)':44s} {total_was:10d} {total_now:10d} "
-          f"{total_now - total_was:+10d}")
+    print_counts("callback", was, now, total="total (= sim.events)")
+
+
+def calls_worker(workload: str) -> dict:
+    """In a worker whose working directory is the tree: the workload's
+    seed-1 set-up and one warm repeat, then one more repeat with every
+    call counted — Python calls by the ``src/repro`` file whose code runs,
+    C calls by function name, from any frame."""
+    sys.path.insert(0, str(Path.cwd() / "bench"))
+    import workloads
+
+    package = str(Path.cwd() / "src" / "repro") + os.sep
+    python, native = Counter(), Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            if path.startswith(package):
+                python[path[len(package):]] += 1
+        elif event == "c_call":
+            native[getattr(arg, "__qualname__", type(arg).__qualname__)] += 1
+
+    job = workloads.REGISTRY[workload](1)
+    job.setup()
+    job.repeat()
+    sys.setprofile(count)
+    try:
+        job.repeat()
+    finally:
+        sys.setprofile(None)
+    return {"python": python, "c": native}
+
+
+def calls_run(tree: Path, workload: str) -> dict:
+    """``tree``'s call counts over one warm repeat of ``workload``."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--calls-worker",
+         "--workload", workload],
+        cwd=tree, env=tree_env(tree), stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {kind: Counter(counts) for kind, counts in result.items()}
+
+
+def compare_calls(base: Path, workload: str) -> None:
+    """Print Python calls by file and the C calls whose count changed, in
+    both trees and the difference, the most changed first, then totals."""
+    was, now = (calls_run(tree, workload) for tree in (base, ROOT))
+    print_counts("Python calls by src/repro file", was["python"], now["python"])
+    print_counts("C calls by function", was["c"], now["c"], changed_only=True)
 
 
 def pairs(base: Path, workload: str, n: int) -> None:
@@ -230,10 +298,16 @@ def main(argv=None) -> int:
                         help="compare the exact figures of one seed-1 pass instead")
     parser.add_argument("--entries", action="store_true",
                         help="compare one seed-1 repeat's heap entries by callback instead")
+    parser.add_argument("--calls", action="store_true",
+                        help="compare one warm seed-1 repeat's call counts instead")
     parser.add_argument("--entries-worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--calls-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.entries_worker:
         print(json.dumps(entries_worker(args.workload)))
+        return 0
+    if args.calls_worker:
+        print(json.dumps(calls_worker(args.workload)))
         return 0
 
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
@@ -252,6 +326,10 @@ def main(argv=None) -> int:
                 print(f"{args.workload}: heap entries by callback, seed-1 set-up "
                       f"and one repeat, base {args.base} vs working tree")
                 compare_entries(base, args.workload)
+            elif args.calls:
+                print(f"{args.workload}: calls, seed-1 set-up, one warm repeat "
+                      f"and one counted, base {args.base} vs working tree")
+                compare_calls(base, args.workload)
             else:
                 print(f"{args.workload}: base {args.base} vs working tree, "
                       f"{args.pairs} pairs")

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Tuple
 
+from repro.util.errors import ConfigError
+
 CMUL = 6  #: flops in one complex multiply
 CADD = 2  #: flops in one complex add
 MATVEC_SU3 = 9 * CMUL + 6 * CADD  #: = 66, one SU(3) matrix x colour vector
@@ -205,13 +207,26 @@ class OperatorCost:
         )
         return nbytes // WORD_BYTES
 
-    def wire_sites(self, face_sites: int, extent: int) -> Tuple[int, int]:
-        """Sites of one slice a decomposed axis of ``extent`` ships each way,
+    def check_tile(self, local_shape, machine_dims) -> None:
+        """Refuse, with a ``ConfigError``, a tile whose decomposed axis is
+        shallower than the sheet's longest hop: that hop's halo would span
+        two tiles.  The distributed operator and the performance model
+        both ask here; only ASQTAD's Naik hop is deeper than one site."""
+        depth = max(self.hop_depths)
+        for mu, (extent, nodes) in enumerate(zip(local_shape, machine_dims)):
+            if int(nodes) > 1 and int(extent) < depth:
+                raise ConfigError(
+                    f"axis {mu}: local extent {extent} < {depth}; the Naik "
+                    "halo would span two tiles (enlarge the local volume)"
+                )
+
+    def wire_sites(self, face_sites: int) -> Tuple[int, int]:
+        """Sites of one slice a decomposed axis ships each way,
         ``face_sites`` its one-deep face: the low face as deep as the
         deepest hop one way, one block of sender-side products per hop
-        layer the other — no layer deeper than the neighbour's tile."""
-        layers = [min(h, extent) for h in self.hop_depths]
-        return max(layers) * face_sites, sum(layers) * face_sites
+        layer the other (:meth:`check_tile` keeps every layer within the
+        neighbour's tile)."""
+        return max(self.hop_depths) * face_sites, sum(self.hop_depths) * face_sites
 
     def slices(self, Ls: int = 1) -> int:
         """Applications of the sheet per 4-dimensional site."""
@@ -325,7 +340,7 @@ class _WilsonForceCost(OperatorCost):
     def halo_flops(self, face_sites: int) -> int:
         return face_sites * WILSON_FORCE_HALO_PROJ_FLOPS
 
-    def wire_sites(self, face_sites: int, extent: int) -> Tuple[int, int]:
+    def wire_sites(self, face_sites: int) -> Tuple[int, int]:
         """Both fields' low faces in one transfer; nothing comes back."""
         return 2 * face_sites, 0
 

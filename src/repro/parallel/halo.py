@@ -18,7 +18,7 @@ precisely the "only a single write (start transfer) is needed to start up
 to 24 communications" usage of paper section 3.3.
 
 :class:`HaloPipeline` owns what that mechanism needs and no operator
-arithmetic: the ``work`` source buffer and per-axis halo/staging node
+arithmetic: the ``work`` source buffer and the halo/staging node
 buffers, the stored descriptors in their start groups, the
 interior/boundary site counts the merge charge is split by, the
 hot-epoch bracket, the sanitizer checkpoints, and the one generator
@@ -32,23 +32,31 @@ that declares its **spec** (constructor arguments below, plus the
 ``groups`` it fires) and supplies the site kernels the generator calls
 between the steps:
 
-``project(mu)``
-    only when the wire is compressed: fill ``stage_fwd[mu]`` from the low
-    face of ``source`` (matvec-free, uncharged);
-``stage(mu) -> sites``
-    fill ``stage_bwd[mu]`` with the sender-side products of the high
-    face; returns the site count, charged one SU(3) matvec each;
+``project()``
+    only when the wire is compressed: fill every decomposed axis's
+    ``stage_fwd[mu]`` from the low faces of ``source`` (matvec-free,
+    uncharged);
+``stage() -> sites``
+    fill every axis's ``stage_bwd[mu]`` with the sender-side products of
+    its high face; returns the site count, charged one SU(3) matvec each;
 ``interior() -> flops``
     run every matvec that needs no halo data;
-``on_halo(mu, sign) -> flops``
-    patch the face rows from the halo that just landed;
+``land()``
+    patch the face rows from every halo, once per application, after
+    the drain (which has charged each halo's landing as it came in);
 ``merge()``
     accumulate the per-``mu`` terms over the whole tile into
-    ``self.out``, once per application, after the drain; charged
+    ``self.out``, once per application, after ``land``; charged
     ``merge_flops_per_site`` per site — what the operator's cost sheet
     leaves once its site-local flops and the ``2 * ndim`` SU(3) matvecs
     charged where their rows are computed are taken out — the interior
     sites' share in step 4 and the boundary sites' in step 6.
+
+Each kernel runs once per application, over every decomposed axis at
+once: a buffer family (``halo_fwd*``, ``halo_bwd*``, ``stage_bwd*``,
+``stage_fwd*``) is one host array (``halo_fwd_rows``, ...), the faces of
+the axes its consecutive rows, and each axis's node buffer is its slice,
+so a kernel writes a whole family where the descriptors read it.
 
 The pipeline, step by step
 --------------------------
@@ -64,11 +72,11 @@ trace, :mod:`repro.machine.replay`) and runs:
    (:meth:`HaloPipeline.transpose_source`) and start group ``"early"`` —
    *both* receives, plus the raw low-face send when the wire is
    uncompressed, so no link ever idles waiting for a late receive;
-2. ``project`` every axis, then start group ``"proj"`` (the projected
-   low-face sends: pure sign/permute adds, on the wire before any matvec
-   is charged);
-3. ``stage`` every axis, charge the staged matvecs, start group
-   ``"staged"`` (the product sends);
+2. ``project()`` the low faces of every axis, then start group
+   ``"proj"`` (the projected low-face sends: pure sign/permute adds, on
+   the wire before any matvec is charged);
+3. ``stage()`` the high faces of every axis, charge the staged matvecs,
+   start group ``"staged"`` (the product sends);
 4. ``interior()``, charged together with the merge flops of the
    interior sites (``depth <= x_mu < L_mu - depth`` on every decomposed
    axis), which need no halo — one charge, all of it while the wires
@@ -78,13 +86,17 @@ trace, :mod:`repro.machine.replay`) and runs:
    already landed — inline, as the CPU reads a finished DMA's status —
    and sleeps on :meth:`CommsAPI.wait_any` over the rest only when none
    has; a failed transfer raises where it is taken, each landed receive
-   runs ``on_halo`` and is charged on the spot, send completions need no
-   compute;
+   has its buffer read and its landing charged on the spot (the flops of
+   a per-``(mu, sign)`` table built at construction), send completions
+   need no compute; then ``land()`` patches every face row the halos
+   fill, with no charge of its own;
 6. ``merge()`` over the whole tile, computed by the host once, here,
    where every hop term is complete, and charged the boundary sites'
    merge flops.  The interior/boundary split lives in the charges the
    model prices, not in what the host computes: one pass of whole-tile
-   numpy calls, no per-site-set gathers.
+   numpy calls, no per-site-set gathers.  Likewise the landings: the
+   host patches the faces once, after the drain, while the simulated
+   CPU is charged for each as its halo lands.
 
 ``overlap=False`` is the same pipeline in the *serialised* order the
 paper's section 4 claim is measured against: nothing starts before
@@ -112,6 +124,7 @@ context).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping, Tuple
 
@@ -252,49 +265,78 @@ class HaloPipeline:
 
         self.compress = wire_words < site_words
         wire_shape = (site_shape[0] * wire_words // site_words,) + site_shape[1:]
-        fwd_name, bwd_name, stage_name = self._buffer_names = buffers
+        fwd_name, bwd_name, stage_name = buffers
         mem = api.memory
-        site_axis = len(lead)
-
-        def site_fastest(buffer: np.ndarray) -> np.ndarray:
-            """A node buffer's view with its site axis moved last."""
-            return np.moveaxis(buffer, site_axis, -1)
 
         self.work = mem.zeros("work", lead + (g.volume,) + site_shape)
-        self._work_t = site_fastest(self.work)
+        self._work_t = np.moveaxis(self.work, len(lead), -1)
         #: the source, site index fastest: the one transposed copy an
         #: application makes (:meth:`transpose_source`)
         self.source = np.empty(lead + site_shape + (g.volume,), dtype=self.work.dtype)
         #: the caller-visible result, in the caller's layout; the merges
         #: scatter their accumulators into its site-fastest view ``out_t``
         self.out = np.empty_like(self.work)
-        self.out_t = site_fastest(self.out)
+        self.out_t = np.moveaxis(self.out, len(lead), -1)
+
+        # Per buffer family, every decomposed axis's faces are consecutive
+        # rows of one host array, the site index first (so each axis's
+        # slice is contiguous whatever ``lead`` is), ascending ``mu``: the
+        # forward halo and its staging are the depth-deep low faces, the
+        # backward ones one packed block of products per hop distance,
+        # nearest first.  Each slice is an axis's node buffer, under the
+        # name its descriptors and the sanitizer use.
+        n_fwd = {mu: len(self.hop_plans[depth][mu].send_low) for mu in self.comm_axes}
+        n_bwd = {
+            mu: sum(len(self.hop_plans[h][mu].send_high) for h in hops)
+            for mu in self.comm_axes
+        }
+
+        def family(counts):
+            faces = sum(counts.values())
+            rows = np.zeros((faces,) + lead + wire_shape, self.work.dtype)
+            ends = list(itertools.accumulate(counts.values(), initial=0))
+            return rows, {mu: rows[a:b] for mu, a, b in zip(counts, ends, ends[1:])}
+
+        #: the host arrays of the four families, ``(faces,) + lead + wire
+        #: site``; ``stage_fwd_rows`` only on the compressed wire
+        self.halo_fwd_rows, fwd_rows = family(n_fwd)
+        self.halo_bwd_rows, bwd_rows = family(n_bwd)
+        self.stage_bwd_rows, stage_rows = family(n_bwd)
+        self.stage_fwd_rows, proj_rows = family(n_fwd) if self.compress else (None, {})
+
+        def node_buffer(name: str, rows: np.ndarray) -> np.ndarray:
+            """``rows`` registered as a node buffer, viewed site-fastest."""
+            return np.moveaxis(mem.alloc(name, rows), 0, -1)
+
         # per decomposed axis: the two receive halos and the two send
         # stages, each the site-fastest view of its node buffer (the
         # buffer itself keeps the descriptors' layout)
         self.halo_fwd, self.halo_bwd, self.stage_fwd, self.stage_bwd = {}, {}, {}, {}
+        #: per receive key ``("recv", mu, sign)`` of the drain: the buffer
+        #: it lands in and the flops charged as it lands — the sheet's
+        #: landing matvecs on every forward-halo site
+        self._landing = {}
+        landing_flops = self._slices * cost.landing_matvecs * MATVEC_SU3
         batch = self.word_batch
 
         def whole(stem: str, mu: int):
             return full_descriptor(api.node, f"{stem}{mu}")
 
         for mu in self.comm_axes:
-            # forward: the depth-deep low face; backward: one packed block
-            # of products per hop distance, nearest first
-            n_fwd = len(self.hop_plans[depth][mu].send_low)
-            n_bwd = sum(len(self.hop_plans[h][mu].send_high) for h in hops)
-            fwd_shape = lead + (n_fwd,) + wire_shape
-            bwd_shape = lead + (n_bwd,) + wire_shape
-            self.halo_fwd[mu] = site_fastest(mem.zeros(f"{fwd_name}{mu}", fwd_shape))
-            self.halo_bwd[mu] = site_fastest(mem.zeros(f"{bwd_name}{mu}", bwd_shape))
-            self.stage_bwd[mu] = site_fastest(mem.zeros(f"{stage_name}{mu}", bwd_shape))
+            self.halo_fwd[mu] = node_buffer(f"{fwd_name}{mu}", fwd_rows[mu])
+            self.halo_bwd[mu] = node_buffer(f"{bwd_name}{mu}", bwd_rows[mu])
+            self.stage_bwd[mu] = node_buffer(f"{stage_name}{mu}", stage_rows[mu])
+            self._landing["recv", mu, +1] = (
+                f"{fwd_name}{mu}",
+                landing_flops * len(self.plans[mu].fill_from_fwd),
+            )
+            self._landing["recv", mu, -1] = (f"{bwd_name}{mu}", 0)
             # Persistent descriptors (stored once, restarted every apply).
             if self.compress:
                 # The forward halo is projected *before* the send, so its
                 # descriptor reads the staged buffer, in its own start
                 # group: on the wire before any staging matvec is charged.
-                stage_fwd = mem.zeros(f"stage_fwd{mu}", fwd_shape)
-                self.stage_fwd[mu] = site_fastest(stage_fwd)
+                self.stage_fwd[mu] = node_buffer(f"stage_fwd{mu}", proj_rows[mu])
                 low_face, group = whole("stage_fwd", mu), "proj"
             else:
                 low_face, group = face_descriptor(
@@ -310,6 +352,9 @@ class HaloPipeline:
             api.store_recv(mu, +1, whole(fwd_name, mu), group="early")
             #  products arriving from the -mu neighbour.
             api.store_recv(mu, -1, whole(bwd_name, mu), group="early")
+        #: the sanitizer names of the buffers ``project`` and ``stage`` write
+        self._projected = [f"stage_fwd{mu}" for mu in self.stage_fwd]
+        self._staged = [f"{stage_name}{mu}" for mu in self.comm_axes]
 
     def kernel_rate(self, cost: OperatorCost) -> float:
         """Seconds per flop of ``cost``'s kernel on this tile — the
@@ -353,7 +398,6 @@ class HaloPipeline:
         out=)`` gathers).
         """
         api, kernel, rate, overlap = self.api, self.kernel, self.rate, self.overlap
-        fwd_name, bwd_name, stage_name = self._buffer_names
         api.begin_hot_epoch(self.tag)
         try:
             api.cpu_write("work")
@@ -366,15 +410,14 @@ class HaloPipeline:
                 if self.race_injection_hook is not None:
                     self.race_injection_hook(self)
             if self.compress:
-                for mu in self.comm_axes:
-                    api.cpu_write(f"stage_fwd{mu}")
-                    self.project(mu)
+                for name in self._projected:
+                    api.cpu_write(name)
+                self.project()
             if overlap and "proj" in self.groups:
                 pending.update(api.start_stored_events(group="proj"))
-            staged = 0
-            for mu in self.comm_axes:
-                api.cpu_write(f"{stage_name}{mu}")
-                staged += self.stage(mu)
+            for name in self._staged:
+                api.cpu_write(name)
+            staged = self.stage()
             if staged:
                 yield api.compute(staged * MATVEC_SU3, kernel=kernel, rate=rate)
             if overlap:
@@ -390,6 +433,7 @@ class HaloPipeline:
             yield api.compute(flops, kernel=kernel, rate=rate)
 
             # ---- boundary phase: drain transfers in completion order ----
+            landing = self._landing
             while pending:
                 # take a landed transfer inline (the first in start order,
                 # the one wait_any would resolve to); sleep only if none has
@@ -400,13 +444,14 @@ class HaloPipeline:
                 elif not pending[key].ok:
                     raise pending[key].exception
                 del pending[key]
-                kind, mu, sign = key
-                if kind != "recv":
+                if key not in landing:
                     continue  # send completions need no compute
-                api.cpu_read(f"{fwd_name if sign > 0 else bwd_name}{mu}")
-                flops = self.on_halo(mu, sign)
+                # the landed halo is read here, and its patch charged here
+                buffer, flops = landing[key]
+                api.cpu_read(buffer)
                 if flops:
                     yield api.compute(flops, kernel=kernel, rate=rate)
+            self.land()
 
             # ---- the merge, over the whole tile; the boundary sites' share
             # is charged here -----------------------------------------------

@@ -32,9 +32,10 @@ full-spinor wire format for comparison benchmarks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +46,8 @@ from repro.fermions.gamma import (
     HALF_SPINOR,
     apply_spin_matrix_site_fastest,
     gamma5_sandwich,
-    spin_project,
 )
+from repro.lattice import stencil
 from repro.lattice.gauge import (
     cmatvec_directions,
     cmatvec_site_fastest,
@@ -95,6 +96,65 @@ def half_spinor_tables(ndim: int, lead: Tuple[int, ...]):
     return proj_rows, proj_coeff, lower_rows, lower_coeff
 
 
+class FaceTables(NamedTuple):
+    """The index and coefficient tables of a tile's decomposed faces, in
+    the order a buffer family concatenates them: ascending ``mu``, each
+    face in site order (:func:`face_tables`)."""
+
+    #: ``(n,)``: the decomposed axis of each face row
+    axis: np.ndarray
+    #: ``(n,)``: the low-face sites, which the backward halos fill
+    low: np.ndarray
+    #: ``(n,)``: the high-face sites, which the forward halos fill
+    high: np.ndarray
+    #: ``(4, 3, n)`` flat indices into a ``(4, 3, v)`` spinor's ``(12 v,)``
+    #: view, on the low faces: rows 0-1 the upper rows of ``(1 -
+    #: gamma_mu) psi``, rows 2-3 their partner rows
+    low_rows: np.ndarray
+    #: the same on the high faces, for ``(1 + gamma_mu) psi``
+    high_rows: np.ndarray
+    #: ``(2, 1, n)``: each partner row's coefficient, low faces
+    low_coeff: np.ndarray
+    #: the same on the high faces
+    high_coeff: np.ndarray
+
+
+@functools.cache
+def face_tables(shape: Tuple[int, ...], comm_axes: Tuple[int, ...]) -> FaceTables:
+    """The :class:`FaceTables` of a ``shape`` tile cut along ``comm_axes``:
+    every decomposed face projected (and every face row patched) with one
+    ``take`` and one broadcast multiply, with the per-element arithmetic
+    of :func:`~repro.fermions.gamma.spin_project`.  Built once per
+    ``(shape, comm_axes)``, read-only, shared by every context."""
+    v = math.prod(shape)
+    plans = [stencil.halo_plan(shape, mu) for mu in comm_axes]
+    ends = list(itertools.accumulate((len(plan.send_low) for plan in plans), initial=0))
+    faces = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    axis = np.empty(ends[-1], dtype=np.intp)
+    low, high = np.empty_like(axis), np.empty_like(axis)
+    for mu, plan, face in zip(comm_axes, plans, faces):
+        axis[face], low[face], high[face] = mu, plan.send_low, plan.send_high
+
+    def spin_rows(sites, sign):
+        """The flat rows of ``(1 - sign gamma_mu) psi`` on ``sites`` and
+        the partner rows' coefficients."""
+        rows = np.empty((4, len(sites)), dtype=np.intp)
+        rows[:2] = np.arange(2)[:, None]
+        coeff = np.empty((2, 1, len(sites)), dtype=np.complex128)
+        for mu, face in zip(comm_axes, faces):
+            partner, scale, _, _ = HALF_SPINOR[mu, sign]
+            rows[2:, face] = np.arange(4)[partner][:, None]
+            coeff[:, 0, face] = scale[:, None]
+        return (rows[:, None, :] * 3 + np.arange(3)[:, None]) * v + sites, coeff
+
+    low_rows, low_coeff = spin_rows(low, +1)
+    high_rows, high_coeff = spin_rows(high, -1)
+    tables = FaceTables(axis, low, high, low_rows, high_rows, low_coeff, high_coeff)
+    for array in tables:
+        array.setflags(write=False)
+    return tables
+
+
 class WilsonHops(HaloPipeline):
     """The 4D Wilson hopping site kernels, written once over a site axis.
 
@@ -106,9 +166,11 @@ class WilsonHops(HaloPipeline):
     serial operators, DESIGN.md §12): ``source``, the hop terms, the
     merge scratch, and the node buffers' site-fastest views.  The hop
     terms of every direction live in one array and are computed
-    together: one spin projection, one SU(3) contraction per sign.
-    Subclasses add ``interior``/``merge`` (whose accumulation order is
-    what the bit-identity contracts pin) and name their cost sheet.
+    together: one spin projection, one SU(3) contraction per sign; so
+    are the faces of every decomposed axis, projected, staged and patched
+    once per application (:func:`face_tables`).  Subclasses add
+    ``interior``/``merge`` (whose accumulation order is what the
+    bit-identity contracts pin) and name their cost sheet.
     """
 
     groups = ("early", "proj", "staged")
@@ -140,7 +202,8 @@ class WilsonHops(HaloPipeline):
         #: per direction, the forward and backward nearest-neighbour tables
         self._tables = [(g.hop(mu, +1), g.hop(mu, -1)) for mu in range(ndim)]
         #: the hop matvecs charged in the interior phase: every one but the
-        #: forward face rows, which ``on_halo`` charges as they land
+        #: forward face rows, charged as their halos land (the drain of
+        #: :meth:`~repro.parallel.halo.HaloPipeline.exchange`)
         nface = sum(len(plan.fill_from_fwd) for plan in self.plans.values())
         self._hop_flops = float(self._slices * (2 * ndim * v - nface) * MATVEC_SU3)
 
@@ -152,26 +215,50 @@ class WilsonHops(HaloPipeline):
         dt = self.work.dtype
         #: spin rows per wire site: 2 (half spinor) when compressed, 4 raw
         rows = 2 if compress else 4
-
-        def scratch(spin_rows: int, sites: int = v) -> np.ndarray:
-            return np.empty(lead + (spin_rows, 3, sites), dtype=dt)
-
+        faces = self._faces = face_tables(g.shape, tuple(self.comm_axes))
+        n = len(faces.axis)
         #: every hop term, ``(ndim, 2) + lead + (rows, 3, v)``: sign 0 the
         #: forward hop ``U_mu(x) psi(x + mu)``, sign 1 the backward hop
-        #: ``U_mu(x - mu)^+ psi(x - mu)`` (half spinors when compressed);
-        #: ``_fwd[mu]`` and ``_bwd[mu]`` are its per-direction views
+        #: ``U_mu(x - mu)^+ psi(x - mu)`` (half spinors when compressed)
         self._hops = np.empty((ndim, 2) + lead + (rows, 3, v), dtype=dt)
-        self._fwd = [self._hops[mu, 0] for mu in range(ndim)]
-        self._bwd = [self._hops[mu, 1] for mu in range(ndim)]
-        #: ``(ndim,) + lead + (rows, 3, v)``: the gathered operands and the
-        #: products to gather of ``hop_matvecs``, then the merge's scratch
-        #: (the hop terms are complete before a merge starts) — on the
-        #: uncompressed wire, its accumulator too
-        self._gathered = np.empty((ndim,) + lead + (rows, 3, v), dtype=dt)
-        self._merge_acc = scratch(4) if compress else self._gathered[2]
+        # one scratch for the face kernels and the hop matvecs, which never
+        # run at once: ``_gathered``, ``(ndim,) + lead + (rows, 3, v)``, the
+        # gathered operands and the products to gather of ``hop_matvecs``,
+        # then the merge's scratch (the hop terms are complete before a
+        # merge starts) — on the uncompressed wire, its accumulator too;
+        # and ``_face_spinors``, ``lead + (4, 3, faces)``, every face's
+        # gathered spinor rows (compressed: the upper rows, then their
+        # partners) and then the forward halos' products
+        hop_shape = (ndim,) + lead + (rows, 3, v)
+        face_shape = lead + (4, 3, n)
+        size = math.prod(hop_shape), math.prod(face_shape)
+        scratch = np.empty(max(size), dtype=dt)
+        self._gathered = scratch[: size[0]].reshape(hop_shape)
+        spinors = self._face_spinors = scratch[: size[1]].reshape(face_shape)
+        self._face_upper = spinors[..., :2, :, :]
+        self._face_partner = spinors[..., 2:, :, :]
+        self._merge_acc = (
+            np.empty(lead + (4, 3, v), dtype=dt) if compress else self._gathered[2]
+        )
         self._rot_in = np.empty_like(self.out)
         self._rot_out = np.empty_like(self.out)
+        #: the source as ``lead + (12 v,)``, which the face tables index
+        self._source_plane = self.source.reshape(lead + (-1,))
+        # the families' host arrays seen site-fastest, ``lead + (rows, 3,
+        # faces)``: what the face kernels write and read
+        self._stage_bwd_t, self._halo_fwd_t = (
+            np.moveaxis(family, 0, -1)
+            for family in (self.stage_bwd_rows, self.halo_fwd_rows)
+        )
+        #: the forward halos' products, face index first: what ``land``
+        #: writes into the forward hop terms
+        patch = spinors[..., :rows, :, :]
+        self._patch, self._patch_rows = patch, np.moveaxis(patch, -1, 0)
+        #: the face rows of the hop terms, forward then backward
+        self._fwd_face_rows = (faces.axis, 0, Ellipsis, faces.high)
+        self._bwd_face_rows = (faces.axis, 1, Ellipsis, faces.low)
         if compress:
+            self._stage_fwd_t = np.moveaxis(self.stage_fwd_rows, 0, -1)
             (
                 self._proj_rows,
                 self._proj_coeff,
@@ -184,53 +271,54 @@ class WilsonHops(HaloPipeline):
             self._source_per_direction = np.broadcast_to(
                 self.source, self._gathered.shape
             )
-        # per-axis face scratch + constant gauge-face gathers (links are
+        # constant gauge-face gathers, ``(3, 3, faces)`` (links are
         # immutable for the context's lifetime, so they are gathered here
-        # once)
-        self._face_gather = {}
-        self._face_wire = {}  # wire-shaped: staged half face, then halo patch
-        self._u_dagger_high = {}
-        self._u_fwd_face = {}
-        for mu, plan in self.plans.items():
-            nface = len(plan.send_low)
-            self._face_gather[mu] = scratch(4, nface)
-            self._face_wire[mu] = scratch(rows, nface)
-            self._u_dagger_high[mu] = np.take(
-                self._u_dagger[mu], plan.send_high, axis=-1
-            )
-            self._u_fwd_face[mu] = np.take(self._u[mu], plan.fill_from_fwd, axis=-1)
+        # once): ``U^+`` on the high faces the products are staged from,
+        # ``U`` on the face rows the forward halos patch
+        self._staging_links, self._landing_links = (
+            np.ascontiguousarray(np.moveaxis(u[faces.axis, :, :, faces.high], 0, -1))
+            for u in (self._u_dagger, self._u)
+        )
 
     @hot_path
-    def project(self, mu: int) -> None:
-        """Spin-project the forward (low-face) halo into ``stage_fwd`` —
-        ``(1 - gamma_mu) psi``, a half spinor per site.
+    def project(self) -> None:
+        """Spin-project every forward (low-face) halo into its
+        ``stage_fwd`` — ``(1 - gamma_mu) psi``, a half spinor per site,
+        every decomposed axis at once.
 
         Pure sign/permute additions (no SU(3) arithmetic), uncharged
         here: the projection's adds are part of the merge accounting,
         exactly as the seed charged its raw-face sends.
         """
-        face = self._face_gather[mu]
-        self.source.take(self.plans[mu].send_low, axis=-1, out=face, mode="clip")
-        spin_project(mu, +1, face, out=self.stage_fwd[mu])
+        faces, partner = self._faces, self._face_partner
+        # mode="clip": the memoised tables are in range by construction,
+        # and numpy buffers ``out`` under the default "raise"
+        self._source_plane.take(
+            faces.low_rows, axis=-1, out=self._face_spinors, mode="clip"
+        )
+        np.multiply(partner, faces.low_coeff, out=partner)
+        np.subtract(self._face_upper, partner, out=self._stage_fwd_t)
 
     @hot_path
-    def stage(self, mu: int) -> int:
-        """Sender-side ``U^+ psi`` products on the high face.
+    def stage(self) -> int:
+        """Sender-side ``U^+ psi`` products on every high face, with one
+        contraction; returns the sites staged.
 
         Compressed, the product fuses the ``(1 + gamma_mu)`` projection
         *before* the SU(3) multiply — half the colour arithmetic, half
         the wire.  The ``U^+`` face gathers are hoisted to context
-        creation (``_u_dagger_high``).
+        creation (``_staging_links``).
         """
-        high = self.plans[mu].send_high
-        face = self._face_gather[mu]
-        # mode="clip": the memoised tables are in range by construction,
-        # and numpy buffers ``out`` under the default "raise"
-        self.source.take(high, axis=-1, out=face, mode="clip")
+        faces, spinors = self._faces, self._face_spinors
         if self.compress:
-            face = spin_project(mu, -1, face, out=self._face_wire[mu])
-        cmatvec_site_fastest(self._u_dagger_high[mu], face, out=self.stage_bwd[mu])
-        return self._slices * len(high)
+            partner = self._face_partner
+            self._source_plane.take(faces.high_rows, axis=-1, out=spinors, mode="clip")
+            np.multiply(partner, faces.high_coeff, out=partner)
+            spinors = np.subtract(self._face_upper, partner, out=partner)
+        else:
+            self.source.take(faces.high, axis=-1, out=spinors, mode="clip")
+        cmatvec_site_fastest(self._staging_links, spinors, out=self._stage_bwd_t)
+        return self._slices * len(faces.high)
 
     @hot_path
     def hop_matvecs(self) -> float:
@@ -238,8 +326,8 @@ class WilsonHops(HaloPipeline):
         the flops to charge.
 
         Forward hop: for decomposed axes the face rows are placeholders
-        until the halo lands (their matvec is charged by ``on_halo``
-        instead).  Backward hop: the local matvec is always computed in
+        until ``land`` patches them (their matvec is charged as their halo
+        lands instead).  Backward hop: the local matvec is always computed in
         full — face rows are later *replaced* by the received products.
         Compressed, every ``(mu, sign)`` projection of the source is made
         first, into the hop terms themselves, and the gathers move half
@@ -282,19 +370,15 @@ class WilsonHops(HaloPipeline):
         return np.multiply(terms, self._lower_coeff[j], out=terms)
 
     @hot_path
-    def on_halo(self, mu: int, sign: int) -> int:
-        plan = self.plans[mu]
-        if sign > 0:
-            # (Half) spinors from the +mu neighbour: one matvec per face
-            # site patches the forward-hop rows (gauge face rows were
-            # gathered once at context creation).
-            patch = self._face_wire[mu]
-            cmatvec_site_fastest(self._u_fwd_face[mu], self.halo_fwd[mu], out=patch)
-            self._fwd[mu][..., plan.fill_from_fwd] = patch
-            return self._slices * len(plan.fill_from_fwd) * MATVEC_SU3
-        # Products from the -mu neighbour: pure row copy.
-        self._bwd[mu][..., plan.fill_from_bwd] = self.halo_bwd[mu]
-        return 0
+    def land(self) -> None:
+        """Patch every face row from the halos that landed: one contraction
+        multiplies every forward halo (half) spinor by the receiver's own
+        ``U_mu`` (gathered once at context creation), and one indexed
+        assignment per sign writes the forward products and the backward
+        ones, which arrive as products, into the hop terms."""
+        cmatvec_site_fastest(self._landing_links, self._halo_fwd_t, out=self._patch)
+        self._hops[self._fwd_face_rows] = self._patch_rows
+        self._hops[self._bwd_face_rows] = self.halo_bwd_rows
 
     @hot_path
     def apply_dagger(self, src: np.ndarray):

@@ -63,15 +63,11 @@ class DistributedStaggeredContext(HaloPipeline):
         overlap: bool = True,
         word_batch=None,
     ):
+        cost = operator_cost("asqtad")
+        cost.check_tile(local_shape, api.dims)
         for mu, (extent, nodes) in enumerate(zip(local_shape, api.dims)):
-            if nodes == 1:
-                continue  # undecomposed axes wrap locally, whatever their extent
-            if extent < 3:
-                raise ConfigError(
-                    f"axis {mu}: local extent {extent} < 3; the Naik "
-                    "halo would span two tiles (enlarge the local volume)"
-                )
-            if extent % 2:
+            if nodes > 1 and extent % 2:
+                # (undecomposed axes wrap locally, whatever their extent)
                 raise ConfigError(
                     f"axis {mu}: odd local extent {extent} on a decomposed "
                     "axis; the Kawamoto-Smit phases come from local coordinates, "
@@ -82,7 +78,7 @@ class DistributedStaggeredContext(HaloPipeline):
             local_shape,
             tag="pstaggered.hopping",
             kernel="asqtad",
-            cost=operator_cost("asqtad"),
+            cost=cost,
             site_shape=(3,),
             buffers=("raw_halo", "prod_halo", "stage"),
             overlap=overlap,
@@ -152,23 +148,27 @@ class DistributedStaggeredContext(HaloPipeline):
         return self.exchange(src)
 
     @hot_path
-    def stage(self, mu: int) -> int:
-        """Sender-side backward products, packed ``[fat (n1) ; naik (n3)]``."""
-        high1 = self.plans[mu].send_high
-        high3 = self.plan3[mu].send_high
-        n1 = len(high1)
-        buf = self.stage_bwd[mu]
-        # mode="clip": the memoised tables are in range by construction,
-        # and numpy buffers ``out`` under the default "raise"
-        self.source.take(high1, axis=-1, out=self._stage_v1[mu], mode="clip")
-        cmatvec_site_fastest(
-            self._fat_dagger_high[mu], self._stage_v1[mu], out=buf[:, :n1]
-        )
-        self.source.take(high3, axis=-1, out=self._stage_v3[mu], mode="clip")
-        cmatvec_site_fastest(
-            self._long_dagger_high3[mu], self._stage_v3[mu], out=buf[:, n1:]
-        )
-        return n1 + len(high3)
+    def stage(self) -> int:
+        """Sender-side backward products of every decomposed axis, packed
+        ``[fat (n1) ; naik (n3)]`` per axis; returns the sites staged."""
+        staged = 0
+        for mu in self.comm_axes:
+            high1 = self.plans[mu].send_high
+            high3 = self.plan3[mu].send_high
+            n1 = len(high1)
+            buf = self.stage_bwd[mu]
+            # mode="clip": the memoised tables are in range by construction,
+            # and numpy buffers ``out`` under the default "raise"
+            self.source.take(high1, axis=-1, out=self._stage_v1[mu], mode="clip")
+            cmatvec_site_fastest(
+                self._fat_dagger_high[mu], self._stage_v1[mu], out=buf[:, :n1]
+            )
+            self.source.take(high3, axis=-1, out=self._stage_v3[mu], mode="clip")
+            cmatvec_site_fastest(
+                self._long_dagger_high3[mu], self._stage_v3[mu], out=buf[:, n1:]
+            )
+            staged += n1 + len(high3)
+        return staged
 
     @hot_path
     def interior(self) -> float:
@@ -185,19 +185,21 @@ class DistributedStaggeredContext(HaloPipeline):
         return 0.0 + 2 * g.ndim * g.volume * MATVEC_SU3
 
     @hot_path
-    def on_halo(self, mu: int, sign: int) -> int:
-        if sign > 0:
+    def land(self) -> None:
+        """Row-copy every landed halo into the hop operands: the raw
+        forward faces (layer 0 for the fat hop, all three layers for the
+        Naik hop) and the backward products."""
+        for mu in self.comm_axes:
+            plan1, plan3 = self.plans[mu], self.plan3[mu]
             raw = self.halo_fwd[mu]
             layer0 = self._stage_v1[mu]  # staging is over: reuse its scratch
             raw.take(self.raw_layer0[mu], axis=-1, out=layer0, mode="clip")
-            self._fwd1[mu][:, self.plans[mu].fill_from_fwd] = layer0
-            self._fwd3[mu][:, self.plan3[mu].fill_from_fwd] = raw
-        else:
+            self._fwd1[mu][:, plan1.fill_from_fwd] = layer0
+            self._fwd3[mu][:, plan3.fill_from_fwd] = raw
             prod = self.halo_bwd[mu]
-            n1 = len(self.plans[mu].send_low)
-            self._bwd1[mu][:, self.plans[mu].fill_from_bwd] = prod[:, :n1]
-            self._bwd3[mu][:, self.plan3[mu].fill_from_bwd] = prod[:, n1:]
-        return 0
+            n1 = len(plan1.send_low)
+            self._bwd1[mu][:, plan1.fill_from_bwd] = prod[:, :n1]
+            self._bwd3[mu][:, plan3.fill_from_bwd] = prod[:, n1:]
 
     @hot_path
     def merge(self) -> None:

@@ -150,7 +150,7 @@ class DiracPerfModel:
             self.asic, cost, volume, Ls, flops, streamed / halve, loops
         )
         slices = cost.slices(Ls)
-        sites = {mu: cost.wire_sites(face, shape[mu]) for mu, face in faces.items()}
+        sites = {mu: cost.wire_sites(face) for mu, face in faces.items()}
         products = sum(bwd for _fwd, bwd in sites.values())
         t_stage = slices * products * MATVEC_SU3 * rate  # one matvec per product
         words = slices * cost.wire_words(compress) // halve
@@ -274,12 +274,14 @@ class DiracPerfModel:
 
 def _sheet_and_faces(op: str, local_shape, machine_dims):
     """The operator's cost sheet, the tile's shape and volume, and the
-    one-deep face sites of each decomposed axis."""
+    one-deep face sites of each decomposed axis; a tile the distributed
+    operator refuses (:meth:`OperatorCost.check_tile`) is refused here."""
     try:
         cost = operator_cost(op)
     except KeyError as exc:
         raise ConfigError(f"no distributed cost sheet: {exc.args[0]}") from None
     shape = tuple(int(s) for s in local_shape)
+    cost.check_tile(shape, machine_dims)
     volume = int(np.prod(shape))
     faces = {
         mu: volume // shape[mu]
@@ -308,7 +310,7 @@ def halo_payload_words(
     """
     cost, shape, _volume, faces = _sheet_and_faces(op, local_shape, machine_dims)
     wire_sites = sum(
-        sum(cost.wire_sites(face, shape[mu])) for mu, face in faces.items()
+        sum(cost.wire_sites(face)) for mu, face in faces.items()
     )
     return wire_sites * cost.wire_words(compress) * cost.slices(Ls)
 

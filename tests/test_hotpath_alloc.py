@@ -264,7 +264,7 @@ class TestHotPathTags:
             pdwf.DistributedDWFContext,
             pstaggered.DistributedStaggeredContext,
         ):
-            for kernel in ("stage", "interior", "on_halo"):
+            for kernel in ("stage", "interior", "land"):
                 assert is_hot_path(getattr(ctx, kernel)), (ctx, kernel)
         assert is_hot_path(pdirac.WilsonHops.project)
         assert is_hot_path(pdirac.WilsonHops.hop_matvecs)

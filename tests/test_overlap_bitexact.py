@@ -160,6 +160,17 @@ class TestDecompositionInvariance:
             assert np.array_equal(out, outs["0d"]), name
 
 
+#: the Wilson-type operators held to the serial ones' bytes
+WILSON_AND_CLOVER = pytest.mark.parametrize(
+    "params, serial",
+    [
+        ({"mass": 0.3}, lambda gauge: WilsonDirac(gauge, mass=0.3)),
+        ({"mass": 0.3, "c_sw": 1.0}, lambda gauge: CloverDirac(gauge, mass=0.3)),
+    ],
+    ids=["wilson", "clover"],
+)
+
+
 class TestAllBoundaryTile:
     """Sixteen ranks of one 16-site tile, all four axes cut: every site is
     a boundary site, both hop terms of every direction have face rows
@@ -169,10 +180,20 @@ class TestAllBoundaryTile:
     The serial domain-wall operator adds its diagonal in another order
     (``(d psi - hop/2) + psi``), so DWF is held to the bytes of the same
     operator on one node, where no site waits for a halo, and to the
-    serial one's values."""
+    serial one's values.
+
+    The faces of every cut axis are consecutive rows of one array, so
+    two more tiles check each axis's offset in it: two of four axes cut
+    (the ``(2, 2, 2, 2)`` tile of ``service-mix`` and ``hmc-chaos``),
+    and three axes whose faces hold 4, 8 and 8 sites."""
 
     DIMS = DECOMPS["4d"]
     SHAPE = (4, 4, 4, 4)
+    #: tile -> (machine dims, global lattice)
+    PARTIAL = {
+        "two-axes": (DECOMPS["2d"], (4, 4, 2, 2)),
+        "uneven": ((2, 2, 2, 1, 1, 1), (8, 4, 4, 2)),
+    }
 
     @staticmethod
     def point(src, lead=()):
@@ -182,41 +203,54 @@ class TestAllBoundaryTile:
         point[site] = src[site]
         return point
 
-    @pytest.mark.parametrize("overlap", [True, False])
-    @pytest.mark.parametrize("dagger", [False, True])
-    @pytest.mark.parametrize(
-        "params, serial",
-        [
-            ({"mass": 0.3}, lambda gauge: WilsonDirac(gauge, mass=0.3)),
-            ({"mass": 0.3, "c_sw": 1.0}, lambda gauge: CloverDirac(gauge, mass=0.3)),
-        ],
-        ids=["wilson", "clover"],
-    )
-    def test_wilson_and_clover_equal_serial(self, params, serial, dagger, overlap):
-        gauge, src = system((41, "all-boundary-wilson"), self.SHAPE)
+    def wilson_and_clover(self, dims, shape, params, serial, dagger, overlap):
+        gauge, src = system((41, "all-boundary-wilson"), shape)
         point = self.point(src)
         dirac = serial(gauge)
         want = (dirac.apply_dagger if dagger else dirac.apply)(point)
-        machine, partition = booted(self.DIMS, word_batch="face")
+        machine, partition = booted(dims, word_batch="face")
         got = applied(
             machine, partition, "wilson", gauge, point,
             dagger=dagger, overlap=overlap, **params,
         )
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_dwf_equals_one_node(self, overlap):
-        gauge, src = system((41, "all-boundary-dwf"), self.SHAPE, "dwf", Ls=2)
+    def dwf(self, dims, shape, overlap):
+        gauge, src = system((41, "all-boundary-dwf"), shape, "dwf", Ls=2)
         point = self.point(src, lead=(2,))
         outs = {}
-        for name in ("0d", "4d"):
-            machine, partition = booted(DECOMPS[name], word_batch="face")
+        for name, machine_dims in (("0d", DECOMPS["0d"]), ("cut", dims)):
+            machine, partition = booted(machine_dims, word_batch="face")
             outs[name] = applied(
                 machine, partition, "dwf", gauge, point, overlap=overlap, Ls=2
             )
-        assert outs["4d"].tobytes() == outs["0d"].tobytes()
+        assert outs["cut"].tobytes() == outs["0d"].tobytes()
         serial = DomainWallDirac(gauge, Ls=2).apply(point)
-        assert np.allclose(outs["4d"], serial, atol=1e-14)
+        assert np.allclose(outs["cut"], serial, atol=1e-14)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("dagger", [False, True])
+    @WILSON_AND_CLOVER
+    def test_wilson_and_clover_equal_serial(self, params, serial, dagger, overlap):
+        self.wilson_and_clover(self.DIMS, self.SHAPE, params, serial, dagger, overlap)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_dwf_equals_one_node(self, overlap):
+        self.dwf(self.DIMS, self.SHAPE, overlap)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("dagger", [False, True])
+    @WILSON_AND_CLOVER
+    @pytest.mark.parametrize("tile", sorted(PARTIAL))
+    def test_partial_cut_wilson_and_clover_equal_serial(
+        self, tile, params, serial, dagger, overlap
+    ):
+        self.wilson_and_clover(*self.PARTIAL[tile], params, serial, dagger, overlap)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("tile", sorted(PARTIAL))
+    def test_partial_cut_dwf_equals_one_node(self, tile, overlap):
+        self.dwf(*self.PARTIAL[tile], overlap)
 
 
 class TestPayloadInvariance:

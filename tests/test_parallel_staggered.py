@@ -6,6 +6,11 @@ import pytest
 from repro.fermions import AsqtadDirac
 from repro.lattice import GaugeField, LatticeGeometry
 from repro.parallel import solve_staggered_on_machine
+from repro.perfmodel.dirac_perf import (
+    DiracPerfModel,
+    dirac_flops_per_node,
+    halo_payload_words,
+)
 from repro.solvers import cg
 from repro.util import rng_stream
 from repro.util.errors import ConfigError
@@ -84,6 +89,36 @@ class TestDistributedAsqtadApply:
         chi = rng.standard_normal((geom.volume, 3)) + 0j
         applied(machine, partition, "asqtad", gauge, chi, mass=0.3)
         assert machine.audit_checksums() == []
+
+
+class TestModelRefusesWhatTheTwinRefuses:
+    """The performance model prices only ASQTAD tiles the twin can run: a
+    decomposed axis shallower than the Naik hop is refused by both, with
+    one message.  The tiles are even or shallow: an odd extent is the
+    twin's own rule, about its Kawamoto-Smit phases, not about cost."""
+
+    @pytest.mark.parametrize("local", [(1, 4), (2, 4), (4, 2), (4, 4), (4, 6), (6, 4)])
+    def test_same_tiles_refused(self, local):
+        local_shape = local + (2, 2)
+        geom = LatticeGeometry(tuple(2 * e for e in local) + (2, 2))
+        chi = np.zeros((geom.volume, 3), dtype=complex)
+        machine, partition = booted(DIMS, word_batch=4096)
+        refusals = []
+        for price in (
+            lambda: applied(
+                machine, partition, "asqtad", GaugeField.unit(geom), chi, mass=0.3
+            ),
+            lambda: DiracPerfModel().exposed_comm_seconds("asqtad", local_shape, DIMS),
+            lambda: halo_payload_words("asqtad", local_shape, DIMS),
+            lambda: dirac_flops_per_node("asqtad", local_shape, DIMS),
+        ):
+            try:
+                price()
+                refusals.append(None)
+            except ConfigError as exc:
+                refusals.append(str(exc))
+        assert refusals == refusals[:1] * 4
+        assert (refusals[0] is None) == (min(local) >= 3), refusals
 
 
 class TestDistributedAsqtadSolve:

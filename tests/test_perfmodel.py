@@ -1,5 +1,7 @@
 """The analytic model vs every quantitative claim in the paper."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -280,8 +282,17 @@ class TestE8HardScaling:
         hs = HardScalingModel(op, asic=asic)
         model = hs.qcdoc
         exposed_somewhere = False
+        refused = []
         for n in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
             dims, local = decompose_shape(hs.global_shape, n)
+            try:
+                hs.cost.check_tile(local, dims)
+            except ConfigError as refusal:
+                # a tile the twin cannot run: the sweep refuses it too
+                with pytest.raises(ConfigError, match=re.escape(str(refusal))):
+                    hs.qcdoc_point(n)
+                refused.append(n)
+                continue
             point = hs.qcdoc_point(n)
             cycles = model.cg_cycles_per_site(op, local, dims)
             seconds = cycles * point.local_volume / model.asic.clock_hz
@@ -293,6 +304,8 @@ class TestE8HardScaling:
             assert point.comm_fraction == 2 * exposed / seconds
             exposed_somewhere |= exposed > 0
         assert exposed_somewhere == (asic is not None)
+        # ASQTAD's 16,384-node tile has local extent 2 < its Naik hop
+        assert refused == ([16384] if op == "asqtad" else [])
 
     def test_wilson_sweep_is_pinned_to_the_bit(self):
         # seconds per CG iteration of the E8 sweep, as printed before the
