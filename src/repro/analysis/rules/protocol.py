@@ -2,9 +2,10 @@
 
 The SCU and the links keep always-on hardware counters (paper section
 2.2), and the measured-vs-model crosscheck audits them.  They are
-charged inside the owning units and read through the telemetry
-``CounterBank``; nothing else writes them.  (The SCU's other contract —
-every send-family completion event is consumed — is REPRO501,
+charged inside the owning units and read through
+``CommsAPI.transfer_counters`` or ``telemetry.counters.sample``; nothing
+else writes them.  (The SCU's other contract — every send-family
+completion event is consumed — is REPRO501,
 :mod:`repro.analysis.flow.rules`, which follows it through wrappers.)
 """
 
@@ -17,8 +18,8 @@ from repro.analysis.engine import Finding, Project, Rule, register_rule
 
 
 #: always-on hardware counters: mutating them anywhere but inside the
-#: owning machine/sim units forges telemetry.  The read path is the
-#: telemetry CounterBank (pull-mode sampling).
+#: owning machine/sim units forges telemetry.  The read path is
+#: ``telemetry.counters.sample`` (read on demand).
 _COUNTER_ATTRS = frozenset(
     {
         "payload_words",
@@ -49,11 +50,11 @@ _COUNTER_OWNERS = frozenset({"machine", "sim", "telemetry"})
 
 
 @register_rule
-class CounterBankOnlyRule(Rule):
+class CounterOwnershipRule(Rule):
     """Hardware counters are charged only inside the owning units.
 
     Node programs and solvers read counters through
-    ``CommsAPI.transfer_counters`` / the telemetry ``CounterBank``;
+    ``CommsAPI.transfer_counters`` / ``telemetry.counters.sample``;
     writing ``node.flops_charged`` (or any SCU/link counter) from the
     physics layer would silently fork the books the
     measured-vs-model crosscheck audits.
@@ -86,6 +87,7 @@ class CounterBankOnlyRule(Rule):
                             node,
                             f"write to hardware counter .{target.attr} outside "
                             "the owning machine unit; charge through the unit "
-                            "(compute(), SCU transfers) and read through the "
-                            "telemetry CounterBank",
+                            "(compute(), SCU transfers) and read through "
+                            "CommsAPI.transfer_counters or "
+                            "telemetry.counters.sample",
                         )

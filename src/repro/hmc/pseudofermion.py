@@ -44,6 +44,32 @@ from repro.util.rng import rng_stream
 SOLVERS = {"cg": cg_iter, "mixed": mixed_cg_iter}
 
 
+def wilson_force_term(mu, r, link, x_field, y_field, fwd, halo=None):
+    """``(1/2) TA[ U_mu B1 - D2 U_mu^+ ]``, the fermion force on direction
+    ``mu``'s links (derivation in
+    :meth:`TwoFlavorWilsonHMC.fermion_force`), site by site.
+
+    ``fwd`` gathers ``x + mu`` from the tile.  A rank whose forward
+    neighbours along ``mu`` live on another node passes ``halo = (rows,
+    halo_x, halo_y)``: the received ``X`` and ``Y`` of those rows, whose
+    ``(r + gamma_mu)`` projection is taken here like every other row's
+    (projection is per site, so patch-then-project equals
+    project-then-gather bit for bit).
+    """
+    proj_minus_y = r * y_field - apply_spin_matrix(GAMMA[mu], y_field)
+    proj_plus_y = r * y_field + apply_spin_matrix(GAMMA[mu], y_field)
+    x_fwd = x_field[fwd]
+    proj_plus_fwd = proj_plus_y[fwd]
+    if halo is not None:
+        rows, halo_x, halo_y = halo
+        x_fwd[rows] = halo_x
+        proj_plus_fwd[rows] = r * halo_y + apply_spin_matrix(GAMMA[mu], halo_y)
+    b1 = np.einsum("xtc,xta->xca", x_fwd, np.conj(proj_minus_y))
+    d2 = np.einsum("xtb,xtc->xbc", x_field, np.conj(proj_plus_fwd))
+    grad = link @ b1 - d2 @ dagger(link)
+    return 0.5 * traceless_antihermitian(grad)
+
+
 class TwoFlavorWilsonHMC(HMC):
     """HMC for two degenerate Wilson flavors (quenched + ``det(D^+D)``).
 
@@ -129,19 +155,10 @@ class TwoFlavorWilsonHMC(HMC):
         y_field = d.apply(x_field)
         g = gauge.geometry
         out = np.empty_like(gauge.links)
-        r = d.r
         for mu in range(g.ndim):
-            fwd = g.neighbour_fwd(mu)
-            proj_minus_y = r * y_field - apply_spin_matrix(GAMMA[mu], y_field)
-            proj_plus_y = r * y_field + apply_spin_matrix(GAMMA[mu], y_field)
-            b1 = np.einsum(
-                "xtc,xta->xca", x_field[fwd], np.conj(proj_minus_y)
+            out[mu] = wilson_force_term(
+                mu, d.r, gauge.links[mu], x_field, y_field, g.neighbour_fwd(mu)
             )
-            d2 = np.einsum(
-                "xtb,xtc->xbc", x_field, np.conj(proj_plus_y[fwd])
-            )
-            grad = gauge.links[mu] @ b1 - d2 @ dagger(gauge.links[mu])
-            out[mu] = 0.5 * traceless_antihermitian(grad)
         return out
 
     def total_force(self, gauge: GaugeField, phi: np.ndarray) -> np.ndarray:

@@ -423,23 +423,19 @@ class QCDOCMachine:
             self.global_sum_words += stats.nwords
 
     # -- telemetry ------------------------------------------------------------
-    def counter_bank(self):
-        """A :class:`repro.telemetry.CounterBank` sampling this machine.
+    def counters(self):
+        """:func:`repro.telemetry.counters.sample` of this machine: every
+        node's and every link's counters as one flat ``{path: value}``
+        snapshot, read off the always-on plain counters."""
+        from repro.telemetry.counters import sample  # local: layering
 
-        Providers are registered for every node's SCU units, memory
-        regions, CPU kernel flops, and every mesh link — sampling reads
-        the always-on plain counters, so attaching a bank costs nothing
-        on the simulation hot path.
-        """
-        from repro.telemetry.counters import bank_for_machine  # local: layering
-
-        return bank_for_machine(self)
+        return sample(self)
 
     def report(self):
         """A :class:`repro.telemetry.MachineReport` over current counters."""
         from repro.telemetry.report import MachineReport  # local: layering
 
-        return MachineReport.collect(self)
+        return MachineReport(self)
 
     def replay_stats(self):
         """Hot-epoch replay statistics summed over every node's engine.

@@ -40,7 +40,7 @@ class NodeMemory:
         #: name -> the buffer's flat uint64 view, made at its first DMA
         self._word_views: Dict[str, np.ndarray] = {}
         #: SCU-DMA traffic by memory region, in bytes (always-on plain
-        #: dict counters; the telemetry CounterBank samples them on demand)
+        #: dict counters; `telemetry.counters.sample` reads them on demand)
         self.read_bytes: Dict[str, int] = {"edram": 0, "ddr": 0}
         self.write_bytes: Dict[str, int] = {"edram": 0, "ddr": 0}
 

@@ -51,7 +51,7 @@ restate it:
   ``SCU.in_flight_words()`` see it like any other.
 
 Bit-identical to the interpreted path, clock included: results, the
-counter bank, the trace multiset and ``sim.now``
+counter sample, the trace multiset and ``sim.now``
 (``tests/test_replay_hotpath.py::TestReplayBitIdentity`` across operators,
 decompositions and lattice sizes; ``TestReplayAbort`` for the abort path;
 ``TestEventBudget::test_replayed_exchange`` for the entry counts).

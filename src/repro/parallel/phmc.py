@@ -27,10 +27,11 @@ ingredient is individually bitwise stable under tiling:
 * the CG loops *are* the serial ones — rank programs ``yield from`` the
   one Krylov core (:mod:`repro.solvers.krylov`), whose fused vector
   kernels are elementwise;
-* the fermion-force kernel mirrors the serial einsum chain per site,
-  with raw ``X``/``Y`` low faces exchanged over the SCU and the
-  ``(r + gamma_mu)`` projection recomputed on received rows (projection
-  is row-independent, so patch-then-project equals project-then-gather).
+* the fermion-force kernel runs the serial force's own per-direction
+  contraction (:func:`~repro.hmc.pseudofermion.wilson_force_term`) on
+  the tile, with raw ``X``/``Y`` low faces exchanged over the SCU and the
+  ``(r + gamma_mu)`` projection taken on received rows (projection is
+  row-independent, so patch-then-project equals project-then-gather).
 
 Named RNG streams keyed by the absolute trajectory index make the
 evolution a pure function of ``(configuration, seed)``, so
@@ -47,11 +48,8 @@ import numpy as np
 
 from repro.comms.api import full_descriptor
 from repro.fermions.flops import operator_cost
-from repro.fermions.gamma import GAMMA, apply_spin_matrix
-from repro.hmc.actions import traceless_antihermitian
-from repro.hmc.pseudofermion import SOLVERS, TwoFlavorWilsonHMC
+from repro.hmc.pseudofermion import SOLVERS, TwoFlavorWilsonHMC, wilson_force_term
 from repro.lattice.gauge import GaugeField
-from repro.lattice.su3 import dagger
 from repro.machine.machine import QCDOCMachine
 from repro.machine.topology import Partition
 from repro.parallel.decomp import PhysicsMapping
@@ -71,15 +69,10 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
     Per communicated axis the rank ships the raw low faces of **both**
     solver fields packed into a single transfer (``X`` then ``Y``,
     ``2 * nface`` full spinors — the ``"wilson-force"`` cost sheet of
-    :mod:`repro.fermions.flops`) and patches
-    the received rows into its locally-gathered forward hops.  The
-    ``(r + gamma_mu) Y(x + mu)`` projection is recomputed on the halo
-    rows — projection is per-site and row-independent, so the patched
-    arrays equal the serial project-then-gather bit for bit.
-
-    The per-``mu`` einsum chain then mirrors
-    :meth:`repro.hmc.pseudofermion.TwoFlavorWilsonHMC.fermion_force`
-    exactly; each direction is charged its share of the sheet's per-site
+    :mod:`repro.fermions.flops`), and the serial force's own per-``mu``
+    contraction, :func:`repro.hmc.pseudofermion.wilson_force_term`,
+    patches the received rows into its locally-gathered forward hops.
+    Each direction is charged its share of the sheet's per-site
     flops plus the reprojection of the halo rows, which the telemetry
     crosscheck holds against
     :func:`repro.perfmodel.dirac_perf.dirac_flops_per_node`.
@@ -87,7 +80,6 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
     cost = operator_cost("wilson-force")
     g = ctx.geometry
     v = g.volume
-    r = ctx.r
     mem = api.memory
     rate = ctx.kernel_rate(cost)
     halos = {}
@@ -115,25 +107,16 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
 
     out = np.empty((g.ndim, v, 3, 3), dtype=np.complex128)
     for mu in range(g.ndim):
-        fwd = g.neighbour_fwd(mu)
-        proj_minus_y = r * y_field - apply_spin_matrix(GAMMA[mu], y_field)
-        proj_plus_y = r * y_field + apply_spin_matrix(GAMMA[mu], y_field)
-        x_fwd = x_field[fwd]
-        proj_plus_fwd = proj_plus_y[fwd]
+        halo = None
         nface = 0
         if mu in halos:
             api.cpu_read(f"force_halo{mu}")
-            plan = ctx.plans[mu]
-            halo_x, halo_y = halos[mu][0], halos[mu][1]
-            x_fwd[plan.fill_from_fwd] = halo_x
-            proj_plus_fwd[plan.fill_from_fwd] = r * halo_y + apply_spin_matrix(
-                GAMMA[mu], halo_y
-            )
-            nface = len(plan.fill_from_fwd)
-        b1 = np.einsum("xtc,xta->xca", x_fwd, np.conj(proj_minus_y))
-        d2 = np.einsum("xtb,xtc->xbc", x_field, np.conj(proj_plus_fwd))
-        grad = ctx.links[mu] @ b1 - d2 @ dagger(ctx.links[mu])
-        out[mu] = 0.5 * traceless_antihermitian(grad)
+            rows = ctx.plans[mu].fill_from_fwd
+            halo = (rows, halos[mu][0], halos[mu][1])
+            nface = len(rows)
+        out[mu] = wilson_force_term(
+            mu, ctx.r, ctx.links[mu], x_field, y_field, g.neighbour_fwd(mu), halo
+        )
         yield api.compute(
             v * cost.flops_per_site // g.ndim + cost.halo_flops(nface),
             kernel="fermion_force",

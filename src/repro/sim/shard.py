@@ -253,8 +253,11 @@ class ShardedSimulator(Simulator):
         """Exchange the window's cross-shard traffic (serial executor)."""
         posts, notes = self.router.drain()
         self.router.dispatch_notes(notes)
-        posts.extend(self.router.drain_coordinator())
-        for post in sorted(posts, key=lambda p: p.order):
+        late = self.router.drain_coordinator()
+        if late:
+            # each box comes sorted; only their union needs sorting
+            posts = sorted(posts + late, key=lambda p: p.order)
+        for post in posts:
             self.router.deliver(post, self._lanes[post.target_shard])
 
     def _commit(self) -> None:

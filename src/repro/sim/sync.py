@@ -172,14 +172,17 @@ class CrossShardRouter:
         self._coordinator_seq += 1
 
     def drain(self) -> Tuple[List[ShardPost], List[Notification]]:
-        """Take the window's posts and notifications, in canonical order."""
-        posts = sorted(self._outbox, key=lambda p: p.order)
-        notes = sorted(self._notes, key=lambda n: n.order)
+        """Take the window's posts and notifications, in canonical order
+        (an empty box is taken as it is: most barriers carry nothing)."""
+        posts = sorted(self._outbox, key=lambda p: p.order) if self._outbox else []
+        notes = sorted(self._notes, key=lambda n: n.order) if self._notes else []
         self._outbox = []
         self._notes = []
         return posts, notes
 
     def drain_coordinator(self) -> List[ShardPost]:
+        if not self._coordinator_box:
+            return []
         posts = sorted(self._coordinator_box, key=lambda p: p.order)
         self._coordinator_box = []
         return posts

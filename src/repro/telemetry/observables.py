@@ -2,7 +2,7 @@
 
 Every bit-identity claim in this repo (serial ≡ sharded ≡ replayed ≡
 resumed, this commit ≡ its parent) compares the same things after a full
-drain: the counter bank, the trace as a *multiset* of ``(time, tag,
+drain: the counter sample, the trace as a *multiset* of ``(time, tag,
 fields)`` — engines may interleave simultaneous events differently, but
 every record must exist at the same simulated time with the same payload
 — the simulated clock, and the replay statistics.  :func:`observables`
@@ -16,13 +16,13 @@ from typing import Any, Dict, Mapping
 
 
 def observables(machine: Any) -> Dict[str, Any]:
-    """Drain ``machine`` and sample ``counters`` (the counter bank),
+    """Drain ``machine`` and sample ``counters`` (``machine.counters()``),
     ``trace`` (the record multiset; empty without tracing), ``now`` and
     ``replay`` (the summed replay statistics)."""
     machine.quiesce()
     records = machine.trace.records if machine.trace is not None else ()
     return {
-        "counters": machine.counter_bank().sample(),
+        "counters": machine.counters(),
         "trace": Counter(
             (r.time, r.tag, tuple(sorted(zip(r.names, r.values)))) for r in records
         ),

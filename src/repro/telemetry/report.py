@@ -34,7 +34,7 @@ from repro.perfmodel.dirac_perf import (
     halo_payload_words,
     linalg_charge_per_node,
 )
-from repro.telemetry.counters import CounterBank, bank_for_machine
+from repro.telemetry.counters import sample
 from repro.util.errors import ConfigError
 
 #: counted quantities (words, flops) and the seconds that are a closed
@@ -93,31 +93,29 @@ class CrosscheckResult:
 
 
 class MachineReport:
-    """A snapshot of machine counters plus the paper's derived metrics."""
+    """One counter sample of a machine plus the paper's derived metrics.
 
-    def __init__(self, machine, bank: Optional[CounterBank] = None):
+    The totals are sums over :attr:`counters`, the one :func:`sample`
+    taken at construction, in ``machine.nodes`` order: a report keeps
+    them however the machine runs on.
+    """
+
+    def __init__(self, machine):
         self.machine = machine
-        self.bank = bank if bank is not None else bank_for_machine(machine)
-        self.counters: Dict[str, float] = self.bank.sample()
+        self.counters: Dict[str, float] = sample(machine)
         self.elapsed = float(machine.sim.now)
 
-    @classmethod
-    def collect(cls, machine) -> "MachineReport":
-        return cls(machine)
-
     # -- totals -------------------------------------------------------------
-    def _scu_total(self, name: str) -> float:
-        return sum(
-            n.scu.transfer_counters()[name] for n in self.machine.nodes.values()
-        )
+    def _node_total(self, suffix: str) -> float:
+        return sum(self.counters[f"node{i}.{suffix}"] for i in self.machine.nodes)
 
     @property
     def total_flops(self) -> float:
-        return sum(n.flops_charged for n in self.machine.nodes.values())
+        return self._node_total("cpu.flops_charged")
 
     @property
     def total_compute_seconds(self) -> float:
-        return sum(n.compute_time for n in self.machine.nodes.values())
+        return self._node_total("cpu.compute_seconds")
 
     def exposed_comm_seconds(self, n_ranks: int) -> float:
         """Seconds of the runs a rank spent neither computing nor in a
@@ -147,19 +145,19 @@ class MachineReport:
 
     @property
     def total_payload_words(self) -> float:
-        return self._scu_total("payload_words_sent")
+        return self._node_total("scu.payload_words_sent")
 
     @property
     def total_wire_words(self) -> float:
-        return self._scu_total("wire_words_sent")
+        return self._node_total("scu.wire_words_sent")
 
     @property
     def total_parity_errors(self) -> float:
-        return self._scu_total("parity_errors")
+        return self._node_total("scu.parity_errors")
 
     @property
     def total_resends(self) -> float:
-        return self._scu_total("resends")
+        return self._node_total("scu.resends")
 
     @property
     def wire_overhead(self) -> float:

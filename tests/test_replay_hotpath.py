@@ -14,7 +14,7 @@ and this suite is their contract:
   application of an operator, the SCU event schedule is replayed from
   the compiled schedule instead of interpreted.  *Everything* observable
   must match the interpreted machine bit-for-bit: results, residual
-  histories, the full counter bank, the trace multiset and the simulated
+  histories, the full counter sample, the trace multiset and the simulated
   clock — under ``shards`` ∈ {1, 2, 4}.  The suite also pins the validity
   gate: replay engages in steady state, never on watchdog-armed machines,
   and a descriptor re-store invalidates the compiled schedule (relearn,
@@ -298,7 +298,7 @@ def pending_callee(entry):
 
 
 def int_counters(machine):
-    sample = machine.counter_bank().sample()
+    sample = machine.counters()
     return {k: v for k, v in sample.items() if isinstance(v, int)}
 
 

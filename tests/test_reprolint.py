@@ -404,7 +404,7 @@ class TestHygieneRules:
             "from repro.host.remap import find_healthy_partition\n"
             "from repro.machine.machine import QCDOCMachine\n"
             "from repro.solvers.checkpoint import CGCheckpointStore\n"
-            "from repro.telemetry.counters import sample_nodes\n"
+            "from repro.telemetry.counters import sample\n"
         )
         result = lint(tmp_path, "repro/service/x.py", src, ["REPRO403"])
         assert result.clean

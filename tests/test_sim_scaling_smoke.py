@@ -88,9 +88,9 @@ def test_quiesce_leaves_nothing_in_flight(sharded_64):
     assert set(per_shard) == set(range(SHARDS))
     assert all(v == 0 for v in per_shard.values()), dict(per_shard)
 
-    # globally: through the telemetry shard-merge path — slice one bank
-    # sample into per-shard sub-samples and merge them back
-    sample = m.counter_bank().sample()
+    # globally: through the telemetry shard-merge path — slice one
+    # counter sample into per-shard sub-samples and merge them back
+    sample = m.counters()
     shard_samples = []
     for shard in range(SHARDS):
         nodes = {n for n in m.nodes if m.shard_of(n) == shard}

@@ -1,7 +1,7 @@
 """Counter-conservation suite for the telemetry subsystem (PR 3).
 
 The counters are hardware-style: incremented unconditionally on the hot
-path, sampled on demand by a :class:`repro.telemetry.counters.CounterBank`.
+path, read on demand by :func:`repro.telemetry.counters.sample`.
 That makes them cheap — and it makes their *invariants* the test surface:
 
 * **conservation** — at quiesce, every payload word sent has been
@@ -32,7 +32,6 @@ from repro.machine.scu import DmaDescriptor
 from repro.parallel import PhysicsMapping
 from repro.perfmodel.dirac_perf import dirac_flops_per_node, halo_payload_words
 from repro.telemetry import observable_diff, observables
-from repro.telemetry.counters import CounterBank, bank_for_machine
 from tests.harness import applied, booted, system
 
 pytestmark = pytest.mark.telemetry
@@ -201,32 +200,19 @@ def test_kernel_attribution_partitions_total():
 
 
 # ---------------------------------------------------------------------------
-# CounterBank mechanics
+# the counter sample
 # ---------------------------------------------------------------------------
 
 
 def test_bank_for_machine_hierarchy():
     m, mapping = operator_run("wilson", "telemetry-wilson", (4, 2, 2, 2), mass=0.3)
-    bank = bank_for_machine(m)
-    flat = bank.sample()
+    flat = m.counters()
     # every node exposes the SCU + cpu + memory counters
     for node_id in m.nodes:
         assert flat[f"node{node_id}.scu.payload_words_sent"] > 0
         assert flat[f"node{node_id}.scu.in_flight_words"] == 0
         assert flat[f"node{node_id}.cpu.flops_charged"] > 0
         assert f"node{node_id}.mem.edram.read_bytes" in flat
-    # tree() nests by path segment
-    tree = bank.tree()
-    assert tree["node0"]["scu"]["payload_words_sent"] == pytest.approx(
-        flat["node0.scu.payload_words_sent"]
-    )
-    # total() aggregates a subtree and matches the node-summed counters
-    assert bank.total("node0.scu.payload_words_sent") + bank.total(
-        "node1.scu.payload_words_sent"
-    ) == totals(m, "payload_words_sent")
-    # units are declared for the protocol counters
-    assert bank.unit("node0.scu.payload_words_sent") == "words"
-    assert bank.unit("node0.cpu.flops_charged") == "flops"
 
 
 def test_observable_diff_names_what_drifted():
@@ -254,27 +240,3 @@ def test_observable_diff_names_what_drifted():
     assert observable_diff({"now": ref["now"]}, got) == {
         "now": (ref["now"], got["now"])
     }
-
-
-def test_bank_manual_counters_merge():
-    bank = CounterBank()
-    bank.add("app.solver.iterations", 3)
-    bank.add("app.solver.iterations", 2)
-    bank.register_provider(lambda: {"app.solver.iterations": 10, "x.y": 1})
-    flat = bank.sample()
-    # provider values add onto the manual counter at the same path
-    assert flat["app.solver.iterations"] == 15
-    assert flat["x.y"] == 1
-    assert bank.total("app") == 15
-    assert len(bank) == 2
-
-
-def test_bank_providers_are_pull_mode():
-    """Registering a provider must not invoke it (sample-on-demand)."""
-    calls = []
-    bank = CounterBank()
-    bank.register_provider(lambda: calls.append(1) or {"a.b": 1})
-    assert calls == []
-    bank.sample()
-    bank.sample()
-    assert len(calls) == 2

@@ -18,6 +18,7 @@ Also covered: the closed-form prediction helpers in
 unknown-operator errors) that the crosscheck is built on.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -94,12 +95,50 @@ def test_crosscheck_counts_applications():
 
 
 def test_machine_report_and_bank_accessors():
-    """QCDOCMachine.report()/counter_bank() are the front door."""
+    """QCDOCMachine.report()/counters() are the front door."""
     m, _ = wilson_machine()
     report = m.report()
     assert isinstance(report, MachineReport)
-    assert len(m.counter_bank()) > 0
-    assert report.counters == m.counter_bank().sample()
+    assert report.counters == m.counters()
+
+
+#: sha256 of ``wilson_machine()``'s report as sorted JSON: every counter,
+#: total and derived metric of the run, pinned to the bit
+REPORT_SHA256 = "24dcae4b1908456352d76016231c17c865dfe6d0e2789ff382bd1471677d9e08"
+
+
+def test_report_json_is_pinned():
+    m, _ = wilson_machine()
+    blob = json.dumps(m.report().to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256
+
+
+#: a report's totals and the counter rows each one sums
+TOTALS = {
+    "total_flops": ".cpu.flops_charged",
+    "total_compute_seconds": ".cpu.compute_seconds",
+    "total_payload_words": ".scu.payload_words_sent",
+    "total_wire_words": ".scu.wire_words_sent",
+    "total_parity_errors": ".scu.parity_errors",
+    "total_resends": ".scu.resends",
+}
+
+
+def test_report_is_one_snapshot():
+    """A report reads the one sample it takes: another application on the
+    machine moves the machine's counters, not a report taken before it."""
+    m, part = booted(DIMS_1D, word_batch=4096)
+    gauge, psi = system((17, "report"), (4, 2, 2, 2))
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
+    report = m.report()
+    before = {name: getattr(report, name) for name in TOTALS}
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
+    assert m.report().total_flops > before["total_flops"]
+    assert {name: getattr(report, name) for name in TOTALS} == before
+    for name, suffix in TOTALS.items():
+        rows = [v for path, v in report.counters.items() if path.endswith(suffix)]
+        assert len(rows) == m.n_nodes
+        assert before[name] == sum(rows)
 
 
 # ---------------------------------------------------------------------------
