@@ -3,7 +3,7 @@ PYTEST  = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test protocol overlap bench bench-smoke bench-check bench-ab fingerprint \
         fingerprint-check verify verify-telemetry lint verify-sanitizer verify-faults \
-        verify-sharding verify-hotpath verify-service verify-flow verify-hmc
+        verify-sharding verify-hotpath verify-service verify-flow verify-hmc examples
 
 ## tier-1: the full unit/integration/property suite
 test:
@@ -75,6 +75,14 @@ fingerprint-check:
 	@PYTHONPATH=src $(PY) benchmarks/fingerprint.py | diff - benchmarks/fingerprint.txt
 	@echo "fingerprint-check: digests equal benchmarks/fingerprint.txt"
 
+## every script under examples/ end to end (about 12 s in all); fails on
+## the first one that does not exit 0
+examples:
+	@for script in examples/*.py; do \
+		echo "examples: $$script"; \
+		PYTHONPATH=src $(PY) $$script > /dev/null || exit 1; \
+	done
+
 ## telemetry invariants: counter conservation, trace-schema registry,
 ## fault-injection accounting, measured-vs-model crosscheck
 verify-telemetry:
@@ -142,6 +150,7 @@ verify-hmc:
 ## sanitizer, faults, sharding, hot-path, service and HMC suites — the
 ## per-suite targets above are conveniences, not extra gates) + static
 ## analysis, every reprolint rule (`lint`) + the protocol
-## verifier (`verify-flow`) + bit-identity against the committed fingerprint
-verify: test lint verify-flow fingerprint-check
-	@echo "verify: tier-1 + lint + flow/protocol + fingerprint green"
+## verifier (`verify-flow`) + bit-identity against the committed
+## fingerprint + every example script (`examples`)
+verify: test lint verify-flow fingerprint-check examples
+	@echo "verify: tier-1 + lint + flow/protocol + fingerprint + examples green"

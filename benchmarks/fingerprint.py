@@ -25,8 +25,9 @@ and ``1`` (the interpreted word protocol) × ``shards`` 1 and 2, three
 chained applications each; then one CGNE solve per operator (solution,
 residual history and iteration count in the results digest,
 ``machine_time`` in the timeline's).  Ten more on the 2D decomposition
-pin paths the matrix does not reach: the clover operator and Wilson at
-``r = 0.8`` (the uncompressed full-spinor wire), three applications each;
+pin paths the matrix does not reach: the clover operator and Wilson on
+the uncompressed full-spinor wire (``compress=False``), three
+applications each;
 and DWF, ASQTAD, Wilson and clover, ``apply`` and ``apply_dagger``, on a
 point source whose empty sites carry zeros of both signs.
 
@@ -178,7 +179,7 @@ def point_source(src, lead):
 #: name -> (operator, context arguments, point source, dagger)
 EXTRA = {
     "apply/clover/2d": ("wilson", {"c_sw": 1.0}, False, False),
-    "apply/wilson-r0.8/2d": ("wilson", {"r": 0.8}, False, False),
+    "apply/wilson-full/2d": ("wilson", {"compress": False}, False, False),
     "apply/dwf/2d/point": ("dwf", {}, True, False),
     "apply_dagger/dwf/2d/point": ("dwf", {}, True, True),
     "apply/asqtad/2d/point": ("asqtad", {}, True, False),

@@ -27,8 +27,8 @@ class CloverDirac(WilsonDirac):
         Sheikholeslami-Wohlert coefficient; 1.0 at tree level.
     """
 
-    def __init__(self, gauge: GaugeField, mass: float, c_sw: float = 1.0, r: float = 1.0):
-        super().__init__(gauge, mass, r=r)
+    def __init__(self, gauge: GaugeField, mass: float, c_sw: float = 1.0):
+        super().__init__(gauge, mass)
         self.c_sw = float(c_sw)
         # Precompute the (V, 4, 3, 4, 3) clover tensor
         #   C[x, s, a, t, b] = -(c_sw/2) sum_{mu<nu} sigma[s,t] F[x,a,b].

@@ -83,12 +83,13 @@ DWF_5D_EXTRA_FLOPS = DIAG_AXPY_FLOPS + 2 * (12 * CADD)  # = 96
 
 # -- two-flavor Wilson fermion force (dynamical HMC) -------------------------
 # F_mu(x) = (1/2) TA[U_mu(x) B1(x) - D2(x) U_mu(x)^+] with B1/D2 colour
-# outer products of X and the (r -+ gamma_mu)-projected Y (derivation in
+# outer products of X and the (1 -+ gamma_mu)-projected Y (derivation in
 # repro.hmc.pseudofermion.TwoFlavorWilsonHMC.fermion_force).
 
-#: one (r -+ gamma_mu) projection of a spinor site: gamma_mu is a signed
-#: spin permutation (12 complex adds against r*psi) after the 24-real-
-#: component scaling of psi by r
+#: one (1 -+ gamma_mu) projection of a spinor site: gamma_mu is a signed
+#: spin permutation (12 complex adds against psi); the charge still counts
+#: the 24-real-component scaling of psi by a general Wilson r, which at
+#: r = 1 the kernel does not perform
 WILSON_FORCE_PROJ_FLOPS = SPINOR_WORDS + 12 * CADD  # = 48
 
 #: the two 3x3 colour outer products (B1 and D2): 9 entries each, spin

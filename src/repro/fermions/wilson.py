@@ -1,10 +1,12 @@
 """The (naive) Wilson-Dirac operator.
 
-``D psi(x) = (m + 4r) psi(x)
-  - (1/2) sum_mu [ (r - gamma_mu) U_mu(x) psi(x+mu)
-                 + (r + gamma_mu) U_mu(x-mu)^+ psi(x-mu) ]``
+``D psi(x) = (m + 4) psi(x)
+  - (1/2) sum_mu [ (1 - gamma_mu) U_mu(x) psi(x+mu)
+                 + (1 + gamma_mu) U_mu(x-mu)^+ psi(x-mu) ]``
 
-with Wilson parameter ``r`` (default 1).  The operator satisfies
+with the Wilson parameter at ``r = 1``, the production choice and the
+only one at which ``(1 -+ gamma_mu)`` is a rank-2 projector, so that a
+hop ships the 12-word half spinor.  The operator satisfies
 ``D^+ = gamma_5 D gamma_5`` (gamma5-hermiticity), which the test suite and
 the CG normal-equation solver both rely on.
 """
@@ -13,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fermions.gamma import (
-    GAMMA,
-    apply_spin_matrix,
-    gamma5_sandwich,
-    reconstruct_lower,
-    spin_project,
-)
+from repro.fermions.gamma import gamma5_sandwich, reconstruct_lower, spin_project
 from repro.lattice.gauge import GaugeField, cmatvec_site_fastest
 from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
@@ -34,19 +30,16 @@ class WilsonDirac:
         Background gauge field (any dimension is accepted; QCD uses 4).
     mass:
         Bare quark mass ``m``.
-    r:
-        Wilson parameter; ``r=1`` is the universal production choice.
     """
 
     #: field shape suffix this operator acts on
     spin_dof = (4, 3)
 
-    def __init__(self, gauge: GaugeField, mass: float, r: float = 1.0):
+    def __init__(self, gauge: GaugeField, mass: float):
         self.gauge = gauge
         self.geometry = gauge.geometry
         self.mass = float(mass)
-        self.r = float(r)
-        # The r == 1 kernel's scratch, site index fastest (DESIGN.md §12):
+        # The kernel's scratch, site index fastest (DESIGN.md §12):
         # the transposed input and accumulator, then the projected half
         # spinor, its gather, the SU(3) product and the scaled lower rows.
         # The hand-tuned assembly the paper describes streams each operand
@@ -59,8 +52,8 @@ class WilsonDirac:
 
     @property
     def diag(self) -> float:
-        """The site-diagonal coefficient ``m + ndim * r``."""
-        return self.mass + self.geometry.ndim * self.r
+        """The site-diagonal coefficient ``m + ndim``."""
+        return self.mass + self.geometry.ndim
 
     def _check(self, psi: np.ndarray) -> None:
         expected = (self.geometry.volume,) + self.spin_dof
@@ -74,32 +67,19 @@ class WilsonDirac:
     def hopping(self, psi: np.ndarray) -> np.ndarray:
         """The nearest-neighbour ("dslash") part, without the diagonal.
 
-        Returns ``sum_mu [(r - gamma_mu) U psi_fwd + (r + gamma_mu) U^+ psi_bwd]``
+        Returns ``sum_mu [(1 - gamma_mu) U psi_fwd + (1 + gamma_mu) U^+ psi_bwd]``
         (the caller supplies the -1/2).  This is the routine the paper's
         hand-tuned assembly implements and the SCU halo exchange feeds.
         The result is a fresh array the caller owns.
         """
         self._check(psi)
-        if self.r != 1.0:
-            # General-r fallback: the projector (r -+ gamma_mu) has full
-            # rank, so no half-spinor shortcut exists.  Seed formulation.
-            g = self.gauge
-            out = np.zeros_like(psi)
-            for mu in range(self.geometry.ndim):
-                fwd = g.transport_fwd(mu, psi)
-                bwd = g.transport_bwd(mu, psi)
-                # (r - gamma) fwd + (r + gamma) bwd
-                #   = r (fwd+bwd) - gamma (fwd-bwd)
-                out += self.r * (fwd + bwd)
-                out -= apply_spin_matrix(GAMMA[mu], fwd - bwd)
-            return out
         out = np.empty_like(psi)  # caller-owned: never the kernel's scratch
         self._hop_half_spinors(psi, out)
         return out
 
     @hot_path
     def _hop_half_spinors(self, psi: np.ndarray, out: np.ndarray) -> None:
-        """The ``r == 1`` hopping sum of ``psi`` into ``out``, both ``(V, 4, 3)``.
+        """The hopping sum of ``psi`` into ``out``, both ``(V, 4, 3)``.
 
         ``(1 -+ gamma_mu)`` is rank 2, so project to a half spinor *before*
         the SU(3) multiply — half the colour arithmetic of the naive path
@@ -152,4 +132,4 @@ class WilsonDirac:
         return self.apply_dagger(self.apply(psi))
 
     def __repr__(self) -> str:
-        return f"WilsonDirac(shape={self.geometry.shape}, m={self.mass}, r={self.r})"
+        return f"WilsonDirac(shape={self.geometry.shape}, m={self.mass})"

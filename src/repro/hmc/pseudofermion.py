@@ -13,7 +13,7 @@ This module implements the standard two-flavor algorithm:
   step) and ``Y = D X``; the link derivative of the hopping term gives
 
   ``F_mu(x) = -(1/2) TA[ U_mu(x) B1 - D2 U_mu(x)^+ ]``, with colour
-  matrices built from ``(r -+ gamma_mu)``-projected outer products of
+  matrices built from ``(1 -+ gamma_mu)``-projected outer products of
   ``X`` and ``Y`` (derivation in the docstring of
   :meth:`TwoFlavorWilsonHMC.fermion_force`; validated against a numerical
   derivative of ``S_pf`` in the tests);
@@ -44,7 +44,7 @@ from repro.util.rng import rng_stream
 SOLVERS = {"cg": cg_iter, "mixed": mixed_cg_iter}
 
 
-def wilson_force_term(mu, r, link, x_field, y_field, fwd, halo=None):
+def wilson_force_term(mu, link, x_field, y_field, fwd, halo=None):
     """``(1/2) TA[ U_mu B1 - D2 U_mu^+ ]``, the fermion force on direction
     ``mu``'s links (derivation in
     :meth:`TwoFlavorWilsonHMC.fermion_force`), site by site.
@@ -52,18 +52,18 @@ def wilson_force_term(mu, r, link, x_field, y_field, fwd, halo=None):
     ``fwd`` gathers ``x + mu`` from the tile.  A rank whose forward
     neighbours along ``mu`` live on another node passes ``halo = (rows,
     halo_x, halo_y)``: the received ``X`` and ``Y`` of those rows, whose
-    ``(r + gamma_mu)`` projection is taken here like every other row's
+    ``(1 + gamma_mu)`` projection is taken here like every other row's
     (projection is per site, so patch-then-project equals
     project-then-gather bit for bit).
     """
-    proj_minus_y = r * y_field - apply_spin_matrix(GAMMA[mu], y_field)
-    proj_plus_y = r * y_field + apply_spin_matrix(GAMMA[mu], y_field)
+    proj_minus_y = y_field - apply_spin_matrix(GAMMA[mu], y_field)
+    proj_plus_y = y_field + apply_spin_matrix(GAMMA[mu], y_field)
     x_fwd = x_field[fwd]
     proj_plus_fwd = proj_plus_y[fwd]
     if halo is not None:
         rows, halo_x, halo_y = halo
         x_fwd[rows] = halo_x
-        proj_plus_fwd[rows] = r * halo_y + apply_spin_matrix(GAMMA[mu], halo_y)
+        proj_plus_fwd[rows] = halo_y + apply_spin_matrix(GAMMA[mu], halo_y)
     b1 = np.einsum("xtc,xta->xca", x_fwd, np.conj(proj_minus_y))
     d2 = np.einsum("xtb,xtc->xbc", x_field, np.conj(proj_plus_fwd))
     grad = link @ b1 - d2 @ dagger(link)
@@ -140,8 +140,8 @@ class TwoFlavorWilsonHMC(HMC):
 
         with colour matrices
 
-        ``B1_{ca} = sum_t X(x+mu)_{tc} conj[((r - gamma_mu) Y(x))_{ta}]``
-        ``D2_{bc} = sum_t X(x)_{tb} conj[((r + gamma_mu) Y(x+mu))_{tc}]``
+        ``B1_{ca} = sum_t X(x+mu)_{tc} conj[((1 - gamma_mu) Y(x))_{ta}]``
+        ``D2_{bc} = sum_t X(x)_{tb} conj[((1 + gamma_mu) Y(x+mu))_{tc}]``
 
         With ``dS/d eps = Re tr[Q G]`` and the kinetic normalisation
         ``K = -tr P^2``, energy conservation fixes
@@ -157,7 +157,7 @@ class TwoFlavorWilsonHMC(HMC):
         out = np.empty_like(gauge.links)
         for mu in range(g.ndim):
             out[mu] = wilson_force_term(
-                mu, d.r, gauge.links[mu], x_field, y_field, g.neighbour_fwd(mu)
+                mu, gauge.links[mu], x_field, y_field, g.neighbour_fwd(mu)
             )
         return out
 

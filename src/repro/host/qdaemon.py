@@ -35,6 +35,14 @@ from repro.parallel.pcg import run_on_partition
 from repro.sim.core import Event
 from repro.util.errors import DegradedMachineError, MachineError
 
+#: Ethernet segments between the host and the machine
+HOST_LINKS = 4
+#: host-side deadline (simulated s) on each node's boot conversation: a
+#: silent node must not hang :meth:`Qdaemon.boot` forever
+BOOT_TIMEOUT = 50e-3
+#: host-side deadline (simulated s) on a bounded RPC ping sweep
+RPC_TIMEOUT = 5e-3
+
 
 @dataclass
 class Allocation:
@@ -58,30 +66,18 @@ class Qdaemon:
     silent_nodes:
         Node ids that are electrically dead from power-on: they answer
         nothing, not even JTAG, so the daemon only learns of them when
-        their boot conversation times out.
-    boot_timeout:
-        Host-side deadline on each node's boot conversation.  Without it
-        a single silent node would hang :meth:`boot` forever — the seed
-        bug this parameter fixes.
+        their boot conversation times out (:data:`BOOT_TIMEOUT`).
     """
 
     def __init__(
         self,
         machine: QCDOCMachine,
-        host_links: int = 4,
         faulty_nodes: Sequence[int] = (),
         silent_nodes: Sequence[int] = (),
-        boot_timeout: float = 50e-3,
-        rpc_timeout: float = 5e-3,
     ):
         self.machine = machine
         self.sim = machine.sim
-        self.boot_timeout = float(boot_timeout)
-        #: host-side deadline on a bounded (non-draining) RPC ping sweep
-        self.rpc_timeout = float(rpc_timeout)
-        self.fabric = EthernetFabric(
-            self.sim, machine.n_nodes, host_links=host_links
-        )
+        self.fabric = EthernetFabric(self.sim, machine.n_nodes, host_links=HOST_LINKS)
         silent = set(silent_nodes)
         self.agents: Dict[int, NodeBootAgent] = {
             i: NodeBootAgent(
@@ -136,7 +132,7 @@ class Qdaemon:
     # -- booting ---------------------------------------------------------------
     def _boot_one(self, node_id: int):
         send = self.fabric.send
-        deadline = self.sim.now + self.boot_timeout
+        deadline = self.sim.now + BOOT_TIMEOUT
 
         def jtag(cmd: JtagCommand, nbytes: int = 256) -> Event:
             return send(
@@ -284,7 +280,7 @@ class Qdaemon:
         With ``drain=True`` (the default) the sweep drains the whole
         event heap, so a missing reply is a genuine timeout, not an
         in-flight race.  ``drain=False`` bounds the sweep at
-        :attr:`rpc_timeout` of simulated time instead — the mode a job
+        :data:`RPC_TIMEOUT` of simulated time instead — the mode a job
         service uses while *other* partitions are mid-solve (a full
         drain would run them to completion).  LINK_DOWN reports are
         ingested both before and after the sweep, so anything that
@@ -303,7 +299,7 @@ class Qdaemon:
         if drain:
             self.sim.run()  # drain the fabric: every reply that will come, came
         else:
-            self.sim.run(until=self.sim.timeout(self.rpc_timeout))
+            self.sim.run(until=self.sim.timeout(RPC_TIMEOUT))
         verdict: Dict[int, bool] = {}
         expect = f"rpc-ok:{nonce}"
         for i in candidates:
@@ -358,17 +354,15 @@ class Qdaemon:
         origin: Optional[Sequence[int]] = None,
         extents: Optional[Sequence[int]] = None,
         require_periodic: bool = True,
-        remap: bool = True,
     ) -> Allocation:
         """Carve out a user partition on *healthy* hardware.
 
         Refuses overlap with active jobs.  If the requested placement
-        touches failed nodes or dead cables and ``remap=True`` (the
-        default), the daemon searches every placement of the same logical
-        shape for a healthy one — the companion papers' route-around-dead
-        -hardware operating mode — and raises
-        :class:`~repro.util.errors.DegradedMachineError` only when none
-        exists.  ``remap=False`` restores strict placement semantics.
+        touches failed nodes or dead cables, the daemon searches every
+        placement of the same logical shape for a healthy one — the
+        companion papers' route-around-dead-hardware operating mode — and
+        raises :class:`~repro.util.errors.DegradedMachineError` only when
+        none exists.
         """
         if not self.booted:
             raise MachineError("machine not booted")
@@ -382,14 +376,6 @@ class Qdaemon:
         )
         unusable = set(self.failed_nodes()) | set(self.failed)
         if not partition_is_healthy(self.machine, partition, unusable):
-            if not remap:
-                raise DegradedMachineError(
-                    requested=partition.extents,
-                    failed_nodes=sorted(unusable),
-                    dead_links=self.machine.network.dead_links(),
-                    detail="requested placement touches dead hardware "
-                    "and remap=False",
-                )
             partition = find_healthy_partition(
                 self.machine,
                 groups,

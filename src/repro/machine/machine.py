@@ -205,9 +205,6 @@ class QCDOCMachine:
         Attach a machine-wide :class:`~repro.sim.trace.Trace`; every unit
         (links, SCUs, CPUs, global-ops engines) emits into it.  Off by
         default so hot paths cost a single ``is not None`` check.
-    trace_maxlen:
-        When tracing, bound the trace to a ring buffer of this many
-        records (long-run telemetry without unbounded memory).
     sanitizer:
         Attach a :class:`repro.analysis.sanitizer.HaloRaceSanitizer`
         that shadow-tracks DMA buffer ownership and flags premature CPU
@@ -249,7 +246,6 @@ class QCDOCMachine:
         bit_error_rate: float = 0.0,
         seed: int = 0,
         trace: bool = False,
-        trace_maxlen: Optional[int] = None,
         sanitizer: Optional["HaloRaceSanitizer"] = None,
         watchdog: bool = False,
         shards: int = 1,
@@ -274,7 +270,7 @@ class QCDOCMachine:
             )
         else:
             self.sim = Simulator()
-        self.trace = Trace(self.sim, maxlen=trace_maxlen) if trace else None
+        self.trace = Trace(self.sim) if trace else None
         #: machine-wide halo-buffer race sanitizer (see
         #: :mod:`repro.analysis.sanitizer`); ``None`` = off, and every hook
         #: site below costs exactly one attribute check — the same

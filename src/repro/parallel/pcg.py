@@ -200,7 +200,6 @@ def wilson_context(
     mapping: PhysicsMapping,
     gauge: GaugeField,
     mass: float,
-    r: float = 1.0,
     c_sw: Optional[float] = None,
     **ctx: Any,
 ) -> _Scattered:
@@ -210,7 +209,7 @@ def wilson_context(
     links = mapping.scatter_gauge(gauge)
     clover = None
     if c_sw is not None:
-        serial = CloverDirac(gauge, mass=mass, c_sw=c_sw, r=r)
+        serial = CloverDirac(gauge, mass=mass, c_sw=c_sw)
         clover = mapping.scatter_field(serial.clover_tensor)
 
     def build(api: CommsAPI) -> DistributedWilsonContext:
@@ -219,7 +218,6 @@ def wilson_context(
             mapping.local_shape,
             links[api.rank],
             mass=mass,
-            r=r,
             clover_tensor=None if clover is None else clover[api.rank],
             **ctx,
         )
@@ -372,7 +370,6 @@ def solve_on_machine(
     gauge: GaugeField,
     b: np.ndarray,
     mass: float,
-    r: float = 1.0,
     c_sw: Optional[float] = None,
     tol: float = 1e-8,
     maxiter: int = 2000,
@@ -406,7 +403,7 @@ def solve_on_machine(
     return _solve(
         machine,
         partition,
-        wilson_context(mapping, gauge, mass, r, c_sw),
+        wilson_context(mapping, gauge, mass, c_sw),
         b,
         max_time,
         tol=tol,

@@ -6,8 +6,8 @@ module is the Wilson **spec**: the wire format, the hopping site kernels
 (shared with the domain-wall operator, whose 4D term is the same dslash),
 and the site-local ``apply`` arithmetic.
 
-Half-spinor compression (``compress=True``, the default at ``r == 1``)
-----------------------------------------------------------------------
+Half-spinor compression (``compress=True``, the default)
+-------------------------------------------------------
 The Wilson hopping projector ``(1 -+ gamma_mu)`` has rank 2, so only two
 of the four spin rows are independent (:func:`repro.fermions.gamma.
 spin_project`).  QCDOC's SCU therefore never puts a full spinor on the
@@ -24,9 +24,8 @@ reconstructs after the SU(3) multiply.  Both directions ship
 
 Because projection commutes with the colour multiply and is row-
 independent, the assembled physics is *bit-identical* to the full-spinor
-exchange and to the serial operator.  ``compress=False`` (forced for
-``r != 1``, where the projector has full rank) keeps the original
-full-spinor wire format for comparison benchmarks.
+exchange and to the serial operator.  ``compress=False`` keeps the
+original full-spinor wire format for comparison benchmarks.
 """
 
 from __future__ import annotations
@@ -402,11 +401,10 @@ class DistributedWilsonContext(WilsonHops):
         Optional local ``(v, 4, 3, 4, 3)`` clover term (site-local, so
         distribution is a plain scatter).
     compress:
-        When ``True`` the halo exchange ships spin-projected **half
-        spinors** (12 words per face site); ``False`` keeps the
-        full-spinor wire format (24 words).  Defaults to ``r == 1.0``,
-        the only case where the rank-2 compression is exact; requesting
-        compression at ``r != 1`` raises.
+        When ``True`` (the default) the halo exchange ships
+        spin-projected **half spinors** (12 words per face site);
+        ``False`` keeps the full-spinor wire format (24 words), the
+        baseline the compression is measured against.
     """
 
     def __init__(
@@ -415,21 +413,12 @@ class DistributedWilsonContext(WilsonHops):
         local_shape,
         links: np.ndarray,
         mass: float,
-        r: float = 1.0,
         clover_tensor: Optional[np.ndarray] = None,
         overlap: bool = True,
-        compress: Optional[bool] = None,
+        compress: bool = True,
         word_batch=None,
     ):
         self.mass = float(mass)
-        self.r = float(r)
-        if compress is None:
-            compress = self.r == 1.0
-        elif compress and self.r != 1.0:
-            raise ConfigError(
-                "half-spinor compression requires r == 1 (the projector "
-                f"(r -+ gamma) has full rank at r={self.r})"
-            )
         cost = operator_cost("wilson" if clover_tensor is None else "clover")
         if not compress:
             # the same operator on the generic full-spinor wire
@@ -481,14 +470,13 @@ class DistributedWilsonContext(WilsonHops):
                     self.lower_row(j), axis=(0, 1), out=acc[..., 2 + j, :, :], initial=0
                 )
         else:
-            # r (f + b) - gamma_mu (f - b): the sum and the difference in
+            # (f + b) - gamma_mu (f - b): the sum and the difference in
             # ``t``, the difference's spin product in ``d`` (``acc`` is
             # the third of these scratch fields)
             t, d = self._gathered[0], self._gathered[1]
             acc.fill(0)
             for mu, (f, b) in enumerate(hops):
                 np.add(f, b, out=t)
-                np.multiply(t, self.r, out=t)
                 acc += t
                 np.subtract(f, b, out=t)
                 acc -= apply_spin_matrix_site_fastest(GAMMA[mu], t, out=d)
@@ -519,7 +507,7 @@ class DistributedWilsonContext(WilsonHops):
                 out=self._clover_scratch,
             )
             kernel = "clover_term"
-        np.multiply(src, self.mass + self.geometry.ndim * self.r, out=out)
+        np.multiply(src, self.mass + self.geometry.ndim, out=out)
         np.multiply(hop, 0.5, out=hop)
         np.subtract(out, hop, out=out)
         if self.clover_tensor is not None:

@@ -115,7 +115,7 @@ def wilson_force_kernel(api, ctx, x_field, y_field):
             halo = (rows, halos[mu][0], halos[mu][1])
             nface = len(rows)
         out[mu] = wilson_force_term(
-            mu, ctx.r, ctx.links[mu], x_field, y_field, g.neighbour_fwd(mu), halo
+            mu, ctx.links[mu], x_field, y_field, g.neighbour_fwd(mu), halo
         )
         yield api.compute(
             v * cost.flops_per_site // g.ndim + cost.halo_flops(nface),
@@ -195,7 +195,6 @@ class DistributedTwoFlavorHMC(TwoFlavorWilsonHMC):
         cg_tol: float = 1e-10,
         cg_maxiter: int = 4000,
         solver: str = "cg",
-        r: float = 1.0,
         word_batch=None,
         max_time: float = 1e9,
     ):
@@ -205,7 +204,6 @@ class DistributedTwoFlavorHMC(TwoFlavorWilsonHMC):
         self.machine = machine
         self.partition = partition
         self.mapping = PhysicsMapping(gauge.geometry, partition)
-        self.r = float(r)
         self.word_batch = word_batch
         self.max_time = float(max_time)
 
@@ -236,7 +234,7 @@ class DistributedTwoFlavorHMC(TwoFlavorWilsonHMC):
         every MD step); :func:`~repro.parallel.pcg.run_on_partition` frees
         what the run allocated."""
         context = wilson_context(
-            self.mapping, gauge, self.mass, self.r, word_batch=self.word_batch
+            self.mapping, gauge, self.mass, word_batch=self.word_batch
         )
         return run_on_partition(
             self.machine, self.partition, program, self.max_time, context=context,

@@ -51,7 +51,6 @@ class WilsonJobSpec:
     groups: Sequence[Sequence[int]]
     #: physical extents of the requested sub-torus
     extents: Tuple[int, ...]
-    r: float = 1.0
     c_sw: Optional[float] = None
     tol: float = 1e-8
     maxiter: int = 2000

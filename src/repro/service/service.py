@@ -106,7 +106,6 @@ class QcdocService:
         self,
         daemon: Qdaemon,
         quotas: Optional[Dict[str, int]] = None,
-        max_queue: int = 256,
         checkpoint_every: int = 5,
         max_restarts: int = 3,
     ) -> None:
@@ -123,11 +122,7 @@ class QcdocService:
         self.sim = machine.sim
         self.checkpoint_every = int(checkpoint_every)
         self.max_restarts = int(max_restarts)
-        self.core = SchedulerCore(
-            self._place,
-            quotas=quotas,
-            max_queue=max_queue,
-        )
+        self.core = SchedulerCore(self._place, quotas=quotas)
         #: every job ever admitted, by id (terminal jobs included —
         #: the zero-lost-jobs audit trail)
         self.jobs: Dict[int, Job] = {}
@@ -327,9 +322,7 @@ class QcdocService:
             partition,
             cg_rank_program,
             tag=f"job{job.job_id}",
-            context=wilson_context(
-                mapping, spec.gauge, spec.mass, spec.r, spec.c_sw
-            ),
+            context=wilson_context(mapping, spec.gauge, spec.mass, spec.c_sw),
             local_b=mapping.scatter_field(spec.b),
             tol=spec.tol,
             maxiter=spec.maxiter,

@@ -16,8 +16,6 @@ Structured-trace contract (PR 3)
   simulation time.  A Trace attached to no simulator records ``time=0.0``
   for everything, which used to break ordering assertions; ``seq`` is the
   durable order and is what :meth:`tagged` / :meth:`last` sort by.
-* **Ring-buffer mode** (``maxlen=``) bounds memory on long runs: the deque
-  drops the oldest records and :attr:`dropped` counts how many were lost.
 * **Spans**: a record whose fields include ``dur`` (seconds) describes a
   completed interval ending at ``record.time``; the Chrome-tracing exporter
   (:mod:`repro.telemetry.chrometrace`) renders those as complete events so
@@ -39,7 +37,6 @@ mapping built when it is read; readers that touch every record
 
 from __future__ import annotations
 
-from collections import deque
 from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -85,8 +82,7 @@ class TraceNamespace:
 
 
 class Trace:
-    """An append-only (optionally ring-buffered) record of tagged
-    simulation occurrences.
+    """An append-only record of tagged simulation occurrences.
 
     Parameters
     ----------
@@ -94,16 +90,13 @@ class Trace:
         The simulator whose clock stamps records; ``None`` (detached mode,
         used by unit tests) stamps ``time=0.0`` — ordering then relies on
         the per-record ``seq``.
-    maxlen:
-        When given, keep only the newest ``maxlen`` records (bounded
-        ring-buffer mode for long runs); :attr:`dropped` counts evictions.
     """
 
-    def __init__(self, sim: Optional[Any] = None, maxlen: Optional[int] = None) -> None:
+    def __init__(self, sim: Optional[Any] = None) -> None:
         self.sim = sim
-        self.maxlen = maxlen
-        self.records = deque(maxlen=maxlen) if maxlen is not None else []
-        #: total records ever emitted (>= len(records) in ring-buffer mode)
+        self.records: List[TraceRecord] = []
+        #: total records ever emitted: the next record's ``seq``
+        #: (:meth:`clear` empties ``records`` but keeps counting)
         self.emitted = 0
 
     def emit(self, tag: str, **fields: Any) -> None:
@@ -113,11 +106,6 @@ class Trace:
         values = tuple(fields.values())
         self.records.append(TraceRecord(t, tag, names, values, self.emitted))
         self.emitted += 1
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted by the ring buffer (0 in unbounded mode)."""
-        return self.emitted - len(self.records)
 
     def namespace(self, prefix: str) -> TraceNamespace:
         """A bound emitter whose tags are all ``prefix + '.' + tag``."""

@@ -28,6 +28,10 @@ from repro.util.errors import ConfigError
 #: the (deterministic) operator this fully determines the remaining run
 CG_STATE_KEYS = ("it", "x", "resid", "p", "rr", "bb", "residuals")
 
+#: complete generations a store keeps when it prunes: the newest, which a
+#: resume loads, and the one before it
+KEEP_GENERATIONS = 2
+
 
 class CGCheckpointStore:
     """Host-side store of per-rank CG iteration state.
@@ -44,13 +48,10 @@ class CGCheckpointStore:
     fault hits between their ``put`` calls).
     """
 
-    def __init__(self, every: int = 10, keep: int = 2):
+    def __init__(self, every: int = 10):
         if every < 1:
             raise ConfigError(f"checkpoint cadence must be >= 1, got {every}")
-        if keep < 1:
-            raise ConfigError(f"must keep >= 1 checkpoint generations, got {keep}")
         self.every = int(every)
-        self.keep = int(keep)
         #: iteration -> rank -> state dict
         self._generations: Dict[int, Dict[int, dict]] = {}
         self.puts = 0
@@ -98,7 +99,8 @@ class CGCheckpointStore:
     def latest_complete_states(self, n_ranks: int) -> Optional[Dict[int, dict]]:
         """Newest complete generation as ``{rank: state}``, or ``None``.
 
-        Also prunes older generations down to :attr:`keep` — the store
+        Also prunes older generations down to the newest
+        :data:`KEEP_GENERATIONS` complete ones — the store
         models a bounded host-side ring, not an ever-growing archive.
         """
         complete = self.complete_iterations(n_ranks)
@@ -106,7 +108,7 @@ class CGCheckpointStore:
             return None
         latest = complete[-1]
         for it in sorted(self._generations):
-            if it not in complete[-self.keep :]:
+            if it not in complete[-KEEP_GENERATIONS:]:
                 del self._generations[it]
         return self._generations[latest]
 

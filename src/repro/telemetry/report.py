@@ -95,19 +95,42 @@ class CrosscheckResult:
 class MachineReport:
     """One counter sample of a machine plus the paper's derived metrics.
 
-    The totals are sums over :attr:`counters`, the one :func:`sample`
-    taken at construction, in ``machine.nodes`` order: a report keeps
-    them however the machine runs on.
+    Every figure is read off what construction took: :attr:`counters`,
+    the one :func:`sample` (node totals summed in ``machine.nodes``
+    order, link metrics in ``network.links`` order), the clock, the
+    machine's run and global-sum books and the frame batches of its
+    stored sends.  A report keeps them however the machine runs on.
     """
 
     def __init__(self, machine):
         self.machine = machine
         self.counters: Dict[str, float] = sample(machine)
         self.elapsed = float(machine.sim.now)
+        self.run_seconds = machine.run_seconds
+        self.global_sum_seconds = machine.global_sum_seconds
+        self.global_sum_words = machine.global_sum_words
+        scus = [node.scu for node in machine.nodes.values()]
+        self._word_batches = {
+            scu.word_batch if batch is None else batch
+            for scu in scus
+            for (kind, _direction), (_desc, _group, batch) in scu._stored.items()
+            if kind == "send"
+        } or {scu.word_batch for scu in scus}
 
     # -- totals -------------------------------------------------------------
     def _node_total(self, suffix: str) -> float:
         return sum(self.counters[f"node{i}.{suffix}"] for i in self.machine.nodes)
+
+    def _active_links(self) -> List[Tuple[int, float, float]]:
+        """``(source node, bits sent, busy seconds)`` of each link that
+        carried a frame, in ``network.links`` order."""
+        rows = []
+        for src, direction in self.machine.network.links:
+            row = f"link.n{src}.d{direction}."
+            if self.counters[row + "frames_sent"] > 0:
+                busy = self.counters[row + "busy_seconds"]
+                rows.append((src, self.counters[row + "bits_sent"], busy))
+        return rows
 
     @property
     def total_flops(self) -> float:
@@ -121,9 +144,9 @@ class MachineReport:
         """Seconds of the runs a rank spent neither computing nor in a
         global sum, rank-mean: waiting on the wires."""
         return (
-            self.machine.run_seconds
+            self.run_seconds
             - self.total_compute_seconds / n_ranks
-            - self.machine.global_sum_seconds
+            - self.global_sum_seconds
         )
 
     @property
@@ -132,16 +155,11 @@ class MachineReport:
         descriptors' own, else (a descriptor stored without one, or a
         finalized run, which keeps none) the SCUs' — what a context uses
         unless it is given a batch of its own."""
-        scus = [node.scu for node in self.machine.nodes.values()]
-        batches = {
-            scu.word_batch if batch is None else batch
-            for scu in scus
-            for (kind, _direction), (_desc, _group, batch) in scu._stored.items()
-            if kind == "send"
-        } or {scu.word_batch for scu in scus}
-        if len(batches) > 1:
-            raise ConfigError(f"the run's sends used several frame batches: {batches}")
-        return batches.pop()
+        if len(self._word_batches) > 1:
+            raise ConfigError(
+                f"the run's sends used several frame batches: {self._word_batches}"
+            )
+        return next(iter(self._word_batches))
 
     @property
     def total_payload_words(self) -> float:
@@ -184,10 +202,10 @@ class MachineReport:
 
     def link_utilisation(self) -> Dict[str, float]:
         """Wire-busy fraction over links that carried traffic."""
-        active = self.machine.network.active_links()
+        active = self._active_links()
         if not active or self.elapsed <= 0:
             return {"mean": 0.0, "max": 0.0, "links_active": 0}
-        fracs = [link.busy_seconds / self.elapsed for _, link in active]
+        fracs = [busy / self.elapsed for _src, _bits, busy in active]
         return {
             "mean": sum(fracs) / len(fracs),
             "max": max(fracs),
@@ -197,11 +215,8 @@ class MachineReport:
     def link_rate_mbit_s(self) -> float:
         """Mean achieved wire rate over active links (Mbit/s while busy) —
         the paper's "420 Mbit/s" per-link figure is this quantity."""
-        active = self.machine.network.active_links()
         rates = [
-            link.bits_sent / link.busy_seconds / 1e6
-            for _, link in active
-            if link.busy_seconds > 0
+            bits / busy / 1e6 for _src, bits, busy in self._active_links() if busy > 0
         ]
         return sum(rates) / len(rates) if rates else 0.0
 
@@ -216,15 +231,12 @@ class MachineReport:
         """
         if self.elapsed <= 0:
             return 0.0
+        active = self._active_links()
         per_node = []
-        for node_id, node in self.machine.nodes.items():
-            busy = [
-                link.busy_seconds
-                for (src, _), link in self.machine.network.links.items()
-                if src == node_id and link.frames_sent > 0
-            ]
+        for node_id in self.machine.nodes:
+            busy = [busy for src, _bits, busy in active if src == node_id]
             t_comm = max(busy) if busy else 0.0
-            t_cpu = node.compute_time
+            t_cpu = self.counters[f"node{node_id}.cpu.compute_seconds"]
             lo = min(t_cpu, t_comm)
             if lo <= 0:
                 continue
@@ -363,7 +375,7 @@ class MachineReport:
         gsum = 0.0
         if dots:
             gsum = dots * asic.global_sum_time(
-                machine_dims, max(1, machine.global_sum_words // dots)
+                machine_dims, max(1, self.global_sum_words // dots)
             )
 
         def exact(
@@ -379,8 +391,8 @@ class MachineReport:
                 CrosscheckEntry("wire_overhead", self.wire_overhead, 1.0, wire_tol),
                 exact("compute_seconds", self.total_compute_seconds,
                       n_ranks * compute_per_rank, 0.0),
-                exact("global_sum_seconds", machine.global_sum_seconds, gsum, 0.0),
+                exact("global_sum_seconds", self.global_sum_seconds, gsum, 0.0),
                 exact("exposed_comm_seconds", self.exposed_comm_seconds(n_ranks),
-                      exposed, machine.run_seconds),
+                      exposed, self.run_seconds),
             ]
         )

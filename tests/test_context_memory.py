@@ -34,7 +34,9 @@ CALLER_LAYOUT = {
 CASES = {
     "wilson": ("wilson", (8, 4, 4, 4), {"mass": 0.3}, 1, 801792),
     "clover": ("wilson", (8, 4, 4, 4), {"mass": 0.3, "c_sw": 1.0}, 1, 850944),
-    "wilson-r0.8": ("wilson", (8, 4, 4, 4), {"mass": 0.3, "r": 0.8}, 1, 1078272),
+    "wilson-full": (
+        "wilson", (8, 4, 4, 4), {"mass": 0.3, "compress": False}, 1, 1078272
+    ),
     "dwf": ("dwf", (8, 4, 4, 4), {"Ls": 4}, 1, 2700288),
     "asqtad": ("asqtad", (16, 4, 4, 4), {"mass": 0.1}, 2, 1331712),
 }

@@ -1,11 +1,13 @@
 """The docs name only what exists.
 
-Two checks, one gate: every program file (``.py`` under ``src/repro/``,
+Three checks, one gate: every program file (``.py`` under ``src/repro/``,
 ``tests/``, ``benchmarks/``, ``bench/`` or ``examples/``) that README.md,
-DESIGN.md, EXPERIMENTS.md or the verify skill names exists, and every
-row of DESIGN.md §5's extension table names modules that exist and a
-claim file (a ``benchmarks/bench_*.py`` row, ``bench/workloads.py`` or an
-example) that imports each of them.
+DESIGN.md, EXPERIMENTS.md or the verify skill names exists; every
+``make`` target they name (in a code span or at the start of a code
+line) is one the Makefile defines; and every row of DESIGN.md §5's
+extension table names modules that exist and a claim file (a
+``benchmarks/bench_*.py`` row, ``bench/workloads.py`` or an example)
+that imports each of them.
 """
 
 import ast
@@ -24,6 +26,12 @@ PACKAGES = {p.name for p in (ROOT / "src" / "repro").iterdir() if p.is_dir()}
 #: a slash-separated ``.py`` path, not the tail of a longer one or a glob
 PY_PATH = re.compile(r"(?<![\w/.*-])((?:\w+/)+\w+\.py)\b")
 CLAIM = re.compile(r"(benchmarks/bench_\w+|bench/workloads|examples/\w+)\.py")
+#: ``make <target>`` opening a code span or a code line (prose such as
+#: "make one call" is neither)
+MAKE_USE = re.compile(r"(?:^|`)make ([\w-]+)", re.M)
+#: a rule's target at the start of a Makefile line (not ``.PHONY``, not
+#: a ``NAME ?= value`` variable)
+MAKE_RULE = re.compile(r"^([\w-]+):", re.M)
 
 
 def program_file(token):
@@ -46,6 +54,16 @@ def missing_files():
             if path is not None and not path.is_file():
                 missing.append(f"{doc} names {token}, which does not exist")
     return missing
+
+
+def missing_targets():
+    defined = set(MAKE_RULE.findall((ROOT / "Makefile").read_text()))
+    return [
+        f"{doc} names `make {target}`, which the Makefile does not define"
+        for doc in DOCS
+        for target in MAKE_USE.findall((ROOT / doc).read_text())
+        if target not in defined
+    ]
 
 
 def is_module(name):
@@ -107,4 +125,4 @@ def extension_faults():
 
 
 def test_docs_name_only_what_exists():
-    assert missing_files() + extension_faults() == []
+    assert missing_files() + missing_targets() + extension_faults() == []

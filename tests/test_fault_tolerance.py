@@ -424,8 +424,6 @@ class TestCGCheckpointStore:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             CGCheckpointStore(every=0)
-        with pytest.raises(ConfigError):
-            CGCheckpointStore(keep=0)
 
     def test_put_validates_and_deep_copies(self):
         s = CGCheckpointStore(every=5)
@@ -446,7 +444,7 @@ class TestCGCheckpointStore:
         assert states[0]["it"] == 5 and states[1]["it"] == 5
 
     def test_pruning_keeps_bounded_history(self):
-        s = CGCheckpointStore(every=5, keep=2)
+        s = CGCheckpointStore(every=5)
         for it in (0, 5, 10, 15):
             s.put(0, it, _cg_state(it))
         s.latest_complete_states(1)
@@ -582,14 +580,6 @@ class TestQdaemonRecovery:
         new_nodes = {remapped.partition.physical_node(r) for r in range(2)}
         assert victim not in new_nodes
         assert remapped.partition.logical_dims == original.partition.logical_dims
-
-    def test_allocate_strict_mode_refuses_dead_placement(self):
-        m, d = small_daemon()
-        d.boot()
-        m.network.fail_node(0)
-        d.mark_failed(0, "test")
-        with pytest.raises(DegradedMachineError):
-            d.allocate("a", [(0,)], extents=(2, 1, 1, 1, 1, 1), remap=False)
 
     def test_allocate_degraded_when_no_placement_survives(self):
         m, d = small_daemon()

@@ -69,22 +69,20 @@ class TestWilsonStructure:
         with pytest.raises(ConfigError):
             d.apply(np.zeros((3, 4, 3), dtype=complex))
 
-    @pytest.mark.parametrize("r", [1.0, 0.7])
-    def test_single_precision_field_rejected(self, geom, rng, r):
+    def test_single_precision_field_rejected(self, geom, rng):
         # mixed-precision CG up-casts before every application; a
         # complex64 field reaching the operator is a caller's mistake
-        d = WilsonDirac(GaugeField.unit(geom), mass=0.1, r=r)
+        d = WilsonDirac(GaugeField.unit(geom), mass=0.1)
         psi = random_spinor(rng, geom)
         for method in (d.apply, d.apply_dagger, d.hopping):
             with pytest.raises(ConfigError, match="complex128"):
                 method(psi.astype(np.complex64))
         assert d.apply(psi).dtype == np.complex128
 
-    @pytest.mark.parametrize("r", [1.0, 0.7])
-    def test_results_are_fresh_caller_owned_arrays(self, geom, rng, r):
+    def test_results_are_fresh_caller_owned_arrays(self, geom, rng):
         # the Krylov loops hold A p across iterations, so a second call
         # must not write into the array the first one returned
-        d = WilsonDirac(GaugeField.hot(geom, rng), mass=0.3, r=r)
+        d = WilsonDirac(GaugeField.hot(geom, rng), mass=0.3)
         psi, phi = random_spinor(rng, geom), random_spinor(rng, geom)
         for method in (d.hopping, d.apply, d.apply_dagger):
             first = method(psi)

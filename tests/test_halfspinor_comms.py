@@ -27,7 +27,6 @@ from repro.fermions.flops import (
 from repro.lattice import LatticeGeometry
 from repro.lattice import stencil
 from repro.parallel import pdirac, pdwf
-from repro.util.errors import ConfigError
 from tests.harness import applied, booted, scattered, system, transfer_counters
 
 DIMS_1D = (2, 1, 1, 1, 1, 1)
@@ -135,26 +134,16 @@ class TestWilsonWireFormat:
         assert np.array_equal(mono, over)
         assert np.allclose(mono, serial, atol=1e-12)
 
-    def test_compress_requires_unit_r(self):
+    def test_compress_is_the_default(self):
         geom, gauge, psi = wilson_system()
+        machine, partition = booted(DIMS_1D, word_batch=4096)
+        context = scattered(partition, "wilson", gauge, mass=0.3)
 
-        def built(**ctx):
-            """What each rank's context reports as ``compress``."""
-            machine, partition = booted(DIMS_1D, word_batch=4096)
-            context = scattered(partition, "wilson", gauge, mass=0.3, **ctx)
+        def program(api):
+            return context(api).compress
+            yield  # make it a generator
 
-            def program(api):
-                return context(api).compress
-                yield  # make it a generator
-
-            return machine.run_partition(partition, program)
-
-        with pytest.raises(ConfigError, match="r == 1"):
-            built(r=0.9, compress=True)
-        # default gate: r != 1 silently falls back to full spinors
-        res = built(r=0.9)
-        assert res and set(res) == {False}
-        res = built()
+        res = machine.run_partition(partition, program)
         assert res and set(res) == {True}
 
 

@@ -21,7 +21,10 @@ for all three operator families:
   ASQTAD output is ``==``-identical across 0D/1D/2D/4D decompositions of
   one global lattice (0D exchanges no halo at all);
 * run-to-run: the overlapped pipeline is deterministic (two fresh
-  machines, identical bits).
+  machines, identical bits);
+* the word-at-a-time protocol with replay off, on the ``dslash-wire``
+  benchmark's 16-node machine and hot ``4^4`` field of each of seeds
+  1..10: serial Wilson bytes and clean link checksums.
 """
 
 import numpy as np
@@ -83,6 +86,18 @@ class TestWilsonBitExact:
         first, _ = run(dims, "wilson", gauge, psi, True, mass=mass)
         second, _ = run(dims, "wilson", gauge, psi, True, mass=mass)
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_word_protocol_equals_serial(self, seed):
+        """The ``dslash-wire`` benchmark's system and machine — its hot
+        field of each seed on a ``4^4`` lattice, 16 nodes, the word-at-a-
+        time protocol with replay off — gives the serial operator's bytes
+        and clean link checksums."""
+        gauge, psi = system((seed, "bench-dslash-wire"), (4, 4, 4, 4))
+        machine, partition = booted(DECOMPS["4d"], word_batch=1, replay=False)
+        out = applied(machine, partition, "wilson", gauge, psi, mass=0.3)
+        assert out.tobytes() == WilsonDirac(gauge, mass=0.3).apply(psi).tobytes()
+        assert machine.audit_checksums() == []
 
 
 class TestDWFBitExact:

@@ -141,6 +141,31 @@ def test_report_is_one_snapshot():
         assert before[name] == sum(rows)
 
 
+def test_report_links_and_books_are_one_snapshot():
+    """The link metrics, the overlap fraction, the exposed seconds and the
+    crosscheck read the moment the report was taken too: one more
+    application on the machine moves none of them."""
+    m, part = booted(DIMS_1D, word_batch=4096)
+    gauge, psi = system((17, "report"), (4, 2, 2, 2))
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
+    report = m.report()
+
+    def figures(rep):
+        crosscheck = rep.crosscheck("wilson", (2, 2, 2, 2), MACHINE_DIMS)
+        return (
+            rep.link_utilisation(),
+            rep.link_rate_mbit_s(),
+            rep.overlap_fraction(),
+            rep.exposed_comm_seconds(m.n_nodes),
+            [(e.metric, e.measured, e.predicted) for e in crosscheck.entries],
+        )
+
+    before = figures(report)
+    applied(m, part, "wilson", gauge, psi, mass=0.3)
+    assert figures(m.report()) != before  # the machine ran on
+    assert figures(report) == before
+
+
 # ---------------------------------------------------------------------------
 # derived metrics
 # ---------------------------------------------------------------------------

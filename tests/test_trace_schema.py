@@ -390,16 +390,6 @@ def test_namespace_prefixes_tags():
     assert t.prefixed("scu")[0].tag == "scu.resend"
 
 
-def test_ring_buffer_drops_oldest_and_counts():
-    t = Trace(maxlen=3)
-    for i in range(10):
-        t.emit("cg.iteration", rank=0, iteration=i, residual=0.1)
-    assert len(t) == 3
-    assert t.emitted == 10
-    assert t.dropped == 7
-    assert [r.fields["iteration"] for r in t.tagged("cg.iteration")] == [7, 8, 9]
-
-
 # ---------------------------------------------------------------------------
 # Record layout: a tuple of values and one shared tuple of names
 # ---------------------------------------------------------------------------
